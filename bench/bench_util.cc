@@ -145,11 +145,6 @@ bool FastMode() {
   return v != nullptr && v[0] == '1';
 }
 
-bool VectorizedMode() {
-  const char* v = std::getenv("DPSYNC_VECTORIZED");
-  return v == nullptr || v[0] != '0';
-}
-
 void ApplyFastMode(sim::ExperimentConfig* config) {
   if (!FastMode()) return;
   config->yellow.horizon_minutes /= 8;
@@ -169,9 +164,7 @@ void PrintSeries(std::ostream& os, const std::string& tag,
   }
 }
 
-sim::ExperimentResult MustRun(const sim::ExperimentConfig& c) {
-  sim::ExperimentConfig config = c;
-  if (!VectorizedMode()) config.vectorized_execution = false;
+sim::ExperimentResult MustRun(const sim::ExperimentConfig& config) {
   auto start = std::chrono::steady_clock::now();
   auto r = sim::RunExperiment(config);
   double wall =
@@ -183,11 +176,7 @@ sim::ExperimentResult MustRun(const sim::ExperimentConfig& c) {
 }
 
 std::vector<sim::ExperimentResult> MustRunAll(
-    const std::vector<sim::ExperimentConfig>& in) {
-  std::vector<sim::ExperimentConfig> configs = in;
-  if (!VectorizedMode()) {
-    for (auto& c : configs) c.vectorized_execution = false;
-  }
+    const std::vector<sim::ExperimentConfig>& configs) {
   const size_t n = configs.size();
   std::vector<StatusOr<sim::ExperimentResult>> runs(
       n, StatusOr<sim::ExperimentResult>(
@@ -237,7 +226,6 @@ bool WriteJsonReport() {
   }
   out << "{\"bench\":\"" << report.name
       << "\",\"fast_mode\":" << (FastMode() ? "true" : "false")
-      << ",\"vectorized\":" << (VectorizedMode() ? "true" : "false")
       << ",\"experiments\":[";
   for (size_t i = 0; i < report.entries.size(); ++i) {
     if (i) out << ",";

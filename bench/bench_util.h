@@ -16,14 +16,6 @@ namespace dpsync::bench {
 /// True if DPSYNC_FAST=1 is set (CI/smoke mode: shorter traces).
 bool FastMode();
 
-/// False only if DPSYNC_VECTORIZED=0 is set. The knob lets CI A/B the
-/// columnar batch path against the scalar reference without rebuilding:
-/// MustRun/MustRunAll force vectorized_execution off when it is 0 (they
-/// never force it on — benches that pin the knob per cell keep their
-/// scalar cells), and the JSON report header records the effective mode
-/// so tools/bench_diff.py can flag cross-mode comparisons.
-bool VectorizedMode();
-
 /// Applies fast-mode scaling to an experiment config (1/8 horizon and
 /// record counts; same parameter ratios so every shape survives).
 void ApplyFastMode(sim::ExperimentConfig* config);

@@ -107,7 +107,6 @@ int main() {
       // and leave nothing to contend. bench/sweep_views.cpp covers the
       // view path.
       cfg.materialized_views = false;
-      cfg.vectorized_execution = VectorizedMode();
       cfg.oram_capacity = static_cast<size_t>(kRecords) * 2;
       cfg.admission.max_in_flight = in_flight;
       cfg.admission.max_queue = 4096;  // never reject in this sweep
@@ -183,7 +182,7 @@ int main() {
       double qps = wall > 0 ? kQueries / wall : 0;
       // Every query scans the whole table, so the scan throughput each
       // cell sustains is (records per scan) x (scans per second) — the
-      // number the vectorized execution path moves (see
+      // number the scan kernel's columnar loop moves (see
       // bench/sweep_vectorized.cpp for the per-query-shape breakdown).
       double rows_per_sec =
           wall > 0 ? static_cast<double>(kRecords) * kQueries / wall : 0;
@@ -213,7 +212,6 @@ int main() {
            << ",\"records\":" << kRecords << ",\"query_count\":" << kQueries
            << ",\"wall_seconds\":" << wall << ",\"qps\":" << qps
            << ",\"rows_per_sec\":" << rows_per_sec
-           << ",\"vectorized\":" << (VectorizedMode() ? "true" : "false")
            << ",\"virtual_seconds\":" << virtual_seconds
            << ",\"peak_in_flight\":" << stats.peak_in_flight
            << ",\"plan_cache\":{\"prepares\":" << stats.prepares

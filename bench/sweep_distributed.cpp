@@ -128,7 +128,6 @@ Server MakeServer(const Deployment& d, int64_t n) {
     // local reference on the same scan path so the counter comparison is
     // exact (answers would match either way).
     cfg.materialized_views = false;
-    cfg.vectorized_execution = VectorizedMode();
     out.server = std::make_unique<edb::ObliDbServer>(cfg);
   } else {
     dist::DistributedConfig cfg;
@@ -302,7 +301,6 @@ int main() {
              << ",\"bytes_replicated\":"
              << (s.dist ? s.dist->bytes_replicated() : 0)
              << ",\"failover_wall_seconds\":" << failover_wall
-             << ",\"vectorized\":" << (VectorizedMode() ? "true" : "false")
              << ",\"plan_cache\":{\"prepares\":" << stats.prepares
              << ",\"hits\":" << stats.plan_cache_hits
              << ",\"misses\":" << stats.plan_cache_misses

@@ -1,19 +1,21 @@
 /// \file sweep_vectorized.cpp
-/// Vectorized-execution sweep: rows/sec on one ObliDB server for
-/// execution mode {scalar, vectorized} x query shape {SUM, AVG, filtered
-/// SUM, GROUP BY COUNT} x table size n in {1k, 16k, 64k}. Every cell
-/// prepares its query once, warms the mirror with one untimed execution,
-/// then times `iters` executions of the cached plan — so the number is
-/// pure scan+aggregation throughput over the decrypted columnar mirror,
-/// not decrypt or planning cost.
+/// Scan-kernel loop sweep: rows/sec of query::ExecuteScanPartial for loop
+/// {row ("scalar"), columnar ("vectorized")} x query shape {SUM, AVG,
+/// filtered SUM, GROUP BY COUNT} x table size n in {1k, 16k, 64k}. Each
+/// table is loaded into an encrypted store once and pinned as an epoch
+/// snapshot; every cell then times `iters` kernel runs of the shape's
+/// dummy-rewritten query over the pinned spans, picking the loop through
+/// the kernel's `vectorized` parameter — so the number is pure
+/// scan+aggregation throughput over the decrypted columnar mirror, not
+/// decrypt, planning or admission cost.
 ///
-/// The two modes must be distinguishable ONLY by wall-clock: the binary
-/// hard-fails if any cell's answer or virtual QET differs between the
-/// scalar and vectorized engines (the same bit-identity that
-/// tools/bench_diff.py --strict gates across CI runs). On a 64k-row
-/// table the vectorized SUM and GROUP BY cells should sustain >= 2x the
-/// scalar rows/sec; hosts with busy/few cores may fall short, so the
-/// check only warns. DPSYNC_FAST=1 shrinks the per-cell row budget.
+/// The two loops must be distinguishable ONLY by wall-clock: the binary
+/// hard-fails if any cell's answer or virtual QET differs between them
+/// (the same bit-identity that tools/bench_diff.py --strict gates across
+/// CI runs). On a 64k-row table the columnar SUM and GROUP BY cells
+/// should sustain >= 2x the row loop's rows/sec; hosts with busy/few
+/// cores may fall short, so the check only warns. DPSYNC_FAST=1 shrinks
+/// the per-cell row budget.
 ///
 /// Output: "sweep_vectorized,<query>,n<records>,<mode>,..." CSV lines, a
 /// summary table with the per-cell speedup, and
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,7 +35,11 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
-#include "edb/oblidb_engine.h"
+#include "edb/cost_model.h"
+#include "edb/encrypted_table.h"
+#include "query/executor.h"
+#include "query/parser.h"
+#include "query/rewriter.h"
 #include "workload/trip_record.h"
 
 using namespace dpsync;
@@ -70,7 +77,7 @@ const Shape kShapes[] = {
 };
 
 /// One timed cell: rows/sec plus the answer + virtual QET it produced
-/// (identical for every iteration — the plan and table are fixed).
+/// (identical for every iteration — the query and pinned spans are fixed).
 struct Cell {
   double wall = 0;
   double rows_per_sec = 0;
@@ -85,45 +92,45 @@ void Die(const std::string& what, const Status& status) {
   std::exit(1);
 }
 
-/// Exact equality, group by group. The vectorized fold uses the scalar
-/// path's reduction order, so "close enough" would hide a real bug —
-/// anything but == is a failure.
+/// Exact equality, group by group. The columnar loop adds rows in the row
+/// loop's order, so "close enough" would hide a real bug — anything but
+/// == is a failure.
 bool SameAnswer(const query::QueryResult& a, const query::QueryResult& b) {
   return a.grouped == b.grouped && a.scalar == b.scalar &&
          a.groups == b.groups;
 }
 
-Cell RunCell(bool vectorized, const Shape& shape, int64_t records,
-             const std::vector<Record>& rows, int iters) {
-  edb::ObliDbConfig cfg;
-  // Views would answer the eligible aggregates in O(1) and time nothing;
-  // this sweep measures the scan paths themselves.
-  cfg.materialized_views = false;
-  cfg.vectorized_execution = vectorized;
-  edb::ObliDbServer server(cfg);
-  auto t = server.CreateTable("YellowCab", workload::TripSchema());
-  if (!t.ok()) Die("CreateTable", t.status());
-  if (auto s = t.value()->Setup(rows); !s.ok()) Die("Setup", s);
+/// Loads `rows` into a single-shard encrypted store and pins its committed
+/// prefix: the spans (rows plus columnar projections) every cell of this
+/// table size scans.
+edb::SnapshotView PinTable(const std::vector<Record>& rows) {
+  edb::EncryptedTableStore store("YellowCab", workload::TripSchema(),
+                                 Bytes(32, 7));
+  if (auto s = store.Setup(rows); !s.ok()) Die("Setup", s);
+  std::lock_guard<std::mutex> lk(store.table_mutex());
+  auto snap = store.Snapshot();
+  if (!snap.ok()) Die("Snapshot", snap.status());
+  return std::move(snap.value());
+}
 
-  auto session = server.CreateSession();
-  auto q = session->Prepare(shape.sql);
-  if (!q.ok()) Die("Prepare", q.status());
-
-  // Warm-up: populates the decrypted mirror (and its columnar arrays) so
-  // the timed loop measures steady-state scans, not the first catch-up.
-  auto warm = session->Execute(q.value());
-  if (!warm.ok()) Die("warm-up Execute", warm.status());
-
+Cell RunCell(bool vectorized, const query::SelectQuery& q,
+             const query::Table& table, int iters) {
+  auto run = [&] {
+    auto partial = query::ExecuteScanPartial(q, table, vectorized);
+    if (!partial.ok()) Die("ExecuteScanPartial", partial.status());
+    return std::move(partial.value());
+  };
+  // Warm-up: faults the pinned spans into cache so the timed loop
+  // measures steady-state scans.
+  const query::ScanPartial warm = run();
   Cell cell;
   cell.iters = iters;
-  cell.virtual_seconds = warm->stats.virtual_seconds;
-  cell.result = warm->result;
+  cell.virtual_seconds = edb::ScanCost(edb::ObliDbCostModel(),
+                                       warm.records_scanned, warm.grouped);
+  cell.result = warm.Finalize();
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
-    auto r = session->Execute(q.value());
-    if (!r.ok()) Die("Execute", r.status());
-    if (!SameAnswer(r->result, cell.result) ||
-        r->stats.virtual_seconds != cell.virtual_seconds) {
+    if (!SameAnswer(run().Finalize(), cell.result)) {
       std::cerr << "sweep_vectorized: answer drifted across iterations"
                 << std::endl;
       std::exit(1);
@@ -132,17 +139,19 @@ Cell RunCell(bool vectorized, const Shape& shape, int64_t records,
   cell.wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  cell.rows_per_sec = cell.wall > 0
-                          ? static_cast<double>(records) * iters / cell.wall
-                          : 0;
+  cell.rows_per_sec =
+      cell.wall > 0 ? static_cast<double>(warm.records_scanned) * iters /
+                          cell.wall
+                    : 0;
   return cell;
 }
 
 }  // namespace
 
 int main() {
-  Banner("Vectorized-execution sweep: rows/sec, scalar vs columnar batch",
-         "the columnar mirror + vectorized scan path, on §8's query shapes");
+  Banner("Scan-kernel loop sweep: rows/sec, row loop vs columnar loop",
+         "the columnar mirror + the scan kernel's loops, on §8's query "
+         "shapes");
   const bool fast = FastMode();
   // Per-cell row budget: every cell scans ~this many rows total, so small
   // tables run more iterations instead of finishing too fast to time.
@@ -154,24 +163,33 @@ int main() {
   // speedup[shape][n] = vectorized rows/sec over scalar rows/sec.
   std::map<std::string, std::map<int64_t, double>> speedups;
   for (int64_t n : kSizes) {
-    const auto rows = MakeRecords(n);
+    const edb::SnapshotView pinned = PinTable(MakeRecords(n));
+    query::Table scanned;
+    scanned.name = "YellowCab";
+    scanned.schema = workload::TripSchema();
+    scanned.borrowed_spans = pinned.spans;
     const int iters =
         static_cast<int>(std::max<int64_t>(4, kRowBudget / n));
     for (const Shape& shape : kShapes) {
-      Cell scalar = RunCell(false, shape, n, rows, iters);
-      Cell vec = RunCell(true, shape, n, rows, iters);
+      auto parsed = query::ParseSelect(shape.sql);
+      if (!parsed.ok()) Die("ParseSelect", parsed.status());
+      // What the engines execute: the Appendix-B dummy-exclusion rewrite.
+      const query::SelectQuery q = query::RewriteForDummies(parsed.value());
+      Cell scalar = RunCell(false, q, scanned, iters);
+      Cell vec = RunCell(true, q, scanned, iters);
 
-      // The knob's contract, checked in-binary before any number is
+      // The loops' contract, checked in-binary before any number is
       // reported: identical answers, identical virtual cost.
       if (!SameAnswer(scalar.result, vec.result)) {
         std::cerr << "sweep_vectorized: " << shape.name << " n=" << n
-                  << " answers differ between scalar and vectorized"
+                  << " answers differ between the row and columnar loops"
                   << std::endl;
         return 1;
       }
       if (scalar.virtual_seconds != vec.virtual_seconds) {
         std::cerr << "sweep_vectorized: " << shape.name << " n=" << n
-                  << " virtual QET differs between scalar and vectorized"
+                  << " virtual QET differs between the row and columnar "
+                     "loops"
                   << std::endl;
         return 1;
       }
@@ -212,22 +230,22 @@ int main() {
   std::cout << "\n";
   table.Print(std::cout);
 
-  // The headline cells: at 64k rows the batch path's tight loops should
-  // clear 2x over the row-at-a-time reference. Warn-only: a loaded or
-  // single-core CI host can flatten the gap without anything regressing.
+  // The headline cells: at 64k rows the columnar loop should clear 2x
+  // over the row loop. Warn-only: a loaded or single-core CI host can
+  // flatten the gap without anything regressing.
   for (const char* headline : {"sum", "group-count"}) {
     double s = speedups[headline][64000];
     if (s < 2.0) {
-      std::cout << "WARN: vectorized " << headline << " n=64000 speedup "
+      std::cout << "WARN: columnar " << headline << " n=64000 speedup "
                 << TablePrinter::Fmt(s, 2) << "x < 2x\n";
     }
   }
 
   std::cout << "\nExpected shape: every (query, n) pair reports the exact "
-               "same answer and\nvirtual QET in both modes (checked "
+               "same answer and\nvirtual QET in both loops (checked "
                "in-binary; bench_diff --strict gates it\nacross runs), and "
-               "the vectorized rows/sec pulls away from scalar as n\ngrows "
-               "— the batch path amortizes per-row dispatch that dominates "
-               "small\ntables' scans.\n";
+               "the columnar rows/sec pulls away from the row loop as\nn "
+               "grows — the columnar loop amortizes per-row dispatch that "
+               "dominates\nsmall tables' scans.\n";
   return 0;
 }

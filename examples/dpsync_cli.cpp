@@ -29,10 +29,6 @@
 ///                        incremental materialized views (default on;
 ///                        effective only with --snapshot=on; metrics are
 ///                        invariant, only wall-clock changes)
-///   --vectorized=on|off  execute eligible scans on the columnar batch
-///                        path (default on; answers and metrics are
-///                        bit-identical, only wall-clock changes — see
-///                        docs/ARCHITECTURE.md)
 ///   --parallel-joins=on|off  run hash joins' partition/build/probe
 ///                        phases on the shared pool (default on; answers
 ///                        and metrics are bit-identical, only wall-clock
@@ -74,7 +70,7 @@ int Usage(const char* argv0) {
                "[--storage-dir=path]\n"
                "       [--api=session|oneshot] [--snapshot=on|off] "
                "[--views=on|off]\n"
-               "       [--vectorized=on|off] [--parallel-joins=on|off]\n"
+               "       [--parallel-joins=on|off]\n"
                "       [--no-join] [--timing]\n"
                "       [--csv=path]\n";
   return 2;
@@ -147,10 +143,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "views", &v)) {
       if (v == "on") cfg.materialized_views = true;
       else if (v == "off") cfg.materialized_views = false;
-      else return Usage(argv[0]);
-    } else if (ParseFlag(argv[i], "vectorized", &v)) {
-      if (v == "on") cfg.vectorized_execution = true;
-      else if (v == "off") cfg.vectorized_execution = false;
       else return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "parallel-joins", &v)) {
       if (v == "on") cfg.parallel_joins = true;

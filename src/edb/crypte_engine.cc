@@ -146,8 +146,7 @@ StatusOr<QueryResponse> CryptEpsServer::ExecutePlan(
     plain.borrowed_spans = view.spans;
     query::Catalog catalog;
     catalog.AddTable(&plain);
-    query::Executor executor(
-        &catalog, query::ExecutorOptions{config_.vectorized_execution});
+    query::Executor executor(&catalog);
     return executor.Execute(plan.rewritten);
   };
   auto run_exact = [&]() -> StatusOr<query::QueryResult> {

@@ -60,14 +60,6 @@ struct CryptEpsConfig {
   /// uncommitted-tail visibility cannot be represented). See
   /// src/edb/view.h.
   bool materialized_views = true;
-  /// Execute the exact-aggregation scan on the columnar batch path
-  /// (query::ExecutorOptions::vectorized). Bit-identical answers by
-  /// construction (fixed reduction order), and the Laplace release is
-  /// untouched — budget reservation and noise draws happen after the
-  /// exact answer regardless of how it was computed — so the noise
-  /// stream and every reported metric are unchanged; only wall-clock
-  /// moves.
-  bool vectorized_execution = true;
   /// Physical storage for every table (backend kind, shard count, dir).
   StorageConfig storage;
 };

@@ -366,15 +366,14 @@ StatusOr<QueryResponse> AggregateOverView(const query::SelectQuery& rewritten,
                                           const std::string& table_name,
                                           const query::Schema& schema,
                                           const SnapshotView& view,
-                                          const CostModel& cost,
-                                          bool vectorized) {
+                                          const CostModel& cost) {
   query::Table plain;
   plain.name = table_name;
   plain.schema = schema;
   plain.borrowed_spans = view.spans;
   query::Catalog catalog;
   catalog.AddTable(&plain);
-  query::Executor executor(&catalog, query::ExecutorOptions{vectorized});
+  query::Executor executor(&catalog);
   auto result = executor.Execute(rewritten);
   if (!result.ok()) return result.status();
 
@@ -400,8 +399,7 @@ StatusOr<QueryResponse> ObliDbServer::SnapshotScanQuery(
   // No lock held from here on: concurrent same-table scans and owner
   // appends proceed while we aggregate over the pinned prefix.
   auto resp = AggregateOverView(rewritten, table->table_name(),
-                                table->store().schema(), snap.value(), cost_,
-                                config_.vectorized_execution);
+                                table->store().schema(), snap.value(), cost_);
   if (!resp.ok()) return resp.status();
   CountSnapshotScan();
   resp->stats.measured_seconds = SecondsSince(start);
@@ -417,8 +415,7 @@ StatusOr<QueryResponse> ObliDbServer::ScanQuery(
   auto view = table->EnclaveScan();
   if (!view.ok()) return view.status();
   auto resp = AggregateOverView(rewritten, table->table_name(),
-                                table->store().schema(), view.value(), cost_,
-                                config_.vectorized_execution);
+                                table->store().schema(), view.value(), cost_);
   if (!resp.ok()) return resp.status();
   resp->stats.measured_seconds = SecondsSince(start);
   if (table->mirror()) {
@@ -522,7 +519,6 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
     catalog.AddTable(&lt);
     catalog.AddTable(&rt);
     query::ExecutorOptions opts;
-    opts.vectorized = config.vectorized_execution;
     opts.parallel_join = config.parallel_joins;
     opts.join_skip_dummy_rows = true;
     query::Executor executor(&catalog, opts);

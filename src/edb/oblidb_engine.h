@@ -78,16 +78,6 @@ struct ObliDbConfig {
   /// (sim_test.MetricsInvariantAcrossBackendsAndShardCounts sweeps this
   /// knob); only wall-clock changes. See src/edb/view.h.
   bool materialized_views = true;
-  /// Execute eligible linear scans on the columnar batch path
-  /// (query::ExecutorOptions::vectorized): selection bitmaps over the
-  /// chunk mirrors' per-column arrays plus hash group-by, with a fixed
-  /// reduction order that keeps every answer — including FP-sensitive
-  /// SUM/AVG — bit-identical to the scalar row path. Purely a wall-clock
-  /// knob: records_scanned, virtual QET and all other metrics are
-  /// unchanged (tools/bench_diff.py --strict gates this). The scalar path
-  /// remains the reference implementation and still answers joins and any
-  /// scan the batch path cannot take.
-  bool vectorized_execution = true;
   /// Run hash joins' key extraction, build and probe phases on the shared
   /// pool (query::ExecutorOptions::parallel_join). The probe keeps the
   /// serial path's chunk decomposition and chunk-order partial merge, so

@@ -5,12 +5,8 @@ namespace dpsync::edb {
 MaterializedView::MaterializedView(
     std::shared_ptr<const query::QueryPlan> plan)
     : plan_(std::move(plan)),
-      agg_col_(plan_->aggregate.column.empty() ? ""
-                                               : plan_->aggregate.column),
-      key_col_(plan_->grouped ? plan_->rewritten.group_by[0] : ""),
-      needs_value_(plan_->aggregate.agg != query::AggFunc::kCount ||
-                   !plan_->aggregate.column.empty()),
-      scalar_(plan_->aggregate.agg) {}
+      step_(plan_->rewritten),
+      state_{query::AggAccumulator(plan_->aggregate.agg), {}} {}
 
 int64_t MaterializedView::rows_folded() const {
   int64_t total = 0;
@@ -20,31 +16,7 @@ int64_t MaterializedView::rows_folded() const {
 
 void MaterializedView::Reset() {
   folded_.clear();
-  scalar_ = query::AggAccumulator(plan_->aggregate.agg);
-  groups_.clear();
-}
-
-// Mirrors Executor::ExecuteScan's per-row logic exactly — same WHERE
-// gate, same group creation on first matching row, same Value fed to the
-// accumulator — so a view answer is the scan answer. (The executor folds
-// the whole prefix shard-major in one pass; a view folds the same row
-// multiset as a sequence of shard-major deltas. For the integer-valued
-// aggregates of the modeled workloads double addition is exact, so the
-// order difference is unobservable; see docs/CONCURRENCY.md.)
-void MaterializedView::FoldRow(const query::Schema& schema,
-                               const query::Row& row) {
-  const query::SelectQuery& q = plan_->rewritten;
-  if (q.where && !q.where->Eval(schema, row).Truthy()) return;
-  query::Value v =
-      needs_value_ ? agg_col_.Eval(schema, row) : query::Value();
-  if (!plan_->grouped) {
-    scalar_.Add(v);
-    return;
-  }
-  query::Value key = key_col_.Eval(schema, row);
-  auto [it, inserted] = groups_.try_emplace(key, plan_->aggregate.agg);
-  (void)inserted;
-  it->second.Add(v);
+  state_ = query::SpanPartial{query::AggAccumulator(plan_->aggregate.agg), {}};
 }
 
 int64_t MaterializedView::FoldTo(const query::Schema& schema,
@@ -56,8 +28,14 @@ int64_t MaterializedView::FoldTo(const query::Schema& schema,
   int64_t rows = 0;
   for (size_t s = 0; s < committed.size(); ++s) {
     if (folded_[s] >= committed[s]) continue;
-    source(s, folded_[s], committed[s],
-           [&](const query::Row& row) { FoldRow(schema, row); });
+    // The kernel reduces the whole prefix over its span-aligned chunk
+    // tree; a view adds the same rows one at a time as a sequence of
+    // shard-major deltas. For the integer-valued aggregates of the modeled
+    // workloads double addition is exact, so the order difference is
+    // unobservable; see docs/CONCURRENCY.md.
+    source(s, folded_[s], committed[s], [&](const query::Row& row) {
+      step_.Fold(schema, row, &state_);
+    });
     rows += committed[s] - folded_[s];
     folded_[s] = committed[s];
   }
@@ -70,11 +48,13 @@ std::optional<query::QueryResult> MaterializedView::Answer(
     uint64_t epoch) const {
   if (!valid_ || epoch_ != epoch) return std::nullopt;
   if (!plan_->grouped) {
-    return query::QueryResult::Scalar(scalar_.Result());
+    return query::QueryResult::Scalar(state_.total.Result());
   }
   query::QueryResult result;
   result.grouped = true;
-  for (const auto& [key, acc] : groups_) result.groups[key] = acc.Result();
+  for (const auto& [key, acc] : state_.groups) {
+    result.groups[key] = acc.Result();
+  }
   return result;
 }
 

@@ -75,8 +75,8 @@ class MaterializedView {
 
   /// Brings the state current through `epoch`: folds rows
   /// [folded_s, committed[s]) of every shard via `source` (the whole
-  /// prefix when invalid), mirroring the executor's scan semantics
-  /// row-for-row. Returns the number of rows folded.
+  /// prefix when invalid) through the scan kernel's per-row step
+  /// (query::ScanRowStep). Returns the number of rows folded.
   int64_t FoldTo(const query::Schema& schema,
                  const std::vector<int64_t>& committed, uint64_t epoch,
                  const ViewRowSource& source);
@@ -89,19 +89,16 @@ class MaterializedView {
 
  private:
   void Reset();
-  void FoldRow(const query::Schema& schema, const query::Row& row);
 
   std::shared_ptr<const query::QueryPlan> plan_;
-  /// Cached executor-contract bits of the rewritten query.
-  query::ColumnExpr agg_col_;
-  query::ColumnExpr key_col_;
-  bool needs_value_;
+  /// The scan kernel's row step over plan_->rewritten.
+  query::ScanRowStep step_;
 
   bool valid_ = false;
   uint64_t epoch_ = 0;
   std::vector<int64_t> folded_;  ///< per-shard rows already folded
-  query::AggAccumulator scalar_;
-  std::map<query::Value, query::AggAccumulator> groups_;
+  /// The folded aggregate: `total` ungrouped, `groups` grouped.
+  query::SpanPartial state_;
 };
 
 /// All views registered on one table, keyed by plan fingerprint (the

@@ -39,7 +39,7 @@ void ColumnarBlock::Append(const Row& row) {
       // Type contradicts the schema: freeze the arrays where they are.
       // Rows already inside any captured bound stay valid (arrays never
       // shrink or move); this and later rows are only reachable through
-      // the scalar row path.
+      // the scan kernel's row loop.
       col.poisoned = true;
       continue;
     }

@@ -13,8 +13,8 @@
 /// and the vectorized executor reads strictly inside the captured bounds.
 /// A column whose appended values ever contradict the declared schema type
 /// stops growing its arrays ("poisoned"); captures that would reach past
-/// the typed prefix simply report the column as untyped and the executor
-/// falls back to the scalar row path — wrong answers are impossible, only
+/// the typed prefix simply report the column as untyped and the scan
+/// kernel falls back to its row loop — wrong answers are impossible, only
 /// speed is lost.
 #pragma once
 
@@ -32,7 +32,7 @@ namespace dpsync::query {
 /// index row 0 of the owning block; callers must only dereference indices
 /// inside the row bounds frozen at capture time. `type == kNull` means the
 /// column has no usable typed projection for this span (poisoned, or the
-/// span predates the columnar mirror) and the scalar path must be used.
+/// span predates the columnar mirror) and the row loop must be used.
 struct ColumnSpan {
   ValueType type = ValueType::kNull;
   const int64_t* ints = nullptr;        ///< set when type == kInt

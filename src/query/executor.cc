@@ -15,7 +15,7 @@ namespace {
 /// pre-sharding executor did.
 constexpr size_t kParallelScanThreshold = 8192;
 
-/// Tile size for the vectorized path: selection bitmaps are computed and
+/// Tile size for the columnar loop: selection bitmaps are computed and
 /// folded this many rows at a time, bounding scratch memory and keeping
 /// the predicate's column reads cache-resident. Tiling never reorders the
 /// fold — rows are consumed in strict ascending order within each pool
@@ -41,16 +41,6 @@ void ForEachSpanSegment(const std::vector<RowSpan>& spans, size_t begin,
     offset = span_end;
     if (offset >= end) break;
   }
-}
-
-/// Row-at-a-time form of ForEachSpanSegment (the scalar reference path).
-template <typename Fn>
-void ForEachRowInRange(const std::vector<RowSpan>& spans, size_t begin,
-                       size_t end, Fn&& fn) {
-  ForEachSpanSegment(spans, begin, end,
-                     [&](const RowSpan& span, size_t lo, size_t hi) {
-                       for (size_t i = lo; i < hi; ++i) fn(span.data[i]);
-                     });
 }
 
 /// One span-aligned scan chunk: rows [begin, end) of spans[span].
@@ -94,13 +84,144 @@ std::vector<ScanChunk> SpanAlignedScanChunks(const std::vector<RowSpan>& spans) 
   return chunks;
 }
 
-/// Runs `fn(i)` for every chunk index on the shared pool. Scheduling is
-/// free to batch indices per worker; determinism comes from per-chunk
-/// partial indexing, never from the schedule.
+/// Runs `fn(i)` for every chunk index: inline on the calling thread when
+/// the scan covers fewer than kParallelScanThreshold rows, on the shared
+/// pool otherwise. Scheduling is free to batch indices per worker;
+/// determinism comes from per-chunk partial indexing, never from the
+/// schedule, so the choice moves no answer.
 template <typename Fn>
-void RunScanChunks(size_t n, Fn&& fn) {
+void RunScanChunks(size_t n, size_t total_rows, Fn&& fn) {
+  if (total_rows < kParallelScanThreshold) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   SharedPool()->ParallelFor(n, n, [&](size_t, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) fn(i);
+  });
+}
+
+/// Whether every non-empty span carries a full columnar projection whose
+/// column `idx` is typed `t`.
+bool SpansTyped(const std::vector<RowSpan>& spans, size_t n_cols, size_t idx,
+                ValueType t) {
+  for (const auto& span : spans) {
+    if (span.size == 0) continue;
+    if (span.columns.size() != n_cols || span.columns[idx].type != t) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The columnar loop's per-scan plan: the typed columns the fold reads and
+/// the compiled WHERE.
+struct ColumnarScan {
+  AggFunc func = AggFunc::kCount;
+  /// Typed numeric aggregate column; nullopt for COUNT, which ignores its
+  /// input value entirely (Add() returns before reading it).
+  std::optional<size_t> measure;
+  /// int64 group-key column; nullopt for ungrouped scans.
+  std::optional<size_t> key;
+  std::optional<VectorPredicate> where;
+};
+
+/// Decides, once per scan, whether the columnar loop applies. Eligibility
+/// is all-or-nothing across spans — every non-empty span must carry a full
+/// columnar projection with the columns the fold reads typed — so a scan
+/// never switches loops between chunks. Group keys run through
+/// FlatGroupMap, which is keyed on raw int64 (the only key type the
+/// evaluation schemas group by); string/double keys stay on the row loop.
+std::optional<ColumnarScan> PlanColumnarScan(const SelectQuery& q,
+                                             const SelectItem& agg,
+                                             const Schema& schema,
+                                             const std::vector<RowSpan>& spans) {
+  for (const auto& span : spans) {
+    if (span.size > 0 && span.columns.size() != schema.size()) {
+      return std::nullopt;
+    }
+  }
+  ColumnarScan scan;
+  scan.func = agg.agg;
+  if (agg.agg != AggFunc::kCount) {
+    auto idx = ResolveColumnName(schema, agg.column);
+    if (!idx) return std::nullopt;  // unknown column: the row loop feeds NULLs
+    const ValueType t = schema.fields()[*idx].type;
+    if (t != ValueType::kInt && t != ValueType::kDouble) return std::nullopt;
+    if (!SpansTyped(spans, schema.size(), *idx, t)) return std::nullopt;
+    scan.measure = idx;
+  }
+  if (q.where) {
+    scan.where = VectorPredicate::Compile(q.where.get(), schema);
+    if (!scan.where) return std::nullopt;
+    for (const auto& span : spans) {
+      if (span.size > 0 && !scan.where->CompatibleWith(span.columns)) {
+        return std::nullopt;
+      }
+    }
+  }
+  if (!q.group_by.empty()) {
+    auto idx = ResolveColumnName(schema, q.group_by[0]);
+    if (!idx || schema.fields()[*idx].type != ValueType::kInt ||
+        !SpansTyped(spans, schema.size(), *idx, ValueType::kInt)) {
+      return std::nullopt;
+    }
+    scan.key = idx;
+  }
+  return scan;
+}
+
+/// The columnar loop over rows [begin, end) of one span: per tile, the
+/// WHERE fills a selection bitmap and the fold reads typed column arrays,
+/// adding selected rows in strict ascending order — the row loop's order,
+/// which is what makes the cell bit-identical to it.
+void FoldColumnarChunk(const ColumnarScan& scan, const RowSpan& span,
+                       size_t begin, size_t end, SpanPartial* cell) {
+  std::vector<std::vector<uint8_t>> scratch;
+  std::vector<uint8_t> sel;
+  auto select = [&](size_t t, size_t n) -> const uint8_t* {
+    if (!scan.where) return nullptr;
+    sel.resize(n);
+    scan.where->Eval(span.columns, t, n, sel.data(), &scratch);
+    return sel.data();
+  };
+  const ColumnSpan* mc = scan.measure ? &span.columns[*scan.measure] : nullptr;
+  if (!scan.key) {
+    for (size_t t = begin; t < end; t += kVectorTileRows) {
+      const size_t n = std::min(kVectorTileRows, end - t);
+      const uint8_t* selp = select(t, n);
+      if (mc == nullptr) {
+        cell->total.FoldCount(n, selp);
+      } else {
+        cell->total.FoldColumn(*mc, t, n, selp);
+      }
+    }
+    return;
+  }
+  FlatGroupMap<AggAccumulator> groups{AggAccumulator(scan.func)};
+  const ColumnSpan& kc = span.columns[*scan.key];
+  for (size_t t = begin; t < end; t += kVectorTileRows) {
+    const size_t n = std::min(kVectorTileRows, end - t);
+    const uint8_t* selp = select(t, n);
+    for (size_t i = 0; i < n; ++i) {
+      if (selp != nullptr && !selp[i]) continue;
+      const size_t r = t + i;
+      AggAccumulator& acc =
+          kc.nulls[r] ? groups.NullSlot() : groups.Upsert(kc.ints[r]);
+      if (mc == nullptr || mc->nulls[r]) {
+        acc.AddNull();
+      } else {
+        acc.AddMeasure(mc->type == ValueType::kInt
+                           ? static_cast<double>(mc->ints[r])
+                           : mc->doubles[r]);
+      }
+    }
+  }
+  // The hash table's visit order is arbitrary, which is fine: each group's
+  // accumulator is copied out whole, and only accumulators of the same
+  // group ever merge later.
+  if (groups.has_null()) cell->groups.emplace(Value(), groups.null_slot());
+  groups.ForEach([&](int64_t key, const AggAccumulator& acc) {
+    cell->groups.emplace(Value(key), acc);
   });
 }
 
@@ -132,7 +253,7 @@ void AggAccumulator::FoldColumn(const ColumnSpan& col, size_t begin, size_t n,
   // One branch-free-ish loop per storage type, consuming rows in strict
   // ascending order. Each selected row replays Add()'s exact statement
   // sequence (via AddNull/AddMeasure), so the accumulator state after the
-  // fold is bit-identical to the scalar path's.
+  // fold is bit-identical to the row loop's.
   const uint8_t* nu = col.nulls + begin;
   if (col.type == ValueType::kInt) {
     const int64_t* v = col.ints + begin;
@@ -210,211 +331,13 @@ StatusOr<QueryResult> Executor::Execute(const SelectQuery& q) const {
 
 StatusOr<QueryResult> Executor::ExecuteScan(const SelectQuery& q,
                                             const Table& table) const {
-  const SelectItem* agg = q.AggregateItem();
-  if (!agg) {
-    return Status::Unimplemented(
-        "projection-only queries are not supported; use an aggregate");
-  }
-  if (q.group_by.size() > 1) {
-    return Status::Unimplemented("GROUP BY supports a single column");
-  }
-
-  if (options_.vectorized) {
-    // Columnar batch path: bit-identical to the scalar loop below by
-    // construction (same span-aligned chunking, strict row-order folds,
-    // same two-level span/chunk merge), so falling through on
-    // ineligibility is purely a performance decision.
-    if (auto vec = TryVectorizedScan(q, table, *agg)) {
-      return std::move(*vec);
-    }
-  }
-
-  // The L-0 oblivious scan: touch every row of every partition. The
-  // scalar loop, its span-aligned chunk decomposition and the two-level
-  // merge all live in ExecuteScanPartial — finalizing its partial here is
-  // what guarantees the local answer and a coordinator's fold over
-  // shipped per-span cells come from one implementation. Expression
-  // evaluation is pure/const, which is what makes the row loop safe to
-  // run from pool threads — and spans never read outside their captured
-  // bounds, which is what makes the same loop safe over an epoch
-  // snapshot while the owner keeps appending.
-  auto partial = ExecuteScanPartial(q, table);
+  // The L-0 oblivious scan: the kernel touches every row of every span.
+  // Finalizing its partial here is what guarantees the local answer and a
+  // coordinator's fold over shipped per-span cells come from one
+  // implementation.
+  auto partial = ExecuteScanPartial(q, table, options_.vectorized);
   if (!partial.ok()) return partial.status();
   return partial.value().Finalize();
-}
-
-std::optional<QueryResult> Executor::TryVectorizedScan(
-    const SelectQuery& q, const Table& table, const SelectItem& agg) const {
-  const auto parts = table.Spans();
-  const size_t total = table.TotalRows();
-  if (total == 0) return std::nullopt;  // scalar handles empty trivially
-  const Schema& schema = table.schema;
-
-  // Eligibility is all-or-nothing across spans: every non-empty span must
-  // carry a full columnar projection with the needed columns typed, so the
-  // parallel fold below never has to switch representation mid-scan (the
-  // chunk partitioning — and with it the FP merge tree — stays exactly the
-  // scalar path's).
-  for (const auto& span : parts) {
-    if (span.size > 0 && span.columns.size() != schema.size()) {
-      return std::nullopt;
-    }
-  }
-
-  // COUNT ignores its input value entirely (Add() returns before reading
-  // it), so only SUM/AVG/MIN/MAX need a typed numeric measure column.
-  const bool count_only = agg.agg == AggFunc::kCount;
-  size_t agg_idx = 0;
-  if (!count_only) {
-    auto idx = ResolveColumnName(schema, agg.column);
-    if (!idx) return std::nullopt;  // unknown column: scalar path feeds NULLs
-    agg_idx = *idx;
-    const ValueType t = schema.fields()[agg_idx].type;
-    if (t != ValueType::kInt && t != ValueType::kDouble) return std::nullopt;
-    for (const auto& span : parts) {
-      if (span.size > 0 && span.columns[agg_idx].type != t) {
-        return std::nullopt;
-      }
-    }
-  }
-
-  std::optional<VectorPredicate> pred;
-  if (q.where) {
-    pred = VectorPredicate::Compile(q.where.get(), schema);
-    if (!pred) return std::nullopt;
-    for (const auto& span : parts) {
-      if (span.size > 0 && !pred->CompatibleWith(span.columns)) {
-        return std::nullopt;
-      }
-    }
-  }
-
-  // Group keys run through the open-addressing hash table, which is keyed
-  // on raw int64 — the only key type the evaluation schemas group by.
-  // String/double keys stay on the scalar std::map path.
-  const bool grouped = !q.group_by.empty();
-  size_t key_idx = 0;
-  if (grouped) {
-    auto idx = ResolveColumnName(schema, q.group_by[0]);
-    if (!idx) return std::nullopt;
-    key_idx = *idx;
-    if (schema.fields()[key_idx].type != ValueType::kInt) return std::nullopt;
-    for (const auto& span : parts) {
-      if (span.size > 0 && span.columns[key_idx].type != ValueType::kInt) {
-        return std::nullopt;
-      }
-    }
-  }
-
-  const auto chunks = SpanAlignedScanChunks(parts);
-
-  if (!grouped) {
-    std::vector<AggAccumulator> partials(chunks.size(),
-                                         AggAccumulator(agg.agg));
-    RunScanChunks(chunks.size(), [&](size_t idx) {
-      const ScanChunk& c = chunks[idx];
-      const RowSpan& span = parts[c.span];
-      AggAccumulator& acc = partials[idx];
-      std::vector<std::vector<uint8_t>> scratch;
-      std::vector<uint8_t> sel;
-      for (size_t t = c.begin; t < c.end; t += kVectorTileRows) {
-        const size_t n = std::min(kVectorTileRows, c.end - t);
-        const uint8_t* selp = nullptr;
-        if (pred) {
-          sel.resize(n);
-          pred->Eval(span.columns, t, n, sel.data(), &scratch);
-          selp = sel.data();
-        }
-        if (count_only) {
-          acc.FoldCount(n, selp);
-        } else {
-          acc.FoldColumn(span.columns[agg_idx], t, n, selp);
-        }
-      }
-    });
-    // Two-level merge — the scan reduction tree (SpanAlignedScanChunks):
-    // chunk partials fold left into a fresh per-span accumulator, span
-    // accumulators fold left in span order.
-    AggAccumulator acc(agg.agg);
-    for (size_t i = 0; i < chunks.size();) {
-      AggAccumulator span_acc(agg.agg);
-      const size_t span = chunks[i].span;
-      for (; i < chunks.size() && chunks[i].span == span; ++i) {
-        span_acc.Merge(partials[i]);
-      }
-      acc.Merge(span_acc);
-    }
-    return QueryResult::Scalar(acc.Result());
-  }
-
-  using GroupMap = FlatGroupMap<AggAccumulator>;
-  std::vector<GroupMap> partials(chunks.size(),
-                                 GroupMap(AggAccumulator(agg.agg)));
-  RunScanChunks(chunks.size(), [&](size_t idx) {
-    const ScanChunk& c = chunks[idx];
-    const RowSpan& span = parts[c.span];
-    GroupMap& groups = partials[idx];
-    std::vector<std::vector<uint8_t>> scratch;
-    std::vector<uint8_t> sel;
-    const ColumnSpan& kc = span.columns[key_idx];
-    const ColumnSpan* mc = count_only ? nullptr : &span.columns[agg_idx];
-    for (size_t t = c.begin; t < c.end; t += kVectorTileRows) {
-      const size_t n = std::min(kVectorTileRows, c.end - t);
-      const uint8_t* selp = nullptr;
-      if (pred) {
-        sel.resize(n);
-        pred->Eval(span.columns, t, n, sel.data(), &scratch);
-        selp = sel.data();
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (selp != nullptr && !selp[i]) continue;
-        const size_t r = t + i;
-        AggAccumulator& acc =
-            kc.nulls[r] ? groups.NullSlot() : groups.Upsert(kc.ints[r]);
-        if (mc == nullptr || mc->nulls[r]) {
-          acc.AddNull();
-        } else {
-          acc.AddMeasure(mc->type == ValueType::kInt
-                             ? static_cast<double>(mc->ints[r])
-                             : mc->doubles[r]);
-        }
-      }
-    }
-  });
-  // Merge the per-chunk hash tables through the two-level tree: chunk
-  // tables fold into a fresh per-span ordered map in chunk order, span
-  // maps fold into the global map in span order. Within a chunk the
-  // visit order over groups is arbitrary, which is fine: merges only
-  // combine accumulators of the SAME group, and per group the
-  // chunk-then-span order fixes the sequence — the same sequence the
-  // scalar path's ordered-map merge produces.
-  std::map<Value, AggAccumulator> groups;
-  for (size_t i = 0; i < chunks.size();) {
-    std::map<Value, AggAccumulator> span_groups;
-    const size_t span = chunks[i].span;
-    for (; i < chunks.size() && chunks[i].span == span; ++i) {
-      const GroupMap& partial = partials[i];
-      if (partial.has_null()) {
-        auto [it, inserted] = span_groups.try_emplace(Value(), agg.agg);
-        (void)inserted;
-        it->second.Merge(partial.null_slot());
-      }
-      partial.ForEach([&](int64_t key, const AggAccumulator& acc) {
-        auto [it, inserted] = span_groups.try_emplace(Value(key), agg.agg);
-        (void)inserted;
-        it->second.Merge(acc);
-      });
-    }
-    for (const auto& [key, acc] : span_groups) {
-      auto [it, inserted] = groups.try_emplace(key, agg.agg);
-      (void)inserted;
-      it->second.Merge(acc);
-    }
-  }
-  QueryResult result;
-  result.grouped = true;
-  for (const auto& [k, acc] : groups) result.groups[k] = acc.Result();
-  return result;
 }
 
 namespace {
@@ -561,19 +484,6 @@ bool SplitDummyConjuncts(const Expr* where, const std::string& lcol,
     return false;
   }
   *user_out = &inner.lhs();
-  return true;
-}
-
-/// Whether every non-empty span carries a full columnar projection whose
-/// column `idx` is typed `t`.
-bool SpansTyped(const std::vector<RowSpan>& spans, size_t n_cols, size_t idx,
-                ValueType t) {
-  for (const auto& span : spans) {
-    if (span.size == 0) continue;
-    if (span.columns.size() != n_cols || span.columns[idx].type != t) {
-      return false;
-    }
-  }
   return true;
 }
 
@@ -1042,8 +952,31 @@ QueryResult ScanPartial::Finalize() const {
   return result;
 }
 
+ScanRowStep::ScanRowStep(const SelectQuery& q)
+    : where_(q.where.get()),
+      func_(q.AggregateItem()->agg),
+      needs_value_(func_ != AggFunc::kCount ||
+                   !q.AggregateItem()->column.empty()),
+      grouped_(!q.group_by.empty()),
+      agg_col_(q.AggregateItem()->column),
+      key_col_(grouped_ ? q.group_by[0] : "") {}
+
+void ScanRowStep::Fold(const Schema& schema, const Row& row,
+                       SpanPartial* cell) const {
+  if (where_ != nullptr && !where_->Eval(schema, row).Truthy()) return;
+  Value v = needs_value_ ? agg_col_.Eval(schema, row) : Value();
+  if (!grouped_) {
+    cell->total.Add(v);
+    return;
+  }
+  auto [it, inserted] =
+      cell->groups.try_emplace(key_col_.Eval(schema, row), func_);
+  (void)inserted;
+  it->second.Add(v);
+}
+
 StatusOr<ScanPartial> ExecuteScanPartial(const SelectQuery& q,
-                                         const Table& table) {
+                                         const Table& table, bool vectorized) {
   const SelectItem* agg = q.AggregateItem();
   if (!agg) {
     return Status::Unimplemented(
@@ -1055,68 +988,46 @@ StatusOr<ScanPartial> ExecuteScanPartial(const SelectQuery& q,
   if (q.group_by.size() > 1) {
     return Status::Unimplemented("GROUP BY supports a single column");
   }
-  ColumnExpr agg_col(agg->column.empty() ? "" : agg->column);
-  const bool needs_value = agg->agg != AggFunc::kCount || !agg->column.empty();
 
-  // The scalar reference loop over the canonical span-aligned chunk
-  // decomposition (SpanAlignedScanChunks), stopping short of Result():
-  // the per-span accumulator cells are the product. ExecuteScan finalizes
-  // exactly this partial and the vectorized path reproduces the same
-  // tree, so a cell computed here merges correctly against answers from
-  // either path — locally or across the wire.
-  const auto parts = table.Spans();
+  const auto spans = table.Spans();
   const size_t total_rows = table.TotalRows();
-  const auto chunks = SpanAlignedScanChunks(parts);
+  const auto chunks = SpanAlignedScanChunks(spans);
+  std::optional<ColumnarScan> columnar;
+  if (vectorized) columnar = PlanColumnarScan(q, *agg, table.schema, spans);
+  const ScanRowStep step(q);
 
+  // One partial per chunk of the canonical decomposition. Expression
+  // evaluation and the columnar folds are pure reads of the spans' captured
+  // bounds, which is what makes both loops safe on pool threads — and over
+  // an epoch snapshot while the owner keeps appending.
+  std::vector<SpanPartial> partials(chunks.size(),
+                                    SpanPartial{AggAccumulator(agg->agg), {}});
+  RunScanChunks(chunks.size(), total_rows, [&](size_t idx) {
+    const ScanChunk& c = chunks[idx];
+    const RowSpan& span = spans[c.span];
+    if (columnar) {
+      FoldColumnarChunk(*columnar, span, c.begin, c.end, &partials[idx]);
+      return;
+    }
+    for (size_t r = c.begin; r < c.end; ++r) {
+      step.Fold(table.schema, span.data[r], &partials[idx]);
+    }
+  });
+
+  // The per-span cells, built here for both loops: chunk partials fold
+  // left into a fresh cell in chunk order (per group for grouped scans),
+  // and cells fold left in span order (AppendSpan).
   ScanPartial out;
   out.func = agg->agg;
   out.grouped = !q.group_by.empty();
   out.total = AggAccumulator(agg->agg);
   out.records_scanned = static_cast<int64_t>(total_rows);
-
-  if (q.group_by.empty()) {
-    std::vector<AggAccumulator> partials(chunks.size(),
-                                         AggAccumulator(agg->agg));
-    RunScanChunks(chunks.size(), [&](size_t idx) {
-      const ScanChunk& c = chunks[idx];
-      const RowSpan& span = parts[c.span];
-      AggAccumulator& acc = partials[idx];
-      for (size_t r = c.begin; r < c.end; ++r) {
-        const Row& row = span.data[r];
-        if (q.where && !q.where->Eval(table.schema, row).Truthy()) continue;
-        acc.Add(needs_value ? agg_col.Eval(table.schema, row) : Value());
-      }
-    });
-    for (size_t i = 0; i < chunks.size();) {
-      SpanPartial cell{AggAccumulator(agg->agg), {}};
-      const size_t span = chunks[i].span;
-      for (; i < chunks.size() && chunks[i].span == span; ++i) {
-        cell.total.Merge(partials[i]);
-      }
-      out.AppendSpan(std::move(cell));
-    }
-    return out;
-  }
-
-  ColumnExpr key_col(q.group_by[0]);
-  std::vector<std::map<Value, AggAccumulator>> partials(chunks.size());
-  RunScanChunks(chunks.size(), [&](size_t idx) {
-    const ScanChunk& c = chunks[idx];
-    const RowSpan& span = parts[c.span];
-    auto& groups = partials[idx];
-    for (size_t r = c.begin; r < c.end; ++r) {
-      const Row& row = span.data[r];
-      if (q.where && !q.where->Eval(table.schema, row).Truthy()) continue;
-      Value key = key_col.Eval(table.schema, row);
-      auto [it, _] = groups.try_emplace(key, agg->agg);
-      it->second.Add(needs_value ? agg_col.Eval(table.schema, row) : Value());
-    }
-  });
   for (size_t i = 0; i < chunks.size();) {
     SpanPartial cell{AggAccumulator(agg->agg), {}};
     const size_t span = chunks[i].span;
     for (; i < chunks.size() && chunks[i].span == span; ++i) {
-      for (auto& [key, acc] : partials[i]) {
+      cell.total.Merge(partials[i].total);
+      for (const auto& [key, acc] : partials[i].groups) {
         auto [it, inserted] = cell.groups.try_emplace(key, agg->agg);
         (void)inserted;
         it->second.Merge(acc);

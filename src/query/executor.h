@@ -18,7 +18,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,64 +38,36 @@ namespace dpsync::query {
 /// `columns`, when non-empty, carries one ColumnSpan per schema column — a
 /// columnar projection of the same rows captured under the same lock and
 /// bounded by the same `size`. Spans without projections (plain in-memory
-/// tables, pre-columnar borrows) simply keep the executor on the scalar
-/// row path.
+/// tables) keep the scan kernel on its row loop.
 struct RowSpan {
   const Row* data = nullptr;
   size_t size = 0;
   std::vector<ColumnSpan> columns;
 };
 
-/// A named in-memory relation. Rows are either owned (`rows`), borrowed
-/// from an external store (`borrowed_rows`), borrowed as a list of
-/// per-shard partitions (`borrowed_parts`), or borrowed as explicit row
-/// spans (`borrowed_spans`, what an epoch snapshot serves) — the edb
-/// engines borrow their enclave-resident shard mirrors to avoid copying
-/// per query, and the executor fans scans out across the partitions.
+/// A named in-memory relation. Rows are either owned (`rows`) or borrowed
+/// as explicit row spans (`borrowed_spans`, what an epoch snapshot serves
+/// — the edb engines borrow their enclave-resident shard mirrors to avoid
+/// copying per query, and the executor fans scans out across the spans).
 struct Table {
   std::string name;
   Schema schema;
   std::vector<Row> rows;
-  const std::vector<Row>* borrowed_rows = nullptr;
-  std::vector<const std::vector<Row>*> borrowed_parts;
   std::vector<RowSpan> borrowed_spans;
 
-  /// The effective row set when the table is NOT multi-partition. Callers
-  /// that may see sharded tables must use Spans()/TotalRows() instead.
-  const std::vector<Row>& data() const {
-    return borrowed_rows ? *borrowed_rows : rows;
-  }
-
-  /// The effective partitions (one per shard; exactly one for owned or
-  /// single-borrow tables). Pointers are non-null. Span-backed tables have
-  /// no partition form — use Spans(), which every execution path does.
-  std::vector<const std::vector<Row>*> Parts() const {
-    if (!borrowed_parts.empty()) return borrowed_parts;
-    return {borrowed_rows ? borrowed_rows : &rows};
-  }
-
   /// The effective row spans, in scan order (shard-major for sharded
-  /// borrows). This is the one representation every execution path
-  /// consumes; the other storage forms degrade to it.
+  /// borrows; one span over `rows` for owned tables). This is the one
+  /// representation every execution path consumes.
   std::vector<RowSpan> Spans() const {
     if (!borrowed_spans.empty()) return borrowed_spans;
-    std::vector<RowSpan> spans;
-    const auto parts = Parts();
-    spans.reserve(parts.size());
-    for (const auto* part : parts) spans.push_back({part->data(), part->size()});
-    return spans;
+    return {RowSpan{rows.data(), rows.size(), {}}};
   }
 
-  /// Total rows across all partitions/spans.
+  /// Total rows across all spans.
   size_t TotalRows() const {
-    if (!borrowed_spans.empty()) {
-      size_t n = 0;
-      for (const auto& span : borrowed_spans) n += span.size;
-      return n;
-    }
-    if (borrowed_parts.empty()) return data().size();
+    if (borrowed_spans.empty()) return rows.size();
     size_t n = 0;
-    for (const auto* part : borrowed_parts) n += part->size();
+    for (const auto& span : borrowed_spans) n += span.size;
     return n;
   }
 };
@@ -118,15 +89,12 @@ class Catalog {
 /// ("Left.col", "Right.col") so predicates can address either side.
 Schema JoinedSchema(const Table& left, const Table& right);
 
-/// Execution knobs. `vectorized` (default on) lets eligible scans run on
-/// the columnar batch path: predicate evaluation fills a selection bitmap
-/// per tile and aggregation folds typed column arrays directly. The
-/// scalar row path remains the reference implementation and answers every
-/// query the batch path cannot take (spans without columnar projections,
-/// non-compilable predicates, string/float group keys) — and the batch
-/// path is constructed to be bit-identical to it (fixed reduction order;
-/// see docs/ARCHITECTURE.md), so flipping this knob never changes an
-/// answer, only wall-clock time.
+/// Execution knobs. `vectorized` (default on) is the scan kernel's loop
+/// choice (see ExecuteScanPartial): on, the kernel runs its columnar loop
+/// wherever that applies; off pins the row loop, the reference the tests
+/// compare the columnar loop against. The two loops produce bit-identical
+/// cells (fixed reduction order; see docs/ARCHITECTURE.md), so the engines
+/// leave it on.
 ///
 /// `parallel_join` (default on) runs the partitioned hash join's key
 /// extraction, build and probe phases on the shared pool. The probe
@@ -164,11 +132,6 @@ class Executor {
                                     const Table& table) const;
   StatusOr<QueryResult> ExecuteJoin(const SelectQuery& q, const Table& left,
                                     const Table& right) const;
-  /// Attempts the columnar batch path; nullopt means "not eligible, use
-  /// the scalar path". Never wrong, only sometimes unavailable.
-  std::optional<QueryResult> TryVectorizedScan(const SelectQuery& q,
-                                               const Table& table,
-                                               const SelectItem& agg) const;
 
   const Catalog* catalog_;
   ExecutorOptions options_;
@@ -191,7 +154,7 @@ class AggAccumulator {
   /// and merge them deterministically (chunk-index order).
   void Merge(const AggAccumulator& other);
 
-  /// Vectorized-path equivalents of Add(), inlined so FoldColumn's tight
+  /// Columnar-loop equivalents of Add(), inlined so FoldColumn's tight
   /// loops compile to straight-line code. AddNull() is Add(NULL): the row
   /// is counted (COUNT(col) and AVG's divisor include NULLs — the
   /// documented Add() semantics) but contributes nothing else.
@@ -271,8 +234,8 @@ struct SpanPartial {
 /// table's spans — what a shard server returns for its local shard range
 /// and what the coordinator merges in strict server-rank order.
 ///
-/// The determinism contract: every scan path (scalar, vectorized, local
-/// or distributed) reduces over the SAME tree — sub-chunks fold left
+/// The determinism contract: every scan (either kernel loop, local or
+/// distributed) reduces over the SAME tree — sub-chunks fold left
 /// within their span, span partials fold left in span order — which is a
 /// pure function of the ordered span row counts, never of how spans are
 /// grouped into processes or scheduled onto threads. Because FP addition
@@ -302,15 +265,49 @@ struct ScanPartial {
   QueryResult Finalize() const;
 };
 
-/// Runs the scalar aggregation loop of ExecuteScan over `table` but stops
-/// before finalizing: the returned partial carries raw accumulator state
-/// suitable for cross-process merging. Supports the same shapes as
-/// ExecuteScan minus joins (single aggregate, optional single-column
-/// GROUP BY). ExecuteScan itself finalizes this partial, so the
-/// span-aligned decomposition and its merge tree are shared by
-/// construction and Finalize() on a single table's partial equals
-/// ExecuteScan exactly.
+/// The scan kernel's per-row step: the WHERE gate, the group key and the
+/// value fed to the accumulator. The kernel's row loop folds every row
+/// through it, and incremental views (edb/view.h) fold their commit
+/// deltas through the same step, so a view answer cannot drift from the
+/// scan answer.
+class ScanRowStep {
+ public:
+  /// `q` must have the kernel's scan shape (one aggregate, at most one
+  /// GROUP BY column) and must outlive the step: its WHERE tree is
+  /// borrowed.
+  explicit ScanRowStep(const SelectQuery& q);
+
+  /// Folds `row` into `cell`: nothing when the WHERE gate rejects it,
+  /// otherwise one Add() into the row's group (created on its first
+  /// matching row) or, ungrouped, into the total.
+  void Fold(const Schema& schema, const Row& row, SpanPartial* cell) const;
+
+ private:
+  const Expr* where_;
+  AggFunc func_;
+  bool needs_value_;
+  bool grouped_;
+  ColumnExpr agg_col_;
+  ColumnExpr key_col_;
+};
+
+/// The scan kernel: the one function that folds scanned rows into
+/// partials, for local scans (Executor::ExecuteScan finalizes its
+/// partial), shard servers (which ship its per-span cells) and, through
+/// ScanRowStep, views. It stops short of Finalize(): the returned partial
+/// carries raw accumulator state for cross-process merging. Supports a
+/// single aggregate with an optional single-column GROUP BY; no joins.
+///
+/// It decides once per scan, from the spans it receives, whether its
+/// columnar loop applies — every non-empty span carries typed columnar
+/// projections of the columns the fold reads, the WHERE tree lowers to
+/// selection-bitmap ops (VectorPredicate::Compile) and any group key is
+/// int64 — and runs that loop or the row loop over every chunk of the
+/// span-aligned decomposition. Both loops add rows in the same order, so
+/// the cells are bit-identical either way; `vectorized = false` pins the
+/// row loop, the reference the tests compare against.
 StatusOr<ScanPartial> ExecuteScanPartial(const SelectQuery& q,
-                                         const Table& table);
+                                         const Table& table,
+                                         bool vectorized = true);
 
 }  // namespace dpsync::query

@@ -1,7 +1,6 @@
 #include "query/plan.h"
 
 #include "query/rewriter.h"
-#include "query/vectorized.h"
 
 namespace dpsync::query {
 
@@ -30,13 +29,6 @@ const char* PlanKindName(PlanKind kind) {
 
 const char* AccessPathName(AccessPath path) {
   return path == AccessPath::kOramIndexed ? "oram-indexed" : "linear-scan";
-}
-
-bool PlanIsVectorizableScan(const QueryPlan& plan) {
-  if (plan.kind != PlanKind::kScan) return false;
-  if (plan.aggregate.agg == AggFunc::kNone) return false;
-  if (plan.rewritten.group_by.size() > 1) return false;
-  return ExprIsVectorizable(plan.rewritten.where.get());
 }
 
 namespace {
@@ -147,9 +139,6 @@ StatusOr<std::shared_ptr<const QueryPlan>> PlanSelect(
   plan->rewritten = RewriteForDummies(plan->normalized);
   plan->access_path =
       opts.oram_indexed ? AccessPath::kOramIndexed : AccessPath::kLinearScan;
-  // Classified against the REWRITTEN tree: the dummy-exclusion conjunct
-  // (isDummy = 0) is part of what the executor must lower.
-  plan->vectorizable = PlanIsVectorizableScan(*plan);
   return std::shared_ptr<const QueryPlan>(std::move(plan));
 }
 

@@ -79,11 +79,6 @@ struct QueryPlan {
   /// The single aggregate of the select list (executor contract).
   SelectItem aggregate;
   bool grouped = false;
-  /// Shape-level classification by PlanIsVectorizableScan (set at plan
-  /// time, surfaced in \timing output). Whether an execution actually
-  /// runs vectorized additionally depends on the engine knob and on the
-  /// scanned spans carrying typed columnar projections.
-  bool vectorizable = false;
 };
 
 /// Classifies a plan's execution as read-only vs state-mutating. A linear
@@ -127,16 +122,6 @@ inline bool PlanIsViewEligible(const QueryPlan& plan) {
       return false;
   }
 }
-
-/// Classifies a plan's shape as a candidate for the columnar batch path
-/// (query/vectorized.h): a single-table scan whose aggregate is one of
-/// the accumulator folds and whose WHERE tree (of the rewritten query —
-/// including the isDummy conjunct) lowers to selection-bitmap ops. This
-/// is the data-independent half of the decision; the executor still
-/// requires typed columnar projections on every scanned span and an
-/// int64-typed group key at execution time, and otherwise answers on the
-/// scalar reference path with a bit-identical result.
-bool PlanIsVectorizableScan(const QueryPlan& plan);
 
 /// Catalog view the planner binds against: table name -> schema, nullptr
 /// for unknown tables. The callback must be safe to invoke from any

@@ -93,36 +93,6 @@ void FillCmp(CmpOp op, const T* v, const L& lit, const uint8_t* nulls,
 
 }  // namespace
 
-bool ExprIsVectorizable(const Expr* where) {
-  if (where == nullptr) return true;
-  switch (where->kind()) {
-    case ExprKind::kCompare: {
-      const auto& cmp = static_cast<const CompareExpr&>(*where);
-      const bool col_lit = cmp.lhs().kind() == ExprKind::kColumn &&
-                           cmp.rhs().kind() == ExprKind::kLiteral;
-      const bool lit_col = cmp.lhs().kind() == ExprKind::kLiteral &&
-                           cmp.rhs().kind() == ExprKind::kColumn;
-      return col_lit || lit_col;
-    }
-    case ExprKind::kBetween: {
-      const auto& b = static_cast<const BetweenExpr&>(*where);
-      return b.operand().kind() == ExprKind::kColumn &&
-             b.lo().kind() == ExprKind::kLiteral &&
-             b.hi().kind() == ExprKind::kLiteral;
-    }
-    case ExprKind::kLogical: {
-      const auto& l = static_cast<const LogicalExpr&>(*where);
-      return ExprIsVectorizable(&l.lhs()) && ExprIsVectorizable(&l.rhs());
-    }
-    case ExprKind::kNot:
-      return ExprIsVectorizable(&static_cast<const NotExpr&>(*where).inner());
-    case ExprKind::kColumn:
-    case ExprKind::kLiteral:
-      return false;
-  }
-  return false;
-}
-
 std::optional<VectorPredicate> VectorPredicate::Compile(const Expr* where,
                                                         const Schema& schema) {
   VectorPredicate pred;
@@ -259,7 +229,7 @@ int VectorPredicate::CompileExpr(const Expr& e, const Schema& schema) {
     }
     case ExprKind::kColumn:
     case ExprKind::kLiteral:
-      return -1;  // bare truthiness predicates stay on the scalar path
+      return -1;  // bare truthiness predicates stay on the row loop
   }
   return -1;
 }

@@ -13,9 +13,9 @@
 ///
 /// Everything here is a pure function of captured ColumnSpans: no locks,
 /// no access past the row bounds the caller derived from its span capture.
-/// The executor decides per query whether these apply (see
-/// Executor::ExecuteScan); whenever they do not, the scalar row path —
-/// the reference implementation — answers instead.
+/// The scan kernel decides per scan whether these apply (see
+/// ExecuteScanPartial); whenever they do not, its row loop answers
+/// instead.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +29,6 @@
 
 namespace dpsync::query {
 
-/// Structural check used by plan classification: true when the WHERE tree
-/// is built only from {column cmp literal, literal cmp column, column
-/// BETWEEN literal AND literal, AND, OR, NOT} — the shapes
-/// VectorPredicate::Compile can lower. A null tree (no WHERE) is trivially
-/// vectorizable. Whether the scan actually runs vectorized additionally
-/// depends on the data (typed column projections present), which only the
-/// executor can see.
-bool ExprIsVectorizable(const Expr* where);
-
 /// Mirrors ColumnExpr::Eval's name resolution: exact match first, then a
 /// qualified reference ("T.col") falls back to the unqualified column.
 std::optional<size_t> ResolveColumnName(const Schema& schema,
@@ -46,10 +37,12 @@ std::optional<size_t> ResolveColumnName(const Schema& schema,
 /// A WHERE tree compiled into flat selection-bitmap ops over one schema.
 class VectorPredicate {
  public:
-  /// Compiles `where` against `schema`. Returns nullopt when the tree
-  /// shape or a column's declared type cannot be lowered; callers fall
-  /// back to scalar evaluation. A null `where` compiles to an always-true
-  /// predicate (callers usually skip the bitmap entirely in that case).
+  /// Compiles `where` against `schema`. Lowerable trees are built only
+  /// from {column cmp literal, literal cmp column, column BETWEEN literal
+  /// AND literal, AND, OR, NOT}. Returns nullopt when the tree shape or a
+  /// column's declared type cannot be lowered; callers fall back to row
+  /// evaluation. A null `where` compiles to an always-true predicate
+  /// (callers usually skip the bitmap entirely in that case).
   static std::optional<VectorPredicate> Compile(const Expr* where,
                                                 const Schema& schema);
 

@@ -68,7 +68,6 @@ std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
                                            size_t oram_capacity,
                                            bool snapshot_scans,
                                            bool materialized_views,
-                                           bool vectorized_execution,
                                            bool parallel_joins) {
   if (kind == EngineKind::kObliDb) {
     edb::ObliDbConfig cfg;
@@ -78,7 +77,6 @@ std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
     cfg.oram_capacity = oram_capacity;
     cfg.snapshot_scans = snapshot_scans;
     cfg.materialized_views = materialized_views;
-    cfg.vectorized_execution = vectorized_execution;
     cfg.parallel_joins = parallel_joins;
     return std::make_unique<edb::ObliDbServer>(cfg);
   }
@@ -87,7 +85,6 @@ std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
   cfg.storage = storage;
   cfg.snapshot_scans = snapshot_scans;
   cfg.materialized_views = materialized_views;
-  cfg.vectorized_execution = vectorized_execution;
   return std::make_unique<edb::CryptEpsServer>(cfg);
 }
 
@@ -184,7 +181,7 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   auto server = MakeServer(config.engine, seeder.Next(), storage,
                            config.use_oram_index, config.oram_capacity,
                            config.snapshot_scans, config.materialized_views,
-                           config.vectorized_execution, config.parallel_joins);
+                           config.parallel_joins);
 
   TablePipeline yellow;
   DPSYNC_RETURN_IF_ERROR(

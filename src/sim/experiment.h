@@ -87,13 +87,6 @@ struct ExperimentConfig {
   /// (sim_test.MetricsInvariantAcrossBackendsAndShardCounts sweeps it);
   /// only the server's view_hits/view_folds/snapshot_scans counters move.
   bool materialized_views = true;
-  /// Execute eligible scans on the columnar batch path (the engines'
-  /// vectorized_execution knob). Reported metrics are invariant in it —
-  /// the batch path's fixed reduction order makes answers, virtual QET
-  /// and the noise stream bit-identical to the scalar row path
-  /// (sim_test.MetricsInvariantAcrossBackendsAndShardCounts sweeps it);
-  /// only wall-clock changes.
-  bool vectorized_execution = true;
   /// Run hash joins' extraction/build/probe phases on the shared pool
   /// (ObliDB's parallel_joins knob; Crypt-eps has no join operator).
   /// Metrics are invariant in it — the probe keeps the serial chunk
@@ -152,14 +145,13 @@ std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed);
 
 /// As above, with explicit physical-storage knobs, (for ObliDB) the
 /// indexed-mode toggle, and the snapshot-scan / materialized-view /
-/// vectorized-execution / parallel-join knobs.
+/// parallel-join knobs.
 std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
                                            const edb::StorageConfig& storage,
                                            bool use_oram_index = false,
                                            size_t oram_capacity = 1 << 16,
                                            bool snapshot_scans = true,
                                            bool materialized_views = true,
-                                           bool vectorized_execution = true,
                                            bool parallel_joins = true);
 
 }  // namespace dpsync::sim

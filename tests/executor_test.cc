@@ -1,11 +1,9 @@
-// Vectorized-execution parity and edge cases: the columnar batch path
-// (query/columnar.h, query/vectorized.h, Executor's TryVectorizedScan)
-// must be indistinguishable from the scalar row path in every answer —
+// Scan-kernel loop parity and edge cases: the kernel's columnar loop
+// (query/columnar.h, query/vectorized.h, ExecuteScanPartial) must be
+// indistinguishable from its row loop in every per-span cell and answer —
 // including float aggregates, whose fixed reduction order is the whole
 // bit-identity contract — while the selection bitmap, chunk straddling,
 // poisoned columns and snapshot visibility behave per docs/STORAGE.md.
-// The suite runs in the CI TSan job under both DPSYNC_VECTORIZED
-// settings; the knob only moves which engine answers, never the answers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +17,6 @@
 #include "query/columnar.h"
 #include "query/executor.h"
 #include "query/parser.h"
-#include "query/plan.h"
 #include "query/vectorized.h"
 #include "test_util.h"
 #include "workload/trip_record.h"
@@ -42,16 +39,20 @@ struct SpanTable {
   std::vector<std::unique_ptr<ColumnarBlock>> blocks;
 };
 
-SpanTable MakeSpanTable(const Schema& schema, const std::vector<Row>& rows,
-                        size_t chunk_rows) {
+/// Splits `rows` into consecutive spans of the given sizes (which must sum
+/// to rows.size(); zero-size spans are allowed).
+SpanTable MakeSpanTableWithSizes(const Schema& schema,
+                                 const std::vector<Row>& rows,
+                                 const std::vector<size_t>& sizes) {
   SpanTable t;
   t.table.name = "T";
   t.table.schema = schema;
-  for (size_t i = 0; i < rows.size(); i += chunk_rows) {
-    size_t n = std::min(chunk_rows, rows.size() - i);
+  t.chunks.reserve(sizes.size());  // spans point into these vectors
+  size_t i = 0;
+  for (size_t n : sizes) {
     t.chunks.emplace_back(rows.begin() + static_cast<ptrdiff_t>(i),
                           rows.begin() + static_cast<ptrdiff_t>(i + n));
-    auto block = std::make_unique<ColumnarBlock>(schema, chunk_rows);
+    auto block = std::make_unique<ColumnarBlock>(schema, n);
     for (const auto& row : t.chunks.back()) block->Append(row);
     RowSpan span;
     span.data = t.chunks.back().data();
@@ -59,8 +60,18 @@ SpanTable MakeSpanTable(const Schema& schema, const std::vector<Row>& rows,
     span.columns = block->CaptureSpans(n);
     t.table.borrowed_spans.push_back(std::move(span));
     t.blocks.push_back(std::move(block));
+    i += n;
   }
   return t;
+}
+
+SpanTable MakeSpanTable(const Schema& schema, const std::vector<Row>& rows,
+                        size_t chunk_rows) {
+  std::vector<size_t> sizes;
+  for (size_t i = 0; i < rows.size(); i += chunk_rows) {
+    sizes.push_back(std::min(chunk_rows, rows.size() - i));
+  }
+  return MakeSpanTableWithSizes(schema, rows, sizes);
 }
 
 StatusOr<QueryResult> RunSql(Table* table, const std::string& sql,
@@ -73,7 +84,7 @@ StatusOr<QueryResult> RunSql(Table* table, const std::string& sql,
   return executor.Execute(q.value());
 }
 
-/// Exact (==) equality: the vectorized fold reuses the scalar reduction
+/// Exact (==) equality: the columnar loop reuses the row loop's reduction
 /// order, so even the last ulp of a double SUM must agree.
 void ExpectSameResult(const QueryResult& scalar, const QueryResult& vec,
                       const std::string& sql) {
@@ -88,12 +99,22 @@ void ExpectSameResult(const QueryResult& scalar, const QueryResult& vec,
   }
 }
 
+/// The two loops agree on the answer AND on the kernel's per-span cells
+/// and records_scanned — the cells are what shard servers ship.
 void ExpectParity(Table* table, const std::string& sql) {
   auto scalar = RunSql(table, sql, false);
   auto vec = RunSql(table, sql, true);
   ASSERT_OK(scalar);
   ASSERT_OK(vec);
   ExpectSameResult(scalar.value(), vec.value(), sql);
+
+  auto q = ParseSelect(sql);
+  ASSERT_OK(q);
+  auto row_cells = ExecuteScanPartial(q.value(), *table, false);
+  auto columnar_cells = ExecuteScanPartial(q.value(), *table, true);
+  ASSERT_OK(row_cells);
+  ASSERT_OK(columnar_cells);
+  testutil::ExpectSameCells(row_cells.value(), columnar_cells.value(), sql);
 }
 
 Schema TestSchema() {
@@ -170,8 +191,33 @@ TEST(VectorizedScanTest, ChunkBoundaryStraddle) {
   }
 }
 
+TEST(VectorizedScanTest, MultiSpanWithEmptyAndLargeSpans) {
+  // Shard-like span lists: empty spans (which contribute no cell) around
+  // a span past the 8192-row parallel threshold (which splits into
+  // pool-width chunks) and small ones. Per-span cells must line up one to
+  // one between the loops.
+  const std::vector<size_t> sizes = {0, 9000, 0, 37, 2048, 0};
+  size_t total = 0;
+  for (size_t n : sizes) total += n;
+  auto t = MakeSpanTableWithSizes(TestSchema(), RandomRows(total, 8), sizes);
+  for (const char* sql :
+       {"SELECT COUNT(*) FROM T", "SELECT SUM(v) FROM T",
+        "SELECT AVG(v) FROM T WHERE k BETWEEN -10 AND 30",
+        "SELECT MIN(v) FROM T WHERE s = 'c'",
+        "SELECT i, SUM(v) FROM T WHERE v < 20.0 GROUP BY i",
+        "SELECT k, COUNT(*) FROM T GROUP BY k"}) {
+    ExpectParity(&t.table, sql);
+  }
+  auto q = ParseSelect("SELECT k, COUNT(*) FROM T GROUP BY k");
+  ASSERT_OK(q);
+  auto partial = ExecuteScanPartial(q.value(), t.table);
+  ASSERT_OK(partial);
+  EXPECT_EQ(partial->spans.size(), 3u);  // one cell per non-empty span
+  EXPECT_EQ(partial->records_scanned, static_cast<int64_t>(total));
+}
+
 TEST(VectorizedScanTest, ParallelThresholdCrossed) {
-  // >8192 rows engages the multi-chunk ParallelFor split in both engines;
+  // >8192 rows engages the multi-chunk ParallelFor split in both loops;
   // the partial-merge order (pool-chunk index order) must keep double
   // sums bit-identical.
   auto t = MakeSpanTable(TestSchema(), RandomRows(10000, 4), 4096);
@@ -219,8 +265,8 @@ TEST(VectorizedScanTest, PredicateOperatorCoverage) {
 
 TEST(VectorizedScanTest, HashGroupByMatchesScalarWithNullKeys) {
   // ~5000 distinct keys force several FlatGroupMap rehashes; NULL keys
-  // land in the dedicated slot and must come back as the scalar path's
-  // NULL group.
+  // land in the dedicated slot and must come back as the row loop's NULL
+  // group.
   auto t = MakeSpanTable(TestSchema(), RandomRows(8000, 6), 1024);
   for (const char* sql :
        {"SELECT i, COUNT(*) FROM T GROUP BY i",
@@ -282,9 +328,9 @@ TEST(ColumnarBlockTest, PoisonFreezesTypedPrefix) {
 
 TEST(VectorizedScanTest, PoisonedColumnFallsBackToScalar) {
   // One chunk stores a string where the schema says int: its "k"
-  // projection is untyped, the vectorized scan declines (eligibility is
-  // all-or-nothing across spans), and the scalar path answers — still
-  // identically to a pure scalar run.
+  // projection is untyped, the columnar loop declines (eligibility is
+  // all-or-nothing across spans), and the row loop answers — still
+  // identically to a run pinned to the row loop.
   Schema schema({{"k", ValueType::kInt}, {"v", ValueType::kDouble}});
   std::vector<Row> rows;
   for (int i = 0; i < 300; ++i) {
@@ -302,14 +348,14 @@ TEST(VectorizedScanTest, PoisonedColumnFallsBackToScalar) {
   }
 }
 
-// ------------------------------------------------- plan classification
+// ------------------------------------------------ predicate lowering
 
-TEST(PlanVectorizableTest, ShapeGate) {
+TEST(VectorPredicateTest, CompileShapeGate) {
   Schema schema = TestSchema();
   auto vectorizable = [&](const std::string& sql) {
     auto q = ParseSelect(sql);
     EXPECT_OK(q);
-    return ExprIsVectorizable(q->where.get());
+    return VectorPredicate::Compile(q->where.get(), schema).has_value();
   };
   EXPECT_TRUE(vectorizable("SELECT COUNT(*) FROM T"));
   EXPECT_TRUE(vectorizable("SELECT COUNT(*) FROM T WHERE k BETWEEN 1 AND 2"));
@@ -328,8 +374,8 @@ TEST(PlanVectorizableTest, ShapeGate) {
 TEST(VectorizedScanTest, UncommittedTailInvisibleUnderSnapshots) {
   // The columnar mirror shares the row mirror's commit discipline: spans
   // captured from a Snapshot() bound both representations to the
-  // committed prefix, so the vectorized fold cannot see unflushed
-  // appends the scalar path would also skip.
+  // committed prefix, so the columnar loop cannot see unflushed appends
+  // the row loop would also skip.
   edb::StorageConfig cfg;
   cfg.flush_every_update = false;
   edb::EncryptedTableStore store("YellowCab", TripSchema(), Bytes(32, 1),
@@ -375,8 +421,8 @@ TEST(VectorizedScanTest, UncommittedTailInvisibleUnderSnapshots) {
   }
   EXPECT_EQ(run(*snap, count, true).value().scalar, 600);
   EXPECT_EQ(run(*full, count, true).value().scalar, 603);
-  // The tail rows land in zone 3, so the filtered sum moves too — on
-  // both engines equally.
+  // The tail rows land in zone 3, so the filtered sum moves too — in
+  // both loops equally.
   EXPECT_LT(run(*snap, sum, true).value().scalar,
             run(*full, sum, true).value().scalar);
 }

@@ -215,32 +215,26 @@ std::vector<double> MetricVector(const ExperimentResult& r) {
 
 TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
   // The acceptance bar for the storage-spine, per-shard ORAM, Query API
-  // v2, epoch-snapshot, materialized-view and vectorized-execution
-  // refactors: both engines, both backends, both storage methods (linear
-  // and ORAM-indexed on ObliDB), shard counts {1, 4}, both analyst APIs,
-  // materialized views on/off, AND vectorized execution on/off — every
-  // reported metric bit-identical to the single-shard in-memory baseline
-  // at the same seed. The baseline drives its schedule through the
-  // legacy one-shot Query() shim with snapshot_scans OFF (the fully
-  // per-table-serialized path) and vectorized_execution OFF (the scalar
-  // row-at-a-time reference fold) while every variant runs prepared
-  // queries over a session with snapshot_scans ON (linear scans pinned
-  // to the committed-prefix epoch snapshot), so this
+  // v2, epoch-snapshot and materialized-view refactors: both engines,
+  // both backends, both storage methods (linear and ORAM-indexed on
+  // ObliDB), shard counts {1, 4}, both analyst APIs, AND materialized
+  // views on/off — every reported metric bit-identical to the
+  // single-shard in-memory baseline at the same seed. The baseline drives
+  // its schedule through the legacy one-shot Query() shim with
+  // snapshot_scans OFF (the fully per-table-serialized path) while every
+  // variant runs prepared queries over a session with snapshot_scans ON
+  // (linear scans pinned to the committed-prefix epoch snapshot), so this
   // also proves the prepared path's results and cost metrics (virtual
   // QET, oram_*, revealed volumes folded into the series) identical to
   // the one-shot path, the snapshot scan identical to the locked scan,
   // and the O(1) view answers (Q1/Q2 are view-eligible; on Crypt-eps the
   // Laplace noise stream is part of the compared series) identical to
-  // scanning, across engines x backends x shard counts. The vectorized
-  // axis is the float-determinism acceptance bar: the columnar batch
-  // fold (SUM/AVG over doubles included, via Q1/Q2's rewritten
-  // aggregates) must reproduce the scalar fold's reduction order
-  // bit-for-bit, or the L1/QET series — and on Crypt-eps the noise
-  // stream seeded independently of the answers — would drift. Physical
-  // storage placement, the oblivious index, the query API, the snapshot
-  // execution mode, the view fast path and the execution engine must all
-  // be unobservable in the simulation's outputs; only the ORAM health
-  // block may differ.
+  // scanning, across engines x backends x shard counts. (The scan
+  // kernel's two loops are compared cell for cell by executor_test and
+  // property_test's VectorizedDeterminismTest.) Physical storage
+  // placement, the oblivious index, the query API, the snapshot execution
+  // mode and the view fast path must all be unobservable in the
+  // simulation's outputs; only the ORAM health block may differ.
   struct Variant {
     edb::StorageBackendKind backend;
     int num_shards;
@@ -271,7 +265,6 @@ TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
       base_cfg.query_api = QueryApi::kOneShot;
       base_cfg.snapshot_scans = false;
       base_cfg.materialized_views = false;
-      base_cfg.vectorized_execution = false;
       auto baseline = RunExperiment(base_cfg);
       ASSERT_TRUE(baseline.ok()) << EngineKindName(engine);
       auto expect = MetricVector(baseline.value());
@@ -282,12 +275,10 @@ TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
       EXPECT_GT(baseline->server_stats.plan_cache_hits, 0);
       for (const auto& variant : variants) {
         for (bool views : {false, true}) {
-        for (bool vectorized : {false, true}) {
           auto cfg = base_cfg;
           cfg.query_api = QueryApi::kSession;
           cfg.snapshot_scans = true;
           cfg.materialized_views = views;
-          cfg.vectorized_execution = vectorized;
           cfg.backend = variant.backend;
           cfg.num_shards = variant.num_shards;
           auto r = RunExperiment(cfg);
@@ -295,8 +286,7 @@ TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
               << EngineKindName(engine) << " "
               << edb::StorageBackendKindName(variant.backend) << " x"
               << variant.num_shards << (indexed ? " indexed" : " linear")
-              << (views ? " views" : "")
-              << (vectorized ? " vectorized" : " scalar");
+              << (views ? " views" : "");
           auto got = MetricVector(r.value());
           ASSERT_EQ(got.size(), expect.size());
           for (size_t i = 0; i < got.size(); ++i) {
@@ -304,9 +294,7 @@ TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
                 << EngineKindName(engine) << " "
                 << edb::StorageBackendKindName(variant.backend) << " x"
                 << variant.num_shards << (indexed ? " indexed" : " linear")
-                << (views ? " views" : "")
-                << (vectorized ? " vectorized" : " scalar")
-                << " metric index " << i;
+                << (views ? " views" : "") << " metric index " << i;
           }
           // The ORAM did real per-shard work without perturbing any
           // metric (and the view path never short-circuits an indexed
@@ -347,7 +335,6 @@ TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
             EXPECT_EQ(r->server_stats.view_hits, 0);
             EXPECT_EQ(r->server_stats.view_folds, 0);
           }
-        }
         }
       }
     }

@@ -4,14 +4,16 @@
 // while owner appends race, epoch advance during ExecuteMany, the
 // ORAM-indexed mode staying fully serialized, and snapshot scans being
 // bit-identical to locked scans on the noisy Crypt-eps path. The racing
-// cases are the ones the CI TSan job leans on: they read pinned spans
-// lock-free while the owner keeps appending.
+// cases are the ones the CI TSan job leans on: they read pinned spans —
+// through both scan-kernel loops — lock-free while the owner keeps
+// appending.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "edb/encrypted_table.h"
 #include "edb/oblidb_engine.h"
 #include "edb/snapshot.h"
+#include "query/executor.h"
+#include "query/parser.h"
 #include "test_util.h"
 #include "workload/trip_record.h"
 
@@ -169,9 +173,36 @@ TEST(SnapshotStabilityTest, PinnedViewStableWhileAppendsRace) {
   ASSERT_EQ(pinned.total_rows, 500);
   const double baseline_sum = SpanColumnSum(pinned, 1);
 
+  // Both scan-kernel loops over the same pinned spans — the row loop reads
+  // the rows, the columnar loop the column projections — with a filtered
+  // grouped query whose answer must not waver either.
+  auto grouped = query::ParseSelect(
+      "SELECT pickupID, SUM(fare) FROM T WHERE pickupID BETWEEN 5 AND 24 "
+      "GROUP BY pickupID");
+  ASSERT_OK(grouped);
+  query::Table pinned_table;
+  pinned_table.name = "T";
+  pinned_table.schema = store.schema();
+  pinned_table.borrowed_spans = pinned.spans;
+  auto kernel_answer = [&](bool vectorized) {
+    auto partial =
+        query::ExecuteScanPartial(grouped.value(), pinned_table, vectorized);
+    return partial.ok() ? std::optional<query::QueryResult>(
+                              partial->Finalize())
+                        : std::nullopt;
+  };
+  const auto baseline_answer = kernel_answer(true);
+  ASSERT_TRUE(baseline_answer.has_value());
+  ASSERT_EQ(baseline_answer->groups.size(), 20u);
+  auto matches_baseline = [&](const std::optional<query::QueryResult>& r) {
+    return r.has_value() && r->grouped &&
+           r->groups == baseline_answer->groups;
+  };
+
   // Owner keeps appending (and auto-committing) while readers re-walk the
-  // pinned spans lock-free: row count and content must never waver, no
-  // matter how many epochs advance underneath. This is the TSan case.
+  // pinned spans lock-free: row count, content and both loops' answers
+  // must never waver, no matter how many epochs advance underneath. This
+  // is the TSan case.
   constexpr int kBatches = 100;
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -188,6 +219,9 @@ TEST(SnapshotStabilityTest, PinnedViewStableWhileAppendsRace) {
       while (!stop.load(std::memory_order_acquire)) {
         if (SpanRowCount(pinned) != 500) ++failures;
         if (SpanColumnSum(pinned, 1) != baseline_sum) ++failures;
+        for (bool vectorized : {false, true}) {
+          if (!matches_baseline(kernel_answer(vectorized))) ++failures;
+        }
       }
     });
   }

@@ -7,13 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/record.h"
+#include "query/executor.h"
 #include "workload/trip_record.h"
 
 namespace dpsync::testutil {
@@ -23,16 +24,6 @@ namespace dpsync::testutil {
 inline constexpr uint64_t kTestSeed = 42;
 
 inline Rng MakeRng(uint64_t salt = 0) { return Rng(kTestSeed + salt); }
-
-/// Effective vectorized-execution setting for suites whose servers should
-/// honor the CI A/B knob: DPSYNC_VECTORIZED=0 pins the scalar reference
-/// path, anything else (or unset) keeps the default columnar batch path.
-/// Answers are bit-identical either way — the TSan job runs the racing
-/// suites under both values so each engine's reads race real appends.
-inline bool EnvVectorized() {
-  const char* v = std::getenv("DPSYNC_VECTORIZED");
-  return v == nullptr || v[0] != '0';
-}
 
 /// Decodes a hex string, failing the current test on malformed input.
 inline Bytes Hex(const std::string& h) {
@@ -78,7 +69,55 @@ template <typename T>
 const Status& ToStatus(const StatusOr<T>& s) {
   return s.status();
 }
+
+inline uint64_t DoubleBits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+inline void ExpectSameAccumulator(const query::AggAccumulator& a,
+                                  const query::AggAccumulator& b,
+                                  const std::string& where) {
+  const auto sa = a.state();
+  const auto sb = b.state();
+  EXPECT_EQ(sa.count, sb.count) << where;
+  EXPECT_EQ(DoubleBits(sa.sum), DoubleBits(sb.sum)) << where;
+  EXPECT_EQ(DoubleBits(sa.min), DoubleBits(sb.min)) << where;
+  EXPECT_EQ(DoubleBits(sa.max), DoubleBits(sb.max)) << where;
+  EXPECT_EQ(sa.seen, sb.seen) << where;
+}
 }  // namespace internal
+
+/// Expects two scan-kernel partials to be bit-identical: query shape,
+/// records_scanned, and every per-span cell — accumulator state with
+/// doubles compared as bit patterns, group by group with keys compared by
+/// type and value. Cells are what shard servers ship, so the cells, not
+/// only the finalized answers, are the contract between the kernel's row
+/// and columnar loops.
+inline void ExpectSameCells(const query::ScanPartial& a,
+                            const query::ScanPartial& b,
+                            const std::string& where) {
+  EXPECT_EQ(a.func, b.func) << where;
+  EXPECT_EQ(a.grouped, b.grouped) << where;
+  EXPECT_EQ(a.records_scanned, b.records_scanned) << where;
+  internal::ExpectSameAccumulator(a.total, b.total, where + " total");
+  ASSERT_EQ(a.spans.size(), b.spans.size()) << where;
+  for (size_t s = 0; s < a.spans.size(); ++s) {
+    const std::string cell = where + " span " + std::to_string(s);
+    internal::ExpectSameAccumulator(a.spans[s].total, b.spans[s].total,
+                                    cell);
+    ASSERT_EQ(a.spans[s].groups.size(), b.spans[s].groups.size()) << cell;
+    auto it = b.spans[s].groups.begin();
+    for (const auto& [key, acc] : a.spans[s].groups) {
+      const std::string group = cell + " group " + key.ToString();
+      EXPECT_EQ(key.type(), it->first.type()) << group;
+      EXPECT_EQ(key.Compare(it->first), 0) << group;
+      internal::ExpectSameAccumulator(acc, it->second, group);
+      ++it;
+    }
+  }
+}
 
 }  // namespace dpsync::testutil
 

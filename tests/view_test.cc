@@ -257,7 +257,6 @@ TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
     ObliDbConfig cfg;
     cfg.master_seed = 5;
     cfg.materialized_views = views;
-    cfg.vectorized_execution = testutil::EnvVectorized();
     cfg.storage.num_shards = 2;
     ObliDbServer server(cfg);
     auto t = server.CreateTable("YellowCab", TripSchema());
@@ -314,7 +313,6 @@ TEST(ViewIdentityTest, CryptEpsNoiseStreamIdenticalViewsOnOff) {
     CryptEpsConfig cfg;
     cfg.master_seed = 11;
     cfg.materialized_views = views;
-    cfg.vectorized_execution = testutil::EnvVectorized();
     CryptEpsServer server(cfg);
     auto t = server.CreateTable("YellowCab", TripSchema());
     EXPECT_TRUE(t.ok());
@@ -366,7 +364,6 @@ TEST(ViewConcurrencyTest, ViewAnswersAreCommittedPrefixesUnderRacingAppends) {
   cfg.storage.num_shards = 4;
   cfg.admission.max_in_flight = 4;
   cfg.admission.max_queue = 4096;
-  cfg.vectorized_execution = testutil::EnvVectorized();
   ASSERT_TRUE(cfg.materialized_views);  // the default stays on
   ObliDbServer server(cfg);
   auto t = server.CreateTable("YellowCab", TripSchema());

@@ -147,8 +147,7 @@ def load(path):
                 i += 1
             key = (*key, i)
         out[key] = e
-    return (report.get("bench", path), report.get("fast_mode"),
-            report.get("vectorized"), out)
+    return report.get("bench", path), report.get("fast_mode"), out
 
 
 def rel_delta(old, new):
@@ -196,20 +195,13 @@ class Diff:
 
 
 def compare(old_path, new_path, tol, regression_threshold, allowlist):
-    _, old_fast, old_vec, old_runs = load(old_path)
-    bench, new_fast, new_vec, new_runs = load(new_path)
+    _, old_fast, old_runs = load(old_path)
+    bench, new_fast, new_runs = load(new_path)
     diff = Diff()
     if old_fast != new_fast:
         diff.warnings.append(
             f"fast_mode differs ({old_fast} vs {new_fast}): "
             "timing comparisons are meaningless")
-    # The vectorized header flag landed after some archived baselines; a
-    # missing flag (None) is an old report, not a mode change, so only
-    # warn when both runs actually recorded their mode.
-    if old_vec is not None and new_vec is not None and old_vec != new_vec:
-        diff.warnings.append(
-            f"vectorized mode differs ({old_vec} vs {new_vec}): wall-clock "
-            "drift is expected; deterministic metrics must still match")
 
     for key in old_runs.keys() - new_runs.keys():
         diff.warnings.append(f"experiment dropped: {fmt_key(key[:6])}")
