@@ -112,9 +112,8 @@ std::string RenderEntry(const sim::ExperimentConfig& config,
     }
     os << "]}";
   }
-  // The v2 query-pipeline counters: session sweeps prepare each query
-  // exactly once (misses == distinct queries, hits == 0); the one-shot
-  // shim hits the plan cache from its second firing on.
+  // The v2 query-pipeline counters: experiments prepare each query
+  // exactly once (misses == distinct queries, hits == 0).
   const auto& ss = result.server_stats;
   os << ",\"plan_cache\":{\"prepares\":" << ss.prepares
      << ",\"hits\":" << ss.plan_cache_hits

@@ -34,11 +34,12 @@ sim::ExperimentResult MustRun(const sim::ExperimentConfig& config);
 /// tables and the JSON report entries all come back in input order, and
 /// every cell runs from its own config seed — so the output is
 /// bit-identical to calling MustRun sequentially, just faster. (Cells on
-/// worker threads run their internal scan fan-outs as one chunk; that is
-/// invisible because scan partials are indexed by the span-aligned chunk
-/// decomposition — query/executor.cc, SpanAlignedScanChunks — so the
-/// merge tree, FP-sensitive SUM/AVG included, never depends on how the
-/// pool schedules the chunks.)
+/// worker threads run their internal scan and join fan-outs as one
+/// inline call; that is invisible because both index their partials by a
+/// chunk decomposition the query layer computes itself — query/
+/// executor.cc, SpanAlignedScanChunks and RunJoinChunks — so the merge
+/// tree, FP-sensitive SUM/AVG included, never depends on how the pool
+/// schedules the chunks.)
 std::vector<sim::ExperimentResult> MustRunAll(
     const std::vector<sim::ExperimentConfig>& configs);
 

@@ -1,15 +1,14 @@
 /// \file sweep_concurrency.cpp
 /// Concurrency sweep over the Query API v2: queries/sec on one ObliDB
-/// server for admission limits (in-flight) {1, 4, 8} x execution method
-/// {linear (epoch-snapshot scans), linear-locked (snapshot_scans=false —
-/// the per-table-serialized baseline), indexed (ORAM; inherently
-/// serialized per tree)}. Every query targets the SAME table, so the
-/// linear vs linear-locked cells isolate exactly what the snapshot layer
-/// buys: same-table scans that overlap instead of queueing on the table
-/// mutex. Every cell prepares a small mixed query set once, fans
-/// `kQueries` executions out through Submit/Wait, checks each answer
-/// against the sequential reference, and verifies the admission
-/// controller never exceeded its in-flight limit.
+/// server for admission limits (in-flight) {1, 4, 8} x storage method
+/// {linear (epoch-snapshot scans), indexed (ORAM; serialized per table
+/// because every oblivious access rewrites tree state)}. Every query
+/// targets the SAME table, so the linear cells show what the snapshot
+/// layer buys: same-table scans that overlap instead of queueing on the
+/// table mutex, as the indexed cells do. Every cell prepares a small
+/// mixed query set once, fans `kQueries` executions out through
+/// Submit/Wait, checks each answer against the sequential reference, and
+/// verifies the admission controller never exceeded its in-flight limit.
 ///
 /// Output: "sweep_concurrency,<method>,x<in_flight>,..." CSV lines, a
 /// summary table with the x8-over-x1 qps speedup per method, and
@@ -55,12 +54,15 @@ std::vector<Record> MakeRecords(int64_t n) {
   return records;
 }
 
+/// MIN/MAX shapes only: materialized views would answer COUNT/SUM/AVG in
+/// O(1) and leave nothing to contend, so the sweep keeps every execution
+/// on the scan paths it measures (bench/sweep_views.cpp covers views).
 std::vector<std::string> MixedQueries() {
   return {
-      "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 50 AND 100",
-      "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 10 AND 40",
-      "SELECT pickupID, COUNT(*) AS c FROM YellowCab GROUP BY pickupID",
-      "SELECT SUM(fare) FROM YellowCab WHERE tripDistance >= 3",
+      "SELECT MAX(fare) FROM YellowCab WHERE pickupID BETWEEN 50 AND 100",
+      "SELECT MIN(fare) FROM YellowCab WHERE pickupID BETWEEN 10 AND 40",
+      "SELECT pickupID, MAX(fare) AS m FROM YellowCab GROUP BY pickupID",
+      "SELECT MIN(fare) FROM YellowCab WHERE tripDistance >= 3",
   };
 }
 
@@ -75,7 +77,6 @@ void Die(const std::string& what, const Status& status) {
 struct Method {
   const char* name;        ///< CSV/JSON label
   bool use_oram_index;
-  bool snapshot_scans;
 };
 
 int main() {
@@ -85,13 +86,9 @@ int main() {
   const int64_t kRecords = fast ? 4000 : 20000;
   const int kQueries = fast ? 64 : 256;
 
-  // "linear" is the epoch-snapshot path (the default); "linear-locked"
-  // pins the same workload to the legacy per-table critical section so
-  // the JSON report carries the overlap win cell-by-cell.
   const Method kMethods[] = {
-      {"linear", false, true},
-      {"linear-locked", false, false},
-      {"indexed", true, true},  // snapshot flag is ignored by indexed plans
+      {"linear", false},
+      {"indexed", true},
   };
 
   TablePrinter table({"method", "in-flight", "queries", "wall (s)", "qps",
@@ -101,12 +98,6 @@ int main() {
     for (int in_flight : {1, 4, 8}) {
       edb::ObliDbConfig cfg;
       cfg.use_oram_index = method.use_oram_index;
-      cfg.snapshot_scans = method.snapshot_scans;
-      // This sweep measures the *scan* paths under admission pressure;
-      // materialized views would answer the eligible aggregates in O(1)
-      // and leave nothing to contend. bench/sweep_views.cpp covers the
-      // view path.
-      cfg.materialized_views = false;
       cfg.oram_capacity = static_cast<size_t>(kRecords) * 2;
       cfg.admission.max_in_flight = in_flight;
       cfg.admission.max_queue = 4096;  // never reject in this sweep
@@ -167,11 +158,9 @@ int main() {
       }
 
       // Snapshot accounting must match the method: every execution of a
-      // linear plan under snapshot_scans counts, nothing else does.
+      // linear plan counts, no indexed one does.
       const int64_t expect_snapshots =
-          (method.snapshot_scans && !method.use_oram_index)
-              ? stats.queries_executed
-              : 0;
+          method.use_oram_index ? 0 : stats.queries_executed;
       if (stats.snapshot_scans != expect_snapshots) {
         std::cerr << "sweep_concurrency: snapshot_scans counter "
                   << stats.snapshot_scans << " != expected "
@@ -207,8 +196,6 @@ int main() {
            << method.name << "-x" << in_flight
            << "\",\"in_flight\":" << in_flight << ",\"use_oram_index\":"
            << (method.use_oram_index ? "true" : "false")
-           << ",\"snapshot_scans\":"
-           << (method.snapshot_scans ? "true" : "false")
            << ",\"records\":" << kRecords << ",\"query_count\":" << kQueries
            << ",\"wall_seconds\":" << wall << ",\"qps\":" << qps
            << ",\"rows_per_sec\":" << rows_per_sec
@@ -224,8 +211,8 @@ int main() {
   table.Print(std::cout);
 
   // The overlap win, method by method. Only the snapshot cells can beat
-  // 1x on same-table scans (locked and indexed cells serialize on the
-  // table/tree); whether they DO depends on the host's core count.
+  // 1x on same-table scans (indexed cells serialize on the table lock);
+  // whether they DO depends on the host's core count.
   std::cout << "\nSame-table x8-over-x1 qps speedup:";
   for (const auto& [name, cells] : qps_by_method) {
     double base = cells.count(1) ? cells.at(1) : 0;

@@ -124,10 +124,6 @@ Server MakeServer(const Deployment& d, int64_t n) {
   if (d.num_servers == 0) {
     edb::ObliDbConfig cfg;
     cfg.storage.num_shards = kGlobalShards;
-    // The coordinator always merges raw per-server partials; keep the
-    // local reference on the same scan path so the counter comparison is
-    // exact (answers would match either way).
-    cfg.materialized_views = false;
     out.server = std::make_unique<edb::ObliDbServer>(cfg);
   } else {
     dist::DistributedConfig cfg;

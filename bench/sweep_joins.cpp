@@ -1,30 +1,28 @@
 /// \file sweep_joins.cpp
 /// Join-execution sweep: qps/rows-per-sec on one ObliDB server pair of
-/// tables for join mode {locked, snapshot-serial, snapshot-parallel} x
-/// build-side size n in {1k, 16k, 64k} x query shape {COUNT, filtered
-/// SUM, grouped COUNT}. The probe side (YellowCab) is fixed at 64k rows,
-/// so every cell's pair count clears the oblivious nested-loop limit and
-/// times the partitioned hash join itself; each cell prepares its query
-/// once, warms the enclave mirrors with one untimed execution, then times
-/// `iters` executions of the cached plan.
+/// tables for build-side size n in {1k, 16k, 64k} x query shape {COUNT,
+/// filtered SUM, grouped COUNT}. Linear joins always take the lock-free
+/// two-snapshot path with the partitioned hash join on the shared pool.
+/// The probe side (YellowCab) is fixed at 64k rows, so every cell's pair
+/// count clears the oblivious nested-loop limit and times the partitioned
+/// hash join itself; each cell prepares its query once, warms the enclave
+/// mirrors with one untimed execution, then times `iters` executions of
+/// the cached plan.
 ///
-/// The three modes must be distinguishable ONLY by wall-clock: the binary
-/// hard-fails if any cell's answer, virtual QET, records_scanned or
-/// join_pairs differs from the locked reference (the same bit-identity
-/// tools/bench_diff.py --strict gates across CI runs). On a multi-core
-/// host the snapshot-parallel 64k COUNT cell should sustain >= 3x the
-/// locked-serial rows/sec; busy or single-core hosts may fall short, so
-/// that check only warns. DPSYNC_FAST=1 shrinks the per-cell row budget.
+/// Before any number is reported the binary hard-fails unless each
+/// cell's answer equals, bit for bit, query::Executor's join over the
+/// same plaintext rows (same row order, so the same chunk decomposition
+/// and merge tree), and unless every timed execution repeats the warm-up
+/// exactly. DPSYNC_FAST=1 shrinks the per-cell row budget.
 ///
-/// Output: "sweep_joins,<query>,n<build>,<mode>,..." CSV lines, a summary
-/// table with the per-cell speedup, and BENCH_sweep_joins.json entries
-/// (wired into the CI bench-artifacts job; wall_seconds/qps/rows_per_sec
-/// are allowlisted as timing, the counters stay gated).
+/// Output: "sweep_joins,<query>,n<build>,..." CSV lines, a summary table,
+/// and BENCH_sweep_joins.json entries (wired into the CI bench-artifacts
+/// job; wall_seconds/qps/rows_per_sec are allowlisted as timing, the
+/// counters stay gated).
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,6 +31,8 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "edb/oblidb_engine.h"
+#include "query/executor.h"
+#include "query/parser.h"
 #include "workload/trip_record.h"
 
 using namespace dpsync;
@@ -45,10 +45,10 @@ constexpr int64_t kProbeRows = 64000;
 /// Sequential pickTime keys give ~1 build match per probe row (the join
 /// below is on pickTime), so the timed loop measures hash build + probe,
 /// not quadratic match enumeration.
-std::vector<Record> MakeRecords(int64_t n, uint64_t seed) {
+std::vector<workload::TripRecord> MakeTrips(int64_t n, uint64_t seed) {
   Rng rng(seed);
-  std::vector<Record> records;
-  records.reserve(static_cast<size_t>(n));
+  std::vector<workload::TripRecord> trips;
+  trips.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     workload::TripRecord trip;
     trip.pick_time = i;
@@ -56,9 +56,9 @@ std::vector<Record> MakeRecords(int64_t n, uint64_t seed) {
     trip.dropoff_id = rng.UniformInt(1, 265);
     trip.trip_distance = 1.0 + rng.UniformDouble() * 5;
     trip.fare = 2.5 + trip.trip_distance * 2.5;
-    records.push_back(trip.ToRecord());
+    trips.push_back(trip);
   }
-  return records;
+  return trips;
 }
 
 struct Shape {
@@ -82,20 +82,7 @@ const Shape kShapes[] = {
      "GROUP BY GreenTaxi.pickupID"},
 };
 
-struct Mode {
-  const char* name;
-  bool snapshot;
-  bool parallel;
-};
-
-const Mode kModes[] = {
-    {"locked", false, false},
-    {"snapshot-serial", true, false},
-    {"snapshot-parallel", true, true},
-};
-
-/// One timed cell: throughput plus everything the bit-identity check
-/// compares (identical for every iteration — plan and tables are fixed).
+/// One timed cell: throughput plus the deterministic counters.
 struct Cell {
   double wall = 0;
   double qps = 0;
@@ -114,29 +101,38 @@ void Die(const std::string& what, const Status& status) {
   std::exit(1);
 }
 
-/// Exact equality, group by group: the snapshot and parallel paths reuse
-/// the locked join's chunk decomposition and merge order, so anything but
-/// == is a bug, not noise.
+/// Exact equality, group by group: the engine's join and the reference
+/// executor walk the same rows over the same chunk decomposition and
+/// merge order, so anything but == is a bug, not noise.
 bool SameAnswer(const query::QueryResult& a, const query::QueryResult& b) {
   return a.grouped == b.grouped && a.scalar == b.scalar &&
          a.groups == b.groups;
 }
 
-Cell RunCell(const Mode& mode, const Shape& shape,
-             const std::vector<Record>& probe_rows,
-             const std::vector<Record>& build_rows, int iters) {
-  edb::ObliDbConfig cfg;
-  cfg.snapshot_scans = mode.snapshot;
-  cfg.parallel_joins = mode.parallel;
-  cfg.materialized_views = false;
-  edb::ObliDbServer server(cfg);
-  for (const auto& [name, rows] :
-       {std::pair<const char*, const std::vector<Record>*>{"YellowCab",
-                                                           &probe_rows},
-        {"GreenTaxi", &build_rows}}) {
+query::Table PlainTable(const char* name,
+                        const std::vector<workload::TripRecord>& trips) {
+  query::Table table;
+  table.name = name;
+  table.schema = workload::TripSchema();
+  table.rows.reserve(trips.size());
+  for (const auto& trip : trips) table.rows.push_back(trip.ToRow());
+  return table;
+}
+
+Cell RunCell(const Shape& shape,
+             const std::vector<workload::TripRecord>& probe,
+             const std::vector<workload::TripRecord>& build, int iters) {
+  edb::ObliDbServer server{edb::ObliDbConfig{}};
+  for (const auto& [name, trips] :
+       {std::pair<const char*, const std::vector<workload::TripRecord>*>{
+            "YellowCab", &probe},
+        {"GreenTaxi", &build}}) {
     auto t = server.CreateTable(name, workload::TripSchema());
     if (!t.ok()) Die("CreateTable", t.status());
-    if (auto s = t.value()->Setup(*rows); !s.ok()) Die("Setup", s);
+    std::vector<Record> records;
+    records.reserve(trips->size());
+    for (const auto& trip : *trips) records.push_back(trip.ToRecord());
+    if (auto s = t.value()->Setup(records); !s.ok()) Die("Setup", s);
   }
 
   auto session = server.CreateSession();
@@ -175,14 +171,11 @@ Cell RunCell(const Mode& mode, const Shape& shape,
       cell.wall > 0
           ? static_cast<double>(cell.records_scanned) * iters / cell.wall
           : 0;
-  // The snapshot_joins counter is part of the mode's contract: every
-  // execution (warm-up + timed) on the snapshot modes, none on locked.
+  // Every execution (warm-up + timed) is a lock-free snapshot join.
   cell.snapshot_joins = server.stats().snapshot_joins;
-  const int64_t expected = mode.snapshot ? iters + 1 : 0;
-  if (cell.snapshot_joins != expected) {
+  if (cell.snapshot_joins != iters + 1) {
     std::cerr << "sweep_joins: snapshot_joins counter " << cell.snapshot_joins
-              << " != expected " << expected << " in mode " << mode.name
-              << std::endl;
+              << " != expected " << iters + 1 << std::endl;
     std::exit(1);
   }
   return cell;
@@ -191,9 +184,8 @@ Cell RunCell(const Mode& mode, const Shape& shape,
 }  // namespace
 
 int main() {
-  Banner("Join-execution sweep: locked vs snapshot-serial vs snapshot-parallel",
-         "the lock-free two-snapshot capture + partitioned parallel hash "
-         "join");
+  Banner("Join-execution sweep: lock-free snapshot joins",
+         "the two-snapshot capture + partitioned parallel hash join");
   const bool fast = FastMode();
   // Per-cell row budget: every cell joins ~this many (probe+build) rows
   // total, so small build sides run more iterations instead of finishing
@@ -201,96 +193,70 @@ int main() {
   const int64_t kRowBudget = fast ? 1 << 20 : 1 << 23;
   const int64_t kBuildSizes[] = {1000, 16000, 64000};
 
-  const auto probe_rows = MakeRecords(kProbeRows, 4242);
+  const auto probe = MakeTrips(kProbeRows, 4242);
+  const query::Table probe_table = PlainTable("YellowCab", probe);
 
-  TablePrinter table({"query", "build", "mode", "iters", "wall (s)", "qps",
-                      "rows/s", "speedup"});
-  // speedup[shape][n] = snapshot-parallel rows/sec over locked rows/sec.
-  std::map<std::string, std::map<int64_t, double>> speedups;
+  TablePrinter table(
+      {"query", "build", "iters", "wall (s)", "qps", "rows/s"});
   for (int64_t n : kBuildSizes) {
-    const auto build_rows = MakeRecords(n, 7171);
+    const auto build = MakeTrips(n, 7171);
+    const query::Table build_table = PlainTable("GreenTaxi", build);
+    query::Catalog catalog;
+    catalog.AddTable(&probe_table);
+    catalog.AddTable(&build_table);
+    const query::Executor reference(&catalog);
     const int iters = static_cast<int>(
         std::max<int64_t>(4, kRowBudget / (kProbeRows + n)));
     for (const Shape& shape : kShapes) {
-      std::vector<Cell> cells;
-      for (const Mode& mode : kModes) {
-        cells.push_back(RunCell(mode, shape, probe_rows, build_rows, iters));
-      }
-      const Cell& locked = cells[0];
+      Cell cell = RunCell(shape, probe, build, iters);
 
-      // The modes' contract, checked in-binary before any number is
-      // reported: identical answers, identical counters — the knobs move
-      // wall-clock only.
-      for (size_t m = 1; m < cells.size(); ++m) {
-        if (!SameAnswer(locked.result, cells[m].result)) {
-          std::cerr << "sweep_joins: " << shape.name << " n=" << n
-                    << " answers differ between locked and " << kModes[m].name
-                    << std::endl;
-          return 1;
-        }
-        if (locked.virtual_seconds != cells[m].virtual_seconds ||
-            locked.records_scanned != cells[m].records_scanned ||
-            locked.join_pairs != cells[m].join_pairs) {
-          std::cerr << "sweep_joins: " << shape.name << " n=" << n
-                    << " metrics differ between locked and " << kModes[m].name
-                    << std::endl;
-          return 1;
-        }
+      auto parsed = query::ParseSelect(shape.sql);
+      if (!parsed.ok()) Die("ParseSelect", parsed.status());
+      auto expected = reference.Execute(parsed.value());
+      if (!expected.ok()) Die("reference Execute", expected.status());
+      if (!SameAnswer(expected.value(), cell.result)) {
+        std::cerr << "sweep_joins: " << shape.name << " n=" << n
+                  << " differs from query::Executor over the same rows"
+                  << std::endl;
+        return 1;
+      }
+      if (cell.records_scanned != kProbeRows + n ||
+          cell.join_pairs != kProbeRows * n) {
+        std::cerr << "sweep_joins: " << shape.name << " n=" << n
+                  << " priced the wrong row counts" << std::endl;
+        return 1;
       }
 
-      for (size_t m = 0; m < cells.size(); ++m) {
-        const Cell& cell = cells[m];
-        double speedup = locked.rows_per_sec > 0
-                             ? cell.rows_per_sec / locked.rows_per_sec
-                             : 0;
-        if (std::string(kModes[m].name) == "snapshot-parallel") {
-          speedups[shape.name][n] = speedup;
-        }
-        std::cout << "sweep_joins," << shape.name << ",n" << n << ","
-                  << kModes[m].name << "," << cell.iters << "," << cell.wall
-                  << "," << cell.qps << "," << cell.rows_per_sec << "\n";
-        table.AddRow({shape.name, std::to_string(n), kModes[m].name,
-                      std::to_string(cell.iters),
-                      TablePrinter::Fmt(cell.wall, 3),
-                      TablePrinter::Fmt(cell.qps, 1),
-                      TablePrinter::Fmt(cell.rows_per_sec, 0),
-                      TablePrinter::Fmt(speedup, 2) + "x"});
-        std::ostringstream json;
-        json.precision(17);
-        json << "{\"engine\":\"ObliDB\",\"strategy\":\"join-" << shape.name
-             << "-n" << n << "-" << kModes[m].name << "\",\"query\":\""
-             << shape.name << "\",\"build_records\":" << n
-             << ",\"probe_records\":" << kProbeRows << ",\"mode\":\""
-             << kModes[m].name << "\",\"iters\":" << cell.iters
-             << ",\"wall_seconds\":" << cell.wall << ",\"qps\":" << cell.qps
-             << ",\"rows_per_sec\":" << cell.rows_per_sec
-             << ",\"virtual_seconds\":" << cell.virtual_seconds
-             << ",\"records_scanned\":" << cell.records_scanned
-             << ",\"join_pairs\":" << cell.join_pairs
-             << ",\"snapshot_joins\":" << cell.snapshot_joins << "}";
-        RecordEntry(json.str());
-      }
+      std::cout << "sweep_joins," << shape.name << ",n" << n << ","
+                << cell.iters << "," << cell.wall << "," << cell.qps << ","
+                << cell.rows_per_sec << "\n";
+      table.AddRow({shape.name, std::to_string(n), std::to_string(cell.iters),
+                    TablePrinter::Fmt(cell.wall, 3),
+                    TablePrinter::Fmt(cell.qps, 1),
+                    TablePrinter::Fmt(cell.rows_per_sec, 0)});
+      std::ostringstream json;
+      json.precision(17);
+      json << "{\"engine\":\"ObliDB\",\"strategy\":\"join-" << shape.name
+           << "-n" << n << "\",\"query\":\"" << shape.name
+           << "\",\"build_records\":" << n
+           << ",\"probe_records\":" << kProbeRows
+           << ",\"iters\":" << cell.iters
+           << ",\"wall_seconds\":" << cell.wall << ",\"qps\":" << cell.qps
+           << ",\"rows_per_sec\":" << cell.rows_per_sec
+           << ",\"virtual_seconds\":" << cell.virtual_seconds
+           << ",\"records_scanned\":" << cell.records_scanned
+           << ",\"join_pairs\":" << cell.join_pairs
+           << ",\"snapshot_joins\":" << cell.snapshot_joins << "}";
+      RecordEntry(json.str());
     }
   }
   std::cout << "\n";
   table.Print(std::cout);
 
-  // The acceptance cell: at a 64k build side the lock-free parallel probe
-  // should clear 3x over the locked serial reference. Warn-only: a loaded
-  // or single-core CI host can flatten the gap without anything
-  // regressing.
-  double headline = speedups["count"][64000];
-  if (headline < 3.0) {
-    std::cout << "WARN: snapshot-parallel count n=64000 speedup "
-              << TablePrinter::Fmt(headline, 2) << "x < 3x\n";
-  }
-
-  std::cout << "\nExpected shape: every (query, build) pair reports the "
-               "exact same answer,\nvirtual QET, records_scanned and "
-               "join_pairs in all three modes (checked\nin-binary; "
-               "bench_diff --strict gates it across runs), and the "
-               "snapshot-parallel\nrows/sec pulls away from locked as the "
-               "build side grows — the parallel probe\namortizes across "
-               "cores while the locked path serializes whole joins.\n";
+  std::cout << "\nExpected shape: every (query, build) cell matches "
+               "query::Executor over the\nsame plaintext rows exactly "
+               "(checked in-binary; bench_diff --strict gates\nthe counters "
+               "across runs); the timings show what the partitioned hash\n"
+               "join costs as the build side grows.\n";
   return 0;
 }

@@ -1,17 +1,19 @@
 /// \file sweep_views.cpp
 /// Materialized-view sweep: the repeated-dashboard workload (the same
-/// prepared aggregates fired every tick while the owner keeps appending)
-/// on one ObliDB server, views on vs off, across growing table sizes.
-/// Each cell preloads n records, then runs `kTicks` dashboard ticks of
-/// append-batch + fire-every-query; the per-query wall clock is the
-/// figure. With views off every firing pays an O(n) snapshot scan, so
-/// per-query cost grows with n; with views on every firing is an O(1)
-/// answer from state folded per flush (O(delta) per tick, independent of
-/// n), so per-query cost stays flat as n grows — the O(n) -> O(1) flip.
-/// Answers are checked bit-identical between the two modes cell by cell
-/// (the queries keep integer-valued sums, so fold order cannot perturb
-/// the doubles), and the virtual QET is identical by construction: views
-/// change wall-clock only, never the cost model.
+/// aggregates fired every tick while the owner keeps appending) on one
+/// ObliDB server per mode, across growing table sizes. The "views" mode
+/// prepares the dashboard, so every firing is an O(1) answer from state
+/// folded per flush (O(delta) per tick, independent of n). The "scans"
+/// mode plans the same queries without Prepare — so no view is ever
+/// registered — and runs them through the engine SPI, where every firing
+/// pays an O(n) snapshot scan. Each cell preloads n records, then runs
+/// `kTicks` dashboard ticks of append-batch + fire-every-query; the
+/// per-query wall clock is the figure, and per-query cost should stay flat
+/// with views and grow with n for scans — the O(n) -> O(1) flip. Answers
+/// are checked bit-identical between the two modes cell by cell (the
+/// queries keep integer-valued sums, so views answer them), and the
+/// virtual QET is identical by construction: views change wall-clock
+/// only, never the cost model.
 ///
 /// Output: "sweep_views,<mode>,n<records>,..." CSV lines, a summary table
 /// with the per-query microseconds and the largest-over-smallest-n cost
@@ -23,6 +25,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +34,8 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "edb/oblidb_engine.h"
+#include "query/parser.h"
+#include "query/plan.h"
 #include "workload/trip_record.h"
 
 using namespace dpsync;
@@ -56,7 +61,8 @@ std::vector<Record> MakeRecords(int64_t n, uint64_t seed) {
 
 /// The dashboard's query set — all view-eligible (COUNT/SUM, filtered and
 /// grouped), and all integer-valued so the view fold and the scan agree
-/// bit-for-bit regardless of summation order.
+/// bit-for-bit regardless of summation order (views decline fractional
+/// sums and leave them to the scan).
 std::vector<std::string> DashboardQueries() {
   return {
       "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 50 AND 100",
@@ -81,8 +87,8 @@ double AnswerKey(const edb::QueryResponse& r) {
 }  // namespace
 
 int main() {
-  Banner("Materialized-view sweep: per-query cost vs table size, views "
-         "on/off",
+  Banner("Materialized-view sweep: per-query cost vs table size, views vs "
+         "scans",
          "dashboard workload over CommitEpoch delta folds (edb/view.h)");
   const bool fast = FastMode();
   const std::vector<int64_t> kSizes =
@@ -95,14 +101,13 @@ int main() {
                       "view folds", "snapshots", "virtual (s)"});
   // mode -> n -> per-query wall microseconds.
   std::map<std::string, std::map<int64_t, double>> us_by_mode;
-  // n -> answer stream of the views-off run (the reference).
+  // n -> answer stream of the scans run (the reference).
   std::map<int64_t, std::vector<double>> reference;
 
   for (bool views : {false, true}) {
-    const std::string mode = views ? "views-on" : "views-off";
+    const std::string mode = views ? "views" : "scans";
     for (int64_t n : kSizes) {
       edb::ObliDbConfig cfg;
-      cfg.materialized_views = views;
       cfg.storage.num_shards = 2;
       edb::ObliDbServer server(cfg);
       auto t = server.CreateTable("YellowCab", workload::TripSchema());
@@ -111,16 +116,34 @@ int main() {
         Die("Setup", s);
       }
 
+      // Views mode prepares (which registers the views); scans mode binds
+      // the same plans without Prepare and executes them through the
+      // engine SPI, where no view exists to answer them.
       auto session = server.CreateSession();
       std::vector<edb::PreparedQuery> prepared;
+      std::vector<std::shared_ptr<const query::QueryPlan>> unprepared;
       for (const auto& sql : DashboardQueries()) {
-        auto q = session->Prepare(sql);
-        if (!q.ok()) Die("Prepare", q.status());
-        prepared.push_back(std::move(q.value()));
+        if (views) {
+          auto q = session->Prepare(sql);
+          if (!q.ok()) Die("Prepare", q.status());
+          prepared.push_back(std::move(q.value()));
+          continue;
+        }
+        auto parsed = query::ParseSelect(sql);
+        if (!parsed.ok()) Die("ParseSelect", parsed.status());
+        auto plan = query::PlanSelect(
+            parsed.value(),
+            [&server](const std::string& name) {
+              return server.FindSchema(name);
+            },
+            server.planner_options());
+        if (!plan.ok()) Die("PlanSelect", plan.status());
+        unprepared.push_back(std::move(plan.value()));
       }
+      const size_t panels = DashboardQueries().size();
 
       // Dashboard ticks: the owner lands a small batch (one flush = one
-      // delta fold per view when views are on), then every panel fires.
+      // delta fold per registered view), then every panel fires.
       auto updates = MakeRecords(kTicks * kBatch, 99);
       std::vector<double> answers;
       double wall = 0;
@@ -132,8 +155,9 @@ int main() {
             updates.begin() + (tick + 1) * kBatch);
         if (auto s = t.value()->Update(batch); !s.ok()) Die("Update", s);
         auto start = std::chrono::steady_clock::now();
-        for (const auto& q : prepared) {
-          auto r = session->Execute(q);
+        for (size_t i = 0; i < panels; ++i) {
+          auto r = views ? session->Execute(prepared[i])
+                         : server.ExecutePlan(*unprepared[i]);
           if (!r.ok()) Die("Execute", r.status());
           answers.push_back(AnswerKey(r.value()));
           virtual_seconds += r->stats.virtual_seconds;
@@ -157,14 +181,16 @@ int main() {
 
       auto stats = server.stats();
       const int64_t expect_hits = views ? executed : 0;
-      if (stats.view_hits != expect_hits) {
+      if (stats.view_hits != expect_hits ||
+          stats.snapshot_scans != executed - expect_hits) {
         std::cerr << "sweep_views: view_hits " << stats.view_hits
-                  << " != expected " << expect_hits << " for " << mode
-                  << " n=" << n << std::endl;
+                  << " / snapshot_scans " << stats.snapshot_scans
+                  << " do not split " << executed << " executions as "
+                  << mode << " n=" << n << std::endl;
         return 1;
       }
       if (views && stats.view_folds <
-                       static_cast<int64_t>(prepared.size()) * kTicks) {
+                       static_cast<int64_t>(panels) * kTicks) {
         std::cerr << "sweep_views: view_folds " << stats.view_folds
                   << " missing per-flush delta folds" << std::endl;
         return 1;
@@ -184,10 +210,8 @@ int main() {
 
       std::ostringstream json;
       json.precision(17);
-      json << "{\"engine\":\"ObliDB\",\"strategy\":\"views-"
-           << (views ? "on" : "off") << "-n" << n
-           << "\",\"materialized_views\":" << (views ? "true" : "false")
-           << ",\"records\":" << n << ",\"query_count\":" << executed
+      json << "{\"engine\":\"ObliDB\",\"strategy\":\"" << mode << "-n" << n
+           << "\",\"records\":" << n << ",\"query_count\":" << executed
            << ",\"wall_seconds\":" << wall
            << ",\"us_per_query\":" << us_per_query
            << ",\"virtual_seconds\":" << virtual_seconds
@@ -215,8 +239,8 @@ int main() {
   }
   std::cout << "\n";
   {
-    const auto& on = us_by_mode["views-on"];
-    const auto& off = us_by_mode["views-off"];
+    const auto& on = us_by_mode["views"];
+    const auto& off = us_by_mode["scans"];
     double on_ratio = on.at(kSizes.front()) > 0
                           ? on.at(kSizes.back()) / on.at(kSizes.front())
                           : 0;
@@ -226,17 +250,17 @@ int main() {
     if (on_ratio > off_ratio) {
       // Timing on shared CI cores is noisy; warn rather than fail, the
       // archived JSON carries the cells for offline inspection.
-      std::cout << "WARN: views-on cost grew faster (" << on_ratio
-                << "x) than views-off (" << off_ratio
+      std::cout << "WARN: views cost grew faster (" << on_ratio
+                << "x) than scans (" << off_ratio
                 << "x) across the size sweep\n";
     }
   }
 
   std::cout << "\nExpected shape: answers are bit-identical in every cell "
-               "(views change\nwall-clock only), views-off us/query grows "
-               "roughly linearly with the table\nsize while views-on "
+               "(views change\nwall-clock only), scans us/query grows "
+               "roughly linearly with the table\nsize while views "
                "us/query stays flat (every firing is an O(1) answer\nfrom "
-               "state folded per flush), and with views on the snapshot "
-               "column is 0 —\nthe scan path went quiet.\n";
+               "state folded per flush), and in the views cells the "
+               "snapshot column is 0 —\nthe scan path went quiet.\n";
   return 0;
 }

@@ -2,9 +2,12 @@
 /// Empirically verifies Table 2: the privacy / logical-gap / outsourced-
 /// volume characteristics of every synchronization strategy. For the DP
 /// strategies it compares the measured peak logical gap and dummy volume
-/// against the Theorem 6-9 bounds (with beta = 0.05).
+/// against the Theorem 6-9 bounds (with beta = 0.05). Every strategy row
+/// is also one BENCH_table2_bounds.json entry (bounds are null where the
+/// theorem does not apply).
 #include <cmath>
 #include <iostream>
+#include <sstream>
 
 #include "bench_util.h"
 #include "common/table_printer.h"
@@ -113,6 +116,27 @@ int main() {
                   row.volume_bound > 0 ? TablePrinter::Fmt(row.volume_bound, 0)
                                        : "-",
                   std::to_string(row.received)});
+
+    auto bound = [](double b) {
+      std::ostringstream os;
+      os.precision(17);
+      if (b > 0) {
+        os << b;
+      } else {
+        os << "null";
+      }
+      return os.str();
+    };
+    std::ostringstream json;
+    json << "{\"engine\":\"none\",\"strategy\":\"" << row.strategy
+         << "\",\"epsilon\":" << eps << ",\"privacy\":\"" << row.privacy
+         << "\",\"peak_gap\":" << row.max_gap
+         << ",\"gap_bound\":" << bound(row.gap_bound)
+         << ",\"outsourced\":" << row.outsourced
+         << ",\"volume_bound\":" << bound(row.volume_bound)
+         << ",\"received\":" << row.received << ",\"syncs\":" << row.syncs
+         << "}";
+    bench::RecordEntry(json.str());
   }
   table.Print(std::cout);
   std::cout << "\nExpected: SUR gap 0 & outsourced == received; OTO gap == "

@@ -22,20 +22,6 @@
 ///   --shards=<int>       shards per table           (default 1)
 ///   --storage-dir=<path> segment-log root; each run writes a fresh
 ///                        subdirectory (default: temp, cleaned up)
-///   --snapshot=on|off    serve linear scans from epoch snapshots of the
-///                        committed prefix (default on; metrics are
-///                        invariant — see docs/CONCURRENCY.md)
-///   --views=on|off       answer eligible prepared aggregates from
-///                        incremental materialized views (default on;
-///                        effective only with --snapshot=on; metrics are
-///                        invariant, only wall-clock changes)
-///   --parallel-joins=on|off  run hash joins' partition/build/probe
-///                        phases on the shared pool (default on; answers
-///                        and metrics are bit-identical, only wall-clock
-///                        changes)
-///   --api=session|oneshot  analyst API driving the schedule: prepared
-///                        queries over a session (default) or the legacy
-///                        one-shot Query() shim; metrics are identical
 ///   --no-join            skip the second table and Q3
 ///   --timing             \timing-style per-query stats after the run
 ///                        (mean QET, executions, plan-cache hit rate)
@@ -68,9 +54,6 @@ int Usage(const char* argv0) {
                "       [--horizon=N] [--records=N] [--interval=N] [--seed=N]\n"
                "       [--backend=memory|segment] [--shards=N] "
                "[--storage-dir=path]\n"
-               "       [--api=session|oneshot] [--snapshot=on|off] "
-               "[--views=on|off]\n"
-               "       [--parallel-joins=on|off]\n"
                "       [--no-join] [--timing]\n"
                "       [--csv=path]\n";
   return 2;
@@ -132,22 +115,6 @@ int main(int argc, char** argv) {
       if (cfg.num_shards < 1) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "storage-dir", &v)) {
       cfg.storage_dir = v;
-    } else if (ParseFlag(argv[i], "api", &v)) {
-      if (v == "session") cfg.query_api = sim::QueryApi::kSession;
-      else if (v == "oneshot") cfg.query_api = sim::QueryApi::kOneShot;
-      else return Usage(argv[0]);
-    } else if (ParseFlag(argv[i], "snapshot", &v)) {
-      if (v == "on") cfg.snapshot_scans = true;
-      else if (v == "off") cfg.snapshot_scans = false;
-      else return Usage(argv[0]);
-    } else if (ParseFlag(argv[i], "views", &v)) {
-      if (v == "on") cfg.materialized_views = true;
-      else if (v == "off") cfg.materialized_views = false;
-      else return Usage(argv[0]);
-    } else if (ParseFlag(argv[i], "parallel-joins", &v)) {
-      if (v == "on") cfg.parallel_joins = true;
-      else if (v == "off") cfg.parallel_joins = false;
-      else return Usage(argv[0]);
     } else if (std::strcmp(argv[i], "--no-join") == 0) {
       cfg.enable_green = false;
       cfg.queries = sim::DefaultQueries(false);
@@ -189,10 +156,8 @@ int main(int argc, char** argv) {
 
   if (timing) {
     // \timing: what each query actually cost and how the v2 pipeline
-    // amortized its front half. On the session API every query is
-    // prepared exactly once (misses == distinct queries, zero re-plans
-    // across sync epochs); on the one-shot API the plan cache serves
-    // every firing after the first.
+    // amortized its front half. Every query is prepared exactly once
+    // (misses == distinct queries, zero re-plans across sync epochs).
     const auto& ss = result->server_stats;
     std::cout << "\n\\timing\n";
     TablePrinter qt({"query", "executions", "mean QET (s)",

@@ -44,11 +44,12 @@ class ThreadPool {
   /// calling context; callers needing results that are bit-identical
   /// across partitionings must either keep their per-chunk merges exact
   /// (integer/COUNT accumulation), or index their partials by a
-  /// decomposition they compute themselves so the merge tree is
-  /// independent of how this method schedules the work — what the query
-  /// layer's span-aligned scans do (query/executor.cc,
-  /// SpanAlignedScanChunks), which is how FP-sensitive SUM/AVG stay
-  /// deterministic.
+  /// decomposition they compute themselves and pass chunk indices here, so
+  /// the merge tree is independent of how this method schedules the work.
+  /// The query layer does this for both scans (query/executor.cc,
+  /// SpanAlignedScanChunks) and hash joins (RunJoinChunks), which is how
+  /// FP-sensitive SUM/AVG stay deterministic whether a query runs on the
+  /// caller's thread or inside a pool task.
   void ParallelFor(size_t n, size_t max_chunks,
                    const std::function<void(size_t, size_t, size_t)>& fn);
 

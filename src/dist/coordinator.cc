@@ -236,8 +236,6 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config)
   const bool crypteps = config.engine == DistEngineKind::kCryptEps;
   storage_ = crypteps ? config.crypteps.storage : config.oblidb.storage;
   use_oram_index_ = !crypteps && config.oblidb.use_oram_index;
-  snapshot_scans_ = crypteps ? config.crypteps.snapshot_scans
-                             : config.oblidb.snapshot_scans;
 
   const int total_shards = storage_.num_shards;
   const int servers = config.num_servers;
@@ -330,7 +328,6 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config)
       }
       sc.use_oram_index = use_oram_index_;
       sc.oram_capacity = per_tree_capacity * static_cast<size_t>(hi - lo);
-      sc.snapshot_scans = snapshot_scans_;
       sc.follower = m > 0;
 
       Member member;
@@ -955,7 +952,7 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
   }
 
   CountRemoteScatter(static_cast<int64_t>(replies.size()));
-  if (snapshot_scans_ && query::PlanIsReadOnlyScan(plan)) {
+  if (query::PlanIsReadOnlyScan(plan)) {
     // The shard servers served this scan from pinned snapshots; count it
     // once at the coordinator, matching the single-process counter.
     CountSnapshotScan();

@@ -214,7 +214,6 @@ class DistributedEdbServer : public edb::EdbServer {
   uint64_t master_seed_;
   edb::StorageConfig storage_;  ///< GLOBAL topology
   bool use_oram_index_ = false;
-  bool snapshot_scans_ = true;
   edb::CostModel cost_;
   /// global shard -> (rank, local shard) routing table.
   std::vector<std::pair<int, uint32_t>> shard_owner_;

@@ -32,10 +32,6 @@ EdbShardServer::EdbShardServer(const ShardServerConfig& config)
   table_config_.master_seed = config.master_seed;
   table_config_.use_oram_index = config.use_oram_index;
   table_config_.oram_capacity = config.oram_capacity;
-  table_config_.snapshot_scans = config.snapshot_scans;
-  // The coordinator merges raw partials, so view short-circuits could
-  // never be consulted here; keep the per-table state minimal.
-  table_config_.materialized_views = false;
   table_config_.storage = config.storage;
   follower_ = config.follower;
 }
@@ -252,9 +248,10 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
   }
 
   // Mirror the single-process dispatch: read-only linear scans pin an
-  // epoch snapshot and aggregate lock-free; indexed (or knob-off) scans
-  // hold the table lock across the whole scan + aggregation because they
-  // borrow uncommitted enclave state (and rewrite ORAM trees).
+  // epoch snapshot and aggregate lock-free; indexed scans hold the table
+  // lock across the whole scan + aggregation because they borrow
+  // uncommitted enclave state (and rewrite ORAM trees). No views here:
+  // the coordinator merges raw partials.
   auto aggregate = [&](const edb::SnapshotView& view)
       -> StatusOr<query::ScanPartial> {
     query::Table plain;
@@ -267,7 +264,7 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
   StatusOr<query::ScanPartial> partial =
       Status::Internal("scan partial was never computed");
   edb::ObliDbTable::OramScanWork oram_work;
-  if (config_.snapshot_scans && query::PlanIsReadOnlyScan(plan)) {
+  if (query::PlanIsReadOnlyScan(plan)) {
     auto view = table->SnapshotScan();  // locks internally, scan lock-free
     if (!view.ok()) return view.status();
     partial = aggregate(view.value());

@@ -61,9 +61,6 @@ struct ShardServerConfig {
   /// tree has exactly the height the single-process topology would give
   /// it (capacity-per-tree is the invariant, not total capacity).
   size_t oram_capacity = 1 << 16;
-  /// Serve read-only linear scans from an epoch snapshot (lock-free
-  /// aggregation), matching the single-process dispatch.
-  bool snapshot_scans = true;
   /// Start as a replication follower: reject owner-facing kIngest
   /// (read-only), accept kReplicate/kCatchUp/kPromote. Cleared when a
   /// kPromote cutover succeeds.

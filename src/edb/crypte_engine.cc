@@ -40,10 +40,7 @@ StatusOr<EdbTable*> CryptEpsServer::CreateTableImpl(
 
 void CryptEpsServer::OnPlanReady(
     const std::shared_ptr<const query::QueryPlan>& plan) {
-  if (!config_.materialized_views || !config_.snapshot_scans ||
-      !query::PlanIsViewEligible(*plan)) {
-    return;
-  }
+  if (!query::PlanIsViewEligible(*plan)) return;
   EncryptedTableStore* table = FindTable(plan->table);
   if (table == nullptr) return;
   // Best-effort: a failed registration (e.g. a backend error during the
@@ -130,51 +127,16 @@ StatusOr<QueryResponse> CryptEpsServer::ExecutePlan(
 
   auto start = std::chrono::steady_clock::now();
 
-  // The two-server aggregation pipeline, played by one process: decrypt
-  // (simulating the measurement phase) and aggregate exactly. On the
-  // snapshot path the table lock covers only the catch-up + capture and
-  // the aggregation runs lock-free over the pinned committed prefix; on
-  // the legacy path the lock spans the whole scan + aggregation, so
-  // same-table queries and owner appends fully serialize.
-  int64_t scanned = 0;
-  auto aggregate = [&](const SnapshotView& view)
-      -> StatusOr<query::QueryResult> {
-    scanned = view.total_rows;
-    query::Table plain;
-    plain.name = table->table_name();
-    plain.schema = table->schema();
-    plain.borrowed_spans = view.spans;
-    query::Catalog catalog;
-    catalog.AddTable(&plain);
-    query::Executor executor(&catalog);
-    return executor.Execute(plan.rewritten);
-  };
-  auto run_exact = [&]() -> StatusOr<query::QueryResult> {
-    if (config_.snapshot_scans) {
-      SnapshotView snap;
-      {
-        std::lock_guard<std::mutex> table_lk(table->table_mutex());
-        auto s = table->Snapshot();
-        if (!s.ok()) return s.status();
-        snap = std::move(s.value());
-      }
-      return aggregate(snap);
-    }
-    std::lock_guard<std::mutex> table_lk(table->table_mutex());
-    auto full = table->EnclaveView();
-    if (!full.ok()) return full.status();
-    return aggregate(full.value());
-  };
   // A current materialized view substitutes for the exact-aggregation
   // scan only: the budget was already reserved above and the Laplace
   // release below is untouched, so the noise stream, the charged budget
   // and every reported metric are bit-identical to the scan path — the
   // view changes where the exact answer came from, nothing else.
+  int64_t scanned = 0;
   bool view_hit = false;
   StatusOr<query::QueryResult> exact =
       Status::Internal("exact aggregate was never computed");
-  if (config_.materialized_views && config_.snapshot_scans &&
-      query::PlanIsViewEligible(plan)) {
+  if (query::PlanIsViewEligible(plan)) {
     if (auto hit =
             table->TryViewAnswer(plan.fingerprint, plan.canonical_text)) {
       scanned = hit->committed_rows;
@@ -182,6 +144,27 @@ StatusOr<QueryResponse> CryptEpsServer::ExecutePlan(
       view_hit = true;
     }
   }
+  // Otherwise the two-server aggregation pipeline, played by one process:
+  // pin the committed prefix under a brief table lock (catch-up +
+  // capture), then decrypt-side aggregate exactly with no lock held.
+  auto run_exact = [&]() -> StatusOr<query::QueryResult> {
+    SnapshotView snap;
+    {
+      std::lock_guard<std::mutex> table_lk(table->table_mutex());
+      auto s = table->Snapshot();
+      if (!s.ok()) return s.status();
+      snap = std::move(s.value());
+    }
+    scanned = snap.total_rows;
+    query::Table plain;
+    plain.name = table->table_name();
+    plain.schema = table->schema();
+    plain.borrowed_spans = snap.spans;
+    query::Catalog catalog;
+    catalog.AddTable(&plain);
+    query::Executor executor(&catalog);
+    return executor.Execute(plan.rewritten);
+  };
   if (!view_hit) exact = run_exact();
   if (!exact.ok()) {
     std::lock_guard<std::mutex> lk(budget_mu_);
@@ -209,14 +192,13 @@ StatusOr<QueryResponse> CryptEpsServer::ExecutePlan(
 
   if (view_hit) {
     CountViewHit();
-  } else if (config_.snapshot_scans) {
+  } else {
     CountSnapshotScan();
   }
   QueryResponse resp;
   resp.result = std::move(noisy);
-  // What the scan actually touched: the pinned view's row count (equal to
-  // outsourced_count() on the legacy path, and to the committed total on
-  // the snapshot path — identical whenever updates auto-flush).
+  // What the scan actually touched: the committed total of the pinned
+  // snapshot (or of the epoch the view answered for).
   resp.stats.records_scanned = scanned;
   resp.stats.measured_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -36,30 +36,6 @@ struct CryptEpsConfig {
   /// PermissionDenied. 0 disables the limit (the paper's experiments do
   /// not enforce one).
   double total_budget_limit = 0.0;
-  /// Serve scans from an epoch snapshot of the committed prefix (brief
-  /// table lock for catch-up + capture, lock-free aggregation) instead of
-  /// holding the table lock across the whole scan. Every Crypt-eps query
-  /// is a read-only linear scan, so this overlaps all same-table queries.
-  /// With auto-flushing storage (flush_every_update, the default) the
-  /// committed prefix IS the full table, so answers, noise draws and
-  /// metrics are bit-identical either way (the budget ledger and Laplace
-  /// stream keep their own serialization); with manual commit points
-  /// (flush_every_update=false) snapshot queries see — and are charged
-  /// for — only the flushed prefix, where the locked path would scan the
-  /// uncommitted tail too. See docs/CONCURRENCY.md.
-  bool snapshot_scans = true;
-  /// Maintain incremental materialized aggregate views for view-eligible
-  /// prepared plans (query::PlanIsViewEligible): Prepare registers the
-  /// view, every Flush commit folds the newly committed delta, and a
-  /// current view substitutes for the exact-aggregation scan in O(1). The
-  /// Laplace release is untouched — budget reservation and noise draws
-  /// happen after (and independently of) how the exact answer was
-  /// computed, so the noise stream and every reported metric are
-  /// bit-identical to the scan path. Views hold committed-prefix state,
-  /// so they are additionally gated on snapshot_scans (the locked path's
-  /// uncommitted-tail visibility cannot be represented). See
-  /// src/edb/view.h.
-  bool materialized_views = true;
   /// Physical storage for every table (backend kind, shard count, dir).
   StorageConfig storage;
 };
@@ -76,10 +52,15 @@ class CryptEpsServer : public EdbServer {
   int64_t total_outsourced_records() const override;
 
   // Engine SPI (see encrypted_database.h). Joins are rejected at Prepare
-  // time via planner_options(); execution serializes per table, and the
-  // budget ledger + noise stream serialize on their own mutex (budget is
+  // time via planner_options(), and Crypt-eps has no ORAM mode, so every
+  // plan is a read-only linear scan: a current materialized view answers
+  // view-eligible plans, everything else aggregates lock-free over an
+  // epoch snapshot of the committed prefix (under manual commit points,
+  // queries see — and are charged for — only flushed rows). The budget
+  // ledger + noise stream serialize on their own mutex (budget is
   // reserved atomically before the scan, so concurrent queries can never
-  // jointly overdraw the analyst budget).
+  // jointly overdraw the analyst budget), and the Laplace release never
+  // depends on which path computed the exact answer.
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
   const query::Schema* FindSchema(const std::string& table) const override;
   query::PlannerOptions planner_options() const override;
@@ -94,8 +75,7 @@ class CryptEpsServer : public EdbServer {
   StatusOr<EdbTable*> CreateTableImpl(const std::string& name,
                                       const query::Schema& schema) override;
   /// Registers a materialized view for every view-eligible plan Prepare
-  /// hands out (best-effort; idempotent per fingerprint). No-op unless
-  /// both materialized_views and snapshot_scans are on.
+  /// hands out (best-effort; idempotent per fingerprint).
   void OnPlanReady(
       const std::shared_ptr<const query::QueryPlan>& plan) override;
 

@@ -114,14 +114,13 @@ struct ServerStats {
   int64_t peak_in_flight = 0;      ///< concurrency high-water mark
   /// Read-only linear scans served from an epoch snapshot of the
   /// committed prefix, i.e. without holding the table lock across the
-  /// scan (see docs/CONCURRENCY.md). Locked executions — indexed scans,
-  /// snapshot_scans=false — and view answers do not count.
+  /// scan (see docs/CONCURRENCY.md). Locked indexed-mode scans and view
+  /// answers do not count.
   int64_t snapshot_scans = 0;
   /// Read-only linear joins served from two pinned epoch snapshots (one
   /// brief ordered capture lock, then lock-free execution — see
-  /// docs/CONCURRENCY.md). Locked joins (indexed mode,
-  /// snapshot_scans=false) do not count, and snapshot joins do not count
-  /// in `snapshot_scans`.
+  /// docs/CONCURRENCY.md). Locked indexed-mode joins do not count, and
+  /// snapshot joins do not count in `snapshot_scans`.
   int64_t snapshot_joins = 0;
   /// Executions answered in O(1) from a materialized aggregate view whose
   /// state was current through the table's CommitEpoch (see
@@ -165,9 +164,9 @@ class EdbTable : public SogdbBackend {
   /// Per-table execution lock: owner-side mutations (Setup/Update) and
   /// analyst-side *locked* executions of the same table serialize on it.
   /// Engine implementations lock it inside their mutation paths; servers
-  /// hold it across a whole indexed scan / join + aggregation (those
-  /// borrow uncommitted enclave state, so the lock must outlive the
-  /// borrow). Read-only linear scans served from an epoch snapshot take
+  /// hold it across a whole ORAM-indexed scan or join + aggregation
+  /// (those borrow uncommitted enclave state, so the lock must outlive
+  /// the borrow). Linear scans and joins served from epoch snapshots take
   /// it only for the catch-up + capture step and aggregate lock-free —
   /// the full discipline lives in docs/CONCURRENCY.md.
   std::mutex& table_mutex() const { return table_mu_; }
@@ -336,8 +335,8 @@ class EdbServer {
   /// Called by PrepareInternal with every plan it hands out — freshly
   /// built or served from the plan cache — before the caller sees it.
   /// Engines override it to attach side structures to plans they care
-  /// about (today: registering a materialized view for view-eligible
-  /// plans when the knob is on). Must be thread-safe and best-effort:
+  /// about (today: registering a materialized view for every
+  /// view-eligible plan). Must be thread-safe and best-effort:
   /// failures here must not fail the Prepare (the scan path always
   /// remains correct). Default: no-op.
   virtual void OnPlanReady(const std::shared_ptr<const query::QueryPlan>& plan) {

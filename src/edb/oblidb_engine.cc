@@ -201,10 +201,7 @@ StatusOr<EdbTable*> ObliDbServer::CreateTableImpl(const std::string& name,
 
 void ObliDbServer::OnPlanReady(
     const std::shared_ptr<const query::QueryPlan>& plan) {
-  if (!config_.materialized_views || !config_.snapshot_scans ||
-      !query::PlanIsViewEligible(*plan)) {
-    return;
-  }
+  if (!query::PlanIsViewEligible(*plan)) return;
   ObliDbTable* table = FindTable(plan->table);
   if (table == nullptr) return;
   // Best-effort: a failed registration (e.g. a backend error during the
@@ -302,15 +299,14 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
     // brief ordered capture lock and execute lock-free (mirror checks are
     // defensive: PlanIsReadOnlyJoin already excludes ORAM-indexed plans,
     // and every table shares the engine config).
-    if (config_.snapshot_scans && query::PlanIsReadOnlyJoin(plan) &&
-        !table->mirror() && !right->mirror()) {
+    if (query::PlanIsReadOnlyJoin(plan) && !table->mirror() &&
+        !right->mirror()) {
       return SnapshotJoinQuery(plan.rewritten, table, right);
     }
-    // Exclusive path (knob off, or indexed mode whose pre-join scans
-    // rewrite ORAM state): hold both table locks across the scans AND the
-    // join over the borrowed partitions; scoped_lock orders the
-    // acquisition, so concurrent joins cannot deadlock. A self-join locks
-    // once.
+    // Indexed mode, whose pre-join scans rewrite ORAM state: hold both
+    // table locks across the scans AND the join over the borrowed
+    // partitions; scoped_lock orders the acquisition, so concurrent joins
+    // cannot deadlock. A self-join locks once.
     if (table == right) {
       std::lock_guard<std::mutex> lk(table->table_mutex());
       return JoinQuery(plan.rewritten, table, right);
@@ -319,12 +315,8 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
     return JoinQuery(plan.rewritten, table, right);
   }
   // Views extend the snapshot machinery: they hold committed-prefix
-  // state, which is exactly what the snapshot path serves. Under
-  // snapshot_scans=false every execution keeps the locked-scan semantics
-  // (the uncommitted tail is visible), which view state cannot represent
-  // — so the view path is gated on both knobs.
-  if (config_.materialized_views && config_.snapshot_scans &&
-      query::PlanIsViewEligible(plan)) {
+  // state, which is exactly what the snapshot path serves.
+  if (query::PlanIsViewEligible(plan)) {
     auto start = std::chrono::steady_clock::now();
     if (auto hit = table->TryViewAnswer(plan.fingerprint,
                                         plan.canonical_text)) {
@@ -332,7 +324,7 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
       // CommitEpoch under the table mutex — bit-identical to scanning the
       // committed prefix. The virtual cost still charges the oblivious
       // scan: views change wall-clock only, never the leakage-calibrated
-      // QET model (metrics stay invariant in the knob).
+      // QET model.
       QueryResponse resp;
       resp.result = std::move(hit->result);
       resp.stats.records_scanned = hit->committed_rows;
@@ -342,17 +334,18 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
       CountViewHit();
       return resp;
     }
-    // Stale or missing view (cold start, post-Reopen): fall through to
-    // the scan paths below; the next commit fold catches the view up.
+    // No usable view (cold start, post-Reopen, a plan that never went
+    // through Prepare, a sum the view cannot reproduce bit for bit): fall
+    // through to the snapshot scan below.
   }
-  if (config_.snapshot_scans && query::PlanIsReadOnlyScan(plan)) {
+  if (query::PlanIsReadOnlyScan(plan)) {
     // Read-only linear scan: serve it from an epoch snapshot of the
     // committed prefix so same-table scans overlap with each other and
-    // with owner appends (answers and metrics are bit-identical to the
-    // locked path — the committed prefix IS what a serialized scan of a
-    // flushed table sees).
+    // with owner appends.
     return SnapshotScanQuery(plan.rewritten, table);
   }
+  // ORAM-indexed scan: every oblivious access rewrites tree state, so the
+  // whole scan runs under the table lock.
   std::lock_guard<std::mutex> lk(table->table_mutex());
   return ScanQuery(plan.rewritten, table);
 }
@@ -381,8 +374,8 @@ StatusOr<QueryResponse> AggregateOverView(const query::SelectQuery& rewritten,
   resp.result = std::move(result.value());
   // Per-shard scan work summed across shards — identical to the flat
   // store's record count, so virtual QET numbers are unchanged by
-  // sharding (and by the snapshot path, which sees the same committed
-  // total a serialized scan of a flushed table sees).
+  // sharding (and by the access path: a snapshot sees the same committed
+  // total an indexed scan of a flushed table sees).
   resp.stats.records_scanned = view.total_rows;
   resp.stats.virtual_seconds =
       ScanCost(cost, view.total_rows, !rewritten.group_by.empty());
@@ -519,7 +512,6 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
     catalog.AddTable(&lt);
     catalog.AddTable(&rt);
     query::ExecutorOptions opts;
-    opts.parallel_join = config.parallel_joins;
     opts.join_skip_dummy_rows = true;
     query::Executor executor(&catalog, opts);
     auto r = executor.Execute(rewritten);

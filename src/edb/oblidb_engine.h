@@ -15,8 +15,8 @@
 /// grouped or non-COUNT join, which the nested loop cannot express — the
 /// engine computes the (identical) answer with a partitioned hash join and
 /// charges the nested-loop virtual cost — a documented simulation shortcut
-/// that changes wall-clock only. Under `snapshot_scans`, linear joins pin
-/// both sides' committed prefixes and execute lock-free (see ExecutePlan).
+/// that changes wall-clock only. Linear joins pin both sides' committed
+/// prefixes and execute lock-free (see ExecutePlan).
 #pragma once
 
 #include <map>
@@ -51,40 +51,6 @@ struct ObliDbConfig {
   /// Real oblivious nested-loop joins are executed up to this many pairs;
   /// larger joins use the hash-join + cost-model shortcut.
   int64_t oblivious_join_limit = 4'000'000;
-  /// Execute read-only linear scans against an epoch snapshot of the
-  /// committed prefix instead of holding the table lock for the whole
-  /// scan: same-table scans then overlap with each other and with owner
-  /// appends. With auto-flushing storage (flush_every_update, the
-  /// default) every append is committed on return, so answers and every
-  /// reported metric are bit-identical either way
-  /// (sim_test.MetricsInvariantAcrossBackendsAndShardCounts) and only
-  /// scheduling changes. With manual commit points
-  /// (flush_every_update=false) the snapshot path answers over the
-  /// committed prefix ONLY — appended-but-unflushed records stay
-  /// invisible until Flush(), where the locked path would see them.
-  /// Linear joins take the same path: both sides' committed prefixes are
-  /// pinned under one brief ordered two-table lock (catch-up + capture)
-  /// and the join executes with no locks held. The ORAM-indexed mode
-  /// always keeps the exclusive per-table lock (tree accesses rewrite
-  /// state). See docs/CONCURRENCY.md.
-  bool snapshot_scans = true;
-  /// Maintain incremental materialized aggregate views for view-eligible
-  /// prepared plans (query::PlanIsViewEligible): Prepare registers the
-  /// view, every Flush commit folds the newly committed delta (O(delta),
-  /// under the table mutex that publishes the CommitEpoch), and Execute
-  /// answers in O(1) when the view is current — falling back to the scan
-  /// path otherwise (cold start, post-Reopen, knob off). Answers, virtual
-  /// QET and every reported metric are bit-identical to the scan path
-  /// (sim_test.MetricsInvariantAcrossBackendsAndShardCounts sweeps this
-  /// knob); only wall-clock changes. See src/edb/view.h.
-  bool materialized_views = true;
-  /// Run hash joins' key extraction, build and probe phases on the shared
-  /// pool (query::ExecutorOptions::parallel_join). The probe keeps the
-  /// serial path's chunk decomposition and chunk-order partial merge, so
-  /// answers, the noise stream and every metric are bit-identical either
-  /// way — wall-clock only. Does not affect the oblivious nested-loop
-  /// path (fixed access pattern) or its pair limit.
-  bool parallel_joins = true;
   /// Physical storage for every table (backend kind, shard count, dir).
   StorageConfig storage;
 };
@@ -200,9 +166,16 @@ class ObliDbServer : public EdbServer {
   int64_t total_outsourced_records() const override;
   OramHealth oram_health() const override;
 
-  // Engine SPI (see encrypted_database.h). ExecutePlan serializes on the
-  // scanned tables' mutexes, so concurrent sessions and owner-side
-  // appends are safe; queries over disjoint tables run in parallel.
+  // Engine SPI (see encrypted_database.h). ExecutePlan picks the
+  // execution path from the plan alone: a current materialized view
+  // answers view-eligible plans; other linear scans and joins pin epoch
+  // snapshots of the committed prefix and run lock-free; ORAM-indexed
+  // scans and joins hold the scanned tables' mutexes throughout, because
+  // every oblivious access rewrites tree state. Under manual commit points
+  // (StorageConfig::flush_every_update=false) linear plans therefore see
+  // only flushed rows, while indexed plans also see the uncommitted tail
+  // (docs/CONCURRENCY.md). Concurrent sessions and owner-side appends are
+  // safe; queries over disjoint tables run in parallel.
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
   const query::Schema* FindSchema(const std::string& table) const override;
   query::PlannerOptions planner_options() const override;
@@ -213,8 +186,7 @@ class ObliDbServer : public EdbServer {
   StatusOr<EdbTable*> CreateTableImpl(const std::string& name,
                                       const query::Schema& schema) override;
   /// Registers a materialized view for every view-eligible plan Prepare
-  /// hands out (best-effort; idempotent per fingerprint). No-op when
-  /// config_.materialized_views is off.
+  /// hands out (best-effort; idempotent per fingerprint).
   void OnPlanReady(
       const std::shared_ptr<const query::QueryPlan>& plan) override;
 

@@ -1,6 +1,13 @@
 #include "edb/view.h"
 
+#include <cmath>
+
 namespace dpsync::edb {
+
+namespace {
+/// 2^53: below it every integer is an exactly representable double.
+constexpr double kExactIntegerLimit = 9007199254740992.0;
+}  // namespace
 
 MaterializedView::MaterializedView(
     std::shared_ptr<const query::QueryPlan> plan)
@@ -17,6 +24,8 @@ int64_t MaterializedView::rows_folded() const {
 void MaterializedView::Reset() {
   folded_.clear();
   state_ = query::SpanPartial{query::AggAccumulator(plan_->aggregate.agg), {}};
+  abs_sum_ = 0.0;
+  order_free_ = true;
 }
 
 int64_t MaterializedView::FoldTo(const query::Schema& schema,
@@ -25,16 +34,21 @@ int64_t MaterializedView::FoldTo(const query::Schema& schema,
                                  const ViewRowSource& source) {
   if (!valid_) Reset();
   folded_.resize(committed.size(), 0);
+  const bool sums = plan_->aggregate.agg == query::AggFunc::kSum ||
+                    plan_->aggregate.agg == query::AggFunc::kAvg;
   int64_t rows = 0;
   for (size_t s = 0; s < committed.size(); ++s) {
     if (folded_[s] >= committed[s]) continue;
     // The kernel reduces the whole prefix over its span-aligned chunk
     // tree; a view adds the same rows one at a time as a sequence of
-    // shard-major deltas. For the integer-valued aggregates of the modeled
-    // workloads double addition is exact, so the order difference is
-    // unobservable; see docs/CONCURRENCY.md.
+    // shard-major deltas. The two orders agree bit for bit while every
+    // addition is exact, which order_free_ tracks.
     source(s, folded_[s], committed[s], [&](const query::Row& row) {
-      step_.Fold(schema, row, &state_);
+      const query::Value v = step_.Fold(schema, row, &state_);
+      if (!sums || !order_free_ || v.is_null()) return;
+      const double d = std::fabs(v.AsDouble());
+      abs_sum_ += d;
+      order_free_ = d == std::floor(d) && abs_sum_ < kExactIntegerLimit;
     });
     rows += committed[s] - folded_[s];
     folded_[s] = committed[s];
@@ -46,7 +60,7 @@ int64_t MaterializedView::FoldTo(const query::Schema& schema,
 
 std::optional<query::QueryResult> MaterializedView::Answer(
     uint64_t epoch) const {
-  if (!valid_ || epoch_ != epoch) return std::nullopt;
+  if (!valid_ || epoch_ != epoch || !order_free_) return std::nullopt;
   if (!plan_->grouped) {
     return query::QueryResult::Scalar(state_.total.Result());
   }

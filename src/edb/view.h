@@ -27,6 +27,12 @@
 ///    and rebuild lazily: the next commit fold (or re-registration)
 ///    re-folds the whole committed prefix from row zero. An invalid or
 ///    stale view never answers — callers fall back to the snapshot scan.
+///  - A view adds rows one at a time as shard-major deltas, while a scan
+///    folds per-span cells and merges them. For SUM/AVG those orders agree
+///    bit for bit only when every addition is exact, so a view answers
+///    only while every value it summed is an integer and their absolute
+///    sum stays below 2^53; past that (fractional fares, say) the plan
+///    takes the snapshot scan, which is the reference.
 ///
 /// Thread safety: none here. Every ViewRegistry method is called by
 /// EncryptedTableStore under its table mutex; the registry is plain
@@ -82,9 +88,9 @@ class MaterializedView {
                  const ViewRowSource& source);
 
   /// O(1) answer — the same QueryResult a snapshot scan of the epoch-E
-  /// committed prefix produces — iff the state is valid and current
-  /// through exactly `epoch`. std::nullopt otherwise (caller falls back
-  /// to the scan path).
+  /// committed prefix produces — iff the state is valid, current through
+  /// exactly `epoch` and order-free (see the file comment). std::nullopt
+  /// otherwise (caller falls back to the scan path).
   std::optional<query::QueryResult> Answer(uint64_t epoch) const;
 
  private:
@@ -99,6 +105,12 @@ class MaterializedView {
   std::vector<int64_t> folded_;  ///< per-shard rows already folded
   /// The folded aggregate: `total` ungrouped, `groups` grouped.
   query::SpanPartial state_;
+  /// SUM/AVG only: the absolute sum of every value folded so far, and
+  /// whether all of them were integers with that sum below 2^53 — the
+  /// condition under which every partial sum is exact, so the fold order
+  /// cannot move a bit.
+  double abs_sum_ = 0.0;
+  bool order_free_ = true;
 };
 
 /// All views registered on one table, keyed by plan fingerprint (the

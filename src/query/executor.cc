@@ -357,9 +357,9 @@ namespace {
 //   3. probe: the left side is walked in strict ascending row order in
 //      fixed chunks; each chunk accumulates its own partial and partials
 //      merge in chunk order — the scan path's reduction discipline, which
-//      is what keeps FP-sensitive aggregates deterministic and makes the
-//      serial and parallel modes bit-identical (same boundaries, same
-//      merge; only the walking thread changes).
+//      is what keeps FP-sensitive aggregates deterministic. The chunk
+//      bounds come from RunJoinChunks, never from the calling thread, so
+//      Execute, Submit and ExecuteMany all replay the same merge tree.
 //
 // Match enumeration order is exactly the old row-at-a-time join's: probe
 // rows ascending, and per key the build rows in append order. Partitioning
@@ -487,40 +487,34 @@ bool SplitDummyConjuncts(const Expr* where, const std::string& lcol,
   return true;
 }
 
-/// Runs `fn(chunk, begin, end)` over [0, n) with the scan path's chunk
-/// discipline. Parallel mode dispatches on the shared pool; serial mode
-/// walks the SAME chunk boundaries inline (ParallelFor's even split for
-/// min(max_chunks, n, num_threads) chunks), so chunk-indexed partials —
-/// and with them FP-sensitive merges — are bit-identical across the
-/// parallel_join knob.
+/// Runs `fn(chunk, begin, end)` over [0, n) split into
+/// min(max_chunks, n, pool width) even chunks (the first n % chunks take
+/// one extra element). The join computes these bounds itself and hands
+/// chunk INDICES to ParallelFor, exactly as RunScanChunks does, so the
+/// decomposition — and with it every chunk-indexed partial and the
+/// FP-sensitive merge over them — is a function of (n, max_chunks, pool
+/// width) alone. Inside a pool task (Submit, ExecuteMany) ParallelFor
+/// collapses to one inline call that walks every index, which changes
+/// only the thread, never the bounds.
 template <typename Fn>
-void RunJoinChunks(size_t n, size_t max_chunks, bool parallel, Fn&& fn) {
+void RunJoinChunks(size_t n, size_t max_chunks, Fn&& fn) {
   if (n == 0) return;
-  if (parallel) {
-    SharedPool()->ParallelFor(n, max_chunks, fn);
-    return;
-  }
-  size_t chunks = std::min({max_chunks, n, SharedPool()->num_threads()});
-  if (chunks <= 1) {
-    fn(0, 0, n);
-    return;
-  }
+  const size_t chunks = std::min({max_chunks, n, SharedPool()->num_threads()});
   const size_t base = n / chunks;
   const size_t extra = n % chunks;
-  size_t begin = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t end = begin + base + (c < extra ? 1 : 0);
-    fn(c, begin, end);
-    begin = end;
-  }
+  SharedPool()->ParallelFor(chunks, chunks, [&](size_t, size_t lo, size_t hi) {
+    for (size_t c = lo; c < hi; ++c) {
+      const size_t begin = c * base + std::min(c, extra);
+      fn(c, begin, begin + base + (c < extra ? 1 : 0));
+    }
+  });
 }
 
 /// Hoists one side's keys (and row pointers) into flat arrays. Output is
 /// a pure per-row function, so the parallel fill is chunking-independent.
 void ExtractJoinSide(const std::vector<RowSpan>& spans, size_t total,
                      std::optional<size_t> key_idx, JoinKeyMode mode,
-                     const JoinDummyFilter& filter, bool parallel,
-                     JoinSide* out) {
+                     const JoinDummyFilter& filter, JoinSide* out) {
   out->rows = total;
   out->row_ptrs.resize(total);
   out->valid.assign(total, 0);
@@ -538,8 +532,7 @@ void ExtractJoinSide(const std::vector<RowSpan>& spans, size_t total,
   }
   const size_t max_chunks =
       total >= kParallelScanThreshold ? SharedPool()->num_threads() : 1;
-  RunJoinChunks(total, max_chunks, parallel,
-                [&](size_t, size_t begin, size_t end) {
+  RunJoinChunks(total, max_chunks, [&](size_t, size_t begin, size_t end) {
     size_t g = begin;
     ForEachSpanSegment(spans, begin, end,
                        [&](const RowSpan& span, size_t lo, size_t hi) {
@@ -656,7 +649,6 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
     return Status::Unimplemented("GROUP BY supports a single column");
   }
   const Schema joined = JoinedSchema(left, right);
-  const bool parallel = options_.parallel_join;
 
   // Appendix-B fast path: when the engine vouches for the rewritten WHERE
   // (join_skip_dummy_rows), recognize its per-side `isDummy = 0` conjuncts,
@@ -705,8 +697,8 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
     }
   }
   JoinSide L, R;
-  ExtractJoinSide(lspans, n1, lkey_idx, mode, lfilter, parallel, &L);
-  ExtractJoinSide(rspans, n2, rkey_idx, mode, rfilter, parallel, &R);
+  ExtractJoinSide(lspans, n1, lkey_idx, mode, lfilter, &L);
+  ExtractJoinSide(rspans, n2, rkey_idx, mode, rfilter, &R);
 
   // Build (phase 2): scatter by the hash's top bits, then build each
   // partition's table on the pool. Partition contents are a pure function
@@ -714,7 +706,7 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
   // affect an answer — only the probe's chunk-order merge matters, and
   // that is fixed below.
   const size_t num_partitions =
-      (parallel && n2 >= kParallelScanThreshold) ? kJoinBuildPartitions : 1;
+      n2 >= kParallelScanThreshold ? kJoinBuildPartitions : 1;
   std::vector<JoinPartition> partitions(num_partitions);
   for (size_t g = 0; g < n2; ++g) {
     if (!R.valid[g]) continue;
@@ -722,7 +714,7 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
         num_partitions == 1 ? 0 : (R.hash[g] >> kJoinPartitionShift);
     partitions[p].rows.push_back(static_cast<uint32_t>(g));
   }
-  RunJoinChunks(num_partitions, SharedPool()->num_threads(), parallel,
+  RunJoinChunks(num_partitions, SharedPool()->num_threads(),
                 [&](size_t, size_t begin, size_t end) {
                   for (size_t p = begin; p < end; ++p) {
                     BuildJoinPartition(mode, R, &partitions[p]);
@@ -764,7 +756,7 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
         gk_nulls.assign(gtotal, 1);
         const size_t max_chunks =
             gtotal >= kParallelScanThreshold ? SharedPool()->num_threads() : 1;
-        RunJoinChunks(gtotal, max_chunks, parallel,
+        RunJoinChunks(gtotal, max_chunks,
                       [&](size_t, size_t begin, size_t end) {
           size_t g = begin;
           ForEachSpanSegment(gspans, begin, end,
@@ -832,7 +824,7 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
   if (!grouped) {
     std::vector<AggAccumulator> partials(std::max<size_t>(1, probe_chunks),
                                          AggAccumulator(agg->agg));
-    RunJoinChunks(n1, probe_chunks, parallel,
+    RunJoinChunks(n1, probe_chunks,
                   [&](size_t chunk, size_t begin, size_t end) {
                     AggAccumulator& acc = partials[chunk];
                     Row combined;
@@ -853,7 +845,7 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
     using GroupMap = FlatGroupMap<AggAccumulator>;
     std::vector<GroupMap> partials(std::max<size_t>(1, probe_chunks),
                                    GroupMap(AggAccumulator(agg->agg)));
-    RunJoinChunks(n1, probe_chunks, parallel,
+    RunJoinChunks(n1, probe_chunks,
                   [&](size_t chunk, size_t begin, size_t end) {
                     GroupMap& local = partials[chunk];
                     Row combined;
@@ -887,7 +879,7 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
   } else {
     std::vector<std::map<Value, AggAccumulator>> partials(
         std::max<size_t>(1, probe_chunks));
-    RunJoinChunks(n1, probe_chunks, parallel,
+    RunJoinChunks(n1, probe_chunks,
                   [&](size_t chunk, size_t begin, size_t end) {
                     auto& local = partials[chunk];
                     Row combined;
@@ -961,18 +953,20 @@ ScanRowStep::ScanRowStep(const SelectQuery& q)
       agg_col_(q.AggregateItem()->column),
       key_col_(grouped_ ? q.group_by[0] : "") {}
 
-void ScanRowStep::Fold(const Schema& schema, const Row& row,
-                       SpanPartial* cell) const {
-  if (where_ != nullptr && !where_->Eval(schema, row).Truthy()) return;
-  Value v = needs_value_ ? agg_col_.Eval(schema, row) : Value();
+Value ScanRowStep::Fold(const Schema& schema, const Row& row,
+                        SpanPartial* cell) const {
+  Value v;
+  if (where_ != nullptr && !where_->Eval(schema, row).Truthy()) return v;
+  if (needs_value_) v = agg_col_.Eval(schema, row);
   if (!grouped_) {
     cell->total.Add(v);
-    return;
+    return v;
   }
   auto [it, inserted] =
       cell->groups.try_emplace(key_col_.Eval(schema, row), func_);
   (void)inserted;
   it->second.Add(v);
+  return v;
 }
 
 StatusOr<ScanPartial> ExecuteScanPartial(const SelectQuery& q,

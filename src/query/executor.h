@@ -9,12 +9,12 @@
 /// Aggregates: COUNT(*) / COUNT(col) / SUM / AVG / MIN / MAX, optionally
 /// GROUP BY one column; INNER equi-joins run as a partitioned hash join
 /// on the ON column (build side partitioned by key hash into
-/// open-addressing tables, probe side walked in strict row order —
-/// optionally in parallel — with per-chunk partials merged in chunk
-/// order, so answers are bit-identical to the serial row-at-a-time
-/// reference). Joins support the same single-column GROUP BY as scans;
-/// the group key must be table-qualified ("T.col") to bind in the joined
-/// schema.
+/// open-addressing tables, probe side walked in strict row order over
+/// chunks the join computes itself and runs on the shared pool, with
+/// per-chunk partials merged in chunk order, so answers do not depend on
+/// which thread calls Execute). Joins support the same single-column
+/// GROUP BY as scans; the group key must be table-qualified ("T.col") to
+/// bind in the joined schema.
 #pragma once
 
 #include <map>
@@ -96,12 +96,6 @@ Schema JoinedSchema(const Table& left, const Table& right);
 /// cells (fixed reduction order; see docs/ARCHITECTURE.md), so the engines
 /// leave it on.
 ///
-/// `parallel_join` (default on) runs the partitioned hash join's key
-/// extraction, build and probe phases on the shared pool. The probe
-/// decomposition (chunk boundaries and the chunk-order partial merge) is
-/// the same in both modes, so serial and parallel joins are bit-identical
-/// — the knob only moves which thread walks each chunk.
-///
 /// `join_skip_dummy_rows` (default off) lets the join pre-filter each
 /// side's rows on its `isDummy = 0` conjunct during key extraction and
 /// elide those conjuncts from the per-pair WHERE. Callers must only set
@@ -112,7 +106,6 @@ Schema JoinedSchema(const Table& left, const Table& right);
 /// quadratic blow-up of dummy rows sharing a join key.
 struct ExecutorOptions {
   bool vectorized = true;
-  bool parallel_join = true;
   bool join_skip_dummy_rows = false;
 };
 
@@ -279,8 +272,10 @@ class ScanRowStep {
 
   /// Folds `row` into `cell`: nothing when the WHERE gate rejects it,
   /// otherwise one Add() into the row's group (created on its first
-  /// matching row) or, ungrouped, into the total.
-  void Fold(const Schema& schema, const Row& row, SpanPartial* cell) const;
+  /// matching row) or, ungrouped, into the total. Returns the value handed
+  /// to Add() — NULL for rejected rows and for COUNT(*) — so views can
+  /// check that their fold order cannot matter.
+  Value Fold(const Schema& schema, const Row& row, SpanPartial* cell) const;
 
  private:
   const Expr* where_;

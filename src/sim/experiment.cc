@@ -65,26 +65,18 @@ std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed) {
 std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
                                            const edb::StorageConfig& storage,
                                            bool use_oram_index,
-                                           size_t oram_capacity,
-                                           bool snapshot_scans,
-                                           bool materialized_views,
-                                           bool parallel_joins) {
+                                           size_t oram_capacity) {
   if (kind == EngineKind::kObliDb) {
     edb::ObliDbConfig cfg;
     cfg.master_seed = seed;
     cfg.storage = storage;
     cfg.use_oram_index = use_oram_index;
     cfg.oram_capacity = oram_capacity;
-    cfg.snapshot_scans = snapshot_scans;
-    cfg.materialized_views = materialized_views;
-    cfg.parallel_joins = parallel_joins;
     return std::make_unique<edb::ObliDbServer>(cfg);
   }
   edb::CryptEpsConfig cfg;
   cfg.master_seed = seed;
   cfg.storage = storage;
-  cfg.snapshot_scans = snapshot_scans;
-  cfg.materialized_views = materialized_views;
   return std::make_unique<edb::CryptEpsServer>(cfg);
 }
 
@@ -179,9 +171,7 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   storage.num_shards = config.num_shards;
   storage.dir = storage_dir.dir();
   auto server = MakeServer(config.engine, seeder.Next(), storage,
-                           config.use_oram_index, config.oram_capacity,
-                           config.snapshot_scans, config.materialized_views,
-                           config.parallel_joins);
+                           config.use_oram_index, config.oram_capacity);
 
   TablePipeline yellow;
   DPSYNC_RETURN_IF_ERROR(
@@ -192,14 +182,14 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
         SetupPipeline(&green, config.green, config, server.get(), &seeder));
   }
 
-  // Parse all queries up-front, and — on the session API — run the whole
-  // front half of the pipeline (normalize, rewrite, bind, plan) exactly
-  // once per query: each firing then executes the cached plan.
+  // Parse all queries up-front and run the whole front half of the
+  // pipeline (normalize, rewrite, bind, plan) exactly once per query:
+  // each firing then executes the cached plan.
   auto session = server->CreateSession();
   struct ParsedQuery {
     QuerySpec spec;
     query::SelectQuery ast;
-    edb::PreparedQuery prepared;  ///< invalid on the one-shot API
+    edb::PreparedQuery prepared;
   };
   std::vector<ParsedQuery> queries;
   for (const auto& spec : config.queries) {
@@ -209,13 +199,10 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     // Crypt-eps does not support joins (paper §8, footnote 2): the paper's
     // Crypt-eps experiments only run Q1/Q2.
     if (parsed->join && config.engine == EngineKind::kCryptEps) continue;
-    ParsedQuery pq{spec, std::move(parsed.value()), {}};
-    if (config.query_api == QueryApi::kSession) {
-      auto prepared = session->Prepare(pq.ast);
-      if (!prepared.ok()) return prepared.status();
-      pq.prepared = std::move(prepared.value());
-    }
-    queries.push_back(std::move(pq));
+    auto prepared = session->Prepare(parsed.value());
+    if (!prepared.ok()) return prepared.status();
+    queries.push_back(
+        {spec, std::move(parsed.value()), std::move(prepared.value())});
   }
 
   ExperimentResult result;
@@ -256,9 +243,7 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
       if (pq.spec.interval <= 0 || t % pq.spec.interval != 0) continue;
       auto truth = truth_executor.Execute(pq.ast);
       if (!truth.ok()) return truth.status();
-      auto response = config.query_api == QueryApi::kSession
-                          ? session->Execute(pq.prepared)
-                          : server->Query(pq.ast);
+      auto response = session->Execute(pq.prepared);
       if (!response.ok()) return response.status();
       double l1 = truth->L1DistanceTo(response->result);
       auto& out = result.queries[i];

@@ -36,13 +36,6 @@ struct QuerySpec {
 /// Q3 (join) fires daily to keep the O(N^2) virtual-cost points sparse.
 std::vector<QuerySpec> DefaultQueries(bool include_join);
 
-/// Which analyst API drives the scheduled queries. The session API
-/// prepares every query once up front and executes the cached plan per
-/// firing; the one-shot API calls the legacy EdbServer::Query shim per
-/// firing. Both are bit-identical in every reported metric
-/// (sim_test.MetricsInvariantAcrossBackendsAndShardCounts).
-enum class QueryApi { kSession, kOneShot };
-
 /// Full experiment configuration with the paper's defaults (§8).
 struct ExperimentConfig {
   EngineKind engine = EngineKind::kObliDb;
@@ -70,29 +63,6 @@ struct ExperimentConfig {
   bool use_oram_index = false;
   /// Total ORAM blocks per table in indexed mode (split across shards).
   size_t oram_capacity = 1 << 16;
-  /// Analyst API driving the query schedule (metrics are invariant in it).
-  QueryApi query_api = QueryApi::kSession;
-  /// Serve read-only linear scans from an epoch snapshot of the committed
-  /// prefix instead of holding the per-table lock across the scan (see
-  /// docs/CONCURRENCY.md). Like every other execution knob the reported
-  /// metrics are invariant in it — the experiment schedule is sequential,
-  /// and the committed prefix at query time equals the full table either
-  /// way (every posted update flushes). Indexed-mode scans ignore it.
-  bool snapshot_scans = true;
-  /// Maintain incremental materialized aggregate views for view-eligible
-  /// prepared plans (edb/view.h): eligible aggregates answer O(1) from
-  /// folded per-epoch state instead of scanning. Reported metrics are
-  /// invariant in this knob too — answers, virtual QET and the noise
-  /// stream are bit-identical to the scan path
-  /// (sim_test.MetricsInvariantAcrossBackendsAndShardCounts sweeps it);
-  /// only the server's view_hits/view_folds/snapshot_scans counters move.
-  bool materialized_views = true;
-  /// Run hash joins' extraction/build/probe phases on the shared pool
-  /// (ObliDB's parallel_joins knob; Crypt-eps has no join operator).
-  /// Metrics are invariant in it — the probe keeps the serial chunk
-  /// decomposition and chunk-order merge, so answers and the noise
-  /// stream are bit-identical; only wall-clock changes.
-  bool parallel_joins = true;
   /// Segment-log root. Each run writes a unique fresh subdirectory
   /// beneath it (segment files refuse silent reuse across runs). Empty =
   /// a temp root whose per-run subdirectory is removed when the run
@@ -143,15 +113,11 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config);
 /// Convenience: builds the EdbServer for a kind (used by tests/examples).
 std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed);
 
-/// As above, with explicit physical-storage knobs, (for ObliDB) the
-/// indexed-mode toggle, and the snapshot-scan / materialized-view /
-/// parallel-join knobs.
+/// As above, with explicit physical-storage knobs and (for ObliDB) the
+/// indexed-mode toggle.
 std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
                                            const edb::StorageConfig& storage,
                                            bool use_oram_index = false,
-                                           size_t oram_capacity = 1 << 16,
-                                           bool snapshot_scans = true,
-                                           bool materialized_views = true,
-                                           bool parallel_joins = true);
+                                           size_t oram_capacity = 1 << 16);
 
 }  // namespace dpsync::sim

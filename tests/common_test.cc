@@ -414,6 +414,31 @@ TEST(MiniGtestShimTest, LateTestPRegistrationIsRecorded) {
   Suite::Cases().pop_back();
   Suite::Instantiated() = false;
 }
+
+// Self-test of the shim's SCOPED_TRACE: a failure raised inside the scope
+// must carry every active trace message, innermost first, and the traces
+// must be gone once their scopes close. FailureText is exactly what a
+// failing check prints, so the probe needs no real failure.
+TEST(MiniGtestShimTest, ScopedTraceRidesOnFailures) {
+  using ::testing::internal::FailureText;
+  const auto npos = std::string::npos;
+  EXPECT_EQ(FailureText("boom", "extra"), "boom\nextra");
+  {
+    SCOPED_TRACE("outer " + std::to_string(1));
+    {
+      SCOPED_TRACE(42);
+      const std::string text = FailureText("boom", "");
+      EXPECT_EQ(text.find("boom\nGoogle Test trace:\n"), 0u) << text;
+      const size_t inner = text.find(": 42");
+      const size_t outer = text.find(": outer 1");
+      ASSERT_NE(inner, npos) << text;
+      ASSERT_NE(outer, npos) << text;
+      EXPECT_LT(inner, outer) << text;
+    }
+    EXPECT_EQ(FailureText("boom", "").find(": 42"), npos);
+  }
+  EXPECT_EQ(FailureText("boom", ""), "boom");
+}
 #endif  // MINIGTEST_GTEST_H_
 
 }  // namespace

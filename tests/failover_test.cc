@@ -139,14 +139,12 @@ std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
   if (v.engine == DistEngineKind::kCryptEps) {
     edb::CryptEpsConfig cfg;
     cfg.storage.num_shards = kGlobalShards;
-    cfg.materialized_views = false;
     return std::make_unique<edb::CryptEpsServer>(cfg);
   }
   edb::ObliDbConfig cfg;
   cfg.storage.num_shards = kGlobalShards;
   cfg.use_oram_index = v.use_oram_index;
   cfg.oram_capacity = 1 << 10;
-  cfg.materialized_views = false;
   return std::make_unique<edb::ObliDbServer>(cfg);
 }
 

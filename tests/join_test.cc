@@ -1,12 +1,14 @@
 // Join execution across the lock modes (docs/CONCURRENCY.md,
-// docs/ARCHITECTURE.md): tri-parity of answers and deterministic metrics
-// between the locked, snapshot-serial and snapshot-parallel paths;
-// nested-loop vs partitioned-hash identity; NULL and cross-type join
-// keys; the poisoned-column scalar fallback; two-snapshot visibility
-// (uncommitted tails, racing appends, epoch advance mid-batch); and
-// A⋈B vs B⋈A deadlock-freedom. The racing cases are the ones the CI
-// TSan job leans on: snapshot joins read two pinned prefixes lock-free
-// while the owner keeps appending.
+// docs/ARCHITECTURE.md): parity of answers and deterministic metrics
+// between the lock-free linear path and the locked ORAM-indexed path;
+// answers independent of the execution mode (Execute, Submit/Wait,
+// ExecuteMany); nested-loop vs partitioned-hash identity; NULL and
+// cross-type join keys; the poisoned-column scalar fallback; two-snapshot
+// visibility (uncommitted tails, racing appends, epoch advance
+// mid-batch); and A⋈B vs B⋈A deadlock-freedom. The racing cases are the
+// ones the CI TSan job leans on: snapshot joins read two pinned prefixes
+// lock-free while the owner keeps appending, and pool tasks run joins
+// while the caller runs the same join.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -54,14 +56,24 @@ struct JoinRun {
   int64_t snapshot_joins = 0;
 };
 
-/// One server, two trip tables, one join execution. `limit` overrides
-/// oblivious_join_limit (0 forces the hash path for any size).
+JoinRun ToRun(const QueryResponse& r) {
+  JoinRun run;
+  run.result = r.result;
+  run.virtual_seconds = r.stats.virtual_seconds;
+  run.records_scanned = r.stats.records_scanned;
+  run.join_pairs = r.stats.join_pairs;
+  return run;
+}
+
+/// One server, two trip tables, one join execution. `indexed` selects the
+/// ORAM-indexed storage method (the locked join path; linear joins run
+/// lock-free on two snapshots). `limit` overrides oblivious_join_limit (0
+/// forces the hash path for any size).
 JoinRun RunTripJoin(const std::string& sql, const std::vector<Record>& left,
-                    const std::vector<Record>& right, bool snapshot,
-                    bool parallel, int64_t limit) {
+                    const std::vector<Record>& right, bool indexed,
+                    int64_t limit) {
   ObliDbConfig cfg;
-  cfg.snapshot_scans = snapshot;
-  cfg.parallel_joins = parallel;
+  cfg.use_oram_index = indexed;
   cfg.oblivious_join_limit = limit;
   ObliDbServer server(cfg);
   auto yt = server.CreateTable("YellowCab", TripSchema());
@@ -76,17 +88,14 @@ JoinRun RunTripJoin(const std::string& sql, const std::vector<Record>& left,
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   auto r = session->Execute(q.value());
   EXPECT_TRUE(r.ok()) << r.status().ToString();
-  JoinRun run;
-  run.result = r->result;
-  run.virtual_seconds = r->stats.virtual_seconds;
-  run.records_scanned = r->stats.records_scanned;
-  run.join_pairs = r->stats.join_pairs;
+  JoinRun run = ToRun(r.value());
   run.snapshot_joins = server.stats().snapshot_joins;
   return run;
 }
 
-/// Exact result equality — the modes share one chunk decomposition and
-/// merge order, so even the FP sums must be bit-equal.
+/// Exact result equality — every lock mode and execution mode joins the
+/// same spans over one chunk decomposition and merge order, so even the
+/// FP sums must be bit-equal.
 void ExpectSameRun(const JoinRun& a, const JoinRun& b, const char* what) {
   EXPECT_EQ(a.result.grouped, b.result.grouped) << what;
   EXPECT_EQ(a.result.scalar, b.result.scalar) << what;
@@ -142,21 +151,18 @@ const char* kGroupSql =
 
 // ------------------------------------------------------------ tri-parity
 
-TEST(JoinParityTest, TriParityAcrossLockModes) {
+TEST(JoinParityTest, ParityAcrossLockModes) {
   const auto left = ProbeRows(400);
   const auto right = BuildRows(300);
   for (const char* sql : {kCountSql, kSumSql, kGroupSql}) {
-    // limit 0 forces the partitioned hash path in every mode.
-    JoinRun locked = RunTripJoin(sql, left, right, false, false, 0);
-    JoinRun snap_serial = RunTripJoin(sql, left, right, true, false, 0);
-    JoinRun snap_parallel = RunTripJoin(sql, left, right, true, true, 0);
-    ExpectSameRun(locked, snap_serial, sql);
-    ExpectSameRun(locked, snap_parallel, sql);
-    // The counter is the mode's signature: 0 on the exclusive path, one
-    // per execution on the lock-free path.
+    // limit 0 forces the partitioned hash path in both modes.
+    JoinRun locked = RunTripJoin(sql, left, right, true, 0);
+    JoinRun snapshot = RunTripJoin(sql, left, right, false, 0);
+    ExpectSameRun(locked, snapshot, sql);
+    // The counter is the mode's signature: 0 on the exclusive indexed
+    // path, one per execution on the lock-free linear path.
     EXPECT_EQ(locked.snapshot_joins, 0);
-    EXPECT_EQ(snap_serial.snapshot_joins, 1);
-    EXPECT_EQ(snap_parallel.snapshot_joins, 1);
+    EXPECT_EQ(snapshot.snapshot_joins, 1);
   }
 }
 
@@ -167,9 +173,8 @@ TEST(JoinParityTest, NestedLoopAndHashAgree) {
   // model is shape-dependent, never strategy-dependent).
   const auto left = ProbeRows(120);
   const auto right = BuildRows(90);
-  JoinRun nested =
-      RunTripJoin(kCountSql, left, right, true, false, 4'000'000);
-  JoinRun hash = RunTripJoin(kCountSql, left, right, true, true, 0);
+  JoinRun nested = RunTripJoin(kCountSql, left, right, false, 4'000'000);
+  JoinRun hash = RunTripJoin(kCountSql, left, right, false, 0);
   ExpectSameRun(nested, hash, "nested-loop vs hash");
 
   // Cross-check against a brute-force count over the logical rows
@@ -190,17 +195,85 @@ TEST(JoinParityTest, NestedLoopAndHashAgree) {
   EXPECT_EQ(nested.result.scalar, static_cast<double>(expected));
 }
 
-TEST(JoinParityTest, ParallelKnobBitIdenticalAboveScanThreshold) {
+TEST(JoinParityTest, LockModesBitIdenticalAboveScanThreshold) {
   // Big enough to cross the parallel-extraction and parallel-probe
   // thresholds (8192 rows): the FP sums and grouped maps must still be
-  // bit-equal, because the parallel path replays the serial chunk
-  // decomposition and merges partials in chunk order.
+  // bit-equal between the locked and the lock-free path, because both
+  // join the same spans over the same chunk decomposition and merge
+  // partials in chunk order.
   const auto left = ProbeRows(9000);
   const auto right = BuildRows(200);
   for (const char* sql : {kSumSql, kGroupSql}) {
-    JoinRun serial = RunTripJoin(sql, left, right, true, false, 0);
-    JoinRun parallel = RunTripJoin(sql, left, right, true, true, 0);
-    ExpectSameRun(serial, parallel, sql);
+    JoinRun locked = RunTripJoin(sql, left, right, true, 0);
+    JoinRun snapshot = RunTripJoin(sql, left, right, false, 0);
+    ExpectSameRun(locked, snapshot, sql);
+  }
+}
+
+TEST(JoinModeTest, AnswersIndependentOfExecutionMode) {
+  // A pool task's nested ParallelFor collapses to one inline call, so a
+  // join that let ParallelFor pick its chunks would fold every probe row
+  // into one partial under Submit/ExecuteMany — a different FP merge tree
+  // than the synchronous Execute. The join computes its chunk bounds
+  // itself, so every mode must return the same bits for sums over
+  // doubles.
+  // > 8192 probe rows, so the probe fans out; fares that are not dyadic
+  // fractions, so a different merge tree changes low-order bits.
+  std::vector<Record> left;
+  for (int64_t i = 0; i < 9000; ++i) {
+    workload::TripRecord t;
+    t.pick_time = i % 37;
+    t.pickup_id = 1 + i % 11;
+    t.dropoff_id = 1 + i % 7;
+    t.trip_distance = 0.5 + 0.25 * static_cast<double>(i % 20);
+    t.fare = 2.5 + 0.1 * static_cast<double>(i % 23) +
+             0.01 * static_cast<double>(i % 7);
+    left.push_back(t.ToRecord());
+  }
+  const auto right = BuildRows(300);
+  const char* kAvgSql =
+      "SELECT AVG(YellowCab.fare) FROM YellowCab INNER JOIN GreenTaxi ON "
+      "YellowCab.pickTime = GreenTaxi.pickTime";
+  const char* kGroupSumSql =
+      "SELECT GreenTaxi.pickupID, SUM(YellowCab.fare) FROM YellowCab INNER "
+      "JOIN GreenTaxi ON YellowCab.pickTime = GreenTaxi.pickTime GROUP BY "
+      "GreenTaxi.pickupID";
+  ObliDbConfig cfg;
+  cfg.oblivious_join_limit = 0;
+  cfg.admission.max_in_flight = 4;
+  cfg.admission.max_queue = 64;
+  ObliDbServer server(cfg);
+  auto yt = server.CreateTable("YellowCab", TripSchema());
+  ASSERT_TRUE(yt.ok());
+  ASSERT_OK(yt.value()->Setup(left));
+  auto gt = server.CreateTable("GreenTaxi", TripSchema());
+  ASSERT_TRUE(gt.ok());
+  ASSERT_OK(gt.value()->Setup(right));
+  auto session = server.CreateSession();
+  for (const char* sql : {kSumSql, kAvgSql, kGroupSumSql}) {
+    auto q = session->Prepare(sql);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    auto sync = session->Execute(q.value());
+    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+    const JoinRun reference = ToRun(sync.value());
+
+    std::vector<QueryTicket> tickets;
+    for (int i = 0; i < 3; ++i) {
+      auto ticket = session->Submit(q.value());
+      ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+      tickets.push_back(ticket.value());
+    }
+    for (const auto& ticket : tickets) {
+      auto r = session->Wait(ticket);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ExpectSameRun(reference, ToRun(r.value()), sql);
+    }
+
+    auto many = session->ExecuteMany({q.value(), q.value(), q.value()});
+    ASSERT_TRUE(many.ok()) << many.status().ToString();
+    for (const auto& r : many.value()) {
+      ExpectSameRun(reference, ToRun(r), sql);
+    }
   }
 }
 
@@ -248,9 +321,8 @@ TEST(JoinKeyTest, NullKeysNeverMatch) {
       RowRecord(TripRowWithKey(Value(), 4)),
       RowRecord(TripRowWithKey(Value(int64_t{1}), 5)),
   };
-  JoinRun nested = RunTripJoin(kCountSql, left, right, true, false,
-                               4'000'000);
-  JoinRun hash = RunTripJoin(kCountSql, left, right, true, true, 0);
+  JoinRun nested = RunTripJoin(kCountSql, left, right, false, 4'000'000);
+  JoinRun hash = RunTripJoin(kCountSql, left, right, false, 0);
   EXPECT_EQ(nested.result.scalar, 1.0);  // only the 1–1 pair
   ExpectSameRun(nested, hash, "NULL keys");
 }
@@ -294,20 +366,19 @@ TEST(JoinKeyTest, PoisonedKeyColumnFallsBackBitIdentical) {
   // One probe row carries a double pickTime in the int-declared column:
   // the columnar mirror poisons that column, the typed int fast path is
   // ineligible, and the scalar fallback must still match 2.0 against the
-  // build side's int 2 — with the same answer whether or not the probe
-  // runs parallel.
+  // build side's int 2 — with the same answer on the locked indexed path
+  // as on the lock-free linear one.
   std::vector<Record> left = ProbeRows(60);
   left.push_back(RowRecord(TripRowWithKey(Value(2.0), 9)));
   const auto right = BuildRows(50);
 
-  JoinRun serial = RunTripJoin(kCountSql, left, right, true, false, 0);
-  JoinRun parallel = RunTripJoin(kCountSql, left, right, true, true, 0);
-  ExpectSameRun(serial, parallel, "poisoned key column");
+  JoinRun linear = RunTripJoin(kCountSql, left, right, false, 0);
+  JoinRun indexed = RunTripJoin(kCountSql, left, right, true, 0);
+  ExpectSameRun(linear, indexed, "poisoned key column");
 
   // The nested loop (Value-based by construction) is the reference.
-  JoinRun nested = RunTripJoin(kCountSql, left, right, true, false,
-                               4'000'000);
-  ExpectSameRun(nested, serial, "poisoned vs nested reference");
+  JoinRun nested = RunTripJoin(kCountSql, left, right, false, 4'000'000);
+  ExpectSameRun(nested, linear, "poisoned vs nested reference");
 
   // And the poisoned row really joins: key 2.0 matches int key 2.
   int64_t build_twos = 0;
@@ -318,8 +389,8 @@ TEST(JoinKeyTest, PoisonedKeyColumnFallsBackBitIdentical) {
   }
   ASSERT_GT(build_twos, 0);
   std::vector<Record> without = ProbeRows(60);
-  JoinRun baseline = RunTripJoin(kCountSql, without, right, true, false, 0);
-  EXPECT_EQ(serial.result.scalar,
+  JoinRun baseline = RunTripJoin(kCountSql, without, right, false, 0);
+  EXPECT_EQ(linear.result.scalar,
             baseline.result.scalar + static_cast<double>(build_twos));
 }
 
@@ -327,33 +398,25 @@ TEST(JoinKeyTest, PoisonedKeyColumnFallsBackBitIdentical) {
 
 TEST(JoinVisibilityTest, UncommittedTailInvisibleToSnapshotJoins) {
   // Manual commit points: Setup appends without flushing, so nothing is
-  // committed. The locked join (EnclaveScan) sees the full tail; the
-  // snapshot join pins the committed prefix — here, empty — and its
-  // metrics price exactly what it saw.
-  auto run = [](bool snapshot) {
-    ObliDbConfig cfg;
-    cfg.snapshot_scans = snapshot;
-    cfg.storage.flush_every_update = false;
-    ObliDbServer server(cfg);
-    auto yt = server.CreateTable("YellowCab", TripSchema());
-    EXPECT_TRUE(yt.ok());
-    EXPECT_OK(yt.value()->Setup({Trip(1, 1), Trip(2, 2)}));
-    auto gt = server.CreateTable("GreenTaxi", TripSchema());
-    EXPECT_TRUE(gt.ok());
-    EXPECT_OK(gt.value()->Setup({Trip(1, 3), Trip(1, 4)}));
-    auto session = server.CreateSession();
-    auto q = session->Prepare(kCountSql);
-    EXPECT_TRUE(q.ok());
-    auto r = session->Execute(q.value());
-    EXPECT_TRUE(r.ok());
-    return std::make_pair(r->result.scalar, r->stats.records_scanned);
-  };
-  auto [locked_count, locked_scanned] = run(false);
-  EXPECT_EQ(locked_count, 2.0);  // both GreenTaxi rows match pickTime 1
-  EXPECT_EQ(locked_scanned, 4);
-  auto [snap_count, snap_scanned] = run(true);
-  EXPECT_EQ(snap_count, 0.0);
-  EXPECT_EQ(snap_scanned, 0);
+  // committed. The snapshot join pins the committed prefix — here, empty
+  // — and its metrics price exactly what it saw.
+  ObliDbConfig cfg;
+  cfg.storage.flush_every_update = false;
+  ObliDbServer server(cfg);
+  auto yt = server.CreateTable("YellowCab", TripSchema());
+  ASSERT_TRUE(yt.ok());
+  ASSERT_OK(yt.value()->Setup({Trip(1, 1), Trip(2, 2)}));
+  auto gt = server.CreateTable("GreenTaxi", TripSchema());
+  ASSERT_TRUE(gt.ok());
+  ASSERT_OK(gt.value()->Setup({Trip(1, 3), Trip(1, 4)}));
+  auto session = server.CreateSession();
+  auto q = session->Prepare(kCountSql);
+  ASSERT_TRUE(q.ok());
+  auto r = session->Execute(q.value());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->result.scalar, 0.0);
+  EXPECT_EQ(r->stats.records_scanned, 0);
+  EXPECT_EQ(server.stats().snapshot_joins, 1);
 }
 
 TEST(JoinVisibilityTest, RacingAppendsYieldCommittedPrefixJoins) {
@@ -462,12 +525,12 @@ TEST(JoinVisibilityTest, EpochAdvancesDuringExecuteMany) {
 
 TEST(JoinConcurrencyTest, OppositeOrderJoinsDontDeadlock) {
   // A⋈B and B⋈A hammered from two threads while the owner appends to
-  // both tables. Both the snapshot capture and the exclusive path acquire
-  // the two table mutexes via scoped_lock, so neither mode can hang; the
-  // suite TIMEOUT is the deadlock detector.
-  for (bool snapshot : {true, false}) {
+  // both tables. Both the snapshot capture (linear) and the exclusive
+  // path (indexed) acquire the two table mutexes via scoped_lock, so
+  // neither mode can hang; the suite TIMEOUT is the deadlock detector.
+  for (bool indexed : {false, true}) {
     ObliDbConfig cfg;
-    cfg.snapshot_scans = snapshot;
+    cfg.use_oram_index = indexed;
     cfg.admission.max_in_flight = 4;
     cfg.admission.max_queue = 4096;
     ObliDbServer server(cfg);
@@ -504,7 +567,7 @@ TEST(JoinConcurrencyTest, OppositeOrderJoinsDontDeadlock) {
     }
     owner.join();
     for (auto& th : analysts) th.join();
-    EXPECT_EQ(failures.load(), 0) << "snapshot=" << snapshot;
+    EXPECT_EQ(failures.load(), 0) << "indexed=" << indexed;
   }
 }
 
@@ -513,7 +576,7 @@ TEST(JoinConcurrencyTest, OppositeOrderJoinsDontDeadlock) {
 TEST(GroupedJoinTest, SingleKeyGroupedJoinMatchesBruteForce) {
   const auto left = ProbeRows(150);
   const auto right = BuildRows(110);
-  JoinRun run = RunTripJoin(kGroupSql, left, right, true, true, 0);
+  JoinRun run = RunTripJoin(kGroupSql, left, right, false, 0);
   ASSERT_TRUE(run.result.grouped);
 
   // Brute force over the logical rows: group matched pairs by the build
@@ -542,7 +605,7 @@ TEST(GroupedJoinTest, SingleKeyGroupedJoinMatchesBruteForce) {
       "SELECT YellowCab.pickupID, COUNT(*) AS c FROM YellowCab INNER JOIN "
       "GreenTaxi ON YellowCab.pickTime = GreenTaxi.pickTime GROUP BY "
       "YellowCab.pickupID",
-      left, right, true, true, 0);
+      left, right, false, 0);
   ASSERT_TRUE(probe_grouped.result.grouped);
   std::map<Value, double> expected_probe;
   for (const auto& [lk, lg] : l) {

@@ -307,16 +307,19 @@ TEST(VectorizedDeterminismTest, RandomChunkFillsBitIdenticalAcrossConfigs) {
 
 // ---------------------------------------------- join determinism property
 
-// The join knobs' whole contract in one randomized property: fill two
-// tables with random float-heavy rows (heavy key collisions, dummies in
-// the stream) and every combination of backend x shard count x
-// snapshot_scans x parallel_joins must agree bit-for-bit with the locked
-// serial reference — answers, grouped maps, AND the deterministic
+// The join's whole determinism contract in one randomized property: fill
+// two tables with random float-heavy rows (heavy key collisions, dummies
+// in the stream) and every combination of backend x shard count x
+// {lock-free linear, locked ORAM-indexed} x {synchronous Execute,
+// Submit/Wait on a pool task} must agree bit-for-bit with the linear
+// synchronous reference — answers, grouped maps, AND the deterministic
 // metrics (virtual QET, records_scanned, join_pairs). One cell exceeds
 // 8192 probe rows so the parallel extraction and probe genuinely fan
 // out, where a chunk-order slip would surface as a last-ulp SUM
-// difference; the segment-log cells keep the default pair limit so the
-// oblivious nested loop (COUNT) is swept across configs too.
+// difference (a pool task runs the probe's ParallelFor inline, so the
+// merge tree must not depend on it); the segment-log cells keep the
+// default pair limit so the oblivious nested loop (COUNT) is swept
+// across configs too.
 TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
   namespace fs = std::filesystem;
   struct Cell {
@@ -372,19 +375,18 @@ TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
     const auto probe = make_rows(cell.probe_rows, 1);
     const auto build = make_rows(cell.build_rows, 2);
 
-    auto run = [&](bool snapshot, bool parallel) -> std::vector<Outcome> {
+    auto run = [&](bool indexed, bool submit) -> std::vector<Outcome> {
       edb::ObliDbConfig cfg;
       cfg.master_seed = 20260807;
       cfg.storage.backend = cell.backend;
       cfg.storage.num_shards = cell.shards;
-      cfg.snapshot_scans = snapshot;
-      cfg.parallel_joins = parallel;
+      cfg.use_oram_index = indexed;
       if (cell.join_limit >= 0) cfg.oblivious_join_limit = cell.join_limit;
       fs::path dir;
       if (cell.backend == edb::StorageBackendKind::kSegmentLog) {
         dir = fs::temp_directory_path() /
               ("dpsync-joindet-" + std::to_string(ci) +
-               (snapshot ? "-snap" : "-lock") + (parallel ? "-par" : "-ser"));
+               (indexed ? "-idx" : "-lin") + (submit ? "-sub" : "-exe"));
         fs::remove_all(dir);
         cfg.storage.dir = dir.string();
       }
@@ -401,30 +403,38 @@ TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
         for (const auto& sql : sqls) {
           auto prepared = session->Prepare(sql);
           EXPECT_TRUE(prepared.ok()) << sql;
-          auto r = session->Execute(prepared.value());
+          StatusOr<edb::QueryResponse> r = Status::Internal("not run");
+          if (submit) {
+            auto ticket = session->Submit(prepared.value());
+            EXPECT_TRUE(ticket.ok()) << sql;
+            r = session->Wait(ticket.value());
+          } else {
+            r = session->Execute(prepared.value());
+          }
           EXPECT_TRUE(r.ok()) << sql;
           outcomes.push_back({r->result, r->stats.virtual_seconds,
                               r->stats.records_scanned,
                               r->stats.join_pairs});
         }
-        // The lock-free path must actually engage (or stay out) per knob.
+        // The lock-free path must engage exactly for linear tables.
         EXPECT_EQ(server.stats().snapshot_joins,
-                  snapshot ? static_cast<int64_t>(sqls.size()) : 0);
+                  indexed ? 0 : static_cast<int64_t>(sqls.size()));
       }
       if (!dir.empty()) fs::remove_all(dir);
       return outcomes;
     };
 
-    const auto reference = run(false, false);  // locked serial
-    for (bool snapshot : {false, true}) {
-      for (bool parallel : {false, true}) {
-        if (!snapshot && !parallel) continue;
-        auto got = run(snapshot, parallel);
+    const auto reference = run(false, false);  // linear, synchronous
+    for (bool indexed : {false, true}) {
+      for (bool submit : {false, true}) {
+        if (!indexed && !submit) continue;
+        auto got = run(indexed, submit);
         ASSERT_EQ(got.size(), reference.size());
         for (size_t i = 0; i < got.size(); ++i) {
           const std::string where =
               "cell " + std::to_string(ci) + " sql " + std::to_string(i) +
-              (snapshot ? " snap" : " lock") + (parallel ? " par" : " ser");
+              (indexed ? " indexed" : " linear") +
+              (submit ? " submit" : " execute");
           EXPECT_EQ(reference[i].result.grouped, got[i].result.grouped)
               << where;
           EXPECT_EQ(reference[i].result.scalar, got[i].result.scalar)

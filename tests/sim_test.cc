@@ -217,23 +217,18 @@ TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
   // The acceptance bar for the storage-spine, per-shard ORAM, Query API
   // v2, epoch-snapshot and materialized-view refactors: both engines,
   // both backends, both storage methods (linear and ORAM-indexed on
-  // ObliDB), shard counts {1, 4}, both analyst APIs, AND materialized
-  // views on/off — every reported metric bit-identical to the
-  // single-shard in-memory baseline at the same seed. The baseline drives
-  // its schedule through the legacy one-shot Query() shim with
-  // snapshot_scans OFF (the fully per-table-serialized path) while every
-  // variant runs prepared queries over a session with snapshot_scans ON
-  // (linear scans pinned to the committed-prefix epoch snapshot), so this
-  // also proves the prepared path's results and cost metrics (virtual
-  // QET, oram_*, revealed volumes folded into the series) identical to
-  // the one-shot path, the snapshot scan identical to the locked scan,
-  // and the O(1) view answers (Q1/Q2 are view-eligible; on Crypt-eps the
-  // Laplace noise stream is part of the compared series) identical to
-  // scanning, across engines x backends x shard counts. (The scan
-  // kernel's two loops are compared cell for cell by executor_test and
-  // property_test's VectorizedDeterminismTest.) Physical storage
-  // placement, the oblivious index, the query API, the snapshot execution
-  // mode and the view fast path must all be unobservable in the
+  // ObliDB) and shard counts {1, 4} — every reported metric bit-identical
+  // to the single-shard in-memory baseline at the same seed. Linear
+  // variants answer Q1/Q2 from materialized views and Q3 from two pinned
+  // snapshots, indexed variants take the locked ORAM path for all three,
+  // so this also proves the view answers (on Crypt-eps the Laplace noise
+  // stream is part of the compared series) and the lock-free join
+  // identical to the locked oblivious scans across engines x backends x
+  // shard counts. (View answers vs unprepared snapshot scans are compared
+  // by view_test, one-shot vs prepared by edb_test, and the scan kernel's
+  // two loops cell for cell by executor_test and property_test's
+  // VectorizedDeterminismTest.) Physical storage placement, the oblivious
+  // index and the execution path must all be unobservable in the
   // simulation's outputs; only the ORAM health block may differ.
   struct Variant {
     edb::StorageBackendKind backend;
@@ -262,79 +257,57 @@ TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
       for (auto& q : base_cfg.queries) {
         q.interval = (q.name == "Q3") ? 360 : 90;
       }
-      base_cfg.query_api = QueryApi::kOneShot;
-      base_cfg.snapshot_scans = false;
-      base_cfg.materialized_views = false;
       auto baseline = RunExperiment(base_cfg);
       ASSERT_TRUE(baseline.ok()) << EngineKindName(engine);
       auto expect = MetricVector(baseline.value());
       ASSERT_FALSE(expect.empty());
       EXPECT_EQ(baseline->oram.enabled, indexed);
-      // The one-shot shim prepares through the shared plan cache: every
-      // firing after a query's first is a hit.
-      EXPECT_GT(baseline->server_stats.plan_cache_hits, 0);
       for (const auto& variant : variants) {
-        for (bool views : {false, true}) {
-          auto cfg = base_cfg;
-          cfg.query_api = QueryApi::kSession;
-          cfg.snapshot_scans = true;
-          cfg.materialized_views = views;
-          cfg.backend = variant.backend;
-          cfg.num_shards = variant.num_shards;
-          auto r = RunExperiment(cfg);
-          ASSERT_TRUE(r.ok())
+        auto cfg = base_cfg;
+        cfg.backend = variant.backend;
+        cfg.num_shards = variant.num_shards;
+        auto r = RunExperiment(cfg);
+        ASSERT_TRUE(r.ok())
+            << EngineKindName(engine) << " "
+            << edb::StorageBackendKindName(variant.backend) << " x"
+            << variant.num_shards << (indexed ? " indexed" : " linear");
+        auto got = MetricVector(r.value());
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], expect[i])
               << EngineKindName(engine) << " "
               << edb::StorageBackendKindName(variant.backend) << " x"
               << variant.num_shards << (indexed ? " indexed" : " linear")
-              << (views ? " views" : "");
-          auto got = MetricVector(r.value());
-          ASSERT_EQ(got.size(), expect.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i], expect[i])
-                << EngineKindName(engine) << " "
-                << edb::StorageBackendKindName(variant.backend) << " x"
-                << variant.num_shards << (indexed ? " indexed" : " linear")
-                << (views ? " views" : "") << " metric index " << i;
-          }
-          // The ORAM did real per-shard work without perturbing any
-          // metric (and the view path never short-circuits an indexed
-          // scan — every oblivious touch still happens).
-          EXPECT_EQ(r->oram.enabled, indexed);
-          if (indexed) {
-            EXPECT_EQ(r->oram.shard_access_counts.size(),
-                      static_cast<size_t>(variant.num_shards));
-            EXPECT_EQ(r->oram.access_count, baseline->oram.access_count);
-            EXPECT_GT(r->oram.access_count, 0);
-          }
-          // Session sweeps prepare each scheduled query exactly once and
-          // execute cached plans from then on.
-          EXPECT_EQ(r->server_stats.plan_cache_hits, 0);
-          EXPECT_EQ(r->server_stats.prepares,
-                    static_cast<int64_t>(r->queries.size()));
-          EXPECT_EQ(r->server_stats.plan_rebinds, 0);
-          EXPECT_GT(r->server_stats.queries_executed, 0);
-          // The variants really did take the paths they claim: the
-          // baseline never touches the snapshot layer; indexed-mode scans
-          // stay locked (and view-ineligible) whatever the knobs say;
-          // linear scans go through the snapshot layer with views off,
-          // and with views on every eligible execution (Q1/Q2 here) is an
-          // O(1) view hit fed by per-flush delta folds, so the snapshot
-          // layer goes quiet.
-          EXPECT_EQ(baseline->server_stats.snapshot_scans, 0);
-          EXPECT_EQ(baseline->server_stats.view_hits, 0);
-          EXPECT_EQ(baseline->server_stats.view_folds, 0);
-          if (indexed || views) {
-            EXPECT_EQ(r->server_stats.snapshot_scans, 0);
-          } else {
-            EXPECT_GT(r->server_stats.snapshot_scans, 0);
-          }
-          if (views && !indexed) {
-            EXPECT_GT(r->server_stats.view_hits, 0);
-            EXPECT_GT(r->server_stats.view_folds, 0);
-          } else {
-            EXPECT_EQ(r->server_stats.view_hits, 0);
-            EXPECT_EQ(r->server_stats.view_folds, 0);
-          }
+              << " metric index " << i;
+        }
+        // The ORAM did real per-shard work without perturbing any metric
+        // (and the view path never short-circuits an indexed scan — every
+        // oblivious touch still happens).
+        EXPECT_EQ(r->oram.enabled, indexed);
+        if (indexed) {
+          EXPECT_EQ(r->oram.shard_access_counts.size(),
+                    static_cast<size_t>(variant.num_shards));
+          EXPECT_EQ(r->oram.access_count, baseline->oram.access_count);
+          EXPECT_GT(r->oram.access_count, 0);
+        }
+        // Session sweeps prepare each scheduled query exactly once and
+        // execute cached plans from then on.
+        EXPECT_EQ(r->server_stats.plan_cache_hits, 0);
+        EXPECT_EQ(r->server_stats.prepares,
+                  static_cast<int64_t>(r->queries.size()));
+        EXPECT_EQ(r->server_stats.plan_rebinds, 0);
+        EXPECT_GT(r->server_stats.queries_executed, 0);
+        // The variants really did take the paths they claim: indexed-mode
+        // scans stay locked (and view-ineligible), while on linear tables
+        // every eligible execution (Q1/Q2 here) is an O(1) view hit fed by
+        // per-flush delta folds, so the snapshot scan layer stays quiet.
+        EXPECT_EQ(r->server_stats.snapshot_scans, 0);
+        if (indexed) {
+          EXPECT_EQ(r->server_stats.view_hits, 0);
+          EXPECT_EQ(r->server_stats.view_folds, 0);
+        } else {
+          EXPECT_GT(r->server_stats.view_hits, 0);
+          EXPECT_GT(r->server_stats.view_folds, 0);
         }
       }
     }

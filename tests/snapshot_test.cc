@@ -1,12 +1,10 @@
 // Visibility and stability edges of the epoch-snapshot layer
 // (edb/snapshot.h, docs/CONCURRENCY.md): CommitEpoch advance on flush,
 // owner reads-its-own-flush, snapshots pinned to an epoch staying stable
-// while owner appends race, epoch advance during ExecuteMany, the
-// ORAM-indexed mode staying fully serialized, and snapshot scans being
-// bit-identical to locked scans on the noisy Crypt-eps path. The racing
-// cases are the ones the CI TSan job leans on: they read pinned spans —
-// through both scan-kernel loops — lock-free while the owner keeps
-// appending.
+// while owner appends race, epoch advance during ExecuteMany, and the
+// ORAM-indexed mode staying fully serialized. The racing cases are the
+// ones the CI TSan job leans on: they read pinned spans — through both
+// scan-kernel loops — lock-free while the owner keeps appending.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -122,23 +120,18 @@ TEST(CommitEpochTest, EngineObservesFlushCommitPoint) {
 // --------------------------------------------------- reads-your-own-flush
 
 TEST(SnapshotVisibilityTest, OwnerReadsItsOwnFlushThroughSnapshotScans) {
-  ObliDbConfig cfg;  // snapshot_scans defaults on
-  ASSERT_TRUE(cfg.snapshot_scans);
-  // This test pins the *scan* path: with views on, an eligible COUNT(*)
-  // answers from folded state and never reaches the snapshot layer
-  // (view_test covers that route).
-  cfg.materialized_views = false;
-  ObliDbServer server(cfg);
+  ObliDbServer server{ObliDbConfig{}};
   auto t = server.CreateTable("YellowCab", TripSchema());
   ASSERT_TRUE(t.ok());
   std::vector<Record> init;
   for (int64_t i = 0; i < 10; ++i) init.push_back(Trip(i, i));
   ASSERT_OK(t.value()->Setup(init));
 
-  auto session = server.CreateSession();
-  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_TRUE(q.ok());
-  auto r1 = session->Execute(q.value());
+  // This test pins the *scan* path: a prepared COUNT(*) would answer from
+  // its materialized view and never reach the snapshot layer (view_test
+  // covers that route), so the plan runs unprepared.
+  const char* sql = "SELECT COUNT(*) FROM YellowCab";
+  auto r1 = testutil::ExecuteUnprepared(server, sql);
   ASSERT_TRUE(r1.ok());
   EXPECT_DOUBLE_EQ(r1->result.scalar, 10.0);
 
@@ -147,7 +140,7 @@ TEST(SnapshotVisibilityTest, OwnerReadsItsOwnFlushThroughSnapshotScans) {
   uint64_t epoch_before = t.value()->commit_epoch();
   ASSERT_OK(t.value()->Update({Trip(10, 10), Trip(11, 11)}));
   EXPECT_GT(t.value()->commit_epoch(), epoch_before);
-  auto r2 = session->Execute(q.value());
+  auto r2 = testutil::ExecuteUnprepared(server, sql);
   ASSERT_TRUE(r2.ok());
   EXPECT_DOUBLE_EQ(r2->result.scalar, 12.0);
   EXPECT_EQ(server.stats().snapshot_scans, 2);
@@ -242,12 +235,10 @@ TEST(SnapshotStabilityTest, ScanAnswersAreCommittedPrefixesUnderRacingAppends) {
   // Server-level version of the pin: owner appends batches of 3 while
   // analysts run COUNT(*). Every answer must be a committed prefix —
   // i.e. ≡ 1 (mod 3) given the 1-record Setup — never a torn mid-batch
-  // count.
+  // count. The analysts run the plan unprepared so every execution is a
+  // racing snapshot scan rather than a view answer.
   ObliDbConfig cfg;
   cfg.storage.num_shards = 4;
-  cfg.admission.max_in_flight = 4;
-  cfg.admission.max_queue = 4096;
-  cfg.materialized_views = false;  // exercise the racing snapshot scans
   ObliDbServer server(cfg);
   auto t = server.CreateTable("YellowCab", TripSchema());
   ASSERT_TRUE(t.ok());
@@ -264,15 +255,10 @@ TEST(SnapshotStabilityTest, ScanAnswersAreCommittedPrefixesUnderRacingAppends) {
   std::vector<std::thread> analysts;
   for (int a = 0; a < 3; ++a) {
     analysts.emplace_back([&] {
-      auto session = server.CreateSession();
-      auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
-      if (!q.ok()) {
-        ++failures;
-        return;
-      }
       double last = 0;
       for (int i = 0; i < 20; ++i) {
-        auto r = session->Execute(q.value());
+        auto r = testutil::ExecuteUnprepared(server,
+                                             "SELECT COUNT(*) FROM YellowCab");
         if (!r.ok()) {
           ++failures;
           continue;
@@ -291,10 +277,7 @@ TEST(SnapshotStabilityTest, ScanAnswersAreCommittedPrefixesUnderRacingAppends) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(server.stats().snapshot_scans, 0);
 
-  auto session = server.CreateSession();
-  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_TRUE(q.ok());
-  auto r = session->Execute(q.value());
+  auto r = testutil::ExecuteUnprepared(server, "SELECT COUNT(*) FROM YellowCab");
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->result.scalar, 1.0 + 3.0 * kBatches);
 }
@@ -302,18 +285,21 @@ TEST(SnapshotStabilityTest, ScanAnswersAreCommittedPrefixesUnderRacingAppends) {
 TEST(SnapshotStabilityTest, EpochAdvancesDuringExecuteMany) {
   // A whole batch executes while the owner races epochs forward: every
   // response lands on some committed prefix, and the fan-out itself runs
-  // through the snapshot layer (no per-table serialization).
+  // through the snapshot layer (no per-table serialization). MAX is not
+  // view-eligible, so every execution reaches the snapshot layer. Batch b
+  // appends pickTime b to zones 1-3 at once, so a committed prefix shows
+  // one common per-zone maximum; a torn batch would show two.
   ObliDbConfig cfg;
   cfg.admission.max_in_flight = 8;
   cfg.admission.max_queue = 4096;
-  cfg.materialized_views = false;  // count the snapshot-layer fan-out itself
   ObliDbServer server(cfg);
   auto t = server.CreateTable("YellowCab", TripSchema());
   ASSERT_TRUE(t.ok());
   ASSERT_OK(t.value()->Setup({Trip(0, 1), Trip(0, 2)}));
 
   auto session = server.CreateSession();
-  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
+  auto q = session->Prepare(
+      "SELECT pickupID, MAX(pickTime) FROM YellowCab GROUP BY pickupID");
   ASSERT_TRUE(q.ok());
   std::vector<PreparedQuery> batch(24, q.value());
 
@@ -330,8 +316,15 @@ TEST(SnapshotStabilityTest, EpochAdvancesDuringExecuteMany) {
   ASSERT_TRUE(responses.ok());
   ASSERT_EQ(responses->size(), batch.size());
   for (const auto& resp : *responses) {
-    EXPECT_EQ(static_cast<int64_t>(resp.result.scalar - 2) % 3, 0)
-        << "count " << resp.result.scalar << " is not a committed prefix";
+    const auto& groups = resp.result.groups;
+    ASSERT_FALSE(groups.empty());
+    const double latest = groups.begin()->second;
+    const size_t zones = latest == 0 ? 2u : 3u;
+    EXPECT_EQ(groups.size(), zones) << resp.result.ToString();
+    for (const auto& [zone, max_time] : groups) {
+      EXPECT_EQ(max_time, latest)
+          << resp.result.ToString() << " is not a committed prefix";
+    }
   }
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.stats().snapshot_scans,
@@ -341,13 +334,12 @@ TEST(SnapshotStabilityTest, EpochAdvancesDuringExecuteMany) {
 // ------------------------------------------------- serialization fences
 
 TEST(SnapshotRoutingTest, IndexedModeStaysSerialized) {
-  // ORAM scans rewrite tree state: even with snapshot_scans on, indexed
-  // plans must take the locked path (counter stays 0) and still answer
-  // correctly under owner pressure.
+  // ORAM scans rewrite tree state: indexed plans must take the locked
+  // path (counter stays 0; indexed plans are never view-eligible either)
+  // and still answer correctly under owner pressure.
   ObliDbConfig cfg;
   cfg.use_oram_index = true;
   cfg.oram_capacity = 4096;
-  cfg.snapshot_scans = true;
   ObliDbServer server(cfg);
   auto t = server.CreateTable("YellowCab", TripSchema());
   ASSERT_TRUE(t.ok());
@@ -375,62 +367,7 @@ TEST(SnapshotRoutingTest, IndexedModeStaysSerialized) {
   EXPECT_GT(r->stats.oram_paths, 0);
 }
 
-TEST(SnapshotRoutingTest, KnobOffKeepsLockedPath) {
-  ObliDbConfig cfg;
-  cfg.snapshot_scans = false;
-  ObliDbServer server(cfg);
-  auto t = server.CreateTable("YellowCab", TripSchema());
-  ASSERT_TRUE(t.ok());
-  ASSERT_OK(t.value()->Setup({Trip(0, 1), Trip(1, 2)}));
-  auto session = server.CreateSession();
-  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_TRUE(q.ok());
-  auto r = session->Execute(q.value());
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->result.scalar, 2.0);
-  EXPECT_EQ(server.stats().snapshot_scans, 0);
-}
-
-// --------------------------------------------------- cross-path identity
-
-TEST(SnapshotIdentityTest, CryptEpsSnapshotScanBitIdenticalToLocked) {
-  // Same seed, same data, same query sequence: the snapshot path must
-  // consume the noise RNG exactly like the locked path, so every noisy
-  // answer and cost metric is bit-identical.
-  auto run = [](bool snapshot_scans) {
-    CryptEpsConfig cfg;
-    cfg.master_seed = 11;
-    cfg.snapshot_scans = snapshot_scans;
-    CryptEpsServer server(cfg);
-    auto t = server.CreateTable("YellowCab", TripSchema());
-    EXPECT_TRUE(t.ok());
-    std::vector<Record> init;
-    for (int64_t i = 0; i < 64; ++i) init.push_back(Trip(i, i % 7));
-    EXPECT_OK(t.value()->Setup(init));
-    auto session = server.CreateSession();
-    std::vector<std::pair<double, double>> outcomes;  // (answer, qet)
-    for (int round = 0; round < 3; ++round) {
-      for (const char* sql :
-           {"SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 1 AND 4",
-            "SELECT SUM(fare) FROM YellowCab"}) {
-        auto q = session->Prepare(sql);
-        EXPECT_TRUE(q.ok());
-        auto r = session->Execute(q.value());
-        EXPECT_TRUE(r.ok());
-        outcomes.emplace_back(r->result.scalar, r->stats.virtual_seconds);
-      }
-      EXPECT_OK(t.value()->Update({Trip(100 + round, round % 7)}));
-    }
-    return outcomes;
-  };
-  auto locked = run(false);
-  auto snapshot = run(true);
-  ASSERT_EQ(locked.size(), snapshot.size());
-  for (size_t i = 0; i < locked.size(); ++i) {
-    EXPECT_DOUBLE_EQ(snapshot[i].first, locked[i].first) << i;
-    EXPECT_DOUBLE_EQ(snapshot[i].second, locked[i].second) << i;
-  }
-}
+// --------------------------------------------------- pinned-view lifetime
 
 TEST(SnapshotIdentityTest, PinnedViewSurvivesReopen) {
   // Reopen drops the mirrors, but a pinned view co-owns its chunks: a

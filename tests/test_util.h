@@ -14,7 +14,10 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/record.h"
+#include "edb/encrypted_database.h"
 #include "query/executor.h"
+#include "query/parser.h"
+#include "query/plan.h"
 #include "workload/trip_record.h"
 
 namespace dpsync::testutil {
@@ -61,6 +64,24 @@ inline Record Trip(int64_t t, int64_t zone, bool dummy = false) {
   trip.fare = 5.0;
   trip.is_dummy = dummy;
   return trip.ToRecord();
+}
+
+/// Plans `sql` against `server`'s catalog and runs it through the engine
+/// SPI, bypassing Prepare and admission. Prepare is what registers views,
+/// so on a server where nothing prepared the same query the plan takes
+/// the documented cold-start path — a snapshot scan or join for linear
+/// plans, the locked path for ORAM-indexed ones. The reference the view
+/// identity tests compare prepared answers against.
+inline StatusOr<edb::QueryResponse> ExecuteUnprepared(edb::EdbServer& server,
+                                                      const std::string& sql) {
+  auto parsed = query::ParseSelect(sql);
+  if (!parsed.ok()) return parsed.status();
+  auto plan = query::PlanSelect(
+      parsed.value(),
+      [&server](const std::string& table) { return server.FindSchema(table); },
+      server.planner_options());
+  if (!plan.ok()) return plan.status();
+  return server.ExecutePlan(*plan.value());
 }
 
 namespace internal {

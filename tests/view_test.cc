@@ -3,13 +3,15 @@
 // Reopen invalidate-and-rebuild-lazily contract (reopen mid-dashboard,
 // pinned snapshots surviving a restart while views rebuild), RowChunk's
 // append-past-capacity refusal, and engine-level bit-identity of the O(1)
-// view path against the snapshot/locked scan paths — on ObliDB for exact
-// answers and on Crypt-eps for the full Laplace noise stream. The racing
-// case (owner flush-folds vs analyst view answers) is part of the CI TSan
-// job's regex.
+// view path against the same plans run unprepared (snapshot scans) — on
+// ObliDB for exact answers, on Crypt-eps for the full Laplace noise
+// stream, and with fractional sums the view must leave to the scan. The
+// racing case (owner flush-folds vs analyst view answers) is part of the
+// CI TSan job's regex.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -45,6 +47,18 @@ std::shared_ptr<const query::QueryPlan> PlanFor(const std::string& sql) {
       query::PlannerOptions{});
   EXPECT_OK(plan);
   return plan.value();
+}
+
+/// Runs `sql` either prepared — Prepare registers the view, which answers
+/// while it is current — or unprepared, which takes the snapshot scan.
+/// The unprepared run is the reference the view identity tests compare
+/// against, on a separate same-seed server.
+StatusOr<QueryResponse> RunQuery(EdbServer& server, QuerySession& session,
+                                 const std::string& sql, bool prepare) {
+  if (!prepare) return testutil::ExecuteUnprepared(server, sql);
+  auto q = session.Prepare(sql);
+  if (!q.ok()) return q.status();
+  return session.Execute(q.value());
 }
 
 // ------------------------------------------------------ RowChunk hardening
@@ -240,8 +254,9 @@ TEST(ViewReopenTest, PinnedSnapshotStaysStableWhileViewsRebuild) {
 
 TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
   // Same data, same query mix, interleaved appends: answers, committed
-  // row counts and virtual QET must be bit-identical with views on and
-  // off — the view path changes wall-clock only.
+  // row counts and virtual QET of prepared plans (view answers) must be
+  // bit-identical to the same plans run unprepared (snapshot scans) on a
+  // same-seed server — the view path changes wall-clock only.
   const std::vector<std::string> kQueries = {
       "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 1 AND 4",
       "SELECT SUM(fare) FROM YellowCab",
@@ -253,10 +268,9 @@ TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
     int64_t scanned;
     double qet;
   };
-  auto run = [&](bool views) {
+  auto run = [&](bool prepare) {
     ObliDbConfig cfg;
     cfg.master_seed = 5;
-    cfg.materialized_views = views;
     cfg.storage.num_shards = 2;
     ObliDbServer server(cfg);
     auto t = server.CreateTable("YellowCab", TripSchema());
@@ -265,16 +279,10 @@ TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
     for (int64_t i = 0; i < 64; ++i) init.push_back(Trip(i, i % 7));
     EXPECT_OK(t.value()->Setup(init));
     auto session = server.CreateSession();
-    std::vector<PreparedQuery> prepared;
-    for (const auto& sql : kQueries) {
-      auto q = session->Prepare(sql);
-      EXPECT_TRUE(q.ok());
-      prepared.push_back(q.value());
-    }
     std::vector<Outcome> outcomes;
     for (int round = 0; round < 4; ++round) {
-      for (const auto& q : prepared) {
-        auto r = session->Execute(q);
+      for (const auto& sql : kQueries) {
+        auto r = RunQuery(server, *session, sql, prepare);
         EXPECT_TRUE(r.ok());
         outcomes.push_back({r->result.ToString(),
                             r->stats.records_scanned,
@@ -284,7 +292,7 @@ TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
           {Trip(100 + round, round % 7), Trip(200 + round, round % 7)}));
     }
     auto stats = server.stats();
-    if (views) {
+    if (prepare) {
       EXPECT_GT(stats.view_hits, 0);
       EXPECT_GT(stats.view_folds, 0);
       EXPECT_EQ(stats.snapshot_scans, 0);  // every query here is eligible
@@ -305,14 +313,14 @@ TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
   }
 }
 
-TEST(ViewIdentityTest, CryptEpsNoiseStreamIdenticalViewsOnOff) {
+TEST(ViewIdentityTest, CryptEpsNoiseStreamIdenticalPreparedAndUnprepared) {
   // The view path substitutes only the exact aggregate; budget reserve
   // and Laplace release are untouched, so the same seed must produce the
-  // bit-identical noisy answer stream with views on and off.
-  auto run = [](bool views) {
+  // bit-identical noisy answer stream whether the plans were prepared
+  // (view answers) or not (snapshot scans).
+  auto run = [](bool prepare) {
     CryptEpsConfig cfg;
     cfg.master_seed = 11;
-    cfg.materialized_views = views;
     CryptEpsServer server(cfg);
     auto t = server.CreateTable("YellowCab", TripSchema());
     EXPECT_TRUE(t.ok());
@@ -325,16 +333,14 @@ TEST(ViewIdentityTest, CryptEpsNoiseStreamIdenticalViewsOnOff) {
       for (const char* sql :
            {"SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 1 AND 4",
             "SELECT SUM(fare) FROM YellowCab"}) {
-        auto q = session->Prepare(sql);
-        EXPECT_TRUE(q.ok());
-        auto r = session->Execute(q.value());
+        auto r = RunQuery(server, *session, sql, prepare);
         EXPECT_TRUE(r.ok());
         outcomes.emplace_back(r->result.scalar, r->stats.virtual_seconds);
       }
       EXPECT_OK(t.value()->Update({Trip(100 + round, round % 7)}));
     }
     auto stats = server.stats();
-    if (views) {
+    if (prepare) {
       EXPECT_GT(stats.view_hits, 0);
       EXPECT_EQ(stats.snapshot_scans, 0);
     } else {
@@ -352,6 +358,66 @@ TEST(ViewIdentityTest, CryptEpsNoiseStreamIdenticalViewsOnOff) {
   }
 }
 
+TEST(ViewIdentityTest, FractionalSumsAnswerFromScans) {
+  // A view adds rows shard-major, one at a time; a scan merges per-span
+  // cells. With fractional fares over several shards the two orders round
+  // differently, so the view must decline and leave SUM/AVG to the
+  // snapshot scan, while COUNT keeps answering from its view.
+  auto fare_trip = [](int64_t t) {
+    workload::TripRecord trip;
+    trip.pick_time = t;
+    trip.pickup_id = 1 + t % 5;
+    trip.dropoff_id = 1;
+    trip.trip_distance = 1.0;
+    trip.fare = 2.5 + 0.1 * static_cast<double>(t % 11);  // not dyadic
+    return trip.ToRecord();
+  };
+  const std::vector<std::string> kQueries = {
+      "SELECT SUM(fare) FROM YellowCab",
+      "SELECT AVG(fare) FROM YellowCab WHERE pickupID >= 2",
+      "SELECT pickupID, SUM(fare) FROM YellowCab GROUP BY pickupID",
+      "SELECT COUNT(*) FROM YellowCab",
+  };
+  auto run = [&](bool prepare, ServerStats* stats) {
+    ObliDbConfig cfg;
+    cfg.storage.num_shards = 4;
+    ObliDbServer server(cfg);
+    auto t = server.CreateTable("YellowCab", TripSchema());
+    EXPECT_TRUE(t.ok());
+    std::vector<Record> init;
+    for (int64_t i = 0; i < 200; ++i) init.push_back(fare_trip(i));
+    EXPECT_OK(t.value()->Setup(init));
+    auto session = server.CreateSession();
+    std::vector<query::QueryResult> answers;
+    for (int round = 0; round < 3; ++round) {
+      for (const auto& sql : kQueries) {
+        auto r = RunQuery(server, *session, sql, prepare);
+        EXPECT_TRUE(r.ok());
+        answers.push_back(r->result);
+      }
+      EXPECT_OK(t.value()->Update({fare_trip(300 + round)}));
+    }
+    *stats = server.stats();
+    return answers;
+  };
+  ServerStats scan_stats, view_stats;
+  auto scanned = run(false, &scan_stats);
+  auto viewed = run(true, &view_stats);
+  ASSERT_EQ(scanned.size(), viewed.size());
+  for (size_t i = 0; i < scanned.size(); ++i) {
+    const std::string& sql = kQueries[i % kQueries.size()];
+    EXPECT_EQ(std::memcmp(&viewed[i].scalar, &scanned[i].scalar,
+                          sizeof(double)),
+              0)
+        << sql;
+    EXPECT_EQ(viewed[i].groups, scanned[i].groups) << sql;
+  }
+  // Only the COUNT(*) plan answered from its view, once per round.
+  EXPECT_EQ(view_stats.view_hits, 3);
+  EXPECT_EQ(view_stats.snapshot_scans, 9);
+  EXPECT_EQ(scan_stats.view_hits, 0);
+}
+
 // ----------------------------------------------------------- concurrency
 
 TEST(ViewConcurrencyTest, ViewAnswersAreCommittedPrefixesUnderRacingAppends) {
@@ -364,7 +430,6 @@ TEST(ViewConcurrencyTest, ViewAnswersAreCommittedPrefixesUnderRacingAppends) {
   cfg.storage.num_shards = 4;
   cfg.admission.max_in_flight = 4;
   cfg.admission.max_queue = 4096;
-  ASSERT_TRUE(cfg.materialized_views);  // the default stays on
   ObliDbServer server(cfg);
   auto t = server.CreateTable("YellowCab", TripSchema());
   ASSERT_TRUE(t.ok());
