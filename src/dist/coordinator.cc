@@ -1,6 +1,7 @@
 #include "dist/coordinator.h"
 
 #include <chrono>
+#include <type_traits>
 #include <utility>
 
 #include "common/parallel.h"
@@ -23,11 +24,30 @@ double SecondsSince(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
-/// Decodes the WireStatus reply of a mutating RPC back into its Status.
+/// Decodes the reply to an RPC whose answer is a T. Any RPC may answer
+/// with a kStatusReply instead, carrying the remote error, which comes
+/// back as that Status; an OK status is a valid answer only when T is
+/// WireStatus itself (the ack of a mutating RPC).
+template <typename T>
+StatusOr<T> DecodeReply(const Bytes& reply) {
+  auto kind = net::PeekKind(reply);
+  if (!kind.ok()) return kind.status();
+  if (kind.value() == net::MsgKind::kStatusReply &&
+      !std::is_same_v<T, net::WireStatus>) {
+    auto remote = net::Decode<net::WireStatus>(reply);
+    if (!remote.ok()) return remote.status();
+    if (remote.value().code == StatusCode::kOk) {
+      return Status::Internal("OK status where a reply message was due");
+    }
+    return remote.value().ToStatus();
+  }
+  return net::Decode<T>(reply);
+}
+
+/// The Status a mutating RPC's ack carries.
 Status StatusFromReply(const Bytes& reply) {
-  auto ws = net::WireStatus::Decode(reply);
-  if (!ws.ok()) return ws.status();
-  return ws.value().ToStatus();
+  auto ack = DecodeReply<net::WireStatus>(reply);
+  return ack.ok() ? ack.value().ToStatus() : ack.status();
 }
 
 Status AnnotateRank(size_t rank, const Status& s) {
@@ -37,11 +57,7 @@ Status AnnotateRank(size_t rank, const Status& s) {
 }
 
 query::ScanPartial ToScanPartial(const net::WirePartial& w) {
-  const auto func = static_cast<query::AggFunc>(w.func);
-  auto unpack = [func](const net::WireAggState& s) {
-    return query::AggAccumulator::FromState(
-        func, {s.count, s.sum, s.min, s.max, s.seen});
-  };
+  const query::AggFunc func = w.func;
   query::ScanPartial p;
   p.func = func;
   p.grouped = w.grouped;
@@ -51,9 +67,11 @@ query::ScanPartial ToScanPartial(const net::WirePartial& w) {
   // over the same spans, so the aggregate state is reconstructed bit for
   // bit rather than trusted from a pre-merged wire field.
   for (const auto& ws : w.spans) {
-    query::SpanPartial cell{unpack(ws.total), {}};
-    for (const auto& [key, state] : ws.groups) {
-      cell.groups.emplace(key, unpack(state));
+    query::SpanPartial cell{query::AggAccumulator::FromState(func, ws.total),
+                            {}};
+    for (const auto& g : ws.groups) {
+      cell.groups.emplace(g.key,
+                          query::AggAccumulator::FromState(func, g.state));
     }
     p.AppendSpan(std::move(cell));
   }
@@ -122,12 +140,13 @@ class DistributedEdbServer::DistTable : public edb::EdbTable {
   /// ship only to the servers whose shards the batch touched. Failure
   /// semantics: first failing rank wins; servers that already ingested
   /// keep their records (no distributed rollback — deferred with
-  /// replication, see docs/DISTRIBUTED.md).
+  /// replication, see docs/DISTRIBUTED.md). Every batch is encoded before
+  /// anything is sent, so a batch over the frame bound fails with
+  /// ResourceExhausted and leaves every server untouched.
   Status Ship(const std::vector<Record>& gamma, bool setup_batch) {
     std::lock_guard<std::mutex> lk(table_mutex());
     if (setup_batch) {
       if (setup_done_) return Status::FailedPrecondition("Setup already run");
-      setup_done_ = true;  // sticky, like EncryptedTableStore::Setup
     } else if (!setup_done_) {
       return Status::FailedPrecondition("Update before Setup");
     }
@@ -158,7 +177,7 @@ class DistributedEdbServer::DistTable : public edb::EdbTable {
       // lose records (exactly-once at the store, not the transport).
       seqs[k] = acked_seq(static_cast<int>(k)) + 1;
       batches[k].batch_seq = seqs[k];
-      auto encoded = batches[k].Encode();
+      auto encoded = net::Encode(batches[k]);
       if (!encoded.ok()) return encoded.status();
       requests[k] = std::move(encoded.value());
       if (replicated) {
@@ -168,11 +187,12 @@ class DistributedEdbServer::DistTable : public edb::EdbTable {
         rep.batch_seq = seqs[k];
         rep.nonce_high_water = high_water;
         rep.entries = std::move(batches[k].entries);
-        auto rep_encoded = rep.Encode();
+        auto rep_encoded = net::Encode(rep);
         if (!rep_encoded.ok()) return rep_encoded.status();
         replications[k] = std::move(rep_encoded.value());
       }
     }
+    setup_done_ = true;  // sticky from the first send on
     auto statuses = ParallelShardStatuses(servers, [&](size_t k) -> Status {
       if (requests[k].empty()) return Status::Ok();  // untouched server
       auto reply = owner_->CallRank(k, requests[k]);
@@ -544,7 +564,7 @@ StatusOr<edb::EdbTable*> DistributedEdbServer::CreateTableImpl(
   net::WireCreateTable req;
   req.table = name;
   req.fields = schema.fields();
-  auto encoded = req.Encode();
+  auto encoded = net::Encode(req);
   if (!encoded.ok()) return encoded.status();
   // Broadcast to EVERY live member (followers included — a follower that
   // never hosted the table could not apply relays or be promoted) before
@@ -586,11 +606,10 @@ StatusOr<edb::EdbTable*> DistributedEdbServer::CreateTableImpl(
 void DistributedEdbServer::OnPlanReady(
     const std::shared_ptr<const query::QueryPlan>& plan) {
   if (!init_status_.ok() || plan->kind != query::PlanKind::kScan) return;
-  net::WirePlan req;
-  req.kind = net::MsgKind::kPrepare;
+  net::WirePrepare req;
   req.fingerprint = plan->fingerprint;
   req.canonical_text = plan->canonical_text;
-  auto encoded = req.Encode();
+  auto encoded = net::Encode(req);
   if (!encoded.ok()) return;
   // Best-effort cache warming: a failed (or refused) Prepare just means
   // the first Execute re-plans shard-side. Leaders only — a promoted
@@ -674,20 +693,11 @@ Status DistributedEdbServer::EnsureFailover(size_t k,
 Status DistributedEdbServer::TryPromote(
     Member& candidate,
     const std::vector<std::pair<std::string, uint64_t>>& expected_seqs) {
-  auto probe_req = net::WireReplicaStateRequest{}.Encode();
+  auto probe_req = net::Encode(net::WireReplicaStateRequest{});
   DPSYNC_RETURN_IF_ERROR(probe_req.status());
   auto reply = candidate.channel->Call(probe_req.value());
   if (!reply.ok()) return reply.status();
-  auto kind = net::PeekKind(reply.value());
-  DPSYNC_RETURN_IF_ERROR(kind.status());
-  if (kind.value() == net::MsgKind::kStatusReply) {
-    Status remote = StatusFromReply(reply.value());
-    return remote.ok() ? Status::Internal(
-                             "probe returned an OK status where replica "
-                             "state was expected")
-                       : remote;
-  }
-  auto state = net::WireReplicaState::Decode(reply.value());
+  auto state = DecodeReply<net::WireReplicaState>(reply.value());
   DPSYNC_RETURN_IF_ERROR(state.status());
   // Build the promotion from the PROBED positions: the follower
   // re-verifies them atomically under its own locks, so anything that
@@ -714,7 +724,7 @@ Status DistributedEdbServer::TryPromote(
     }
     promote.tables.push_back({table, ts->applied_seq, ts->commit_epoch});
   }
-  auto promote_req = promote.Encode();
+  auto promote_req = net::Encode(promote);
   DPSYNC_RETURN_IF_ERROR(promote_req.status());
   auto ack = candidate.channel->Call(promote_req.value());
   if (!ack.ok()) return ack.status();
@@ -752,7 +762,7 @@ void DistributedEdbServer::RelayToFollowers(size_t k,
 
 Status DistributedEdbServer::CatchUpReplicas() {
   DPSYNC_RETURN_IF_ERROR(init_status_);
-  auto probe_req = net::WireReplicaStateRequest{}.Encode();
+  auto probe_req = net::Encode(net::WireReplicaStateRequest{});
   DPSYNC_RETURN_IF_ERROR(probe_req.status());
   for (size_t k = 0; k < peers_.size(); ++k) {
     Peer& peer = peers_[k];
@@ -768,7 +778,7 @@ Status DistributedEdbServer::CatchUpReplicas() {
     for (size_t m : followers) {
       auto probe = peer.members[m].channel->Call(probe_req.value());
       if (!probe.ok()) continue;  // unreachable follower: nothing to repair
-      auto state = net::WireReplicaState::Decode(probe.value());
+      auto state = DecodeReply<net::WireReplicaState>(probe.value());
       if (!state.ok()) return AnnotateRank(k, state.status());
       for (const auto& ts : state.value().tables) {
         DistTable* table = FindTable(ts.table);
@@ -781,21 +791,11 @@ Status DistributedEdbServer::CatchUpReplicas() {
         net::WireCatchUp cu;
         cu.table = ts.table;
         cu.from_rows = ts.shard_rows;
-        auto cu_req = cu.Encode();
+        auto cu_req = net::Encode(cu);
         DPSYNC_RETURN_IF_ERROR(cu_req.status());
         auto cu_reply = CallRank(k, cu_req.value());
         if (!cu_reply.ok()) return cu_reply.status();
-        auto kind = net::PeekKind(cu_reply.value());
-        DPSYNC_RETURN_IF_ERROR(kind.status());
-        if (kind.value() == net::MsgKind::kStatusReply) {
-          Status remote = StatusFromReply(cu_reply.value());
-          if (remote.ok()) {
-            remote = Status::Internal(
-                "catch-up returned an OK status without spans");
-          }
-          return AnnotateRank(k, remote);
-        }
-        auto span = net::WireCatchUpReply::Decode(cu_reply.value());
+        auto span = DecodeReply<net::WireCatchUpReply>(cu_reply.value());
         if (!span.ok()) return AnnotateRank(k, span.status());
         net::WireReplicate rep;
         rep.table = ts.table;
@@ -804,7 +804,7 @@ Status DistributedEdbServer::CatchUpReplicas() {
         rep.nonce_high_water = span.value().nonce_high_water;
         rep.base_rows = span.value().base_rows;
         rep.entries = std::move(span.value().entries);
-        auto rep_req = rep.Encode();
+        auto rep_req = net::Encode(rep);
         DPSYNC_RETURN_IF_ERROR(rep_req.status());
         auto rep_reply = peer.members[m].channel->Call(rep_req.value());
         Status applied = rep_reply.ok() ? StatusFromReply(rep_reply.value())
@@ -870,11 +870,10 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
 
   auto start = std::chrono::steady_clock::now();
 
-  net::WirePlan req;
-  req.kind = net::MsgKind::kExecute;
+  net::WireExecute req;
   req.fingerprint = plan.fingerprint;
   req.canonical_text = plan.canonical_text;
-  auto encoded = req.Encode();
+  auto encoded = net::Encode(req);
   if (!encoded.ok()) {
     rollback_budget();
     return encoded.status();
@@ -899,21 +898,7 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
   int64_t oram_paths = 0;
   int64_t oram_buckets = 0;
   for (size_t k = 0; k < replies.size(); ++k) {
-    auto kind = net::PeekKind(replies[k]);
-    if (!kind.ok()) {
-      rollback_budget();
-      return AnnotateRank(k, kind.status());
-    }
-    if (kind.value() == net::MsgKind::kStatusReply) {
-      Status remote = StatusFromReply(replies[k]);
-      if (remote.ok()) {
-        remote = Status::Internal(
-            "sent an OK status where an aggregate partial was expected");
-      }
-      rollback_budget();
-      return AnnotateRank(k, remote);
-    }
-    auto wire = net::WirePartial::Decode(replies[k]);
+    auto wire = DecodeReply<net::WirePartial>(replies[k]);
     if (!wire.ok()) {
       rollback_budget();
       return AnnotateRank(k, wire.status());

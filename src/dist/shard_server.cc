@@ -19,9 +19,19 @@ namespace {
 /// a WireStatus cannot fail for the message sizes we produce, but the
 /// codec is fallible by contract — degrade to an empty payload, which the
 /// coordinator rejects as malformed (better than asserting in a server).
-Bytes EncodeStatusReply(const Status& s) {
-  auto encoded = net::WireStatus::FromStatus(s).Encode();
-  return encoded.ok() ? encoded.value() : Bytes{};
+Bytes EncodeReply(const Status& s) {
+  auto encoded = net::Encode(net::WireStatus{s.code(), s.message()});
+  return encoded.ok() ? std::move(encoded.value()) : Bytes{};
+}
+
+/// A handler's reply message, or its error — including the encoder's
+/// refusal of a reply over the frame bound — as a WireStatus.
+template <typename T>
+Bytes EncodeReply(const StatusOr<T>& reply) {
+  if (!reply.ok()) return EncodeReply(reply.status());
+  auto encoded = net::Encode(reply.value());
+  return encoded.ok() ? std::move(encoded.value())
+                      : EncodeReply(encoded.status());
 }
 
 }  // namespace
@@ -105,76 +115,37 @@ void EdbShardServer::ServeLoop(int fd) {
   net::CloseFd(fd);
 }
 
+template <typename Req, typename Result>
+Bytes EdbShardServer::Dispatch(const Bytes& payload,
+                               Result (EdbShardServer::*handler)(const Req&)) {
+  auto req = net::Decode<Req>(payload);
+  if (!req.ok()) return EncodeReply(req.status());
+  return EncodeReply((this->*handler)(req.value()));
+}
+
 Bytes EdbShardServer::HandleFrame(const Bytes& payload) {
   auto kind = net::PeekKind(payload);
-  if (!kind.ok()) return EncodeStatusReply(kind.status());
+  if (!kind.ok()) return EncodeReply(kind.status());
   switch (kind.value()) {
-    case net::MsgKind::kCreateTable: {
-      auto req = net::WireCreateTable::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      return EncodeStatusReply(HandleCreateTable(req.value()));
-    }
-    case net::MsgKind::kPrepare: {
-      auto req = net::WirePlan::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      prepares_.fetch_add(1, std::memory_order_relaxed);
-      auto plan = PlanFor(req.value().fingerprint,
-                          req.value().canonical_text);
-      return EncodeStatusReply(plan.ok() ? Status::Ok() : plan.status());
-    }
-    case net::MsgKind::kExecute: {
-      auto req = net::WirePlan::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      auto partial = HandleExecute(req.value());
-      if (!partial.ok()) return EncodeStatusReply(partial.status());
-      auto encoded = partial.value().Encode();
-      if (!encoded.ok()) return EncodeStatusReply(encoded.status());
-      return encoded.value();
-    }
-    case net::MsgKind::kIngest: {
-      auto req = net::WireIngest::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      return EncodeStatusReply(HandleIngest(req.value()));
-    }
-    case net::MsgKind::kReplicate: {
-      auto req = net::WireReplicate::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      return EncodeStatusReply(HandleReplicate(req.value()));
-    }
-    case net::MsgKind::kCatchUp: {
-      auto req = net::WireCatchUp::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      auto reply = HandleCatchUp(req.value());
-      if (!reply.ok()) return EncodeStatusReply(reply.status());
-      auto encoded = reply.value().Encode();
-      if (!encoded.ok()) return EncodeStatusReply(encoded.status());
-      return encoded.value();
-    }
-    case net::MsgKind::kReplicaState: {
-      auto req = net::WireReplicaStateRequest::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      auto encoded = HandleReplicaState().Encode();
-      if (!encoded.ok()) return EncodeStatusReply(encoded.status());
-      return encoded.value();
-    }
-    case net::MsgKind::kPromote: {
-      auto req = net::WirePromote::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      return EncodeStatusReply(HandlePromote(req.value()));
-    }
-    case net::MsgKind::kFlush: {
-      auto req = net::WireTableRef::Decode(payload);
-      if (!req.ok()) return EncodeStatusReply(req.status());
-      return EncodeStatusReply(HandleFlush(req.value()));
-    }
-    case net::MsgKind::kStats: {
-      auto encoded = HandleStats().Encode();
-      if (!encoded.ok()) return EncodeStatusReply(encoded.status());
-      return encoded.value();
-    }
+    case net::MsgKind::kCreateTable:
+      return Dispatch(payload, &EdbShardServer::HandleCreateTable);
+    case net::MsgKind::kPrepare:
+      return Dispatch(payload, &EdbShardServer::HandlePrepare);
+    case net::MsgKind::kExecute:
+      return Dispatch(payload, &EdbShardServer::HandleExecute);
+    case net::MsgKind::kIngest:
+      return Dispatch(payload, &EdbShardServer::HandleIngest);
+    case net::MsgKind::kReplicate:
+      return Dispatch(payload, &EdbShardServer::HandleReplicate);
+    case net::MsgKind::kCatchUp:
+      return Dispatch(payload, &EdbShardServer::HandleCatchUp);
+    case net::MsgKind::kReplicaState:
+      return Dispatch(payload, &EdbShardServer::HandleReplicaState);
+    case net::MsgKind::kPromote:
+      return Dispatch(payload, &EdbShardServer::HandlePromote);
     default:
-      return EncodeStatusReply(Status::InvalidArgument(
-          "shard server received a reply-kind or unknown message"));
+      return EncodeReply(Status::InvalidArgument(
+          "shard server received a reply-kind message"));
   }
 }
 
@@ -236,9 +207,12 @@ StatusOr<std::shared_ptr<const query::QueryPlan>> EdbShardServer::PlanFor(
   return plan.value();
 }
 
+Status EdbShardServer::HandlePrepare(const net::WirePrepare& req) {
+  return PlanFor(req.fingerprint, req.canonical_text).status();
+}
+
 StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
-    const net::WirePlan& req) {
-  executes_.fetch_add(1, std::memory_order_relaxed);
+    const net::WireExecute& req) {
   auto plan_or = PlanFor(req.fingerprint, req.canonical_text);
   if (!plan_or.ok()) return plan_or.status();
   const query::QueryPlan& plan = *plan_or.value();
@@ -279,28 +253,18 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
 
   const query::ScanPartial& p = partial.value();
   net::WirePartial out;
-  out.func = static_cast<uint8_t>(p.func);
+  out.func = p.func;
   out.grouped = p.grouped;
-  auto pack = [](const query::AggAccumulator& acc) {
-    auto s = acc.state();
-    net::WireAggState w;
-    w.count = s.count;
-    w.sum = s.sum;
-    w.min = s.min;
-    w.max = s.max;
-    w.seen = s.seen;
-    return w;
-  };
   // One wire cell per non-empty local shard, in local shard order — the
   // granularity the coordinator needs to fold in global shard order
   // (never this server's pre-merged aggregate; FP merges don't reassociate).
   out.spans.reserve(p.spans.size());
   for (const auto& cell : p.spans) {
     net::WireSpanPartial ws;
-    ws.total = pack(cell.total);
+    ws.total = cell.total.state();
     ws.groups.reserve(cell.groups.size());
     for (const auto& [key, acc] : cell.groups) {
-      ws.groups.emplace_back(key, pack(acc));
+      ws.groups.push_back({key, acc.state()});
     }
     out.spans.push_back(std::move(ws));
   }
@@ -409,7 +373,8 @@ StatusOr<net::WireCatchUpReply> EdbShardServer::HandleCatchUp(
   return out;
 }
 
-net::WireReplicaState EdbShardServer::HandleReplicaState() {
+StatusOr<net::WireReplicaState> EdbShardServer::HandleReplicaState(
+    const net::WireReplicaStateRequest&) {
   std::vector<std::pair<std::string, edb::ObliDbTable*>> tables;
   {
     std::lock_guard<std::mutex> lk(catalog_mu_);
@@ -466,21 +431,6 @@ Status EdbShardServer::HandlePromote(const net::WirePromote& req) {
   }
   follower_ = false;
   return Status::Ok();
-}
-
-Status EdbShardServer::HandleFlush(const net::WireTableRef& req) {
-  edb::ObliDbTable* table = FindTable(req.table);
-  if (!table) {
-    return Status::NotFound("flush for unknown table: " + req.table);
-  }
-  return table->Flush();
-}
-
-net::WireServerStats EdbShardServer::HandleStats() const {
-  net::WireServerStats s;
-  s.prepares = prepares_.load(std::memory_order_relaxed);
-  s.queries_executed = executes_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace dpsync::dist

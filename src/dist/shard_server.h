@@ -5,7 +5,7 @@
 /// protocol of net/messages.h over one connection: CreateTable, Prepare,
 /// Execute (returning a mergeable aggregate partial), Ingest
 /// (coordinator-encrypted ciphertexts — plaintext never reaches this
-/// process for storage), Flush and Stats.
+/// process for storage) and the replication requests.
 ///
 /// Tables are hosted as edb::ObliDbTable so both engine modes share one
 /// implementation: linear mode is exactly the EncryptedTableStore the
@@ -114,19 +114,25 @@ class EdbShardServer {
   }
 
  private:
-  /// Dispatches one decoded request payload to its handler; always
-  /// returns an encoded reply payload (errors become WireStatus frames).
+  /// Dispatches one request payload to its handler; always returns an
+  /// encoded reply payload (errors become WireStatus frames).
   Bytes HandleFrame(const Bytes& payload);
 
+  /// Decodes a Req, runs `handler` on it and encodes what it returns: a
+  /// Status as a WireStatus reply, a message as itself.
+  template <typename Req, typename Result>
+  Bytes Dispatch(const Bytes& payload,
+                 Result (EdbShardServer::*handler)(const Req&));
+
   Status HandleCreateTable(const net::WireCreateTable& req);
-  StatusOr<net::WirePartial> HandleExecute(const net::WirePlan& req);
+  Status HandlePrepare(const net::WirePrepare& req);
+  StatusOr<net::WirePartial> HandleExecute(const net::WireExecute& req);
   Status HandleIngest(const net::WireIngest& req);
   Status HandleReplicate(const net::WireReplicate& req);
   StatusOr<net::WireCatchUpReply> HandleCatchUp(const net::WireCatchUp& req);
-  net::WireReplicaState HandleReplicaState();
+  StatusOr<net::WireReplicaState> HandleReplicaState(
+      const net::WireReplicaStateRequest& req);
   Status HandlePromote(const net::WirePromote& req);
-  Status HandleFlush(const net::WireTableRef& req);
-  net::WireServerStats HandleStats() const;
 
   /// The sequenced append shared by kIngest (leader) and kReplicate
   /// (follower): dedup/gap-check `batch_seq` against the table's applied
@@ -175,8 +181,6 @@ class EdbShardServer {
   int fd_ = -1;
   std::thread thread_;
   std::atomic<int64_t> requests_served_{0};
-  std::atomic<int64_t> prepares_{0};
-  std::atomic<int64_t> executes_{0};
 };
 
 }  // namespace dpsync::dist

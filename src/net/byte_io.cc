@@ -41,15 +41,14 @@ ReadBuffer::ReadBuffer(size_t buffer_bytes)
 Status ReadBuffer::ReadExact(uint8_t* out, size_t len) {
   while (len > 0) {
     if (pos_ == end_) {
-      if (eof_) return EndOfStream();
-      auto refilled = RefillImpl(buf_.data(), buf_.size());
-      DPSYNC_RETURN_IF_ERROR(refilled.status());
-      pos_ = 0;
-      end_ = refilled.value();
-      if (end_ == 0) {
-        eof_ = true;
-        return EndOfStream();
+      if (!eof_) {
+        auto refilled = RefillImpl(buf_.data(), buf_.size());
+        DPSYNC_RETURN_IF_ERROR(refilled.status());
+        pos_ = 0;
+        end_ = refilled.value();
+        eof_ = end_ == 0;
       }
+      if (eof_) return Status::Unavailable("peer closed the connection");
     }
     size_t take = std::min(len, end_ - pos_);
     std::memcpy(out, buf_.data() + pos_, take);
@@ -58,37 +57,6 @@ Status ReadBuffer::ReadExact(uint8_t* out, size_t len) {
     len -= take;
   }
   return Status::Ok();
-}
-
-StatusOr<uint8_t> ReadBuffer::ReadByte() {
-  uint8_t b = 0;
-  DPSYNC_RETURN_IF_ERROR(ReadExact(&b, 1));
-  return b;
-}
-
-bool ReadBuffer::AtEnd() {
-  if (pos_ != end_) return false;
-  if (eof_) return true;
-  auto refilled = RefillImpl(buf_.data(), buf_.size());
-  if (!refilled.ok()) {
-    // A transport error at a message boundary reads as "no more bytes";
-    // the next ReadExact will surface the error properly.
-    eof_ = true;
-    return true;
-  }
-  pos_ = 0;
-  end_ = refilled.value();
-  if (end_ == 0) eof_ = true;
-  return end_ == 0;
-}
-
-StatusOr<size_t> MemoryReadBuffer::RefillImpl(uint8_t* out, size_t capacity) {
-  size_t take = std::min(capacity, len_ - consumed_);
-  if (take > 0) {
-    std::memcpy(out, data_ + consumed_, take);
-    consumed_ += take;
-  }
-  return take;
 }
 
 Status FdWriteBuffer::FlushImpl(const uint8_t* data, size_t len) {

@@ -1,16 +1,16 @@
 /// \file byte_io.h
-/// Buffered byte streams for the wire layer (RaftKeeper/ClickHouse style):
-/// a `WriteBuffer` accumulates bytes in a working buffer and hands full
-/// buffers to a virtual `FlushImpl`, a `ReadBuffer` serves bytes out of a
-/// working buffer refilled by a virtual `RefillImpl`. Concrete
-/// implementations cover the two transports the distributed layer needs —
-/// in-memory byte vectors (message assembly/parsing) and file descriptors
-/// (socketpair / localhost TCP, with poll()-based read timeouts).
+/// Buffered byte streams for the frame layer (RaftKeeper/ClickHouse
+/// style): a `WriteBuffer` accumulates bytes in a working buffer and hands
+/// full buffers to a virtual `FlushImpl`, a `ReadBuffer` serves bytes out
+/// of a working buffer refilled by a virtual `RefillImpl`. Concrete
+/// implementations cover file descriptors (socketpair / localhost TCP,
+/// with poll()-based read timeouts) and, for assembling whole frames in
+/// memory, a byte vector sink. Message payloads are encoded and decoded
+/// in memory by codec.h, not through these streams.
 ///
 /// Error discipline: every operation returns a typed Status. Hitting end
 /// of stream mid-read is an error (`Unavailable` for sockets — the peer
-/// died — and `InvalidArgument` for memory buffers — the message is
-/// truncated); the frame layer in wire.h relies on this to fail loudly on
+/// died); the frame layer in wire.h relies on this to fail loudly on
 /// torn input instead of fabricating zero bytes.
 #pragma once
 
@@ -41,7 +41,6 @@ class WriteBuffer {
 
   Status Write(const uint8_t* data, size_t len);
   Status Write(const Bytes& data) { return Write(data.data(), data.size()); }
-  Status WriteByte(uint8_t b) { return Write(&b, 1); }
 
   /// Pushes every buffered byte through FlushImpl. Frame writers call
   /// this once per frame so a request is on the wire when Call() starts
@@ -59,7 +58,7 @@ class WriteBuffer {
 
 /// Buffered byte source. ReadExact() drains the working buffer and calls
 /// RefillImpl when it runs dry; a refill returning zero bytes is end of
-/// stream and fails the read with the implementation's typed status.
+/// stream and fails the read with Unavailable.
 class ReadBuffer {
  public:
   explicit ReadBuffer(size_t buffer_bytes = kDefaultBufferBytes);
@@ -68,25 +67,15 @@ class ReadBuffer {
   ReadBuffer(const ReadBuffer&) = delete;
   ReadBuffer& operator=(const ReadBuffer&) = delete;
 
-  /// Reads exactly `len` bytes or fails: short input is EndOfStream(),
-  /// transport errors pass through from RefillImpl.
+  /// Reads exactly `len` bytes or fails: a stream that ends first is
+  /// Unavailable (the peer closed), transport errors pass through from
+  /// RefillImpl.
   Status ReadExact(uint8_t* out, size_t len);
-  StatusOr<uint8_t> ReadByte();
-
-  /// True when every delivered byte has been consumed AND the source has
-  /// reported end of stream. Message decoders use it to reject trailing
-  /// garbage.
-  bool AtEnd();
 
  protected:
   /// Produces up to `capacity` bytes into `out`. Returns the byte count
   /// (> 0), 0 at end of stream, or a transport error.
   virtual StatusOr<size_t> RefillImpl(uint8_t* out, size_t capacity) = 0;
-
-  /// The typed error for "stream ended mid-object".
-  virtual Status EndOfStream() const {
-    return Status::Unavailable("unexpected end of stream");
-  }
 
  private:
   std::vector<uint8_t> buf_;
@@ -95,7 +84,7 @@ class ReadBuffer {
   bool eof_ = false;
 };
 
-/// WriteBuffer appending to an owned byte vector (message assembly).
+/// WriteBuffer appending to a byte vector (whole frames in memory).
 class VectorWriteBuffer : public WriteBuffer {
  public:
   /// Appends to `*out` (borrowed; must outlive the buffer).
@@ -109,28 +98,6 @@ class VectorWriteBuffer : public WriteBuffer {
 
  private:
   Bytes* out_;
-};
-
-/// ReadBuffer over a borrowed byte span (message parsing). Running out of
-/// bytes mid-object reports InvalidArgument("truncated ..."), the typed
-/// failure wire_test asserts for torn frames.
-class MemoryReadBuffer : public ReadBuffer {
- public:
-  MemoryReadBuffer(const uint8_t* data, size_t len)
-      : data_(data), len_(len) {}
-  explicit MemoryReadBuffer(const Bytes& data)
-      : MemoryReadBuffer(data.data(), data.size()) {}
-
- protected:
-  StatusOr<size_t> RefillImpl(uint8_t* out, size_t capacity) override;
-  Status EndOfStream() const override {
-    return Status::InvalidArgument("truncated message");
-  }
-
- private:
-  const uint8_t* data_;
-  size_t len_;
-  size_t consumed_ = 0;
 };
 
 /// WriteBuffer over a stream socket / pipe fd (borrowed, not closed).
@@ -162,9 +129,6 @@ class FdReadBuffer : public ReadBuffer {
 
  protected:
   StatusOr<size_t> RefillImpl(uint8_t* out, size_t capacity) override;
-  Status EndOfStream() const override {
-    return Status::Unavailable("peer closed the connection");
-  }
 
  private:
   int fd_;

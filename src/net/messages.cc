@@ -1,794 +1,28 @@
 #include "net/messages.h"
 
 namespace dpsync::net {
-namespace {
-
-/// Upper bound on collection sizes inside one message; anything larger
-/// cannot fit in a frame anyway, so reject before allocating.
-constexpr uint64_t kMaxListEntries = 16u * 1024u * 1024u;
-
-Status CheckListLen(uint64_t n, const char* what) {
-  if (n > kMaxListEntries) {
-    return Status::InvalidArgument(std::string("malformed message: ") + what +
-                                   " length exceeds bound");
-  }
-  return Status::Ok();
-}
-
-Status ExpectKind(ReadBuffer& in, MsgKind kind) {
-  auto tag = in.ReadByte();
-  DPSYNC_RETURN_IF_ERROR(tag.status());
-  if (tag.value() != static_cast<uint8_t>(kind)) {
-    return Status::InvalidArgument("unexpected message kind tag");
-  }
-  return Status::Ok();
-}
-
-/// Shared Decode scaffolding: parse with `fn`, then require the payload
-/// to be fully consumed.
-template <typename T, typename Fn>
-StatusOr<T> DecodePayload(const Bytes& payload, Fn fn) {
-  MemoryReadBuffer in(payload);
-  auto msg = fn(in);
-  DPSYNC_RETURN_IF_ERROR(msg.status());
-  if (!in.AtEnd()) {
-    return Status::InvalidArgument("malformed message: trailing bytes");
-  }
-  return msg;
-}
-
-template <typename T>
-StatusOr<Bytes> EncodeMessage(const T& msg) {
-  Bytes out;
-  VectorWriteBuffer buf(&out);
-  DPSYNC_RETURN_IF_ERROR(msg.AppendTo(buf));
-  DPSYNC_RETURN_IF_ERROR(buf.Flush());
-  return out;
-}
-
-}  // namespace
 
 StatusOr<MsgKind> PeekKind(const Bytes& payload) {
   if (payload.empty()) {
     return Status::InvalidArgument("empty frame payload");
   }
-  uint8_t tag = payload[0];
-  switch (static_cast<MsgKind>(tag)) {
+  const auto kind = static_cast<MsgKind>(payload[0]);
+  switch (kind) {
     case MsgKind::kCreateTable:
     case MsgKind::kPrepare:
     case MsgKind::kExecute:
     case MsgKind::kIngest:
-    case MsgKind::kFlush:
-    case MsgKind::kStats:
     case MsgKind::kReplicate:
     case MsgKind::kCatchUp:
     case MsgKind::kReplicaState:
     case MsgKind::kPromote:
     case MsgKind::kStatusReply:
     case MsgKind::kPartialReply:
-    case MsgKind::kStatsReply:
     case MsgKind::kReplicaStateReply:
     case MsgKind::kCatchUpReply:
-      return static_cast<MsgKind>(tag);
+      return kind;
   }
   return Status::InvalidArgument("unknown message kind tag");
-}
-
-Status WriteValue(WriteBuffer& out, const query::Value& v) {
-  DPSYNC_RETURN_IF_ERROR(out.WriteByte(static_cast<uint8_t>(v.type())));
-  switch (v.type()) {
-    case query::ValueType::kNull:
-      return Status::Ok();
-    case query::ValueType::kInt:
-      return WriteVarInt(out, v.AsInt());
-    case query::ValueType::kDouble:
-      return WriteDouble(out, v.AsDouble());
-    case query::ValueType::kString:
-      return WriteString(out, v.AsString());
-  }
-  return Status::Internal("unreachable value type");
-}
-
-StatusOr<query::Value> ReadValue(ReadBuffer& in) {
-  auto tag = in.ReadByte();
-  DPSYNC_RETURN_IF_ERROR(tag.status());
-  switch (static_cast<query::ValueType>(tag.value())) {
-    case query::ValueType::kNull:
-      return query::Value();
-    case query::ValueType::kInt: {
-      auto i = ReadVarInt(in);
-      DPSYNC_RETURN_IF_ERROR(i.status());
-      return query::Value(i.value());
-    }
-    case query::ValueType::kDouble: {
-      auto d = ReadDouble(in);
-      DPSYNC_RETURN_IF_ERROR(d.status());
-      return query::Value(d.value());
-    }
-    case query::ValueType::kString: {
-      auto s = ReadString(in);
-      DPSYNC_RETURN_IF_ERROR(s.status());
-      return query::Value(std::move(s.value()));
-    }
-  }
-  return Status::InvalidArgument("malformed value type tag");
-}
-
-// ---- WireStatus ---------------------------------------------------------
-
-WireStatus WireStatus::FromStatus(const Status& s) {
-  WireStatus w;
-  w.code = static_cast<uint8_t>(s.code());
-  w.message = s.message();
-  return w;
-}
-
-Status WireStatus::ToStatus() const {
-  if (code == static_cast<uint8_t>(StatusCode::kOk)) return Status::Ok();
-  if (code > static_cast<uint8_t>(StatusCode::kUnavailable)) {
-    return Status::Internal("remote error with unknown status code: " +
-                            message);
-  }
-  return Status(static_cast<StatusCode>(code), message);
-}
-
-Status WireStatus::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kStatusReply)));
-  DPSYNC_RETURN_IF_ERROR(out.WriteByte(code));
-  return WriteString(out, message);
-}
-
-StatusOr<WireStatus> WireStatus::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kStatusReply));
-  WireStatus w;
-  auto code = in.ReadByte();
-  DPSYNC_RETURN_IF_ERROR(code.status());
-  w.code = code.value();
-  auto msg = ReadString(in);
-  DPSYNC_RETURN_IF_ERROR(msg.status());
-  w.message = std::move(msg.value());
-  return w;
-}
-
-StatusOr<Bytes> WireStatus::Encode() const { return EncodeMessage(*this); }
-
-StatusOr<WireStatus> WireStatus::Decode(const Bytes& payload) {
-  return DecodePayload<WireStatus>(payload,
-                                   [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-// ---- WirePlan -----------------------------------------------------------
-
-Status WirePlan::AppendTo(WriteBuffer& out) const {
-  if (kind != MsgKind::kPrepare && kind != MsgKind::kExecute) {
-    return Status::InvalidArgument("WirePlan kind must be Prepare or Execute");
-  }
-  DPSYNC_RETURN_IF_ERROR(out.WriteByte(static_cast<uint8_t>(kind)));
-  DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, fingerprint));
-  return WriteString(out, canonical_text);
-}
-
-StatusOr<WirePlan> WirePlan::ReadFrom(ReadBuffer& in, MsgKind kind) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, kind));
-  WirePlan w;
-  w.kind = kind;
-  auto fp = ReadFixed64(in);
-  DPSYNC_RETURN_IF_ERROR(fp.status());
-  w.fingerprint = fp.value();
-  auto text = ReadString(in);
-  DPSYNC_RETURN_IF_ERROR(text.status());
-  w.canonical_text = std::move(text.value());
-  return w;
-}
-
-StatusOr<Bytes> WirePlan::Encode() const { return EncodeMessage(*this); }
-
-StatusOr<WirePlan> WirePlan::Decode(const Bytes& payload) {
-  auto kind = PeekKind(payload);
-  DPSYNC_RETURN_IF_ERROR(kind.status());
-  return DecodePayload<WirePlan>(payload, [&](ReadBuffer& in) {
-    return ReadFrom(in, kind.value());
-  });
-}
-
-// ---- WireCreateTable ----------------------------------------------------
-
-Status WireCreateTable::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kCreateTable)));
-  DPSYNC_RETURN_IF_ERROR(WriteString(out, table));
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, fields.size()));
-  for (const auto& f : fields) {
-    DPSYNC_RETURN_IF_ERROR(WriteString(out, f.name));
-    DPSYNC_RETURN_IF_ERROR(out.WriteByte(static_cast<uint8_t>(f.type)));
-  }
-  return Status::Ok();
-}
-
-StatusOr<WireCreateTable> WireCreateTable::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kCreateTable));
-  WireCreateTable w;
-  auto table = ReadString(in);
-  DPSYNC_RETURN_IF_ERROR(table.status());
-  w.table = std::move(table.value());
-  auto n = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(n.status());
-  DPSYNC_RETURN_IF_ERROR(CheckListLen(n.value(), "field list"));
-  w.fields.reserve(n.value());
-  for (uint64_t i = 0; i < n.value(); ++i) {
-    query::Field f;
-    auto name = ReadString(in);
-    DPSYNC_RETURN_IF_ERROR(name.status());
-    f.name = std::move(name.value());
-    auto type = in.ReadByte();
-    DPSYNC_RETURN_IF_ERROR(type.status());
-    if (type.value() > static_cast<uint8_t>(query::ValueType::kString)) {
-      return Status::InvalidArgument("malformed field type tag");
-    }
-    f.type = static_cast<query::ValueType>(type.value());
-    w.fields.push_back(std::move(f));
-  }
-  return w;
-}
-
-StatusOr<Bytes> WireCreateTable::Encode() const {
-  return EncodeMessage(*this);
-}
-
-StatusOr<WireCreateTable> WireCreateTable::Decode(const Bytes& payload) {
-  return DecodePayload<WireCreateTable>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-// ---- WireIngest / WireReplicate -----------------------------------------
-
-namespace {
-
-Status AppendCipherEntries(WriteBuffer& out,
-                           const std::vector<WireCipherRecord>& entries) {
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, entries.size()));
-  for (const auto& e : entries) {
-    DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, e.shard));
-    DPSYNC_RETURN_IF_ERROR(WriteBytesField(out, e.ciphertext));
-  }
-  return Status::Ok();
-}
-
-Status ReadCipherEntries(ReadBuffer& in,
-                         std::vector<WireCipherRecord>* entries,
-                         const char* what) {
-  auto n = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(n.status());
-  DPSYNC_RETURN_IF_ERROR(CheckListLen(n.value(), what));
-  entries->reserve(n.value());
-  for (uint64_t i = 0; i < n.value(); ++i) {
-    WireCipherRecord e;
-    auto shard = ReadVarUInt(in);
-    DPSYNC_RETURN_IF_ERROR(shard.status());
-    if (shard.value() > UINT32_MAX) {
-      return Status::InvalidArgument("malformed shard index");
-    }
-    e.shard = static_cast<uint32_t>(shard.value());
-    auto ct = ReadBytesField(in);
-    DPSYNC_RETURN_IF_ERROR(ct.status());
-    e.ciphertext = std::move(ct.value());
-    entries->push_back(std::move(e));
-  }
-  return Status::Ok();
-}
-
-Status AppendU64List(WriteBuffer& out, const std::vector<uint64_t>& values) {
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, values.size()));
-  for (uint64_t v : values) {
-    DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, v));
-  }
-  return Status::Ok();
-}
-
-Status ReadU64List(ReadBuffer& in, std::vector<uint64_t>* values,
-                   const char* what) {
-  auto n = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(n.status());
-  DPSYNC_RETURN_IF_ERROR(CheckListLen(n.value(), what));
-  values->reserve(n.value());
-  for (uint64_t i = 0; i < n.value(); ++i) {
-    auto v = ReadVarUInt(in);
-    DPSYNC_RETURN_IF_ERROR(v.status());
-    values->push_back(v.value());
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status WireIngest::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(out.WriteByte(static_cast<uint8_t>(MsgKind::kIngest)));
-  DPSYNC_RETURN_IF_ERROR(WriteString(out, table));
-  DPSYNC_RETURN_IF_ERROR(WriteBool(out, setup_batch));
-  DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, batch_seq));
-  DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, nonce_high_water));
-  return AppendCipherEntries(out, entries);
-}
-
-StatusOr<WireIngest> WireIngest::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kIngest));
-  WireIngest w;
-  auto table = ReadString(in);
-  DPSYNC_RETURN_IF_ERROR(table.status());
-  w.table = std::move(table.value());
-  auto setup = ReadBool(in);
-  DPSYNC_RETURN_IF_ERROR(setup.status());
-  w.setup_batch = setup.value();
-  auto seq = ReadFixed64(in);
-  DPSYNC_RETURN_IF_ERROR(seq.status());
-  w.batch_seq = seq.value();
-  auto hwm = ReadFixed64(in);
-  DPSYNC_RETURN_IF_ERROR(hwm.status());
-  w.nonce_high_water = hwm.value();
-  DPSYNC_RETURN_IF_ERROR(ReadCipherEntries(in, &w.entries, "ingest batch"));
-  return w;
-}
-
-StatusOr<Bytes> WireIngest::Encode() const { return EncodeMessage(*this); }
-
-StatusOr<WireIngest> WireIngest::Decode(const Bytes& payload) {
-  return DecodePayload<WireIngest>(payload,
-                                   [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-Status WireReplicate::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kReplicate)));
-  DPSYNC_RETURN_IF_ERROR(WriteString(out, table));
-  DPSYNC_RETURN_IF_ERROR(WriteBool(out, setup_batch));
-  DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, batch_seq));
-  DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, nonce_high_water));
-  DPSYNC_RETURN_IF_ERROR(AppendU64List(out, base_rows));
-  return AppendCipherEntries(out, entries);
-}
-
-StatusOr<WireReplicate> WireReplicate::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kReplicate));
-  WireReplicate w;
-  auto table = ReadString(in);
-  DPSYNC_RETURN_IF_ERROR(table.status());
-  w.table = std::move(table.value());
-  auto setup = ReadBool(in);
-  DPSYNC_RETURN_IF_ERROR(setup.status());
-  w.setup_batch = setup.value();
-  auto seq = ReadFixed64(in);
-  DPSYNC_RETURN_IF_ERROR(seq.status());
-  w.batch_seq = seq.value();
-  auto hwm = ReadFixed64(in);
-  DPSYNC_RETURN_IF_ERROR(hwm.status());
-  w.nonce_high_water = hwm.value();
-  DPSYNC_RETURN_IF_ERROR(ReadU64List(in, &w.base_rows, "base row list"));
-  DPSYNC_RETURN_IF_ERROR(
-      ReadCipherEntries(in, &w.entries, "replicate batch"));
-  return w;
-}
-
-StatusOr<Bytes> WireReplicate::Encode() const { return EncodeMessage(*this); }
-
-StatusOr<WireReplicate> WireReplicate::Decode(const Bytes& payload) {
-  return DecodePayload<WireReplicate>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-// ---- WireCatchUp / WireCatchUpReply -------------------------------------
-
-Status WireCatchUp::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kCatchUp)));
-  DPSYNC_RETURN_IF_ERROR(WriteString(out, table));
-  return AppendU64List(out, from_rows);
-}
-
-StatusOr<WireCatchUp> WireCatchUp::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kCatchUp));
-  WireCatchUp w;
-  auto table = ReadString(in);
-  DPSYNC_RETURN_IF_ERROR(table.status());
-  w.table = std::move(table.value());
-  DPSYNC_RETURN_IF_ERROR(ReadU64List(in, &w.from_rows, "from-row list"));
-  return w;
-}
-
-StatusOr<Bytes> WireCatchUp::Encode() const { return EncodeMessage(*this); }
-
-StatusOr<WireCatchUp> WireCatchUp::Decode(const Bytes& payload) {
-  return DecodePayload<WireCatchUp>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-Status WireCatchUpReply::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kCatchUpReply)));
-  DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, applied_seq));
-  DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, nonce_high_water));
-  DPSYNC_RETURN_IF_ERROR(AppendU64List(out, base_rows));
-  return AppendCipherEntries(out, entries);
-}
-
-StatusOr<WireCatchUpReply> WireCatchUpReply::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kCatchUpReply));
-  WireCatchUpReply w;
-  auto seq = ReadFixed64(in);
-  DPSYNC_RETURN_IF_ERROR(seq.status());
-  w.applied_seq = seq.value();
-  auto hwm = ReadFixed64(in);
-  DPSYNC_RETURN_IF_ERROR(hwm.status());
-  w.nonce_high_water = hwm.value();
-  DPSYNC_RETURN_IF_ERROR(ReadU64List(in, &w.base_rows, "base row list"));
-  DPSYNC_RETURN_IF_ERROR(ReadCipherEntries(in, &w.entries, "catch-up span"));
-  return w;
-}
-
-StatusOr<Bytes> WireCatchUpReply::Encode() const {
-  return EncodeMessage(*this);
-}
-
-StatusOr<WireCatchUpReply> WireCatchUpReply::Decode(const Bytes& payload) {
-  return DecodePayload<WireCatchUpReply>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-// ---- WireReplicaState ---------------------------------------------------
-
-Status WireReplicaStateRequest::AppendTo(WriteBuffer& out) const {
-  return out.WriteByte(static_cast<uint8_t>(MsgKind::kReplicaState));
-}
-
-StatusOr<WireReplicaStateRequest> WireReplicaStateRequest::ReadFrom(
-    ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kReplicaState));
-  return WireReplicaStateRequest{};
-}
-
-StatusOr<Bytes> WireReplicaStateRequest::Encode() const {
-  return EncodeMessage(*this);
-}
-
-StatusOr<WireReplicaStateRequest> WireReplicaStateRequest::Decode(
-    const Bytes& payload) {
-  return DecodePayload<WireReplicaStateRequest>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-Status WireReplicaState::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kReplicaStateReply)));
-  DPSYNC_RETURN_IF_ERROR(WriteBool(out, follower));
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, tables.size()));
-  for (const auto& t : tables) {
-    DPSYNC_RETURN_IF_ERROR(WriteString(out, t.table));
-    DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, t.applied_seq));
-    DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, t.commit_epoch));
-    DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, t.nonce_high_water));
-    DPSYNC_RETURN_IF_ERROR(AppendU64List(out, t.shard_rows));
-  }
-  return Status::Ok();
-}
-
-StatusOr<WireReplicaState> WireReplicaState::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kReplicaStateReply));
-  WireReplicaState w;
-  auto follower = ReadBool(in);
-  DPSYNC_RETURN_IF_ERROR(follower.status());
-  w.follower = follower.value();
-  auto n = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(n.status());
-  DPSYNC_RETURN_IF_ERROR(CheckListLen(n.value(), "replica table list"));
-  w.tables.reserve(n.value());
-  for (uint64_t i = 0; i < n.value(); ++i) {
-    WireTableReplicaState t;
-    auto table = ReadString(in);
-    DPSYNC_RETURN_IF_ERROR(table.status());
-    t.table = std::move(table.value());
-    auto seq = ReadFixed64(in);
-    DPSYNC_RETURN_IF_ERROR(seq.status());
-    t.applied_seq = seq.value();
-    auto epoch = ReadFixed64(in);
-    DPSYNC_RETURN_IF_ERROR(epoch.status());
-    t.commit_epoch = epoch.value();
-    auto hwm = ReadFixed64(in);
-    DPSYNC_RETURN_IF_ERROR(hwm.status());
-    t.nonce_high_water = hwm.value();
-    DPSYNC_RETURN_IF_ERROR(
-        ReadU64List(in, &t.shard_rows, "shard row list"));
-    w.tables.push_back(std::move(t));
-  }
-  return w;
-}
-
-StatusOr<Bytes> WireReplicaState::Encode() const {
-  return EncodeMessage(*this);
-}
-
-StatusOr<WireReplicaState> WireReplicaState::Decode(const Bytes& payload) {
-  return DecodePayload<WireReplicaState>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-// ---- WirePromote --------------------------------------------------------
-
-Status WirePromote::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kPromote)));
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, tables.size()));
-  for (const auto& t : tables) {
-    DPSYNC_RETURN_IF_ERROR(WriteString(out, t.table));
-    DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, t.expected_seq));
-    DPSYNC_RETURN_IF_ERROR(WriteFixed64(out, t.commit_epoch));
-  }
-  return Status::Ok();
-}
-
-StatusOr<WirePromote> WirePromote::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kPromote));
-  WirePromote w;
-  auto n = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(n.status());
-  DPSYNC_RETURN_IF_ERROR(CheckListLen(n.value(), "promote table list"));
-  w.tables.reserve(n.value());
-  for (uint64_t i = 0; i < n.value(); ++i) {
-    WirePromoteTable t;
-    auto table = ReadString(in);
-    DPSYNC_RETURN_IF_ERROR(table.status());
-    t.table = std::move(table.value());
-    auto seq = ReadFixed64(in);
-    DPSYNC_RETURN_IF_ERROR(seq.status());
-    t.expected_seq = seq.value();
-    auto epoch = ReadFixed64(in);
-    DPSYNC_RETURN_IF_ERROR(epoch.status());
-    t.commit_epoch = epoch.value();
-    w.tables.push_back(std::move(t));
-  }
-  return w;
-}
-
-StatusOr<Bytes> WirePromote::Encode() const { return EncodeMessage(*this); }
-
-StatusOr<WirePromote> WirePromote::Decode(const Bytes& payload) {
-  return DecodePayload<WirePromote>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-// ---- WireTableRef -------------------------------------------------------
-
-Status WireTableRef::AppendTo(WriteBuffer& out) const {
-  if (kind != MsgKind::kFlush && kind != MsgKind::kStats) {
-    return Status::InvalidArgument("WireTableRef kind must be Flush or Stats");
-  }
-  DPSYNC_RETURN_IF_ERROR(out.WriteByte(static_cast<uint8_t>(kind)));
-  return WriteString(out, table);
-}
-
-StatusOr<WireTableRef> WireTableRef::ReadFrom(ReadBuffer& in, MsgKind kind) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, kind));
-  WireTableRef w;
-  w.kind = kind;
-  auto table = ReadString(in);
-  DPSYNC_RETURN_IF_ERROR(table.status());
-  w.table = std::move(table.value());
-  return w;
-}
-
-StatusOr<Bytes> WireTableRef::Encode() const { return EncodeMessage(*this); }
-
-StatusOr<WireTableRef> WireTableRef::Decode(const Bytes& payload) {
-  auto kind = PeekKind(payload);
-  DPSYNC_RETURN_IF_ERROR(kind.status());
-  return DecodePayload<WireTableRef>(payload, [&](ReadBuffer& in) {
-    return ReadFrom(in, kind.value());
-  });
-}
-
-// ---- WireAggState -------------------------------------------------------
-
-Status WireAggState::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, count));
-  DPSYNC_RETURN_IF_ERROR(WriteDouble(out, sum));
-  DPSYNC_RETURN_IF_ERROR(WriteDouble(out, min));
-  DPSYNC_RETURN_IF_ERROR(WriteDouble(out, max));
-  return WriteBool(out, seen);
-}
-
-StatusOr<WireAggState> WireAggState::ReadFrom(ReadBuffer& in) {
-  WireAggState w;
-  auto count = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(count.status());
-  w.count = count.value();
-  auto sum = ReadDouble(in);
-  DPSYNC_RETURN_IF_ERROR(sum.status());
-  w.sum = sum.value();
-  auto min = ReadDouble(in);
-  DPSYNC_RETURN_IF_ERROR(min.status());
-  w.min = min.value();
-  auto max = ReadDouble(in);
-  DPSYNC_RETURN_IF_ERROR(max.status());
-  w.max = max.value();
-  auto seen = ReadBool(in);
-  DPSYNC_RETURN_IF_ERROR(seen.status());
-  w.seen = seen.value();
-  return w;
-}
-
-// ---- WirePartial --------------------------------------------------------
-
-Status WireSpanPartial::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(total.AppendTo(out));
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, groups.size()));
-  for (const auto& [key, state] : groups) {
-    DPSYNC_RETURN_IF_ERROR(WriteValue(out, key));
-    DPSYNC_RETURN_IF_ERROR(state.AppendTo(out));
-  }
-  return Status::Ok();
-}
-
-StatusOr<WireSpanPartial> WireSpanPartial::ReadFrom(ReadBuffer& in) {
-  WireSpanPartial w;
-  auto total = WireAggState::ReadFrom(in);
-  DPSYNC_RETURN_IF_ERROR(total.status());
-  w.total = total.value();
-  auto n = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(n.status());
-  DPSYNC_RETURN_IF_ERROR(CheckListLen(n.value(), "group list"));
-  w.groups.reserve(n.value());
-  for (uint64_t i = 0; i < n.value(); ++i) {
-    auto key = ReadValue(in);
-    DPSYNC_RETURN_IF_ERROR(key.status());
-    auto state = WireAggState::ReadFrom(in);
-    DPSYNC_RETURN_IF_ERROR(state.status());
-    w.groups.emplace_back(std::move(key.value()), state.value());
-  }
-  return w;
-}
-
-Status WirePartial::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kPartialReply)));
-  DPSYNC_RETURN_IF_ERROR(out.WriteByte(func));
-  DPSYNC_RETURN_IF_ERROR(WriteBool(out, grouped));
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, spans.size()));
-  for (const auto& span : spans) {
-    DPSYNC_RETURN_IF_ERROR(span.AppendTo(out));
-  }
-  DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, records_scanned));
-  DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, oram_paths));
-  return WriteVarInt(out, oram_buckets);
-}
-
-StatusOr<WirePartial> WirePartial::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kPartialReply));
-  WirePartial w;
-  auto func = in.ReadByte();
-  DPSYNC_RETURN_IF_ERROR(func.status());
-  if (func.value() > static_cast<uint8_t>(query::AggFunc::kMax)) {
-    return Status::InvalidArgument("malformed aggregate function tag");
-  }
-  w.func = func.value();
-  auto grouped = ReadBool(in);
-  DPSYNC_RETURN_IF_ERROR(grouped.status());
-  w.grouped = grouped.value();
-  auto n = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(n.status());
-  DPSYNC_RETURN_IF_ERROR(CheckListLen(n.value(), "span list"));
-  w.spans.reserve(n.value());
-  for (uint64_t i = 0; i < n.value(); ++i) {
-    auto span = WireSpanPartial::ReadFrom(in);
-    DPSYNC_RETURN_IF_ERROR(span.status());
-    w.spans.push_back(std::move(span.value()));
-  }
-  auto scanned = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(scanned.status());
-  w.records_scanned = scanned.value();
-  auto paths = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(paths.status());
-  w.oram_paths = paths.value();
-  auto buckets = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(buckets.status());
-  w.oram_buckets = buckets.value();
-  return w;
-}
-
-StatusOr<Bytes> WirePartial::Encode() const { return EncodeMessage(*this); }
-
-StatusOr<WirePartial> WirePartial::Decode(const Bytes& payload) {
-  return DecodePayload<WirePartial>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
-}
-
-// ---- WireQueryStats -----------------------------------------------------
-
-Status WireQueryStats::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(WriteDouble(out, virtual_seconds));
-  DPSYNC_RETURN_IF_ERROR(WriteDouble(out, measured_seconds));
-  DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, records_scanned));
-  DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, join_pairs));
-  DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, revealed_volume));
-  DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, oram_paths));
-  DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, oram_buckets));
-  DPSYNC_RETURN_IF_ERROR(WriteDouble(out, oram_virtual_seconds));
-  return WriteBool(out, plan_cache_hit);
-}
-
-StatusOr<WireQueryStats> WireQueryStats::ReadFrom(ReadBuffer& in) {
-  WireQueryStats w;
-  auto vsec = ReadDouble(in);
-  DPSYNC_RETURN_IF_ERROR(vsec.status());
-  w.virtual_seconds = vsec.value();
-  auto msec = ReadDouble(in);
-  DPSYNC_RETURN_IF_ERROR(msec.status());
-  w.measured_seconds = msec.value();
-  auto scanned = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(scanned.status());
-  w.records_scanned = scanned.value();
-  auto pairs = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(pairs.status());
-  w.join_pairs = pairs.value();
-  auto revealed = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(revealed.status());
-  w.revealed_volume = revealed.value();
-  auto paths = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(paths.status());
-  w.oram_paths = paths.value();
-  auto buckets = ReadVarInt(in);
-  DPSYNC_RETURN_IF_ERROR(buckets.status());
-  w.oram_buckets = buckets.value();
-  auto osec = ReadDouble(in);
-  DPSYNC_RETURN_IF_ERROR(osec.status());
-  w.oram_virtual_seconds = osec.value();
-  auto hit = ReadBool(in);
-  DPSYNC_RETURN_IF_ERROR(hit.status());
-  w.plan_cache_hit = hit.value();
-  return w;
-}
-
-// ---- WireServerStats ----------------------------------------------------
-
-Status WireServerStats::AppendTo(WriteBuffer& out) const {
-  DPSYNC_RETURN_IF_ERROR(
-      out.WriteByte(static_cast<uint8_t>(MsgKind::kStatsReply)));
-  const int64_t fields[] = {prepares,       plan_cache_hits,
-                            plan_cache_misses, plan_rebinds,
-                            queries_executed,  queries_rejected,
-                            deadlines_exceeded, peak_in_flight,
-                            snapshot_scans,    snapshot_joins,
-                            view_hits,         view_folds,
-                            remote_scatters,   remote_partials};
-  for (int64_t f : fields) {
-    DPSYNC_RETURN_IF_ERROR(WriteVarInt(out, f));
-  }
-  return Status::Ok();
-}
-
-StatusOr<WireServerStats> WireServerStats::ReadFrom(ReadBuffer& in) {
-  DPSYNC_RETURN_IF_ERROR(ExpectKind(in, MsgKind::kStatsReply));
-  WireServerStats w;
-  int64_t* fields[] = {&w.prepares,       &w.plan_cache_hits,
-                       &w.plan_cache_misses, &w.plan_rebinds,
-                       &w.queries_executed,  &w.queries_rejected,
-                       &w.deadlines_exceeded, &w.peak_in_flight,
-                       &w.snapshot_scans,    &w.snapshot_joins,
-                       &w.view_hits,         &w.view_folds,
-                       &w.remote_scatters,   &w.remote_partials};
-  for (int64_t* f : fields) {
-    auto v = ReadVarInt(in);
-    DPSYNC_RETURN_IF_ERROR(v.status());
-    *f = v.value();
-  }
-  return w;
-}
-
-StatusOr<Bytes> WireServerStats::Encode() const {
-  return EncodeMessage(*this);
-}
-
-StatusOr<WireServerStats> WireServerStats::Decode(const Bytes& payload) {
-  return DecodePayload<WireServerStats>(
-      payload, [](ReadBuffer& in) { return ReadFrom(in); });
 }
 
 }  // namespace dpsync::net

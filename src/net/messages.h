@@ -1,42 +1,41 @@
 /// \file messages.h
-/// Typed wire messages for the distributed plan-shipping protocol. Every
-/// message encodes to a frame payload of `[u8 MsgKind][body]`; bodies are
-/// built from the primitives in wire.h. Decoders validate the kind tag,
-/// every length bound, and that the payload is fully consumed — trailing
-/// garbage is a typed error, never silently ignored.
+/// Typed wire messages for the distributed plan-shipping protocol. Each
+/// message is one struct with its kind and one field list, the only place
+/// its byte layout is written; codec.h turns field lists into bytes and
+/// back (`Encode(msg)`, `Decode<T>(payload)`). Adding a message means one
+/// struct, one field list, one MsgKind (and its PeekKind case), and one
+/// golden vector in tests/wire_test.cc.
 ///
 /// Layering: this header depends only on common + query (schema fields,
-/// values, aggregate tags). The aggregate partial state and the stats
-/// blocks are standalone field mirrors; conversions to the edb types live
-/// in src/dist/ so net never depends on edb.
+/// values, aggregate state), so net never depends on edb.
 ///
 /// Confidentiality invariant: record payloads cross the wire ONLY as
-/// AEAD ciphertexts inside WireIngest — there is no message that carries
-/// a plaintext row.
+/// AEAD ciphertexts inside WireIngest / WireReplicate / WireCatchUpReply —
+/// there is no message that carries a plaintext row.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
-#include "net/wire.h"
+#include "common/status.h"
+#include "net/codec.h"
 #include "query/ast.h"
+#include "query/executor.h"
 #include "query/schema.h"
 #include "query/value.h"
 
 namespace dpsync::net {
 
-/// One-byte message kind tag leading every frame payload.
+/// One-byte message kind tag leading every frame payload. Values are part
+/// of the wire format: never renumber a kind.
 enum class MsgKind : uint8_t {
   // Requests (coordinator -> shard server).
   kCreateTable = 1,
   kPrepare = 2,
   kExecute = 3,
   kIngest = 4,
-  kFlush = 5,
-  kStats = 6,
   // Replication requests (coordinator -> follower / leader).
   kReplicate = 7,
   kCatchUp = 8,
@@ -45,7 +44,6 @@ enum class MsgKind : uint8_t {
   // Replies (shard server -> coordinator).
   kStatusReply = 16,
   kPartialReply = 17,
-  kStatsReply = 18,
   kReplicaStateReply = 19,
   kCatchUpReply = 20,
 };
@@ -53,12 +51,30 @@ enum class MsgKind : uint8_t {
 /// Reads the kind tag of an encoded payload without consuming it.
 StatusOr<MsgKind> PeekKind(const Bytes& payload);
 
-// ---- Scalar value codec -------------------------------------------------
+// ---- Field lists of the query types that travel nested ------------------
 
-/// [u8 ValueType tag][payload]: kNull empty, kInt varint(zigzag), kDouble
-/// fixed64 bit pattern, kString length-prefixed.
-Status WriteValue(WriteBuffer& out, const query::Value& v);
-StatusOr<query::Value> ReadValue(ReadBuffer& in);
+template <>
+struct FieldsOf<query::Field> {
+  template <typename M, typename C>
+  static void Visit(M& f, C& c) {
+    c(String{}, f.name);
+    c(EnumTag<query::ValueType::kNull, query::ValueType::kString>{}, f.type);
+  }
+};
+
+/// Aggregate state travels exactly — doubles as bit patterns — so Merge()
+/// over decoded state equals Merge() over the in-process accumulators.
+template <>
+struct FieldsOf<query::AggAccumulator::State> {
+  template <typename M, typename C>
+  static void Visit(M& s, C& c) {
+    c(VarInt{}, s.count);
+    c(Fixed64{}, s.sum);
+    c(Fixed64{}, s.min);
+    c(Fixed64{}, s.max);
+    c(Bool{}, s.seen);
+  }
+};
 
 // ---- Messages -----------------------------------------------------------
 
@@ -67,42 +83,49 @@ StatusOr<query::Value> ReadValue(ReadBuffer& in);
 /// a shard-side FailedPrecondition stays a FailedPrecondition at the
 /// coordinator.
 struct WireStatus {
-  uint8_t code = 0;
+  static constexpr MsgKind kKind = MsgKind::kStatusReply;
+  StatusCode code = StatusCode::kOk;
   std::string message;
 
-  static WireStatus FromStatus(const Status& s);
-  Status ToStatus() const;
+  Status ToStatus() const { return Status(code, message); }
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireStatus> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireStatus> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(EnumTag<StatusCode::kOk, StatusCode::kUnavailable>{}, m.code);
+    c(String{}, m.message);
+  }
 };
 
 /// A shipped query plan: the canonical text (re-planned shard-side with
 /// the shard's own schema lookup) plus the coordinator's fingerprint,
 /// which keys the shard's plan cache and lets Execute skip re-planning
-/// after a Prepare. Used for both kPrepare and kExecute.
+/// after a Prepare. One body, two kinds.
+template <MsgKind K>
 struct WirePlan {
-  MsgKind kind = MsgKind::kExecute;  // kPrepare or kExecute
+  static constexpr MsgKind kKind = K;
   uint64_t fingerprint = 0;
   std::string canonical_text;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WirePlan> ReadFrom(ReadBuffer& in, MsgKind kind);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WirePlan> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(Fixed64{}, m.fingerprint);
+    c(String{}, m.canonical_text);
+  }
 };
+using WirePrepare = WirePlan<MsgKind::kPrepare>;
+using WireExecute = WirePlan<MsgKind::kExecute>;
 
 /// Schema shipment for CreateTable: table name plus (name, type) fields.
 struct WireCreateTable {
+  static constexpr MsgKind kKind = MsgKind::kCreateTable;
   std::string table;
   std::vector<query::Field> fields;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireCreateTable> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireCreateTable> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(String{}, m.table);
+    c(List<Nested>{}, m.fields);
+  }
 };
 
 /// One pre-routed encrypted record: the owner-side coordinator already
@@ -111,6 +134,12 @@ struct WireCreateTable {
 struct WireCipherRecord {
   uint32_t shard = 0;
   Bytes ciphertext;  // RecordCipher output: nonce || ct || tag
+
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(VarUInt{}, m.shard);
+    c(Blob{}, m.ciphertext);
+  }
 };
 
 /// Encrypted ingest batch. `nonce_high_water` is the coordinator cipher's
@@ -123,16 +152,21 @@ struct WireCipherRecord {
 /// rejects gaps — so a retried ingest can neither duplicate nor lose
 /// records. 0 means unsequenced (compat: single replica, no dedup).
 struct WireIngest {
+  static constexpr MsgKind kKind = MsgKind::kIngest;
   std::string table;
   bool setup_batch = false;
   uint64_t batch_seq = 0;
   uint64_t nonce_high_water = 0;
   std::vector<WireCipherRecord> entries;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireIngest> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireIngest> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(String{}, m.table);
+    c(Bool{}, m.setup_batch);
+    c(Fixed64{}, m.batch_seq);
+    c(Fixed64{}, m.nonce_high_water);
+    c(List<Nested>{}, m.entries);
+  }
 };
 
 /// Replication of one committed ingest batch (or a catch-up span) to a
@@ -144,6 +178,7 @@ struct WireIngest {
 /// then jumps its applied_seq to `batch_seq`. When empty (steady-state
 /// relay of one batch), contiguous sequencing alone gates the append.
 struct WireReplicate {
+  static constexpr MsgKind kKind = MsgKind::kReplicate;
   std::string table;
   bool setup_batch = false;
   uint64_t batch_seq = 0;
@@ -151,22 +186,29 @@ struct WireReplicate {
   std::vector<uint64_t> base_rows;  ///< empty = contiguous relay
   std::vector<WireCipherRecord> entries;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireReplicate> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireReplicate> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(String{}, m.table);
+    c(Bool{}, m.setup_batch);
+    c(Fixed64{}, m.batch_seq);
+    c(Fixed64{}, m.nonce_high_water);
+    c(List<VarUInt>{}, m.base_rows);
+    c(List<Nested>{}, m.entries);
+  }
 };
 
 /// Asks a leader to export its committed ciphertext spans from the given
 /// per-local-shard row offsets (a lagging follower's current counts).
 struct WireCatchUp {
+  static constexpr MsgKind kKind = MsgKind::kCatchUp;
   std::string table;
   std::vector<uint64_t> from_rows;  ///< one per local shard
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireCatchUp> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireCatchUp> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(String{}, m.table);
+    c(List<VarUInt>{}, m.from_rows);
+  }
 };
 
 /// The leader's committed spans beyond `from_rows`: entries are
@@ -176,24 +218,28 @@ struct WireCatchUp {
 /// are current through; the coordinator relays them as a WireReplicate
 /// with base_rows = the request's from_rows.
 struct WireCatchUpReply {
+  static constexpr MsgKind kKind = MsgKind::kCatchUpReply;
   uint64_t applied_seq = 0;
   uint64_t nonce_high_water = 0;
   std::vector<uint64_t> base_rows;
   std::vector<WireCipherRecord> entries;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireCatchUpReply> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireCatchUpReply> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(Fixed64{}, m.applied_seq);
+    c(Fixed64{}, m.nonce_high_water);
+    c(List<VarUInt>{}, m.base_rows);
+    c(List<Nested>{}, m.entries);
+  }
 };
 
 /// Replica-state probe (health + lag assessment + promotion precheck).
-/// The request body is empty — the kind byte is the whole message.
+/// It has no fields — the kind byte is the whole message.
 struct WireReplicaStateRequest {
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireReplicaStateRequest> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireReplicaStateRequest> Decode(const Bytes& payload);
+  static constexpr MsgKind kKind = MsgKind::kReplicaState;
+
+  template <typename M, typename C>
+  static void Fields(M&, C&) {}
 };
 
 /// One hosted table's replication position on a server.
@@ -203,18 +249,29 @@ struct WireTableReplicaState {
   uint64_t commit_epoch = 0;
   uint64_t nonce_high_water = 0;
   std::vector<uint64_t> shard_rows;  ///< per local shard
+
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(String{}, m.table);
+    c(Fixed64{}, m.applied_seq);
+    c(Fixed64{}, m.commit_epoch);
+    c(Fixed64{}, m.nonce_high_water);
+    c(List<VarUInt>{}, m.shard_rows);
+  }
 };
 
 /// The kReplicaStateReply body: every hosted table's position plus the
 /// server's role. A live reply — any reply — is the health signal.
 struct WireReplicaState {
+  static constexpr MsgKind kKind = MsgKind::kReplicaStateReply;
   bool follower = false;
   std::vector<WireTableReplicaState> tables;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireReplicaState> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireReplicaState> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(Bool{}, m.follower);
+    c(List<Nested>{}, m.tables);
+  }
 };
 
 /// Cutover: promotes a follower to leader at a tagged boundary. For every
@@ -226,52 +283,49 @@ struct WirePromoteTable {
   std::string table;
   uint64_t expected_seq = 0;
   uint64_t commit_epoch = 0;
+
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(String{}, m.table);
+    c(Fixed64{}, m.expected_seq);
+    c(Fixed64{}, m.commit_epoch);
+  }
 };
 
 struct WirePromote {
+  static constexpr MsgKind kKind = MsgKind::kPromote;
   std::vector<WirePromoteTable> tables;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WirePromote> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WirePromote> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(List<Nested>{}, m.tables);
+  }
 };
 
-/// Flush request (and the body of kFlush / kStats requests that only name
-/// a table; kStats ignores the name and reports server-wide counters).
-struct WireTableRef {
-  MsgKind kind = MsgKind::kFlush;  // kFlush or kStats
-  std::string table;
+/// One group of a grouped span cell.
+struct WireGroup {
+  query::Value key;
+  query::AggAccumulator::State state;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireTableRef> ReadFrom(ReadBuffer& in, MsgKind kind);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireTableRef> Decode(const Bytes& payload);
-};
-
-/// Serialized AggAccumulator internals. Doubles travel as exact bit
-/// patterns, so Merge() over deserialized state equals Merge() over the
-/// in-process accumulators byte for byte.
-struct WireAggState {
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  bool seen = false;
-
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireAggState> ReadFrom(ReadBuffer& in);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(Scalar{}, m.key);
+    c(Nested{}, m.state);
+  }
 };
 
 /// One storage shard's aggregate cell: ungrouped total or grouped map
 /// (entries in ascending key order — std::map order — so the
 /// coordinator's fold is deterministic).
 struct WireSpanPartial {
-  WireAggState total;
-  std::vector<std::pair<query::Value, WireAggState>> groups;
+  query::AggAccumulator::State total;
+  std::vector<WireGroup> groups;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireSpanPartial> ReadFrom(ReadBuffer& in);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(Nested{}, m.total);
+    c(List<Nested>{}, m.groups);
+  }
 };
 
 /// A shard server's partial aggregate for one Execute: one cell per
@@ -283,56 +337,23 @@ struct WireSpanPartial {
 /// per-shard execution counters the coordinator folds into QueryStats
 /// ride along server-aggregated (they are exact integers).
 struct WirePartial {
-  uint8_t func = 0;  // query::AggFunc
+  static constexpr MsgKind kKind = MsgKind::kPartialReply;
+  query::AggFunc func = query::AggFunc::kNone;
   bool grouped = false;
   std::vector<WireSpanPartial> spans;
   int64_t records_scanned = 0;
   int64_t oram_paths = 0;
   int64_t oram_buckets = 0;
 
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WirePartial> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WirePartial> Decode(const Bytes& payload);
-};
-
-/// Field mirror of edb::QueryStats (kept standalone; see layering note).
-struct WireQueryStats {
-  double virtual_seconds = 0.0;
-  double measured_seconds = 0.0;
-  int64_t records_scanned = 0;
-  int64_t join_pairs = 0;
-  int64_t revealed_volume = -1;
-  int64_t oram_paths = 0;
-  int64_t oram_buckets = 0;
-  double oram_virtual_seconds = 0.0;
-  bool plan_cache_hit = false;
-
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireQueryStats> ReadFrom(ReadBuffer& in);
-};
-
-/// Field mirror of edb::ServerStats; the kStatsReply body.
-struct WireServerStats {
-  int64_t prepares = 0;
-  int64_t plan_cache_hits = 0;
-  int64_t plan_cache_misses = 0;
-  int64_t plan_rebinds = 0;
-  int64_t queries_executed = 0;
-  int64_t queries_rejected = 0;
-  int64_t deadlines_exceeded = 0;
-  int64_t peak_in_flight = 0;
-  int64_t snapshot_scans = 0;
-  int64_t snapshot_joins = 0;
-  int64_t view_hits = 0;
-  int64_t view_folds = 0;
-  int64_t remote_scatters = 0;
-  int64_t remote_partials = 0;
-
-  Status AppendTo(WriteBuffer& out) const;
-  static StatusOr<WireServerStats> ReadFrom(ReadBuffer& in);
-  StatusOr<Bytes> Encode() const;
-  static StatusOr<WireServerStats> Decode(const Bytes& payload);
+  template <typename M, typename C>
+  static void Fields(M& m, C& c) {
+    c(EnumTag<query::AggFunc::kNone, query::AggFunc::kMax>{}, m.func);
+    c(Bool{}, m.grouped);
+    c(List<Nested>{}, m.spans);
+    c(VarInt{}, m.records_scanned);
+    c(VarInt{}, m.oram_paths);
+    c(VarInt{}, m.oram_buckets);
+  }
 };
 
 }  // namespace dpsync::net

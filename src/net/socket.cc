@@ -135,9 +135,6 @@ void CloseFd(int fd) {
 
 namespace {
 
-/// Frame overhead on the wire: u32 length + u32 CRC.
-constexpr int64_t kFrameHeaderBytes = 8;
-
 /// Encodes `payload` into full frame bytes (length + CRC + payload) for
 /// the fault paths that must ship a deliberately damaged frame.
 StatusOr<Bytes> EncodeRawFrame(const Bytes& payload) {
@@ -240,7 +237,7 @@ StatusOr<Bytes> Channel::Call(const Bytes& request) {
   DPSYNC_RETURN_IF_ERROR(reply.status());
   rpc_calls_.fetch_add(1, std::memory_order_relaxed);
   bytes_shipped_.fetch_add(
-      2 * kFrameHeaderBytes + static_cast<int64_t>(request.size()) +
+      static_cast<int64_t>(2 * kFrameHeaderBytes + request.size()) +
           static_cast<int64_t>(reply.value().size()),
       std::memory_order_relaxed);
   return reply;

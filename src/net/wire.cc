@@ -1,7 +1,6 @@
 #include "net/wire.h"
 
 #include <array>
-#include <cstring>
 
 namespace dpsync::net {
 namespace {
@@ -29,153 +28,28 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
   return c ^ 0xFFFFFFFFu;
 }
 
-Status WriteFixed32(WriteBuffer& out, uint32_t v) {
-  uint8_t buf[4];
-  PutFixed32(buf, v);
-  return out.Write(buf, sizeof(buf));
-}
-
-Status WriteFixed64(WriteBuffer& out, uint64_t v) {
-  uint8_t buf[8];
-  PutFixed64(buf, v);
-  return out.Write(buf, sizeof(buf));
-}
-
-Status WriteDouble(WriteBuffer& out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  return WriteFixed64(out, bits);
-}
-
-Status WriteVarUInt(WriteBuffer& out, uint64_t v) {
-  while (v >= 0x80) {
-    DPSYNC_RETURN_IF_ERROR(out.WriteByte(static_cast<uint8_t>(v) | 0x80));
-    v >>= 7;
-  }
-  return out.WriteByte(static_cast<uint8_t>(v));
-}
-
-Status WriteVarInt(WriteBuffer& out, int64_t v) {
-  // Zigzag: map sign bit into bit 0 so small magnitudes stay short.
-  uint64_t zz = (static_cast<uint64_t>(v) << 1) ^
-                static_cast<uint64_t>(v >> 63);
-  return WriteVarUInt(out, zz);
-}
-
-Status WriteBool(WriteBuffer& out, bool v) {
-  return out.WriteByte(v ? 1 : 0);
-}
-
-Status WriteString(WriteBuffer& out, const std::string& s) {
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, s.size()));
-  return out.Write(reinterpret_cast<const uint8_t*>(s.data()), s.size());
-}
-
-Status WriteBytesField(WriteBuffer& out, const Bytes& b) {
-  DPSYNC_RETURN_IF_ERROR(WriteVarUInt(out, b.size()));
-  return out.Write(b.data(), b.size());
-}
-
-StatusOr<uint32_t> ReadFixed32(ReadBuffer& in) {
-  uint8_t buf[4];
-  DPSYNC_RETURN_IF_ERROR(in.ReadExact(buf, sizeof(buf)));
-  return GetFixed32(buf);
-}
-
-StatusOr<uint64_t> ReadFixed64(ReadBuffer& in) {
-  uint8_t buf[8];
-  DPSYNC_RETURN_IF_ERROR(in.ReadExact(buf, sizeof(buf)));
-  return GetFixed64(buf);
-}
-
-StatusOr<double> ReadDouble(ReadBuffer& in) {
-  auto bits = ReadFixed64(in);
-  DPSYNC_RETURN_IF_ERROR(bits.status());
-  double v;
-  std::memcpy(&v, &bits.value(), sizeof(v));
-  return v;
-}
-
-StatusOr<uint64_t> ReadVarUInt(ReadBuffer& in) {
-  uint64_t v = 0;
-  int shift = 0;
-  for (int i = 0; i < kMaxVarintBytes; ++i) {
-    auto b = in.ReadByte();
-    DPSYNC_RETURN_IF_ERROR(b.status());
-    uint8_t byte = b.value();
-    if (i == kMaxVarintBytes - 1 && (byte & 0xFE) != 0) {
-      // 10th byte may only contribute the final bit of a uint64.
-      return Status::InvalidArgument("malformed varint: overflows uint64");
-    }
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
-    shift += 7;
-  }
-  return Status::InvalidArgument("malformed varint: missing terminator");
-}
-
-StatusOr<int64_t> ReadVarInt(ReadBuffer& in) {
-  auto zz = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(zz.status());
-  uint64_t u = zz.value();
-  return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
-}
-
-StatusOr<bool> ReadBool(ReadBuffer& in) {
-  auto b = in.ReadByte();
-  DPSYNC_RETURN_IF_ERROR(b.status());
-  if (b.value() > 1) {
-    return Status::InvalidArgument("malformed bool byte");
-  }
-  return b.value() == 1;
-}
-
-StatusOr<std::string> ReadString(ReadBuffer& in) {
-  auto len = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(len.status());
-  if (len.value() > kMaxFrameBytes) {
-    return Status::InvalidArgument("string field length exceeds frame bound");
-  }
-  std::string s(len.value(), '\0');
-  DPSYNC_RETURN_IF_ERROR(
-      in.ReadExact(reinterpret_cast<uint8_t*>(s.data()), s.size()));
-  return s;
-}
-
-StatusOr<Bytes> ReadBytesField(ReadBuffer& in) {
-  auto len = ReadVarUInt(in);
-  DPSYNC_RETURN_IF_ERROR(len.status());
-  if (len.value() > kMaxFrameBytes) {
-    return Status::InvalidArgument("bytes field length exceeds frame bound");
-  }
-  Bytes b(len.value());
-  DPSYNC_RETURN_IF_ERROR(in.ReadExact(b.data(), b.size()));
-  return b;
-}
-
 Status WriteFrame(WriteBuffer& out, const Bytes& payload) {
   if (payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
   }
-  DPSYNC_RETURN_IF_ERROR(
-      WriteFixed32(out, static_cast<uint32_t>(payload.size())));
-  DPSYNC_RETURN_IF_ERROR(WriteFixed32(out, Crc32(payload)));
+  uint8_t header[kFrameHeaderBytes];
+  PutFixed32(header, static_cast<uint32_t>(payload.size()));
+  PutFixed32(header + 4, Crc32(payload));
+  DPSYNC_RETURN_IF_ERROR(out.Write(header, sizeof(header)));
   DPSYNC_RETURN_IF_ERROR(out.Write(payload));
   return out.Flush();
 }
 
 StatusOr<Bytes> ReadFrame(ReadBuffer& in) {
-  auto len = ReadFixed32(in);
-  DPSYNC_RETURN_IF_ERROR(len.status());
-  if (len.value() > kMaxFrameBytes) {
+  uint8_t header[kFrameHeaderBytes];
+  DPSYNC_RETURN_IF_ERROR(in.ReadExact(header, sizeof(header)));
+  const uint32_t len = GetFixed32(header);
+  if (len > kMaxFrameBytes) {
     return Status::InvalidArgument("frame length exceeds kMaxFrameBytes");
   }
-  auto crc = ReadFixed32(in);
-  DPSYNC_RETURN_IF_ERROR(crc.status());
-  Bytes payload(len.value());
+  Bytes payload(len);
   DPSYNC_RETURN_IF_ERROR(in.ReadExact(payload.data(), payload.size()));
-  if (Crc32(payload) != crc.value()) {
+  if (Crc32(payload) != GetFixed32(header + 4)) {
     return Status::InvalidArgument("frame CRC mismatch: payload corrupted");
   }
   return payload;

@@ -1,24 +1,23 @@
 /// \file wire.h
-/// Wire primitives for the distributed layer: explicit little-endian
-/// fixed-width codecs, LEB128 varints, length-prefixed strings/bytes, and
-/// length-prefixed CRC32-checked frames.
+/// Frames for the distributed layer: length-prefixed, CRC32-checked
+/// payloads over the buffered socket streams of byte_io.h.
 ///
 /// Frame layout (all integers little-endian):
 ///
 ///     [u32 payload_len][u32 crc32(payload)][payload bytes]
 ///
-/// The payload of every RPC frame starts with a one-byte message kind tag
-/// (see messages.h). A frame whose length field exceeds kMaxFrameBytes,
-/// whose payload arrives short, or whose CRC does not match the payload is
+/// The payload of every RPC frame is one message (see codec.h and
+/// messages.h). A frame whose length field exceeds kMaxFrameBytes, whose
+/// payload arrives short, or whose CRC does not match the payload is
 /// rejected with a typed Status — corruption never parses.
 ///
 /// The buffer-free helpers (PutFixed32/64, GetFixed32/64) are shared with
-/// `SegmentLogBackend`, which encodes its 64-byte on-disk segment header
-/// through them so segment files are byte-portable across hosts.
+/// the message codec and with `SegmentLogBackend`, which encodes its
+/// 64-byte on-disk segment header through them so segment files are
+/// byte-portable across hosts.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/bytes.h"
 #include "net/byte_io.h"
@@ -28,10 +27,12 @@ namespace dpsync::net {
 /// Hard ceiling on a single frame's payload. Large enough for any batch
 /// the coordinator ships (a 64k-row ingest is ~6 MB of ciphertext); small
 /// enough that a corrupted length field cannot trigger a huge allocation.
+/// The message encoder refuses anything larger (ResourceExhausted), so
+/// an oversized message fails at its sender and never reaches a socket.
 constexpr uint32_t kMaxFrameBytes = 64u * 1024u * 1024u;
 
-/// Longest possible LEB128 encoding of a uint64 (ceil(64/7) bytes).
-constexpr int kMaxVarintBytes = 10;
+/// Frame header: u32 payload length, u32 CRC-32 of the payload.
+constexpr size_t kFrameHeaderBytes = 8;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `len` bytes.
 /// Standard check value: Crc32("123456789", 9) == 0xCBF43926.
@@ -40,36 +41,12 @@ inline uint32_t Crc32(const Bytes& data) {
   return Crc32(data.data(), data.size());
 }
 
-// ---- Buffer-free little-endian helpers (shared with segment_log) -------
+// ---- Buffer-free little-endian helpers -----------------------------------
 
 inline void PutFixed32(uint8_t* dst, uint32_t v) { StoreLE32(dst, v); }
 inline void PutFixed64(uint8_t* dst, uint64_t v) { StoreLE64(dst, v); }
 inline uint32_t GetFixed32(const uint8_t* src) { return LoadLE32(src); }
 inline uint64_t GetFixed64(const uint8_t* src) { return LoadLE64(src); }
-
-// ---- Stream codecs ------------------------------------------------------
-
-Status WriteFixed32(WriteBuffer& out, uint32_t v);
-Status WriteFixed64(WriteBuffer& out, uint64_t v);
-/// Doubles travel as their IEEE-754 bit pattern in a fixed64 — exact, so
-/// merged aggregate state stays bit-identical across the wire.
-Status WriteDouble(WriteBuffer& out, double v);
-Status WriteVarUInt(WriteBuffer& out, uint64_t v);
-/// Signed varint, zigzag-encoded so small negatives stay short.
-Status WriteVarInt(WriteBuffer& out, int64_t v);
-Status WriteBool(WriteBuffer& out, bool v);
-/// Length-prefixed (varint) byte string.
-Status WriteString(WriteBuffer& out, const std::string& s);
-Status WriteBytesField(WriteBuffer& out, const Bytes& b);
-
-StatusOr<uint32_t> ReadFixed32(ReadBuffer& in);
-StatusOr<uint64_t> ReadFixed64(ReadBuffer& in);
-StatusOr<double> ReadDouble(ReadBuffer& in);
-StatusOr<uint64_t> ReadVarUInt(ReadBuffer& in);
-StatusOr<int64_t> ReadVarInt(ReadBuffer& in);
-StatusOr<bool> ReadBool(ReadBuffer& in);
-StatusOr<std::string> ReadString(ReadBuffer& in);
-StatusOr<Bytes> ReadBytesField(ReadBuffer& in);
 
 // ---- Frames -------------------------------------------------------------
 

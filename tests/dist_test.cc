@@ -5,10 +5,11 @@
 // across backends x server counts, because server k owns the contiguous
 // global shard range [S*k/K, S*(k+1)/K) and the rank-order merge replays
 // the exact single-process Add()/Merge() sequence. Also covered: typed
-// Unavailable within the RPC deadline when a server dies, Setup/Update
-// state machine, topology validation, racing owner appends through the
-// coordinator (the CI TSan job leans on this), the multi-table TickAll
-// fan-out, and the TCP transport.
+// Unavailable within the RPC deadline when a server dies, an owner batch
+// over the frame bound refused at the coordinator without a failover,
+// Setup/Update state machine, topology validation, racing owner appends
+// through the coordinator (the CI TSan job leans on this), the
+// multi-table TickAll fan-out, and the TCP transport.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -21,9 +22,11 @@
 
 #include "core/engine.h"
 #include "core/naive_strategies.h"
+#include "crypto/record_cipher.h"
 #include "dist/coordinator.h"
 #include "edb/crypte_engine.h"
 #include "edb/oblidb_engine.h"
+#include "net/wire.h"
 #include "query/parser.h"
 #include "test_util.h"
 #include "workload/trip_record.h"
@@ -304,6 +307,41 @@ TEST(DistFailureTest, KilledServerYieldsUnavailableWithinDeadline) {
   EXPECT_EQ(up.code(), StatusCode::kUnavailable);
   EXPECT_NE(up.message().find("shard server 2"), std::string::npos)
       << up.ToString();
+}
+
+TEST(DistFailureTest, OversizedOwnerBatchIsRefusedBeforeAnySend) {
+  // One Update whose ingest message exceeds kMaxFrameBytes. The encoder
+  // refuses it with ResourceExhausted before anything is sent, so the
+  // replicated rank is neither failed over nor lost, and the owner's
+  // next batch and queries proceed normally.
+  DistributedConfig cfg =
+      MakeDistConfig({"oblidb-linear", DistEngineKind::kObliDb, false}, 1);
+  cfg.replication_factor = 1;
+  DistributedEdbServer dist(cfg);
+  ASSERT_OK(dist.init_status());
+  auto table = dist.CreateTable("YellowCab", TripSchema());
+  ASSERT_OK(table);
+  ASSERT_OK(table.value()->Setup(MakeBatch(0, 16)));
+
+  // Each record travels as a one-byte shard index, a one-byte length and
+  // its ciphertext.
+  const size_t wire_bytes_per_record =
+      crypto::RecordCipher::kCiphertextSize + 2;
+  const std::vector<Record> oversized(
+      net::kMaxFrameBytes / wire_bytes_per_record + 1, FareTrip(99, 10, 2.5));
+  Status refused = table.value()->Update(oversized);
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted)
+      << refused.ToString();
+  EXPECT_EQ(dist.stats().failovers, 0);
+
+  ASSERT_OK(table.value()->Update(MakeBatch(16, 24)));
+  EXPECT_EQ(dist.total_outsourced_records(), 24);
+  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
+  ASSERT_OK(q);
+  auto resp = dist.Query(q.value());
+  ASSERT_OK(resp);
+  EXPECT_EQ(resp.value().result.scalar, 21.0);  // t % 9 == 0 are dummies
+  EXPECT_EQ(dist.stats().failovers, 0);
 }
 
 // --------------------------------------------------- state machine + init

@@ -512,7 +512,7 @@ TEST(FailoverProtocolTest, FollowerRejectsOwnerIngestUntilPromoted) {
     EXPECT_OK(encoded);
     auto reply = channel.Call(encoded.value());
     EXPECT_OK(reply);
-    auto status = net::WireStatus::Decode(reply.value());
+    auto status = net::Decode<net::WireStatus>(reply.value());
     EXPECT_OK(status);
     return status.value().ToStatus();
   };
@@ -520,13 +520,13 @@ TEST(FailoverProtocolTest, FollowerRejectsOwnerIngestUntilPromoted) {
   net::WireCreateTable create;
   create.table = "T";
   create.fields = TripSchema().fields();
-  ASSERT_OK(call_status(create.Encode()));
+  ASSERT_OK(call_status(net::Encode(create)));
 
   net::WireIngest ingest;
   ingest.table = "T";
   ingest.setup_batch = true;
   ingest.batch_seq = 1;
-  auto rejected = call_status(ingest.Encode());
+  auto rejected = call_status(net::Encode(ingest));
   EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(rejected.message().find("read-only follower"), std::string::npos);
 
@@ -534,40 +534,42 @@ TEST(FailoverProtocolTest, FollowerRejectsOwnerIngestUntilPromoted) {
   relay.table = "T";
   relay.setup_batch = true;
   relay.batch_seq = 1;
-  ASSERT_OK(call_status(relay.Encode()));
+  ASSERT_OK(call_status(net::Encode(relay)));
   EXPECT_EQ(server.applied_seq("T"), 1u);
   // Replayed relays dedup; a gap is refused.
-  ASSERT_OK(call_status(relay.Encode()));
+  ASSERT_OK(call_status(net::Encode(relay)));
   EXPECT_EQ(server.applied_seq("T"), 1u);
   net::WireReplicate gap = relay;
   gap.setup_batch = false;
   gap.batch_seq = 3;
-  EXPECT_EQ(call_status(gap.Encode()).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(call_status(net::Encode(gap)).code(),
+            StatusCode::kFailedPrecondition);
 
   // Promotion with a stale expected position is refused; the probed
   // position succeeds and clears the follower role.
   net::WirePromote stale;
   stale.tables.push_back({"T", 2, 0});
-  EXPECT_EQ(call_status(stale.Encode()).code(),
+  EXPECT_EQ(call_status(net::Encode(stale)).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_TRUE(server.is_follower());
 
-  auto probe = channel.Call(net::WireReplicaStateRequest{}.Encode().value());
+  auto probe =
+      channel.Call(net::Encode(net::WireReplicaStateRequest{}).value());
   ASSERT_OK(probe);
-  auto state = net::WireReplicaState::Decode(probe.value());
+  auto state = net::Decode<net::WireReplicaState>(probe.value());
   ASSERT_OK(state);
   EXPECT_TRUE(state.value().follower);
   ASSERT_EQ(state.value().tables.size(), 1u);
   net::WirePromote promote;
   promote.tables.push_back({"T", state.value().tables[0].applied_seq,
                             state.value().tables[0].commit_epoch});
-  ASSERT_OK(call_status(promote.Encode()));
+  ASSERT_OK(call_status(net::Encode(promote)));
   EXPECT_FALSE(server.is_follower());
 
   // Promoted: owner ingest now lands (the next sequenced batch).
   ingest.setup_batch = false;
   ingest.batch_seq = 2;
-  ASSERT_OK(call_status(ingest.Encode()));
+  ASSERT_OK(call_status(net::Encode(ingest)));
   EXPECT_EQ(server.applied_seq("T"), 2u);
 
   channel.Close();

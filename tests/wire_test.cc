@@ -1,27 +1,67 @@
-// Tests for the wire layer (src/net/): CRC32 check value, varint edge
-// cases (including the 10-byte maximum and zigzag negatives), exact
-// double bit patterns, frame round-trips, and — the part the distributed
-// layer's safety rests on — that truncated, bit-flipped, or oversized
-// frames fail with a typed Status instead of parsing garbage. Every
-// message in net/messages.h round-trips, and trailing garbage after a
-// message body is rejected.
+// Tests for the wire layer (src/net/): the CRC32 check value, the codec's
+// encodings (varint edge cases including the 10-byte maximum and zigzag
+// negatives, explicit little-endian fixed widths, exact double bit
+// patterns), and frames over a real socket, where truncated, bit-flipped
+// or oversized frames fail with a typed Status instead of parsing garbage.
+//
+// The golden table pins the bytes of every message kind: one sample per
+// kind and the hex its payload encodes to. For every kind the sample
+// encodes to its hex, decoding the hex and encoding again reproduces it,
+// and every truncation, one trailing byte, and decoding the bytes as any
+// other kind are rejected. Decoders allocate no more than a payload
+// holds, and the encoder refuses a message over the frame bound.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <new>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/byte_io.h"
+#include "net/codec.h"
 #include "net/messages.h"
+#include "net/socket.h"
 #include "net/wire.h"
 #include "query/schema.h"
 #include "test_util.h"
 
 namespace dpsync::net {
 namespace {
+
+/// Set while a test measures what the decoders allocate; the replaced
+/// global operator new below then records the largest single request.
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+
+}  // namespace
+}  // namespace dpsync::net
+
+void* operator new(size_t n) {
+  if (dpsync::net::g_track_allocations.load()) {
+    size_t seen = dpsync::net::g_largest_allocation.load();
+    while (n > seen &&
+           !dpsync::net::g_largest_allocation.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+
+namespace dpsync::net {
+namespace {
+
+using testutil::Hex;
 
 Bytes ToBytes(const std::string& s) {
   return Bytes(s.begin(), s.end());
@@ -53,34 +93,46 @@ TEST(VarintTest, UnsignedEdgeValuesRoundTrip) {
       (1ull << 32) - 1,
       (1ull << 63),
       std::numeric_limits<uint64_t>::max()};  // 10-byte encoding
-  Bytes encoded;
-  {
-    VectorWriteBuffer out(&encoded);
-    for (uint64_t v : values) ASSERT_OK(WriteVarUInt(out, v));
-    ASSERT_OK(out.Flush());
-  }
-  MemoryReadBuffer in(encoded);
+  Writer out;
+  for (uint64_t v : values) out(VarUInt{}, v);
+  Reader in(out.payload());
   for (uint64_t v : values) {
-    auto got = ReadVarUInt(in);
-    ASSERT_OK(got);
-    EXPECT_EQ(got.value(), v);
+    uint64_t got = 0;
+    in(VarUInt{}, got);
+    EXPECT_EQ(got, v);
   }
-  EXPECT_TRUE(in.AtEnd());
+  ASSERT_OK(in.status());
+  EXPECT_EQ(in.remaining(), 0u);
 }
 
 TEST(VarintTest, MaxValueUsesTenBytes) {
-  Bytes encoded;
-  VectorWriteBuffer out(&encoded);
-  ASSERT_OK(WriteVarUInt(out, std::numeric_limits<uint64_t>::max()));
-  ASSERT_OK(out.Flush());
-  EXPECT_EQ(encoded.size(), static_cast<size_t>(kMaxVarintBytes));
+  Writer out;
+  out(VarUInt{}, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(out.payload().size(), static_cast<size_t>(kMaxVarintBytes));
 }
 
 TEST(VarintTest, OverlongEncodingRejected) {
+  uint64_t v = 0;
   // Eleven continuation bytes: no valid uint64 varint is this long.
-  Bytes encoded(11, 0x80);
-  MemoryReadBuffer in(encoded);
-  EXPECT_NOT_OK(ReadVarUInt(in));
+  const Bytes overlong(11, 0x80);
+  Reader eleven(overlong);
+  eleven(VarUInt{}, v);
+  EXPECT_NOT_OK(eleven.status());
+  // A 10th byte carrying more than the final bit overflows uint64.
+  Bytes overflow(9, 0xFF);
+  overflow.push_back(0x02);
+  Reader tenth(overflow);
+  tenth(VarUInt{}, v);
+  EXPECT_NOT_OK(tenth.status());
+}
+
+TEST(VarintTest, NarrowFieldRejectsWideValue) {
+  Writer out;
+  out(VarUInt{}, uint64_t{1} << 32);
+  Reader in(out.payload());
+  uint32_t narrow = 0;
+  in(VarUInt{}, narrow);
+  EXPECT_NOT_OK(in.status());
 }
 
 TEST(VarintTest, SignedZigzagEdgeValuesRoundTrip) {
@@ -88,26 +140,21 @@ TEST(VarintTest, SignedZigzagEdgeValuesRoundTrip) {
       0,  -1, 1,  -2, 63, -64,  // zigzag keeps small magnitudes short
       std::numeric_limits<int64_t>::min(),
       std::numeric_limits<int64_t>::max()};
-  Bytes encoded;
-  {
-    VectorWriteBuffer out(&encoded);
-    for (int64_t v : values) ASSERT_OK(WriteVarInt(out, v));
-    ASSERT_OK(out.Flush());
-  }
-  MemoryReadBuffer in(encoded);
+  Writer out;
+  for (int64_t v : values) out(VarInt{}, v);
+  Reader in(out.payload());
   for (int64_t v : values) {
-    auto got = ReadVarInt(in);
-    ASSERT_OK(got);
-    EXPECT_EQ(got.value(), v);
+    int64_t got = 0;
+    in(VarInt{}, got);
+    EXPECT_EQ(got, v);
   }
+  ASSERT_OK(in.status());
 }
 
 TEST(VarintTest, SmallNegativeStaysShort) {
-  Bytes encoded;
-  VectorWriteBuffer out(&encoded);
-  ASSERT_OK(WriteVarInt(out, -1));  // zigzag -> 1 -> one byte
-  ASSERT_OK(out.Flush());
-  EXPECT_EQ(encoded.size(), 1u);
+  Writer out;
+  out(VarInt{}, -1);  // zigzag -> 1 -> one byte
+  EXPECT_EQ(out.payload().size(), 1u);
 }
 
 // --------------------------------------------- fixed-width + double bits
@@ -136,21 +183,18 @@ TEST(FixedWidthTest, DoubleTravelsAsExactBitPattern) {
                                       std::numeric_limits<double>::infinity(),
                                       std::numeric_limits<double>::denorm_min(),
                                       std::numeric_limits<double>::max()};
-  Bytes encoded;
-  {
-    VectorWriteBuffer out(&encoded);
-    for (double v : values) ASSERT_OK(WriteDouble(out, v));
-    ASSERT_OK(out.Flush());
-  }
-  MemoryReadBuffer in(encoded);
+  Writer out;
+  for (double v : values) out(Fixed64{}, v);
+  Reader in(out.payload());
   for (double v : values) {
-    auto got = ReadDouble(in);
-    ASSERT_OK(got);
+    double got = 0.0;
+    in(Fixed64{}, got);
     uint64_t want_bits, got_bits;
     std::memcpy(&want_bits, &v, sizeof(v));
-    std::memcpy(&got_bits, &got.value(), sizeof(double));
+    std::memcpy(&got_bits, &got, sizeof(double));
     EXPECT_EQ(got_bits, want_bits);
   }
+  ASSERT_OK(in.status());
 }
 
 // ---------------------------------------------------------------- frames
@@ -159,16 +203,30 @@ Bytes EncodeFrame(const Bytes& payload) {
   Bytes wire;
   VectorWriteBuffer out(&wire);
   EXPECT_OK(WriteFrame(out, payload));
-  EXPECT_OK(out.Flush());
   return wire;
+}
+
+/// Delivers `wire` to ReadFrame over a socketpair whose sending side then
+/// closes, as a peer that wrote exactly these bytes and died would.
+StatusOr<Bytes> ReadFrameFrom(const Bytes& wire) {
+  auto fds = SocketPair();
+  if (!fds.ok()) return fds.status();
+  FdWriteBuffer out(fds.value().a);
+  Status sent = out.Write(wire);
+  if (sent.ok()) sent = out.Flush();
+  ::shutdown(fds.value().a, SHUT_WR);
+  FdReadBuffer in(fds.value().b, /*timeout_seconds=*/10.0);
+  StatusOr<Bytes> got = sent.ok() ? ReadFrame(in) : StatusOr<Bytes>(sent);
+  CloseFd(fds.value().a);
+  CloseFd(fds.value().b);
+  return got;
 }
 
 TEST(FrameTest, RoundTrip) {
   Bytes payload = ToBytes("the payload");
   Bytes wire = EncodeFrame(payload);
-  EXPECT_EQ(wire.size(), payload.size() + 8);  // len + crc prefix
-  MemoryReadBuffer in(wire);
-  auto got = ReadFrame(in);
+  EXPECT_EQ(wire.size(), payload.size() + kFrameHeaderBytes);
+  auto got = ReadFrameFrom(wire);
   ASSERT_OK(got);
   EXPECT_EQ(got.value(), payload);
 }
@@ -177,10 +235,9 @@ TEST(FrameTest, TruncatedFrameIsTypedError) {
   Bytes wire = EncodeFrame(ToBytes("the payload"));
   for (size_t keep : {size_t{0}, size_t{3}, size_t{7}, wire.size() - 1}) {
     Bytes torn(wire.begin(), wire.begin() + static_cast<long>(keep));
-    MemoryReadBuffer in(torn);
-    auto got = ReadFrame(in);
+    auto got = ReadFrameFrom(torn);
     ASSERT_FALSE(got.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
   }
 }
 
@@ -191,447 +248,287 @@ TEST(FrameTest, EveryBitFlipFailsCrc) {
   for (size_t i = 4; i < wire.size(); ++i) {
     Bytes bad = wire;
     bad[i] ^= 0x40;
-    MemoryReadBuffer in(bad);
-    auto got = ReadFrame(in);
+    auto got = ReadFrameFrom(bad);
     ASSERT_FALSE(got.ok()) << "flipped byte " << i;
     EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
 TEST(FrameTest, OversizedLengthRejectedWithoutAllocating) {
-  Bytes wire(8, 0);
+  Bytes wire(kFrameHeaderBytes, 0);
   PutFixed32(wire.data(), kMaxFrameBytes + 1);
-  MemoryReadBuffer in(wire);
-  auto got = ReadFrame(in);
+  auto got = ReadFrameFrom(wire);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
 }
 
-// -------------------------------------------------------------- messages
+// ---------------------------------------------------------- golden bytes
 
-TEST(MessageTest, StatusRoundTripsCodeAndMessage) {
+/// One row per message kind: a sample, the hex its payload encodes to,
+/// and a decode-then-encode of arbitrary bytes as the sample's type.
+struct Golden {
+  const char* kind;
+  std::string hex;
+  StatusOr<Bytes> encoded;
+  std::function<StatusOr<Bytes>(const Bytes&)> reencode;
+};
+
+template <typename T>
+Golden Row(const char* kind, const T& sample, std::string hex) {
+  return {kind, std::move(hex), Encode(sample),
+          [](const Bytes& payload) -> StatusOr<Bytes> {
+            auto msg = Decode<T>(payload);
+            if (!msg.ok()) return msg.status();
+            return Encode(msg.value());
+          }};
+}
+
+/// The hex strings pin the wire format. They were captured from the
+/// hand-written encoders this codec replaced, and changing one changes
+/// the protocol.
+std::vector<Golden> GoldenTable() {
+  std::vector<Golden> rows;
+  {
+    WireCreateTable m;
+    m.table = "YellowCab";
+    m.fields = {{"pickTime", query::ValueType::kInt},
+                {"fare", query::ValueType::kDouble},
+                {"zone", query::ValueType::kString},
+                {"isDummy", query::ValueType::kInt}};
+    rows.push_back(Row("kCreateTable", m,
+                       "010959656c6c6f7743616204087069636b54696d65010466"
+                       "61726502047a6f6e650307697344756d6d7901"));
+  }
+  {
+    WirePrepare m;
+    m.fingerprint = 0xdeadbeefcafef00dull;
+    m.canonical_text = "SELECT COUNT(*) FROM YellowCab";
+    rows.push_back(Row("kPrepare", m,
+                       "020df0fecaefbeadde1e53454c45435420434f554e54282a"
+                       "292046524f4d2059656c6c6f77436162"));
+  }
+  {
+    WireExecute m;
+    m.fingerprint = 0x0123456789abcdefull;
+    m.canonical_text = "SELECT SUM(fare) FROM T";
+    rows.push_back(Row("kExecute", m,
+                       "03efcdab89674523011753454c4543542053554d28666172"
+                       "65292046524f4d2054"));
+  }
+  {
+    WireIngest m;
+    m.table = "T";
+    m.setup_batch = true;
+    m.batch_seq = 41;
+    m.nonce_high_water = 1234567;
+    m.entries.push_back({0, Bytes{0xa0, 0xa1, 0xa2, 0xa3}});
+    m.entries.push_back({300, Bytes{0x01, 0x02, 0x03}});
+    rows.push_back(Row("kIngest", m,
+                       "04015401290000000000000087d6120000000000020004a0"
+                       "a1a2a3ac0203010203"));
+  }
+  {
+    WireReplicate m;
+    m.table = "T";
+    m.batch_seq = 17;
+    m.nonce_high_water = 123456789;
+    m.base_rows = {0, 5, 1ull << 40};
+    m.entries.push_back({2, Bytes{0xc0, 0xc1}});
+    rows.push_back(Row("kReplicate", m,
+                       "07015400110000000000000015cd5b070000000003000580"
+                       "8080808020010202c0c1"));
+  }
+  {
+    WireCatchUp m;
+    m.table = "GreenTaxi";
+    m.from_rows = {7, 0, 123456789012345ull};
+    rows.push_back(
+        Row("kCatchUp", m, "0809477265656e54617869030700f9beb7b088891c"));
+  }
+  rows.push_back(Row("kReplicaState", WireReplicaStateRequest{}, "09"));
+  {
+    WirePromote m;
+    m.tables.push_back({"YellowCab", 12, 3});
+    m.tables.push_back({"G", 0, 0});
+    rows.push_back(Row("kPromote", m,
+                       "0a020959656c6c6f774361620c0000000000000003000000"
+                       "00000000014700000000000000000000000000000000"));
+  }
+  rows.push_back(Row("kStatusReply",
+                     WireStatus{StatusCode::kFailedPrecondition,
+                                "replication gap"},
+                     "10030f7265706c69636174696f6e20676170"));
+  {
+    // Grouped cells with int, double, null and string keys; -0.0 and
+    // 1e300 must survive as exact bit patterns.
+    WirePartial m;
+    m.func = query::AggFunc::kSum;
+    m.grouped = true;
+    WireSpanPartial cell0;
+    cell0.total = {42, 108.25, -7.5, 1e300, true};
+    cell0.groups.push_back(
+        {query::Value(int64_t{-5}), {1, 0.1, 0.1, 0.1, true}});
+    cell0.groups.push_back({query::Value(2.5), {2, -0.0, -1.0, 1.0, true}});
+    WireSpanPartial cell1;
+    cell1.total = {7, 0.3, 0.1, 0.2, true};
+    cell1.groups.push_back({query::Value(), {1, 0.0, 0.0, 0.0, false}});
+    cell1.groups.push_back(
+        {query::Value(std::string("zone")), {0, 0.0, 0.0, 0.0, false}});
+    m.spans = {cell0, cell1};
+    m.records_scanned = 12345;
+    m.oram_paths = 17;
+    m.oram_buckets = 170;
+    rows.push_back(Row("kPartialReply", m,
+                       "11020102540000000000105b400000000000001ec09c7500"
+                       "883ce4377e01020109029a9999999999b93f9a9999999999"
+                       "b93f9a9999999999b93f0102000000000000044004000000"
+                       "0000000080000000000000f0bf000000000000f03f010e33"
+                       "3333333333d33f9a9999999999b93f9a9999999999c93f01"
+                       "020002000000000000000000000000000000000000000000"
+                       "0000000003047a6f6e650000000000000000000000000000"
+                       "000000000000000000000000f2c00122d402"));
+  }
+  {
+    WireReplicaState m;
+    m.follower = true;
+    m.tables.push_back({"YellowCab", 12, 3, 456, {10, 11, 12}});
+    m.tables.push_back({"G", 0, 0, 0, {}});
+    rows.push_back(Row("kReplicaStateReply", m,
+                       "1301020959656c6c6f774361620c00000000000000030000"
+                       "0000000000c801000000000000030a0b0c01470000000000"
+                       "0000000000000000000000000000000000000000"));
+  }
+  {
+    WireCatchUpReply m;
+    m.applied_seq = 9;
+    m.nonce_high_water = 88;
+    m.base_rows = {1, 2};
+    m.entries.push_back({0, Bytes{0x5a, 0x5a}});
+    m.entries.push_back({1, Bytes{0xa5}});
+    rows.push_back(Row("kCatchUpReply", m,
+                       "14090000000000000058000000000000000201020200025a"
+                       "5a0101a5"));
+  }
+  return rows;
+}
+
+TEST(GoldenBytesTest, EveryKindEncodesToItsPinnedBytes) {
+  std::set<MsgKind> kinds;
+  for (const Golden& row : GoldenTable()) {
+    SCOPED_TRACE(row.kind);
+    ASSERT_OK(row.encoded);
+    EXPECT_EQ(ToHex(row.encoded.value()), row.hex);
+    const Bytes golden = Hex(row.hex);
+    auto again = row.reencode(golden);
+    ASSERT_OK(again);
+    EXPECT_EQ(ToHex(again.value()), row.hex);
+    auto kind = PeekKind(golden);
+    ASSERT_OK(kind);
+    kinds.insert(kind.value());
+  }
+  EXPECT_EQ(kinds.size(), 12u) << "one golden row per message kind";
+}
+
+TEST(GoldenBytesTest, EveryTruncationAndATrailingByteRejected) {
+  for (const Golden& row : GoldenTable()) {
+    SCOPED_TRACE(row.kind);
+    const Bytes golden = Hex(row.hex);
+    for (size_t keep = 0; keep < golden.size(); ++keep) {
+      Bytes torn(golden.begin(), golden.begin() + static_cast<long>(keep));
+      EXPECT_NOT_OK(row.reencode(torn)) << "kept " << keep << " bytes";
+    }
+    Bytes padded = golden;
+    padded.push_back(0x00);
+    EXPECT_NOT_OK(row.reencode(padded));
+  }
+}
+
+TEST(GoldenBytesTest, DecodingAsAnotherKindRejected) {
+  const std::vector<Golden> rows = GoldenTable();
+  for (const Golden& bytes_of : rows) {
+    const Bytes golden = Hex(bytes_of.hex);
+    for (const Golden& decode_as : rows) {
+      if (decode_as.kind == bytes_of.kind) continue;
+      EXPECT_NOT_OK(decode_as.reencode(golden))
+          << bytes_of.kind << " bytes decoded as " << decode_as.kind;
+    }
+  }
+}
+
+// ------------------------------------------------------ other messages
+
+TEST(MessageTest, StatusCodesRoundTripAndUnknownCodesRejected) {
   for (auto code : {StatusCode::kOk, StatusCode::kInvalidArgument,
                     StatusCode::kFailedPrecondition, StatusCode::kNotFound,
-                    StatusCode::kPermissionDenied, StatusCode::kUnavailable}) {
+                    StatusCode::kResourceExhausted,
+                    StatusCode::kUnavailable}) {
     Status original(code, code == StatusCode::kOk ? "" : "what went wrong");
-    auto encoded = WireStatus::FromStatus(original).Encode();
+    auto encoded = Encode(WireStatus{original.code(), original.message()});
     ASSERT_OK(encoded);
-    EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kStatusReply);
-    auto decoded = WireStatus::Decode(encoded.value());
+    auto decoded = Decode<WireStatus>(encoded.value());
     ASSERT_OK(decoded);
     Status back = decoded.value().ToStatus();
     EXPECT_EQ(back.code(), original.code());
     EXPECT_EQ(back.message(), original.message());
   }
+  // The code byte is an enum tag: one past kUnavailable is malformed.
+  constexpr uint8_t kPastLast = static_cast<int>(StatusCode::kUnavailable) + 1;
+  EXPECT_NOT_OK(Decode<WireStatus>(Bytes{0x10, kPastLast, 0x00}));
 }
 
-TEST(MessageTest, PlanRoundTripsBothKinds) {
-  for (auto kind : {MsgKind::kPrepare, MsgKind::kExecute}) {
-    WirePlan plan;
-    plan.kind = kind;
-    plan.fingerprint = 0xdeadbeefcafef00dull;
-    plan.canonical_text = "SELECT COUNT(*) FROM YellowCab";
-    auto encoded = plan.Encode();
-    ASSERT_OK(encoded);
-    EXPECT_EQ(PeekKind(encoded.value()).value(), kind);
-    auto decoded = WirePlan::Decode(encoded.value());
-    ASSERT_OK(decoded);
-    EXPECT_EQ(decoded.value().kind, kind);
-    EXPECT_EQ(decoded.value().fingerprint, plan.fingerprint);
-    EXPECT_EQ(decoded.value().canonical_text, plan.canonical_text);
-  }
-}
-
-TEST(MessageTest, CreateTableRoundTripsSchemaFields) {
-  WireCreateTable req;
-  req.table = "YellowCab";
-  req.fields = {{"pickTime", query::ValueType::kInt},
-                {"fare", query::ValueType::kDouble},
-                {"isDummy", query::ValueType::kInt}};
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  auto decoded = WireCreateTable::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_EQ(decoded.value().table, req.table);
-  ASSERT_EQ(decoded.value().fields.size(), req.fields.size());
-  for (size_t i = 0; i < req.fields.size(); ++i) {
-    EXPECT_EQ(decoded.value().fields[i].name, req.fields[i].name);
-    EXPECT_EQ(decoded.value().fields[i].type, req.fields[i].type);
-  }
-}
-
-TEST(MessageTest, IngestRoundTripsCiphertextsExactly) {
-  WireIngest req;
-  req.table = "YellowCab";
-  req.setup_batch = true;
-  req.nonce_high_water = 1234567;
-  for (uint32_t i = 0; i < 5; ++i) {
-    WireCipherRecord r;
-    r.shard = i % 3;
-    r.ciphertext = Bytes(92, static_cast<uint8_t>(0xA0 + i));
-    req.entries.push_back(std::move(r));
-  }
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  auto decoded = WireIngest::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_EQ(decoded.value().table, req.table);
-  EXPECT_EQ(decoded.value().setup_batch, true);
-  EXPECT_EQ(decoded.value().nonce_high_water, req.nonce_high_water);
-  ASSERT_EQ(decoded.value().entries.size(), req.entries.size());
-  for (size_t i = 0; i < req.entries.size(); ++i) {
-    EXPECT_EQ(decoded.value().entries[i].shard, req.entries[i].shard);
-    EXPECT_EQ(decoded.value().entries[i].ciphertext, req.entries[i].ciphertext);
-  }
-}
-
-TEST(MessageTest, TableRefRoundTripsBothKinds) {
-  for (auto kind : {MsgKind::kFlush, MsgKind::kStats}) {
-    WireTableRef req;
-    req.kind = kind;
-    req.table = "GreenTaxi";
-    auto encoded = req.Encode();
-    ASSERT_OK(encoded);
-    EXPECT_EQ(PeekKind(encoded.value()).value(), kind);
-    auto decoded = WireTableRef::Decode(encoded.value());
-    ASSERT_OK(decoded);
-    EXPECT_EQ(decoded.value().table, req.table);
-  }
-}
-
-TEST(MessageTest, PartialRoundTripsGroupedSpanCellsBitExactly) {
-  // Two per-shard cells: the wire must preserve the cell boundaries (the
-  // coordinator's fold order depends on them), every group key, and every
-  // double's exact bit pattern.
-  WirePartial partial;
-  partial.func = 3;
-  partial.grouped = true;
-  WireSpanPartial cell0;
-  cell0.total = {42, 108.25, -7.5, 1e300, true};
-  cell0.groups.emplace_back(query::Value(int64_t{-5}),
-                            WireAggState{1, 0.1, 0.1, 0.1, true});
-  cell0.groups.emplace_back(query::Value(2.5),
-                            WireAggState{2, -0.0, -1.0, 1.0, true});
-  WireSpanPartial cell1;
-  cell1.total = {7, 0.3, 0.1, 0.2, true};
-  cell1.groups.emplace_back(query::Value(std::string("zone")),
-                            WireAggState{0, 0.0, 0.0, 0.0, false});
-  partial.spans = {cell0, cell1};
-  partial.records_scanned = 12345;
-  partial.oram_paths = 17;
-  partial.oram_buckets = 170;
-
-  auto encoded = partial.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kPartialReply);
-  auto decoded = WirePartial::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  const WirePartial& got = decoded.value();
-  EXPECT_EQ(got.func, partial.func);
-  EXPECT_TRUE(got.grouped);
-  ASSERT_EQ(got.spans.size(), 2u);
-  EXPECT_EQ(got.spans[0].total.count, 42);
-  EXPECT_EQ(got.spans[0].total.sum, 108.25);
-  EXPECT_EQ(got.spans[0].total.min, -7.5);
-  EXPECT_EQ(got.spans[0].total.max, 1e300);
-  EXPECT_TRUE(got.spans[0].total.seen);
-  ASSERT_EQ(got.spans[0].groups.size(), 2u);
-  ASSERT_EQ(got.spans[1].groups.size(), 1u);
-  EXPECT_TRUE(got.spans[0].groups[0].first == cell0.groups[0].first);
-  EXPECT_TRUE(got.spans[0].groups[1].first == cell0.groups[1].first);
-  EXPECT_TRUE(got.spans[1].groups[0].first == cell1.groups[0].first);
-  EXPECT_EQ(got.spans[0].groups[1].second.count, 2);
-  // -0.0 == 0.0 under operator==; compare the bit pattern instead.
-  uint64_t bits;
-  std::memcpy(&bits, &got.spans[0].groups[1].second.sum, sizeof(bits));
-  EXPECT_EQ(bits, 0x8000000000000000ull);
-  EXPECT_FALSE(got.spans[1].groups[0].second.seen);
-  EXPECT_EQ(got.spans[1].total.count, 7);
-  EXPECT_EQ(got.records_scanned, 12345);
-  EXPECT_EQ(got.oram_paths, 17);
-  EXPECT_EQ(got.oram_buckets, 170);
-}
-
-TEST(MessageTest, ServerStatsRoundTrip) {
-  WireServerStats stats;
-  stats.prepares = 1;
-  stats.plan_cache_hits = 2;
-  stats.plan_cache_misses = 3;
-  stats.plan_rebinds = 4;
-  stats.queries_executed = 5;
-  stats.queries_rejected = 6;
-  stats.deadlines_exceeded = 7;
-  stats.peak_in_flight = 8;
-  stats.snapshot_scans = 9;
-  stats.snapshot_joins = 10;
-  stats.view_hits = 11;
-  stats.view_folds = 12;
-  stats.remote_scatters = 13;
-  stats.remote_partials = 14;
-  auto encoded = stats.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kStatsReply);
-  auto decoded = WireServerStats::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_EQ(decoded.value().prepares, 1);
-  EXPECT_EQ(decoded.value().peak_in_flight, 8);
-  EXPECT_EQ(decoded.value().view_folds, 12);
-  EXPECT_EQ(decoded.value().remote_scatters, 13);
-  EXPECT_EQ(decoded.value().remote_partials, 14);
-}
-
-// ------------------------------------------------ replication messages
-
-TEST(MessageTest, IngestBatchSeqRoundTrips) {
-  WireIngest req;
-  req.table = "YellowCab";
-  req.batch_seq = 41;
-  req.nonce_high_water = 99;
-  req.entries.push_back({2, Bytes(92, 0xB7)});
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  auto decoded = WireIngest::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_EQ(decoded.value().batch_seq, 41u);
-}
-
-TEST(MessageTest, ReplicateRoundTripsSpansAndBaseRows) {
-  WireReplicate req;
-  req.table = "YellowCab";
-  req.setup_batch = true;
-  req.batch_seq = 17;
-  req.nonce_high_water = 123456789;
-  req.base_rows = {0, 5, 0};  // catch-up span, not a contiguous relay
-  for (uint32_t i = 0; i < 4; ++i) {
-    req.entries.push_back({i % 3, Bytes(92, static_cast<uint8_t>(0xC0 + i))});
-  }
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kReplicate);
-  auto decoded = WireReplicate::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_EQ(decoded.value().table, req.table);
-  EXPECT_TRUE(decoded.value().setup_batch);
-  EXPECT_EQ(decoded.value().batch_seq, 17u);
-  EXPECT_EQ(decoded.value().nonce_high_water, req.nonce_high_water);
-  EXPECT_EQ(decoded.value().base_rows, req.base_rows);
-  ASSERT_EQ(decoded.value().entries.size(), req.entries.size());
-  for (size_t i = 0; i < req.entries.size(); ++i) {
-    EXPECT_EQ(decoded.value().entries[i].shard, req.entries[i].shard);
-    EXPECT_EQ(decoded.value().entries[i].ciphertext, req.entries[i].ciphertext);
-  }
-}
-
-TEST(MessageTest, ReplicateEmptyBaseRowsMeansContiguousRelay) {
-  WireReplicate req;
-  req.table = "T";
-  req.batch_seq = 1;
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  auto decoded = WireReplicate::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_TRUE(decoded.value().base_rows.empty());
-  EXPECT_TRUE(decoded.value().entries.empty());
-  EXPECT_FALSE(decoded.value().setup_batch);
-}
-
-TEST(MessageTest, CatchUpRoundTrips) {
-  WireCatchUp req;
-  req.table = "GreenTaxi";
-  req.from_rows = {7, 0, 123456789012345ull};
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kCatchUp);
-  auto decoded = WireCatchUp::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_EQ(decoded.value().table, req.table);
-  EXPECT_EQ(decoded.value().from_rows, req.from_rows);
-}
-
-TEST(MessageTest, CatchUpReplyRoundTrips) {
-  WireCatchUpReply reply;
-  reply.applied_seq = 9;
-  reply.nonce_high_water = 88;
-  reply.base_rows = {1, 2};
-  reply.entries.push_back({0, Bytes(16, 0x5A)});
-  reply.entries.push_back({1, Bytes(16, 0xA5)});
-  auto encoded = reply.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kCatchUpReply);
-  auto decoded = WireCatchUpReply::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_EQ(decoded.value().applied_seq, 9u);
-  EXPECT_EQ(decoded.value().nonce_high_water, 88u);
-  EXPECT_EQ(decoded.value().base_rows, reply.base_rows);
-  ASSERT_EQ(decoded.value().entries.size(), 2u);
-  EXPECT_EQ(decoded.value().entries[1].ciphertext, reply.entries[1].ciphertext);
-}
-
-TEST(MessageTest, ReplicaStateRequestIsBareKindByte) {
-  auto encoded = WireReplicaStateRequest{}.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_EQ(encoded.value().size(), 1u);
-  EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kReplicaState);
-  EXPECT_OK(WireReplicaStateRequest::Decode(encoded.value()));
-}
-
-TEST(MessageTest, ReplicaStateRoundTripsPerTablePositions) {
-  WireReplicaState state;
-  state.follower = true;
-  state.tables.push_back({"YellowCab", 12, 3, 456, {10, 11, 12}});
-  state.tables.push_back({"GreenTaxi", 0, 0, 0, {}});
-  auto encoded = state.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kReplicaStateReply);
-  auto decoded = WireReplicaState::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  EXPECT_TRUE(decoded.value().follower);
-  ASSERT_EQ(decoded.value().tables.size(), 2u);
-  EXPECT_EQ(decoded.value().tables[0].table, "YellowCab");
-  EXPECT_EQ(decoded.value().tables[0].applied_seq, 12u);
-  EXPECT_EQ(decoded.value().tables[0].commit_epoch, 3u);
-  EXPECT_EQ(decoded.value().tables[0].nonce_high_water, 456u);
-  EXPECT_EQ(decoded.value().tables[0].shard_rows,
-            (std::vector<uint64_t>{10, 11, 12}));
-  EXPECT_TRUE(decoded.value().tables[1].shard_rows.empty());
-}
-
-TEST(MessageTest, PromoteRoundTripsExpectedPositions) {
-  WirePromote req;
-  req.tables.push_back({"YellowCab", 12, 3});
-  req.tables.push_back({"GreenTaxi", 0, 0});
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_EQ(PeekKind(encoded.value()).value(), MsgKind::kPromote);
-  auto decoded = WirePromote::Decode(encoded.value());
-  ASSERT_OK(decoded);
-  ASSERT_EQ(decoded.value().tables.size(), 2u);
-  EXPECT_EQ(decoded.value().tables[0].table, "YellowCab");
-  EXPECT_EQ(decoded.value().tables[0].expected_seq, 12u);
-  EXPECT_EQ(decoded.value().tables[0].commit_epoch, 3u);
-}
-
-TEST(MessageTest, QueryStatsRoundTrip) {
-  WireQueryStats stats;
-  stats.virtual_seconds = 1.25;
-  stats.measured_seconds = 0.5;
-  stats.records_scanned = 999;
-  stats.join_pairs = 4;
-  stats.revealed_volume = -1;
-  stats.oram_paths = 3;
-  stats.oram_buckets = 30;
-  stats.oram_virtual_seconds = 0.125;
-  stats.plan_cache_hit = true;
-  Bytes encoded;
-  {
-    VectorWriteBuffer out(&encoded);
-    ASSERT_OK(stats.AppendTo(out));
-    ASSERT_OK(out.Flush());
-  }
-  MemoryReadBuffer in(encoded);
-  auto decoded = WireQueryStats::ReadFrom(in);
-  ASSERT_OK(decoded);
-  EXPECT_EQ(decoded.value().virtual_seconds, 1.25);
-  EXPECT_EQ(decoded.value().records_scanned, 999);
-  EXPECT_EQ(decoded.value().revealed_volume, -1);
-  EXPECT_TRUE(decoded.value().plan_cache_hit);
-}
-
-// ------------------------------------------------ malformed payloads
-
-TEST(MessageTest, TrailingGarbageRejected) {
-  WirePlan plan;
-  plan.kind = MsgKind::kExecute;
-  plan.fingerprint = 7;
-  plan.canonical_text = "SELECT COUNT(*) FROM T";
-  auto encoded = plan.Encode();
-  ASSERT_OK(encoded);
-  Bytes padded = encoded.value();
-  padded.push_back(0x00);
-  EXPECT_NOT_OK(WirePlan::Decode(padded));
-}
-
-TEST(MessageTest, TruncatedBodyRejectedAtEveryLength) {
-  WireIngest req;
-  req.table = "T";
-  req.entries.push_back({1, Bytes(16, 0xEE)});
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  for (size_t keep = 0; keep < encoded.value().size(); ++keep) {
-    Bytes torn(encoded.value().begin(),
-               encoded.value().begin() + static_cast<long>(keep));
-    EXPECT_NOT_OK(WireIngest::Decode(torn)) << "kept " << keep << " bytes";
-  }
-}
-
-TEST(MessageTest, ReplicationMessagesTruncatedBodyRejectedAtEveryLength) {
-  WireReplicate rep;
-  rep.table = "T";
-  rep.batch_seq = 3;
-  rep.base_rows = {1, 2};
-  rep.entries.push_back({1, Bytes(16, 0xEE)});
-  WireCatchUp cu;
-  cu.table = "T";
-  cu.from_rows = {4, 5};
-  WireCatchUpReply cur;
-  cur.applied_seq = 3;
-  cur.base_rows = {1};
-  cur.entries.push_back({0, Bytes(16, 0x11)});
-  WireReplicaState rs;
-  rs.follower = true;
-  rs.tables.push_back({"T", 3, 1, 9, {6, 7}});
-  WirePromote pr;
-  pr.tables.push_back({"T", 3, 1});
-  auto check = [](const StatusOr<Bytes>& encoded,
-                  auto decode) {
-    ASSERT_OK(encoded);
-    for (size_t keep = 0; keep < encoded.value().size(); ++keep) {
-      Bytes torn(encoded.value().begin(),
-                 encoded.value().begin() + static_cast<long>(keep));
-      EXPECT_NOT_OK(decode(torn)) << "kept " << keep << " bytes";
-    }
-    // ...and trailing garbage past a whole body is rejected too.
-    Bytes padded = encoded.value();
-    padded.push_back(0x00);
-    EXPECT_NOT_OK(decode(padded));
-  };
-  check(rep.Encode(), [](const Bytes& b) { return WireReplicate::Decode(b); });
-  check(cu.Encode(), [](const Bytes& b) { return WireCatchUp::Decode(b); });
-  check(cur.Encode(),
-        [](const Bytes& b) { return WireCatchUpReply::Decode(b); });
-  check(rs.Encode(), [](const Bytes& b) { return WireReplicaState::Decode(b); });
-  check(pr.Encode(), [](const Bytes& b) { return WirePromote::Decode(b); });
-}
-
-TEST(MessageTest, ReplicaStateListLengthLieRejected) {
-  // A claimed table count larger than the remaining bytes could ever hold
-  // must fail the list-length plausibility check, not allocate.
-  WireReplicaState state;
-  state.tables.push_back({"T", 1, 1, 1, {2}});
-  auto encoded = state.Encode();
-  ASSERT_OK(encoded);
-  Bytes bad = encoded.value();
-  // Body layout: kind byte, follower bool, then the table-count varint.
-  bad[2] = 0x7F;  // claim 127 tables in a ~20-byte body
-  EXPECT_NOT_OK(WireReplicaState::Decode(bad));
-}
-
-TEST(MessageTest, WrongKindTagRejected) {
-  WireTableRef req;
-  req.kind = MsgKind::kFlush;
-  req.table = "T";
-  auto encoded = req.Encode();
-  ASSERT_OK(encoded);
-  EXPECT_NOT_OK(WirePlan::Decode(encoded.value()));
-  EXPECT_NOT_OK(WireStatus::Decode(encoded.value()));
-  EXPECT_NOT_OK(WireReplicate::Decode(encoded.value()));
-  EXPECT_NOT_OK(WireCatchUp::Decode(encoded.value()));
-  EXPECT_NOT_OK(WireReplicaState::Decode(encoded.value()));
-  EXPECT_NOT_OK(WirePromote::Decode(encoded.value()));
-}
-
-TEST(MessageTest, PeekKindOnEmptyPayloadFails) {
+TEST(MessageTest, PeekKindRejectsEmptyAndUnknownKinds) {
   EXPECT_NOT_OK(PeekKind(Bytes{}));
+  // 5, 6 and 18 were kinds nothing sent; their numbers stay unassigned.
+  for (uint8_t retired : {5, 6, 18}) {
+    EXPECT_NOT_OK(PeekKind(Bytes{retired}));
+  }
+}
+
+// ---------------------------------------------------- resource bounds
+
+/// The largest single allocation made while decoding `payload` as a T,
+/// which must be rejected.
+template <typename T>
+size_t LargestAllocationDecoding(const Bytes& payload) {
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  const bool rejected = !Decode<T>(payload).ok();
+  g_track_allocations = false;
+  EXPECT_TRUE(rejected);
+  return g_largest_allocation.load();
+}
+
+TEST(AllocationBoundTest, LengthAndCountLiesAllocateNothingLarge) {
+  // A few bytes that claim a huge list or string (the varint ff ff ff 07
+  // is 16,777,215, ff ff ff 1f is 67,108,863) must be rejected before
+  // anything near the claimed size is allocated; the error message is
+  // the largest allocation left.
+  EXPECT_LT(LargestAllocationDecoding<WireReplicaState>(
+                {0x13, 0x00, 0xff, 0xff, 0xff, 0x07}),
+            1024u);
+  EXPECT_LT(LargestAllocationDecoding<WirePartial>(
+                {0x11, 0x02, 0x01, 0xff, 0xff, 0xff, 0x07}),
+            1024u);
+  EXPECT_LT(LargestAllocationDecoding<WireStatus>(
+                {0x10, 0x03, 0xff, 0xff, 0xff, 0x1f}),
+            1024u);
+}
+
+TEST(FrameBoundTest, EncoderRefusesMessagesOverTheFrameBound) {
+  WireIngest ingest;
+  ingest.table = "T";
+  ingest.entries.push_back({0, Bytes(kMaxFrameBytes, 0xEE)});
+  auto over = Encode(ingest);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+
+  // Exactly kMaxFrameBytes still encodes: kind, table, flag, two fixed64s,
+  // the entry count, the shard and a 4-byte ciphertext length.
+  constexpr size_t kOverhead = 1 + 2 + 1 + 8 + 8 + 1 + 1 + 4;
+  ingest.entries[0].ciphertext.resize(kMaxFrameBytes - kOverhead);
+  auto fits = Encode(ingest);
+  ASSERT_OK(fits);
+  EXPECT_EQ(fits.value().size(), size_t{kMaxFrameBytes});
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 """Markdown hygiene gate: validate intra-repo references in all *.md.
 
 Two kinds of reference are checked, in every tracked markdown file
-outside build trees and third_party:
+outside build trees and third_party (a third check, below, keeps the
+wire protocol's message table honest):
 
 1. **Markdown links** `[text](target)` whose target is not an absolute
    URL or a pure fragment: the target path (resolved relative to the
@@ -15,6 +16,11 @@ outside build trees and third_party:
    file. Tokens inside fenced code blocks are skipped (they quote code,
    which the compiler already checks — and example output may name
    paths that do not exist at rest).
+
+3. **The message table**: the first table under `### Messages` in
+   docs/DISTRIBUTED.md must list exactly the `MsgKind` enumerators of
+   src/net/messages.h, so a message kind added or deleted without its
+   doc row fails.
 
 Exit 0 when clean; exit 1 listing every broken reference. CI runs this
 in the `docs` job so documentation cannot rot silently; run it locally
@@ -42,6 +48,10 @@ CODE_PATH_RE = re.compile(
     r"(?<![\w/.-])(" + PATH_ROOTS + r"/[\w./-]*\.(?:" + PATH_EXTS + r"))\b")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^\s*(```|~~~)")
+
+MESSAGES_DOC = os.path.join("docs", "DISTRIBUTED.md")
+MESSAGES_HEADER = os.path.join("src", "net", "messages.h")
+MSG_KIND_ENUM_RE = re.compile(r"enum class MsgKind\b[^{]*\{(.*?)\};", re.S)
 
 
 def md_files(root):
@@ -109,6 +119,51 @@ def check_file(path, root, verbose):
     return errors
 
 
+def doc_message_kinds(root):
+    """The first-column kinds of the first table under `### Messages`."""
+    with open(os.path.join(root, MESSAGES_DOC), encoding="utf-8") as f:
+        lines = f.readlines()
+    kinds = []
+    in_section = in_table = False
+    for _, line in strip_fenced_blocks(lines):
+        if line.startswith("#"):
+            if in_table:
+                break
+            in_section = line.strip() == "### Messages"
+            continue
+        if not in_section:
+            continue
+        if line.startswith("|"):
+            in_table = True
+            m = re.match(r"^\|\s*`(k\w+)`\s*\|", line)
+            if m:
+                kinds.append(m.group(1))
+        elif in_table:
+            break
+    return kinds
+
+
+def check_message_table(root):
+    """Errors when the doc's message table and MsgKind disagree."""
+    with open(os.path.join(root, MESSAGES_HEADER), encoding="utf-8") as f:
+        m = MSG_KIND_ENUM_RE.search(f.read())
+    if not m:
+        return [f"{MESSAGES_HEADER}: enum class MsgKind not found"]
+    body = re.sub(r"//[^\n]*", "", m.group(1))
+    code = re.findall(r"\b(k\w+)\s*=", body)
+    doc = doc_message_kinds(root)
+    errors = []
+    for kind in sorted(set(code) - set(doc)):
+        errors.append(f"{MESSAGES_DOC}: message table lacks {kind} "
+                      f"(a MsgKind in {MESSAGES_HEADER})")
+    for kind in sorted(set(doc) - set(code)):
+        errors.append(f"{MESSAGES_DOC}: message table lists {kind}, "
+                      f"which is not a MsgKind in {MESSAGES_HEADER}")
+    for kind in sorted({k for k in doc if doc.count(k) > 1}):
+        errors.append(f"{MESSAGES_DOC}: message table lists {kind} twice")
+    return errors
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", default=None,
@@ -126,14 +181,15 @@ def main():
     all_errors = []
     for path in files:
         all_errors.extend(check_file(path, root, args.verbose))
+    all_errors.extend(check_message_table(root))
     if all_errors:
-        print(f"check_docs: {len(all_errors)} broken reference(s) in "
+        print(f"check_docs: {len(all_errors)} problem(s) in "
               f"{len(files)} markdown files:")
         for e in all_errors:
             print(f"  {e}")
         return 1
     print(f"check_docs: OK ({len(files)} markdown files, all intra-repo "
-          f"links and code paths resolve)")
+          f"links and code paths resolve, message table matches MsgKind)")
     return 0
 
 
