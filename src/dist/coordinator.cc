@@ -1,11 +1,11 @@
 #include "dist/coordinator.h"
 
 #include <chrono>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
 #include "common/parallel.h"
-#include "dp/laplace.h"
 #include "query/executor.h"
 
 namespace dpsync::dist {
@@ -251,11 +251,13 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config)
       master_seed_(ResolveSeed(config)),
       cost_(config.engine == DistEngineKind::kCryptEps
                 ? edb::CryptEpsCostModel()
-                : edb::ObliDbCostModel()),
-      noise_rng_(master_seed_ ^ 0xfeedface) {
+                : edb::ObliDbCostModel()) {
   const bool crypteps = config.engine == DistEngineKind::kCryptEps;
   storage_ = crypteps ? config.crypteps.storage : config.oblidb.storage;
   use_oram_index_ = !crypteps && config.oblidb.use_oram_index;
+  if (crypteps) {
+    budget_ = std::make_unique<edb::CryptEpsBudget>(config.crypteps);
+  }
 
   const int total_shards = storage_.num_shards;
   const int servers = config.num_servers;
@@ -423,8 +425,7 @@ int64_t DistributedEdbServer::total_outsourced_records() const {
 }
 
 double DistributedEdbServer::consumed_query_budget() const {
-  std::lock_guard<std::mutex> lk(budget_mu_);
-  return consumed_budget_;
+  return budget_ ? budget_->consumed() : 0.0;
 }
 
 int64_t DistributedEdbServer::rpc_calls() const {
@@ -848,25 +849,15 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
     return Status::Internal("plan references lost table " + plan.table);
   }
 
-  // Crypt-eps mode: reserve the per-query budget BEFORE any work, under
-  // the same ledger discipline as the single-process engine (atomic
-  // reserve, rollback on failure), so concurrent queries can never
-  // jointly overdraw the analyst budget.
-  const bool crypteps = config_.engine == DistEngineKind::kCryptEps;
-  if (crypteps) {
-    std::lock_guard<std::mutex> lk(budget_mu_);
-    if (config_.crypteps.total_budget_limit > 0 &&
-        consumed_budget_ + config_.crypteps.query_epsilon >
-            config_.crypteps.total_budget_limit + 1e-9) {
-      return Status::PermissionDenied("analyst query budget exhausted");
-    }
-    consumed_budget_ += config_.crypteps.query_epsilon;
+  // Crypt-eps mode: reserve the query's epsilon BEFORE any work, exactly
+  // as the single-process engine does; every early return below drops the
+  // reservation, which gives the epsilon back.
+  std::optional<edb::CryptEpsBudget::Reservation> reservation;
+  if (budget_) {
+    auto reserved = budget_->Reserve();
+    if (!reserved.ok()) return reserved.status();
+    reservation.emplace(std::move(reserved.value()));
   }
-  auto rollback_budget = [&] {
-    if (!crypteps) return;
-    std::lock_guard<std::mutex> lk(budget_mu_);
-    consumed_budget_ -= config_.crypteps.query_epsilon;  // nothing released
-  };
 
   auto start = std::chrono::steady_clock::now();
 
@@ -874,16 +865,9 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
   req.fingerprint = plan.fingerprint;
   req.canonical_text = plan.canonical_text;
   auto encoded = net::Encode(req);
-  if (!encoded.ok()) {
-    rollback_budget();
-    return encoded.status();
-  }
+  if (!encoded.ok()) return encoded.status();
   std::vector<Bytes> replies;
-  Status scattered = Scatter(encoded.value(), &replies);
-  if (!scattered.ok()) {
-    rollback_budget();
-    return scattered;
-  }
+  DPSYNC_RETURN_IF_ERROR(Scatter(encoded.value(), &replies));
 
   // Gather: decode and merge partials in strict rank order. Server k owns
   // global shards [S*k/K, S*(k+1)/K) and ships one aggregate cell per
@@ -899,10 +883,7 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
   int64_t oram_buckets = 0;
   for (size_t k = 0; k < replies.size(); ++k) {
     auto wire = DecodeReply<net::WirePartial>(replies[k]);
-    if (!wire.ok()) {
-      rollback_budget();
-      return AnnotateRank(k, wire.status());
-    }
+    if (!wire.ok()) return AnnotateRank(k, wire.status());
     oram_paths += wire.value().oram_paths;
     oram_buckets += wire.value().oram_buckets;
     query::ScanPartial partial = ToScanPartial(wire.value());
@@ -910,31 +891,14 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
       merged = std::move(partial);
     } else {
       Status ms = merged.MergeFrom(partial);
-      if (!ms.ok()) {
-        rollback_budget();
-        return AnnotateRank(k, ms);
-      }
+      if (!ms.ok()) return AnnotateRank(k, ms);
     }
   }
 
   query::QueryResult result = merged.Finalize();
-  if (crypteps) {
-    // Release with Laplace noise from the per-query budget, under the
-    // ledger lock so the sequential noise stream stays deterministic —
-    // and bit-identical to the single-process engine's (the exact answer
-    // and the draw sequence are both identical).
-    std::lock_guard<std::mutex> lk(budget_mu_);
-    dp::LaplaceMechanism release(config_.crypteps.query_epsilon);
-    if (result.grouped) {
-      for (auto& [key, value] : result.groups) {
-        value = release.Perturb(value, &noise_rng_);
-        if (value < 0) value = 0;  // post-processing: counts are nonnegative
-      }
-    } else {
-      result.scalar = release.Perturb(result.scalar, &noise_rng_);
-      if (result.scalar < 0) result.scalar = 0;
-    }
-  }
+  // The exact answer and the draw sequence both match the single-process
+  // engine's, so the noisy release is bit-identical to it.
+  if (reservation) budget_->Release(std::move(*reservation), &result);
 
   CountRemoteScatter(static_cast<int64_t>(replies.size()));
   if (query::PlanIsReadOnlyScan(plan)) {

@@ -19,7 +19,11 @@
 /// sequence — answers, grouped maps, records_scanned, the virtual QET
 /// and (in Crypt-eps mode) the Laplace noise stream are bit-identical to
 /// the single-process engines (dist_test proves this per backend x shard
-/// count).
+/// count). In Crypt-eps mode the coordinator owns the analyst's
+/// edb::CryptEpsBudget, the type CryptEpsServer owns: it reserves the
+/// query's epsilon before the scatter and releases the merged answer with
+/// noise; a query that fails drops its reservation, returning the epsilon.
+/// Shard servers never see the budget or the noise.
 ///
 /// Failure semantics: every RPC is bounded by rpc_timeout_seconds. With
 /// replication_factor == 0 a dead or hung server yields a typed
@@ -44,7 +48,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "crypto/key_manager.h"
 #include "dist/shard_server.h"
 #include "edb/cost_model.h"
@@ -100,7 +103,8 @@ class DistributedEdbServer : public edb::EdbServer {
 
   int num_servers() const { return static_cast<int>(peers_.size()); }
 
-  /// Cumulative analyst budget consumed (Crypt-eps mode; 0 otherwise).
+  /// Cumulative analyst budget consumed: answered queries x query_epsilon
+  /// (Crypt-eps mode; 0 otherwise).
   double consumed_query_budget() const;
 
   /// Failure injection for tests: tears down the serve loop of rank
@@ -219,12 +223,9 @@ class DistributedEdbServer : public edb::EdbServer {
   std::vector<std::pair<int, uint32_t>> shard_owner_;
   std::vector<Peer> peers_;
 
-  /// Crypt-eps budget ledger + noise stream (exactly the single-process
-  /// discipline: reserve under the lock before the scan, draw under the
-  /// same lock after it — see crypte_engine.cc).
-  mutable std::mutex budget_mu_;
-  Rng noise_rng_;
-  double consumed_budget_ = 0.0;
+  /// The analyst's budget and noise stream, in Crypt-eps mode only: the
+  /// single-process engine's type, so both draw the same stream.
+  std::unique_ptr<edb::CryptEpsBudget> budget_;
 
   mutable std::mutex catalog_mu_;
   std::map<std::string, std::unique_ptr<DistTable>> tables_;

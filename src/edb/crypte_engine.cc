@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "dp/laplace.h"
 #include "query/executor.h"
 
 namespace dpsync::edb {
@@ -12,7 +11,7 @@ CryptEpsServer::CryptEpsServer(const CryptEpsConfig& config)
       config_(config),
       keys_(crypto::KeyManager::FromSeed(config.master_seed)),
       cost_(CryptEpsCostModel()),
-      noise_rng_(config.master_seed ^ 0xfeedface) {}
+      budget_(config) {}
 
 CryptEpsServer::~CryptEpsServer() {
   // In-flight async queries call back into our virtual SPI; drain them
@@ -100,8 +99,7 @@ int64_t CryptEpsServer::total_outsourced_records() const {
 }
 
 double CryptEpsServer::consumed_query_budget() const {
-  std::lock_guard<std::mutex> lk(budget_mu_);
-  return consumed_budget_;
+  return budget_.consumed();
 }
 
 StatusOr<QueryResponse> CryptEpsServer::ExecutePlan(
@@ -112,24 +110,16 @@ StatusOr<QueryResponse> CryptEpsServer::ExecutePlan(
     return Status::Internal("plan references lost table " + plan.table);
   }
 
-  // Reserve the per-query budget before doing any work: reserving (not
-  // check-then-consume-later) keeps concurrent queries from jointly
-  // overdrawing total_budget_limit. Rolled back if the scan fails.
-  {
-    std::lock_guard<std::mutex> lk(budget_mu_);
-    if (config_.total_budget_limit > 0 &&
-        consumed_budget_ + config_.query_epsilon >
-            config_.total_budget_limit + 1e-9) {
-      return Status::PermissionDenied("analyst query budget exhausted");
-    }
-    consumed_budget_ += config_.query_epsilon;
-  }
+  // Reserve the query's epsilon before doing any work; an early return
+  // drops the reservation, which gives the epsilon back.
+  auto reservation = budget_.Reserve();
+  if (!reservation.ok()) return reservation.status();
 
   auto start = std::chrono::steady_clock::now();
 
   // A current materialized view substitutes for the exact-aggregation
   // scan only: the budget was already reserved above and the Laplace
-  // release below is untouched, so the noise stream, the charged budget
+  // release below is the same, so the noise stream, the charged budget
   // and every reported metric are bit-identical to the scan path — the
   // view changes where the exact answer came from, nothing else.
   int64_t scanned = 0;
@@ -166,29 +156,11 @@ StatusOr<QueryResponse> CryptEpsServer::ExecutePlan(
     return executor.Execute(plan.rewritten);
   };
   if (!view_hit) exact = run_exact();
-  if (!exact.ok()) {
-    std::lock_guard<std::mutex> lk(budget_mu_);
-    consumed_budget_ -= config_.query_epsilon;  // nothing was released
-    return exact.status();
-  }
+  if (!exact.ok()) return exact.status();
 
-  // ...then release with Laplace noise from the per-query budget. Grouped
-  // answers noise each group independently (disjoint partitions: parallel
-  // composition, so the whole release costs query_epsilon).
+  // ...then release it with Laplace noise from the reserved epsilon.
   query::QueryResult noisy = std::move(exact.value());
-  {
-    std::lock_guard<std::mutex> lk(budget_mu_);
-    dp::LaplaceMechanism release(config_.query_epsilon);
-    if (noisy.grouped) {
-      for (auto& [key, value] : noisy.groups) {
-        value = release.Perturb(value, &noise_rng_);
-        if (value < 0) value = 0;  // post-processing: counts are nonnegative
-      }
-    } else {
-      noisy.scalar = release.Perturb(noisy.scalar, &noise_rng_);
-      if (noisy.scalar < 0) noisy.scalar = 0;
-    }
-  }
+  budget_.Release(std::move(reservation.value()), &noisy);
 
   if (view_hit) {
     CountViewHit();

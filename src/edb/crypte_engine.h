@@ -10,15 +10,19 @@
 /// the analyst's decryption role, with the homomorphic cost reproduced by
 /// the calibrated cost model (see cost_model.h). Joins are unsupported,
 /// matching the paper ("Crypt-eps does not support join operators").
+///
+/// The per-query budget and its noise stream are one type,
+/// CryptEpsBudget (crypte_budget.h), which the distributed coordinator
+/// (dist/coordinator.h) owns as well in Crypt-eps mode.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
 
-#include "common/rng.h"
 #include "crypto/key_manager.h"
 #include "edb/cost_model.h"
+#include "edb/crypte_budget.h"
 #include "edb/encrypted_database.h"
 #include "edb/encrypted_table.h"
 
@@ -56,17 +60,16 @@ class CryptEpsServer : public EdbServer {
   // plan is a read-only linear scan: a current materialized view answers
   // view-eligible plans, everything else aggregates lock-free over an
   // epoch snapshot of the committed prefix (under manual commit points,
-  // queries see — and are charged for — only flushed rows). The budget
-  // ledger + noise stream serialize on their own mutex (budget is
-  // reserved atomically before the scan, so concurrent queries can never
-  // jointly overdraw the analyst budget), and the Laplace release never
-  // depends on which path computed the exact answer.
+  // queries see — and are charged for — only flushed rows). The
+  // CryptEpsBudget reserves the query's epsilon before the scan and
+  // releases the answer with noise after it; the release never depends on
+  // which path computed the exact answer.
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
   const query::Schema* FindSchema(const std::string& table) const override;
   query::PlannerOptions planner_options() const override;
 
   /// Cumulative query budget consumed so far (sequential composition over
-  /// the analyst's query stream).
+  /// the analyst's query stream): answered queries x query_epsilon.
   double consumed_query_budget() const;
 
   const CostModel& cost_model() const { return cost_; }
@@ -85,11 +88,7 @@ class CryptEpsServer : public EdbServer {
   CryptEpsConfig config_;
   crypto::KeyManager keys_;
   CostModel cost_;
-  /// Guards consumed_budget_ and noise_rng_ (the Laplace stream must be
-  /// drawn under one lock so sequential use stays deterministic).
-  mutable std::mutex budget_mu_;
-  Rng noise_rng_;
-  double consumed_budget_ = 0.0;
+  CryptEpsBudget budget_;
   mutable std::mutex catalog_mu_;
   std::map<std::string, std::unique_ptr<EncryptedTableStore>> tables_;
 };

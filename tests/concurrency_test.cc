@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -297,43 +298,52 @@ TEST(ConcurrencyStressTest, IndexedScansAgainstConcurrentAppends) {
   EXPECT_TRUE(server.oram_health().enabled);
 }
 
-/// Concurrent queries must never jointly overdraw the analyst budget:
-/// with limit 6 and eps 3, exactly two of six parallel queries succeed.
+/// Concurrent queries must never jointly overdraw the analyst budget: with
+/// a limit of two queries' worth, exactly two of six parallel queries
+/// succeed. The 1e-10 case is the one an absolute slop on the limit used
+/// to overdraw.
 TEST(ConcurrencyStressTest, CryptEpsBudgetNeverOverdrawnConcurrently) {
-  CryptEpsConfig cfg;
-  cfg.query_epsilon = 3.0;
-  cfg.total_budget_limit = 6.0;
-  cfg.admission.max_in_flight = 6;
-  CryptEpsServer server(cfg);
-  auto t = server.CreateTable("YellowCab", TripSchema());
-  ASSERT_TRUE(t.ok());
-  ASSERT_OK(t.value()->Setup({Trip(1, 60), Trip(2, 70)}));
+  struct Budget {
+    double epsilon;
+    double limit;
+  };
+  for (const Budget& b : {Budget{3.0, 6.0}, Budget{1e-10, 2e-10}}) {
+    SCOPED_TRACE("epsilon " + std::to_string(b.epsilon));
+    CryptEpsConfig cfg;
+    cfg.query_epsilon = b.epsilon;
+    cfg.total_budget_limit = b.limit;
+    cfg.admission.max_in_flight = 6;
+    CryptEpsServer server(cfg);
+    auto t = server.CreateTable("YellowCab", TripSchema());
+    ASSERT_TRUE(t.ok());
+    ASSERT_OK(t.value()->Setup({Trip(1, 60), Trip(2, 70)}));
 
-  std::atomic<int> ok_count{0}, denied_count{0}, other_count{0};
-  std::vector<std::thread> analysts;
-  for (int a = 0; a < 6; ++a) {
-    analysts.emplace_back([&] {
-      auto session = server.CreateSession();
-      auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
-      if (!q.ok()) {
-        ++other_count;
-        return;
-      }
-      auto r = session->Execute(q.value());
-      if (r.ok()) {
-        ++ok_count;
-      } else if (r.status().code() == StatusCode::kPermissionDenied) {
-        ++denied_count;
-      } else {
-        ++other_count;
-      }
-    });
+    std::atomic<int> ok_count{0}, denied_count{0}, other_count{0};
+    std::vector<std::thread> analysts;
+    for (int a = 0; a < 6; ++a) {
+      analysts.emplace_back([&] {
+        auto session = server.CreateSession();
+        auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
+        if (!q.ok()) {
+          ++other_count;
+          return;
+        }
+        auto r = session->Execute(q.value());
+        if (r.ok()) {
+          ++ok_count;
+        } else if (r.status().code() == StatusCode::kPermissionDenied) {
+          ++denied_count;
+        } else {
+          ++other_count;
+        }
+      });
+    }
+    for (auto& th : analysts) th.join();
+    EXPECT_EQ(ok_count.load(), 2);
+    EXPECT_EQ(denied_count.load(), 4);
+    EXPECT_EQ(other_count.load(), 0);
+    EXPECT_EQ(server.consumed_query_budget(), 2 * b.epsilon);
   }
-  for (auto& th : analysts) th.join();
-  EXPECT_EQ(ok_count.load(), 2);
-  EXPECT_EQ(denied_count.load(), 4);
-  EXPECT_EQ(other_count.load(), 0);
-  EXPECT_DOUBLE_EQ(server.consumed_query_budget(), 6.0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the core framework: local cache, sync strategies, flush
-// policy, strategy factory, and the DpSyncEngine driving a mock backend.
+// policy, strategy factory, and the DpSyncEngine driving a recording
+// backend.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,6 +19,7 @@ namespace dpsync {
 namespace {
 
 using testutil::MakeRecord;
+using testutil::RecordingBackend;
 using testutil::TestDummyFactory;
 
 // ------------------------------------------------------------ LocalCache
@@ -274,6 +276,26 @@ TEST(DpAntTest, SyncCountGrowsWithArrivalRate) {
   EXPECT_GT(dense.sync_count(), sparse.sync_count() * 2);
 }
 
+TEST(DpAntTest, LowEpsilonFiresMoreOftenThanHighEpsilon) {
+  // Observation 4 (paper §8.2): with small epsilon the large SVT noise
+  // triggers uploads before enough data accumulates, so update frequency
+  // *increases* as epsilon decreases.
+  auto updates_posted = [](double epsilon) {
+    DpAntConfig cfg;
+    cfg.threshold = 25;
+    cfg.epsilon = epsilon;
+    cfg.flush_interval = 0;
+    Rng rng(14);
+    DpAntStrategy ant(cfg, &rng);
+    int posted = 0;
+    for (int t = 1; t <= 4000; ++t) {
+      posted += ant.OnTick(t, t % 8 == 0 ? 1 : 0, &rng).empty() ? 0 : 1;
+    }
+    return posted;
+  };
+  EXPECT_GT(updates_posted(0.1), updates_posted(10.0) * 2);
+}
+
 // ------------------------------------------------------------- Factory
 
 TEST(StrategyFactoryTest, CreatesAllKinds) {
@@ -300,45 +322,15 @@ TEST(StrategyFactoryTest, ParamsPropagate) {
 
 // --------------------------------------------------------------- Engine
 
-/// Mock backend recording everything the "server" receives.
-class MockBackend : public SogdbBackend {
- public:
-  Status Setup(const std::vector<Record>& gamma0) override {
-    setup_calls_++;
-    Receive(gamma0);
-    return Status::Ok();
-  }
-  Status Update(const std::vector<Record>& gamma) override {
-    update_calls_++;
-    Receive(gamma);
-    return Status::Ok();
-  }
-  int64_t outsourced_count() const override {
-    return static_cast<int64_t>(received_.size());
-  }
-
-  const std::vector<Record>& received() const { return received_; }
-  int setup_calls() const { return setup_calls_; }
-  int update_calls() const { return update_calls_; }
-
- private:
-  void Receive(const std::vector<Record>& batch) {
-    received_.insert(received_.end(), batch.begin(), batch.end());
-  }
-  std::vector<Record> received_;
-  int setup_calls_ = 0;
-  int update_calls_ = 0;
-};
-
 TEST(EngineTest, TickBeforeSetupFails) {
-  MockBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::make_unique<SurStrategy>(), &backend,
                       TestDummyFactory(), 1);
   EXPECT_FALSE(engine.Tick(std::nullopt).ok());
 }
 
 TEST(EngineTest, DoubleSetupFails) {
-  MockBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::make_unique<SurStrategy>(), &backend,
                       TestDummyFactory(), 1);
   ASSERT_TRUE(engine.Setup({}).ok());
@@ -346,7 +338,7 @@ TEST(EngineTest, DoubleSetupFails) {
 }
 
 TEST(EngineTest, SurHasZeroLogicalGap) {
-  MockBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::make_unique<SurStrategy>(), &backend,
                       TestDummyFactory(), 1);
   ASSERT_TRUE(engine.Setup({MakeRecord(0)}).ok());
@@ -360,7 +352,7 @@ TEST(EngineTest, SurHasZeroLogicalGap) {
 }
 
 TEST(EngineTest, SetUploadsExactlyOnePerTick) {
-  MockBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::make_unique<SetStrategy>(), &backend,
                       TestDummyFactory(), 1);
   ASSERT_TRUE(engine.Setup({}).ok());
@@ -377,7 +369,7 @@ TEST(EngineTest, SetUploadsExactlyOnePerTick) {
 }
 
 TEST(EngineTest, OtoGapGrowsWithoutBound) {
-  MockBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::make_unique<OtoStrategy>(), &backend,
                       TestDummyFactory(), 1);
   ASSERT_TRUE(engine.Setup({MakeRecord(0), MakeRecord(1)}).ok());
@@ -390,7 +382,7 @@ TEST(EngineTest, OtoGapGrowsWithoutBound) {
 }
 
 TEST(EngineTest, UpdatePatternMatchesBackendCalls) {
-  MockBackend backend;
+  RecordingBackend backend;
   DpTimerConfig cfg;
   cfg.period = 10;
   cfg.flush_interval = 0;
@@ -412,7 +404,7 @@ TEST(EngineTest, UpdatePatternMatchesBackendCalls) {
 }
 
 TEST(EngineTest, FifoOrderReachesBackend) {
-  MockBackend backend;
+  RecordingBackend backend;
   DpTimerConfig cfg;
   cfg.period = 7;
   cfg.epsilon = 100.0;  // ~exact counts
@@ -435,7 +427,7 @@ TEST(EngineTest, FifoOrderReachesBackend) {
 
 TEST(EngineTest, EventualConsistencyViaFlush) {
   // After arrivals stop, the flush mechanism must drain the cache: gap -> 0.
-  MockBackend backend;
+  RecordingBackend backend;
   DpTimerConfig cfg;
   cfg.period = 10;
   cfg.epsilon = 0.5;
@@ -456,7 +448,7 @@ TEST(EngineTest, EventualConsistencyViaFlush) {
 }
 
 TEST(EngineTest, CountersAreConsistent) {
-  MockBackend backend;
+  RecordingBackend backend;
   DpAntConfig cfg;
   cfg.threshold = 8;
   cfg.flush_interval = 40;

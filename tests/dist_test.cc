@@ -5,7 +5,8 @@
 // across backends x server counts, because server k owns the contiguous
 // global shard range [S*k/K, S*(k+1)/K) and the rank-order merge replays
 // the exact single-process Add()/Merge() sequence. Also covered: typed
-// Unavailable within the RPC deadline when a server dies, an owner batch
+// Unavailable within the RPC deadline when a server dies, a Crypt-eps
+// query that fails on the wire spending no budget, an owner batch
 // over the frame bound refused at the coordinator without a failover,
 // Setup/Update state machine, topology validation, racing owner appends
 // through the coordinator (the CI TSan job leans on this), the
@@ -416,6 +417,35 @@ TEST(DistBudgetTest, CryptEpsBudgetEnforcedAcrossTheWire) {
   ASSERT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kPermissionDenied);
   EXPECT_EQ(dist.consumed_query_budget(), 6.0);
+}
+
+// A Crypt-eps query that dies on the wire releases nothing, so it must
+// spend nothing: the coordinator drops its reservation and the epsilon
+// comes back. With a two-query limit, a leaked reservation would turn the
+// second failure into PermissionDenied.
+TEST(DistBudgetTest, FailedScatterGivesTheEpsilonBack) {
+  DistributedConfig cfg =
+      MakeDistConfig({"crypteps", DistEngineKind::kCryptEps, false}, 2);
+  cfg.rpc_timeout_seconds = 2.0;
+  cfg.crypteps.query_epsilon = 3.0;
+  cfg.crypteps.total_budget_limit = 6.0;
+  DistributedEdbServer dist(cfg);
+  ASSERT_OK(dist.init_status());
+  auto table = dist.CreateTable("YellowCab", TripSchema());
+  ASSERT_OK(table);
+  ASSERT_OK(table.value()->Setup(MakeBatch(0, 16)));
+  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
+  ASSERT_OK(q);
+  ASSERT_OK(dist.Query(q.value()));
+
+  ASSERT_OK(dist.KillServer(1));  // unreplicated: no follower to promote
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto resp = dist.Query(q.value());
+    ASSERT_FALSE(resp.ok());
+    EXPECT_EQ(resp.status().code(), StatusCode::kUnavailable)
+        << resp.status().ToString();
+    EXPECT_EQ(dist.consumed_query_budget(), 3.0);
+  }
 }
 
 // ----------------------------------------------------- racing owner writes

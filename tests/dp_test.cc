@@ -1,22 +1,19 @@
-// Tests for the DP substrate: Laplace/geometric mechanisms, sparse vector,
-// composition accounting, and the Table-4 pattern simulators — including
-// empirical differential-privacy distinguisher tests that estimate the
-// privacy loss of released update patterns on neighboring streams.
+// Tests for the DP substrate: the Laplace and geometric mechanisms (with
+// an empirical distinguisher on neighbouring counts) and the sparse-vector
+// test. The distinguisher on the owner's update pattern runs the real
+// strategies through DpSyncEngine (tests/theorem_test.cc).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "dp/accountant.h"
 #include "dp/laplace.h"
-#include "dp/mechanisms.h"
 #include "dp/svt.h"
+#include "test_util.h"
 
 namespace dpsync::dp {
 namespace {
@@ -60,16 +57,8 @@ TEST_P(LaplaceDpTest, HistogramLikelihoodRatioBounded) {
   std::map<int64_t, int> hist_a, hist_b;
   for (int i = 0; i < n; ++i) hist_a[mech.PerturbCount(10, &rng)]++;
   for (int i = 0; i < n; ++i) hist_b[mech.PerturbCount(11, &rng)]++;
-  // Only consider buckets with enough mass for a stable ratio estimate.
-  for (const auto& [bucket, count_a] : hist_a) {
-    auto it = hist_b.find(bucket);
-    if (it == hist_b.end()) continue;
-    int count_b = it->second;
-    if (count_a < 500 || count_b < 500) continue;
-    double ratio = static_cast<double>(count_a) / count_b;
-    EXPECT_LE(ratio, std::exp(eps) * 1.15) << "bucket " << bucket;
-    EXPECT_GE(ratio, std::exp(-eps) / 1.15) << "bucket " << bucket;
-  }
+  testutil::ExpectLogRatioBounded(hist_a, hist_b, /*min_mass=*/3000,
+                                  eps + std::log(1.15));
 }
 
 INSTANTIATE_TEST_SUITE_P(Epsilons, LaplaceDpTest,
@@ -146,237 +135,6 @@ TEST(SvtTest, FiringProbabilityMonotoneInCount) {
   EXPECT_LT(lo, mid);
   EXPECT_LT(mid, hi);
 }
-
-// ------------------------------------------------------------ Accountant
-
-TEST(AccountantTest, SequentialAddsWithinGroup) {
-  PrivacyAccountant acc;
-  acc.Charge("g", 0.3, Composition::kSequential);
-  acc.Charge("g", 0.2, Composition::kSequential);
-  EXPECT_DOUBLE_EQ(acc.GroupEpsilon("g"), 0.5);
-}
-
-TEST(AccountantTest, ParallelTakesMaxWithinGroup) {
-  PrivacyAccountant acc;
-  acc.Charge("g", 0.3, Composition::kParallel);
-  acc.Charge("g", 0.5, Composition::kParallel);
-  EXPECT_DOUBLE_EQ(acc.GroupEpsilon("g"), 0.5);
-}
-
-TEST(AccountantTest, MixedComposition) {
-  PrivacyAccountant acc;
-  acc.Charge("g", 0.3, Composition::kSequential);
-  acc.Charge("g", 0.5, Composition::kParallel);
-  acc.Charge("g", 0.4, Composition::kParallel);
-  EXPECT_DOUBLE_EQ(acc.GroupEpsilon("g"), 0.8);  // 0.3 + max(0.5, 0.4)
-}
-
-TEST(AccountantTest, CrossGroupTotals) {
-  PrivacyAccountant acc;
-  acc.Charge("setup", 0.5, Composition::kSequential);
-  acc.Charge("updates", 0.5, Composition::kParallel);
-  EXPECT_DOUBLE_EQ(acc.TotalEpsilonParallel(), 0.5);
-  EXPECT_DOUBLE_EQ(acc.TotalEpsilonSequential(), 1.0);
-}
-
-TEST(AccountantTest, DpTimerCompositionMatchesTheorem10) {
-  // M_timer = M_setup (eps, disjoint D_0) + M_unit windows (eps each,
-  // disjoint) + M_flush (0-DP): total guarantee is eps under parallel
-  // composition across the disjoint partitions.
-  const double eps = 0.5;
-  PrivacyAccountant acc;
-  acc.Charge("setup", eps, Composition::kParallel);
-  for (int window = 0; window < 10; ++window) {
-    acc.Charge("window", eps, Composition::kParallel);
-  }
-  acc.Charge("flush", 0.0, Composition::kSequential);
-  EXPECT_DOUBLE_EQ(acc.TotalEpsilonParallel(), eps);
-}
-
-TEST(AccountantTest, ResetClears) {
-  PrivacyAccountant acc;
-  acc.Charge("g", 1.0, Composition::kSequential);
-  acc.Reset();
-  EXPECT_EQ(acc.num_charges(), 0u);
-  EXPECT_DOUBLE_EQ(acc.GroupEpsilon("g"), 0.0);
-  EXPECT_DOUBLE_EQ(acc.TotalEpsilonSequential(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.TotalEpsilonParallel(), 0.0);
-}
-
-TEST(AccountantTest, CachedTotalsMatchNaiveRecomputeOver100kCharges) {
-  // Regression guard for the running-total cache: replay a large
-  // pseudo-random charge stream into the accountant while keeping the full
-  // ledger here, then recompute every figure naively and compare. The
-  // naive pass is the pre-cache implementation (one full-ledger scan per
-  // group query).
-  struct LedgerEntry {
-    std::string group;
-    double epsilon;
-    Composition comp;
-  };
-  constexpr int kCharges = 100'000;
-  const std::vector<std::string> kGroups = {"setup", "window", "flush",
-                                            "svt", "release"};
-  PrivacyAccountant acc;
-  std::vector<LedgerEntry> ledger;
-  ledger.reserve(kCharges);
-  uint64_t state = 0x9e3779b97f4a7c15ULL;
-  for (int i = 0; i < kCharges; ++i) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    const std::string& group = kGroups[(state >> 33) % kGroups.size()];
-    double epsilon = static_cast<double>((state >> 11) % 1000) / 1000.0;
-    Composition comp = ((state >> 7) & 1) ? Composition::kSequential
-                                          : Composition::kParallel;
-    acc.Charge(group, epsilon, comp);
-    ledger.push_back({group, epsilon, comp});
-  }
-  ASSERT_EQ(acc.num_charges(), static_cast<size_t>(kCharges));
-
-  auto naive_group = [&](const std::string& group) {
-    double sequential = 0.0, parallel_max = 0.0;
-    for (const auto& c : ledger) {
-      if (c.group != group) continue;
-      if (c.comp == Composition::kSequential) {
-        sequential += c.epsilon;
-      } else {
-        parallel_max = std::max(parallel_max, c.epsilon);
-      }
-    }
-    return sequential + parallel_max;
-  };
-  double naive_sequential = 0.0, naive_parallel = 0.0;
-  for (const auto& g : kGroups) {
-    double eps = naive_group(g);
-    EXPECT_DOUBLE_EQ(acc.GroupEpsilon(g), eps) << g;
-    naive_sequential += eps;
-    naive_parallel = std::max(naive_parallel, eps);
-  }
-  EXPECT_DOUBLE_EQ(acc.TotalEpsilonSequential(), naive_sequential);
-  EXPECT_DOUBLE_EQ(acc.TotalEpsilonParallel(), naive_parallel);
-}
-
-// ---------------------------------------------------- Pattern simulators
-
-UpdateStreamView MakeStream(int64_t horizon, int64_t every) {
-  UpdateStreamView s;
-  s.arrivals.resize(static_cast<size_t>(horizon), false);
-  for (int64_t t = 0; t < horizon; t += every) {
-    s.arrivals[static_cast<size_t>(t)] = true;
-  }
-  return s;
-}
-
-TEST(TimerPatternTest, UpdatesOnSchedule) {
-  Rng rng(9);
-  auto stream = MakeStream(300, 3);
-  auto pattern = SimulateTimerPattern(stream, 1.0, /*T=*/30,
-                                      /*flush_interval=*/0, 0, &rng);
-  ASSERT_FALSE(pattern.empty());
-  EXPECT_EQ(pattern[0].t, 0);  // setup
-  for (size_t i = 1; i < pattern.size(); ++i) {
-    EXPECT_EQ(pattern[i].t % 30, 0) << "update off schedule";
-  }
-  EXPECT_EQ(pattern.size(), 1u + 300 / 30);
-}
-
-TEST(TimerPatternTest, FlushPointsPresentAndConstant) {
-  Rng rng(10);
-  auto stream = MakeStream(200, 5);
-  auto pattern =
-      SimulateTimerPattern(stream, 1.0, /*T=*/60, /*flush=*/50, /*s=*/7, &rng);
-  int flushes = 0;
-  for (const auto& p : pattern) {
-    if (p.t % 50 == 0 && p.t > 0 && p.t % 60 != 0) {
-      EXPECT_DOUBLE_EQ(p.count, 7.0);
-      ++flushes;
-    }
-  }
-  EXPECT_EQ(flushes, 4);  // t = 50, 100, 150, 200
-}
-
-TEST(TimerPatternTest, NoisyCountsTrackWindowCounts) {
-  Rng rng(11);
-  auto stream = MakeStream(3000, 2);  // 15 arrivals per 30-window
-  auto pattern = SimulateTimerPattern(stream, 5.0, 30, 0, 0, &rng);
-  RunningStat s;
-  for (size_t i = 1; i < pattern.size(); ++i) s.Add(pattern[i].count);
-  EXPECT_NEAR(s.mean(), 15.0, 0.5);
-}
-
-TEST(AntPatternTest, FiresNearThreshold) {
-  Rng rng(12);
-  auto stream = MakeStream(5000, 2);  // one arrival every 2 ticks
-  // High epsilon => little SVT noise => releases land near theta.
-  auto pattern = SimulateAntPattern(stream, 20.0, /*theta=*/20, 0, 0, &rng);
-  // Skip setup; released counts should be near theta.
-  RunningStat s;
-  for (size_t i = 1; i < pattern.size(); ++i) s.Add(pattern[i].count);
-  EXPECT_GT(s.count(), 50);
-  EXPECT_NEAR(s.mean(), 20.0, 6.0);
-}
-
-TEST(AntPatternTest, SparserDataFiresLessOften) {
-  Rng rng(13);
-  // High epsilon so firing is data-driven rather than noise-driven.
-  auto dense = SimulateAntPattern(MakeStream(4000, 2), 10.0, 25, 0, 0, &rng);
-  auto sparse = SimulateAntPattern(MakeStream(4000, 40), 10.0, 25, 0, 0, &rng);
-  EXPECT_GT(dense.size(), sparse.size() * 3);
-}
-
-TEST(AntPatternTest, LowEpsilonFiresMoreOftenThanHighEpsilon) {
-  // Observation 4 (paper §8.2): with small epsilon the large SVT noise
-  // triggers uploads before enough data accumulates, so update frequency
-  // *increases* as epsilon decreases.
-  Rng rng(14);
-  auto stream = MakeStream(4000, 8);
-  auto noisy = SimulateAntPattern(stream, 0.1, 25, 0, 0, &rng);
-  auto tight = SimulateAntPattern(stream, 10.0, 25, 0, 0, &rng);
-  EXPECT_GT(noisy.size(), tight.size() * 2);
-}
-
-// Empirical DP distinguisher on the *full released pattern*: neighboring
-// streams (one arrival added) must produce released update-count sums whose
-// distributions have bounded likelihood ratio. We project the pattern to a
-// low-dimensional statistic (total released volume, rounded) — any
-// post-processing of an eps-DP output is itself eps-DP, so the bound must
-// hold on the projection too.
-class PatternDpTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(PatternDpTest, TimerPatternProjectionSatisfiesDp) {
-  const double eps = GetParam();
-  auto base = MakeStream(120, 4);
-  auto neighbor = base;
-  neighbor.arrivals[57] = !neighbor.arrivals[57];  // add/remove one update
-
-  Rng rng(99);
-  const int n = 60000;
-  std::map<int64_t, int> hist_a, hist_b;
-  for (int i = 0; i < n; ++i) {
-    double total = 0;
-    for (const auto& p : SimulateTimerPattern(base, eps, 30, 0, 0, &rng)) {
-      total += p.count;
-    }
-    hist_a[static_cast<int64_t>(std::llround(total))]++;
-  }
-  for (int i = 0; i < n; ++i) {
-    double total = 0;
-    for (const auto& p : SimulateTimerPattern(neighbor, eps, 30, 0, 0, &rng)) {
-      total += p.count;
-    }
-    hist_b[static_cast<int64_t>(std::llround(total))]++;
-  }
-  for (const auto& [bucket, count_a] : hist_a) {
-    auto it = hist_b.find(bucket);
-    if (it == hist_b.end()) continue;
-    if (count_a < 800 || it->second < 800) continue;
-    double ratio = static_cast<double>(count_a) / it->second;
-    EXPECT_LE(ratio, std::exp(eps) * 1.25) << "bucket " << bucket;
-    EXPECT_GE(ratio, std::exp(-eps) / 1.25) << "bucket " << bucket;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Epsilons, PatternDpTest,
-                         ::testing::Values(0.5, 1.0));
 
 }  // namespace
 }  // namespace dpsync::dp

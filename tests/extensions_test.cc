@@ -1,7 +1,8 @@
 // Tests for the extension features: the TLC CSV loader (with the paper's
 // preprocessing), multi-record-per-tick arrivals, geometric-noise strategy
 // variants, the L-1 StealthDB engine + volume-padding countermeasure, and
-// the Crypt-eps analyst budget limit.
+// the Crypt-eps analyst budget: its exact release count on both servers
+// and the exact bits of its noise stream.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,6 +10,7 @@
 #include "core/dp_timer.h"
 #include "core/engine.h"
 #include "core/naive_strategies.h"
+#include "dist/coordinator.h"
 #include "edb/crypte_engine.h"
 #include "edb/volume_hiding.h"
 #include "query/parser.h"
@@ -19,6 +21,8 @@
 namespace dpsync {
 namespace {
 
+using testutil::DoubleBits;
+using testutil::RecordingBackend;
 using workload::TripRecord;
 
 // ------------------------------------------------------------ TLC loader
@@ -97,17 +101,6 @@ TEST(ParseTlcMinuteTest, ParsesAndValidates) {
 
 // ----------------------------------------------- Multi-record arrivals
 
-class NullBackend : public SogdbBackend {
- public:
-  Status Setup(const std::vector<Record>&) override { return Status::Ok(); }
-  Status Update(const std::vector<Record>& g) override {
-    count_ += static_cast<int64_t>(g.size());
-    return Status::Ok();
-  }
-  int64_t outsourced_count() const override { return count_; }
-  int64_t count_ = 0;
-};
-
 Record SomeRecord(int64_t t) {
   TripRecord trip;
   trip.pick_time = t;
@@ -115,18 +108,18 @@ Record SomeRecord(int64_t t) {
 }
 
 TEST(TickBatchTest, SurSyncsWholeBatch) {
-  NullBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::make_unique<SurStrategy>(), &backend,
                       workload::MakeTripDummyFactory(1), 2);
   ASSERT_TRUE(engine.Setup({}).ok());
   ASSERT_TRUE(engine.TickBatch({SomeRecord(1), SomeRecord(1), SomeRecord(1)})
                   .ok());
-  EXPECT_EQ(backend.count_, 3);
+  EXPECT_EQ(backend.update_volume(), 3);
   EXPECT_EQ(engine.logical_gap(), 0);
 }
 
 TEST(TickBatchTest, TimerCountsAllArrivals) {
-  NullBackend backend;
+  RecordingBackend backend;
   DpTimerConfig cfg;
   cfg.period = 10;
   cfg.epsilon = 100.0;  // ~noiseless
@@ -138,18 +131,18 @@ TEST(TickBatchTest, TimerCountsAllArrivals) {
     ASSERT_TRUE(engine.TickBatch({SomeRecord(t), SomeRecord(t)}).ok());
   }
   // 20 arrivals in the window; near-noiseless count fetches ~20.
-  EXPECT_NEAR(static_cast<double>(backend.count_), 20.0, 1.0);
+  EXPECT_NEAR(static_cast<double>(backend.update_volume()), 20.0, 1.0);
   EXPECT_EQ(engine.counters().received_total, 20);
 }
 
 TEST(TickBatchTest, EmptyBatchIsANullUpdate) {
-  NullBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::make_unique<SurStrategy>(), &backend,
                       workload::MakeTripDummyFactory(5), 6);
   ASSERT_TRUE(engine.Setup({}).ok());
   ASSERT_TRUE(engine.TickBatch({}).ok());
   EXPECT_EQ(engine.now(), 1);
-  EXPECT_EQ(backend.count_, 0);
+  EXPECT_EQ(backend.update_volume(), 0);
 }
 
 // ------------------------------------------------------- Geometric noise
@@ -255,22 +248,76 @@ TEST(VolumePaddingTest, UpgradesLeakageClass) {
 
 // ------------------------------------------------ Crypt-eps budget limit
 
-TEST(CryptBudgetTest, RefusesAfterLimit) {
-  edb::CryptEpsConfig cfg;
-  cfg.query_epsilon = 3.0;
-  cfg.total_budget_limit = 7.0;  // allows exactly 2 queries
-  edb::CryptEpsServer server(cfg);
-  auto t = server.CreateTable("YellowCab", workload::TripSchema());
-  ASSERT_TRUE(t.ok());
-  ASSERT_TRUE(t.value()->Setup({Trip(1, 60)}).ok());
-  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  EXPECT_TRUE(server.Query(q.value()).ok());
-  EXPECT_TRUE(server.Query(q.value()).ok());
-  auto third = server.Query(q.value());
-  EXPECT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kPermissionDenied);
-  EXPECT_DOUBLE_EQ(server.consumed_query_budget(), 6.0);
+/// A 2-rank distributed twin of `cfg`: the coordinator spends the same
+/// budget the single-process engine does.
+dist::DistributedConfig TwoRankConfig(const edb::CryptEpsConfig& cfg) {
+  dist::DistributedConfig dcfg;
+  dcfg.engine = dist::DistEngineKind::kCryptEps;
+  dcfg.num_servers = 2;
+  dcfg.crypteps = cfg;
+  dcfg.crypteps.storage.num_shards = 2;
+  return dcfg;
 }
+
+/// One row of the exact-budget grid. The limit is written as a decimal
+/// literal, never computed as answers * epsilon, so 0.3 / 0.1 falls just
+/// short of 3 in binary and 1e-9 / 1e-10 lands near 10 by rounding.
+struct BudgetCase {
+  double epsilon;
+  double limit;
+  int answers;  ///< floor(limit / epsilon)
+};
+
+void PrintTo(const BudgetCase& c, std::ostream* os) {
+  *os << "epsilon " << c.epsilon << ", limit " << c.limit;
+}
+
+template <typename Server>
+void ExpectAnswersThenDenied(Server& server, const BudgetCase& c) {
+  auto t = server.CreateTable("YellowCab", workload::TripSchema());
+  ASSERT_OK(t);
+  ASSERT_OK(t.value()->Setup({Trip(1, 60)}));
+  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
+  ASSERT_OK(q);
+  for (int i = 0; i < c.answers; ++i) ASSERT_OK(server.Query(q.value()));
+  auto denied = server.Query(q.value());
+  ASSERT_FALSE(denied.ok());
+  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(server.consumed_query_budget(), c.answers * c.epsilon);
+}
+
+class CryptBudgetTest : public ::testing::TestWithParam<BudgetCase> {};
+
+TEST_P(CryptBudgetTest, AnswersFloorOfLimitOverEpsilonThenRefuses) {
+  const BudgetCase& c = GetParam();
+  edb::CryptEpsConfig cfg;
+  cfg.query_epsilon = c.epsilon;
+  cfg.total_budget_limit = c.limit;
+  {
+    SCOPED_TRACE("CryptEpsServer");
+    edb::CryptEpsServer server(cfg);
+    ExpectAnswersThenDenied(server, c);
+  }
+  {
+    SCOPED_TRACE("2-rank DistributedEdbServer");
+    dist::DistributedEdbServer server(TwoRankConfig(cfg));
+    ASSERT_OK(server.init_status());
+    ExpectAnswersThenDenied(server, c);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, CryptBudgetTest,
+    ::testing::Values(
+        BudgetCase{3.0, 7.0, 2},  // a limit between two multiples
+        BudgetCase{3.0, 3.0, 1}, BudgetCase{3.0, 9.0, 3},
+        BudgetCase{3.0, 30.0, 10}, BudgetCase{3.0, 31.5, 10},
+        BudgetCase{0.1, 0.1, 1}, BudgetCase{0.1, 0.3, 3},
+        BudgetCase{0.1, 1.0, 10}, BudgetCase{0.1, 1.05, 10},
+        BudgetCase{1e-3, 1e-3, 1}, BudgetCase{1e-3, 3e-3, 3},
+        BudgetCase{1e-3, 1e-2, 10}, BudgetCase{1e-3, 1.05e-2, 10},
+        BudgetCase{1e-10, 1e-10, 1}, BudgetCase{1e-10, 3e-10, 3},
+        BudgetCase{1e-10, 1e-9, 10}, BudgetCase{1e-10, 1.05e-9, 10}));
 
 TEST(CryptBudgetTest, ZeroLimitMeansUnlimited) {
   edb::CryptEpsConfig cfg;
@@ -281,6 +328,77 @@ TEST(CryptBudgetTest, ZeroLimitMeansUnlimited) {
   ASSERT_TRUE(t.value()->Setup({Trip(1, 60)}).ok());
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(server.Query(q.value()).ok());
+}
+
+// ------------------------------------------------- Crypt-eps noise golden
+
+/// Every released value of a fixed query sequence, as bit patterns: one
+/// per scalar answer, one per group in key order.
+template <typename Server>
+std::vector<uint64_t> ReleasedBits(Server& server) {
+  std::vector<uint64_t> bits;
+  auto t = server.CreateTable("YellowCab", workload::TripSchema());
+  EXPECT_OK(t);
+  if (!t.ok()) return bits;
+  std::vector<Record> rows;
+  for (int64_t i = 1; i <= 12; ++i) rows.push_back(Trip(i, 60 + 10 * (i % 3)));
+  rows.push_back(Trip(13, 60, /*dummy=*/true));
+  EXPECT_OK(t.value()->Setup(rows));
+  for (const char* sql : {
+           "SELECT COUNT(*) FROM YellowCab",
+           "SELECT pickupID, COUNT(*) FROM YellowCab GROUP BY pickupID",
+           "SELECT SUM(fare) FROM YellowCab WHERE pickupID = 70",
+           "SELECT COUNT(*) FROM YellowCab WHERE pickupID = 99",
+           "SELECT pickupID, SUM(fare) FROM YellowCab GROUP BY pickupID",
+           "SELECT COUNT(*) FROM YellowCab WHERE pickupID = 98",
+       }) {
+    auto q = query::ParseSelect(sql);
+    EXPECT_OK(q);
+    auto r = server.Query(q.value());
+    EXPECT_OK(r);
+    if (!r.ok()) return bits;
+    if (r->result.grouped) {
+      for (const auto& [key, value] : r->result.groups) {
+        bits.push_back(DoubleBits(value));
+      }
+    } else {
+      bits.push_back(DoubleBits(r->result.scalar));
+    }
+  }
+  return bits;
+}
+
+// The exact bits of a fixed-seed sequence of Crypt-eps releases. The
+// noise-stream identity tests compare two servers built from the same
+// code, so a change that shifted every stream alike would pass them; this
+// pins the seed, the draw order (one draw per scalar, one per group in
+// key order) and the clamp at 0 (the two zero-count queries), on both
+// servers.
+TEST(CryptEpsNoiseGoldenTest, FixedSeedReleasesArePinned) {
+  const std::vector<uint64_t> kGolden = {
+      0x40282ee1891d03c1,  // COUNT(*)
+      0x401ffa55cde9e7f0,  // COUNT(*) GROUP BY pickupID: 60
+      0x402e0311a44da3e2,  //   70
+      0x400dfc396ecff6e9,  //   80
+      0x4030f769470d2a3d,  // SUM(fare) WHERE pickupID = 70
+      0x3fe31fd8cfdfb9b8,  // COUNT(*) WHERE pickupID = 99 (exact 0)
+      0x4035596fa6645342,  // SUM(fare) GROUP BY pickupID: 60
+      0x40356c4dc8a54fb2,  //   70
+      0x403406801ea6b168,  //   80
+      0x0000000000000000,  // COUNT(*) WHERE pickupID = 98: clamped at 0
+  };
+  edb::CryptEpsConfig cfg;
+  cfg.master_seed = 12;
+  cfg.query_epsilon = 0.5;
+  edb::CryptEpsServer local(cfg);
+  dist::DistributedEdbServer distributed(TwoRankConfig(cfg));
+  ASSERT_OK(distributed.init_status());
+  for (const auto& bits : {ReleasedBits(local), ReleasedBits(distributed)}) {
+    ASSERT_EQ(bits.size(), kGolden.size());
+    for (size_t i = 0; i < bits.size(); ++i) {
+      EXPECT_EQ(bits[i], kGolden[i]) << "release " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -28,27 +28,7 @@
 namespace dpsync {
 namespace {
 
-class RecordingBackend : public SogdbBackend {
- public:
-  Status Setup(const std::vector<Record>& g) override { return Add(g); }
-  Status Update(const std::vector<Record>& g) override {
-    ++update_calls_;
-    return Add(g);
-  }
-  int64_t outsourced_count() const override {
-    return static_cast<int64_t>(received_.size());
-  }
-  const std::vector<Record>& received() const { return received_; }
-  int64_t update_calls() const { return update_calls_; }
-
- private:
-  Status Add(const std::vector<Record>& g) {
-    received_.insert(received_.end(), g.begin(), g.end());
-    return Status::Ok();
-  }
-  std::vector<Record> received_;
-  int64_t update_calls_ = 0;
-};
+using testutil::RecordingBackend;
 
 using MatrixParam = std::tuple<StrategyKind, uint64_t /*seed*/>;
 

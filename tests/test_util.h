@@ -1,19 +1,26 @@
 /// \file test_util.h
 /// Shared helpers for the dpsync test suites: deterministic RNG seeding,
-/// record/dummy factories, and Status assertion macros. Keep suite-specific
+/// record/dummy factories, the owner-side recording backend, the
+/// histogram DP check, and Status assertion macros. Keep suite-specific
 /// fixtures in their own files; only genuinely cross-suite helpers live here.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/record.h"
+#include "core/sogdb.h"
 #include "edb/encrypted_database.h"
 #include "query/executor.h"
 #include "query/parser.h"
@@ -66,6 +73,73 @@ inline Record Trip(int64_t t, int64_t zone, bool dummy = false) {
   return trip.ToRecord();
 }
 
+/// The owner-facing server every core-layer test drives: records what it
+/// receives — the size of every call's batch, Setup's first, and the
+/// records themselves in arrival order. What a server can observe of the
+/// owner is exactly `batch_sizes()` (the update pattern).
+class RecordingBackend : public SogdbBackend {
+ public:
+  Status Setup(const std::vector<Record>& gamma0) override {
+    return Receive(gamma0);
+  }
+  Status Update(const std::vector<Record>& gamma) override {
+    ++update_calls_;
+    update_volume_ += static_cast<int64_t>(gamma.size());
+    return Receive(gamma);
+  }
+  int64_t outsourced_count() const override {
+    return static_cast<int64_t>(received_.size());
+  }
+
+  const std::vector<int64_t>& batch_sizes() const { return batch_sizes_; }
+  const std::vector<Record>& received() const { return received_; }
+  int64_t update_calls() const { return update_calls_; }
+  /// Records received through Update alone (Setup's batch excluded).
+  int64_t update_volume() const { return update_volume_; }
+
+ private:
+  Status Receive(const std::vector<Record>& batch) {
+    batch_sizes_.push_back(static_cast<int64_t>(batch.size()));
+    received_.insert(received_.end(), batch.begin(), batch.end());
+    return Status::Ok();
+  }
+  std::vector<int64_t> batch_sizes_;
+  std::vector<Record> received_;
+  int64_t update_calls_ = 0;
+  int64_t update_volume_ = 0;
+};
+
+/// Histogram DP distinguisher over two equally sized samples of a
+/// mechanism's output on neighbouring inputs: every bin holding at least
+/// `min_mass` samples on either side must satisfy
+/// |ln((a + 1) / (b + 1))| <= bound. The +1 smoothing makes a bin that is
+/// empty on one side fail instead of being skipped, so a mechanism that
+/// adds no noise cannot pass vacuously. Returns the worst |ln ratio|.
+inline double ExpectLogRatioBounded(const std::map<int64_t, int>& a,
+                                    const std::map<int64_t, int>& b,
+                                    int min_mass, double bound) {
+  std::set<int64_t> bins;
+  for (const auto& [bin, _] : a) bins.insert(bin);
+  for (const auto& [bin, _] : b) bins.insert(bin);
+  auto mass = [](const std::map<int64_t, int>& h, int64_t bin) {
+    auto it = h.find(bin);
+    return it == h.end() ? 0 : it->second;
+  };
+  double worst = 0.0;
+  int checked = 0;
+  for (int64_t bin : bins) {
+    const int ca = mass(a, bin);
+    const int cb = mass(b, bin);
+    if (ca < min_mass && cb < min_mass) continue;
+    ++checked;
+    const double log_ratio = std::fabs(std::log((ca + 1.0) / (cb + 1.0)));
+    EXPECT_LE(log_ratio, bound) << "bin " << bin << ": " << ca << " vs " << cb;
+    worst = std::max(worst, log_ratio);
+  }
+  EXPECT_GT(checked, 0) << "no bin reached the minimum mass " << min_mass;
+  return worst;
+}
+
 /// Plans `sql` against `server`'s catalog and runs it through the engine
 /// SPI, bypassing Prepare and admission. Prepare is what registers views,
 /// so on a server where nothing prepared the same query the plan takes
@@ -84,17 +158,18 @@ inline StatusOr<edb::QueryResponse> ExecuteUnprepared(edb::EdbServer& server,
   return server.ExecutePlan(*plan.value());
 }
 
+/// The bit pattern of `d`, for tests that compare doubles exactly.
+inline uint64_t DoubleBits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
 namespace internal {
 inline const Status& ToStatus(const Status& s) { return s; }
 template <typename T>
 const Status& ToStatus(const StatusOr<T>& s) {
   return s.status();
-}
-
-inline uint64_t DoubleBits(double d) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
 }
 
 inline void ExpectSameAccumulator(const query::AggAccumulator& a,

@@ -1,37 +1,35 @@
-// Property tests for the paper's theorems (6-9): high-probability bounds
-// on the logical gap / local cache size and on the outsourced data volume
-// for DP-Timer and DP-ANT, swept over epsilon with TEST_P.
+// Property tests for the paper's theorems: high-probability bounds on the
+// logical gap / local cache size and on the outsourced data volume for
+// DP-Timer and DP-ANT (Theorems 6-9), swept over epsilon with TEST_P, and
+// an empirical distinguisher showing the update pattern the server
+// receives is eps-DP (Theorems 10/11), on the real strategies driven by
+// DpSyncEngine.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iostream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "core/dp_ant.h"
 #include "core/dp_timer.h"
 #include "core/engine.h"
 #include "core/naive_strategies.h"
+#include "core/strategy_factory.h"
+#include "test_util.h"
 #include "workload/taxi_generator.h"
 #include "workload/trip_record.h"
 
 namespace dpsync {
 namespace {
 
-/// Minimal counting backend.
-class CountingBackend : public SogdbBackend {
- public:
-  Status Setup(const std::vector<Record>& g) override {
-    count_ += static_cast<int64_t>(g.size());
-    return Status::Ok();
-  }
-  Status Update(const std::vector<Record>& g) override {
-    count_ += static_cast<int64_t>(g.size());
-    return Status::Ok();
-  }
-  int64_t outsourced_count() const override { return count_; }
-
- private:
-  int64_t count_ = 0;
-};
+using testutil::MakeRecord;
+using testutil::RecordingBackend;
+using testutil::TestDummyFactory;
 
 struct RunOutcome {
   int64_t max_gap = 0;
@@ -43,7 +41,7 @@ struct RunOutcome {
 
 RunOutcome RunStrategy(std::unique_ptr<SyncStrategy> strategy,
                        int64_t horizon, int64_t arrival_every, uint64_t seed) {
-  CountingBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::move(strategy), &backend,
                       workload::MakeTripDummyFactory(seed ^ 1), seed);
   EXPECT_TRUE(engine.Setup({}).ok());
@@ -223,7 +221,7 @@ TEST(FlushBoundTest, CacheDrainedOnSchedule) {
   cfg.period = 25;
   cfg.flush_interval = 200;
   cfg.flush_size = 20;
-  CountingBackend backend;
+  RecordingBackend backend;
   DpSyncEngine engine(std::make_unique<DpTimerStrategy>(cfg), &backend,
                       workload::MakeTripDummyFactory(7), 8);
   ASSERT_TRUE(engine.Setup({}).ok());
@@ -241,6 +239,140 @@ TEST(FlushBoundTest, CacheDrainedOnSchedule) {
   // must long be empty.
   EXPECT_EQ(engine.logical_gap(), 0);
 }
+
+// ------------------------------- Theorems 10/11: eps-DP update pattern
+
+/// One distinguisher configuration. The base stream has one arrival every
+/// 3 ticks from `first_arrival` on; its neighbour has one more arrival at
+/// `change_at`. Both run the real strategy (MakeStrategy, eps = 1) through
+/// DpSyncEngine for `horizon` ticks.
+struct PatternCase {
+  const char* label;
+  StrategyKind kind;
+  dp::NoiseKind noise;
+  double budget_split;  ///< DP-ANT's SVT share of the budget
+  int64_t first_arrival;
+  int64_t change_at;
+  int64_t horizon;
+  bool flush;  ///< the default flush schedule; none otherwise
+};
+
+void PrintTo(const PatternCase& c, std::ostream* os) { *os << c.label; }
+
+constexpr double kPatternEpsilon = 1.0;
+constexpr int64_t kAntTimeBucket = 8;  ///< ticks per DP-ANT time bin
+
+/// One run's projection of the update pattern the backend received, or
+/// nothing if the engine fails or the batches the backend received differ
+/// from `update_pattern()`.
+///  - DP-Timer: the volume of the sync that closes the window holding
+///    `change_at` (0 when that sync posts nothing).
+///  - DP-ANT: the time bin and volume of the first sync at or after
+///    `change_at`, as bin * 1000 + volume (-1 when none happens within the
+///    horizon).
+/// Flushes are excluded: their schedule and volume are public.
+std::optional<int64_t> ProjectPattern(const PatternCase& c, bool neighbour,
+                                      uint64_t seed) {
+  StrategyParams params;
+  params.epsilon = kPatternEpsilon;
+  params.noise = c.noise;
+  params.ant_budget_split = c.budget_split;
+  if (!c.flush) params.flush_interval = 0;
+  Rng strategy_rng(seed ^ 0x5eed);
+  RecordingBackend backend;
+  DpSyncEngine engine(MakeStrategy(c.kind, params, &strategy_rng), &backend,
+                      TestDummyFactory(), seed);
+  if (!engine.Setup({}).ok()) return std::nullopt;
+  for (int64_t t = 1, next = c.first_arrival; t <= c.horizon; ++t) {
+    std::vector<Record> arrivals;
+    if (t == next) {
+      arrivals.push_back(MakeRecord(t));
+      next += 3;
+    }
+    if (neighbour && t == c.change_at) arrivals.push_back(MakeRecord(t));
+    if (!engine.TickBatch(std::move(arrivals)).ok()) return std::nullopt;
+  }
+
+  const auto& events = engine.update_pattern().events();
+  if (backend.batch_sizes().size() != events.size()) return std::nullopt;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (backend.batch_sizes()[i] != events[i].volume) return std::nullopt;
+  }
+  if (c.kind == StrategyKind::kDpTimer) {
+    const int64_t period = params.timer_period;
+    const int64_t closing = (c.change_at + period - 1) / period * period;
+    for (const auto& e : events) {
+      if (e.t == closing && !e.is_flush) return e.volume;
+    }
+    return 0;
+  }
+  for (const auto& e : events) {
+    if (e.t >= c.change_at && !e.is_flush) {
+      return (e.t - c.change_at) / kAntTimeBucket * 1000 + e.volume;
+    }
+  }
+  return -1;
+}
+
+class UpdatePatternDpTest : public ::testing::TestWithParam<PatternCase> {};
+
+// Any function of an eps-DP transcript is eps-DP, so on neighbouring
+// streams every projection bin with enough mass must have likelihood
+// ratio within e^eps, up to sampling slack (x1.25).
+TEST_P(UpdatePatternDpTest, ReceivedPatternIsEpsDp) {
+  const PatternCase& c = GetParam();
+  SCOPED_TRACE(c.label);
+  // Runs are independent (seeded by index) and histograms add exactly, so
+  // spreading them over the pool changes nothing but the wall time.
+  constexpr size_t kRuns = 40000;
+  ThreadPool* pool = SharedPool();
+  const size_t chunks = pool->num_threads();
+  std::vector<std::map<int64_t, int>> base(chunks), neighbour(chunks);
+  std::vector<int> mismatched(chunks, 0);
+  pool->ParallelFor(kRuns, chunks, [&](size_t chunk, size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      auto a = ProjectPattern(c, /*neighbour=*/false, 2 * i + 1);
+      auto b = ProjectPattern(c, /*neighbour=*/true, 2 * i + 2);
+      if (!a || !b) {
+        ++mismatched[chunk];
+        continue;
+      }
+      ++base[chunk][*a];
+      ++neighbour[chunk][*b];
+    }
+  });
+  for (size_t chunk = 1; chunk < chunks; ++chunk) {
+    for (const auto& [bin, n] : base[chunk]) base[0][bin] += n;
+    for (const auto& [bin, n] : neighbour[chunk]) neighbour[0][bin] += n;
+    mismatched[0] += mismatched[chunk];
+  }
+  EXPECT_EQ(mismatched[0], 0) << "runs whose received batches differ from "
+                                 "update_pattern()";
+  const double worst = testutil::ExpectLogRatioBounded(
+      base[0], neighbour[0], /*min_mass=*/800,
+      kPatternEpsilon + std::log(1.25));
+  std::cout << c.label << ": worst |ln ratio| " << worst << "\n";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RealStrategies, UpdatePatternDpTest,
+    ::testing::Values(
+        PatternCase{"DP-Timer Laplace, change mid-window",
+                    StrategyKind::kDpTimer, dp::NoiseKind::kLaplace, 0.5,
+                    /*first_arrival=*/33, /*change_at=*/45, /*horizon=*/60,
+                    /*flush=*/false},
+        PatternCase{"DP-Timer geometric, change on the sync tick",
+                    StrategyKind::kDpTimer, dp::NoiseKind::kGeometric, 0.5,
+                    33, 60, 60, false},
+        PatternCase{"DP-Timer Laplace, default flush schedule",
+                    StrategyKind::kDpTimer, dp::NoiseKind::kLaplace, 0.5,
+                    1983, 1995, 2010, true},
+        PatternCase{"DP-ANT Laplace", StrategyKind::kDpAnt,
+                    dp::NoiseKind::kLaplace, 0.5, 12, 10, 45, false},
+        PatternCase{"DP-ANT geometric", StrategyKind::kDpAnt,
+                    dp::NoiseKind::kGeometric, 0.5, 12, 10, 45, false},
+        PatternCase{"DP-ANT Laplace, budget split 0.3", StrategyKind::kDpAnt,
+                    dp::NoiseKind::kLaplace, 0.3, 12, 10, 45, false}));
 
 }  // namespace
 }  // namespace dpsync

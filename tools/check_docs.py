@@ -22,6 +22,15 @@ wire protocol's message table honest):
    src/net/messages.h, so a message kind added or deleted without its
    doc row fails.
 
+4. **Include examples**: an inline-code `#include "x/y.h"` outside
+   fences must name a file under one of the two include roots, `src/`
+   or `tests/`. (Fenced blocks may quote other projects' code.)
+
+5. **Test-suite references**: a `build*/tests/<suite>` token, fenced or
+   not, must name a suite listed in `DPSYNC_TEST_SUITES`
+   (tests/CMakeLists.txt), so a deleted or renamed suite cannot linger
+   in a run-it-like-this example.
+
 Exit 0 when clean; exit 1 listing every broken reference. CI runs this
 in the `docs` job so documentation cannot rot silently; run it locally
 after moving or renaming files:
@@ -48,6 +57,13 @@ CODE_PATH_RE = re.compile(
     r"(?<![\w/.-])(" + PATH_ROOTS + r"/[\w./-]*\.(?:" + PATH_EXTS + r"))\b")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^\s*(```|~~~)")
+
+INLINE_CODE_RE = re.compile(r"`([^`]+)`")
+INCLUDE_RE = re.compile(r'#include\s+"([\w./-]+)"')
+INCLUDE_ROOTS = ["src", "tests"]
+SUITE_REF_RE = re.compile(r"\bbuild[\w.-]*/tests/(\w+)")
+SUITES_CMAKE = os.path.join("tests", "CMakeLists.txt")
+SUITES_RE = re.compile(r"set\(DPSYNC_TEST_SUITES\b(.*?)\)", re.S)
 
 MESSAGES_DOC = os.path.join("docs", "DISTRIBUTED.md")
 MESSAGES_HEADER = os.path.join("src", "net", "messages.h")
@@ -85,13 +101,27 @@ def strip_fenced_blocks(lines):
             yield i, line
 
 
-def check_file(path, root, verbose):
+def test_suites(root):
+    """The suite names registered in tests/CMakeLists.txt."""
+    with open(os.path.join(root, SUITES_CMAKE), encoding="utf-8") as f:
+        m = SUITES_RE.search(f.read())
+    return set(m.group(1).split()) if m else set()
+
+
+def check_file(path, root, suites, verbose):
     errors = []
     checked = 0
     with open(path, encoding="utf-8") as f:
         lines = f.readlines()
     here = os.path.dirname(path)
     rel = os.path.relpath(path, root)
+
+    for lineno, line in enumerate(lines, start=1):
+        for m in SUITE_REF_RE.finditer(line):
+            checked += 1
+            if m.group(1) not in suites:
+                errors.append(f"{rel}:{lineno}: unknown test suite "
+                              f"({m.group(0)}; not in DPSYNC_TEST_SUITES)")
 
     for lineno, line in strip_fenced_blocks(lines):
         for m in LINK_RE.finditer(line):
@@ -114,6 +144,14 @@ def check_file(path, root, verbose):
             checked += 1
             if not os.path.exists(os.path.join(root, ref)):
                 errors.append(f"{rel}:{lineno}: dangling code path ({ref})")
+        for span in INLINE_CODE_RE.findall(line):
+            for m in INCLUDE_RE.finditer(span):
+                checked += 1
+                if not any(os.path.isfile(os.path.join(root, r, m.group(1)))
+                           for r in INCLUDE_ROOTS):
+                    errors.append(f"{rel}:{lineno}: include of a file under "
+                                  f"neither src/ nor tests/ "
+                                  f"({m.group(1)})")
     if verbose:
         print(f"  {rel}: {checked} references")
     return errors
@@ -178,9 +216,10 @@ def main():
     if not files:
         print(f"check_docs: no markdown files under {root}", file=sys.stderr)
         return 1
+    suites = test_suites(root)
     all_errors = []
     for path in files:
-        all_errors.extend(check_file(path, root, args.verbose))
+        all_errors.extend(check_file(path, root, suites, args.verbose))
     all_errors.extend(check_message_table(root))
     if all_errors:
         print(f"check_docs: {len(all_errors)} problem(s) in "
@@ -189,7 +228,8 @@ def main():
             print(f"  {e}")
         return 1
     print(f"check_docs: OK ({len(files)} markdown files, all intra-repo "
-          f"links and code paths resolve, message table matches MsgKind)")
+          f"links, code paths, include examples and suite references "
+          f"resolve, message table matches MsgKind)")
     return 0
 
 
