@@ -4,7 +4,10 @@
 /// (P3). We run DP-Timer with and without flushing on a bursty stream that
 /// stops at the halfway mark, and report (i) how the logical gap drains
 /// after the stream ends and (ii) the dummy-volume cost the flush adds.
+/// Each table row is also one BENCH_ablation_flush.json entry
+/// (`drain_ticks` is null where the gap never drains).
 #include <iostream>
+#include <sstream>
 
 #include "bench_util.h"
 #include "common/table_printer.h"
@@ -77,6 +80,15 @@ int main() {
                   std::to_string(engine.logical_gap()),
                   std::to_string(engine.counters().dummy_synced),
                   std::to_string(engine.counters().updates_posted)});
+    std::ostringstream json;
+    json << "{\"engine\":\"none\",\"strategy\":\"DP-Timer\",\"flush\":\""
+         << (flush_on ? "on" : "off") << "\",\"gap_at_stream_end\":"
+         << gap_at_stop << ",\"drain_ticks\":"
+         << (drained_at >= 0 ? std::to_string(drained_at) : "null")
+         << ",\"final_gap\":" << engine.logical_gap()
+         << ",\"dummies\":" << engine.counters().dummy_synced
+         << ",\"updates\":" << engine.counters().updates_posted << "}";
+    bench::RecordEntry(json.str());
   }
   std::cout << "\n";
   table.Print(std::cout);

@@ -101,8 +101,8 @@ std::string RenderEntry(const sim::ExperimentConfig& config,
      << ",\"dummy_synced\":" << result.dummy_synced
      << ",\"updates_posted\":" << result.updates_posted;
   if (result.oram.enabled) {
-    // ORAM health rides along so CI artifact diffs catch stash growth or
-    // shard imbalance regressions, not just timing drift.
+    // ORAM health rides along so a golden pins stash growth and shard
+    // imbalance, not just the paper metrics.
     os << ",\"oram\":{\"max_stash\":" << result.oram.max_stash_size
        << ",\"access_count\":" << result.oram.access_count
        << ",\"shard_accesses\":[";

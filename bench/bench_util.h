@@ -13,7 +13,7 @@
 
 namespace dpsync::bench {
 
-/// True if DPSYNC_FAST=1 is set (CI/smoke mode: shorter traces).
+/// True if DPSYNC_FAST=1 is set (smoke and golden mode: shorter traces).
 bool FastMode();
 
 /// Applies fast-mode scaling to an experiment config (1/8 horizon and
@@ -44,16 +44,17 @@ std::vector<sim::ExperimentResult> MustRunAll(
     const std::vector<sim::ExperimentConfig>& configs);
 
 /// Appends one pre-rendered JSON object to the machine-readable report —
-/// for benches whose cells are not sim experiments (e.g. the concurrency
-/// sweep). The object should carry distinguishing "engine"/"strategy"
-/// keys so tools/bench_diff.py can match it across runs.
+/// for benches whose cells are not sim experiments (table2_bounds,
+/// ablation_flush, the concurrency sweep). The object should carry
+/// "engine"/"strategy" keys: tools/bench_golden.py names an experiment by
+/// them when it reports a difference from the golden.
 void RecordEntry(const std::string& json_object);
 
 /// Header banner for a figure binary. Also names and arms the JSON report:
 /// when the process exits, every MustRun recorded since is written to
 /// `BENCH_<name>.json` (in $DPSYNC_BENCH_JSON_DIR, default the working
-/// directory) so CI can archive per-figure numbers and diff them across
-/// commits. `name` defaults to the binary name on Linux.
+/// directory), which the golden checks compare against bench/golden/.
+/// `name` defaults to the binary name on Linux.
 void Banner(const std::string& title, const std::string& paper_ref);
 
 /// Forces the report to disk immediately (exit also triggers this).

@@ -12,10 +12,9 @@
 ///
 /// Output: "sweep_concurrency,<method>,x<in_flight>,..." CSV lines, a
 /// summary table with the x8-over-x1 qps speedup per method, and
-/// BENCH_sweep_concurrency.json entries (wired into the CI
-/// bench-artifacts job; `virtual_seconds` is deterministic and gated by
-/// tools/bench_diff.py). On a multi-core host the snapshot cells should
-/// show x8 >= 2x the qps of x1; single-core hosts cannot overlap
+/// BENCH_sweep_concurrency.json entries. The numbers are wall-clock, so
+/// this program has no golden. On a multi-core host the snapshot cells
+/// should show x8 >= 2x the qps of x1; single-core hosts cannot overlap
 /// CPU-bound scans, so the speedup check only warns. DPSYNC_FAST=1
 /// shrinks the workload 4x.
 #include <chrono>
@@ -56,7 +55,7 @@ std::vector<Record> MakeRecords(int64_t n) {
 
 /// MIN/MAX shapes only: materialized views would answer COUNT/SUM/AVG in
 /// O(1) and leave nothing to contend, so the sweep keeps every execution
-/// on the scan paths it measures (bench/sweep_views.cpp covers views).
+/// on the scan paths it measures (view_test covers views).
 std::vector<std::string> MixedQueries() {
   return {
       "SELECT MAX(fare) FROM YellowCab WHERE pickupID BETWEEN 50 AND 100",
@@ -171,8 +170,7 @@ int main() {
       double qps = wall > 0 ? kQueries / wall : 0;
       // Every query scans the whole table, so the scan throughput each
       // cell sustains is (records per scan) x (scans per second) — the
-      // number the scan kernel's columnar loop moves (see
-      // bench/sweep_vectorized.cpp for the per-query-shape breakdown).
+      // number the scan kernel's columnar loop moves.
       double rows_per_sec =
           wall > 0 ? static_cast<double>(kRecords) * kQueries / wall : 0;
       qps_by_method[method.name][in_flight] = qps;

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/shard_router.h"
 #include "core/engine.h"
 #include "core/naive_strategies.h"
 #include "crypto/record_cipher.h"
@@ -149,9 +150,11 @@ std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
   return std::make_unique<edb::ObliDbServer>(cfg);
 }
 
-void RunIdentitySweep(const Variant& v, int servers) {
+/// `rows` records reach both sides: one setup batch, then three 8-record
+/// updates.
+void RunIdentitySweep(const Variant& v, int servers, int64_t rows = 64) {
   SCOPED_TRACE(std::string(v.label) + " x " + std::to_string(servers) +
-               " servers");
+               " servers, " + std::to_string(rows) + " rows");
   DistributedEdbServer dist(MakeDistConfig(v, servers));
   ASSERT_OK(dist.init_status());
   auto local = MakeLocalTwin(v);
@@ -163,9 +166,9 @@ void RunIdentitySweep(const Variant& v, int servers) {
 
   // Identical owner traffic: one setup batch, then incremental updates —
   // the same Pi_Setup / Pi_Update sequence on both sides.
-  ASSERT_OK(dist_table.value()->Setup(MakeBatch(0, 40)));
-  ASSERT_OK(local_table.value()->Setup(MakeBatch(0, 40)));
-  for (int64_t t = 40; t < 64; t += 8) {
+  ASSERT_OK(dist_table.value()->Setup(MakeBatch(0, rows - 24)));
+  ASSERT_OK(local_table.value()->Setup(MakeBatch(0, rows - 24)));
+  for (int64_t t = rows - 24; t < rows; t += 8) {
     ASSERT_OK(dist_table.value()->Update(MakeBatch(t, t + 8)));
     ASSERT_OK(local_table.value()->Update(MakeBatch(t, t + 8)));
   }
@@ -211,6 +214,18 @@ TEST(DistBitIdentityTest, MatchesLocalEngineAcrossBackendsAndServerCounts) {
       RunIdentitySweep(v, servers);
     }
   }
+  // A table whose every shard holds more than one 4,096-row enclave
+  // mirror chunk, so each shard server folds and ships cells from several
+  // chunks. This input replaces the retired distributed sweep's in-binary
+  // check of its multi-chunk cells against the local engine.
+  constexpr int64_t kMultiChunkRows = 30000;
+  ShardRouter router(kGlobalShards);
+  std::vector<int64_t> per_shard(kGlobalShards, 0);
+  for (const auto& r : MakeBatch(0, kMultiChunkRows)) {
+    ++per_shard[static_cast<size_t>(router.Route(r.payload))];
+  }
+  for (int64_t n : per_shard) ASSERT_GT(n, 4096);
+  RunIdentitySweep(kVariants[0], 4, kMultiChunkRows);
 }
 
 TEST(DistTransportTest, TcpLoopbackMatchesSocketpair) {

@@ -268,7 +268,7 @@ TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
     int64_t scanned;
     double qet;
   };
-  auto run = [&](bool prepare) {
+  auto run = [&](bool prepare, int64_t init_rows) {
     ObliDbConfig cfg;
     cfg.master_seed = 5;
     cfg.storage.num_shards = 2;
@@ -276,7 +276,7 @@ TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
     auto t = server.CreateTable("YellowCab", TripSchema());
     EXPECT_TRUE(t.ok());
     std::vector<Record> init;
-    for (int64_t i = 0; i < 64; ++i) init.push_back(Trip(i, i % 7));
+    for (int64_t i = 0; i < init_rows; ++i) init.push_back(Trip(i, i % 7));
     EXPECT_OK(t.value()->Setup(init));
     auto session = server.CreateSession();
     std::vector<Outcome> outcomes;
@@ -291,25 +291,30 @@ TEST(ViewIdentityTest, ObliDbViewAnswersBitIdenticalToScans) {
       EXPECT_OK(t.value()->Update(
           {Trip(100 + round, round % 7), Trip(200 + round, round % 7)}));
     }
+    // Every query here is eligible, so each prepared execution is a view
+    // hit and each unprepared one a snapshot scan.
+    const auto executions = static_cast<int64_t>(outcomes.size());
     auto stats = server.stats();
-    if (prepare) {
-      EXPECT_GT(stats.view_hits, 0);
-      EXPECT_GT(stats.view_folds, 0);
-      EXPECT_EQ(stats.snapshot_scans, 0);  // every query here is eligible
-    } else {
-      EXPECT_EQ(stats.view_hits, 0);
-      EXPECT_EQ(stats.view_folds, 0);
-      EXPECT_GT(stats.snapshot_scans, 0);
-    }
+    EXPECT_EQ(stats.view_hits, prepare ? executions : 0);
+    EXPECT_EQ(stats.snapshot_scans, prepare ? 0 : executions);
+    EXPECT_EQ(stats.view_folds > 0, prepare);
     return outcomes;
   };
-  auto scanned = run(false);
-  auto viewed = run(true);
-  ASSERT_EQ(scanned.size(), viewed.size());
-  for (size_t i = 0; i < scanned.size(); ++i) {
-    EXPECT_EQ(viewed[i].result, scanned[i].result) << kQueries[i % 4];
-    EXPECT_EQ(viewed[i].scanned, scanned[i].scanned) << kQueries[i % 4];
-    EXPECT_EQ(viewed[i].qet, scanned[i].qet) << kQueries[i % 4];
+  // 64 rows fit in one 4,096-row mirror chunk per shard; 10,000 rows over
+  // two shards fill more than one, so the views' warm fold and the scans
+  // both cross a chunk edge. The larger input replaces the retired view
+  // sweep's in-binary check on its multi-chunk tables.
+  for (int64_t init_rows : {64, 10000}) {
+    auto scanned = run(false, init_rows);
+    auto viewed = run(true, init_rows);
+    ASSERT_EQ(scanned.size(), viewed.size());
+    for (size_t i = 0; i < scanned.size(); ++i) {
+      const std::string where =
+          kQueries[i % 4] + " over " + std::to_string(init_rows) + " rows";
+      EXPECT_EQ(viewed[i].result, scanned[i].result) << where;
+      EXPECT_EQ(viewed[i].scanned, scanned[i].scanned) << where;
+      EXPECT_EQ(viewed[i].qet, scanned[i].qet) << where;
+    }
   }
 }
 

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Markdown hygiene gate: validate intra-repo references in all *.md.
 
-Two kinds of reference are checked, in every tracked markdown file
-outside build trees and third_party (a third check, below, keeps the
-wire protocol's message table honest):
+These references are checked in every tracked markdown file outside
+build trees and third_party (rule 3 keeps the wire protocol's message
+table honest):
 
 1. **Markdown links** `[text](target)` whose target is not an absolute
    URL or a pure fragment: the target path (resolved relative to the
    containing file, `#fragment` stripped) must exist.
 2. **Code-path references**: inline-code or prose mentions of repo paths
    like `src/edb/snapshot.h`, `docs/CONCURRENCY.md`,
-   `tools/bench_diff.py`, `tests/snapshot_test.cc`,
+   `tools/bench_golden.py`, `tests/snapshot_test.cc`,
    `.github/workflows/ci.yml` — any token rooted at a known top-level
    code directory with a recognized extension must name an existing
    file. Tokens inside fenced code blocks are skipped (they quote code,
@@ -30,6 +30,16 @@ wire protocol's message table honest):
    not, must name a suite listed in `DPSYNC_TEST_SUITES`
    (tests/CMakeLists.txt), so a deleted or renamed suite cannot linger
    in a run-it-like-this example.
+
+6. **Bench-program references**: a `build*/bench/<program>` token,
+   fenced or not, must name a program listed in `DPSYNC_BENCHES` (which
+   includes `DPSYNC_PAPER_BENCHES`) or `DPSYNC_MICRO_BENCHES`
+   (bench/CMakeLists.txt).
+
+The repo-root change logs (`CHANGE_LOGS` below) record past or planned
+changes: a file, suite or program they name may since have been
+deleted, and that mention stays accurate. They are checked for links
+(rule 1) only; every other markdown file gets every rule.
 
 Exit 0 when clean; exit 1 listing every broken reference. CI runs this
 in the `docs` job so documentation cannot rot silently; run it locally
@@ -64,6 +74,11 @@ INCLUDE_ROOTS = ["src", "tests"]
 SUITE_REF_RE = re.compile(r"\bbuild[\w.-]*/tests/(\w+)")
 SUITES_CMAKE = os.path.join("tests", "CMakeLists.txt")
 SUITES_RE = re.compile(r"set\(DPSYNC_TEST_SUITES\b(.*?)\)", re.S)
+BENCH_REF_RE = re.compile(r"\bbuild[\w.-]*/bench/(\w+)")
+BENCHES_CMAKE = os.path.join("bench", "CMakeLists.txt")
+BENCHES_RE = re.compile(r"set\(DPSYNC_\w*BENCHES\b(.*?)\)", re.S)
+# Logs of past or planned changes: links only (see the docstring).
+CHANGE_LOGS = {"CHANGES.md", "ISSUE.md"}
 
 MESSAGES_DOC = os.path.join("docs", "DISTRIBUTED.md")
 MESSAGES_HEADER = os.path.join("src", "net", "messages.h")
@@ -108,20 +123,35 @@ def test_suites(root):
     return set(m.group(1).split()) if m else set()
 
 
-def check_file(path, root, suites, verbose):
+def bench_programs(root):
+    """The programs bench/CMakeLists.txt builds (any DPSYNC_*BENCHES)."""
+    with open(os.path.join(root, BENCHES_CMAKE), encoding="utf-8") as f:
+        bodies = BENCHES_RE.findall(f.read())
+    return {w for body in bodies for w in body.split()
+            if not w.startswith("$")}
+
+
+def check_file(path, root, suites, benches, verbose):
     errors = []
     checked = 0
     with open(path, encoding="utf-8") as f:
         lines = f.readlines()
     here = os.path.dirname(path)
     rel = os.path.relpath(path, root)
+    links_only = rel in CHANGE_LOGS
 
-    for lineno, line in enumerate(lines, start=1):
+    # Rules 5 and 6 also read fenced blocks; the change logs skip them.
+    for lineno, line in enumerate([] if links_only else lines, start=1):
         for m in SUITE_REF_RE.finditer(line):
             checked += 1
             if m.group(1) not in suites:
                 errors.append(f"{rel}:{lineno}: unknown test suite "
                               f"({m.group(0)}; not in DPSYNC_TEST_SUITES)")
+        for m in BENCH_REF_RE.finditer(line):
+            checked += 1
+            if m.group(1) not in benches:
+                errors.append(f"{rel}:{lineno}: unknown bench program "
+                              f"({m.group(0)}; not in {BENCHES_CMAKE})")
 
     for lineno, line in strip_fenced_blocks(lines):
         for m in LINK_RE.finditer(line):
@@ -139,6 +169,8 @@ def check_file(path, root, suites, verbose):
                         else os.path.join(here, file_part))
             if not os.path.exists(resolved):
                 errors.append(f"{rel}:{lineno}: broken link ({target})")
+        if links_only:
+            continue
         for m in CODE_PATH_RE.finditer(line):
             ref = m.group(1)
             checked += 1
@@ -217,9 +249,11 @@ def main():
         print(f"check_docs: no markdown files under {root}", file=sys.stderr)
         return 1
     suites = test_suites(root)
+    benches = bench_programs(root)
     all_errors = []
     for path in files:
-        all_errors.extend(check_file(path, root, suites, args.verbose))
+        all_errors.extend(check_file(path, root, suites, benches,
+                                     args.verbose))
     all_errors.extend(check_message_table(root))
     if all_errors:
         print(f"check_docs: {len(all_errors)} problem(s) in "
@@ -228,8 +262,8 @@ def main():
             print(f"  {e}")
         return 1
     print(f"check_docs: OK ({len(files)} markdown files, all intra-repo "
-          f"links, code paths, include examples and suite references "
-          f"resolve, message table matches MsgKind)")
+          f"links, code paths, include examples, suite and bench "
+          f"references resolve, message table matches MsgKind)")
     return 0
 
 
