@@ -1,8 +1,13 @@
 /// \file micro_oram.cpp
-/// Micro-benchmarks for Path ORAM: write/read at several capacities — the
-/// per-access cost behind the ObliDB "indexed" storage mode.
+/// Micro-benchmarks for the oblivious substrates: Path ORAM write/read at
+/// several capacities — the per-access cost behind the ObliDB "indexed"
+/// storage mode — and the oblivious sort-merge COUNT join kernel behind
+/// ObliDB's small COUNT joins.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "oram/oblivious_join.h"
 #include "oram/path_oram.h"
 
 namespace dpsync::oram {
@@ -60,6 +65,33 @@ void BM_OramReadWriteMix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OramReadWriteMix);
+
+// The kernel over int keys: range(0) left and range(1) right tags, keys
+// drawn from about as many values as there are tags, a quarter of the
+// tags filtered out. The sort's cost depends on the tag count alone.
+void BM_ObliviousJoinCount(benchmark::State& state) {
+  const auto n1 = static_cast<size_t>(state.range(0));
+  const auto n2 = static_cast<size_t>(state.range(1));
+  Rng rng(5);
+  std::vector<JoinTag<int64_t>> tags(n1 + n2);
+  for (auto& t : tags) {
+    t.key = rng.UniformInt(0, static_cast<int64_t>(n1 + n2));
+    t.valid = rng.UniformInt(0, 3) != 0;
+  }
+  auto compare = [](int64_t a, int64_t b) { return (a > b) - (a < b); };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ObliviousJoinCount(tags, n1, compare));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(n1 + n2));
+}
+BENCHMARK(BM_ObliviousJoinCount)
+    ->Args({512, 512})
+    ->Args({2048, 2048})
+    ->Args({8192, 8192})
+    ->Args({32768, 32768})
+    ->Args({64, 62500})  // skewed: exactly the default 4M-pair limit
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace dpsync::oram

@@ -94,9 +94,11 @@ void BM_GroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupBy)->Arg(1000)->Arg(10000);
 
+// Rows per side; the shapes match BM_ObliviousJoinCount's in
+// micro_oram.cpp (2^10 to 2^16 rows in all, and a skewed 4M-pair join).
 void BM_HashJoin(benchmark::State& state) {
   Table a = MakeTripTable("A", static_cast<size_t>(state.range(0)), 4);
-  Table b = MakeTripTable("B", static_cast<size_t>(state.range(0)), 5);
+  Table b = MakeTripTable("B", static_cast<size_t>(state.range(1)), 5);
   Catalog c;
   c.AddTable(&a);
   c.AddTable(&b);
@@ -106,9 +108,15 @@ void BM_HashJoin(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(ex.Execute(q.value()));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() *
+                          (state.range(0) + state.range(1)));
 }
-BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_HashJoin)
+    ->Args({512, 512})
+    ->Args({2048, 2048})
+    ->Args({8192, 8192})
+    ->Args({32768, 32768})
+    ->Args({64, 62500});
 
 void BM_RewriteForDummies(benchmark::State& state) {
   auto q = ParseSelect(

@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/parallel.h"
+#include "oram/oblivious_join.h"
 #include "query/executor.h"
+#include "query/vectorized.h"
 
 namespace dpsync::edb {
 
@@ -427,11 +434,190 @@ StatusOr<QueryResponse> ObliDbServer::ScanQuery(
 
 namespace {
 
-/// Shared back half of the join paths: the oblivious-nested-loop vs
-/// hash-join decision plus response pricing, over two tables whose row
-/// spans are already borrowed (locked enclave views or pinned snapshots).
-/// Safe to run with or without the table locks — the spans bound every
-/// row access. `n1`/`n2` are the row counts the borrowed views cover.
+/// Which join sides the columns of `e` resolve to in the joined schema,
+/// looked up as ColumnExpr::Eval looks them up: bit 0 for the left side
+/// (indices below `left_cols`), bit 1 for the right. A name that resolves
+/// nowhere evaluates to NULL on either side and marks neither.
+int SidesRead(const query::Expr& e, const query::Schema& joined,
+              size_t left_cols) {
+  auto sides = [&](const query::Expr& child) {
+    return SidesRead(child, joined, left_cols);
+  };
+  switch (e.kind()) {
+    case query::ExprKind::kColumn: {
+      const auto idx = query::ResolveColumnName(
+          joined, static_cast<const query::ColumnExpr&>(e).name());
+      if (!idx) return 0;
+      return *idx < left_cols ? 1 : 2;
+    }
+    case query::ExprKind::kLiteral:
+      return 0;
+    case query::ExprKind::kCompare: {
+      const auto& c = static_cast<const query::CompareExpr&>(e);
+      return sides(c.lhs()) | sides(c.rhs());
+    }
+    case query::ExprKind::kBetween: {
+      const auto& b = static_cast<const query::BetweenExpr&>(e);
+      return sides(b.operand()) | sides(b.lo()) | sides(b.hi());
+    }
+    case query::ExprKind::kLogical: {
+      const auto& l = static_cast<const query::LogicalExpr&>(e);
+      return sides(l.lhs()) | sides(l.rhs());
+    }
+    case query::ExprKind::kNot:
+      return sides(static_cast<const query::NotExpr&>(e).inner());
+  }
+  return 0;
+}
+
+/// Appends the top-level AND conjuncts of `e` to `out`, left to right.
+/// AND is pure, so a pair passes the WHERE exactly when it passes every
+/// conjunct.
+void AppendConjuncts(const query::Expr* e,
+                     std::vector<const query::Expr*>* out) {
+  if (e == nullptr) return;
+  if (e->kind() == query::ExprKind::kLogical) {
+    const auto& l = static_cast<const query::LogicalExpr&>(*e);
+    if (l.op() == query::LogicalExpr::Op::kAnd) {
+      AppendConjuncts(&l.lhs(), out);
+      AppendConjuncts(&l.rhs(), out);
+      return;
+    }
+  }
+  out->push_back(e);
+}
+
+/// Appends one tag per row of `t`, in span order. The filter bit ANDs a
+/// non-NULL key (`key_at(span, i)` returns the key and whether it is
+/// non-NULL), the row's own `isDummy = 0` cell and `where`, the side's
+/// conjuncts evaluated against `where_schema`. The dummy cell is read per
+/// side rather than through the WHERE: on a self-join both `isDummy = 0`
+/// conjuncts resolve to the left copy, and only the right row's own cell
+/// keeps the right side's dummies out.
+template <typename Key, typename KeyAt>
+void TagSide(const query::Table& t, const query::Expr* where,
+             const query::Schema& where_schema, KeyAt key_at,
+             std::vector<oram::JoinTag<Key>>* tags) {
+  const auto dummy = t.schema.FindIndex(query::Schema::kDummyColumn);
+  const query::Value zero(int64_t{0});
+  std::optional<query::VectorPredicate> pred;
+  if (where) pred = query::VectorPredicate::Compile(where, where_schema);
+  std::vector<uint8_t> pass;
+  std::vector<std::vector<uint8_t>> scratch;
+  for (const query::RowSpan& span : t.Spans()) {
+    pass.assign(span.size, 1);
+    if (pred && pred->CompatibleWith(span.columns)) {
+      pred->Eval(span.columns, 0, span.size, pass.data(), &scratch);
+    } else if (where) {
+      for (size_t i = 0; i < span.size; ++i) {
+        pass[i] = where->Eval(where_schema, span.data[i]).Truthy();
+      }
+    }
+    for (size_t i = 0; i < span.size; ++i) {
+      const query::Row& row = span.data[i];
+      uint8_t real = 1;
+      if (dummy && *dummy < row.size()) {
+        const query::Value& cell = row[*dummy];
+        real = !cell.is_null() && cell.Compare(zero) == 0;
+      }
+      const auto [key, has_key] = key_at(span, i);
+      tags->push_back({key, static_cast<uint8_t>(has_key & pass[i] & real),
+                       0});
+    }
+  }
+}
+
+}  // namespace
+
+std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
+                                          const query::Table& left,
+                                          const query::Table& right,
+                                          oram::AccessTrace* trace) {
+  // File each WHERE conjunct under the side it reads; one that reads no
+  // resolvable column is constant over pairs and goes left.
+  const query::Schema joined = query::JoinedSchema(left, right);
+  const size_t left_cols = left.schema.size();
+  std::vector<const query::Expr*> conjuncts;
+  AppendConjuncts(rewritten.where.get(), &conjuncts);
+  query::ExprPtr where[2];
+  for (const query::Expr* c : conjuncts) {
+    const int sides = SidesRead(*c, joined, left_cols);
+    if (sides == 3) return std::nullopt;
+    query::ExprPtr& w = where[sides == 2 ? 1 : 0];
+    w = w ? std::make_unique<query::LogicalExpr>(query::LogicalExpr::Op::kAnd,
+                                                 std::move(w), c->Clone())
+          : c->Clone();
+  }
+  // A side's slice of the joined schema resolves that side's conjuncts to
+  // the cells the joined schema resolves them to: lookups take the first
+  // match, and every name a side's conjunct reads resolves inside it.
+  const auto& fields = joined.fields();
+  const query::Schema left_schema(
+      {fields.begin(), fields.begin() + static_cast<ptrdiff_t>(left_cols)});
+  const query::Schema right_schema(
+      {fields.begin() + static_cast<ptrdiff_t>(left_cols), fields.end()});
+
+  const auto lkey =
+      query::ResolveColumnName(left.schema, rewritten.join->left_column);
+  const auto rkey =
+      query::ResolveColumnName(right.schema, rewritten.join->right_column);
+  const size_t left_rows = left.TotalRows();
+  const size_t rows = left_rows + right.TotalRows();
+  auto int_keyed = [](const query::Table& t, std::optional<size_t> key) {
+    return key && t.schema.fields()[*key].type == query::ValueType::kInt &&
+           query::SpansTyped(t.Spans(), t.schema.size(), *key,
+                             query::ValueType::kInt);
+  };
+  if (int_keyed(left, lkey) && int_keyed(right, rkey)) {
+    // Both key columns typed int in every span: sort the int64 keys.
+    auto key_at = [](size_t key) {
+      return [key](const query::RowSpan& span, size_t i) {
+        const query::ColumnSpan& col = span.columns[key];
+        return std::pair<int64_t, uint8_t>(col.ints[i], !col.nulls[i]);
+      };
+    };
+    std::vector<oram::JoinTag<int64_t>> tags;
+    tags.reserve(rows);
+    TagSide(left, where[0].get(), left_schema, key_at(*lkey), &tags);
+    TagSide(right, where[1].get(), right_schema, key_at(*rkey), &tags);
+    return oram::ObliviousJoinCount(
+        std::move(tags), left_rows,
+        [](int64_t a, int64_t b) { return (a > b) - (a < b); }, trace);
+  }
+  // Any other key (strings, doubles, mixed declarations, a poisoned
+  // column) is sorted and matched through Value::Compare, which orders
+  // every key except a double NaN and an int beyond 2^53 against doubles.
+  // The tags hold pointers to the key cells, so the tag trace stays
+  // data-independent but each comparison reads two row cells the sort
+  // has permuted; typed int keys sort inline and read nothing else.
+  static const query::Value kNullKey;
+  auto key_at = [](std::optional<size_t> key) {
+    return [key](const query::RowSpan& span, size_t i) {
+      const query::Row& row = span.data[i];
+      const query::Value* v =
+          key && *key < row.size() ? &row[*key] : &kNullKey;
+      return std::pair<const query::Value*, uint8_t>(v, !v->is_null());
+    };
+  };
+  std::vector<oram::JoinTag<const query::Value*>> tags;
+  tags.reserve(rows);
+  TagSide(left, where[0].get(), left_schema, key_at(lkey), &tags);
+  TagSide(right, where[1].get(), right_schema, key_at(rkey), &tags);
+  return oram::ObliviousJoinCount(
+      std::move(tags), left_rows,
+      [](const query::Value* a, const query::Value* b) {
+        return a->Compare(*b);
+      },
+      trace);
+}
+
+namespace {
+
+/// Shared back half of the join paths: the oblivious-vs-hash decision plus
+/// response pricing, over two tables whose row spans are already borrowed
+/// (locked enclave views or pinned snapshots). Safe to run with or without
+/// the table locks — the spans bound every row access. `n1`/`n2` are the
+/// row counts the borrowed views cover.
 StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
                                        query::Table& lt, query::Table& rt,
                                        int64_t n1, int64_t n2,
@@ -439,75 +625,27 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
                                        const CostModel& cost) {
   const int64_t pairs = n1 * n2;
   const query::SelectItem* agg = rewritten.AggregateItem();
-  const bool nested_loop_expressible =
-      agg != nullptr && agg->agg == query::AggFunc::kCount &&
-      rewritten.group_by.empty();
+  std::optional<int64_t> count;
+  if (pairs <= config.oblivious_join_limit && agg != nullptr &&
+      agg->agg == query::AggFunc::kCount && rewritten.group_by.empty()) {
+    // Ungrouped COUNT under the pair limit: the oblivious sort-merge join.
+    // It declines a WHERE conjunct that reads both sides.
+    count = ObliviousCountJoin(rewritten, lt, rt);
+  }
 
   query::QueryResult result;
-  if (pairs <= config.oblivious_join_limit && nested_loop_expressible) {
-    // Real oblivious nested loop: touch every pair in fixed order and
-    // accumulate matches branchlessly (data-independent control flow).
-    // It computes match counts only, so grouped and non-COUNT joins take
-    // the hash path below regardless of the pair limit (still charged the
-    // nested-loop virtual cost — the QET model is shape-, not
-    // strategy-dependent).
-    query::Schema joined = query::JoinedSchema(lt, rt);
-    query::ColumnExpr lkey(rewritten.join->left_column);
-    query::ColumnExpr rkey(rewritten.join->right_column);
-    // Per-side dummy filters, applied branchlessly alongside the
-    // rewritten WHERE. The engine only joins rewritten queries over
-    // dummy-flagged schemas, so the `isDummy = 0` conjuncts are always in
-    // the WHERE — but on a self-join both conjuncts name the same
-    // qualified column and resolve to the LEFT copy, so the WHERE alone
-    // would let right-side dummies through. Reading each side's own
-    // isDummy cell (non-NULL and == 0, the conjunct's exact semantics)
-    // keeps the loop bit-identical to the hash path's hoisted
-    // filter-before-join for every join, self- or two-table.
-    const query::Value kZero(int64_t{0});
-    auto real_row = [&kZero](const query::Schema& schema,
-                             const query::Row& row) -> int {
-      auto idx = schema.FindIndex(query::Schema::kDummyColumn);
-      if (!idx || *idx >= row.size()) return 1;
-      const query::Value& v = row[*idx];
-      return (!v.is_null() && v.Compare(kZero) == 0) ? 1 : 0;
-    };
-    int64_t count = 0;
-    query::Row combined;
-    const auto lspans = lt.Spans();
-    const auto rspans = rt.Spans();
-    for (const auto& lspan : lspans) {
-      for (size_t li = 0; li < lspan.size; ++li) {
-        const query::Row& a = lspan.data[li];
-        query::Value ka = lkey.Eval(lt.schema, a);
-        const int lreal = real_row(lt.schema, a);
-        for (const auto& rspan : rspans) {
-          for (size_t ri = 0; ri < rspan.size; ++ri) {
-            const query::Row& b = rspan.data[ri];
-            query::Value kb = rkey.Eval(rt.schema, b);
-            int match =
-                (!ka.is_null() && !kb.is_null() && ka.Compare(kb) == 0);
-            int pass = 1;
-            if (rewritten.where) {
-              combined.clear();
-              combined.insert(combined.end(), a.begin(), a.end());
-              combined.insert(combined.end(), b.begin(), b.end());
-              pass = rewritten.where->Eval(joined, combined).Truthy() ? 1 : 0;
-            }
-            count += match & pass & lreal & real_row(rt.schema, b);
-          }
-        }
-      }
-    }
-    result = query::QueryResult::Scalar(static_cast<double>(count));
+  if (count) {
+    result = query::QueryResult::Scalar(static_cast<double>(*count));
   } else {
-    // Simulation shortcut above the pair limit: identical answer via the
-    // partitioned hash join; the virtual cost still charges the full
-    // nested loop. join_skip_dummy_rows hoists the Appendix-B `isDummy =
-    // 0` conjuncts of the rewritten WHERE into key-extraction filters —
-    // the same filter(T, isDummy = FALSE)-before-join semantics the old
-    // row-copying drop implemented, now zero-copy over the borrowed
-    // spans (and still avoiding the quadratic blow-up of dummies sharing
-    // a join key).
+    // Grouped, non-COUNT, cross-side-predicate and over-limit joins:
+    // identical answer via the partitioned hash join, whose accesses
+    // depend on the data; the virtual cost still charges the paper's
+    // nested loop (the QET model is shape-, not strategy-dependent).
+    // join_skip_dummy_rows hoists the Appendix-B `isDummy = 0` conjuncts
+    // of the rewritten WHERE into key-extraction filters — the
+    // filter(T, isDummy = FALSE)-before-join semantics, zero-copy over
+    // the borrowed spans (and avoiding the quadratic blow-up of dummies
+    // sharing a join key).
     query::Catalog catalog;
     catalog.AddTable(&lt);
     catalog.AddTable(&rt);

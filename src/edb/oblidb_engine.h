@@ -9,25 +9,31 @@
 ///     every scan touches each record through an oblivious path access.
 ///     The mirror shares the store's shard topology, so per-shard scans
 ///     fan out across the thread pool exactly like linear scans do.
-/// Ungrouped COUNT joins run as an oblivious nested loop (O(N1*N2) touched
-/// pairs). For the month-long experiment traces the pair count reaches
-/// ~4*10^8 per query point; above `oblivious_join_limit` — and for every
-/// grouped or non-COUNT join, which the nested loop cannot express — the
-/// engine computes the (identical) answer with a partitioned hash join and
-/// charges the nested-loop virtual cost — a documented simulation shortcut
-/// that changes wall-clock only. Linear joins pin both sides' committed
-/// prefixes and execute lock-free (see ExecutePlan).
+/// Ungrouped COUNT joins of up to `oblivious_join_limit` pairs run as an
+/// oblivious sort-merge join (ObliviousCountJoin below): every row of both
+/// sides is tagged once, the tags are bitonic-sorted and one branchless
+/// pass counts the matches, so the access trace depends on the two table
+/// sizes alone. Above the limit, for grouped and non-COUNT joins, and for
+/// a WHERE conjunct that reads both sides — only a formed pair can
+/// evaluate it — the engine computes the answer with a partitioned hash
+/// join. Both paths charge the paper's nested-loop virtual cost (n1*n2
+/// pairs, which reach ~4*10^8 per query point on the month-long traces),
+/// so the choice changes wall-clock only. Linear joins pin both sides'
+/// committed prefixes and execute lock-free (see ExecutePlan).
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "crypto/key_manager.h"
 #include "edb/cost_model.h"
 #include "edb/encrypted_database.h"
 #include "edb/encrypted_table.h"
+#include "oram/bitonic_sort.h"
 #include "oram/oram_mirror.h"
+#include "query/executor.h"
 
 namespace dpsync::edb {
 
@@ -48,8 +54,11 @@ struct ObliDbConfig {
   /// Record per-shard ORAM access transcripts (obliviousness tests only —
   /// transcripts grow with every access).
   bool record_oram_trace = false;
-  /// Real oblivious nested-loop joins are executed up to this many pairs;
-  /// larger joins use the hash-join + cost-model shortcut.
+  /// Ungrouped COUNT joins of at most this many pairs (n1 * n2) run the
+  /// oblivious sort-merge join; larger ones take the hash join. The unit
+  /// is pairs, what the cost model charges, although the sort's work grows
+  /// with rows: a row limit would drop skewed joins (64 x 62,500 rows is
+  /// 4M pairs) from the oblivious path.
   int64_t oblivious_join_limit = 4'000'000;
   /// Physical storage for every table (backend kind, shard count, dir).
   StorageConfig storage;
@@ -153,6 +162,22 @@ class ObliDbTable : public EdbTable {
   Status mirror_status_;
   OramScanWork last_scan_work_;
 };
+
+/// The oblivious sort-merge COUNT join ObliDbServer runs for ungrouped
+/// COUNT joins under its pair limit: the number of (left, right) row pairs
+/// whose join keys are non-NULL and match as Value::Compare() == 0, that
+/// pass `rewritten`'s WHERE, and whose rows are both real. Every row of
+/// both tables is tagged once, in span order, with its join key and a
+/// filter bit — a non-NULL key, the row's own `isDummy = 0` cell and every
+/// top-level WHERE conjunct that reads only its side — and
+/// oram::ObliviousJoinCount counts the matches. Returns nullopt, before
+/// touching a row, when a conjunct reads both sides. Takes no lock: the
+/// tables' spans bound every row access. `trace` receives the kernel's
+/// access trace (the obliviousness tests' seam).
+std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
+                                          const query::Table& left,
+                                          const query::Table& right,
+                                          oram::AccessTrace* trace = nullptr);
 
 /// The ObliDB server.
 class ObliDbServer : public EdbServer {

@@ -100,19 +100,6 @@ void RunScanChunks(size_t n, size_t total_rows, Fn&& fn) {
   });
 }
 
-/// Whether every non-empty span carries a full columnar projection whose
-/// column `idx` is typed `t`.
-bool SpansTyped(const std::vector<RowSpan>& spans, size_t n_cols, size_t idx,
-                ValueType t) {
-  for (const auto& span : spans) {
-    if (span.size == 0) continue;
-    if (span.columns.size() != n_cols || span.columns[idx].type != t) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// The columnar loop's per-scan plan: the typed columns the fold reads and
 /// the compiled WHERE.
 struct ColumnarScan {
@@ -316,6 +303,17 @@ Schema JoinedSchema(const Table& left, const Table& right) {
     fields.push_back({right.name + "." + f.name, f.type});
   }
   return Schema(std::move(fields));
+}
+
+bool SpansTyped(const std::vector<RowSpan>& spans, size_t n_cols, size_t idx,
+                ValueType t) {
+  for (const auto& span : spans) {
+    if (span.size == 0) continue;
+    if (span.columns.size() != n_cols || span.columns[idx].type != t) {
+      return false;
+    }
+  }
+  return true;
 }
 
 StatusOr<QueryResult> Executor::Execute(const SelectQuery& q) const {

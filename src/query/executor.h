@@ -45,6 +45,12 @@ struct RowSpan {
   std::vector<ColumnSpan> columns;
 };
 
+/// Whether every non-empty span carries a full columnar projection (one
+/// ColumnSpan per each of `n_cols` schema columns) whose column `idx` is
+/// typed `t`.
+bool SpansTyped(const std::vector<RowSpan>& spans, size_t n_cols, size_t idx,
+                ValueType t);
+
 /// A named in-memory relation. Rows are either owned (`rows`) or borrowed
 /// as explicit row spans (`borrowed_spans`, what an epoch snapshot serves
 /// — the edb engines borrow their enclave-resident shard mirrors to avoid

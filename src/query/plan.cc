@@ -127,7 +127,7 @@ StatusOr<std::shared_ptr<const QueryPlan>> PlanSelect(
   }
   if (q.join) {
     // Join keys may name either side (qualified or bare); require each to
-    // bind somewhere so the hash/nested-loop key is never silently NULL.
+    // bind somewhere so neither join path reads a silently NULL key.
     for (const std::string* key : {&q.join->left_column,
                                    &q.join->right_column}) {
       if (!ResolvesIn(*schema, *key) && !ResolvesIn(*join_schema, *key)) {

@@ -241,8 +241,10 @@ TEST_F(ObliDbTest, ObliviousJoinMatchesTruthAndExcludesDummies) {
   EXPECT_EQ(r->stats.join_pairs, 9);
 }
 
-TEST_F(ObliDbTest, LargeJoinShortcutMatchesRealNestedLoop) {
-  // Same data queried under both join paths must agree.
+TEST_F(ObliDbTest, ObliviousJoinMatchesHashJoin) {
+  // Under the default pair limit the COUNT join runs the oblivious
+  // sort-merge join; a limit of 1 sends the same data to the hash join.
+  // Answers and virtual cost must agree.
   std::vector<Record> ys, gs;
   for (int64_t t = 0; t < 60; ++t) ys.push_back(Trip(t, 10));
   for (int64_t t = 30; t < 90; ++t) gs.push_back(Trip(t, 20));
@@ -252,25 +254,26 @@ TEST_F(ObliDbTest, LargeJoinShortcutMatchesRealNestedLoop) {
       "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
       "YellowCab.pickTime = GreenTaxi.pickTime");
 
-  auto real = server_->Query(q.value());
-  ASSERT_TRUE(real.ok());
+  auto oblivious = server_->Query(q.value());
+  ASSERT_TRUE(oblivious.ok());
 
   ObliDbConfig tiny_limit;
-  tiny_limit.oblivious_join_limit = 1;  // force the hash-join shortcut
-  ObliDbServer shortcut_server(tiny_limit);
-  auto y2 = shortcut_server.CreateTable("YellowCab", TripSchema());
-  auto g2 = shortcut_server.CreateTable("GreenTaxi", TripSchema());
+  tiny_limit.oblivious_join_limit = 1;  // force the hash join
+  ObliDbServer hash_server(tiny_limit);
+  auto y2 = hash_server.CreateTable("YellowCab", TripSchema());
+  auto g2 = hash_server.CreateTable("GreenTaxi", TripSchema());
   ASSERT_TRUE(y2.ok());
   ASSERT_TRUE(g2.ok());
   ASSERT_TRUE(y2.value()->Setup(ys).ok());
   ASSERT_TRUE(g2.value()->Setup(gs).ok());
-  auto fast = shortcut_server.Query(q.value());
-  ASSERT_TRUE(fast.ok());
+  auto hash = hash_server.Query(q.value());
+  ASSERT_TRUE(hash.ok());
 
-  EXPECT_DOUBLE_EQ(real->result.scalar, 30.0);
-  EXPECT_DOUBLE_EQ(fast->result.scalar, real->result.scalar);
+  EXPECT_DOUBLE_EQ(oblivious->result.scalar, 30.0);
+  EXPECT_DOUBLE_EQ(hash->result.scalar, oblivious->result.scalar);
   // The virtual cost is charged identically on both paths.
-  EXPECT_DOUBLE_EQ(fast->stats.virtual_seconds, real->stats.virtual_seconds);
+  EXPECT_DOUBLE_EQ(hash->stats.virtual_seconds,
+                   oblivious->stats.virtual_seconds);
 }
 
 TEST_F(ObliDbTest, UnknownTableQueryFails) {

@@ -2,7 +2,8 @@
 // docs/ARCHITECTURE.md): parity of answers and deterministic metrics
 // between the lock-free linear path and the locked ORAM-indexed path;
 // answers independent of the execution mode (Execute, Submit/Wait,
-// ExecuteMany); nested-loop vs partitioned-hash identity; NULL and
+// ExecuteMany); oblivious sort-merge vs partitioned-hash identity, and
+// the oblivious join's data-independent access trace; NULL, string and
 // cross-type join keys; the poisoned-column scalar fallback; two-snapshot
 // visibility (uncommitted tails, racing appends, epoch advance
 // mid-batch); and A⋈B vs B⋈A deadlock-freedom. The racing cases are the
@@ -13,6 +14,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,6 +22,8 @@
 
 #include "edb/crypte_engine.h"
 #include "edb/oblidb_engine.h"
+#include "oram/oblivious_join.h"
+#include "query/columnar.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/rewriter.h"
@@ -198,16 +202,37 @@ TEST(JoinParityTest, ParityAcrossLockModes) {
   }
 }
 
-TEST(JoinParityTest, NestedLoopAndHashAgree) {
-  // COUNT under the pair limit runs the real oblivious nested loop; with
-  // the limit forced to 0 the same query takes the partitioned hash path.
-  // Both must produce the same answer AND the same virtual cost (the QET
-  // model is shape-dependent, never strategy-dependent).
+TEST(JoinParityTest, ObliviousAndHashAgree) {
+  // Ungrouped COUNT under the pair limit runs the oblivious sort-merge
+  // join; with the limit forced to 0 the same query takes the partitioned
+  // hash path. Both must produce the same answer AND the same metrics (the
+  // QET model is shape-dependent, never strategy-dependent) — for
+  // COUNT(*), COUNT(col), a predicate on one side, and self-joins, where
+  // both dummy conjuncts name the left copy.
   const auto left = ProbeRows(120);
   const auto right = BuildRows(90);
-  JoinRun nested = RunTripJoin(kCountSql, left, right, false, 4'000'000);
-  JoinRun hash = RunTripJoin(kCountSql, left, right, false, 0);
-  ExpectSameRun(nested, hash, "nested-loop vs hash");
+  const char* kCountColSql =
+      "SELECT COUNT(GreenTaxi.fare) FROM YellowCab INNER JOIN GreenTaxi ON "
+      "YellowCab.pickTime = GreenTaxi.pickTime";
+  const char* kCountWhereSql =
+      "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
+      "YellowCab.pickTime = GreenTaxi.pickTime WHERE YellowCab.tripDistance "
+      ">= 3";
+  const char* kSelfSql =
+      "SELECT COUNT(*) FROM YellowCab INNER JOIN YellowCab ON "
+      "YellowCab.pickTime = YellowCab.pickTime";
+  const char* kSelfWhereSql =
+      "SELECT COUNT(*) FROM YellowCab INNER JOIN YellowCab ON "
+      "YellowCab.pickTime = YellowCab.pickTime WHERE YellowCab.fare < 5";
+  for (const char* sql :
+       {kCountSql, kCountColSql, kCountWhereSql, kSelfSql, kSelfWhereSql}) {
+    for (bool indexed : {false, true}) {
+      JoinRun oblivious = RunTripJoin(sql, left, right, indexed, 4'000'000);
+      JoinRun hash = RunTripJoin(sql, left, right, indexed, 0);
+      ExpectSameRun(oblivious, hash, sql);
+      EXPECT_GT(oblivious.result.scalar, 0.0) << sql;
+    }
+  }
 
   // Cross-check against a brute-force count over the logical rows
   // (dummies excluded — Appendix-B rewriting filters them).
@@ -224,7 +249,8 @@ TEST(JoinParityTest, NestedLoopAndHashAgree) {
   for (int64_t a : keys(left)) {
     for (int64_t b : keys(right)) expected += (a == b) ? 1 : 0;
   }
-  EXPECT_EQ(nested.result.scalar, static_cast<double>(expected));
+  JoinRun oblivious = RunTripJoin(kCountSql, left, right, false, 4'000'000);
+  EXPECT_EQ(oblivious.result.scalar, static_cast<double>(expected));
 }
 
 TEST(JoinParityTest, LockModesBitIdenticalAboveScanThreshold) {
@@ -354,8 +380,8 @@ TEST(JoinParityTest, SelfJoinPinsOneSnapshot) {
 // ------------------------------------------------------------- join keys
 
 TEST(JoinKeyTest, NullKeysNeverMatch) {
-  // SQL semantics: NULL = NULL is not a match. Both the nested loop and
-  // the hash extraction drop NULL keys before pairing.
+  // SQL semantics: NULL = NULL is not a match. The oblivious join clears
+  // a NULL-keyed row's filter bit; the hash extraction drops the row.
   std::vector<Record> left = {
       RowRecord(TripRowWithKey(Value(int64_t{1}), 1)),
       RowRecord(TripRowWithKey(Value(), 2)),
@@ -365,45 +391,83 @@ TEST(JoinKeyTest, NullKeysNeverMatch) {
       RowRecord(TripRowWithKey(Value(), 4)),
       RowRecord(TripRowWithKey(Value(int64_t{1}), 5)),
   };
-  JoinRun nested = RunTripJoin(kCountSql, left, right, false, 4'000'000);
+  JoinRun oblivious = RunTripJoin(kCountSql, left, right, false, 4'000'000);
   JoinRun hash = RunTripJoin(kCountSql, left, right, false, 0);
-  EXPECT_EQ(nested.result.scalar, 1.0);  // only the 1–1 pair
-  ExpectSameRun(nested, hash, "NULL keys");
+  EXPECT_EQ(oblivious.result.scalar, 1.0);  // only the 1–1 pair
+  ExpectSameRun(oblivious, hash, "NULL keys");
+}
+
+/// COUNT(*) of `L JOIN R ON L.k = R.k` over two-column (k, isDummy)
+/// tables, under pair limit `limit`.
+JoinRun RunKeyJoin(query::ValueType ltype, const std::vector<Value>& lkeys,
+                   query::ValueType rtype, const std::vector<Value>& rkeys,
+                   int64_t limit) {
+  auto records = [](const std::vector<Value>& keys) {
+    std::vector<Record> out;
+    for (const auto& k : keys) {
+      out.push_back(RowRecord(query::Row{k, Value(int64_t{0})}));
+    }
+    return out;
+  };
+  auto schema = [](query::ValueType type) {
+    return query::Schema(
+        {{"k", type}, {query::Schema::kDummyColumn, query::ValueType::kInt}});
+  };
+  ObliDbConfig cfg;
+  cfg.oblivious_join_limit = limit;
+  ObliDbServer server(cfg);
+  auto lt = server.CreateTable("L", schema(ltype));
+  EXPECT_TRUE(lt.ok());
+  EXPECT_OK(lt.value()->Setup(records(lkeys)));
+  auto rt = server.CreateTable("R", schema(rtype));
+  EXPECT_TRUE(rt.ok());
+  EXPECT_OK(rt.value()->Setup(records(rkeys)));
+  auto session = server.CreateSession();
+  auto q = session->Prepare("SELECT COUNT(*) FROM L INNER JOIN R ON L.k = R.k");
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  auto r = session->Execute(q.value());
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return ToRun(r.value());
 }
 
 TEST(JoinKeyTest, CrossTypeNumericKeysMatch) {
-  // An int key column joined against a double key column: the typed fast
-  // path cannot apply (declared types differ), and the scalar fallback
-  // must honor Value's numeric trichotomy — 2 == 2.0.
-  query::Schema lschema({{"k", query::ValueType::kInt},
-                         {query::Schema::kDummyColumn,
-                          query::ValueType::kInt}});
-  query::Schema rschema({{"k", query::ValueType::kDouble},
-                         {query::Schema::kDummyColumn,
-                          query::ValueType::kInt}});
-  auto lrow = [](int64_t k) {
-    return RowRecord(query::Row{Value(k), Value(int64_t{0})});
-  };
-  auto rrow = [](double k) {
-    return RowRecord(query::Row{Value(k), Value(int64_t{0})});
-  };
-  ObliDbConfig cfg;
-  cfg.oblivious_join_limit = 0;  // exercise the hash fallback, not the loop
-  ObliDbServer server(cfg);
-  auto lt = server.CreateTable("L", lschema);
-  ASSERT_TRUE(lt.ok());
-  ASSERT_OK(lt.value()->Setup({lrow(1), lrow(2), lrow(3)}));
-  auto rt = server.CreateTable("R", rschema);
-  ASSERT_TRUE(rt.ok());
-  ASSERT_OK(rt.value()->Setup({rrow(2.0), rrow(2.5), rrow(3.0)}));
+  // An int key column joined against a double key column: the typed int
+  // keys cannot apply (declared types differ), and both the oblivious
+  // join's Value keys and the hash join's scalar fallback must honor
+  // Value's numeric trichotomy — 2 == 2.0.
+  const std::vector<Value> lkeys = {Value(int64_t{1}), Value(int64_t{2}),
+                                    Value(int64_t{3})};
+  const std::vector<Value> rkeys = {Value(2.0), Value(2.5), Value(3.0)};
+  JoinRun hash = RunKeyJoin(query::ValueType::kInt, lkeys,
+                            query::ValueType::kDouble, rkeys, 0);
+  EXPECT_EQ(hash.result.scalar, 2.0);  // 2==2.0 and 3==3.0; 2.5 unmatched
+  ExpectSameRun(RunKeyJoin(query::ValueType::kInt, lkeys,
+                           query::ValueType::kDouble, rkeys, 4'000'000),
+                hash, "cross-type keys");
+}
 
-  auto session = server.CreateSession();
-  auto q = session->Prepare(
-      "SELECT COUNT(*) FROM L INNER JOIN R ON L.k = R.k");
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto r = session->Execute(q.value());
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->result.scalar, 2.0);  // 2==2.0 and 3==3.0; 2.5 unmatched
+TEST(JoinKeyTest, StringKeysMatchOnBothPaths) {
+  // String keys (duplicates, a prefix of another key, the empty string, a
+  // NULL) sort and match by Value::Compare on the oblivious path and by
+  // the typed string keys on the hash path.
+  const std::vector<Value> lkeys = {Value(std::string("bob")),
+                                    Value(std::string("al")),
+                                    Value(std::string("alice")),
+                                    Value(std::string("")),
+                                    Value(),
+                                    Value(std::string("bob"))};
+  const std::vector<Value> rkeys = {Value(std::string("alice")),
+                                    Value(std::string("bob")),
+                                    Value(std::string("")),
+                                    Value(std::string("bob")),
+                                    Value(std::string("carol")),
+                                    Value()};
+  JoinRun hash = RunKeyJoin(query::ValueType::kString, lkeys,
+                            query::ValueType::kString, rkeys, 0);
+  EXPECT_EQ(hash.result.scalar, 6.0);  // bob 2x2, alice 1, "" 1
+  ExpectSameRun(RunKeyJoin(query::ValueType::kString, lkeys,
+                           query::ValueType::kString, rkeys, 4'000'000),
+                hash, "string keys");
 }
 
 TEST(JoinKeyTest, PoisonedKeyColumnFallsBackBitIdentical) {
@@ -420,9 +484,13 @@ TEST(JoinKeyTest, PoisonedKeyColumnFallsBackBitIdentical) {
   JoinRun indexed = RunTripJoin(kCountSql, left, right, true, 0);
   ExpectSameRun(linear, indexed, "poisoned key column");
 
-  // The nested loop (Value-based by construction) is the reference.
-  JoinRun nested = RunTripJoin(kCountSql, left, right, false, 4'000'000);
-  ExpectSameRun(nested, linear, "poisoned vs nested reference");
+  // The oblivious path sorts the poisoned side's keys as Values, and the
+  // plaintext executor (owned rows carry no columnar projection, so its
+  // keys are Values too) is the reference.
+  JoinRun oblivious = RunTripJoin(kCountSql, left, right, false, 4'000'000);
+  ExpectSameRun(oblivious, linear, "poisoned, oblivious vs hash");
+  EXPECT_EQ(oblivious.result.scalar,
+            PlaintextJoin(kCountSql, left, right).scalar);
 
   // And the poisoned row really joins: key 2.0 matches int key 2.
   int64_t build_twos = 0;
@@ -436,6 +504,156 @@ TEST(JoinKeyTest, PoisonedKeyColumnFallsBackBitIdentical) {
   JoinRun baseline = RunTripJoin(kCountSql, without, right, false, 0);
   EXPECT_EQ(linear.result.scalar,
             baseline.result.scalar + static_cast<double>(build_twos));
+}
+
+// ---------------------------------------------- oblivious join obliviousness
+
+/// A plaintext table over `rows`. With `columnar`, its one span also
+/// carries typed column projections, as the engine's borrowed views do, so
+/// int join keys take the oblivious join's typed path.
+struct PlainTable {
+  std::vector<query::Row> rows;
+  std::unique_ptr<query::ColumnarBlock> block;
+  query::Table table;
+
+  PlainTable(const char* name, std::vector<query::Row> r, bool columnar)
+      : rows(std::move(r)) {
+    table.name = name;
+    table.schema = TripSchema();
+    query::RowSpan span{rows.data(), rows.size(), {}};
+    if (columnar) {
+      block = std::make_unique<query::ColumnarBlock>(table.schema,
+                                                     rows.size());
+      for (const auto& row : rows) block->Append(row);
+      span.columns = block->CaptureSpans(rows.size());
+    }
+    table.borrowed_spans = {span};
+  }
+};
+
+/// Random trip rows: keys in [0, key_range) with some NULL, random dummy
+/// flags and distances on both sides of the test predicate's 3.0 bound.
+std::vector<query::Row> RandomTripRows(size_t n, int64_t key_range,
+                                       uint64_t seed) {
+  auto rng = testutil::MakeRng(seed);
+  std::vector<query::Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Value key = rng.UniformInt(0, 9) == 0
+                    ? Value()
+                    : Value(rng.UniformInt(0, key_range - 1));
+    rows.push_back(query::Row{key, Value(int64_t{1}), Value(int64_t{1}),
+                              Value(rng.UniformDouble() * 6.0), Value(5.0),
+                              Value::Bool(rng.UniformInt(0, 3) == 0)});
+  }
+  return rows;
+}
+
+TEST(ObliviousJoinTest, AccessTraceIndependentOfData) {
+  // Same (n1, n2), different keys, dummy flags, NULL keys and predicate
+  // outcomes: the kernel must leave identical access traces — every
+  // compare-exchange pair, then every pass step — and count exactly what
+  // a brute-force loop over the pairs counts. Both key paths: Values
+  // (plain rows) and typed int keys (columnar projections).
+  auto parsed = query::ParseSelect(
+      "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
+      "YellowCab.pickTime = GreenTaxi.pickTime WHERE "
+      "YellowCab.tripDistance >= 3");
+  ASSERT_OK(parsed);
+  const query::SelectQuery q = query::RewriteForDummies(parsed.value());
+  auto brute_force = [](const std::vector<query::Row>& l,
+                        const std::vector<query::Row>& r) {
+    int64_t count = 0;
+    for (const auto& a : l) {
+      for (const auto& b : r) {
+        count += !a[0].is_null() && !b[0].is_null() && a[0] == b[0] &&
+                 a[3].AsDouble() >= 3 && a[5].AsInt() == 0 &&
+                 b[5].AsInt() == 0;
+      }
+    }
+    return count;
+  };
+  constexpr size_t kLeft = 23, kRight = 17;
+  for (bool columnar : {false, true}) {
+    std::vector<oram::AccessTrace> traces;
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      // Seed 3 draws from a single key, so every valid pair matches.
+      const int64_t key_range = seed == 3 ? 1 : 6;
+      PlainTable l("YellowCab", RandomTripRows(kLeft, key_range, seed),
+                   columnar);
+      PlainTable r("GreenTaxi", RandomTripRows(kRight, key_range, seed + 10),
+                   columnar);
+      oram::AccessTrace trace;
+      auto count = ObliviousCountJoin(q, l.table, r.table, &trace);
+      ASSERT_TRUE(count.has_value());
+      EXPECT_EQ(*count, brute_force(l.rows, r.rows))
+          << "seed " << seed << " columnar " << columnar;
+      EXPECT_EQ(static_cast<int64_t>(trace.size()),
+                2 * oram::BitonicCompareCount(kLeft + kRight) + kLeft +
+                    kRight);
+      traces.push_back(std::move(trace));
+    }
+    EXPECT_EQ(traces[1], traces[0]) << "columnar " << columnar;
+    EXPECT_EQ(traces[2], traces[0]) << "columnar " << columnar;
+  }
+}
+
+TEST(ObliviousJoinTest, CrossSidePredicateTakesTheHashPath) {
+  // A conjunct that reads both sides can only be evaluated on a formed
+  // pair: the oblivious join declines it, and under the default pair limit
+  // the engine answers through the hash path, as the plaintext executor
+  // does.
+  const char* sql =
+      "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
+      "YellowCab.pickTime = GreenTaxi.pickTime WHERE YellowCab.fare > "
+      "GreenTaxi.fare";
+  auto parsed = query::ParseSelect(sql);
+  ASSERT_OK(parsed);
+  PlainTable l("YellowCab", RandomTripRows(5, 3, 1), false);
+  PlainTable r("GreenTaxi", RandomTripRows(5, 3, 2), false);
+  EXPECT_FALSE(ObliviousCountJoin(query::RewriteForDummies(parsed.value()),
+                                  l.table, r.table)
+                   .has_value());
+
+  const auto left = ProbeRows(120);
+  const auto right = BuildRows(90);
+  JoinRun run = RunTripJoin(sql, left, right, false, 4'000'000);
+  EXPECT_EQ(run.result.scalar, PlaintextJoin(sql, left, right).scalar);
+  EXPECT_GT(run.result.scalar, 0.0);
+  EXPECT_LT(run.result.scalar,
+            RunTripJoin(kCountSql, left, right, false, 4'000'000)
+                .result.scalar);
+  ExpectSameRun(run, RunTripJoin(sql, left, right, false, 0), sql);
+}
+
+TEST(ObliviousJoinTest, KernelCountsMatchesAndSkipsEmptySides) {
+  // Random tags against a brute-force count, and the public-size shortcut:
+  // a side with no rows answers 0 without sorting (empty trace).
+  auto compare = [](int64_t a, int64_t b) { return (a > b) - (a < b); };
+  auto rng = testutil::MakeRng(77);
+  for (size_t n1 : {1u, 2u, 9u, 40u}) {
+    for (size_t n2 : {1u, 7u, 33u}) {
+      std::vector<oram::JoinTag<int64_t>> tags(n1 + n2);
+      for (auto& t : tags) {
+        t.key = rng.UniformInt(0, 4);
+        t.valid = rng.UniformInt(0, 2) != 0;
+      }
+      int64_t expected = 0;
+      for (size_t i = 0; i < n1; ++i) {
+        for (size_t j = n1; j < n1 + n2; ++j) {
+          expected += tags[i].valid && tags[j].valid &&
+                      tags[i].key == tags[j].key;
+        }
+      }
+      EXPECT_EQ(oram::ObliviousJoinCount(tags, n1, compare), expected)
+          << n1 << " x " << n2;
+    }
+  }
+  std::vector<oram::JoinTag<int64_t>> one_side(5);
+  for (auto& t : one_side) t.valid = 1;
+  oram::AccessTrace trace;
+  EXPECT_EQ(oram::ObliviousJoinCount(one_side, 0, compare, &trace), 0);
+  EXPECT_EQ(oram::ObliviousJoinCount(one_side, 5, compare, &trace), 0);
+  EXPECT_TRUE(trace.empty());
 }
 
 // ------------------------------------------------------------ visibility

@@ -304,8 +304,9 @@ TEST(VectorizedDeterminismTest, RandomChunkFillsBitIdenticalAcrossConfigs) {
 // out, where a chunk-order slip would surface as a last-ulp SUM
 // difference (a pool task runs the probe's ParallelFor inline, so the
 // merge tree must not depend on it); the segment-log cells keep the
-// default pair limit so the oblivious nested loop (COUNT) is swept
-// across configs too.
+// default pair limit, so their COUNT query runs the oblivious sort-merge
+// join in every config while the SUM and grouped queries take the hash
+// path.
 TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
   namespace fs = std::filesystem;
   struct Cell {

@@ -1,12 +1,14 @@
-// Tests for the deeper enclave substrates: the oblivious bitonic sorting
-// network and the volume-hiding encrypted multimap.
+// Tests for the oblivious bitonic sorting network: ordering, padding to a
+// power of two, and a compare-exchange schedule that depends on the input
+// size alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
-#include "edb/encrypted_multimap.h"
 #include "oram/bitonic_sort.h"
 
 namespace dpsync {
@@ -16,23 +18,23 @@ namespace {
 
 TEST(BitonicSortTest, SortsExactPowerOfTwo) {
   std::vector<int> v = {7, 3, 1, 8, 5, 2, 6, 4};
-  oram::BitonicSort(&v, std::numeric_limits<int>::max());
+  oram::BitonicSort(&v);
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
   EXPECT_EQ(v.size(), 8u);
 }
 
 TEST(BitonicSortTest, SortsNonPowerOfTwoWithPadding) {
   std::vector<int> v = {9, 1, 5, 3, 7, 2, 8};
-  oram::BitonicSort(&v, std::numeric_limits<int>::max());
+  oram::BitonicSort(&v);
   EXPECT_EQ(v, (std::vector<int>{1, 2, 3, 5, 7, 8, 9}));
 }
 
 TEST(BitonicSortTest, HandlesDegenerateSizes) {
   std::vector<int> empty;
-  oram::BitonicSort(&empty, 0);
+  oram::BitonicSort(&empty);
   EXPECT_TRUE(empty.empty());
   std::vector<int> one = {42};
-  oram::BitonicSort(&one, std::numeric_limits<int>::max());
+  oram::BitonicSort(&one);
   EXPECT_EQ(one, std::vector<int>{42});
 }
 
@@ -43,16 +45,63 @@ TEST(BitonicSortTest, CustomComparatorDescendingKeys) {
   };
   std::vector<Row> rows = {{3, 30}, {1, 10}, {2, 20}};
   oram::BitonicSort(
-      &rows, [](const Row& a, const Row& b) { return a.key < b.key; },
-      Row{std::numeric_limits<int>::max(), 0});
+      &rows, [](const Row& a, const Row& b) { return a.key < b.key; });
   EXPECT_EQ(rows[0].payload, 10);
   EXPECT_EQ(rows[2].payload, 30);
 }
 
 TEST(BitonicSortTest, DuplicatesPreserved) {
   std::vector<int> v = {5, 5, 1, 5, 1};
-  oram::BitonicSort(&v, std::numeric_limits<int>::max());
+  oram::BitonicSort(&v);
   EXPECT_EQ(v, (std::vector<int>{1, 1, 5, 5, 5}));
+}
+
+TEST(BitonicSortTest, KeepsRealElementsThatTieWithThePadding) {
+  // The network is not stable, so a caller-supplied padding sentinel that
+  // ties with a real element could sort in front of it and push it into
+  // the truncated tail. Padding is ordered by its own flag instead: a row
+  // holding the largest key survives at every size and position.
+  struct Row {
+    int key;
+    int payload;
+  };
+  for (size_t n = 2; n <= 33; ++n) {
+    for (size_t pos = 0; pos < n; ++pos) {
+      std::vector<Row> rows;
+      for (size_t i = 0; i < n; ++i) rows.push_back({static_cast<int>(i), 0});
+      rows[pos] = {std::numeric_limits<int>::max(), 7};
+      oram::BitonicSort(
+          &rows, [](const Row& a, const Row& b) { return a.key < b.key; });
+      ASSERT_EQ(rows.size(), n);
+      EXPECT_EQ(rows.back().key, std::numeric_limits<int>::max())
+          << "n=" << n << " pos=" << pos;
+      EXPECT_EQ(rows.back().payload, 7) << "n=" << n << " pos=" << pos;
+    }
+  }
+}
+
+TEST(BitonicSortTest, AccessTraceDependsOnlyOnSize) {
+  // Same size, different data (sorted, reversed, all equal, random): the
+  // same compare-exchange pairs in the same order, one pair per counted
+  // compare-exchange.
+  for (size_t n : {5u, 16u, 33u}) {
+    Rng rng(n);
+    std::vector<std::vector<int>> inputs(4, std::vector<int>(n));
+    for (size_t i = 0; i < n; ++i) {
+      inputs[0][i] = static_cast<int>(i);
+      inputs[1][i] = static_cast<int>(n - i);
+      inputs[2][i] = 3;
+      inputs[3][i] = static_cast<int>(rng.UniformInt(-50, 50));
+    }
+    std::vector<oram::AccessTrace> traces(inputs.size());
+    for (size_t k = 0; k < inputs.size(); ++k) {
+      oram::BitonicSort(&inputs[k], std::less<int>(), &traces[k]);
+      EXPECT_TRUE(std::is_sorted(inputs[k].begin(), inputs[k].end()));
+      EXPECT_EQ(traces[k], traces[0]) << "n=" << n << " input " << k;
+    }
+    EXPECT_EQ(static_cast<int64_t>(traces[0].size()),
+              2 * oram::BitonicCompareCount(n));
+  }
 }
 
 class BitonicRandomTest : public ::testing::TestWithParam<size_t> {};
@@ -63,7 +112,7 @@ TEST_P(BitonicRandomTest, MatchesStdSort) {
   for (auto& x : v) x = rng.UniformInt(-1000, 1000);
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  oram::BitonicSort(&v, std::numeric_limits<int64_t>::max());
+  oram::BitonicSort(&v);
   EXPECT_EQ(v, expected);
 }
 
@@ -80,71 +129,6 @@ TEST(BitonicSortTest, CompareCountIsDataIndependent) {
   EXPECT_EQ(oram::BitonicCompareCount(3), oram::BitonicCompareCount(4));
   // n=8: 3 stages of (1+2+3) rounds * 4 comparisons = 24.
   EXPECT_EQ(oram::BitonicCompareCount(8), 24);
-}
-
-// ----------------------------------------------------- Encrypted multimap
-
-TEST(EncryptedMultimapTest, InsertLookupRoundTrip) {
-  edb::EncryptedMultimap mm(Bytes(32, 1), /*bucket_capacity=*/8);
-  ASSERT_TRUE(mm.Insert("zone-42", 100).ok());
-  ASSERT_TRUE(mm.Insert("zone-42", 101).ok());
-  ASSERT_TRUE(mm.Insert("zone-7", 200).ok());
-  auto r = mm.Lookup("zone-42");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, (std::vector<uint64_t>{100, 101}));
-  auto r2 = mm.Lookup("zone-7");
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(*r2, std::vector<uint64_t>{200});
-}
-
-TEST(EncryptedMultimapTest, UnknownKeywordEmpty) {
-  edb::EncryptedMultimap mm(Bytes(32, 1), 4);
-  auto r = mm.Lookup("never-inserted");
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->empty());
-}
-
-TEST(EncryptedMultimapTest, CapacityEnforced) {
-  edb::EncryptedMultimap mm(Bytes(32, 1), 2);
-  ASSERT_TRUE(mm.Insert("k", 1).ok());
-  ASSERT_TRUE(mm.Insert("k", 2).ok());
-  EXPECT_EQ(mm.Insert("k", 3).code(), StatusCode::kOutOfRange);
-}
-
-TEST(EncryptedMultimapTest, TokensAreDeterministicAndKeyScoped) {
-  edb::EncryptedMultimap a(Bytes(32, 1), 4), b(Bytes(32, 2), 4);
-  EXPECT_EQ(a.TokenFor("k"), a.TokenFor("k"));
-  EXPECT_NE(a.TokenFor("k"), a.TokenFor("k2"));
-  EXPECT_NE(a.TokenFor("k"), b.TokenFor("k"));
-}
-
-TEST(EncryptedMultimapTest, BucketsHideMultiplicity) {
-  // Volume hiding: a keyword with 1 value and one with 7 values occupy
-  // byte-identical server-side structures (same slot count, same sizes).
-  edb::EncryptedMultimap mm(Bytes(32, 3), 8);
-  ASSERT_TRUE(mm.Insert("sparse", 1).ok());
-  for (uint64_t v = 0; v < 7; ++v) {
-    ASSERT_TRUE(mm.Insert("dense", v).ok());
-  }
-  EXPECT_EQ(mm.bucket_count(), 2u);
-  // Lookup results still differ client-side.
-  EXPECT_EQ(mm.Lookup("sparse")->size(), 1u);
-  EXPECT_EQ(mm.Lookup("dense")->size(), 7u);
-}
-
-TEST(EncryptedMultimapTest, ManyKeywordsStress) {
-  edb::EncryptedMultimap mm(Bytes(32, 4), 4);
-  for (int k = 0; k < 200; ++k) {
-    std::string keyword = "kw" + std::to_string(k);
-    for (uint64_t v = 0; v < static_cast<uint64_t>(k % 4); ++v) {
-      ASSERT_TRUE(mm.Insert(keyword, k * 10 + v).ok());
-    }
-  }
-  for (int k = 0; k < 200; ++k) {
-    auto r = mm.Lookup("kw" + std::to_string(k));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->size(), static_cast<size_t>(k % 4));
-  }
 }
 
 }  // namespace
