@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "crypto/aead.h"
-#include "crypto/aes_gcm.h"
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
 #include "crypto/poly1305.h"
@@ -77,17 +76,6 @@ void BM_AeadOpen(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_AeadOpen)->Arg(64)->Arg(1024);
-
-void BM_AesGcmSeal(benchmark::State& state) {
-  Aes128Gcm gcm(Bytes(16, 5));
-  Bytes nonce(12, 6);
-  Bytes pt(static_cast<size_t>(state.range(0)), 0x11);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gcm.Seal(nonce, {}, pt));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AesGcmSeal)->Arg(64)->Arg(1024);
 
 void BM_RecordEncrypt(benchmark::State& state) {
   RecordCipher cipher(Bytes(32, 7));

@@ -1,38 +1,11 @@
 #include "crypto/record_cipher.h"
 
-#include <cassert>
+#include <algorithm>
+#include <utility>
 
 namespace dpsync::crypto {
 
-namespace {
-std::variant<Aead, Aes128Gcm> MakeAead(Bytes key, CipherSuite suite) {
-  assert(key.size() == 32 && "RecordCipher key must be 32 bytes");
-  if (suite == CipherSuite::kAes128Gcm) {
-    return std::variant<Aead, Aes128Gcm>(
-        std::in_place_type<Aes128Gcm>, Bytes(key.begin(), key.begin() + 16));
-  }
-  return std::variant<Aead, Aes128Gcm>(std::in_place_type<Aead>,
-                                       std::move(key));
-}
-}  // namespace
-
-RecordCipher::RecordCipher(Bytes key, CipherSuite suite)
-    : suite_(suite), aead_(MakeAead(std::move(key), suite)) {}
-
-Bytes RecordCipher::Seal(const Bytes& nonce, const Bytes& padded) const {
-  if (suite_ == CipherSuite::kAes128Gcm) {
-    return std::get<Aes128Gcm>(aead_).Seal(nonce, /*aad=*/{}, padded);
-  }
-  return std::get<Aead>(aead_).Seal(nonce, /*aad=*/{}, padded);
-}
-
-StatusOr<Bytes> RecordCipher::Open(const Bytes& nonce,
-                                   const Bytes& sealed) const {
-  if (suite_ == CipherSuite::kAes128Gcm) {
-    return std::get<Aes128Gcm>(aead_).Open(nonce, /*aad=*/{}, sealed);
-  }
-  return std::get<Aead>(aead_).Open(nonce, /*aad=*/{}, sealed);
-}
+RecordCipher::RecordCipher(Bytes key) : aead_(std::move(key)) {}
 
 Status RecordCipher::RestoreNonceHighWater(uint64_t high_water) {
   if (high_water < nonce_counter_) {
@@ -58,7 +31,7 @@ StatusOr<Bytes> RecordCipher::Encrypt(const Bytes& plaintext) {
   Bytes out;
   out.reserve(kCiphertextSize);
   Append(&out, nonce);
-  Append(&out, Seal(nonce, padded));
+  Append(&out, aead_.Seal(nonce, /*aad=*/{}, padded));
   return out;
 }
 
@@ -68,7 +41,7 @@ StatusOr<Bytes> RecordCipher::Decrypt(const Bytes& encrypted) const {
   }
   Bytes nonce(encrypted.begin(), encrypted.begin() + 12);
   Bytes sealed(encrypted.begin() + 12, encrypted.end());
-  auto padded = Open(nonce, sealed);
+  auto padded = aead_.Open(nonce, /*aad=*/{}, sealed);
   if (!padded.ok()) return padded.status();
   const Bytes& p = padded.value();
   size_t len = static_cast<size_t>(p[0]) | (static_cast<size_t>(p[1]) << 8);

@@ -4,25 +4,19 @@
 /// all ciphertexts are byte-identical in length and the server cannot
 /// distinguish dummies from real data (§3.2.2).
 ///
-/// Two cipher suites are provided: ChaCha20-Poly1305 (default) and
-/// AES-128-GCM (what SGX-based engines like ObliDB deploy in practice).
-/// Nonces are a monotone owner-side counter (96-bit), serialized alongside
-/// the ciphertext. The wire layout of an encrypted record is:
+/// Records are sealed with ChaCha20-Poly1305. Nonces are a monotone
+/// owner-side counter (96-bit), serialized alongside the ciphertext. The
+/// wire layout of an encrypted record is:
 ///   nonce (12) || ciphertext (kPlaintextSize) || tag (16)
 #pragma once
 
 #include <cstdint>
-#include <variant>
 
 #include "common/bytes.h"
 #include "common/status.h"
 #include "crypto/aead.h"
-#include "crypto/aes_gcm.h"
 
 namespace dpsync::crypto {
-
-/// Which AEAD backs record encryption.
-enum class CipherSuite { kChaCha20Poly1305, kAes128Gcm };
 
 /// Encrypts/decrypts fixed-size record payloads.
 class RecordCipher {
@@ -30,14 +24,12 @@ class RecordCipher {
   /// All plaintexts are padded to this many bytes before sealing. Large
   /// enough for the serialized trip records used in the evaluation.
   static constexpr size_t kPlaintextSize = 64;
-  /// Total size of one encrypted record on the server (identical for both
-  /// suites: 12-byte nonce + payload + 16-byte tag).
+  /// Total size of one encrypted record on the server: 12-byte nonce +
+  /// payload + 16-byte tag.
   static constexpr size_t kCiphertextSize = 12 + kPlaintextSize + 16;
 
-  /// `key` must be 32 bytes (derive via KeyManager); the AES-128 suite
-  /// uses its first 16 bytes.
-  explicit RecordCipher(Bytes key,
-                        CipherSuite suite = CipherSuite::kChaCha20Poly1305);
+  /// `key` must be 32 bytes (derive via KeyManager).
+  explicit RecordCipher(Bytes key);
 
   /// Seals `plaintext` (must be <= kPlaintextSize - 2; it is zero-padded,
   /// with the true length stored in the first two bytes of the padded
@@ -59,17 +51,11 @@ class RecordCipher {
   /// Fast-forwards the nonce counter to `high_water` (a value previously
   /// read from nonce_high_water() and persisted). Refuses to move the
   /// counter backwards — rewinding would reissue nonces already bound to
-  /// ciphertexts, which is catastrophic for both AEADs.
+  /// ciphertexts, which is catastrophic for the AEAD.
   Status RestoreNonceHighWater(uint64_t high_water);
 
-  CipherSuite suite() const { return suite_; }
-
  private:
-  Bytes Seal(const Bytes& nonce, const Bytes& padded) const;
-  StatusOr<Bytes> Open(const Bytes& nonce, const Bytes& sealed) const;
-
-  CipherSuite suite_;
-  std::variant<Aead, Aes128Gcm> aead_;
+  Aead aead_;
   uint64_t nonce_counter_ = 0;
 };
 

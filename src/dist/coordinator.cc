@@ -339,7 +339,6 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config)
     // shard ranks, so the rank-order merge tree never changes).
     for (int m = 0; m <= replicas; ++m) {
       ShardServerConfig sc;
-      sc.engine = config.engine;
       sc.master_seed = master_seed_;
       sc.rank = k;
       sc.storage = storage_;
@@ -901,11 +900,9 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
   if (reservation) budget_->Release(std::move(*reservation), &result);
 
   CountRemoteScatter(static_cast<int64_t>(replies.size()));
-  if (query::PlanIsReadOnlyScan(plan)) {
-    // The shard servers served this scan from pinned snapshots; count it
-    // once at the coordinator, matching the single-process counter.
-    CountSnapshotScan();
-  }
+  // The shard servers served this scan from pinned snapshots; count it
+  // once at the coordinator, matching the single-process counter.
+  CountSnapshotScan();
 
   edb::QueryResponse resp;
   resp.result = std::move(result);

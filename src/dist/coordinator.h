@@ -57,6 +57,12 @@
 
 namespace dpsync::dist {
 
+/// Which engine semantics the distributed deployment reproduces. The
+/// shard servers execute the same exact aggregation either way (Crypt-eps
+/// is the linear store with no ORAM); the difference lives at the
+/// coordinator (cost model, Laplace release, planner traits).
+enum class DistEngineKind { kObliDb, kCryptEps };
+
 /// Coordinator configuration. The engine-specific sub-configs carry the
 /// GLOBAL topology (storage.num_shards is the table-wide shard count that
 /// the servers split; oram_capacity the table-wide ORAM budget).

@@ -221,34 +221,20 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
     return Status::Internal("plan references lost table " + plan.table);
   }
 
-  // Mirror the single-process dispatch: read-only linear scans pin an
-  // epoch snapshot and aggregate lock-free; indexed scans hold the table
-  // lock across the whole scan + aggregation because they borrow
-  // uncommitted enclave state (and rewrite ORAM trees). No views here:
-  // the coordinator merges raw partials.
-  auto aggregate = [&](const edb::SnapshotView& view)
-      -> StatusOr<query::ScanPartial> {
-    query::Table plain;
-    plain.name = table->table_name();
-    plain.schema = table->store().schema();
-    plain.borrowed_spans = view.spans;
-    return query::ExecuteScanPartial(plan.rewritten, plain);
-  };
-
-  StatusOr<query::ScanPartial> partial =
-      Status::Internal("scan partial was never computed");
-  edb::ObliDbTable::OramScanWork oram_work;
-  if (query::PlanIsReadOnlyScan(plan)) {
-    auto view = table->SnapshotScan();  // locks internally, scan lock-free
-    if (!view.ok()) return view.status();
-    partial = aggregate(view.value());
-  } else {
+  // Mirror the single-process scan: capture the committed prefix under
+  // the table lock (in indexed mode the capture also pays the ORAM
+  // touches), then aggregate lock-free. No views here: the coordinator
+  // merges raw partials.
+  auto captured = [&] {
     std::lock_guard<std::mutex> lk(table->table_mutex());
-    auto view = table->EnclaveScan();
-    if (!view.ok()) return view.status();
-    partial = aggregate(view.value());
-    oram_work = table->last_scan_work();
-  }
+    return table->Capture();
+  }();
+  if (!captured.ok()) return captured.status();
+  query::Table plain;
+  plain.name = table->table_name();
+  plain.schema = table->store().schema();
+  plain.borrowed_spans = captured->view.spans;
+  auto partial = query::ExecuteScanPartial(plan.rewritten, plain);
   if (!partial.ok()) return partial.status();
 
   const query::ScanPartial& p = partial.value();
@@ -269,8 +255,8 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
     out.spans.push_back(std::move(ws));
   }
   out.records_scanned = p.records_scanned;
-  out.oram_paths = oram_work.paths;
-  out.oram_buckets = oram_work.buckets;
+  out.oram_paths = captured->oram_paths;
+  out.oram_buckets = captured->oram_buckets;
   return out;
 }
 

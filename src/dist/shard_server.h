@@ -38,15 +38,8 @@
 
 namespace dpsync::dist {
 
-/// Which engine semantics the distributed deployment reproduces. The
-/// shard servers execute the same exact aggregation either way (Crypt-eps
-/// is the linear store with no ORAM); the difference lives at the
-/// coordinator (cost model, Laplace release, planner traits).
-enum class DistEngineKind { kObliDb, kCryptEps };
-
 /// Per-server configuration, built by the coordinator.
 struct ShardServerConfig {
-  DistEngineKind engine = DistEngineKind::kObliDb;
   /// Shared master seed: table keys derive as "table-aead:<name>" on both
   /// sides, so coordinator-sealed ciphertexts open in this enclave.
   uint64_t master_seed = 1;

@@ -112,15 +112,15 @@ struct ServerStats {
   int64_t queries_rejected = 0;    ///< admission overflow queue full
   int64_t deadlines_exceeded = 0;  ///< admission deadline missed
   int64_t peak_in_flight = 0;      ///< concurrency high-water mark
-  /// Read-only linear scans served from an epoch snapshot of the
-  /// committed prefix, i.e. without holding the table lock across the
-  /// scan (see docs/CONCURRENCY.md). Locked indexed-mode scans and view
-  /// answers do not count.
+  /// Scans served from an epoch snapshot of the committed prefix, i.e.
+  /// without holding the table lock across the scan (see
+  /// docs/CONCURRENCY.md) — linear and ORAM-indexed alike. View answers do
+  /// not count.
   int64_t snapshot_scans = 0;
-  /// Read-only linear joins served from two pinned epoch snapshots (one
-  /// brief ordered capture lock, then lock-free execution — see
-  /// docs/CONCURRENCY.md). Locked indexed-mode joins do not count, and
-  /// snapshot joins do not count in `snapshot_scans`.
+  /// Joins served from two pinned epoch snapshots (one brief ordered
+  /// capture lock, then lock-free execution — see docs/CONCURRENCY.md),
+  /// linear and ORAM-indexed alike. Joins do not count in
+  /// `snapshot_scans`.
   int64_t snapshot_joins = 0;
   /// Executions answered in O(1) from a materialized aggregate view whose
   /// state was current through the table's CommitEpoch (see
@@ -161,14 +161,13 @@ class EdbTable : public SogdbBackend {
   /// The table's name in the server catalog.
   virtual const std::string& table_name() const = 0;
 
-  /// Per-table execution lock: owner-side mutations (Setup/Update) and
-  /// analyst-side *locked* executions of the same table serialize on it.
-  /// Engine implementations lock it inside their mutation paths; servers
-  /// hold it across a whole ORAM-indexed scan or join + aggregation
-  /// (those borrow uncommitted enclave state, so the lock must outlive
-  /// the borrow). Linear scans and joins served from epoch snapshots take
-  /// it only for the catch-up + capture step and aggregate lock-free —
-  /// the full discipline lives in docs/CONCURRENCY.md.
+  /// Per-table execution lock: owner-side mutations (Setup/Update/Flush)
+  /// and analyst-side captures of the same table serialize on it. Engine
+  /// implementations lock it inside their mutation paths; every scan and
+  /// join takes it only for the capture step — mirror catch-up, the ORAM
+  /// touches of an indexed table, and pinning the committed prefix — and
+  /// aggregates lock-free. The full discipline lives in
+  /// docs/CONCURRENCY.md.
   std::mutex& table_mutex() const { return table_mu_; }
 
  private:
@@ -363,7 +362,7 @@ class EdbServer {
   /// tasks call back into the virtual SPI.
   void DrainSessions();
 
-  /// Engines call this once per query they served from an epoch snapshot
+  /// Engines call this once per scan they served from an epoch snapshot
   /// (ServerStats::snapshot_scans).
   void CountSnapshotScan() {
     snapshot_scans_.fetch_add(1, std::memory_order_relaxed);

@@ -365,15 +365,13 @@ Status EncryptedTableStore::CatchUpAllShards() const {
   return Status::Ok();
 }
 
-SnapshotView EncryptedTableStore::CaptureView(bool committed_only) const {
+SnapshotView EncryptedTableStore::CaptureView() const {
   SnapshotView view;
   view.epoch = commit_epoch();
   view.shard_rows.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ShardMirror& mirror = enclave_[s];
-    size_t visible = committed_only
-                         ? static_cast<size_t>(committed_[s])
-                         : mirror.rows;
+    size_t visible = static_cast<size_t>(committed_[s]);
     view.shard_rows.push_back(static_cast<int64_t>(visible));
     view.total_rows += static_cast<int64_t>(visible);
     for (const auto& chunk : mirror.chunks) {
@@ -440,19 +438,13 @@ size_t EncryptedTableStore::registered_views() {
   return views_.size();
 }
 
-StatusOr<SnapshotView> EncryptedTableStore::EnclaveView() const {
-  DPSYNC_RETURN_IF_ERROR(init_status_);
-  DPSYNC_RETURN_IF_ERROR(CatchUpAllShards());
-  return CaptureView(/*committed_only=*/false);
-}
-
 StatusOr<SnapshotView> EncryptedTableStore::Snapshot() const {
   DPSYNC_RETURN_IF_ERROR(init_status_);
   // Catch up fully (cheap — O(delta) decrypt) and clip the view to the
   // committed counts; any uncommitted tail rows sit beyond every span
   // bound, invisible to the snapshot's readers.
   DPSYNC_RETURN_IF_ERROR(CatchUpAllShards());
-  return CaptureView(/*committed_only=*/true);
+  return CaptureView();
 }
 
 StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {

@@ -106,10 +106,10 @@ class EncryptedTableStore : public EdbTable {
   /// StorageConfig::flush_every_update is false.
   ///
   /// Thread-safety: Setup/Update/Flush/Reopen serialize on table_mutex()
-  /// internally. The read-side views (EnclaveView/DecryptAll/accessors)
-  /// do NOT lock — callers running queries against a table that may be
-  /// appended to concurrently must hold table_mutex() across the view
-  /// call AND every use of the borrowed partitions (the edb engines do).
+  /// internally. The read side (Snapshot/DecryptAll/accessors) does NOT
+  /// lock — callers reading a table that may be appended to concurrently
+  /// hold table_mutex() across the call; a Snapshot's spans then stay
+  /// valid with no lock held (the edb engines do exactly this).
   Status Flush();
 
   /// Re-attaches to the backends' durable state (simulating a restart):
@@ -130,25 +130,19 @@ class EncryptedTableStore : public EdbTable {
   /// ciphertext fails authentication.
   StatusOr<std::vector<query::Row>> DecryptAll() const;
 
-  /// Incremental enclave view: decrypts only ciphertexts appended since
-  /// the last call and returns a view over *every* appended row (committed
-  /// or not), shard-major. Real SGX engines keep the working table in
-  /// enclave memory across queries; this mirrors that, so repeated queries
-  /// cost O(delta) real time (the *virtual* QET still charges the full
-  /// oblivious scan — see cost_model.h). NOT internally locked: the caller
-  /// must hold the owning table's execution mutex across the call, and —
-  /// because the view covers rows that are not yet committed — across
-  /// every use of the returned spans too (the locked engine paths do).
-  StatusOr<SnapshotView> EnclaveView() const;
-
-  /// Captures the committed prefix as an immutable SnapshotView (runs the
-  /// same incremental catch-up first). NOT internally locked: callers hold
-  /// the owning table's execution mutex across the call — but, unlike
-  /// EnclaveView, the returned view is then safe to scan with NO lock held
-  /// while appends race: every captured span bound is ≤ the committed
-  /// count at capture time, chunks never move rows, and later writes land
-  /// strictly beyond the bounds. Repeated captures at an unchanged epoch
-  /// return views over the same chunks (no copying either way).
+  /// Captures the committed prefix as an immutable SnapshotView. The
+  /// enclave mirrors catch up incrementally first: only ciphertexts
+  /// appended since the last capture are decrypted. Real SGX engines keep
+  /// the working table in enclave memory across queries; this mirrors
+  /// that, so repeated queries cost O(delta) real time (the *virtual* QET
+  /// still charges the full oblivious scan — see cost_model.h). NOT
+  /// internally locked: callers hold the owning table's execution mutex
+  /// across the call — but the returned view is then safe to scan with NO
+  /// lock held while appends race: every captured span bound is ≤ the
+  /// committed count at capture time, chunks never move rows, and later
+  /// writes land strictly beyond the bounds. Repeated captures at an
+  /// unchanged epoch return views over the same chunks (no copying either
+  /// way).
   StatusOr<SnapshotView> Snapshot() const;
 
   // --- materialized views (see view.h / docs/CONCURRENCY.md) ------------
@@ -264,10 +258,9 @@ class EncryptedTableStore : public EdbTable {
   /// Publishes a new CommitEpoch + committed total (call after one or
   /// more MarkCommitted returned true).
   void AdvanceCommitEpoch();
-  /// Builds a view over the first `committed_[s]` rows of each mirror
-  /// (committed_only) or over every decrypted row. Mirrors must be caught
-  /// up at least that far.
-  SnapshotView CaptureView(bool committed_only) const;
+  /// Builds a view over the first `committed_[s]` rows of each mirror.
+  /// Mirrors must be caught up at least that far.
+  SnapshotView CaptureView() const;
   /// Folds the newly committed rows into every registered view (no-op
   /// when none are). Called under table_mutex() right after
   /// AdvanceCommitEpoch(), so view state and epoch publish atomically.

@@ -136,27 +136,17 @@ std::optional<EncryptedTableStore::ViewAnswer> ObliDbTable::TryViewAnswer(
   return store_.TryViewAnswer(fingerprint, canonical_text);
 }
 
-StatusOr<SnapshotView> ObliDbTable::SnapshotScan() {
-  // The lock covers only catch-up + capture; the returned view is then
-  // scanned lock-free (see snapshot.h for why that is safe).
-  std::lock_guard<std::mutex> lk(table_mutex());
-  if (mirror_) {
-    return Status::Internal(
-        "snapshot scans are linear-only: indexed scans rewrite ORAM state "
-        "and must hold the table lock");
-  }
-  return store_.Snapshot();
-}
-
-StatusOr<SnapshotView> ObliDbTable::EnclaveScan() {
+StatusOr<ObliDbTable::Captured> ObliDbTable::Capture() {
+  Captured out;
   if (mirror_) {
     DPSYNC_RETURN_IF_ERROR(mirror_status_);
-    // Indexed mode: touch every record through its shard's ORAM so each
-    // access is an oblivious path read/rewrite, one task per shard on the
-    // shared pool (trees are disjoint; Touch never copies the block out,
-    // so the hot loop allocates nothing). The decrypted rows are then
-    // served from the same persistent per-shard enclave mirrors the
-    // linear mode uses.
+    // Indexed mode: touch every mirrored record through its shard's ORAM
+    // so each access is an oblivious path read/rewrite, one task per shard
+    // on the shared pool (trees are disjoint; Touch never copies the block
+    // out, so the hot loop allocates nothing). The lists are the mirror's
+    // own routing, never the store's per-shard counts: a shard server's
+    // store places coordinator-routed entries, while the mirror routes by
+    // identity over the local shard count.
     const size_t shards = scan_ids_.size();
     DPSYNC_RETURN_IF_ERROR(ParallelShardStatus(shards, [&](size_t s) {
       for (uint64_t id : scan_ids_[s]) {
@@ -164,16 +154,20 @@ StatusOr<SnapshotView> ObliDbTable::EnclaveScan() {
       }
       return Status::Ok();
     }));
-    last_scan_work_ = OramScanWork{};
     for (size_t s = 0; s < shards; ++s) {
       auto paths = static_cast<int64_t>(scan_ids_[s].size());
-      last_scan_work_.paths += paths;
-      last_scan_work_.buckets +=
+      out.oram_paths += paths;
+      out.oram_buckets +=
           paths * static_cast<int64_t>(
                       mirror_->ShardLevels(static_cast<int>(s)));
     }
   }
-  return store_.EnclaveView();
+  // Both storage methods then read the committed prefix from the same
+  // persistent per-shard enclave mirrors.
+  auto view = store_.Snapshot();
+  if (!view.ok()) return view.status();
+  out.view = std::move(view).value();
+  return out;
 }
 
 ObliDbServer::ObliDbServer(const ObliDbConfig& config)
@@ -302,23 +296,6 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
       return Status::Internal("plan references lost table " +
                               plan.join_table);
     }
-    // Read-only linear joins pin both sides' committed prefixes under a
-    // brief ordered capture lock and execute lock-free (mirror checks are
-    // defensive: PlanIsReadOnlyJoin already excludes ORAM-indexed plans,
-    // and every table shares the engine config).
-    if (query::PlanIsReadOnlyJoin(plan) && !table->mirror() &&
-        !right->mirror()) {
-      return SnapshotJoinQuery(plan.rewritten, table, right);
-    }
-    // Indexed mode, whose pre-join scans rewrite ORAM state: hold both
-    // table locks across the scans AND the join over the borrowed
-    // partitions; scoped_lock orders the acquisition, so concurrent joins
-    // cannot deadlock. A self-join locks once.
-    if (table == right) {
-      std::lock_guard<std::mutex> lk(table->table_mutex());
-      return JoinQuery(plan.rewritten, table, right);
-    }
-    std::scoped_lock lk(table->table_mutex(), right->table_mutex());
     return JoinQuery(plan.rewritten, table, right);
   }
   // Views extend the snapshot machinery: they hold committed-prefix
@@ -343,25 +320,16 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
     }
     // No usable view (cold start, post-Reopen, a plan that never went
     // through Prepare, a sum the view cannot reproduce bit for bit): fall
-    // through to the snapshot scan below.
+    // through to the scan below.
   }
-  if (query::PlanIsReadOnlyScan(plan)) {
-    // Read-only linear scan: serve it from an epoch snapshot of the
-    // committed prefix so same-table scans overlap with each other and
-    // with owner appends.
-    return SnapshotScanQuery(plan.rewritten, table);
-  }
-  // ORAM-indexed scan: every oblivious access rewrites tree state, so the
-  // whole scan runs under the table lock.
-  std::lock_guard<std::mutex> lk(table->table_mutex());
   return ScanQuery(plan.rewritten, table);
 }
 
 namespace {
 
-/// Shared back half of the linear scan paths: aggregate `rewritten` over
-/// the rows of `view` and price the scan. Safe to run with or without the
-/// table lock — the view's spans bound every row access.
+/// Back half of ScanQuery: aggregate `rewritten` over the rows of `view`
+/// and price the scan. Runs with no lock held — the view's spans bound
+/// every row access.
 StatusOr<QueryResponse> AggregateOverView(const query::SelectQuery& rewritten,
                                           const std::string& table_name,
                                           const query::Schema& schema,
@@ -380,9 +348,8 @@ StatusOr<QueryResponse> AggregateOverView(const query::SelectQuery& rewritten,
   QueryResponse resp;
   resp.result = std::move(result.value());
   // Per-shard scan work summed across shards — identical to the flat
-  // store's record count, so virtual QET numbers are unchanged by
-  // sharding (and by the access path: a snapshot sees the same committed
-  // total an indexed scan of a flushed table sees).
+  // store's committed count, so virtual QET numbers are unchanged by
+  // sharding and by the storage method.
   resp.stats.records_scanned = view.total_rows;
   resp.stats.virtual_seconds =
       ScanCost(cost, view.total_rows, !rewritten.group_by.empty());
@@ -391,43 +358,32 @@ StatusOr<QueryResponse> AggregateOverView(const query::SelectQuery& rewritten,
 
 }  // namespace
 
-StatusOr<QueryResponse> ObliDbServer::SnapshotScanQuery(
-    const query::SelectQuery& rewritten, ObliDbTable* table) {
-  auto start = std::chrono::steady_clock::now();
-  auto snap = table->SnapshotScan();  // brief lock: catch-up + capture
-  if (!snap.ok()) return snap.status();
-  // No lock held from here on: concurrent same-table scans and owner
-  // appends proceed while we aggregate over the pinned prefix.
-  auto resp = AggregateOverView(rewritten, table->table_name(),
-                                table->store().schema(), snap.value(), cost_);
-  if (!resp.ok()) return resp.status();
-  CountSnapshotScan();
-  resp->stats.measured_seconds = SecondsSince(start);
-  return resp;
-}
-
 StatusOr<QueryResponse> ObliDbServer::ScanQuery(
     const query::SelectQuery& rewritten, ObliDbTable* table) {
   auto start = std::chrono::steady_clock::now();
-  // Both storage methods serve the executor the same shard-major spans;
-  // indexed mode additionally pays one oblivious ORAM touch per record
-  // before the spans are borrowed.
-  auto view = table->EnclaveScan();
-  if (!view.ok()) return view.status();
+  auto captured = [&] {
+    std::lock_guard<std::mutex> lk(table->table_mutex());
+    return table->Capture();
+  }();
+  if (!captured.ok()) return captured.status();
+  // No lock held from here on: concurrent same-table scans and owner
+  // appends proceed while we aggregate over the pinned prefix.
   auto resp = AggregateOverView(rewritten, table->table_name(),
-                                table->store().schema(), view.value(), cost_);
+                                table->store().schema(), captured->view,
+                                cost_);
   if (!resp.ok()) return resp.status();
+  CountSnapshotScan();
   resp->stats.measured_seconds = SecondsSince(start);
   if (table->mirror()) {
-    // Charge the per-shard tree heights the scan actually crossed. This is
-    // reported next to — not inside — virtual_seconds: the headline QET
+    // Charge the per-shard tree heights the capture actually crossed. This
+    // is reported next to — not inside — virtual_seconds: the headline QET
     // stays a function of the record count alone, so it is invariant in
     // the physical shard topology like every other experiment metric
     // (docs/ORAM.md discusses the calibration).
-    const auto& work = table->last_scan_work();
-    resp->stats.oram_paths = work.paths;
-    resp->stats.oram_buckets = work.buckets;
-    resp->stats.oram_virtual_seconds = OramBucketsCost(cost_, work.buckets);
+    resp->stats.oram_paths = captured->oram_paths;
+    resp->stats.oram_buckets = captured->oram_buckets;
+    resp->stats.oram_virtual_seconds =
+        OramBucketsCost(cost_, captured->oram_buckets);
   }
   return resp;
 }
@@ -613,11 +569,10 @@ std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
 
 namespace {
 
-/// Shared back half of the join paths: the oblivious-vs-hash decision plus
-/// response pricing, over two tables whose row spans are already borrowed
-/// (locked enclave views or pinned snapshots). Safe to run with or without
-/// the table locks — the spans bound every row access. `n1`/`n2` are the
-/// row counts the borrowed views cover.
+/// Back half of JoinQuery: the oblivious-vs-hash decision plus response
+/// pricing, over two tables whose row spans borrow pinned snapshots. Runs
+/// with no lock held — the spans bound every row access. `n1`/`n2` are
+/// the row counts the views cover.
 StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
                                        query::Table& lt, query::Table& rt,
                                        int64_t n1, int64_t n2,
@@ -671,84 +626,57 @@ StatusOr<QueryResponse> ObliDbServer::JoinQuery(
     const query::SelectQuery& rewritten, ObliDbTable* left,
     ObliDbTable* right) {
   auto start = std::chrono::steady_clock::now();
-  // Same access discipline as ScanQuery: in indexed mode both sides pay
-  // one oblivious ORAM touch per record before their partitions are
-  // borrowed (linear mode: the plain incremental per-shard decrypt).
-  auto lview = left->EnclaveScan();
-  if (!lview.ok()) return lview.status();
-  auto rview = right->EnclaveScan();
-  if (!rview.ok()) return rview.status();
-
-  query::Table lt;
-  lt.name = left->table_name();
-  lt.schema = left->store().schema();
-  lt.borrowed_spans = lview->spans;
-  query::Table rt;
-  rt.name = right->table_name();
-  rt.schema = right->store().schema();
-  rt.borrowed_spans = rview->spans;
-
-  auto resp = JoinOverTables(rewritten, lt, rt, left->outsourced_count(),
-                             right->outsourced_count(), config_, cost_);
-  if (!resp.ok()) return resp.status();
-  resp->stats.measured_seconds = SecondsSince(start);
-  if (left->mirror() || right->mirror()) {
-    // ORAM work both sides' pre-join scans paid, charged per shard height
-    // (reported alongside the headline cost, same as ScanQuery).
-    const auto& lw = left->last_scan_work();
-    const auto& rw = right->last_scan_work();
-    resp->stats.oram_paths = lw.paths + rw.paths;
-    resp->stats.oram_buckets = lw.buckets + rw.buckets;
-    resp->stats.oram_virtual_seconds =
-        OramBucketsCost(cost_, resp->stats.oram_buckets);
-  }
-  return resp;
-}
-
-StatusOr<QueryResponse> ObliDbServer::SnapshotJoinQuery(
-    const query::SelectQuery& rewritten, ObliDbTable* left,
-    ObliDbTable* right) {
-  auto start = std::chrono::steady_clock::now();
-  // Pin both committed prefixes under ONE brief critical section —
-  // incremental catch-up + capture only, never the join itself.
-  // std::scoped_lock acquires the two mutexes deadlock-free regardless of
-  // argument order, so concurrent A⋈B and B⋈A captures cannot hang; a
-  // self-join pins the same epoch for both sides under a single lock.
-  // Capturing both sides at one instant is also what makes the two views
-  // mutually consistent: no commit can land between the captures.
-  SnapshotView lview, rview;
+  // Capture both sides under ONE brief critical section, never the join
+  // itself. std::scoped_lock acquires the two mutexes deadlock-free
+  // regardless of argument order, so concurrent A⋈B and B⋈A captures
+  // cannot hang; a self-join locks once and captures each side, so an
+  // indexed self-join pays both sides' ORAM touches. Capturing both sides
+  // at one instant is also what makes the two views mutually consistent:
+  // no commit can land between the captures.
+  ObliDbTable::Captured lcap, rcap;
+  auto capture_both = [&]() -> Status {
+    auto l = left->Capture();
+    if (!l.ok()) return l.status();
+    auto r = right->Capture();
+    if (!r.ok()) return r.status();
+    lcap = std::move(l).value();
+    rcap = std::move(r).value();
+    return Status::Ok();
+  };
+  Status captured;
   if (left == right) {
     std::lock_guard<std::mutex> lk(left->table_mutex());
-    auto snap = left->store().Snapshot();
-    if (!snap.ok()) return snap.status();
-    lview = std::move(snap).value();
-    rview = lview;
+    captured = capture_both();
   } else {
     std::scoped_lock lk(left->table_mutex(), right->table_mutex());
-    auto lsnap = left->store().Snapshot();
-    if (!lsnap.ok()) return lsnap.status();
-    auto rsnap = right->store().Snapshot();
-    if (!rsnap.ok()) return rsnap.status();
-    lview = std::move(lsnap).value();
-    rview = std::move(rsnap).value();
+    captured = capture_both();
   }
+  DPSYNC_RETURN_IF_ERROR(captured);
 
   // No lock held from here on: owner appends and every other reader on
   // either table proceed while we join the pinned prefixes.
   query::Table lt;
   lt.name = left->table_name();
   lt.schema = left->store().schema();
-  lt.borrowed_spans = lview.spans;
+  lt.borrowed_spans = lcap.view.spans;
   query::Table rt;
   rt.name = right->table_name();
   rt.schema = right->store().schema();
-  rt.borrowed_spans = rview.spans;
+  rt.borrowed_spans = rcap.view.spans;
 
-  auto resp = JoinOverTables(rewritten, lt, rt, lview.total_rows,
-                             rview.total_rows, config_, cost_);
+  auto resp = JoinOverTables(rewritten, lt, rt, lcap.view.total_rows,
+                             rcap.view.total_rows, config_, cost_);
   if (!resp.ok()) return resp.status();
   CountSnapshotJoin();
   resp->stats.measured_seconds = SecondsSince(start);
+  if (left->mirror() || right->mirror()) {
+    // ORAM work both sides' captures paid, charged per shard height
+    // (reported alongside the headline cost, same as ScanQuery).
+    resp->stats.oram_paths = lcap.oram_paths + rcap.oram_paths;
+    resp->stats.oram_buckets = lcap.oram_buckets + rcap.oram_buckets;
+    resp->stats.oram_virtual_seconds =
+        OramBucketsCost(cost_, resp->stats.oram_buckets);
+  }
   return resp;
 }
 

@@ -18,8 +18,9 @@
 /// evaluate it — the engine computes the answer with a partitioned hash
 /// join. Both paths charge the paper's nested-loop virtual cost (n1*n2
 /// pairs, which reach ~4*10^8 per query point on the month-long traces),
-/// so the choice changes wall-clock only. Linear joins pin both sides'
-/// committed prefixes and execute lock-free (see ExecutePlan).
+/// so the choice changes wall-clock only. Every scan and join reads the
+/// committed prefix it pins under a brief table lock (ObliDbTable::Capture)
+/// and aggregates or joins lock-free (see ExecutePlan).
 #pragma once
 
 #include <map>
@@ -67,12 +68,14 @@ struct ObliDbConfig {
 /// One ObliDB table: encrypted store plus optional per-shard ORAM mirror.
 class ObliDbTable : public EdbTable {
  public:
-  /// ORAM work of the most recent indexed EnclaveScan (all zero in linear
-  /// mode): how many oblivious paths were touched and how many buckets
-  /// those paths crossed, charging each shard its own tree height.
-  struct OramScanWork {
-    int64_t paths = 0;
-    int64_t buckets = 0;
+  /// What a read sees: the pinned committed prefix, plus the ORAM work
+  /// its capture paid (zero in linear mode) — how many oblivious paths
+  /// were touched and how many buckets those paths crossed, charging each
+  /// shard its own tree height.
+  struct Captured {
+    SnapshotView view;
+    int64_t oram_paths = 0;
+    int64_t oram_buckets = 0;
   };
 
   ObliDbTable(std::string name, query::Schema schema, Bytes key,
@@ -93,7 +96,8 @@ class ObliDbTable : public EdbTable {
       const std::vector<EncryptedTableStore::CipherEntry>& entries,
       uint64_t nonce_high_water, bool setup_batch);
 
-  /// Commits every shard (remote Flush RPC). Locks table_mutex().
+  /// Commits every shard: the manual commit point when
+  /// StorageConfig::flush_every_update is false. Locks table_mutex().
   Status Flush();
 
   int64_t outsourced_count() const override {
@@ -109,23 +113,16 @@ class ObliDbTable : public EdbTable {
   const EncryptedTableStore& store() const { return store_; }
   const oram::OramMirror* mirror() const { return mirror_.get(); }
 
-  /// Enclave-side scan over every appended row, returning shard-major row
-  /// spans (what query::Table::borrowed_spans consumes). NOT internally
-  /// locked: the caller must hold table_mutex() across this call and
-  /// every use of the returned spans (ObliDbServer does). In indexed mode
-  /// every record is first touched through its shard's ORAM — per-shard
-  /// oblivious point accesses fanned out on the shared pool — before the
-  /// enclave-resident mirrors are served; otherwise it is the plain
-  /// incremental per-shard decrypt. Either way the per-shard chunk
-  /// buffers persist across queries (no per-query reallocation).
-  StatusOr<SnapshotView> EnclaveScan();
-
-  /// Pins the committed prefix as an immutable SnapshotView: takes
-  /// table_mutex() only for the incremental catch-up + capture, so the
-  /// caller scans the returned view with NO lock held while owner appends
-  /// race. Linear tables only — the indexed mode's scans rewrite ORAM
-  /// trees and must stay under the exclusive lock (Internal error here).
-  StatusOr<SnapshotView> SnapshotScan();
+  /// The one read capture every scan and join runs. NOT internally
+  /// locked: the caller holds table_mutex() across the call, and only
+  /// across the call — the returned view is the committed prefix
+  /// (SnapshotView), safe to scan with no lock held while owner appends
+  /// race. In indexed mode every mirrored record, committed or not, is
+  /// first touched through its shard's ORAM — per-shard oblivious point
+  /// accesses fanned out on the shared pool over the mirror's own
+  /// per-shard lists — because each access rewrites tree state; that is
+  /// the only part of an indexed read that needs the lock.
+  StatusOr<Captured> Capture();
 
   /// CommitEpoch of the underlying store (flush commit point).
   uint64_t commit_epoch() const override { return store_.commit_epoch(); }
@@ -133,16 +130,13 @@ class ObliDbTable : public EdbTable {
   /// Materialized-view forwarding (see encrypted_table.h). Both take
   /// table_mutex() first, preserving the ObliDbTable-mutex -> store-mutex
   /// lock order every other path uses, so the store's mirror catch-up
-  /// never races an engine-locked scan.
+  /// never races a Capture.
   Status RegisterView(std::shared_ptr<const query::QueryPlan> plan);
   std::optional<EncryptedTableStore::ViewAnswer> TryViewAnswer(
       uint64_t fingerprint, const std::string& canonical_text);
   void set_view_fold_counter(std::atomic<int64_t>* counter) {
     store_.set_view_fold_counter(counter);
   }
-
-  /// What the last indexed EnclaveScan paid in ORAM accesses.
-  const OramScanWork& last_scan_work() const { return last_scan_work_; }
 
  private:
   /// Mirrors every record appended since the last catch-up: routes the
@@ -160,7 +154,6 @@ class ObliDbTable : public EdbTable {
   /// Sticky first mirror failure: once the index diverges from the store
   /// (e.g. a tree hit capacity) every later operation reports this cause.
   Status mirror_status_;
-  OramScanWork last_scan_work_;
 };
 
 /// The oblivious sort-merge COUNT join ObliDbServer runs for ungrouped
@@ -193,14 +186,13 @@ class ObliDbServer : public EdbServer {
 
   // Engine SPI (see encrypted_database.h). ExecutePlan picks the
   // execution path from the plan alone: a current materialized view
-  // answers view-eligible plans; other linear scans and joins pin epoch
-  // snapshots of the committed prefix and run lock-free; ORAM-indexed
-  // scans and joins hold the scanned tables' mutexes throughout, because
-  // every oblivious access rewrites tree state. Under manual commit points
-  // (StorageConfig::flush_every_update=false) linear plans therefore see
-  // only flushed rows, while indexed plans also see the uncommitted tail
-  // (docs/CONCURRENCY.md). Concurrent sessions and owner-side appends are
-  // safe; queries over disjoint tables run in parallel.
+  // answers view-eligible plans; every other scan and join captures the
+  // committed prefix of its tables under a brief table lock (in indexed
+  // mode that capture also pays the ORAM touches) and aggregates or joins
+  // with no lock held. Under manual commit points
+  // (StorageConfig::flush_every_update=false) both storage methods
+  // therefore see only flushed rows (docs/CONCURRENCY.md). Concurrent
+  // sessions and owner-side appends are safe.
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
   const query::Schema* FindSchema(const std::string& table) const override;
   query::PlannerOptions planner_options() const override;
@@ -216,22 +208,15 @@ class ObliDbServer : public EdbServer {
       const std::shared_ptr<const query::QueryPlan>& plan) override;
 
  private:
-  /// Both run with the table mutex(es) already held.
+  /// Captures the table under its lock, then aggregates with no lock
+  /// held.
   StatusOr<QueryResponse> ScanQuery(const query::SelectQuery& rewritten,
                                     ObliDbTable* table);
+  /// Captures BOTH sides under one brief std::scoped_lock (a self-join
+  /// locks once and captures each side), then joins with no lock held,
+  /// overlapping owner appends, other joins and scans on either table.
   StatusOr<QueryResponse> JoinQuery(const query::SelectQuery& rewritten,
                                     ObliDbTable* left, ObliDbTable* right);
-  /// Lock-free linear scan over the committed prefix: pins a SnapshotView
-  /// (brief lock inside SnapshotScan) and aggregates with no lock held.
-  StatusOr<QueryResponse> SnapshotScanQuery(const query::SelectQuery& rewritten,
-                                            ObliDbTable* table);
-  /// Lock-free linear join: pins BOTH sides' committed prefixes under one
-  /// brief std::scoped_lock (address-ordered acquisition — catch-up +
-  /// capture only; a self-join locks once) and joins with no locks held,
-  /// overlapping owner appends, other joins and scans on either table.
-  StatusOr<QueryResponse> SnapshotJoinQuery(const query::SelectQuery& rewritten,
-                                            ObliDbTable* left,
-                                            ObliDbTable* right);
   ObliDbTable* FindTable(const std::string& name) const;
 
   ObliDbConfig config_;

@@ -21,10 +21,10 @@
 /// the happens-before edge for everything inside those bounds). Chunks
 /// dropped by Reopen stay alive through the view's shared_ptrs.
 ///
-/// Which query paths may use a snapshot is a plan property: linear scans
-/// are read-only and snapshot-eligible; ORAM-indexed scans rewrite tree
-/// state on every access and keep the exclusive table lock (see
-/// query::PlanIsReadOnlyScan and docs/CONCURRENCY.md).
+/// Every scan and join reads through a snapshot, on both storage methods:
+/// an ORAM-indexed read pays its oblivious touches under the same brief
+/// lock that captures the view (edb::ObliDbTable::Capture), then reads the
+/// view like a linear one (docs/CONCURRENCY.md).
 #pragma once
 
 #include <cstdint>
@@ -95,8 +95,7 @@ struct SnapshotView {
   /// Committed rows across all shards — what a snapshot scan reports as
   /// records_scanned and what the cost model charges.
   int64_t total_rows = 0;
-  /// The committed rows, shard-major, in per-shard append order — the
-  /// exact row order a locked scan of the same prefix walks.
+  /// The committed rows, shard-major, in per-shard append order.
   std::vector<query::RowSpan> spans;
   /// Committed rows per storage shard (indexed like the store's shards).
   std::vector<int64_t> shard_rows;

@@ -81,30 +81,10 @@ struct QueryPlan {
   bool grouped = false;
 };
 
-/// Classifies a plan's execution as read-only vs state-mutating. A linear
-/// single-table scan only reads committed rows, so an engine may serve it
-/// from an epoch snapshot without holding the table's exclusive lock.
-/// ORAM-indexed scans rewrite tree state on every oblivious access and
-/// stay serialized per table (see docs/CONCURRENCY.md).
-inline bool PlanIsReadOnlyScan(const QueryPlan& plan) {
-  return plan.kind == PlanKind::kScan &&
-         plan.access_path == AccessPath::kLinearScan;
-}
-
-/// The join analog of PlanIsReadOnlyScan: a linear (non-ORAM) aggregate
-/// join only reads both sides' committed rows, so an engine may pin TWO
-/// epoch snapshots under a brief ordered capture lock and execute the
-/// whole join with no locks held, overlapping owner appends and other
-/// readers. ORAM-indexed joins keep the exclusive two-table path (each
-/// oblivious access rewrites tree state).
-inline bool PlanIsReadOnlyJoin(const QueryPlan& plan) {
-  return plan.kind == PlanKind::kJoin &&
-         plan.access_path == AccessPath::kLinearScan;
-}
-
 /// Classifies a plan as maintainable by an incremental materialized
-/// aggregate view (edb::MaterializedView): a read-only single-table
-/// linear scan whose aggregate folds append-only — COUNT/SUM/AVG, with or
+/// aggregate view (edb::MaterializedView): a single-table linear scan
+/// (an ORAM-indexed scan must pay its oblivious touches on every
+/// execution) whose aggregate folds append-only — COUNT/SUM/AVG, with or
 /// without WHERE and GROUP BY. Their accumulator state is a pure monoid
 /// over (count, sum), so the newly committed delta of a flush can be
 /// folded in without revisiting older rows. MIN/MAX fold under appends
@@ -112,7 +92,10 @@ inline bool PlanIsReadOnlyJoin(const QueryPlan& plan) {
 /// stay on the scan path rather than bake that assumption into view
 /// state.
 inline bool PlanIsViewEligible(const QueryPlan& plan) {
-  if (!PlanIsReadOnlyScan(plan)) return false;
+  if (plan.kind != PlanKind::kScan ||
+      plan.access_path != AccessPath::kLinearScan) {
+    return false;
+  }
   switch (plan.aggregate.agg) {
     case AggFunc::kCount:
     case AggFunc::kSum:

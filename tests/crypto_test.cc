@@ -365,37 +365,6 @@ TEST(RecordCipherTest, WrongSizeRejected) {
   EXPECT_FALSE(cipher.Decrypt(Bytes(10, 0)).ok());
 }
 
-
-TEST(RecordCipherTest, AesGcmSuiteRoundTrip) {
-  RecordCipher cipher(Bytes(32, 5), CipherSuite::kAes128Gcm);
-  Bytes payload = ToBytes("gcm-backed trip record");
-  auto ct = cipher.Encrypt(payload);
-  ASSERT_TRUE(ct.ok());
-  EXPECT_EQ(ct->size(), RecordCipher::kCiphertextSize);
-  auto pt = cipher.Decrypt(ct.value());
-  ASSERT_TRUE(pt.ok());
-  EXPECT_EQ(pt.value(), payload);
-}
-
-TEST(RecordCipherTest, SuitesAreIncompatibleOnPurpose) {
-  // Same key bytes, different suites: ciphertexts must not decrypt across.
-  RecordCipher chacha(Bytes(32, 5), CipherSuite::kChaCha20Poly1305);
-  RecordCipher gcm(Bytes(32, 5), CipherSuite::kAes128Gcm);
-  auto ct = chacha.Encrypt(ToBytes("payload"));
-  ASSERT_TRUE(ct.ok());
-  EXPECT_FALSE(gcm.Decrypt(ct.value()).ok());
-}
-
-TEST(RecordCipherTest, BothSuitesSameWireSize) {
-  RecordCipher chacha(Bytes(32, 1));
-  RecordCipher gcm(Bytes(32, 1), CipherSuite::kAes128Gcm);
-  auto a = chacha.Encrypt(ToBytes("x"));
-  auto b = gcm.Encrypt(ToBytes("a much longer record payload here"));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->size(), b->size());
-}
-
 // ----------------------------------------------------------- Key manager
 
 TEST(KeyManagerTest, DeterministicDerivation) {

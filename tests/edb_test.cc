@@ -440,8 +440,6 @@ TEST(ShardedEngineTest, OramIndexedModeWorksOverShards) {
   // The scan paid one oblivious path per record, charged at the per-shard
   // tree height: 512 blocks over 4 shards -> 128-capacity trees -> 8
   // buckets per path.
-  EXPECT_EQ(table->last_scan_work().paths, 200);
-  EXPECT_EQ(table->last_scan_work().buckets, 200 * 8);
   EXPECT_EQ(r->stats.oram_paths, 200);
   EXPECT_EQ(r->stats.oram_buckets, 1600);
   EXPECT_GT(r->stats.oram_virtual_seconds, 0.0);

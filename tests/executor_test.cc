@@ -384,7 +384,7 @@ TEST(VectorizedScanTest, UncommittedTailInvisibleUnderSnapshots) {
   for (int i = 0; i < 600; ++i) committed.push_back(Trip(i, i % 11));
   ASSERT_OK(store.Setup(committed));
   ASSERT_OK(store.Flush());
-  // Unflushed tail: visible to the locked full view, not to snapshots.
+  // Unflushed tail: invisible to snapshots until the next Flush.
   ASSERT_OK(store.Update({Trip(1000, 3), Trip(1001, 3), Trip(1002, 3)}));
 
   auto run = [&](const edb::SnapshotView& view, const std::string& sql,
@@ -396,10 +396,15 @@ TEST(VectorizedScanTest, UncommittedTailInvisibleUnderSnapshots) {
     return RunSql(&plain, sql, vectorized);
   };
 
-  std::lock_guard<std::mutex> lk(store.table_mutex());
-  auto snap = store.Snapshot();
+  auto capture = [&] {
+    std::lock_guard<std::mutex> lk(store.table_mutex());
+    return store.Snapshot();
+  };
+  auto snap = capture();
   ASSERT_OK(snap);
-  auto full = store.EnclaveView();
+  // A second capture after the commit point sees the tail.
+  ASSERT_OK(store.Flush());
+  auto full = capture();
   ASSERT_OK(full);
   EXPECT_EQ(snap->total_rows, 600);
   EXPECT_EQ(full->total_rows, 603);

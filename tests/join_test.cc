@@ -1,6 +1,7 @@
-// Join execution across the lock modes (docs/CONCURRENCY.md,
+// Join execution across the storage methods (docs/CONCURRENCY.md,
 // docs/ARCHITECTURE.md): parity of answers and deterministic metrics
-// between the lock-free linear path and the locked ORAM-indexed path;
+// between linear and ORAM-indexed tables, which both join two pinned
+// snapshots;
 // answers independent of the execution mode (Execute, Submit/Wait,
 // ExecuteMany); oblivious sort-merge vs partitioned-hash identity, and
 // the oblivious join's data-independent access trace; NULL, string and
@@ -73,9 +74,9 @@ JoinRun ToRun(const QueryResponse& r) {
 }
 
 /// One server, two trip tables, one join execution. `indexed` selects the
-/// ORAM-indexed storage method (the locked join path; linear joins run
-/// lock-free on two snapshots). `limit` overrides oblivious_join_limit (0
-/// forces the hash path for any size).
+/// ORAM-indexed storage method (both methods join two snapshots
+/// lock-free; indexed captures also pay the ORAM touches). `limit`
+/// overrides oblivious_join_limit (0 forces the hash path for any size).
 JoinRun RunTripJoin(const std::string& sql, const std::vector<Record>& left,
                     const std::vector<Record>& right, bool indexed,
                     int64_t limit) {
@@ -100,7 +101,7 @@ JoinRun RunTripJoin(const std::string& sql, const std::vector<Record>& left,
   return run;
 }
 
-/// Exact result equality — every lock mode and execution mode joins the
+/// Exact result equality — every storage method and execution mode joins the
 /// same spans over one chunk decomposition and merge order, so even the
 /// FP sums must be bit-equal.
 void ExpectSameRun(const JoinRun& a, const JoinRun& b, const char* what) {
@@ -192,13 +193,12 @@ TEST(JoinParityTest, ParityAcrossLockModes) {
   const auto right = BuildRows(300);
   for (const char* sql : {kCountSql, kSumSql, kGroupSql}) {
     // limit 0 forces the partitioned hash path in both modes.
-    JoinRun locked = RunTripJoin(sql, left, right, true, 0);
-    JoinRun snapshot = RunTripJoin(sql, left, right, false, 0);
-    ExpectSameRun(locked, snapshot, sql);
-    // The counter is the mode's signature: 0 on the exclusive indexed
-    // path, one per execution on the lock-free linear path.
-    EXPECT_EQ(locked.snapshot_joins, 0);
-    EXPECT_EQ(snapshot.snapshot_joins, 1);
+    JoinRun indexed = RunTripJoin(sql, left, right, true, 0);
+    JoinRun linear = RunTripJoin(sql, left, right, false, 0);
+    ExpectSameRun(indexed, linear, sql);
+    // Both storage methods join two pinned snapshots: one per execution.
+    EXPECT_EQ(indexed.snapshot_joins, 1);
+    EXPECT_EQ(linear.snapshot_joins, 1);
   }
 }
 
@@ -256,26 +256,26 @@ TEST(JoinParityTest, ObliviousAndHashAgree) {
 TEST(JoinParityTest, LockModesBitIdenticalAboveScanThreshold) {
   // Big enough to cross the parallel-extraction and parallel-probe
   // thresholds (8192 rows): the FP sums and grouped maps must still be
-  // bit-equal between the locked and the lock-free path, because both
-  // join the same spans over the same chunk decomposition and merge
+  // bit-equal between the indexed and the linear storage method, because
+  // both join the same spans over the same chunk decomposition and merge
   // partials in chunk order.
   const auto left = ProbeRows(9000);
   const auto right = BuildRows(200);
   for (const char* sql : {kCountSql, kSumSql, kGroupSql}) {
-    JoinRun locked = RunTripJoin(sql, left, right, true, 0);
-    JoinRun snapshot = RunTripJoin(sql, left, right, false, 0);
-    ExpectSameRun(locked, snapshot, sql);
+    JoinRun indexed = RunTripJoin(sql, left, right, true, 0);
+    JoinRun linear = RunTripJoin(sql, left, right, false, 0);
+    ExpectSameRun(indexed, linear, sql);
     // The plaintext oracle and the pricing: the engine's answer equals
     // query::Executor's over the same rows bit for bit, and the cost is
     // charged on every stored row and pair. These replace the retired
     // join sweep's in-binary checks.
     const query::QueryResult expected = PlaintextJoin(sql, left, right);
-    EXPECT_EQ(snapshot.result.grouped, expected.grouped) << sql;
-    EXPECT_EQ(snapshot.result.scalar, expected.scalar) << sql;
-    EXPECT_EQ(snapshot.result.groups, expected.groups) << sql;
-    EXPECT_EQ(snapshot.records_scanned,
+    EXPECT_EQ(linear.result.grouped, expected.grouped) << sql;
+    EXPECT_EQ(linear.result.scalar, expected.scalar) << sql;
+    EXPECT_EQ(linear.result.groups, expected.groups) << sql;
+    EXPECT_EQ(linear.records_scanned,
               static_cast<int64_t>(left.size() + right.size()));
-    EXPECT_EQ(snapshot.join_pairs,
+    EXPECT_EQ(linear.join_pairs,
               static_cast<int64_t>(left.size() * right.size()));
   }
 }
@@ -474,8 +474,8 @@ TEST(JoinKeyTest, PoisonedKeyColumnFallsBackBitIdentical) {
   // One probe row carries a double pickTime in the int-declared column:
   // the columnar mirror poisons that column, the typed int fast path is
   // ineligible, and the scalar fallback must still match 2.0 against the
-  // build side's int 2 — with the same answer on the locked indexed path
-  // as on the lock-free linear one.
+  // build side's int 2 — with the same answer on the indexed storage
+  // method as on the linear one.
   std::vector<Record> left = ProbeRows(60);
   left.push_back(RowRecord(TripRowWithKey(Value(2.0), 9)));
   const auto right = BuildRows(50);
@@ -787,9 +787,9 @@ TEST(JoinVisibilityTest, EpochAdvancesDuringExecuteMany) {
 
 TEST(JoinConcurrencyTest, OppositeOrderJoinsDontDeadlock) {
   // A⋈B and B⋈A hammered from two threads while the owner appends to
-  // both tables. Both the snapshot capture (linear) and the exclusive
-  // path (indexed) acquire the two table mutexes via scoped_lock, so
-  // neither mode can hang; the suite TIMEOUT is the deadlock detector.
+  // both tables. Both storage methods capture under one scoped_lock over
+  // the two table mutexes, so neither can hang; the suite TIMEOUT is the
+  // deadlock detector.
   for (bool indexed : {false, true}) {
     ObliDbConfig cfg;
     cfg.use_oram_index = indexed;

@@ -296,17 +296,16 @@ TEST(VectorizedDeterminismTest, RandomChunkFillsBitIdenticalAcrossConfigs) {
 // The join's whole determinism contract in one randomized property: fill
 // two tables with random float-heavy rows (heavy key collisions, dummies
 // in the stream) and every combination of backend x shard count x
-// {lock-free linear, locked ORAM-indexed} x {synchronous Execute,
-// Submit/Wait on a pool task} must agree bit-for-bit with the linear
-// synchronous reference — answers, grouped maps, AND the deterministic
-// metrics (virtual QET, records_scanned, join_pairs). One cell exceeds
-// 8192 probe rows so the parallel extraction and probe genuinely fan
-// out, where a chunk-order slip would surface as a last-ulp SUM
-// difference (a pool task runs the probe's ParallelFor inline, so the
-// merge tree must not depend on it); the segment-log cells keep the
-// default pair limit, so their COUNT query runs the oblivious sort-merge
-// join in every config while the SUM and grouped queries take the hash
-// path.
+// {linear, ORAM-indexed} x {synchronous Execute, Submit/Wait on a pool
+// task} must agree bit-for-bit with the linear synchronous reference —
+// answers, grouped maps, AND the deterministic metrics (virtual QET,
+// records_scanned, join_pairs). One cell exceeds 8192 probe rows so the
+// parallel extraction and probe genuinely fan out, where a chunk-order
+// slip would surface as a last-ulp SUM difference (a pool task runs the
+// probe's ParallelFor inline, so the merge tree must not depend on it);
+// the segment-log cells keep the default pair limit, so their COUNT query
+// runs the oblivious sort-merge join in every config while the SUM and
+// grouped queries take the hash path.
 TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
   namespace fs = std::filesystem;
   struct Cell {
@@ -403,9 +402,9 @@ TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
                               r->stats.records_scanned,
                               r->stats.join_pairs});
         }
-        // The lock-free path must engage exactly for linear tables.
+        // Every join runs on pinned snapshots, on both storage methods.
         EXPECT_EQ(server.stats().snapshot_joins,
-                  indexed ? 0 : static_cast<int64_t>(sqls.size()));
+                  static_cast<int64_t>(sqls.size()));
       }
       if (!dir.empty()) fs::remove_all(dir);
       return outcomes;

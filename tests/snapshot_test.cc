@@ -1,10 +1,10 @@
 // Visibility and stability edges of the epoch-snapshot layer
 // (edb/snapshot.h, docs/CONCURRENCY.md): CommitEpoch advance on flush,
 // owner reads-its-own-flush, snapshots pinned to an epoch staying stable
-// while owner appends race, epoch advance during ExecuteMany, and the
-// ORAM-indexed mode staying fully serialized. The racing cases are the
-// ones the CI TSan job leans on: they read pinned spans — through both
-// scan-kernel loops — lock-free while the owner keeps appending.
+// while owner appends race, epoch advance during ExecuteMany, and
+// ORAM-indexed scans pinning the committed prefix too. The racing cases
+// are the ones the CI TSan job leans on: they read pinned spans — through
+// both scan-kernel loops — lock-free while the owner keeps appending.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -58,19 +58,17 @@ TEST(CommitEpochTest, UncommittedTailInvisibleUntilFlush) {
   EncryptedTableStore store("T", TripSchema(), Bytes(32, 1), cfg);
   ASSERT_OK(store.Setup({Trip(1, 10), Trip(2, 20), Trip(3, 30)}));
 
-  // Appended but not flushed: no commit point yet. The full enclave view
-  // (locked path) sees the tail; a snapshot does not.
+  // Appended but not flushed: no commit point yet. The store holds the
+  // tail; a snapshot does not see it.
   EXPECT_EQ(store.commit_epoch(), 0u);
   EXPECT_EQ(store.committed_rows(), 0);
+  EXPECT_EQ(store.outsourced_count(), 3);
   {
     std::lock_guard<std::mutex> lk(store.table_mutex());
     auto snap = store.Snapshot();
     ASSERT_OK(snap);
     EXPECT_EQ(snap->total_rows, 0);
     EXPECT_TRUE(snap->spans.empty());
-    auto full = store.EnclaveView();
-    ASSERT_OK(full);
-    EXPECT_EQ(full->total_rows, 3);
   }
 
   // Flush = the commit point: the epoch advances and the records become
@@ -331,40 +329,68 @@ TEST(SnapshotStabilityTest, EpochAdvancesDuringExecuteMany) {
             static_cast<int64_t>(batch.size()));
 }
 
-// ------------------------------------------------- serialization fences
+// ---------------------------------------------- both storage methods
 
-TEST(SnapshotRoutingTest, IndexedModeStaysSerialized) {
-  // ORAM scans rewrite tree state: indexed plans must take the locked
-  // path (counter stays 0; indexed plans are never view-eligible either)
-  // and still answer correctly under owner pressure.
-  ObliDbConfig cfg;
-  cfg.use_oram_index = true;
-  cfg.oram_capacity = 4096;
-  ObliDbServer server(cfg);
-  auto t = server.CreateTable("YellowCab", TripSchema());
-  ASSERT_TRUE(t.ok());
-  ASSERT_OK(t.value()->Setup({Trip(0, 1)}));
+TEST(SnapshotRoutingTest, IndexedScansPinTheCommittedPrefix) {
+  // Under manual commit points both storage methods read only what the
+  // last Flush committed. An indexed capture still touches every mirrored
+  // record, committed or not, because each touch rewrites its tree. The
+  // owner appends the uncommitted tail while analysts scan: the race the
+  // CI TSan job checks. The plans run unprepared, so linear executions
+  // scan too instead of answering from a view.
+  for (bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "indexed" : "linear");
+    ObliDbConfig cfg;
+    cfg.use_oram_index = indexed;
+    cfg.oram_capacity = 4096;
+    cfg.storage.num_shards = 4;
+    cfg.storage.flush_every_update = false;
+    ObliDbServer server(cfg);
+    auto t = server.CreateTable("YellowCab", TripSchema());
+    ASSERT_TRUE(t.ok());
+    auto* table = static_cast<ObliDbTable*>(t.value());
+    std::vector<Record> init;
+    for (int64_t i = 0; i < 40; ++i) init.push_back(Trip(i, i % 10));
+    ASSERT_OK(table->Setup(init));
+    ASSERT_OK(table->Flush());
 
-  std::atomic<int> failures{0};
-  std::thread owner([&] {
-    for (int b = 1; b <= 30; ++b) {
-      if (!t.value()->Update({Trip(b, b % 10)}).ok()) ++failures;
+    const char* sql = "SELECT COUNT(*) FROM YellowCab";
+    std::atomic<int> failures{0};
+    std::thread owner([&] {
+      for (int64_t b = 0; b < 3; ++b) {
+        if (!table->Update({Trip(40 + b, b)}).ok()) ++failures;
+      }
+    });
+    std::vector<std::thread> analysts;
+    for (int a = 0; a < 2; ++a) {
+      analysts.emplace_back([&] {
+        for (int i = 0; i < 10; ++i) {
+          auto r = testutil::ExecuteUnprepared(server, sql);
+          if (!r.ok() || r->result.scalar != 40.0 ||
+              r->stats.records_scanned != 40) {
+            ++failures;
+          }
+        }
+      });
     }
-  });
-  auto session = server.CreateSession();
-  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_TRUE(q.ok());
-  for (int i = 0; i < 10; ++i) {
-    if (!session->Execute(q.value()).ok()) ++failures;
-  }
-  owner.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server.stats().snapshot_scans, 0);
+    owner.join();
+    for (auto& th : analysts) th.join();
+    EXPECT_EQ(failures.load(), 0);
 
-  auto r = session->Execute(q.value());
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->result.scalar, 31.0);
-  EXPECT_GT(r->stats.oram_paths, 0);
+    auto before = testutil::ExecuteUnprepared(server, sql);
+    ASSERT_TRUE(before.ok());
+    EXPECT_DOUBLE_EQ(before->result.scalar, 40.0);
+    EXPECT_EQ(before->stats.records_scanned, 40);
+    EXPECT_EQ(before->stats.oram_paths, indexed ? 43 : 0);
+
+    ASSERT_OK(table->Flush());
+    auto after = testutil::ExecuteUnprepared(server, sql);
+    ASSERT_TRUE(after.ok());
+    EXPECT_DOUBLE_EQ(after->result.scalar, 43.0);
+    EXPECT_EQ(after->stats.records_scanned, 43);
+    EXPECT_EQ(after->stats.oram_paths, indexed ? 43 : 0);
+    EXPECT_EQ(server.stats().snapshot_scans, 2 * 10 + 2);
+  }
 }
 
 // --------------------------------------------------- pinned-view lifetime

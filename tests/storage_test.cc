@@ -309,9 +309,9 @@ TEST_F(StorageTest, ShardedStoreSpreadsRecordsAndPreservesArrivalOrder) {
                   .pickup_id,
               i);
   }
-  // EnclaveView reports one committed count per shard, covering every
+  // A snapshot reports one committed count per shard, covering every
   // record, and its spans sum to the same total.
-  auto view = store.EnclaveView();
+  auto view = store.Snapshot();
   ASSERT_OK(view);
   ASSERT_EQ(view->shard_rows.size(), 4u);
   EXPECT_EQ(view->total_rows, 200);

@@ -143,9 +143,9 @@ inline double ExpectLogRatioBounded(const std::map<int64_t, int>& a,
 /// Plans `sql` against `server`'s catalog and runs it through the engine
 /// SPI, bypassing Prepare and admission. Prepare is what registers views,
 /// so on a server where nothing prepared the same query the plan takes
-/// the documented cold-start path — a snapshot scan or join for linear
-/// plans, the locked path for ORAM-indexed ones. The reference the view
-/// identity tests compare prepared answers against.
+/// the documented cold-start path — a snapshot scan or join, on both
+/// storage methods. The reference the view identity tests compare
+/// prepared answers against.
 inline StatusOr<edb::QueryResponse> ExecuteUnprepared(edb::EdbServer& server,
                                                       const std::string& sql) {
   auto parsed = query::ParseSelect(sql);

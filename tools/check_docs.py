@@ -36,6 +36,14 @@ table honest):
    includes `DPSYNC_PAPER_BENCHES`) or `DPSYNC_MICRO_BENCHES`
    (bench/CMakeLists.txt).
 
+7. **Qualified C++ names**: a qualified name in inline code outside
+   fences (`ns::Type::member`, e.g. `query::PlanSelect` or
+   `ServerStats::view_hits`) must end in an identifier that appears,
+   outside `//` comments, in the C++ under `src/`, `tests/`, `bench/`,
+   `examples/` or `perfbench/src/`, so a deleted or renamed function,
+   type or field cannot linger in prose. Only the last component is
+   checked: the sources rarely spell out the full qualification.
+
 The repo-root change logs (`CHANGE_LOGS` below) record past or planned
 changes: a file, suite or program they name may since have been
 deleted, and that mention stays accurate. They are checked for links
@@ -77,6 +85,11 @@ SUITES_RE = re.compile(r"set\(DPSYNC_TEST_SUITES\b(.*?)\)", re.S)
 BENCH_REF_RE = re.compile(r"\bbuild[\w.-]*/bench/(\w+)")
 BENCHES_CMAKE = os.path.join("bench", "CMakeLists.txt")
 BENCHES_RE = re.compile(r"set\(DPSYNC_\w*BENCHES\b(.*?)\)", re.S)
+QUALIFIED_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+)")
+CPP_DIRS = ["src", "tests", "bench", "examples", "perfbench/src"]
+CPP_EXTS = (".h", ".cc", ".cpp")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+LINE_COMMENT_RE = re.compile(r"//.*")
 # Logs of past or planned changes: links only (see the docstring).
 CHANGE_LOGS = {"CHANGES.md", "ISSUE.md"}
 
@@ -131,7 +144,22 @@ def bench_programs(root):
             if not w.startswith("$")}
 
 
-def check_file(path, root, suites, benches, verbose):
+def cpp_identifiers(root):
+    """Every identifier the C++ sources use outside `//` comments."""
+    ids = set()
+    for d in CPP_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, d)):
+            for f in filenames:
+                if not f.endswith(CPP_EXTS):
+                    continue
+                with open(os.path.join(dirpath, f), encoding="utf-8") as src:
+                    for line in src:
+                        ids.update(IDENTIFIER_RE.findall(
+                            LINE_COMMENT_RE.sub("", line)))
+    return ids
+
+
+def check_file(path, root, suites, benches, identifiers, verbose):
     errors = []
     checked = 0
     with open(path, encoding="utf-8") as f:
@@ -184,6 +212,12 @@ def check_file(path, root, suites, benches, verbose):
                     errors.append(f"{rel}:{lineno}: include of a file under "
                                   f"neither src/ nor tests/ "
                                   f"({m.group(1)})")
+            for m in QUALIFIED_RE.finditer(span):
+                checked += 1
+                if m.group(1).split("::")[-1].lstrip("~") not in identifiers:
+                    errors.append(f"{rel}:{lineno}: qualified name whose "
+                                  f"last identifier the C++ sources never "
+                                  f"use ({m.group(1)})")
     if verbose:
         print(f"  {rel}: {checked} references")
     return errors
@@ -250,10 +284,11 @@ def main():
         return 1
     suites = test_suites(root)
     benches = bench_programs(root)
+    identifiers = cpp_identifiers(root)
     all_errors = []
     for path in files:
         all_errors.extend(check_file(path, root, suites, benches,
-                                     args.verbose))
+                                     identifiers, args.verbose))
     all_errors.extend(check_message_table(root))
     if all_errors:
         print(f"check_docs: {len(all_errors)} problem(s) in "
@@ -263,7 +298,8 @@ def main():
         return 1
     print(f"check_docs: OK ({len(files)} markdown files, all intra-repo "
           f"links, code paths, include examples, suite and bench "
-          f"references resolve, message table matches MsgKind)")
+          f"references and qualified C++ names resolve, message table "
+          f"matches MsgKind)")
     return 0
 
 
