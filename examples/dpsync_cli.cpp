@@ -6,7 +6,8 @@
 ///   $ ./build/examples/dpsync_cli --strategy=timer --engine=oblidb \
 ///         --eps=0.5 --T=30 --horizon=10080 --records=4300 --csv=out.csv
 ///
-/// Flags (all optional):
+/// Flags (all optional; a numeric flag must parse completely, and
+/// out-of-range DP-Timer/DP-ANT parameters fail the run):
 ///   --strategy=sur|oto|set|timer|ant   (default timer)
 ///   --engine=oblidb|crypte             (default oblidb)
 ///   --eps=<double>       privacy budget             (default 0.5)
@@ -26,7 +27,7 @@
 ///   --timing             \timing-style per-query stats after the run
 ///                        (mean QET, executions, plan-cache hit rate)
 ///   --csv=<path>         also write series to a CSV file
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -44,6 +45,15 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
   *value = arg + prefix.size();
   return true;
+}
+
+/// Reads all of `v` as a T: false when `v` is empty, has trailing
+/// characters or is out of T's range.
+template <typename T>
+bool ParseNumber(const std::string& v, T* out) {
+  const char* end = v.data() + v.size();
+  auto [ptr, ec] = std::from_chars(v.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 int Usage(const char* argv0) {
@@ -80,17 +90,18 @@ int main(int argc, char** argv) {
       else if (v == "crypte") cfg.engine = sim::EngineKind::kCryptEps;
       else return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "eps", &v)) {
-      cfg.params.epsilon = std::strtod(v.c_str(), nullptr);
+      if (!ParseNumber(v, &cfg.params.epsilon)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "T", &v)) {
-      cfg.params.timer_period = std::strtoll(v.c_str(), nullptr, 10);
+      if (!ParseNumber(v, &cfg.params.timer_period)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "theta", &v)) {
-      cfg.params.ant_threshold = std::strtod(v.c_str(), nullptr);
+      if (!ParseNumber(v, &cfg.params.ant_threshold)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "flush-f", &v)) {
-      cfg.params.flush_interval = std::strtoll(v.c_str(), nullptr, 10);
+      if (!ParseNumber(v, &cfg.params.flush_interval)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "flush-s", &v)) {
-      cfg.params.flush_size = std::strtoll(v.c_str(), nullptr, 10);
+      if (!ParseNumber(v, &cfg.params.flush_size)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "horizon", &v)) {
-      int64_t h = std::strtoll(v.c_str(), nullptr, 10);
+      int64_t h = 0;
+      if (!ParseNumber(v, &h) || h < 0) return Usage(argv[0]);
       cfg.yellow.horizon_minutes = h;
       cfg.green.horizon_minutes = h;
       cfg.green.target_records = h * 21300 / 43200;
@@ -98,21 +109,23 @@ int main(int argc, char** argv) {
         cfg.yellow.target_records = h * 18429 / 43200;
       }
     } else if (ParseFlag(argv[i], "records", &v)) {
-      cfg.yellow.target_records = std::strtoll(v.c_str(), nullptr, 10);
+      if (!ParseNumber(v, &cfg.yellow.target_records)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "interval", &v)) {
-      int64_t interval = std::strtoll(v.c_str(), nullptr, 10);
+      int64_t interval = 0;
+      if (!ParseNumber(v, &interval)) return Usage(argv[0]);
       for (auto& q : cfg.queries) {
         q.interval = q.name == "Q3" ? interval * 4 : interval;
       }
     } else if (ParseFlag(argv[i], "seed", &v)) {
-      cfg.seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!ParseNumber(v, &cfg.seed)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "backend", &v)) {
       if (v == "memory") cfg.backend = edb::StorageBackendKind::kInMemory;
       else if (v == "segment") cfg.backend = edb::StorageBackendKind::kSegmentLog;
       else return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "shards", &v)) {
-      cfg.num_shards = static_cast<int>(std::strtol(v.c_str(), nullptr, 10));
-      if (cfg.num_shards < 1) return Usage(argv[0]);
+      if (!ParseNumber(v, &cfg.num_shards) || cfg.num_shards < 1) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "storage-dir", &v)) {
       cfg.storage_dir = v;
     } else if (std::strcmp(argv[i], "--no-join") == 0) {

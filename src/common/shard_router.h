@@ -7,9 +7,8 @@
 /// shards exactly like real records and per-shard sizes leak nothing new.)
 ///
 /// Both the storage spine (edb::EncryptedTableStore) and the oblivious
-/// index (oram::ShardedOramMirror) route through this one router, which is
-/// what guarantees a record's storage shard and its ORAM tree always
-/// agree.
+/// index (oram::OramMirror) route through this one router, which is what
+/// guarantees a record's storage shard and its ORAM tree always agree.
 #pragma once
 
 #include <cstdint>

@@ -108,7 +108,6 @@ void EdbShardServer::ServeLoop(int fd) {
     // (never committed) vs die after handling it but before the ack.
     if (rule.action == net::FaultAction::kKillBeforeHandle) break;
     Bytes reply = HandleFrame(request.value());
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
     if (rule.action == net::FaultAction::kKillAfterHandle) break;
     if (!net::WriteFrame(writer, reply).ok()) break;
   }
@@ -255,8 +254,8 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
     out.spans.push_back(std::move(ws));
   }
   out.records_scanned = p.records_scanned;
-  out.oram_paths = captured->oram_paths;
-  out.oram_buckets = captured->oram_buckets;
+  out.oram_paths = captured->oram.paths;
+  out.oram_buckets = captured->oram.buckets;
   return out;
 }
 

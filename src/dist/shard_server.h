@@ -7,10 +7,11 @@
 /// (coordinator-encrypted ciphertexts — plaintext never reaches this
 /// process for storage) and the replication requests.
 ///
-/// Tables are hosted as edb::ObliDbTable so both engine modes share one
-/// implementation: linear mode is exactly the EncryptedTableStore the
-/// Crypt-eps engine uses, and indexed mode mirrors ciphertexts into the
-/// per-shard Path ORAMs. Decryption happens only enclave-side (the
+/// Tables are hosted as edb::ObliDbTable, as in the single-process
+/// engines: both engine modes run linear tables exactly like
+/// edb::CryptEpsServer and a linear edb::ObliDbServer do, and ObliDB's
+/// indexed mode mirrors ciphertexts into the per-shard Path ORAMs
+/// (oram::OramMirror). Decryption happens only enclave-side (the
 /// table's mirrors), with the table key derived from the shared master
 /// seed — identical to the coordinator's derivation, so ciphertexts
 /// sealed there open here.
@@ -23,7 +24,6 @@
 /// single-process engines.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -82,11 +82,6 @@ class EdbShardServer {
   /// named for intent — after Kill() the coordinator's next Call on this
   /// connection fails with Unavailable (peer closed / RPC timeout).
   void Kill() { Shutdown(); }
-
-  /// Frames handled so far (including error replies).
-  int64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
 
   /// Installs a deterministic serve-side fault schedule, evaluated once
   /// per received frame (kKillBeforeHandle / kKillAfterHandle — the
@@ -173,7 +168,6 @@ class EdbShardServer {
   std::mutex serve_mu_;  ///< guards fd_/thread_ against Shutdown races
   int fd_ = -1;
   std::thread thread_;
-  std::atomic<int64_t> requests_served_{0};
 };
 
 }  // namespace dpsync::dist

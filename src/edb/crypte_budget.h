@@ -15,7 +15,8 @@ namespace dpsync::edb {
 struct CryptEpsConfig;  // crypte_engine.h
 
 /// The analyst's Crypt-eps budget and its Laplace noise stream. Each
-/// server that answers Crypt-eps queries owns one: `CryptEpsServer`, and
+/// server that answers Crypt-eps queries owns one: `CryptEpsServer`, which
+/// wraps ObliDB's linear ExecutePlan in it, and
 /// `dist::DistributedEdbServer` in Crypt-eps mode. Every answered query
 /// spends exactly `query_epsilon`: the server reserves it before any work,
 /// then releases the exact answer through `Release`, or drops the

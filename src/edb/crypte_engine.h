@@ -11,20 +11,17 @@
 /// the calibrated cost model (see cost_model.h). Joins are unsupported,
 /// matching the paper ("Crypt-eps does not support join operators").
 ///
-/// The per-query budget and its noise stream are one type,
-/// CryptEpsBudget (crypte_budget.h), which the distributed coordinator
+/// Apart from its cost model, its missing join operator and the Laplace
+/// release, Crypt-eps answers exactly like ObliDB's linear storage method,
+/// so CryptEpsServer is an ObliDbServer over linear ObliDbTables: the
+/// catalog, view answers and committed-prefix scans are ObliDB's. The
+/// per-query budget and its noise stream are one type, CryptEpsBudget
+/// (crypte_budget.h), which the distributed coordinator
 /// (dist/coordinator.h) owns as well in Crypt-eps mode.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <mutex>
-
-#include "crypto/key_manager.h"
-#include "edb/cost_model.h"
 #include "edb/crypte_budget.h"
-#include "edb/encrypted_database.h"
-#include "edb/encrypted_table.h"
+#include "edb/oblidb_engine.h"
 
 namespace dpsync::edb {
 
@@ -45,52 +42,31 @@ struct CryptEpsConfig {
 };
 
 /// The Crypt-eps server.
-class CryptEpsServer : public EdbServer {
+class CryptEpsServer : public ObliDbServer {
  public:
   explicit CryptEpsServer(const CryptEpsConfig& config = {});
   ~CryptEpsServer() override;
 
   LeakageProfile leakage() const override;
   std::string name() const override { return "CryptEpsilon"; }
-  int64_t total_outsourced_bytes() const override;
-  int64_t total_outsourced_records() const override;
 
   // Engine SPI (see encrypted_database.h). Joins are rejected at Prepare
-  // time via planner_options(), and Crypt-eps has no ORAM mode, so every
-  // plan is a read-only linear scan: a current materialized view answers
-  // view-eligible plans, everything else aggregates lock-free over an
-  // epoch snapshot of the committed prefix (under manual commit points,
-  // queries see — and are charged for — only flushed rows). The
-  // CryptEpsBudget reserves the query's epsilon before the scan and
-  // releases the answer with noise after it; the release never depends on
-  // which path computed the exact answer.
+  // time via planner_options(), so every plan is a linear scan that
+  // ObliDbServer::ExecutePlan answers exactly — from a current
+  // materialized view or over the committed prefix (under manual commit
+  // points, queries see, and are charged for, only flushed rows). The
+  // CryptEpsBudget reserves the query's epsilon before that and releases
+  // the answer with noise after it; the release never depends on which
+  // path computed the exact answer.
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
-  const query::Schema* FindSchema(const std::string& table) const override;
   query::PlannerOptions planner_options() const override;
 
   /// Cumulative query budget consumed so far (sequential composition over
   /// the analyst's query stream): answered queries x query_epsilon.
   double consumed_query_budget() const;
 
-  const CostModel& cost_model() const { return cost_; }
-
- protected:
-  StatusOr<EdbTable*> CreateTableImpl(const std::string& name,
-                                      const query::Schema& schema) override;
-  /// Registers a materialized view for every view-eligible plan Prepare
-  /// hands out (best-effort; idempotent per fingerprint).
-  void OnPlanReady(
-      const std::shared_ptr<const query::QueryPlan>& plan) override;
-
  private:
-  EncryptedTableStore* FindTable(const std::string& name) const;
-
-  CryptEpsConfig config_;
-  crypto::KeyManager keys_;
-  CostModel cost_;
   CryptEpsBudget budget_;
-  mutable std::mutex catalog_mu_;
-  std::map<std::string, std::unique_ptr<EncryptedTableStore>> tables_;
 };
 
 }  // namespace dpsync::edb

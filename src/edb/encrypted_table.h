@@ -123,11 +123,11 @@ class EncryptedTableStore : public EdbTable {
   // --- trusted-side access ----------------------------------------------
   const query::Schema& schema() const { return schema_; }
 
-  /// Decrypts every stored ciphertext into rows — the linear oblivious
-  /// scan every L-0 query performs (touches all records unconditionally).
-  /// Rows come back in global append order; the decryption work fans out
-  /// across the shared thread pool for large tables. Fails if any
-  /// ciphertext fails authentication.
+  /// Decrypts every stored ciphertext into rows, bypassing the enclave
+  /// mirrors: a direct check of what the store holds, which only tests
+  /// use (queries read through Snapshot()). Rows come back in global
+  /// append order; the decryption work fans out across the shared thread
+  /// pool for large tables. Fails if any ciphertext fails authentication.
   StatusOr<std::vector<query::Row>> DecryptAll() const;
 
   /// Captures the committed prefix as an immutable SnapshotView. The
@@ -215,7 +215,6 @@ class EncryptedTableStore : public EdbTable {
   /// constructor (the deferred init_status_ error) — every per-shard
   /// accessor below is only valid for indices < num_shards().
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  StorageBackendKind backend_kind() const { return storage_.backend; }
   /// Records currently held by one shard (per-shard scan work; the cost
   /// model consumes the sum, which equals outsourced_count()).
   int64_t shard_count(int shard) const { return shards_[shard]->Count(); }

@@ -71,9 +71,10 @@ std::vector<OramShardTranscript> AggregateOramTranscripts(
   for (int s = 0; s < mirror.num_shards(); ++s) {
     OramShardTranscript t;
     t.shard = s;
-    t.num_leaves = mirror.ShardLeaves(s);
+    const oram::PathOram& tree = mirror.tree(s);
+    t.num_leaves = tree.num_leaves();
     t.leaf_counts.assign(t.num_leaves, 0);
-    for (const auto& access : mirror.Trace(s)) {
+    for (const auto& access : tree.trace()) {
       ++t.leaf_counts[static_cast<size_t>(access.leaf)];
       ++t.accesses;
     }
@@ -88,20 +89,6 @@ std::vector<OramShardTranscript> AggregateOramTranscripts(
     out.push_back(std::move(t));
   }
   return out;
-}
-
-const char* LeakageClassName(LeakageClass c) {
-  switch (c) {
-    case LeakageClass::kL0:
-      return "L-0";
-    case LeakageClass::kLDP:
-      return "L-DP";
-    case LeakageClass::kL1:
-      return "L-1";
-    case LeakageClass::kL2:
-      return "L-2";
-  }
-  return "?";
 }
 
 }  // namespace dpsync::edb

@@ -54,8 +54,6 @@ struct SchemeEntry {
 /// The paper's Table 3 catalog of encrypted database schemes.
 const std::vector<SchemeEntry>& SchemeCatalog();
 
-const char* LeakageClassName(LeakageClass c);
-
 /// What the server observes of one ORAM shard under the indexed mode: the
 /// leaf-access histogram of that shard's tree. L-0 requires each shard's
 /// transcript to be uniform over its own leaves — per-shard trees must not

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "oram/oblivious_join.h"
 #include "query/executor.h"
 #include "query/vectorized.h"
@@ -36,8 +35,7 @@ ObliDbTable::ObliDbTable(std::string name, query::Schema schema, Bytes key,
     mirror_cfg.num_shards = std::max(1, store_.num_shards());
     mirror_cfg.master_seed = config.master_seed;
     mirror_cfg.record_trace = config.record_oram_trace;
-    mirror_ = oram::MakeOramMirror(mirror_cfg);
-    scan_ids_.resize(static_cast<size_t>(mirror_->num_shards()));
+    mirror_ = std::make_unique<oram::OramMirror>(mirror_cfg);
   }
 }
 
@@ -48,41 +46,29 @@ Status ObliDbTable::CatchUpMirror(const std::vector<Record>& batch) {
   // is unrecoverable and every later operation reports the original cause
   // instead of a confusing secondary symptom.
   DPSYNC_RETURN_IF_ERROR(mirror_status_);
-  size_t n = static_cast<size_t>(store_.outsourced_count());
-  if (n - mirror_upto_ != batch.size()) {
+  const size_t first = mirror_->size();
+  if (static_cast<size_t>(store_.outsourced_count()) - first !=
+      batch.size()) {
     return Status::Internal("ORAM catch-up out of sync with the store");
   }
-  // Route the whole delta by record identity — the same FNV-1a decision
-  // ShardRouter made when the store appended it — and hand the batch to
-  // the mirror, which fans per-shard tree writes out on the pool and
-  // reports where every entry landed.
-  std::vector<oram::OramMirror::MirrorEntry> entries;
+  // Each block carries the record's identity, which routes it to the tree
+  // ShardRouter chose for its ciphertext.
+  std::vector<oram::OramMirror::Entry> entries;
   entries.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    uint64_t id = mirror_upto_ + i;
-    auto ct = store_.CiphertextAt(static_cast<int64_t>(id));
+    auto ct = store_.CiphertextAt(static_cast<int64_t>(first + i));
     if (!ct.ok()) return ct.status();
-    entries.push_back({id, &batch[i].payload, std::move(ct.value())});
+    entries.push_back({&batch[i].payload, std::move(ct.value())});
   }
-  auto routes = mirror_->MirrorBatch(std::move(entries));
-  if (!routes.ok()) {
-    mirror_status_ = Status(routes.status().code(),
+  Status appended = mirror_->Append(std::move(entries));
+  if (!appended.ok()) {
+    mirror_status_ = Status(appended.code(),
                             "oblivious index failed and is out of sync "
                             "with the store (size the ORAM capacity with "
                             "headroom for shard imbalance — docs/ORAM.md): " +
-                                routes.status().message());
-    return mirror_status_;
+                                appended.message());
   }
-  // Commit the scan bookkeeping only after the mirror accepted the whole
-  // batch, using the routes the mirror itself assigned — the scan fan-out
-  // relies on these lists being tree-disjoint, so they must come from the
-  // mirror's routing, never a re-derivation.
-  for (size_t i = 0; i < routes.value().size(); ++i) {
-    scan_ids_[static_cast<size_t>(routes.value()[i])].push_back(
-        mirror_upto_ + i);
-  }
-  mirror_upto_ = n;
-  return Status::Ok();
+  return mirror_status_;
 }
 
 Status ObliDbTable::Setup(const std::vector<Record>& gamma0) {
@@ -139,28 +125,11 @@ std::optional<EncryptedTableStore::ViewAnswer> ObliDbTable::TryViewAnswer(
 StatusOr<ObliDbTable::Captured> ObliDbTable::Capture() {
   Captured out;
   if (mirror_) {
+    // Indexed mode: every mirrored record pays its oblivious path access.
     DPSYNC_RETURN_IF_ERROR(mirror_status_);
-    // Indexed mode: touch every mirrored record through its shard's ORAM
-    // so each access is an oblivious path read/rewrite, one task per shard
-    // on the shared pool (trees are disjoint; Touch never copies the block
-    // out, so the hot loop allocates nothing). The lists are the mirror's
-    // own routing, never the store's per-shard counts: a shard server's
-    // store places coordinator-routed entries, while the mirror routes by
-    // identity over the local shard count.
-    const size_t shards = scan_ids_.size();
-    DPSYNC_RETURN_IF_ERROR(ParallelShardStatus(shards, [&](size_t s) {
-      for (uint64_t id : scan_ids_[s]) {
-        DPSYNC_RETURN_IF_ERROR(mirror_->Touch(id));
-      }
-      return Status::Ok();
-    }));
-    for (size_t s = 0; s < shards; ++s) {
-      auto paths = static_cast<int64_t>(scan_ids_[s].size());
-      out.oram_paths += paths;
-      out.oram_buckets +=
-          paths * static_cast<int64_t>(
-                      mirror_->ShardLevels(static_cast<int>(s)));
-    }
+    auto cost = mirror_->TouchAll();
+    if (!cost.ok()) return cost.status();
+    out.oram = cost.value();
   }
   // Both storage methods then read the committed prefix from the same
   // persistent per-shard enclave mirrors.
@@ -171,10 +140,13 @@ StatusOr<ObliDbTable::Captured> ObliDbTable::Capture() {
 }
 
 ObliDbServer::ObliDbServer(const ObliDbConfig& config)
+    : ObliDbServer(config, ObliDbCostModel()) {}
+
+ObliDbServer::ObliDbServer(const ObliDbConfig& config, const CostModel& cost)
     : EdbServer(config.admission),
       config_(config),
       keys_(crypto::KeyManager::FromSeed(config.master_seed)),
-      cost_(ObliDbCostModel()) {}
+      cost_(cost) {}
 
 ObliDbServer::~ObliDbServer() {
   // In-flight async queries call back into our virtual SPI; drain them
@@ -277,7 +249,7 @@ OramHealth ObliDbServer::oram_health() const {
     }
     for (int s = 0; s < mirror->num_shards(); ++s) {
       health.shard_access_counts[static_cast<size_t>(s)] +=
-          mirror->ShardAccessCount(s);
+          mirror->tree(s).access_count();
     }
   }
   return health;
@@ -380,10 +352,10 @@ StatusOr<QueryResponse> ObliDbServer::ScanQuery(
     // stays a function of the record count alone, so it is invariant in
     // the physical shard topology like every other experiment metric
     // (docs/ORAM.md discusses the calibration).
-    resp->stats.oram_paths = captured->oram_paths;
-    resp->stats.oram_buckets = captured->oram_buckets;
+    resp->stats.oram_paths = captured->oram.paths;
+    resp->stats.oram_buckets = captured->oram.buckets;
     resp->stats.oram_virtual_seconds =
-        OramBucketsCost(cost_, captured->oram_buckets);
+        OramBucketsCost(cost_, captured->oram.buckets);
   }
   return resp;
 }
@@ -672,8 +644,8 @@ StatusOr<QueryResponse> ObliDbServer::JoinQuery(
   if (left->mirror() || right->mirror()) {
     // ORAM work both sides' captures paid, charged per shard height
     // (reported alongside the headline cost, same as ScanQuery).
-    resp->stats.oram_paths = lcap.oram_paths + rcap.oram_paths;
-    resp->stats.oram_buckets = lcap.oram_buckets + rcap.oram_buckets;
+    resp->stats.oram_paths = lcap.oram.paths + rcap.oram.paths;
+    resp->stats.oram_buckets = lcap.oram.buckets + rcap.oram.buckets;
     resp->stats.oram_virtual_seconds =
         OramBucketsCost(cost_, resp->stats.oram_buckets);
   }

@@ -7,8 +7,8 @@
 ///   * optional "indexed" mode — records are mirrored into an OramMirror
 ///     (one Path ORAM per storage shard — see oram/oram_mirror.h) and
 ///     every scan touches each record through an oblivious path access.
-///     The mirror shares the store's shard topology, so per-shard scans
-///     fan out across the thread pool exactly like linear scans do.
+///     The mirror shares the store's shard topology, so its per-tree work
+///     fans out across the thread pool exactly like linear scans do.
 /// Ungrouped COUNT joins of up to `oblivious_join_limit` pairs run as an
 /// oblivious sort-merge join (ObliviousCountJoin below): every row of both
 /// sides is tagged once, the tags are bitonic-sorted and one branchless
@@ -69,13 +69,10 @@ struct ObliDbConfig {
 class ObliDbTable : public EdbTable {
  public:
   /// What a read sees: the pinned committed prefix, plus the ORAM work
-  /// its capture paid (zero in linear mode) — how many oblivious paths
-  /// were touched and how many buckets those paths crossed, charging each
-  /// shard its own tree height.
+  /// its capture paid (zero in linear mode).
   struct Captured {
     SnapshotView view;
-    int64_t oram_paths = 0;
-    int64_t oram_buckets = 0;
+    oram::OramTouchCost oram;
   };
 
   ObliDbTable(std::string name, query::Schema schema, Bytes key,
@@ -118,9 +115,8 @@ class ObliDbTable : public EdbTable {
   /// across the call — the returned view is the committed prefix
   /// (SnapshotView), safe to scan with no lock held while owner appends
   /// race. In indexed mode every mirrored record, committed or not, is
-  /// first touched through its shard's ORAM — per-shard oblivious point
-  /// accesses fanned out on the shared pool over the mirror's own
-  /// per-shard lists — because each access rewrites tree state; that is
+  /// first touched through its shard's ORAM (OramMirror::TouchAll, one
+  /// pool task per tree) because each access rewrites tree state; that is
   /// the only part of an indexed read that needs the lock.
   StatusOr<Captured> Capture();
 
@@ -139,18 +135,13 @@ class ObliDbTable : public EdbTable {
   }
 
  private:
-  /// Mirrors every record appended since the last catch-up: routes the
-  /// batch by record identity, then fans the per-shard tree writes out on
-  /// the pool (MirrorBatch). Called after each Setup/Update append.
+  /// Mirrors the batch just appended to the store, whose first record is
+  /// the mirror's next block (OramMirror::Append). Called after each
+  /// Setup/Update append.
   Status CatchUpMirror(const std::vector<Record>& batch);
 
   EncryptedTableStore store_;
   std::unique_ptr<oram::OramMirror> mirror_;
-  /// Global append indices per ORAM shard, in mirror order — the reusable
-  /// per-shard scan work lists (extended incrementally by CatchUpMirror,
-  /// never rebuilt per query).
-  std::vector<std::vector<uint64_t>> scan_ids_;
-  size_t mirror_upto_ = 0;  ///< global indices [0, mirror_upto_) mirrored
   /// Sticky first mirror failure: once the index diverges from the store
   /// (e.g. a tree hit capacity) every later operation reports this cause.
   Status mirror_status_;
@@ -172,7 +163,8 @@ std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
                                           const query::Table& right,
                                           oram::AccessTrace* trace = nullptr);
 
-/// The ObliDB server.
+/// The ObliDB server, and the body of CryptEpsServer (crypte_engine.h),
+/// which runs its linear tables under another cost model.
 class ObliDbServer : public EdbServer {
  public:
   explicit ObliDbServer(const ObliDbConfig& config = {});
@@ -200,6 +192,10 @@ class ObliDbServer : public EdbServer {
   const CostModel& cost_model() const { return cost_; }
 
  protected:
+  /// This engine body priced by another cost model: CryptEpsServer
+  /// (crypte_engine.h) runs ObliDB's linear tables this way.
+  ObliDbServer(const ObliDbConfig& config, const CostModel& cost);
+
   StatusOr<EdbTable*> CreateTableImpl(const std::string& name,
                                       const query::Schema& schema) override;
   /// Registers a materialized view for every view-eligible plan Prepare

@@ -52,12 +52,6 @@ void PlanCache::EvictStaleEpoch(uint64_t catalog_epoch) {
   }
 }
 
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  plans_.clear();
-  lru_.clear();
-}
-
 size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lk(mu_);
   return plans_.size();

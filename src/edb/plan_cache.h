@@ -53,8 +53,6 @@ class PlanCache {
   /// happened to reach them.
   void EvictStaleEpoch(uint64_t catalog_epoch);
 
-  void Clear();
-
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t size() const;

@@ -15,12 +15,6 @@ MaterializedView::MaterializedView(
       step_(plan_->rewritten),
       state_{query::AggAccumulator(plan_->aggregate.agg), {}} {}
 
-int64_t MaterializedView::rows_folded() const {
-  int64_t total = 0;
-  for (int64_t f : folded_) total += f;
-  return total;
-}
-
 void MaterializedView::Reset() {
   folded_.clear();
   state_ = query::SpanPartial{query::AggAccumulator(plan_->aggregate.agg), {}};

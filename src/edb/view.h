@@ -72,9 +72,6 @@ class MaterializedView {
   /// The CommitEpoch the state is current through (meaningful only while
   /// valid()).
   uint64_t epoch() const { return epoch_; }
-  /// Total committed rows folded into the state across all shards.
-  int64_t rows_folded() const;
-
   /// Marks the state unusable (Reopen). The next FoldTo rebuilds from
   /// row zero.
   void Invalidate() { valid_ = false; }

@@ -1,9 +1,8 @@
 #include "oram/oram_mirror.h"
 
-#include "common/bytes.h"
-#include "common/shard_router.h"
-#include "oram/path_oram.h"
-#include "oram/sharded_oram_mirror.h"
+#include <algorithm>
+
+#include "common/parallel.h"
 
 namespace dpsync::oram {
 
@@ -16,16 +15,78 @@ uint64_t DeriveOramShardSeed(uint64_t master_seed, int shard) {
   return Fnv1a64(buf, sizeof(buf));
 }
 
-std::unique_ptr<OramMirror> MakeOramMirror(const OramMirrorConfig& config) {
-  if (config.num_shards <= 1) {
+OramMirror::OramMirror(const OramMirrorConfig& config)
+    : router_(std::max(1, config.num_shards)) {
+  const size_t shards = static_cast<size_t>(router_.num_shards());
+  const size_t per_shard = (config.capacity + shards - 1) / shards;
+  trees_.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) {
     PathOram::Config tree_cfg;
-    tree_cfg.capacity = config.capacity;
+    tree_cfg.capacity = std::max<size_t>(1, per_shard);
     tree_cfg.bucket_size = config.bucket_size;
-    tree_cfg.seed = DeriveOramShardSeed(config.master_seed, 0);
+    tree_cfg.seed = DeriveOramShardSeed(config.master_seed,
+                                        static_cast<int>(s));
     tree_cfg.record_trace = config.record_trace;
-    return std::make_unique<PathOram>(tree_cfg);
+    trees_.push_back(std::make_unique<PathOram>(tree_cfg));
   }
-  return std::make_unique<ShardedOramMirror>(config);
+  ids_.resize(shards);
+}
+
+size_t OramMirror::size() const {
+  size_t total = 0;
+  for (const auto& ids : ids_) total += ids.size();
+  return total;
+}
+
+size_t OramMirror::capacity() const {
+  size_t total = 0;
+  for (const auto& tree : trees_) total += tree->capacity();
+  return total;
+}
+
+Status OramMirror::Append(std::vector<Entry> entries) {
+  // Route sequentially (deterministic), then write one task per tree —
+  // trees are disjoint, so the only coordination is the status reduction.
+  const uint64_t first = size();
+  std::vector<std::vector<size_t>> per_tree(trees_.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    per_tree[static_cast<size_t>(router_.Route(*entries[i].identity))]
+        .push_back(i);
+  }
+  return ParallelShardStatus(trees_.size(), [&](size_t s) {
+    for (size_t i : per_tree[s]) {
+      DPSYNC_RETURN_IF_ERROR(
+          trees_[s]->Write(first + i, std::move(entries[i].value)));
+      ids_[s].push_back(first + i);
+    }
+    return Status::Ok();
+  });
+}
+
+StatusOr<OramTouchCost> OramMirror::TouchAll() {
+  DPSYNC_RETURN_IF_ERROR(ParallelShardStatus(trees_.size(), [&](size_t s) {
+    for (uint64_t id : ids_[s]) DPSYNC_RETURN_IF_ERROR(trees_[s]->Touch(id));
+    return Status::Ok();
+  }));
+  OramTouchCost cost;
+  for (size_t s = 0; s < trees_.size(); ++s) {
+    const auto paths = static_cast<int64_t>(ids_[s].size());
+    cost.paths += paths;
+    cost.buckets += paths * static_cast<int64_t>(trees_[s]->num_levels());
+  }
+  return cost;
+}
+
+MirrorStashStats OramMirror::StashStats() const {
+  MirrorStashStats stats;
+  stats.live_blocks = size();
+  for (const auto& tree : trees_) {
+    stats.stash_size += tree->stash_size();
+    stats.max_stash_size = std::max(stats.max_stash_size,
+                                    tree->max_stash_size());
+    stats.access_count += tree->access_count();
+  }
+  return stats;
 }
 
 }  // namespace dpsync::oram

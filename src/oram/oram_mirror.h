@@ -1,18 +1,19 @@
 /// \file oram_mirror.h
-/// The oblivious-index seam between the edb layer and the ORAM trees.
+/// The oblivious index of an ObliDB table in indexed mode.
 ///
 /// An OramMirror holds an oblivious copy of a table's ciphertexts so that
-/// indexed ("point access") queries touch records through path accesses
-/// instead of a linear pass. Two implementations exist:
-///   * PathOram (path_oram.h) — the original single tree; and
-///   * ShardedOramMirror (sharded_oram_mirror.h) — one Path ORAM per
-///     storage shard, routing blocks by the same FNV-1a record identity as
-///     ShardRouter, so a record's storage shard and its ORAM tree always
-///     agree and per-shard scans can fan out in parallel.
+/// indexed queries touch every record through a path access instead of a
+/// linear pass. It is one Path ORAM (path_oram.h) per storage shard, each
+/// of capacity ceil(N/S) with a seed derived from the master seed, and it
+/// routes blocks by the same FNV-1a record identity as ShardRouter — so a
+/// record's storage shard and its ORAM tree always agree, the per-tree
+/// work fans out in parallel, and every tree is log2(S) levels shorter
+/// than one global tree would be.
 ///
-/// Blocks are keyed by an application id (the table's global append
-/// index); `identity` — the record's serialized plaintext payload — is
-/// only used for shard routing and is never stored.
+/// Block ids are append indices: Append continues them from size(), and
+/// the mirror keeps each tree's ids in append order, the work list
+/// TouchAll walks. `identity` — the record's serialized plaintext payload —
+/// only routes a block and is never stored.
 #pragma once
 
 #include <cstdint>
@@ -20,15 +21,11 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/shard_router.h"
 #include "common/status.h"
+#include "oram/path_oram.h"
 
 namespace dpsync::oram {
-
-/// Access transcript entry — what a server observes: which leaf path was
-/// touched. Collected for the obliviousness property tests.
-struct PathAccess {
-  uint64_t leaf = 0;
-};
 
 /// Aggregate stash / access diagnostics across every tree of a mirror.
 struct MirrorStashStats {
@@ -36,72 +33,6 @@ struct MirrorStashStats {
   size_t stash_size = 0;      ///< current stash occupancy, summed over trees
   size_t max_stash_size = 0;  ///< high-water mark (max over trees)
   int64_t access_count = 0;   ///< total path accesses, summed over trees
-};
-
-/// Oblivious mirror of one table's ciphertexts.
-///
-/// Thread-safety: Mirror/Remove and the batch entry points are
-/// single-writer. Read/Touch on blocks that live in *different shards* may
-/// run concurrently (each touches only its own tree) — that is what the
-/// per-shard scan fan-out relies on. Accessors are safe once writes are
-/// quiescent.
-class OramMirror {
- public:
-  /// One block of a mirror batch. `identity` must outlive the call.
-  struct MirrorEntry {
-    uint64_t id = 0;
-    const Bytes* identity = nullptr;
-    Bytes value;
-  };
-
-  virtual ~OramMirror() = default;
-
-  // --- topology ---------------------------------------------------------
-  virtual int num_shards() const = 0;
-  /// Live blocks currently mirrored.
-  virtual size_t size() const = 0;
-  /// Total block capacity across all shards.
-  virtual size_t capacity() const = 0;
-  /// The shard (tree) a record with this serialized payload routes to —
-  /// the same FNV-1a route ShardRouter computes for the storage spine.
-  virtual int ShardOf(const Bytes& identity) const = 0;
-
-  // --- access -----------------------------------------------------------
-  /// Inserts or overwrites block `id`, routed by `identity`. Fails with
-  /// OutOfRange when the target tree is at capacity and `id` is new.
-  virtual Status Mirror(uint64_t id, const Bytes& identity, Bytes value) = 0;
-
-  /// Mirrors a batch of blocks and returns the shard each entry routed
-  /// to, in entry order — the caller's single source of truth for
-  /// per-shard bookkeeping (callers must not re-derive routes; a
-  /// diverging re-derivation could alias two "shards" onto one tree and
-  /// break the disjointness the scan fan-out relies on). Sharded
-  /// implementations route and record bookkeeping sequentially
-  /// (deterministic), then fan the per-shard tree writes out on the
-  /// shared thread pool.
-  virtual StatusOr<std::vector<int>> MirrorBatch(
-      std::vector<MirrorEntry> entries) = 0;
-
-  /// Reads block `id` (indistinguishable from a write).
-  virtual StatusOr<Bytes> Read(uint64_t id) = 0;
-
-  /// Performs the oblivious path access for `id` without copying the value
-  /// out — the scan hot path, where only the access pattern matters.
-  virtual Status Touch(uint64_t id) = 0;
-
-  /// Deletes block `id` after a normal path access. NotFound if absent.
-  virtual Status Remove(uint64_t id) = 0;
-
-  // --- observability ----------------------------------------------------
-  /// The observable access transcript of one shard's tree (empty unless
-  /// the mirror was built with trace recording).
-  virtual const std::vector<PathAccess>& Trace(int shard) const = 0;
-  virtual size_t ShardLeaves(int shard) const = 0;
-  /// Buckets per path (tree height + 1) — what the cost model charges.
-  virtual size_t ShardLevels(int shard) const = 0;
-  virtual int64_t ShardAccessCount(int shard) const = 0;
-  virtual size_t ShardMaxStash(int shard) const = 0;
-  virtual MirrorStashStats StashStats() const = 0;
 };
 
 /// Mirror construction knobs, threaded down from ObliDbConfig.
@@ -113,12 +44,68 @@ struct OramMirrorConfig {
   bool record_trace = false;  ///< keep per-shard access transcripts (tests)
 };
 
+/// The ORAM work of one TouchAll: how many oblivious paths were accessed
+/// and how many buckets they crossed, charging each path its own tree's
+/// height.
+struct OramTouchCost {
+  int64_t paths = 0;
+  int64_t buckets = 0;
+};
+
 /// The per-shard tree seed: an FNV-1a mix of the master seed and the shard
 /// index, so every tree draws an independent deterministic leaf stream.
 uint64_t DeriveOramShardSeed(uint64_t master_seed, int shard);
 
-/// Builds the right implementation for the topology: a bare PathOram for
-/// one shard, a ShardedOramMirror otherwise.
-std::unique_ptr<OramMirror> MakeOramMirror(const OramMirrorConfig& config);
+/// Oblivious mirror of one table's ciphertexts.
+///
+/// Thread-safety: Append and TouchAll are single-writer (the owning table
+/// serializes them); each fans its per-tree work out on the shared pool,
+/// one task per tree. Accessors are safe once writes are quiescent.
+class OramMirror {
+ public:
+  /// One appended block: the record's serialized payload, which routes it
+  /// and must outlive the Append call, and the ciphertext the tree stores.
+  struct Entry {
+    const Bytes* identity = nullptr;
+    Bytes value;
+  };
+
+  /// num_shards below 1 is treated as 1; per-tree capacity is
+  /// ceil(capacity / num_shards).
+  explicit OramMirror(const OramMirrorConfig& config);
+
+  int num_shards() const { return router_.num_shards(); }
+  /// Blocks the trees hold, which is also the next Append's first id.
+  size_t size() const;
+  /// Total block capacity across all trees.
+  size_t capacity() const;
+  /// The tree a record with this serialized payload routes to — the same
+  /// FNV-1a route ShardRouter computes for the storage spine.
+  int ShardOf(const Bytes& identity) const { return router_.Route(identity); }
+
+  /// Writes `entries` as blocks size(), size() + 1, ..., each into the tree
+  /// its identity routes to, one task per tree. A tree at capacity fails
+  /// with OutOfRange and stops; the trees keep, and TouchAll touches, only
+  /// the blocks they accepted, and the first failure in tree order is
+  /// returned. The mirror then no longer matches its table.
+  Status Append(std::vector<Entry> entries);
+
+  /// One oblivious path access per block, each tree's blocks in append
+  /// order, one task per tree. Touch copies nothing out, so the loop
+  /// allocates nothing.
+  StatusOr<OramTouchCost> TouchAll();
+
+  /// One shard's tree: its access transcript, geometry and counters.
+  const PathOram& tree(int shard) const {
+    return *trees_[static_cast<size_t>(shard)];
+  }
+  MirrorStashStats StashStats() const;
+
+ private:
+  ShardRouter router_;
+  std::vector<std::unique_ptr<PathOram>> trees_;
+  /// Each tree's block ids, in append order.
+  std::vector<std::vector<uint64_t>> ids_;
+};
 
 }  // namespace dpsync::oram

@@ -135,12 +135,4 @@ Status PathOram::Remove(uint64_t id) {
   return r.ok() ? Status::Ok() : r.status();
 }
 
-StatusOr<std::vector<int>> PathOram::MirrorBatch(
-    std::vector<MirrorEntry> entries) {
-  for (auto& e : entries) {
-    DPSYNC_RETURN_IF_ERROR(Write(e.id, std::move(e.value)));
-  }
-  return std::vector<int>(entries.size(), 0);
-}
-
 }  // namespace dpsync::oram

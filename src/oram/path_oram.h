@@ -5,9 +5,7 @@
 /// *which* record an access touches — every access reads and rewrites one
 /// uniformly random root-to-leaf path.
 ///
-/// PathOram is also the single-tree implementation of the OramMirror seam
-/// (oram_mirror.h); ShardedOramMirror composes one PathOram per storage
-/// shard on top of it.
+/// OramMirror (oram_mirror.h) composes one PathOram per storage shard.
 ///
 /// Parameters: bucket size Z (default 4), capacity N. The tree has
 /// 2^ceil(log2(max(N,2))) leaves; the stash holds overflow blocks and is
@@ -22,9 +20,14 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "oram/oram_mirror.h"
 
 namespace dpsync::oram {
+
+/// Access transcript entry — what a server observes: which leaf path was
+/// touched. Collected for the obliviousness property tests.
+struct PathAccess {
+  uint64_t leaf = 0;
+};
 
 /// One ORAM block: an application identifier plus an opaque payload.
 struct OramBlock {
@@ -36,7 +39,7 @@ struct OramBlock {
 };
 
 /// Tree-based ORAM with per-access path read/write.
-class PathOram : public OramMirror {
+class PathOram {
  public:
   struct Config {
     size_t capacity = 1024;   ///< max number of live blocks
@@ -52,23 +55,25 @@ class PathOram : public OramMirror {
   Status Write(uint64_t id, Bytes value);
 
   /// Reads block `id` (the access is indistinguishable from a write).
-  StatusOr<Bytes> Read(uint64_t id) override;
+  StatusOr<Bytes> Read(uint64_t id);
 
   /// Performs the oblivious path access for `id` without copying the
   /// value out of the stash — the scan hot path.
-  Status Touch(uint64_t id) override;
+  Status Touch(uint64_t id);
 
   /// Deletes block `id`. Performs a normal path access, then drops the
   /// block. NotFound if absent.
-  Status Remove(uint64_t id) override;
+  Status Remove(uint64_t id);
 
   /// True if block `id` is live (no path access — position map only).
   bool Contains(uint64_t id) const { return position_map_.count(id) != 0; }
 
   /// Live blocks currently stored.
-  size_t size() const override { return position_map_.size(); }
-  size_t capacity() const override { return config_.capacity; }
+  size_t size() const { return position_map_.size(); }
+  size_t capacity() const { return config_.capacity; }
   size_t num_leaves() const { return num_leaves_; }
+  /// Buckets per path (tree height + 1) — what the cost model charges.
+  size_t num_levels() const { return num_levels_; }
 
   /// Stash diagnostics (post-eviction occupancy).
   size_t stash_size() const { return stash_.size(); }
@@ -79,30 +84,6 @@ class PathOram : public OramMirror {
 
   /// The observable access transcript (empty unless record_trace).
   const std::vector<PathAccess>& trace() const { return trace_; }
-
-  // --- OramMirror: a PathOram is the single-tree mirror -----------------
-  int num_shards() const override { return 1; }
-  int ShardOf(const Bytes& /*identity*/) const override { return 0; }
-  Status Mirror(uint64_t id, const Bytes& /*identity*/,
-                Bytes value) override {
-    return Write(id, std::move(value));
-  }
-  StatusOr<std::vector<int>> MirrorBatch(
-      std::vector<MirrorEntry> entries) override;
-  const std::vector<PathAccess>& Trace(int /*shard*/) const override {
-    return trace_;
-  }
-  size_t ShardLeaves(int /*shard*/) const override { return num_leaves_; }
-  size_t ShardLevels(int /*shard*/) const override { return num_levels_; }
-  int64_t ShardAccessCount(int /*shard*/) const override {
-    return access_count_;
-  }
-  size_t ShardMaxStash(int /*shard*/) const override {
-    return max_stash_size_;
-  }
-  MirrorStashStats StashStats() const override {
-    return {size(), stash_.size(), max_stash_size_, access_count_};
-  }
 
  private:
   enum class Op { kRead, kTouch, kWrite, kRemove };

@@ -23,14 +23,6 @@ SelectQuery NormalizeSelect(const SelectQuery& q) {
   return q;  // deep copy via SelectQuery's cloning copy-assignment
 }
 
-const char* PlanKindName(PlanKind kind) {
-  return kind == PlanKind::kJoin ? "join" : "scan";
-}
-
-const char* AccessPathName(AccessPath path) {
-  return path == AccessPath::kOramIndexed ? "oram-indexed" : "linear-scan";
-}
-
 namespace {
 
 /// Whether `name` dereferences a column of `schema`, with the same

@@ -49,12 +49,9 @@ enum class PlanKind { kScan, kJoin };
 
 /// How the engine will touch the records of the scanned table(s): a linear
 /// fixed-order scan or per-shard oblivious ORAM accesses. Chosen from the
-/// engine's storage method at plan time (informational for engines — both
-/// paths serve identical partitions — but surfaced in \timing output).
+/// engine's storage method at plan time (informational: both paths serve
+/// identical partitions).
 enum class AccessPath { kLinearScan, kOramIndexed };
-
-const char* PlanKindName(PlanKind kind);
-const char* AccessPathName(AccessPath path);
 
 /// An immutable, bound, executable query plan.
 struct QueryPlan {

@@ -12,6 +12,7 @@
 #endif
 
 #include "crypto/record_cipher.h"
+#include "dp/laplace.h"
 #include "edb/crypte_engine.h"
 #include "edb/oblidb_engine.h"
 #include "query/executor.h"
@@ -58,10 +59,6 @@ ExperimentConfig::ExperimentConfig() {
   green.seed = 13;
 }
 
-std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed) {
-  return MakeServer(kind, seed, edb::StorageConfig{});
-}
-
 std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
                                            const edb::StorageConfig& storage,
                                            bool use_oram_index,
@@ -81,6 +78,27 @@ std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
 }
 
 namespace {
+
+/// The preconditions DP-Timer's and DP-ANT's constructors assert, checked
+/// on the experiment's input, since release builds compile the asserts
+/// out. SUR, OTO and SET never read the parameters.
+Status ValidateStrategyParams(StrategyKind kind, const StrategyParams& p) {
+  if (kind != StrategyKind::kDpTimer && kind != StrategyKind::kDpAnt) {
+    return Status::Ok();
+  }
+  DPSYNC_RETURN_IF_ERROR(dp::ValidateEpsilon(p.epsilon));
+  if (kind == StrategyKind::kDpTimer && p.timer_period <= 0) {
+    return Status::InvalidArgument("DP-Timer period T must be positive");
+  }
+  if (kind == StrategyKind::kDpAnt && !(p.ant_threshold > 0)) {
+    return Status::InvalidArgument("DP-ANT threshold theta must be positive");
+  }
+  if (kind == StrategyKind::kDpAnt &&
+      !(p.ant_budget_split > 0 && p.ant_budget_split < 1)) {
+    return Status::InvalidArgument("DP-ANT budget split must lie in (0, 1)");
+  }
+  return Status::Ok();
+}
 
 /// Owner-side state for one outsourced table.
 struct TablePipeline {
@@ -164,6 +182,8 @@ class ScopedStorageDir {
 }  // namespace
 
 StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
+  DPSYNC_RETURN_IF_ERROR(
+      ValidateStrategyParams(config.strategy, config.params));
   Rng seeder(config.seed);
   ScopedStorageDir storage_dir(config);
   edb::StorageConfig storage;

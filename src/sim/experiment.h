@@ -107,14 +107,14 @@ struct ExperimentResult {
   UpdatePattern yellow_pattern;
 };
 
-/// Runs one experiment. Deterministic in config.seed.
+/// Runs one experiment. Deterministic in config.seed. InvalidArgument when
+/// a DP strategy's parameters are out of range: epsilon not finite and
+/// positive, T <= 0 for DP-Timer, theta <= 0 or a budget split outside
+/// (0, 1) for DP-ANT.
 StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config);
 
-/// Convenience: builds the EdbServer for a kind (used by tests/examples).
-std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed);
-
-/// As above, with explicit physical-storage knobs and (for ObliDB) the
-/// indexed-mode toggle.
+/// Builds the EdbServer for a kind with the given physical storage and
+/// (for ObliDB) the indexed-mode toggle.
 std::unique_ptr<edb::EdbServer> MakeServer(EngineKind kind, uint64_t seed,
                                            const edb::StorageConfig& storage,
                                            bool use_oram_index = false,

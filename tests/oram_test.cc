@@ -1,18 +1,19 @@
 // Path ORAM tests: functional correctness, capacity handling, stash
 // behaviour, and the statistical obliviousness property (leaf-access
 // distribution independent of the logical access pattern) — for both the
-// single tree and the sharded OramMirror built on top of it.
+// single tree and the per-shard OramMirror built on top of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/shard_router.h"
 #include "edb/leakage.h"
 #include "oram/oram_mirror.h"
 #include "oram/path_oram.h"
-#include "oram/sharded_oram_mirror.h"
 
 namespace dpsync::oram {
 namespace {
@@ -200,24 +201,59 @@ OramMirrorConfig MirrorConfig(int shards, bool trace = false) {
   return cfg;
 }
 
-TEST(OramMirrorTest, FactoryPicksImplementationByTopology) {
-  auto single = MakeOramMirror(MirrorConfig(1));
-  auto sharded = MakeOramMirror(MirrorConfig(4));
-  EXPECT_EQ(single->num_shards(), 1);
-  EXPECT_NE(dynamic_cast<PathOram*>(single.get()), nullptr);
-  EXPECT_EQ(sharded->num_shards(), 4);
-  EXPECT_NE(dynamic_cast<ShardedOramMirror*>(sharded.get()), nullptr);
+/// Appends the blocks of records [first, first + n) to `mirror`.
+Status AppendRecords(OramMirror& mirror, uint64_t first, uint64_t n) {
+  std::vector<Bytes> identities;
+  for (uint64_t id = first; id < first + n; ++id) {
+    identities.push_back(Identity(id));
+  }
+  std::vector<OramMirror::Entry> entries;
+  for (uint64_t i = 0; i < n; ++i) {
+    entries.push_back({&identities[i], Payload(first + i)});
+  }
+  return mirror.Append(std::move(entries));
+}
+
+std::vector<uint64_t> Leaves(const PathOram& tree) {
+  std::vector<uint64_t> leaves;
+  for (const auto& access : tree.trace()) leaves.push_back(access.leaf);
+  return leaves;
+}
+
+TEST(OramMirrorTest, OneShardMirrorTracesLikeABarePathOram) {
+  // One shard is one PathOram seeded DeriveOramShardSeed(seed, 0): the same
+  // writes and touches must draw the same leaves.
+  const OramMirrorConfig cfg = MirrorConfig(1, /*trace=*/true);
+  OramMirror mirror(cfg);
+  PathOram::Config tree_cfg;
+  tree_cfg.capacity = cfg.capacity;
+  tree_cfg.seed = DeriveOramShardSeed(cfg.master_seed, 0);
+  tree_cfg.record_trace = true;
+  PathOram bare(tree_cfg);
+  ASSERT_TRUE(AppendRecords(mirror, 0, 100).ok());
+  ASSERT_TRUE(AppendRecords(mirror, 100, 50).ok());
+  for (uint64_t id = 0; id < 150; ++id) {
+    ASSERT_TRUE(bare.Write(id, Payload(id)).ok());
+  }
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(mirror.TouchAll().ok());
+    for (uint64_t id = 0; id < 150; ++id) ASSERT_TRUE(bare.Touch(id).ok());
+  }
+  EXPECT_EQ(mirror.num_shards(), 1);
+  EXPECT_EQ(mirror.tree(0).trace().size(), 600u);
+  EXPECT_EQ(Leaves(mirror.tree(0)), Leaves(bare));
+  EXPECT_EQ(mirror.tree(0).max_stash_size(), bare.max_stash_size());
 }
 
 TEST(OramMirrorTest, CapacitySplitsCeilOverShards) {
   OramMirrorConfig cfg = MirrorConfig(4);
   cfg.capacity = 1023;  // ceil(1023/4) = 256 per shard
-  auto mirror = MakeOramMirror(cfg);
-  EXPECT_EQ(mirror->capacity(), 1024u);
+  OramMirror mirror(cfg);
+  EXPECT_EQ(mirror.capacity(), 1024u);
   for (int s = 0; s < 4; ++s) {
     // 256-capacity trees: 256 leaves, 9 buckets per path.
-    EXPECT_EQ(mirror->ShardLeaves(s), 256u);
-    EXPECT_EQ(mirror->ShardLevels(s), 9u);
+    EXPECT_EQ(mirror.tree(s).num_leaves(), 256u);
+    EXPECT_EQ(mirror.tree(s).num_levels(), 9u);
   }
 }
 
@@ -228,137 +264,105 @@ TEST(OramMirrorTest, ShardSeedsAreDistinctAndDeterministic) {
 }
 
 TEST(OramMirrorTest, RoutesByTheSameFnv1aIdentityAsShardRouter) {
-  auto mirror = MakeOramMirror(MirrorConfig(4));
+  OramMirror mirror(MirrorConfig(4));
   ShardRouter router(4);
   for (uint64_t id = 0; id < 64; ++id) {
-    EXPECT_EQ(mirror->ShardOf(Identity(id)), router.Route(Identity(id)))
+    EXPECT_EQ(mirror.ShardOf(Identity(id)), router.Route(Identity(id)))
         << id;
   }
 }
 
-TEST(ShardedOramMirrorTest, RoundTripAcrossShards) {
-  auto mirror = MakeOramMirror(MirrorConfig(4));
-  for (uint64_t id = 0; id < 200; ++id) {
-    ASSERT_TRUE(mirror->Mirror(id, Identity(id), Payload(id)).ok()) << id;
-  }
-  EXPECT_EQ(mirror->size(), 200u);
-  for (uint64_t id = 0; id < 200; ++id) {
-    auto r = mirror->Read(id);
-    ASSERT_TRUE(r.ok()) << id;
-    EXPECT_EQ(r.value(), Payload(id)) << id;
-  }
-  // Blocks landed in the tree their identity routes to.
+TEST(OramMirrorTest, AppendAndTouchAllAcrossShards) {
+  OramMirror mirror(MirrorConfig(4));
+  ASSERT_TRUE(AppendRecords(mirror, 0, 200).ok());
+  EXPECT_EQ(mirror.size(), 200u);
+  // Blocks landed in the tree their identity routes to, and only there.
   ShardRouter router(4);
-  int64_t total_accesses = 0;
-  for (int s = 0; s < 4; ++s) total_accesses += mirror->ShardAccessCount(s);
-  EXPECT_EQ(total_accesses, 400);  // 200 writes + 200 reads
   for (uint64_t id = 0; id < 200; ++id) {
-    int shard = router.Route(Identity(id));
-    EXPECT_GT(mirror->ShardAccessCount(shard), 0) << id;
-  }
-}
-
-TEST(ShardedOramMirrorTest, TouchRemoveAndMissingIds) {
-  auto mirror = MakeOramMirror(MirrorConfig(4));
-  ASSERT_TRUE(mirror->Mirror(5, Identity(5), Payload(5)).ok());
-  EXPECT_TRUE(mirror->Touch(5).ok());
-  EXPECT_EQ(mirror->Touch(6).code(), StatusCode::kNotFound);
-  ASSERT_TRUE(mirror->Remove(5).ok());
-  EXPECT_EQ(mirror->size(), 0u);
-  EXPECT_EQ(mirror->Read(5).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(mirror->Remove(5).code(), StatusCode::kNotFound);
-}
-
-TEST(ShardedOramMirrorTest, MirrorBatchMatchesSingleWrites) {
-  auto batched = MakeOramMirror(MirrorConfig(4));
-  auto single = MakeOramMirror(MirrorConfig(4));
-  std::vector<Bytes> identities;
-  for (uint64_t id = 0; id < 100; ++id) identities.push_back(Identity(id));
-  std::vector<OramMirror::MirrorEntry> entries;
-  for (uint64_t id = 0; id < 100; ++id) {
-    entries.push_back({id, &identities[id], Payload(id)});
-    ASSERT_TRUE(single->Mirror(id, identities[id], Payload(id)).ok());
-  }
-  auto routes = batched->MirrorBatch(std::move(entries));
-  ASSERT_TRUE(routes.ok());
-  ASSERT_EQ(routes.value().size(), 100u);
-  ShardRouter reference(4);
-  for (uint64_t id = 0; id < 100; ++id) {
-    EXPECT_EQ(routes.value()[id], reference.Route(identities[id])) << id;
-  }
-  EXPECT_EQ(batched->size(), single->size());
-  for (uint64_t id = 0; id < 100; ++id) {
-    auto a = batched->Read(id);
-    auto b = single->Read(id);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value(), b.value()) << id;
-  }
-}
-
-TEST(ShardedOramMirrorTest, BatchOverflowLeavesConsistentState) {
-  // Overfill a tiny mirror: ceil(12/4) = 3 blocks per tree, 64 entries —
-  // every tree overflows. The batch must fail with OutOfRange and the
-  // mirror must stay consistent: size() only counts blocks a tree really
-  // holds, and failed ids are absent (NotFound), not half-registered.
-  OramMirrorConfig cfg = MirrorConfig(4);
-  cfg.capacity = 12;
-  auto mirror = MakeOramMirror(cfg);
-  std::vector<Bytes> identities;
-  for (uint64_t id = 0; id < 64; ++id) identities.push_back(Identity(id));
-  std::vector<OramMirror::MirrorEntry> entries;
-  for (uint64_t id = 0; id < 64; ++id) {
-    entries.push_back({id, &identities[id], Payload(id)});
-  }
-  auto routed = mirror->MirrorBatch(std::move(entries));
-  EXPECT_EQ(routed.status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(mirror->size(), 12u);
-  size_t readable = 0;
-  for (uint64_t id = 0; id < 64; ++id) {
-    auto r = mirror->Read(id);
-    if (r.ok()) {
-      ++readable;
-    } else {
-      EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << id;
+    const int shard = router.Route(Identity(id));
+    for (int s = 0; s < 4; ++s) {
+      EXPECT_EQ(mirror.tree(s).Contains(id), s == shard) << id;
     }
   }
-  EXPECT_EQ(readable, 12u);
+  auto cost = mirror.TouchAll();
+  ASSERT_TRUE(cost.ok());
+  // One path per block, each charged its own tree's height.
+  int64_t accesses = 0;
+  int64_t buckets = 0;
+  for (int s = 0; s < 4; ++s) {
+    accesses += mirror.tree(s).access_count();
+    buckets += static_cast<int64_t>(mirror.tree(s).size() *
+                                    mirror.tree(s).num_levels());
+  }
+  EXPECT_EQ(cost->paths, 200);
+  EXPECT_EQ(cost->buckets, buckets);
+  EXPECT_EQ(accesses, 400);  // 200 writes + 200 touches
 }
 
-TEST(ShardedOramMirrorTest, StashStatsAggregateAcrossTrees) {
-  auto mirror = MakeOramMirror(MirrorConfig(4));
-  for (uint64_t id = 0; id < 128; ++id) {
-    ASSERT_TRUE(mirror->Mirror(id, Identity(id), Payload(id)).ok());
+TEST(OramMirrorTest, AppendContinuesIdsFromSize) {
+  // Two appends place and draw exactly like one append of both batches.
+  OramMirror split(MirrorConfig(4, /*trace=*/true));
+  OramMirror whole(MirrorConfig(4, /*trace=*/true));
+  ASSERT_TRUE(AppendRecords(split, 0, 60).ok());
+  EXPECT_EQ(split.size(), 60u);
+  ASSERT_TRUE(AppendRecords(split, 60, 40).ok());
+  ASSERT_TRUE(AppendRecords(whole, 0, 100).ok());
+  EXPECT_EQ(split.size(), whole.size());
+  ASSERT_TRUE(split.TouchAll().ok());
+  ASSERT_TRUE(whole.TouchAll().ok());
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(Leaves(split.tree(s)), Leaves(whole.tree(s))) << s;
+    for (uint64_t id = 0; id < 100; ++id) {
+      EXPECT_EQ(split.tree(s).Contains(id), whole.tree(s).Contains(id))
+          << id;
+    }
   }
-  auto stats = mirror->StashStats();
+}
+
+TEST(OramMirrorTest, AppendOverflowLeavesConsistentState) {
+  // Overfill a tiny mirror: ceil(12/4) = 3 blocks per tree, 64 entries —
+  // every tree overflows. The append must fail with OutOfRange and the
+  // mirror must stay consistent: size() only counts blocks a tree really
+  // holds, and TouchAll touches exactly those.
+  OramMirrorConfig cfg = MirrorConfig(4);
+  cfg.capacity = 12;
+  OramMirror mirror(cfg);
+  EXPECT_EQ(AppendRecords(mirror, 0, 64).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(mirror.size(), 12u);
+  for (int s = 0; s < 4; ++s) EXPECT_EQ(mirror.tree(s).size(), 3u) << s;
+  auto cost = mirror.TouchAll();
+  ASSERT_TRUE(cost.ok());
+  EXPECT_EQ(cost->paths, 12);
+}
+
+TEST(OramMirrorTest, StashStatsAggregateAcrossTrees) {
+  OramMirror mirror(MirrorConfig(4));
+  ASSERT_TRUE(AppendRecords(mirror, 0, 128).ok());
+  auto stats = mirror.StashStats();
   EXPECT_EQ(stats.live_blocks, 128u);
   EXPECT_EQ(stats.access_count, 128);
   size_t max_over_shards = 0;
   for (int s = 0; s < 4; ++s) {
-    max_over_shards = std::max(max_over_shards, mirror->ShardMaxStash(s));
+    max_over_shards =
+        std::max(max_over_shards, mirror.tree(s).max_stash_size());
   }
   EXPECT_EQ(stats.max_stash_size, max_over_shards);
 }
 
-// The acceptance property for the per-shard refactor: each shard's
-// observable transcript — aggregated the same way the leakage layer does —
-// must be uniform over that shard's own leaves, for both the single global
-// tree and the sharded topology. Per-shard trees must not leak more than
-// the tree they replaced.
-TEST(ShardedOramMirrorTest, PerShardTranscriptsUniformOverLeaves) {
+// The acceptance property for per-shard trees: each shard's observable
+// transcript — aggregated the same way the leakage layer does — must be
+// uniform over that shard's own leaves, for both one tree and four.
+// Per-shard trees must not leak more than the tree they replaced. (A hot
+// block's uniformity is PathOramTest.HotBlockAccessLeavesLookUniform.)
+TEST(OramMirrorTest, PerShardTranscriptsUniformOverLeaves) {
   for (int shards : {1, 4}) {
-    auto mirror = MakeOramMirror(MirrorConfig(shards, /*trace=*/true));
-    const uint64_t kBlocks = 128;
-    for (uint64_t id = 0; id < kBlocks; ++id) {
-      ASSERT_TRUE(mirror->Mirror(id, Identity(id), Payload(id)).ok());
+    OramMirror mirror(MirrorConfig(shards, /*trace=*/true));
+    ASSERT_TRUE(AppendRecords(mirror, 0, 128).ok());
+    // Repeated indexed scans: round-robin sweeps over every block.
+    for (int sweep = 0; sweep < 160; ++sweep) {
+      ASSERT_TRUE(mirror.TouchAll().ok());
     }
-    // A deliberately skewed logical workload: round-robin sweeps plus a
-    // hot block, the access mix an indexed scan + point lookups produces.
-    for (int i = 0; i < 20000; ++i) {
-      ASSERT_TRUE(mirror->Touch(static_cast<uint64_t>(i) % kBlocks).ok());
-      if (i % 4 == 0) ASSERT_TRUE(mirror->Touch(7).ok());
-    }
-    auto transcripts = edb::AggregateOramTranscripts(*mirror);
+    auto transcripts = edb::AggregateOramTranscripts(mirror);
     ASSERT_EQ(transcripts.size(), static_cast<size_t>(shards));
     for (const auto& t : transcripts) {
       ASSERT_GT(t.accesses, 0) << "shard " << t.shard;

@@ -297,15 +297,17 @@ TEST(VectorizedDeterminismTest, RandomChunkFillsBitIdenticalAcrossConfigs) {
 // two tables with random float-heavy rows (heavy key collisions, dummies
 // in the stream) and every combination of backend x shard count x
 // {linear, ORAM-indexed} x {synchronous Execute, Submit/Wait on a pool
-// task} must agree bit-for-bit with the linear synchronous reference —
+// task} x {the cell's pair limit, the other side of it} must agree
+// bit-for-bit with the linear synchronous reference at the cell's limit —
 // answers, grouped maps, AND the deterministic metrics (virtual QET,
 // records_scanned, join_pairs). One cell exceeds 8192 probe rows so the
 // parallel extraction and probe genuinely fan out, where a chunk-order
 // slip would surface as a last-ulp SUM difference (a pool task runs the
-// probe's ParallelFor inline, so the merge tree must not depend on it);
-// the segment-log cells keep the default pair limit, so their COUNT query
-// runs the oblivious sort-merge join in every config while the SUM and
-// grouped queries take the hash path.
+// probe's ParallelFor inline, so the merge tree must not depend on it).
+// Every cell's joins fit under the default pair limit, so flipping the
+// limit (0 <-> default) runs each COUNT query on both the oblivious
+// sort-merge join and the hash join, while the SUM and grouped queries
+// take the hash path either way.
 TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
   namespace fs = std::filesystem;
   struct Cell {
@@ -313,14 +315,14 @@ TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
     int shards;
     int64_t probe_rows;
     int64_t build_rows;
-    int64_t join_limit;  ///< 0 forces the hash path; -1 keeps the default
+    bool hash_join;  ///< the reference's pair limit: 0, or the default
   };
   const Cell cells[] = {
       // > kParallelScanThreshold: the parallel extraction/probe path.
-      {edb::StorageBackendKind::kInMemory, 1, 9000, 300, 0},
-      {edb::StorageBackendKind::kInMemory, 4, 1500, 400, 0},
-      {edb::StorageBackendKind::kSegmentLog, 1, 900, 200, -1},
-      {edb::StorageBackendKind::kSegmentLog, 4, 900, 200, -1},
+      {edb::StorageBackendKind::kInMemory, 1, 9000, 300, true},
+      {edb::StorageBackendKind::kInMemory, 4, 1500, 400, true},
+      {edb::StorageBackendKind::kSegmentLog, 1, 900, 200, false},
+      {edb::StorageBackendKind::kSegmentLog, 4, 900, 200, false},
   };
   const std::vector<std::string> sqls = {
       "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
@@ -361,18 +363,20 @@ TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
     const auto probe = make_rows(cell.probe_rows, 1);
     const auto build = make_rows(cell.build_rows, 2);
 
-    auto run = [&](bool indexed, bool submit) -> std::vector<Outcome> {
+    auto run = [&](bool indexed, bool submit,
+                   bool hash_join) -> std::vector<Outcome> {
       edb::ObliDbConfig cfg;
       cfg.master_seed = 20260807;
       cfg.storage.backend = cell.backend;
       cfg.storage.num_shards = cell.shards;
       cfg.use_oram_index = indexed;
-      if (cell.join_limit >= 0) cfg.oblivious_join_limit = cell.join_limit;
+      if (hash_join) cfg.oblivious_join_limit = 0;
       fs::path dir;
       if (cell.backend == edb::StorageBackendKind::kSegmentLog) {
         dir = fs::temp_directory_path() /
               ("dpsync-joindet-" + std::to_string(ci) +
-               (indexed ? "-idx" : "-lin") + (submit ? "-sub" : "-exe"));
+               (indexed ? "-idx" : "-lin") + (submit ? "-sub" : "-exe") +
+               (hash_join ? "-hash" : "-obl"));
         fs::remove_all(dir);
         cfg.storage.dir = dir.string();
       }
@@ -410,28 +414,33 @@ TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
       return outcomes;
     };
 
-    const auto reference = run(false, false);  // linear, synchronous
+    // Linear, synchronous, at the cell's own limit.
+    const auto reference = run(false, false, cell.hash_join);
     for (bool indexed : {false, true}) {
       for (bool submit : {false, true}) {
-        if (!indexed && !submit) continue;
-        auto got = run(indexed, submit);
-        ASSERT_EQ(got.size(), reference.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          const std::string where =
-              "cell " + std::to_string(ci) + " sql " + std::to_string(i) +
-              (indexed ? " indexed" : " linear") +
-              (submit ? " submit" : " execute");
-          EXPECT_EQ(reference[i].result.grouped, got[i].result.grouped)
-              << where;
-          EXPECT_EQ(reference[i].result.scalar, got[i].result.scalar)
-              << where;
-          EXPECT_EQ(reference[i].result.groups, got[i].result.groups)
-              << where;
-          EXPECT_EQ(reference[i].virtual_seconds, got[i].virtual_seconds)
-              << where;
-          EXPECT_EQ(reference[i].records_scanned, got[i].records_scanned)
-              << where;
-          EXPECT_EQ(reference[i].join_pairs, got[i].join_pairs) << where;
+        for (bool hash_join : {cell.hash_join, !cell.hash_join}) {
+          if (!indexed && !submit && hash_join == cell.hash_join) continue;
+          auto got = run(indexed, submit, hash_join);
+          ASSERT_EQ(got.size(), reference.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            const std::string where =
+                "cell " + std::to_string(ci) + " sql " + std::to_string(i) +
+                (indexed ? " indexed" : " linear") +
+                (submit ? " submit" : " execute") +
+                (hash_join ? " hash" : " oblivious");
+            EXPECT_EQ(reference[i].result.grouped, got[i].result.grouped)
+                << where;
+            EXPECT_EQ(reference[i].result.scalar, got[i].result.scalar)
+                << where;
+            EXPECT_EQ(reference[i].result.groups, got[i].result.groups)
+                << where;
+            EXPECT_EQ(reference[i].virtual_seconds, got[i].virtual_seconds)
+                << where;
+            EXPECT_EQ(reference[i].records_scanned,
+                      got[i].records_scanned)
+                << where;
+            EXPECT_EQ(reference[i].join_pairs, got[i].join_pairs) << where;
+          }
         }
       }
     }

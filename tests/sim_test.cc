@@ -9,7 +9,9 @@
 // (local) run keeps the full five-day sweep.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "sim/adversary.h"
 #include "sim/experiment.h"
@@ -179,6 +181,30 @@ TEST(ExperimentTest, SeedChangesOutcome) {
   EXPECT_TRUE(a->queries[1].mean_l1 != b->queries[1].mean_l1 ||
               a->final_total_mb != b->final_total_mb ||
               a->dummy_synced != b->dummy_synced);
+}
+
+TEST(ExperimentTest, DpStrategyParamsOutOfRangeAreRejected) {
+  using Mutate = void (*)(StrategyParams&);
+  const std::pair<StrategyKind, Mutate> cases[] = {
+      {StrategyKind::kDpTimer, [](StrategyParams& p) { p.timer_period = 0; }},
+      {StrategyKind::kDpTimer, [](StrategyParams& p) { p.epsilon = 0; }},
+      {StrategyKind::kDpTimer, [](StrategyParams& p) { p.epsilon = -1; }},
+      {StrategyKind::kDpAnt, [](StrategyParams& p) { p.epsilon = NAN; }},
+      {StrategyKind::kDpAnt, [](StrategyParams& p) { p.ant_threshold = 0; }},
+      {StrategyKind::kDpAnt,
+       [](StrategyParams& p) { p.ant_budget_split = 1; }},
+  };
+  for (const auto& [kind, mutate] : cases) {
+    auto cfg = SmallConfig(kind, EngineKind::kObliDb);
+    mutate(cfg.params);
+    EXPECT_EQ(RunExperiment(cfg).status().code(),
+              StatusCode::kInvalidArgument)
+        << StrategyKindName(kind);
+  }
+  // The baselines never read epsilon, so it is not checked for them.
+  auto oto = SmallConfig(StrategyKind::kOto, EngineKind::kObliDb);
+  oto.params.epsilon = 0;
+  EXPECT_TRUE(RunExperiment(oto).ok());
 }
 
 TEST(ExperimentTest, InitialDatabaseSupported) {

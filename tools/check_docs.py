@@ -8,14 +8,14 @@ table honest):
 1. **Markdown links** `[text](target)` whose target is not an absolute
    URL or a pure fragment: the target path (resolved relative to the
    containing file, `#fragment` stripped) must exist.
-2. **Code-path references**: inline-code or prose mentions of repo paths
-   like `src/edb/snapshot.h`, `docs/CONCURRENCY.md`,
-   `tools/bench_golden.py`, `tests/snapshot_test.cc`,
-   `.github/workflows/ci.yml` — any token rooted at a known top-level
-   code directory with a recognized extension must name an existing
-   file. Tokens inside fenced code blocks are skipped (they quote code,
-   which the compiler already checks — and example output may name
-   paths that do not exist at rest).
+2. **Code-path references**: mentions of repo paths like
+   `src/edb/snapshot.h`, `docs/CONCURRENCY.md`, `tools/bench_golden.py`,
+   `tests/snapshot_test.cc`, `.github/workflows/ci.yml` — any token
+   rooted at a known top-level code directory with a recognized
+   extension, in prose, inline code or fenced blocks, must name an
+   existing file. Fenced blocks count because the architecture diagrams
+   (docs/ARCHITECTURE.md, docs/ORAM.md, docs/STORAGE.md) are fenced and
+   name the source files of each layer.
 
 3. **The message table**: the first table under `### Messages` in
    docs/DISTRIBUTED.md must list exactly the `MsgKind` enumerators of
@@ -168,8 +168,13 @@ def check_file(path, root, suites, benches, identifiers, verbose):
     rel = os.path.relpath(path, root)
     links_only = rel in CHANGE_LOGS
 
-    # Rules 5 and 6 also read fenced blocks; the change logs skip them.
+    # Rules 2, 5 and 6 also read fenced blocks; the change logs skip them.
     for lineno, line in enumerate([] if links_only else lines, start=1):
+        for m in CODE_PATH_RE.finditer(line):
+            ref = m.group(1)
+            checked += 1
+            if not os.path.exists(os.path.join(root, ref)):
+                errors.append(f"{rel}:{lineno}: dangling code path ({ref})")
         for m in SUITE_REF_RE.finditer(line):
             checked += 1
             if m.group(1) not in suites:
@@ -199,11 +204,6 @@ def check_file(path, root, suites, benches, identifiers, verbose):
                 errors.append(f"{rel}:{lineno}: broken link ({target})")
         if links_only:
             continue
-        for m in CODE_PATH_RE.finditer(line):
-            ref = m.group(1)
-            checked += 1
-            if not os.path.exists(os.path.join(root, ref)):
-                errors.append(f"{rel}:{lineno}: dangling code path ({ref})")
         for span in INLINE_CODE_RE.findall(line):
             for m in INCLUDE_RE.finditer(span):
                 checked += 1
