@@ -39,9 +39,6 @@ class RecordCipher {
   /// Opens an encrypted record, stripping the padding. Fails on tampering.
   StatusOr<Bytes> Decrypt(const Bytes& encrypted) const;
 
-  /// Number of records sealed so far (== nonces consumed).
-  uint64_t seal_count() const { return nonce_counter_; }
-
   /// The next nonce value that will be consumed. Durable backends persist
   /// this at flush time; on reopen, RestoreNonceHighWater() with the
   /// persisted value guarantees no nonce is ever reused, even if the

@@ -158,13 +158,14 @@ Status EdbShardServer::HandleCreateTable(const net::WireCreateTable& req) {
   if (tables_.count(req.table)) {
     return Status::InvalidArgument("table already exists: " + req.table);
   }
-  tables_[req.table] = std::make_unique<edb::ObliDbTable>(
+  tables_[req.table] = edb::MakeObliDbTable(
       req.table, schema, keys_.DeriveKey("table-aead:" + req.table),
       table_config_);
   return Status::Ok();
 }
 
-edb::ObliDbTable* EdbShardServer::FindTable(const std::string& name) const {
+edb::EncryptedTableStore* EdbShardServer::FindTable(
+    const std::string& name) const {
   std::lock_guard<std::mutex> lk(catalog_mu_);
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
@@ -172,13 +173,9 @@ edb::ObliDbTable* EdbShardServer::FindTable(const std::string& name) const {
 
 StatusOr<std::shared_ptr<const query::QueryPlan>> EdbShardServer::PlanFor(
     uint64_t fingerprint, const std::string& canonical_text) {
-  {
-    std::lock_guard<std::mutex> lk(plans_mu_);
-    auto it = plans_.find(fingerprint);
-    if (it != plans_.end() &&
-        it->second->canonical_text == canonical_text) {
-      return it->second;
-    }
+  if (auto cached = plans_.Lookup(fingerprint, canonical_text,
+                                  /*catalog_epoch=*/0)) {
+    return cached;
   }
   // Re-plan from the canonical text against OUR catalog: the shipped text
   // is parse-stable by construction, and planning locally (instead of
@@ -192,8 +189,8 @@ StatusOr<std::shared_ptr<const query::QueryPlan>> EdbShardServer::PlanFor(
   auto plan = query::PlanSelect(
       parsed.value(),
       [this](const std::string& table) -> const query::Schema* {
-        edb::ObliDbTable* t = FindTable(table);
-        return t ? &t->store().schema() : nullptr;
+        edb::EncryptedTableStore* t = FindTable(table);
+        return t ? &t->schema() : nullptr;
       },
       options);
   if (!plan.ok()) return plan.status();
@@ -201,8 +198,7 @@ StatusOr<std::shared_ptr<const query::QueryPlan>> EdbShardServer::PlanFor(
     return Status::InvalidArgument(
         "shipped fingerprint does not match the canonical text");
   }
-  std::lock_guard<std::mutex> lk(plans_mu_);
-  plans_[fingerprint] = plan.value();
+  plans_.Insert(plan.value());
   return plan.value();
 }
 
@@ -215,7 +211,7 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
   auto plan_or = PlanFor(req.fingerprint, req.canonical_text);
   if (!plan_or.ok()) return plan_or.status();
   const query::QueryPlan& plan = *plan_or.value();
-  edb::ObliDbTable* table = FindTable(plan.table);
+  edb::EncryptedTableStore* table = FindTable(plan.table);
   if (!table) {
     return Status::Internal("plan references lost table " + plan.table);
   }
@@ -224,15 +220,15 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
   // the table lock (in indexed mode the capture also pays the ORAM
   // touches), then aggregate lock-free. No views here: the coordinator
   // merges raw partials.
-  auto captured = [&] {
+  auto view = [&] {
     std::lock_guard<std::mutex> lk(table->table_mutex());
-    return table->Capture();
+    return table->Snapshot();
   }();
-  if (!captured.ok()) return captured.status();
+  if (!view.ok()) return view.status();
   query::Table plain;
   plain.name = table->table_name();
-  plain.schema = table->store().schema();
-  plain.borrowed_spans = captured->view.spans;
+  plain.schema = table->schema();
+  plain.borrowed_spans = view->spans;
   auto partial = query::ExecuteScanPartial(plan.rewritten, plain);
   if (!partial.ok()) return partial.status();
 
@@ -254,14 +250,14 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
     out.spans.push_back(std::move(ws));
   }
   out.records_scanned = p.records_scanned;
-  out.oram_paths = captured->oram.paths;
-  out.oram_buckets = captured->oram.buckets;
+  out.oram_paths = view->oram.paths;
+  out.oram_buckets = view->oram.buckets;
   return out;
 }
 
 Status EdbShardServer::ApplyBatch(
-    const std::string& name, edb::ObliDbTable* table, uint64_t batch_seq,
-    const std::vector<uint64_t>* base_rows,
+    const std::string& name, edb::EncryptedTableStore* table,
+    uint64_t batch_seq, const std::vector<uint64_t>* base_rows,
     const std::vector<net::WireCipherRecord>& wire_entries,
     uint64_t nonce_high_water, bool setup_batch) {
   uint64_t& applied = applied_seq_[name];
@@ -274,7 +270,7 @@ Status EdbShardServer::ApplyBatch(
     // Catch-up span: it must start exactly at our committed rows, the
     // same tail-plausibility stance Reopen takes — a span that would
     // leave a hole or double-append is rejected, never patched over.
-    std::vector<uint64_t> have = table->store().CommittedShardRows();
+    std::vector<uint64_t> have = table->CommittedShardRows();
     if (base_rows->size() != have.size()) {
       return Status::FailedPrecondition(
           "catch-up span names " + std::to_string(base_rows->size()) +
@@ -309,7 +305,7 @@ Status EdbShardServer::ApplyBatch(
 }
 
 Status EdbShardServer::HandleIngest(const net::WireIngest& req) {
-  edb::ObliDbTable* table = FindTable(req.table);
+  edb::EncryptedTableStore* table = FindTable(req.table);
   if (!table) {
     return Status::NotFound("ingest for unknown table: " + req.table);
   }
@@ -324,7 +320,7 @@ Status EdbShardServer::HandleIngest(const net::WireIngest& req) {
 }
 
 Status EdbShardServer::HandleReplicate(const net::WireReplicate& req) {
-  edb::ObliDbTable* table = FindTable(req.table);
+  edb::EncryptedTableStore* table = FindTable(req.table);
   if (!table) {
     return Status::NotFound("replicate for unknown table: " + req.table);
   }
@@ -336,7 +332,7 @@ Status EdbShardServer::HandleReplicate(const net::WireReplicate& req) {
 
 StatusOr<net::WireCatchUpReply> EdbShardServer::HandleCatchUp(
     const net::WireCatchUp& req) {
-  edb::ObliDbTable* table = FindTable(req.table);
+  edb::EncryptedTableStore* table = FindTable(req.table);
   if (!table) {
     return Status::NotFound("catch-up for unknown table: " + req.table);
   }
@@ -345,11 +341,11 @@ StatusOr<net::WireCatchUpReply> EdbShardServer::HandleCatchUp(
   std::lock_guard<std::mutex> lk(repl_mu_);
   std::vector<edb::EncryptedTableStore::CipherEntry> entries;
   DPSYNC_RETURN_IF_ERROR(
-      table->store().ExportCommittedSpans(req.from_rows, &entries));
+      table->ExportCommittedSpans(req.from_rows, &entries));
   net::WireCatchUpReply out;
   auto it = applied_seq_.find(req.table);
   out.applied_seq = it == applied_seq_.end() ? 0 : it->second;
-  out.nonce_high_water = table->store().nonce_high_water();
+  out.nonce_high_water = table->nonce_high_water();
   out.base_rows = req.from_rows;
   out.entries.reserve(entries.size());
   for (auto& e : entries) {
@@ -360,7 +356,7 @@ StatusOr<net::WireCatchUpReply> EdbShardServer::HandleCatchUp(
 
 StatusOr<net::WireReplicaState> EdbShardServer::HandleReplicaState(
     const net::WireReplicaStateRequest&) {
-  std::vector<std::pair<std::string, edb::ObliDbTable*>> tables;
+  std::vector<std::pair<std::string, edb::EncryptedTableStore*>> tables;
   {
     std::lock_guard<std::mutex> lk(catalog_mu_);
     for (const auto& [name, t] : tables_) tables.emplace_back(name, t.get());
@@ -374,20 +370,21 @@ StatusOr<net::WireReplicaState> EdbShardServer::HandleReplicaState(
     ts.table = name;
     auto it = applied_seq_.find(name);
     ts.applied_seq = it == applied_seq_.end() ? 0 : it->second;
-    ts.commit_epoch = t->store().commit_epoch();
-    ts.nonce_high_water = t->store().nonce_high_water();
-    ts.shard_rows = t->store().CommittedShardRows();
+    ts.commit_epoch = t->commit_epoch();
+    ts.nonce_high_water = t->nonce_high_water();
+    ts.shard_rows = t->CommittedShardRows();
     out.tables.push_back(std::move(ts));
   }
   return out;
 }
 
 Status EdbShardServer::HandlePromote(const net::WirePromote& req) {
-  std::vector<std::pair<const net::WirePromoteTable*, edb::ObliDbTable*>>
+  std::vector<
+      std::pair<const net::WirePromoteTable*, edb::EncryptedTableStore*>>
       resolved;
   resolved.reserve(req.tables.size());
   for (const auto& t : req.tables) {
-    edb::ObliDbTable* table = FindTable(t.table);
+    edb::EncryptedTableStore* table = FindTable(t.table);
     if (!table) {
       return Status::NotFound("promote names unknown table: " + t.table);
     }
@@ -407,10 +404,10 @@ Status EdbShardServer::HandlePromote(const net::WirePromote& req) {
           std::to_string(applied) + ", coordinator probed " +
           std::to_string(pt->expected_seq));
     }
-    if (table->store().commit_epoch() != pt->commit_epoch) {
+    if (table->commit_epoch() != pt->commit_epoch) {
       return Status::FailedPrecondition(
           "promotion raced: table " + pt->table + " is at commit epoch " +
-          std::to_string(table->store().commit_epoch()) +
+          std::to_string(table->commit_epoch()) +
           ", coordinator probed " + std::to_string(pt->commit_epoch));
     }
   }

@@ -7,14 +7,14 @@
 /// (coordinator-encrypted ciphertexts — plaintext never reaches this
 /// process for storage) and the replication requests.
 ///
-/// Tables are hosted as edb::ObliDbTable, as in the single-process
-/// engines: both engine modes run linear tables exactly like
-/// edb::CryptEpsServer and a linear edb::ObliDbServer do, and ObliDB's
-/// indexed mode mirrors ciphertexts into the per-shard Path ORAMs
-/// (oram::OramMirror). Decryption happens only enclave-side (the
-/// table's mirrors), with the table key derived from the shared master
-/// seed — identical to the coordinator's derivation, so ciphertexts
-/// sealed there open here.
+/// Tables are hosted as edb::EncryptedTableStore, built by
+/// edb::MakeObliDbTable as in the single-process engines: both engine
+/// modes run linear tables exactly like edb::CryptEpsServer and a linear
+/// edb::ObliDbServer do, and ObliDB's indexed mode keeps the store's
+/// per-shard Path ORAM index (oram::OramMirror). Decryption happens only
+/// enclave-side (the table's mirrors), with the table key derived from
+/// the shared master seed — identical to the coordinator's derivation, so
+/// ciphertexts sealed there open here.
 ///
 /// Threading: Serve() runs a dedicated std::thread per connection (a
 /// deliberate deviation from the shared-pool rule — the loop blocks on
@@ -33,6 +33,7 @@
 
 #include "common/status.h"
 #include "edb/oblidb_engine.h"
+#include "edb/plan_cache.h"
 #include "net/messages.h"
 #include "net/socket.h"
 
@@ -96,8 +97,11 @@ class EdbShardServer {
   /// applied (0 = none / unsequenced).
   uint64_t applied_seq(const std::string& table) const;
 
+  /// Plans currently cached (tests: the cache is bounded).
+  size_t cached_plans() const { return plans_.size(); }
+
   /// Direct table access for tests probing a replica's store/mirror.
-  edb::ObliDbTable* TableForTest(const std::string& name) const {
+  edb::EncryptedTableStore* TableForTest(const std::string& name) const {
     return FindTable(name);
   }
 
@@ -126,7 +130,7 @@ class EdbShardServer {
   /// (follower): dedup/gap-check `batch_seq` against the table's applied
   /// position, verify `base_rows` when the batch is a catch-up span, then
   /// append through IngestCiphertexts. Caller holds repl_mu_.
-  Status ApplyBatch(const std::string& name, edb::ObliDbTable* table,
+  Status ApplyBatch(const std::string& name, edb::EncryptedTableStore* table,
                     uint64_t batch_seq,
                     const std::vector<uint64_t>* base_rows,
                     const std::vector<net::WireCipherRecord>& wire_entries,
@@ -138,7 +142,7 @@ class EdbShardServer {
   StatusOr<std::shared_ptr<const query::QueryPlan>> PlanFor(
       uint64_t fingerprint, const std::string& canonical_text);
 
-  edb::ObliDbTable* FindTable(const std::string& name) const;
+  edb::EncryptedTableStore* FindTable(const std::string& name) const;
 
   void ServeLoop(int fd);
 
@@ -150,10 +154,13 @@ class EdbShardServer {
   edb::ObliDbConfig table_config_;
 
   mutable std::mutex catalog_mu_;
-  std::map<std::string, std::unique_ptr<edb::ObliDbTable>> tables_;
+  std::map<std::string, std::unique_ptr<edb::EncryptedTableStore>> tables_;
 
-  std::mutex plans_mu_;
-  std::map<uint64_t, std::shared_ptr<const query::QueryPlan>> plans_;
+  /// Every plan is bound at catalog epoch 0: a shard catalog only grows
+  /// and schemas never change, so no cached binding goes stale. Bounded
+  /// like the coordinator's own cache, so an unbounded stream of distinct
+  /// query texts cannot grow this server's memory either.
+  edb::PlanCache plans_;
 
   /// Replication state: role plus per-table applied batch sequence. One
   /// lock orders every sequenced append against probes and promotion, so

@@ -13,8 +13,8 @@
 ///
 /// Apart from its cost model, its missing join operator and the Laplace
 /// release, Crypt-eps answers exactly like ObliDB's linear storage method,
-/// so CryptEpsServer is an ObliDbServer over linear ObliDbTables: the
-/// catalog, view answers and committed-prefix scans are ObliDB's. The
+/// so CryptEpsServer is an ObliDbServer over linear tables: the catalog,
+/// view answers and committed-prefix scans are ObliDB's. The
 /// per-query budget and its noise stream are one type, CryptEpsBudget
 /// (crypte_budget.h), which the distributed coordinator
 /// (dist/coordinator.h) owns as well in Crypt-eps mode.

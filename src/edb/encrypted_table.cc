@@ -31,9 +31,9 @@ uint64_t SchemaHash(const query::Schema& schema) {
 
 }  // namespace
 
-EncryptedTableStore::EncryptedTableStore(std::string name,
-                                         query::Schema schema, Bytes key,
-                                         StorageConfig storage)
+EncryptedTableStore::EncryptedTableStore(
+    std::string name, query::Schema schema, Bytes key, StorageConfig storage,
+    std::optional<oram::OramMirrorConfig> index)
     : name_(std::move(name)),
       schema_(std::move(schema)),
       cipher_(std::move(key)),
@@ -54,6 +54,12 @@ EncryptedTableStore::EncryptedTableStore(std::string name,
   enclave_.resize(static_cast<size_t>(router_.num_shards()));
   dirty_.assign(static_cast<size_t>(router_.num_shards()), 0);
   committed_.assign(static_cast<size_t>(router_.num_shards()), 0);
+  if (index) {
+    // The router's topology even when backend construction failed: the
+    // store surfaces that error on first use, so any topology works then.
+    index->num_shards = router_.num_shards();
+    mirror_ = std::make_unique<oram::OramMirror>(*index);
+  }
 }
 
 bool EncryptedTableStore::MarkCommitted(size_t shard, int64_t count) {
@@ -71,26 +77,56 @@ void EncryptedTableStore::AdvanceCommitEpoch() {
 
 Status EncryptedTableStore::AppendEncrypted(const std::vector<Record>& records,
                                             bool setup_batch) {
-  // NOTE: no per-call reserve — SET-style workloads post one-record updates
-  // tens of thousands of times, and an exact-size reserve would force a
-  // reallocation (and full copy) on every call. Amortized push_back growth
-  // keeps appends O(1).
-  for (const Record& r : records) {
-    auto ct = cipher_.Encrypt(r.payload);
-    if (!ct.ok()) return ct.status();
-    int shard = router_.Route(r.payload);
-    DPSYNC_RETURN_IF_ERROR(shards_[shard]->Append(ct.value()));
-    dirty_[static_cast<size_t>(shard)] = 1;
-    journal_.emplace_back(static_cast<uint32_t>(shard),
-                          static_cast<uint32_t>(shards_[shard]->Count() - 1));
-  }
-  if (storage_.flush_every_update) {
+  // NOTE: no per-call reserve of journal_ — SET-style workloads post
+  // one-record updates tens of thousands of times, and an exact-size
+  // reserve would force a reallocation (and full copy) on every call.
+  // Amortized push_back growth keeps appends O(1).
+  std::vector<oram::OramMirror::Entry> indexed;
+  if (mirror_) indexed.reserve(records.size());
+  Status appended = [&]() -> Status {
+    for (const Record& r : records) {
+      auto ct = cipher_.Encrypt(r.payload);
+      if (!ct.ok()) return ct.status();
+      int shard = router_.Route(r.payload);
+      DPSYNC_RETURN_IF_ERROR(shards_[shard]->Append(ct.value()));
+      dirty_[static_cast<size_t>(shard)] = 1;
+      journal_.emplace_back(static_cast<uint32_t>(shard),
+                            static_cast<uint32_t>(shards_[shard]->Count() - 1));
+      // The record's payload routes its block to the tree ShardRouter just
+      // chose for the ciphertext.
+      if (mirror_) indexed.push_back({&r.payload, std::move(ct.value())});
+    }
+    return Status::Ok();
+  }();
+  return FinishBatch(std::move(appended), setup_batch, std::move(indexed));
+}
+
+Status EncryptedTableStore::FinishBatch(
+    Status appended, bool setup_batch,
+    std::vector<oram::OramMirror::Entry> indexed) {
+  if (appended.ok() && storage_.flush_every_update) {
     // Setup commits every shard so the table's full topology is
     // materialized on disk even for shards gamma_0 never touched;
     // steady-state updates only pay for the shards they wrote.
-    return setup_batch ? FlushAllShards() : FlushDirtyShards();
+    appended = setup_batch ? FlushAllShards() : FlushDirtyShards();
   }
-  return Status::Ok();
+  if (!mirror_) return appended;
+  // A mirror that failed once stays failed: the store has records the
+  // index will never hold, so the indexed contract is unrecoverable and
+  // every later operation reports the original cause instead of a
+  // confusing secondary symptom.
+  if (mirror_status_.ok()) {
+    Status index = mirror_->Append(std::move(indexed));
+    if (!index.ok()) {
+      mirror_status_ = Status(
+          index.code(),
+          "oblivious index failed and is out of sync with the store (size "
+          "the ORAM capacity with headroom for shard imbalance — "
+          "docs/ORAM.md): " +
+              index.message());
+    }
+  }
+  return appended.ok() ? mirror_status_ : appended;
 }
 
 Status EncryptedTableStore::Setup(const std::vector<Record>& gamma0) {
@@ -105,7 +141,6 @@ Status EncryptedTableStore::Update(const std::vector<Record>& gamma) {
   std::lock_guard<std::mutex> lk(table_mutex());
   DPSYNC_RETURN_IF_ERROR(init_status_);
   if (!setup_done_) return Status::FailedPrecondition("Update before Setup");
-  ++update_calls_;
   return AppendEncrypted(gamma, /*setup_batch=*/false);
 }
 
@@ -119,32 +154,47 @@ Status EncryptedTableStore::IngestCiphertexts(
     setup_done_ = true;
   } else {
     if (!setup_done_) return Status::FailedPrecondition("Update before Setup");
-    ++update_calls_;
   }
-  for (const CipherEntry& e : entries) {
-    if (e.shard >= shards_.size()) {
-      return Status::OutOfRange("ingest entry routed to shard " +
-                                std::to_string(e.shard) + " of " +
-                                std::to_string(shards_.size()));
+  // The index routes blocks by plaintext identity, which the coordinator
+  // never ships: an indexed store decrypts each ciphertext enclave-side.
+  // Reserved up front, so the entries' identity pointers stay valid.
+  std::vector<Bytes> identities;
+  std::vector<oram::OramMirror::Entry> indexed;
+  if (mirror_) {
+    identities.reserve(entries.size());
+    indexed.reserve(entries.size());
+  }
+  Status appended = [&]() -> Status {
+    for (const CipherEntry& e : entries) {
+      if (e.shard >= shards_.size()) {
+        return Status::OutOfRange("ingest entry routed to shard " +
+                                  std::to_string(e.shard) + " of " +
+                                  std::to_string(shards_.size()));
+      }
+      if (e.ciphertext.size() != crypto::RecordCipher::kCiphertextSize) {
+        return Status::InvalidArgument("ingest ciphertext has wrong size");
+      }
+      if (mirror_) {
+        auto payload = cipher_.Decrypt(e.ciphertext);
+        if (!payload.ok()) return payload.status();
+        identities.push_back(std::move(payload.value()));
+      }
+      DPSYNC_RETURN_IF_ERROR(shards_[e.shard]->Append(e.ciphertext));
+      dirty_[e.shard] = 1;
+      journal_.emplace_back(
+          e.shard, static_cast<uint32_t>(shards_[e.shard]->Count() - 1));
+      if (mirror_) indexed.push_back({&identities.back(), e.ciphertext});
     }
-    if (e.ciphertext.size() != crypto::RecordCipher::kCiphertextSize) {
-      return Status::InvalidArgument("ingest ciphertext has wrong size");
+    // Track the global nonce stream before flushing so the persisted mark
+    // is never behind the ciphertexts it covers. Never rewind: a stale
+    // batch mark must not pull the counter back under already-stored
+    // nonces.
+    if (nonce_high_water > cipher_.nonce_high_water()) {
+      return cipher_.RestoreNonceHighWater(nonce_high_water);
     }
-    DPSYNC_RETURN_IF_ERROR(shards_[e.shard]->Append(e.ciphertext));
-    dirty_[e.shard] = 1;
-    journal_.emplace_back(e.shard,
-                          static_cast<uint32_t>(shards_[e.shard]->Count() - 1));
-  }
-  // Track the global nonce stream before flushing so the persisted mark is
-  // never behind the ciphertexts it covers. Never rewind: a stale batch
-  // mark must not pull the counter back under already-stored nonces.
-  if (nonce_high_water > cipher_.nonce_high_water()) {
-    DPSYNC_RETURN_IF_ERROR(cipher_.RestoreNonceHighWater(nonce_high_water));
-  }
-  if (storage_.flush_every_update) {
-    return setup_batch ? FlushAllShards() : FlushDirtyShards();
-  }
-  return Status::Ok();
+    return Status::Ok();
+  }();
+  return FinishBatch(std::move(appended), setup_batch, std::move(indexed));
 }
 
 Status EncryptedTableStore::ExportCommittedSpans(
@@ -234,6 +284,13 @@ Status EncryptedTableStore::FlushDirtyShards() {
 Status EncryptedTableStore::Reopen() {
   std::lock_guard<std::mutex> lk(table_mutex());
   DPSYNC_RETURN_IF_ERROR(init_status_);
+  if (mirror_) {
+    return Status::FailedPrecondition(
+        "table " + name_ +
+        " has an ORAM index, whose block ids are global append indices: a "
+        "reopened store rebuilds its journal shard-major and would no "
+        "longer match them");
+  }
   journal_.clear();
   // Drop the mirrors (fresh chunks will be decrypted on demand). Chunks
   // referenced by outstanding SnapshotViews stay alive through their
@@ -319,7 +376,7 @@ Status EncryptedTableStore::Reopen() {
   return Status::Ok();
 }
 
-Status EncryptedTableStore::CatchUpShard(int shard) const {
+Status EncryptedTableStore::CatchUpShard(int shard) {
   ShardMirror& mirror = enclave_[static_cast<size_t>(shard)];
   int64_t count = shards_[static_cast<size_t>(shard)]->Count();
   return shards_[static_cast<size_t>(shard)]->Scan(
@@ -346,7 +403,7 @@ Status EncryptedTableStore::CatchUpShard(int shard) const {
       });
 }
 
-Status EncryptedTableStore::CatchUpAllShards() const {
+Status EncryptedTableStore::CatchUpAllShards() {
   size_t pending = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     pending += static_cast<size_t>(shards_[s]->Count()) - enclave_[s].rows;
@@ -438,13 +495,23 @@ size_t EncryptedTableStore::registered_views() {
   return views_.size();
 }
 
-StatusOr<SnapshotView> EncryptedTableStore::Snapshot() const {
+StatusOr<SnapshotView> EncryptedTableStore::Snapshot() {
   DPSYNC_RETURN_IF_ERROR(init_status_);
-  // Catch up fully (cheap — O(delta) decrypt) and clip the view to the
-  // committed counts; any uncommitted tail rows sit beyond every span
-  // bound, invisible to the snapshot's readers.
+  oram::OramTouchCost touched;
+  if (mirror_) {
+    // Indexed mode: every mirrored record pays its oblivious path access.
+    DPSYNC_RETURN_IF_ERROR(mirror_status_);
+    auto cost = mirror_->TouchAll();
+    if (!cost.ok()) return cost.status();
+    touched = cost.value();
+  }
+  // Both storage methods then catch up fully (cheap — O(delta) decrypt)
+  // and clip the view to the committed counts; any uncommitted tail rows
+  // sit beyond every span bound, invisible to the snapshot's readers.
   DPSYNC_RETURN_IF_ERROR(CatchUpAllShards());
-  return CaptureView();
+  SnapshotView view = CaptureView();
+  view.oram = touched;
+  return view;
 }
 
 StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {
@@ -479,14 +546,6 @@ StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {
   });
   for (const auto& st : statuses) DPSYNC_RETURN_IF_ERROR(st);
   return rows;
-}
-
-StatusOr<Bytes> EncryptedTableStore::CiphertextAt(int64_t index) const {
-  if (index < 0 || index >= outsourced_count()) {
-    return Status::OutOfRange("ciphertext index out of range");
-  }
-  const auto [shard, offset] = journal_[static_cast<size_t>(index)];
-  return shards_[shard]->Get(static_cast<int64_t>(offset));
 }
 
 StatusOr<std::vector<Bytes>> EncryptedTableStore::ciphertexts() const {

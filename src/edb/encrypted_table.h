@@ -1,7 +1,7 @@
 /// \file encrypted_table.h
 /// Server-side storage for one outsourced table: an append-only collection
-/// of fixed-size AEAD ciphertexts (atomic record encryption, §4.1). Both
-/// engines build on this store; it implements the owner-facing
+/// of fixed-size AEAD ciphertexts (atomic record encryption, §4.1). Every
+/// engine table is one of these stores; it implements the owner-facing
 /// Setup/Update protocols and the enclave/decryption-side full scan.
 ///
 /// Since the storage-spine refactor the store is a *sharded container*: a
@@ -20,10 +20,16 @@
 /// in fixed-capacity, address-stable row chunks, so a capture is O(#chunks)
 /// and the resulting view is safe to scan with no lock held while the
 /// owner keeps appending.
+///
+/// ObliDB's indexed storage method adds an oblivious index to the store:
+/// an oram::OramMirror with one Path ORAM per storage shard, fed every
+/// ciphertext the append loop stores and touched in full by every
+/// Snapshot (see docs/ORAM.md).
 #pragma once
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +41,7 @@
 #include "edb/snapshot.h"
 #include "edb/storage_backend.h"
 #include "edb/view.h"
+#include "oram/oram_mirror.h"
 #include "query/schema.h"
 
 namespace dpsync::edb {
@@ -46,8 +53,13 @@ class EncryptedTableStore : public EdbTable {
   /// \param storage backend kind, shard count and (for durable backends)
   ///        the on-disk location. The default reproduces the original
   ///        single-shard in-memory store exactly.
+  /// \param index when set, the store keeps an ORAM index built from it
+  ///        (ObliDB's indexed storage method); its num_shards is
+  ///        overwritten with the store's, so every record's ORAM tree is
+  ///        its storage shard.
   EncryptedTableStore(std::string name, query::Schema schema, Bytes key,
-                      StorageConfig storage = {});
+                      StorageConfig storage = {},
+                      std::optional<oram::OramMirrorConfig> index = {});
 
   // --- owner-facing SOGDB protocols -------------------------------------
   Status Setup(const std::vector<Record>& gamma0) override;
@@ -74,16 +86,11 @@ class EncryptedTableStore : public EdbTable {
   /// cipher's counter after the batch; it is restored into the local
   /// cipher (never rewound) BEFORE the auto-flush so the persisted mark
   /// tracks the global stream. Follows the Setup/Update state machine via
-  /// `setup_batch` and auto-flushes exactly like AppendEncrypted.
+  /// `setup_batch` and auto-flushes exactly like AppendEncrypted. On an
+  /// indexed store each ciphertext is decrypted enclave-side before it is
+  /// stored, because the index routes blocks by plaintext identity.
   Status IngestCiphertexts(const std::vector<CipherEntry>& entries,
                            uint64_t nonce_high_water, bool setup_batch);
-
-  /// Decrypts one stored-format ciphertext with the table key (the
-  /// enclave side of a distributed shard server feeds its ORAM mirror
-  /// through this).
-  StatusOr<Bytes> DecryptCiphertext(const Bytes& ct) const {
-    return cipher_.Decrypt(ct);
-  }
 
   /// Exports the committed ciphertext span [from_rows[s], committed_rows)
   /// of every shard — the segment-shipping payload a replication follower
@@ -118,6 +125,9 @@ class EncryptedTableStore : public EdbTable {
   /// enclave mirrors are dropped, and the cipher's nonce counter is
   /// restored from the persisted high-water mark. Fails loudly if the
   /// persisted mark is behind the committed record count (nonce reuse).
+  /// An indexed store refuses with FailedPrecondition and changes
+  /// nothing: the index's block ids are global append indices, which the
+  /// shard-major journal would no longer match.
   Status Reopen();
 
   // --- trusted-side access ----------------------------------------------
@@ -130,20 +140,24 @@ class EncryptedTableStore : public EdbTable {
   /// pool for large tables. Fails if any ciphertext fails authentication.
   StatusOr<std::vector<query::Row>> DecryptAll() const;
 
-  /// Captures the committed prefix as an immutable SnapshotView. The
-  /// enclave mirrors catch up incrementally first: only ciphertexts
+  /// The one read capture every scan and join runs: the committed prefix
+  /// as an immutable SnapshotView. On an indexed store every mirrored
+  /// record, committed or not, is first touched through its shard's ORAM
+  /// (OramMirror::TouchAll, one pool task per tree) because each access
+  /// rewrites tree state; the view's `oram` field reports that work. The
+  /// enclave mirrors then catch up incrementally: only ciphertexts
   /// appended since the last capture are decrypted. Real SGX engines keep
   /// the working table in enclave memory across queries; this mirrors
   /// that, so repeated queries cost O(delta) real time (the *virtual* QET
   /// still charges the full oblivious scan — see cost_model.h). NOT
-  /// internally locked: callers hold the owning table's execution mutex
-  /// across the call — but the returned view is then safe to scan with NO
+  /// internally locked: callers hold table_mutex() across the call, and
+  /// only across the call — the returned view is safe to scan with NO
   /// lock held while appends race: every captured span bound is ≤ the
   /// committed count at capture time, chunks never move rows, and later
   /// writes land strictly beyond the bounds. Repeated captures at an
   /// unchanged epoch return views over the same chunks (no copying either
   /// way).
-  StatusOr<SnapshotView> Snapshot() const;
+  StatusOr<SnapshotView> Snapshot();
 
   // --- materialized views (see view.h / docs/CONCURRENCY.md) ------------
   /// Registers an incremental aggregate view for `plan` (idempotent per
@@ -195,17 +209,9 @@ class EncryptedTableStore : public EdbTable {
     return committed_total_.load(std::memory_order_acquire);
   }
 
-  /// Ciphertext at a global append index (crosses shard boundaries via the
-  /// journal). Used by the ORAM mirror and by tests probing the server's
-  /// view.
-  StatusOr<Bytes> CiphertextAt(int64_t index) const;
-
   /// Materializes the server-visible ciphertext array in append order
   /// (copies; for tests probing indistinguishability).
   StatusOr<std::vector<Bytes>> ciphertexts() const;
-
-  /// Number of Pi_Update invocations served.
-  int64_t update_calls() const { return update_calls_; }
 
   /// The cipher's nonce high-water mark (next nonce to be consumed);
   /// crash-recovery tests assert it survives Reopen().
@@ -230,6 +236,10 @@ class EncryptedTableStore : public EdbTable {
     return {static_cast<int>(shard), static_cast<int64_t>(offset)};
   }
 
+  /// The ORAM index, or nullptr for a linear store. Read it under
+  /// table_mutex() while the table may change.
+  const oram::OramMirror* mirror() const { return mirror_.get(); }
+
  private:
   /// One shard's enclave-resident plaintext mirror: an append-only list of
   /// address-stable chunks (see snapshot.h) plus the decrypted-row count.
@@ -240,6 +250,13 @@ class EncryptedTableStore : public EdbTable {
 
   Status AppendEncrypted(const std::vector<Record>& records,
                          bool setup_batch);
+  /// The common tail of every batch append. `appended` is the append
+  /// loop's outcome; when it succeeded the batch auto-flushes (if
+  /// configured). Then `indexed`, one entry per record the loop stored,
+  /// joins the ORAM index even if the loop or the flush failed part-way,
+  /// so block ids keep matching append indices.
+  Status FinishBatch(Status appended, bool setup_batch,
+                     std::vector<oram::OramMirror::Entry> indexed);
   /// Unlocked body of Flush() (the append path calls it while already
   /// holding table_mutex()).
   Status FlushAllShards();
@@ -247,10 +264,10 @@ class EncryptedTableStore : public EdbTable {
   /// path: per-update commit cost scales with shards touched, not
   /// num_shards).
   Status FlushDirtyShards();
-  Status CatchUpShard(int shard) const;
+  Status CatchUpShard(int shard);
   /// Incremental catch-up of every shard mirror (parallel past the
   /// fan-out threshold).
-  Status CatchUpAllShards() const;
+  Status CatchUpAllShards();
   /// Records that `shard` now has `count` committed rows; returns true if
   /// that changed the committed prefix.
   bool MarkCommitted(size_t shard, int64_t count);
@@ -280,9 +297,14 @@ class EncryptedTableStore : public EdbTable {
   /// shard-major by Reopen().
   std::vector<std::pair<uint32_t, uint32_t>> journal_;
   bool setup_done_ = false;
-  int64_t update_calls_ = 0;
   // Enclave-resident plaintext mirrors (lazy, incremental, one per shard).
-  mutable std::vector<ShardMirror> enclave_;
+  std::vector<ShardMirror> enclave_;
+  /// The ORAM index (indexed storage method only).
+  std::unique_ptr<oram::OramMirror> mirror_;
+  /// Sticky first index failure: once the index diverges from the store
+  /// (e.g. a tree hit capacity) every later append and capture reports
+  /// this cause.
+  Status mirror_status_;
   /// Per-shard committed (flushed) record counts — the snapshot-visible
   /// prefix. Guarded by table_mutex(); the atomics below publish the
   /// derived epoch/total for lock-free readers.

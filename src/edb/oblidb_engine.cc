@@ -22,121 +22,18 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 }  // namespace
 
-ObliDbTable::ObliDbTable(std::string name, query::Schema schema, Bytes key,
-                         const ObliDbConfig& config)
-    : store_(std::move(name), std::move(schema), std::move(key),
-             config.storage) {
+std::unique_ptr<EncryptedTableStore> MakeObliDbTable(
+    const std::string& name, const query::Schema& schema, Bytes key,
+    const ObliDbConfig& config) {
+  std::optional<oram::OramMirrorConfig> index;
   if (config.use_oram_index) {
-    oram::OramMirrorConfig mirror_cfg;
-    mirror_cfg.capacity = config.oram_capacity;
-    // Align the mirror with the store's shard topology (num_shards() can
-    // be 0 when backend construction failed; the store surfaces that error
-    // on first use, so any topology works here).
-    mirror_cfg.num_shards = std::max(1, store_.num_shards());
-    mirror_cfg.master_seed = config.master_seed;
-    mirror_cfg.record_trace = config.record_oram_trace;
-    mirror_ = std::make_unique<oram::OramMirror>(mirror_cfg);
+    index.emplace();
+    index->capacity = config.oram_capacity;
+    index->master_seed = config.master_seed;
+    index->record_trace = config.record_oram_trace;
   }
-}
-
-Status ObliDbTable::CatchUpMirror(const std::vector<Record>& batch) {
-  if (!mirror_) return Status::Ok();
-  // A mirror that failed once (e.g. a tree at capacity) stays failed: the
-  // store has records the index will never hold, so the indexed contract
-  // is unrecoverable and every later operation reports the original cause
-  // instead of a confusing secondary symptom.
-  DPSYNC_RETURN_IF_ERROR(mirror_status_);
-  const size_t first = mirror_->size();
-  if (static_cast<size_t>(store_.outsourced_count()) - first !=
-      batch.size()) {
-    return Status::Internal("ORAM catch-up out of sync with the store");
-  }
-  // Each block carries the record's identity, which routes it to the tree
-  // ShardRouter chose for its ciphertext.
-  std::vector<oram::OramMirror::Entry> entries;
-  entries.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto ct = store_.CiphertextAt(static_cast<int64_t>(first + i));
-    if (!ct.ok()) return ct.status();
-    entries.push_back({&batch[i].payload, std::move(ct.value())});
-  }
-  Status appended = mirror_->Append(std::move(entries));
-  if (!appended.ok()) {
-    mirror_status_ = Status(appended.code(),
-                            "oblivious index failed and is out of sync "
-                            "with the store (size the ORAM capacity with "
-                            "headroom for shard imbalance — docs/ORAM.md): " +
-                                appended.message());
-  }
-  return mirror_status_;
-}
-
-Status ObliDbTable::Setup(const std::vector<Record>& gamma0) {
-  std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(store_.Setup(gamma0));
-  return CatchUpMirror(gamma0);
-}
-
-Status ObliDbTable::Update(const std::vector<Record>& gamma) {
-  std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(store_.Update(gamma));
-  return CatchUpMirror(gamma);
-}
-
-Status ObliDbTable::IngestCiphertexts(
-    const std::vector<EncryptedTableStore::CipherEntry>& entries,
-    uint64_t nonce_high_water, bool setup_batch) {
-  std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(
-      store_.IngestCiphertexts(entries, nonce_high_water, setup_batch));
-  if (!mirror_) return Status::Ok();
-  // The mirror needs plaintext identities; decrypt the batch enclave-side
-  // (the coordinator never shipped plaintext) in the exact append order
-  // the store just journaled.
-  std::vector<Record> batch;
-  batch.reserve(entries.size());
-  for (const auto& e : entries) {
-    auto payload = store_.DecryptCiphertext(e.ciphertext);
-    if (!payload.ok()) return payload.status();
-    Record r;
-    r.payload = std::move(payload.value());
-    batch.push_back(std::move(r));
-  }
-  return CatchUpMirror(batch);
-}
-
-Status ObliDbTable::Flush() {
-  std::lock_guard<std::mutex> lk(table_mutex());
-  return store_.Flush();
-}
-
-Status ObliDbTable::RegisterView(
-    std::shared_ptr<const query::QueryPlan> plan) {
-  std::lock_guard<std::mutex> lk(table_mutex());
-  return store_.RegisterView(std::move(plan));
-}
-
-std::optional<EncryptedTableStore::ViewAnswer> ObliDbTable::TryViewAnswer(
-    uint64_t fingerprint, const std::string& canonical_text) {
-  std::lock_guard<std::mutex> lk(table_mutex());
-  return store_.TryViewAnswer(fingerprint, canonical_text);
-}
-
-StatusOr<ObliDbTable::Captured> ObliDbTable::Capture() {
-  Captured out;
-  if (mirror_) {
-    // Indexed mode: every mirrored record pays its oblivious path access.
-    DPSYNC_RETURN_IF_ERROR(mirror_status_);
-    auto cost = mirror_->TouchAll();
-    if (!cost.ok()) return cost.status();
-    out.oram = cost.value();
-  }
-  // Both storage methods then read the committed prefix from the same
-  // persistent per-shard enclave mirrors.
-  auto view = store_.Snapshot();
-  if (!view.ok()) return view.status();
-  out.view = std::move(view).value();
-  return out;
+  return std::make_unique<EncryptedTableStore>(name, schema, std::move(key),
+                                               config.storage, index);
 }
 
 ObliDbServer::ObliDbServer(const ObliDbConfig& config)
@@ -164,8 +61,8 @@ StatusOr<EdbTable*> ObliDbServer::CreateTableImpl(const std::string& name,
     return Status::InvalidArgument(
         "schema must carry an isDummy attribute for dummy-aware rewriting");
   }
-  auto table = std::make_unique<ObliDbTable>(
-      name, schema, keys_.DeriveKey("table-aead:" + name), config_);
+  auto table = MakeObliDbTable(name, schema,
+                               keys_.DeriveKey("table-aead:" + name), config_);
   table->set_view_fold_counter(view_fold_counter());
   EdbTable* handle = table.get();
   tables_[name] = std::move(table);
@@ -175,22 +72,22 @@ StatusOr<EdbTable*> ObliDbServer::CreateTableImpl(const std::string& name,
 void ObliDbServer::OnPlanReady(
     const std::shared_ptr<const query::QueryPlan>& plan) {
   if (!query::PlanIsViewEligible(*plan)) return;
-  ObliDbTable* table = FindTable(plan->table);
+  EncryptedTableStore* table = FindTable(plan->table);
   if (table == nullptr) return;
   // Best-effort: a failed registration (e.g. a backend error during the
   // warm fold) simply leaves this plan on the scan path.
   (void)table->RegisterView(plan);
 }
 
-ObliDbTable* ObliDbServer::FindTable(const std::string& name) const {
+EncryptedTableStore* ObliDbServer::FindTable(const std::string& name) const {
   std::lock_guard<std::mutex> lk(catalog_mu_);
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
 const query::Schema* ObliDbServer::FindSchema(const std::string& table) const {
-  ObliDbTable* t = FindTable(table);
-  return t ? &t->store().schema() : nullptr;
+  EncryptedTableStore* t = FindTable(table);
+  return t ? &t->schema() : nullptr;
 }
 
 query::PlannerOptions ObliDbServer::planner_options() const {
@@ -259,11 +156,11 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
     const query::QueryPlan& plan) {
   // The planner resolved these names against our catalog and tables are
   // never dropped, so the lookups cannot fail while the server lives.
-  ObliDbTable* table = FindTable(plan.table);
+  EncryptedTableStore* table = FindTable(plan.table);
   if (!table) return Status::Internal("plan references lost table " +
                                       plan.table);
   if (plan.kind == query::PlanKind::kJoin) {
-    ObliDbTable* right = FindTable(plan.join_table);
+    EncryptedTableStore* right = FindTable(plan.join_table);
     if (!right) {
       return Status::Internal("plan references lost table " +
                               plan.join_table);
@@ -331,18 +228,17 @@ StatusOr<QueryResponse> AggregateOverView(const query::SelectQuery& rewritten,
 }  // namespace
 
 StatusOr<QueryResponse> ObliDbServer::ScanQuery(
-    const query::SelectQuery& rewritten, ObliDbTable* table) {
+    const query::SelectQuery& rewritten, EncryptedTableStore* table) {
   auto start = std::chrono::steady_clock::now();
-  auto captured = [&] {
+  auto view = [&] {
     std::lock_guard<std::mutex> lk(table->table_mutex());
-    return table->Capture();
+    return table->Snapshot();
   }();
-  if (!captured.ok()) return captured.status();
+  if (!view.ok()) return view.status();
   // No lock held from here on: concurrent same-table scans and owner
   // appends proceed while we aggregate over the pinned prefix.
   auto resp = AggregateOverView(rewritten, table->table_name(),
-                                table->store().schema(), captured->view,
-                                cost_);
+                                table->schema(), view.value(), cost_);
   if (!resp.ok()) return resp.status();
   CountSnapshotScan();
   resp->stats.measured_seconds = SecondsSince(start);
@@ -352,10 +248,10 @@ StatusOr<QueryResponse> ObliDbServer::ScanQuery(
     // stays a function of the record count alone, so it is invariant in
     // the physical shard topology like every other experiment metric
     // (docs/ORAM.md discusses the calibration).
-    resp->stats.oram_paths = captured->oram.paths;
-    resp->stats.oram_buckets = captured->oram.buckets;
+    resp->stats.oram_paths = view->oram.paths;
+    resp->stats.oram_buckets = view->oram.buckets;
     resp->stats.oram_virtual_seconds =
-        OramBucketsCost(cost_, captured->oram.buckets);
+        OramBucketsCost(cost_, view->oram.buckets);
   }
   return resp;
 }
@@ -595,8 +491,8 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
 }  // namespace
 
 StatusOr<QueryResponse> ObliDbServer::JoinQuery(
-    const query::SelectQuery& rewritten, ObliDbTable* left,
-    ObliDbTable* right) {
+    const query::SelectQuery& rewritten, EncryptedTableStore* left,
+    EncryptedTableStore* right) {
   auto start = std::chrono::steady_clock::now();
   // Capture both sides under ONE brief critical section, never the join
   // itself. std::scoped_lock acquires the two mutexes deadlock-free
@@ -605,14 +501,14 @@ StatusOr<QueryResponse> ObliDbServer::JoinQuery(
   // indexed self-join pays both sides' ORAM touches. Capturing both sides
   // at one instant is also what makes the two views mutually consistent:
   // no commit can land between the captures.
-  ObliDbTable::Captured lcap, rcap;
+  SnapshotView lview, rview;
   auto capture_both = [&]() -> Status {
-    auto l = left->Capture();
+    auto l = left->Snapshot();
     if (!l.ok()) return l.status();
-    auto r = right->Capture();
+    auto r = right->Snapshot();
     if (!r.ok()) return r.status();
-    lcap = std::move(l).value();
-    rcap = std::move(r).value();
+    lview = std::move(l).value();
+    rview = std::move(r).value();
     return Status::Ok();
   };
   Status captured;
@@ -629,23 +525,23 @@ StatusOr<QueryResponse> ObliDbServer::JoinQuery(
   // either table proceed while we join the pinned prefixes.
   query::Table lt;
   lt.name = left->table_name();
-  lt.schema = left->store().schema();
-  lt.borrowed_spans = lcap.view.spans;
+  lt.schema = left->schema();
+  lt.borrowed_spans = lview.spans;
   query::Table rt;
   rt.name = right->table_name();
-  rt.schema = right->store().schema();
-  rt.borrowed_spans = rcap.view.spans;
+  rt.schema = right->schema();
+  rt.borrowed_spans = rview.spans;
 
-  auto resp = JoinOverTables(rewritten, lt, rt, lcap.view.total_rows,
-                             rcap.view.total_rows, config_, cost_);
+  auto resp = JoinOverTables(rewritten, lt, rt, lview.total_rows,
+                             rview.total_rows, config_, cost_);
   if (!resp.ok()) return resp.status();
   CountSnapshotJoin();
   resp->stats.measured_seconds = SecondsSince(start);
   if (left->mirror() || right->mirror()) {
     // ORAM work both sides' captures paid, charged per shard height
     // (reported alongside the headline cost, same as ScanQuery).
-    resp->stats.oram_paths = lcap.oram.paths + rcap.oram.paths;
-    resp->stats.oram_buckets = lcap.oram.buckets + rcap.oram.buckets;
+    resp->stats.oram_paths = lview.oram.paths + rview.oram.paths;
+    resp->stats.oram_buckets = lview.oram.buckets + rview.oram.buckets;
     resp->stats.oram_virtual_seconds =
         OramBucketsCost(cost_, resp->stats.oram_buckets);
   }

@@ -19,8 +19,9 @@
 /// join. Both paths charge the paper's nested-loop virtual cost (n1*n2
 /// pairs, which reach ~4*10^8 per query point on the month-long traces),
 /// so the choice changes wall-clock only. Every scan and join reads the
-/// committed prefix it pins under a brief table lock (ObliDbTable::Capture)
-/// and aggregates or joins lock-free (see ExecutePlan).
+/// committed prefix it pins under a brief table lock
+/// (EncryptedTableStore::Snapshot) and aggregates or joins lock-free (see
+/// ExecutePlan).
 #pragma once
 
 #include <map>
@@ -33,7 +34,6 @@
 #include "edb/encrypted_database.h"
 #include "edb/encrypted_table.h"
 #include "oram/bitonic_sort.h"
-#include "oram/oram_mirror.h"
 #include "query/executor.h"
 
 namespace dpsync::edb {
@@ -65,87 +65,14 @@ struct ObliDbConfig {
   StorageConfig storage;
 };
 
-/// One ObliDB table: encrypted store plus optional per-shard ORAM mirror.
-class ObliDbTable : public EdbTable {
- public:
-  /// What a read sees: the pinned committed prefix, plus the ORAM work
-  /// its capture paid (zero in linear mode).
-  struct Captured {
-    SnapshotView view;
-    oram::OramTouchCost oram;
-  };
-
-  ObliDbTable(std::string name, query::Schema schema, Bytes key,
-              const ObliDbConfig& config);
-
-  /// Owner-side appends serialize on table_mutex() internally (store
-  /// append + ORAM catch-up are one critical section, so a concurrent
-  /// scan never observes the index out of sync with the store).
-  Status Setup(const std::vector<Record>& gamma0) override;
-  Status Update(const std::vector<Record>& gamma) override;
-
-  /// Distributed ingest: coordinator-encrypted, pre-routed ciphertexts
-  /// (see EncryptedTableStore::IngestCiphertexts). In indexed mode the
-  /// batch is decrypted enclave-side to feed the ORAM mirror — the same
-  /// catch-up the owner paths run, just from ciphertexts instead of
-  /// plaintext records. Serializes on table_mutex() like Setup/Update.
-  Status IngestCiphertexts(
-      const std::vector<EncryptedTableStore::CipherEntry>& entries,
-      uint64_t nonce_high_water, bool setup_batch);
-
-  /// Commits every shard: the manual commit point when
-  /// StorageConfig::flush_every_update is false. Locks table_mutex().
-  Status Flush();
-
-  int64_t outsourced_count() const override {
-    return store_.outsourced_count();
-  }
-  int64_t outsourced_bytes() const override {
-    return store_.outsourced_bytes();
-  }
-  const std::string& table_name() const override {
-    return store_.table_name();
-  }
-
-  const EncryptedTableStore& store() const { return store_; }
-  const oram::OramMirror* mirror() const { return mirror_.get(); }
-
-  /// The one read capture every scan and join runs. NOT internally
-  /// locked: the caller holds table_mutex() across the call, and only
-  /// across the call — the returned view is the committed prefix
-  /// (SnapshotView), safe to scan with no lock held while owner appends
-  /// race. In indexed mode every mirrored record, committed or not, is
-  /// first touched through its shard's ORAM (OramMirror::TouchAll, one
-  /// pool task per tree) because each access rewrites tree state; that is
-  /// the only part of an indexed read that needs the lock.
-  StatusOr<Captured> Capture();
-
-  /// CommitEpoch of the underlying store (flush commit point).
-  uint64_t commit_epoch() const override { return store_.commit_epoch(); }
-
-  /// Materialized-view forwarding (see encrypted_table.h). Both take
-  /// table_mutex() first, preserving the ObliDbTable-mutex -> store-mutex
-  /// lock order every other path uses, so the store's mirror catch-up
-  /// never races a Capture.
-  Status RegisterView(std::shared_ptr<const query::QueryPlan> plan);
-  std::optional<EncryptedTableStore::ViewAnswer> TryViewAnswer(
-      uint64_t fingerprint, const std::string& canonical_text);
-  void set_view_fold_counter(std::atomic<int64_t>* counter) {
-    store_.set_view_fold_counter(counter);
-  }
-
- private:
-  /// Mirrors the batch just appended to the store, whose first record is
-  /// the mirror's next block (OramMirror::Append). Called after each
-  /// Setup/Update append.
-  Status CatchUpMirror(const std::vector<Record>& batch);
-
-  EncryptedTableStore store_;
-  std::unique_ptr<oram::OramMirror> mirror_;
-  /// Sticky first mirror failure: once the index diverges from the store
-  /// (e.g. a tree hit capacity) every later operation reports this cause.
-  Status mirror_status_;
-};
+/// One ObliDB table: an encrypted store under `config.storage`, with a
+/// per-shard ORAM index when `config.use_oram_index` is set (capacity,
+/// seed and transcript recording from `config`). ObliDbServer, and with
+/// it CryptEpsServer and StealthDbServer, and every distributed shard
+/// server build their tables here.
+std::unique_ptr<EncryptedTableStore> MakeObliDbTable(
+    const std::string& name, const query::Schema& schema, Bytes key,
+    const ObliDbConfig& config);
 
 /// The oblivious sort-merge COUNT join ObliDbServer runs for ungrouped
 /// COUNT joins under its pair limit: the number of (left, right) row pairs
@@ -164,7 +91,8 @@ std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
                                           oram::AccessTrace* trace = nullptr);
 
 /// The ObliDB server, and the body of CryptEpsServer (crypte_engine.h),
-/// which runs its linear tables under another cost model.
+/// which runs its linear tables under another cost model, and of
+/// StealthDbServer (volume_hiding.h), which reveals response volumes.
 class ObliDbServer : public EdbServer {
  public:
   explicit ObliDbServer(const ObliDbConfig& config = {});
@@ -189,8 +117,6 @@ class ObliDbServer : public EdbServer {
   const query::Schema* FindSchema(const std::string& table) const override;
   query::PlannerOptions planner_options() const override;
 
-  const CostModel& cost_model() const { return cost_; }
-
  protected:
   /// This engine body priced by another cost model: CryptEpsServer
   /// (crypte_engine.h) runs ObliDB's linear tables this way.
@@ -207,13 +133,14 @@ class ObliDbServer : public EdbServer {
   /// Captures the table under its lock, then aggregates with no lock
   /// held.
   StatusOr<QueryResponse> ScanQuery(const query::SelectQuery& rewritten,
-                                    ObliDbTable* table);
+                                    EncryptedTableStore* table);
   /// Captures BOTH sides under one brief std::scoped_lock (a self-join
   /// locks once and captures each side), then joins with no lock held,
   /// overlapping owner appends, other joins and scans on either table.
   StatusOr<QueryResponse> JoinQuery(const query::SelectQuery& rewritten,
-                                    ObliDbTable* left, ObliDbTable* right);
-  ObliDbTable* FindTable(const std::string& name) const;
+                                    EncryptedTableStore* left,
+                                    EncryptedTableStore* right);
+  EncryptedTableStore* FindTable(const std::string& name) const;
 
   ObliDbConfig config_;
   crypto::KeyManager keys_;
@@ -221,7 +148,7 @@ class ObliDbServer : public EdbServer {
   /// Guards the table map itself (CreateTable vs concurrent lookups);
   /// per-table state is guarded by each table's table_mutex().
   mutable std::mutex catalog_mu_;
-  std::map<std::string, std::unique_ptr<ObliDbTable>> tables_;
+  std::map<std::string, std::unique_ptr<EncryptedTableStore>> tables_;
 };
 
 }  // namespace dpsync::edb

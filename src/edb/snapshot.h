@@ -23,8 +23,9 @@
 ///
 /// Every scan and join reads through a snapshot, on both storage methods:
 /// an ORAM-indexed read pays its oblivious touches under the same brief
-/// lock that captures the view (edb::ObliDbTable::Capture), then reads the
-/// view like a linear one (docs/CONCURRENCY.md).
+/// lock that captures the view (edb::EncryptedTableStore::Snapshot), which
+/// records that work in the view, then reads the view like a linear one
+/// (docs/CONCURRENCY.md).
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "oram/oram_mirror.h"
 #include "query/columnar.h"
 #include "query/executor.h"
 
@@ -101,6 +103,9 @@ struct SnapshotView {
   std::vector<int64_t> shard_rows;
   /// Keeps every chunk the spans point into alive.
   std::vector<std::shared_ptr<const RowChunk>> retained;
+  /// The ORAM work the capture paid on an indexed table (zero on a linear
+  /// one): one path per mirrored record, committed or not.
+  oram::OramTouchCost oram;
 };
 
 }  // namespace dpsync::edb

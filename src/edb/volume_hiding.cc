@@ -12,34 +12,58 @@ int64_t NextPowerOfTwo(int64_t v) {
 }
 
 namespace {
-ObliDbConfig SeededConfig(uint64_t seed) {
+ObliDbConfig StealthConfig(uint64_t seed, const AdmissionConfig& admission) {
   ObliDbConfig cfg;
   cfg.master_seed = seed;
+  cfg.admission = admission;
   return cfg;
 }
 }  // namespace
 
 StealthDbServer::StealthDbServer(uint64_t seed,
                                  const AdmissionConfig& admission)
-    : EdbServer(admission), inner_(SeededConfig(seed)) {}
+    : ObliDbServer(StealthConfig(seed, admission)) {}
+
+StealthDbServer::~StealthDbServer() {
+  // In-flight async queries call back into our ExecutePlan; drain them
+  // while this object is still a StealthDbServer.
+  DrainSessions();
+}
+
+query::PlannerOptions StealthDbServer::planner_options() const {
+  // ObliDB's traits drive planning; only the error-message name is ours.
+  auto options = ObliDbServer::planner_options();
+  options.engine_name = name();
+  return options;
+}
 
 StatusOr<QueryResponse> StealthDbServer::ExecutePlan(
     const query::QueryPlan& plan) {
-  auto resp = inner_.ExecutePlan(plan);
+  auto resp = ObliDbServer::ExecutePlan(plan);
   if (!resp.ok()) return resp;
   // The L-1 protocol ships the matching records back, so the server sees
-  // the exact response volume: for aggregates, the count of contributing
-  // (real, matching) records.
-  const auto& result = resp->result;
-  int64_t volume = 0;
-  if (result.grouped) {
-    for (const auto& [key, v] : result.groups) {
-      volume += static_cast<int64_t>(std::llround(v));
+  // how many there are: the real records (dummies never match the
+  // rewritten query) the same query counts with COUNT(*).
+  query::SelectQuery counted = plan.normalized;
+  for (auto& item : counted.items) {
+    if (item.agg != query::AggFunc::kNone) {
+      item = {query::AggFunc::kCount, "", item.alias};
     }
-  } else {
-    volume = static_cast<int64_t>(std::llround(result.scalar));
   }
-  resp->stats.revealed_volume = volume < 0 ? 0 : volume;
+  auto count_plan = query::PlanSelect(
+      counted,
+      [this](const std::string& table) { return FindSchema(table); },
+      planner_options());
+  if (!count_plan.ok()) return count_plan.status();
+  auto count = ObliDbServer::ExecutePlan(*count_plan.value());
+  if (!count.ok()) return count.status();
+  const query::QueryResult& result = count->result;
+  double volume = result.scalar;
+  if (result.grouped) {
+    volume = 0.0;
+    for (const auto& [key, c] : result.groups) volume += c;
+  }
+  resp->stats.revealed_volume = std::llround(volume);
   return resp;
 }
 

@@ -10,11 +10,12 @@
 /// the paper cites (round every revealed volume up to the next power of
 /// two, cf. Kamara–Moataz pseudorandom transformations).
 ///
-/// Both classes are EdbServer decorators built on the engine SPI: they
-/// delegate planning (FindSchema/planner_options) and execution
-/// (ExecutePlan) to the wrapped server and post-process the revealed
-/// volume, so the full v2 session surface (prepare/execute/submit) works
-/// through them unchanged.
+/// StealthDbServer is ObliDB's engine with the volume revealed;
+/// VolumePaddedServer is an EdbServer decorator built on the engine SPI:
+/// it delegates planning (FindSchema/planner_options) and execution
+/// (ExecutePlan) to the wrapped server and pads the revealed volume, so
+/// the full v2 session surface (prepare/execute/submit) works through it
+/// unchanged.
 #pragma once
 
 #include <memory>
@@ -27,46 +28,26 @@ namespace dpsync::edb {
 /// Smallest power of two >= v (v <= 0 maps to 1).
 int64_t NextPowerOfTwo(int64_t v);
 
-/// A StealthDB-style L-1 engine: oblivious evaluation (internally reusing
-/// the ObliDB machinery) but with the response volume of every query
-/// exposed in QueryStats::revealed_volume.
-class StealthDbServer : public EdbServer {
+/// A StealthDB-style L-1 engine: ObliDB's oblivious evaluation over linear
+/// tables, with the response volume of every query — the number of real
+/// records it matches, or of matching real pairs for a join — exposed in
+/// QueryStats::revealed_volume, whatever its aggregate. The volume is the
+/// same query with COUNT(*) as its aggregate, summed over groups and
+/// re-planned under the fingerprint of its own text, so it never reads
+/// the view of another aggregate. That count takes its own capture: an
+/// owner commit landing between the two captures makes the volume count
+/// the later prefix.
+class StealthDbServer : public ObliDbServer {
  public:
-  /// `admission` gates this (outermost) server; the inner ObliDB
-  /// machinery is reached through the SPI, so its own gate never engages.
   explicit StealthDbServer(uint64_t seed = 3,
                            const AdmissionConfig& admission = {});
-  ~StealthDbServer() override { DrainSessions(); }
+  ~StealthDbServer() override;
 
   LeakageProfile leakage() const override;
   std::string name() const override { return "StealthDB"; }
-  int64_t total_outsourced_bytes() const override {
-    return inner_.total_outsourced_bytes();
-  }
-  int64_t total_outsourced_records() const override {
-    return inner_.total_outsourced_records();
-  }
 
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
-  const query::Schema* FindSchema(const std::string& table) const override {
-    return inner_.FindSchema(table);
-  }
-  query::PlannerOptions planner_options() const override {
-    // The inner engine's traits (join support, ORAM access path) drive
-    // planning; only the error-message name is ours.
-    auto options = inner_.planner_options();
-    options.engine_name = name();
-    return options;
-  }
-
- protected:
-  StatusOr<EdbTable*> CreateTableImpl(const std::string& name,
-                                      const query::Schema& schema) override {
-    return inner_.CreateTable(name, schema);
-  }
-
- private:
-  ObliDbServer inner_;
+  query::PlannerOptions planner_options() const override;
 };
 
 /// The §6 countermeasure: wraps any EdbServer and pads every revealed

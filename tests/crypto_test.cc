@@ -344,7 +344,7 @@ TEST(RecordCipherTest, SamePayloadTwiceDiffers) {
   auto a = cipher.Encrypt(ToBytes("same"));
   auto b = cipher.Encrypt(ToBytes("same"));
   EXPECT_NE(a.value(), b.value());
-  EXPECT_EQ(cipher.seal_count(), 2u);
+  EXPECT_EQ(cipher.nonce_high_water(), 2u);
 }
 
 TEST(RecordCipherTest, OversizedPayloadRejected) {

@@ -10,7 +10,8 @@
 // over the frame bound refused at the coordinator without a failover,
 // Setup/Update state machine, topology validation, racing owner appends
 // through the coordinator (the CI TSan job leans on this), the
-// multi-table TickAll fan-out, and the TCP transport.
+// multi-table TickAll fan-out, the shard servers' bounded plan cache, and
+// the TCP transport.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -28,6 +29,7 @@
 #include "dist/coordinator.h"
 #include "edb/crypte_engine.h"
 #include "edb/oblidb_engine.h"
+#include "edb/plan_cache.h"
 #include "net/wire.h"
 #include "query/parser.h"
 #include "test_util.h"
@@ -400,6 +402,27 @@ TEST(DistInitTest, BadTopologyReportsInvalidArgument) {
     DistributedEdbServer dist(cfg);
     EXPECT_EQ(dist.init_status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(DistPlanShippingTest, ShardPlanCacheIsBounded) {
+  // Every distinct query text a coordinator ships is cached shard-side;
+  // the cache must evict past its capacity like the coordinator's own.
+  DistributedConfig cfg;
+  cfg.num_servers = 1;
+  DistributedEdbServer dist(cfg);
+  ASSERT_OK(dist.init_status());
+  auto table = dist.CreateTable("YellowCab", TripSchema());
+  ASSERT_OK(table);
+  ASSERT_OK(table.value()->Setup(MakeBatch(0, 8)));
+  auto session = dist.CreateSession();
+  for (int i = 0; i < 600; ++i) {
+    auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab WHERE fare > " +
+                              std::to_string(i));
+    ASSERT_OK(q);
+    ASSERT_OK(session->Execute(q.value()));
+  }
+  EXPECT_EQ(dist.ShardServerForTest(0, 0)->cached_plans(),
+            edb::PlanCache::kMaxPlans);
 }
 
 TEST(DistPlannerTest, JoinsRejectedAtPrepare) {

@@ -311,7 +311,7 @@ TEST(ObliDbOramTest, IndexedModeMatchesLinearMode) {
   EXPECT_DOUBLE_EQ(r->result.scalar, 40.0);
   // The ORAM really was exercised: one path access per record per scan
   // (plus one mirror write per record).
-  auto* table = dynamic_cast<ObliDbTable*>(t.value());
+  auto* table = dynamic_cast<EncryptedTableStore*>(t.value());
   ASSERT_NE(table, nullptr);
   ASSERT_NE(table->mirror(), nullptr);
   EXPECT_GE(table->mirror()->StashStats().access_count, 400);
@@ -424,7 +424,7 @@ TEST(ShardedEngineTest, OramIndexedModeWorksOverShards) {
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->result.scalar, 40.0);
 
-  auto* table = dynamic_cast<ObliDbTable*>(t.value());
+  auto* table = dynamic_cast<EncryptedTableStore*>(t.value());
   ASSERT_NE(table, nullptr);
   const auto* mirror = table->mirror();
   ASSERT_NE(mirror, nullptr);
@@ -434,7 +434,7 @@ TEST(ShardedEngineTest, OramIndexedModeWorksOverShards) {
   // ciphertext was stored on.
   for (size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(mirror->ShardOf(records[i].payload),
-              table->store().ShardLocation(static_cast<int64_t>(i)).first)
+              table->ShardLocation(static_cast<int64_t>(i)).first)
         << "record " << i;
   }
   // The scan paid one oblivious path per record, charged at the per-shard
@@ -482,7 +482,7 @@ TEST(ShardedEngineTest, EngineExposesPerShardTranscripts) {
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_TRUE(server.Query(q.value()).ok());
 
-  auto* table = dynamic_cast<ObliDbTable*>(t.value());
+  auto* table = dynamic_cast<EncryptedTableStore*>(t.value());
   ASSERT_NE(table, nullptr);
   auto transcripts = AggregateOramTranscripts(*table->mirror());
   ASSERT_EQ(transcripts.size(), 4u);

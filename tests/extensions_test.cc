@@ -213,6 +213,37 @@ TEST(StealthDbTest, RevealsExactResponseVolume) {
   EXPECT_EQ(server.leakage().query_class, edb::LeakageClass::kL1);
 }
 
+TEST(StealthDbTest, RevealsMatchingRecordCountForEveryAggregate) {
+  // The L-1 volume is how many real records the query matches (pairs, for
+  // a join), whatever its aggregate computes from them: never the answer.
+  edb::StealthDbServer server;
+  auto t = server.CreateTable("YellowCab", workload::TripSchema());
+  ASSERT_OK(t);
+  ASSERT_OK(t.value()->Setup({Trip(1, 60), Trip(2, 70), Trip(3, 200),
+                              Trip(4, 60, /*dummy=*/true)}));
+  const std::string kFilter =
+      " FROM YellowCab WHERE pickupID BETWEEN 50 AND 100";
+  const std::pair<std::string, int64_t> kCases[] = {
+      {"SELECT COUNT(*)" + kFilter, 2},
+      {"SELECT COUNT(fare)" + kFilter, 2},
+      {"SELECT SUM(pickupID)" + kFilter, 2},
+      {"SELECT MIN(pickupID)" + kFilter, 2},
+      {"SELECT MAX(pickupID)" + kFilter, 2},
+      {"SELECT AVG(pickupID)" + kFilter, 2},
+      {"SELECT pickupID, SUM(fare)" + kFilter + " GROUP BY pickupID", 2},
+      {"SELECT SUM(YellowCab.fare) FROM YellowCab INNER JOIN YellowCab ON "
+       "YellowCab.pickupID = YellowCab.pickupID",
+       3},
+  };
+  for (const auto& [sql, volume] : kCases) {
+    auto q = query::ParseSelect(sql);
+    ASSERT_OK(q);
+    auto r = server.Query(q.value());
+    ASSERT_OK(r);
+    EXPECT_EQ(r->stats.revealed_volume, volume) << sql;
+  }
+}
+
 TEST(StealthDbTest, L1IsConditionallyCompatible) {
   edb::StealthDbServer server;
   auto verdict = edb::CheckCompatibility(server.leakage());

@@ -457,7 +457,7 @@ TEST(FailoverTransportTest, TornAndCorruptFramesTriggerCleanCutover) {
 
 TEST(FailoverOramTest, PromotionReusesWarmMirrorWithoutRebuild) {
   // Indexed mode: the follower's per-shard ORAM mirrors were maintained
-  // incrementally by every relayed batch (the same CatchUpMirror path the
+  // incrementally by every relayed batch (the same store append path the
   // owner uses), so promotion must NOT rebuild the trees — the promotion
   // query costs exactly as many path accesses as any steady-state scan.
   const Variant v{"oblidb-indexed", DistEngineKind::kObliDb, true};

@@ -348,7 +348,7 @@ TEST(SnapshotRoutingTest, IndexedScansPinTheCommittedPrefix) {
     ObliDbServer server(cfg);
     auto t = server.CreateTable("YellowCab", TripSchema());
     ASSERT_TRUE(t.ok());
-    auto* table = static_cast<ObliDbTable*>(t.value());
+    auto* table = static_cast<EncryptedTableStore*>(t.value());
     std::vector<Record> init;
     for (int64_t i = 0; i < 40; ++i) init.push_back(Trip(i, i % 10));
     ASSERT_OK(table->Setup(init));

@@ -1,6 +1,7 @@
 // Tests for the pluggable storage layer: the StorageBackend interface
 // (in-memory and durable segment log), shard routing, the sharded
-// EncryptedTableStore, and — the part everything else leans on — crash
+// EncryptedTableStore with and without its ORAM index, and — the part
+// everything else leans on — crash
 // recovery: write-kill-reopen must detect torn tails and tampering,
 // restore the nonce counter, and recover exactly the committed prefix
 // without ever reusing a nonce.
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -497,6 +499,66 @@ TEST_F(StorageTest, AutoFlushCommitsEveryUpdate) {
   auto rows = store.DecryptAll();
   ASSERT_OK(rows);
   EXPECT_EQ(PickupIds(rows.value()), (std::multiset<int64_t>{10, 20, 30}));
+}
+
+// ------------------------------------------------------ ORAM-indexed store
+
+TEST(IndexedStoreTest, SnapshotTouchesEveryRecordAndReopenIsRefused) {
+  // A capture touches every record the index holds, committed or not, and
+  // reads only the committed prefix. Reopen would rebuild the journal
+  // shard-major under the index's append-order block ids, so an indexed
+  // store refuses it and keeps serving what it had.
+  StorageConfig storage;
+  storage.num_shards = 4;
+  storage.flush_every_update = false;
+  oram::OramMirrorConfig index;
+  index.capacity = 512;
+  EncryptedTableStore store("T", TripSchema(), Bytes(32, 3), storage, index);
+  ASSERT_NE(store.mirror(), nullptr);
+  EXPECT_EQ(store.mirror()->num_shards(), 4);
+
+  std::vector<Record> init;
+  for (int64_t i = 0; i < 40; ++i) init.push_back(Trip(i, i % 10));
+  ASSERT_OK(store.Setup(init));
+  ASSERT_OK(store.Flush());
+  ASSERT_OK(store.Update({Trip(40, 1), Trip(41, 2), Trip(42, 3)}));
+
+  auto capture = [&] {
+    std::lock_guard<std::mutex> lk(store.table_mutex());
+    return store.Snapshot();
+  };
+  auto snap = capture();
+  ASSERT_OK(snap);
+  EXPECT_EQ(snap->total_rows, 40);
+  EXPECT_EQ(snap->oram.paths, 43);
+
+  EXPECT_EQ(store.Reopen().code(), StatusCode::kFailedPrecondition);
+  auto after = capture();
+  ASSERT_OK(after);
+  EXPECT_EQ(after->total_rows, 40);
+}
+
+TEST(IndexedStoreTest, RecordsStoredBeforeABatchFailsStayIndexed) {
+  // The second record of a batch cannot be sealed. The first was already
+  // stored, so the index must hold it too: block ids stay append indices
+  // and later batches and captures keep working.
+  oram::OramMirrorConfig index;
+  index.capacity = 64;
+  EncryptedTableStore store("T", TripSchema(), Bytes(32, 3), {}, index);
+  ASSERT_OK(store.Setup({Trip(0, 1)}));
+  Record oversized;
+  oversized.payload = Bytes(crypto::RecordCipher::kPlaintextSize, 0);
+  EXPECT_EQ(store.Update({Trip(1, 2), oversized}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.outsourced_count(), 2);
+  EXPECT_EQ(store.mirror()->size(), 2u);
+
+  ASSERT_OK(store.Update({Trip(2, 3)}));
+  std::lock_guard<std::mutex> lk(store.table_mutex());
+  auto snap = store.Snapshot();
+  ASSERT_OK(snap);
+  EXPECT_EQ(snap->total_rows, 3);
+  EXPECT_EQ(snap->oram.paths, 3);
 }
 
 // ------------------------------------------------- RecordCipher nonce API
