@@ -1,13 +1,14 @@
 /// \file micro_oram.cpp
 /// Micro-benchmarks for the oblivious substrates: Path ORAM write/read at
-/// several capacities — the per-access cost behind the ObliDB "indexed"
-/// storage mode — and the oblivious sort-merge COUNT join kernel behind
-/// ObliDB's small COUNT joins.
+/// several capacities and a whole-index TouchAll — the per-access cost
+/// behind the ObliDB "indexed" storage mode — and the oblivious sort-merge
+/// COUNT join kernel behind ObliDB's small COUNT joins.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "oram/oblivious_join.h"
+#include "oram/oram_mirror.h"
 #include "oram/path_oram.h"
 
 namespace dpsync::oram {
@@ -65,6 +66,34 @@ void BM_OramReadWriteMix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OramReadWriteMix);
+
+// One capture's TouchAll at perfbench oram_indexed's geometry: capacity
+// 1<<16 over 4 trees, holding range(0) blocks (the indexed table holds
+// about 4,400 at the end of its week), so each tree is sparse. An item is
+// one oblivious path; the trees run on the shared pool, so time is wall.
+void BM_OramTouchAll(benchmark::State& state) {
+  OramMirrorConfig cfg;
+  cfg.capacity = size_t{1} << 16;
+  cfg.num_shards = 4;
+  cfg.master_seed = 6;
+  OramMirror mirror(cfg);
+  const auto blocks = static_cast<size_t>(state.range(0));
+  std::vector<Bytes> identities(blocks, Bytes(8, 0));
+  std::vector<OramMirror::Entry> entries;
+  for (size_t i = 0; i < blocks; ++i) {
+    StoreLE64(identities[i].data(), i);
+    entries.push_back({&identities[i], Bytes(92, 0xdd)});
+  }
+  if (!mirror.Append(std::move(entries)).ok()) {
+    state.SkipWithError("append failed");
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mirror.TouchAll());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(blocks));
+}
+BENCHMARK(BM_OramTouchAll)->Arg(4400)->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // The kernel over int keys: range(0) left and range(1) right tags, keys
 // drawn from about as many values as there are tags, a quarter of the

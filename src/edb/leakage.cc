@@ -1,7 +1,5 @@
 #include "edb/leakage.h"
 
-#include "oram/oram_mirror.h"
-
 namespace dpsync::edb {
 
 CompatibilityResult CheckCompatibility(const LeakageProfile& profile) {
@@ -62,33 +60,6 @@ const std::vector<SchemeEntry>& SchemeCatalog() {
       {"HardIDX", LeakageClass::kL2},     {"EnclaveDB", LeakageClass::kL2},
   };
   return *catalog;
-}
-
-std::vector<OramShardTranscript> AggregateOramTranscripts(
-    const oram::OramMirror& mirror) {
-  std::vector<OramShardTranscript> out;
-  out.reserve(static_cast<size_t>(mirror.num_shards()));
-  for (int s = 0; s < mirror.num_shards(); ++s) {
-    OramShardTranscript t;
-    t.shard = s;
-    const oram::PathOram& tree = mirror.tree(s);
-    t.num_leaves = tree.num_leaves();
-    t.leaf_counts.assign(t.num_leaves, 0);
-    for (const auto& access : tree.trace()) {
-      ++t.leaf_counts[static_cast<size_t>(access.leaf)];
-      ++t.accesses;
-    }
-    if (t.accesses > 0) {
-      double expected = static_cast<double>(t.accesses) /
-                        static_cast<double>(t.num_leaves);
-      for (int64_t count : t.leaf_counts) {
-        double d = static_cast<double>(count) - expected;
-        t.chi2_uniform += d * d / expected;
-      }
-    }
-    out.push_back(std::move(t));
-  }
-  return out;
 }
 
 }  // namespace dpsync::edb

@@ -10,10 +10,6 @@
 #include <string>
 #include <vector>
 
-namespace dpsync::oram {
-class OramMirror;
-}  // namespace dpsync::oram
-
 namespace dpsync::edb {
 
 /// Query-leakage classes from §6.
@@ -53,25 +49,5 @@ struct SchemeEntry {
 
 /// The paper's Table 3 catalog of encrypted database schemes.
 const std::vector<SchemeEntry>& SchemeCatalog();
-
-/// What the server observes of one ORAM shard under the indexed mode: the
-/// leaf-access histogram of that shard's tree. L-0 requires each shard's
-/// transcript to be uniform over its own leaves — per-shard trees must not
-/// leak more than the single global tree they replaced.
-struct OramShardTranscript {
-  int shard = 0;
-  int64_t accesses = 0;
-  size_t num_leaves = 0;
-  std::vector<int64_t> leaf_counts;  ///< accesses per leaf, leaf-indexed
-  /// Chi-squared statistic of leaf_counts against the uniform distribution
-  /// (dof = num_leaves - 1); 0 when the transcript is empty.
-  double chi2_uniform = 0.0;
-};
-
-/// Aggregates the per-shard access transcripts of an oblivious index (the
-/// mirror must have been built with trace recording; shards with empty
-/// transcripts aggregate to all-zero histograms).
-std::vector<OramShardTranscript> AggregateOramTranscripts(
-    const oram::OramMirror& mirror);
 
 }  // namespace dpsync::edb

@@ -37,6 +37,27 @@ query::PlannerOptions StealthDbServer::planner_options() const {
   return options;
 }
 
+StatusOr<std::shared_ptr<const query::QueryPlan>> StealthDbServer::CountPlan(
+    const query::QueryPlan& plan) const {
+  query::SelectQuery counted = plan.normalized;
+  for (auto& item : counted.items) {
+    if (item.agg != query::AggFunc::kNone) {
+      item = {query::AggFunc::kCount, "", item.alias};
+    }
+  }
+  return query::PlanSelect(
+      counted,
+      [this](const std::string& table) { return FindSchema(table); },
+      planner_options());
+}
+
+void StealthDbServer::OnPlanReady(
+    const std::shared_ptr<const query::QueryPlan>& plan) {
+  ObliDbServer::OnPlanReady(plan);
+  auto count_plan = CountPlan(*plan);
+  if (count_plan.ok()) ObliDbServer::OnPlanReady(count_plan.value());
+}
+
 StatusOr<QueryResponse> StealthDbServer::ExecutePlan(
     const query::QueryPlan& plan) {
   auto resp = ObliDbServer::ExecutePlan(plan);
@@ -44,16 +65,7 @@ StatusOr<QueryResponse> StealthDbServer::ExecutePlan(
   // The L-1 protocol ships the matching records back, so the server sees
   // how many there are: the real records (dummies never match the
   // rewritten query) the same query counts with COUNT(*).
-  query::SelectQuery counted = plan.normalized;
-  for (auto& item : counted.items) {
-    if (item.agg != query::AggFunc::kNone) {
-      item = {query::AggFunc::kCount, "", item.alias};
-    }
-  }
-  auto count_plan = query::PlanSelect(
-      counted,
-      [this](const std::string& table) { return FindSchema(table); },
-      planner_options());
+  auto count_plan = CountPlan(plan);
   if (!count_plan.ok()) return count_plan.status();
   auto count = ObliDbServer::ExecutePlan(*count_plan.value());
   if (!count.ok()) return count.status();

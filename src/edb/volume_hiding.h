@@ -34,9 +34,10 @@ int64_t NextPowerOfTwo(int64_t v);
 /// QueryStats::revealed_volume, whatever its aggregate. The volume is the
 /// same query with COUNT(*) as its aggregate, summed over groups and
 /// re-planned under the fingerprint of its own text, so it never reads
-/// the view of another aggregate. That count takes its own capture: an
-/// owner commit landing between the two captures makes the volume count
-/// the later prefix.
+/// the view of another aggregate. Prepare registers that count's view
+/// next to the query's own, so a volume a view can answer costs no scan.
+/// Otherwise the count takes its own capture: an owner commit landing
+/// between the two captures makes the volume count the later prefix.
 class StealthDbServer : public ObliDbServer {
  public:
   explicit StealthDbServer(uint64_t seed = 3,
@@ -48,6 +49,17 @@ class StealthDbServer : public ObliDbServer {
 
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
   query::PlannerOptions planner_options() const override;
+
+ protected:
+  /// Registers the views of both the plan and its CountPlan.
+  void OnPlanReady(
+      const std::shared_ptr<const query::QueryPlan>& plan) override;
+
+ private:
+  /// `plan`'s query with COUNT(*) as every aggregate: the plan whose
+  /// answer, summed over groups, is the revealed volume.
+  StatusOr<std::shared_ptr<const query::QueryPlan>> CountPlan(
+      const query::QueryPlan& plan) const;
 };
 
 /// The §6 countermeasure: wraps any EdbServer and pads every revealed

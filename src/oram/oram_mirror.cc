@@ -23,7 +23,6 @@ OramMirror::OramMirror(const OramMirrorConfig& config)
   for (size_t s = 0; s < shards; ++s) {
     PathOram::Config tree_cfg;
     tree_cfg.capacity = std::max<size_t>(1, per_shard);
-    tree_cfg.bucket_size = config.bucket_size;
     tree_cfg.seed = DeriveOramShardSeed(config.master_seed,
                                         static_cast<int>(s));
     tree_cfg.record_trace = config.record_trace;

@@ -39,7 +39,6 @@ struct MirrorStashStats {
 struct OramMirrorConfig {
   size_t capacity = 1 << 16;  ///< total blocks across all shards
   int num_shards = 1;         ///< must match the table's storage topology
-  size_t bucket_size = 4;     ///< Z
   uint64_t master_seed = 42;  ///< per-shard tree seeds are derived from it
   bool record_trace = false;  ///< keep per-shard access transcripts (tests)
 };

@@ -1,7 +1,6 @@
 #include "oram/path_oram.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace dpsync::oram {
 
@@ -15,27 +14,19 @@ size_t CeilLog2(size_t n) {
   }
   return bits;
 }
+
+/// Bits needed to write `x`, 0 for 0 (C++20's std::bit_width).
+size_t BitWidth(uint64_t x) {
+  return x == 0 ? 0 : 64 - static_cast<size_t>(__builtin_clzll(x));
+}
 }  // namespace
 
 PathOram::PathOram(const Config& config) : config_(config), rng_(config.seed) {
   size_t leaf_bits = CeilLog2(std::max<size_t>(config.capacity, 2));
   num_leaves_ = size_t{1} << leaf_bits;
   num_levels_ = leaf_bits + 1;
-  tree_.resize(2 * num_leaves_ - 1);
-  for (auto& bucket : tree_) bucket.resize(config_.bucket_size);
-}
-
-size_t PathOram::NodeIndex(uint64_t leaf, size_t level) const {
-  // Nodes are heap-indexed: root = 0, leaf l = (num_leaves_-1) + l. The
-  // node at `level` on the path is the leaf's ancestor at that depth.
-  size_t node = (num_leaves_ - 1) + static_cast<size_t>(leaf);
-  for (size_t i = num_levels_ - 1; i > level; --i) node = (node - 1) / 2;
-  return node;
-}
-
-bool PathOram::PathsIntersectAt(uint64_t leaf, uint64_t other_leaf,
-                                size_t level) const {
-  return NodeIndex(leaf, level) == NodeIndex(other_leaf, level);
+  tree_.resize((2 * num_leaves_ - 1) * kBucketSize);
+  level_start_.resize(num_levels_);
 }
 
 StatusOr<Bytes> PathOram::Access(Op op, uint64_t id, Bytes* new_value) {
@@ -48,69 +39,101 @@ StatusOr<Bytes> PathOram::Access(Op op, uint64_t id, Bytes* new_value) {
     return Status::OutOfRange("ORAM at capacity");
   }
 
-  // 1. Look up (or mint) the block's leaf, then remap it to a fresh
-  //    uniformly random leaf — the core of Path ORAM's obliviousness.
-  uint64_t old_leaf = exists ? pos_it->second : RandomLeaf();
+  // 1. Look up (or mint) the block's leaf: the path this access touches.
+  const uint64_t old_leaf = exists ? pos_it->second : RandomLeaf();
   ++access_count_;
   if (config_.record_trace) trace_.push_back({old_leaf});
 
-  // 2. Read the whole path into the stash.
-  for (size_t level = 0; level < num_levels_; ++level) {
-    auto& bucket = tree_[NodeIndex(old_leaf, level)];
-    for (auto& block : bucket) {
-      if (!block.valid()) continue;
-      stash_[block.id] = std::move(block.data);
-      block = OramBlock{};
+  // 2. Read the whole path into the stash, walking up from the leaf
+  //    (heap order: node n's parent is (n - 1) / 2).
+  for (size_t node = num_leaves_ - 1 + old_leaf;; node = (node - 1) / 2) {
+    OramBlock* bucket = &tree_[node * kBucketSize];
+    for (size_t z = 0; z < kBucketSize; ++z) {
+      if (!bucket[z].valid()) continue;
+      stash_.push_back(std::move(bucket[z]));
+      bucket[z].id = OramBlock::kInvalidId;
     }
+    if (node == 0) break;
   }
 
   // 3. Serve the request from the stash. A touch verifies presence but
   //    skips the copy-out — scans only need the path access itself.
+  size_t at = 0;
+  while (at < stash_.size() && stash_[at].id != id) ++at;
   Bytes result;
-  if (op == Op::kRead || op == Op::kTouch) {
-    auto it = stash_.find(id);
-    if (it == stash_.end()) {
-      return Status::Internal("position map points to a missing block");
-    }
-    if (op == Op::kRead) result = it->second;
-  } else if (op == Op::kWrite) {
-    stash_[id] = std::move(*new_value);
-  } else {  // kRemove
-    stash_.erase(id);
+  if (op == Op::kWrite) {
+    if (at == stash_.size()) stash_.push_back({id, 0, Bytes{}});
+    stash_[at].data = std::move(*new_value);
+  } else if (at == stash_.size()) {
+    return Status::Internal("position map points to a missing block");
+  } else if (op == Op::kRead) {
+    result = stash_[at].data;
   }
 
-  // 4. Update the position map.
-  uint64_t new_leaf = RandomLeaf();
+  // 4. Remap the block to a fresh uniformly random leaf — the core of
+  //    Path ORAM's obliviousness. A removal draws it too and drops it, so
+  //    every access to an existing block draws exactly once.
+  const uint64_t new_leaf = RandomLeaf();
   if (op == Op::kRemove) {
-    position_map_.erase(id);
+    stash_.erase(stash_.begin() + static_cast<std::ptrdiff_t>(at));
+    position_map_.erase(pos_it);
   } else {
-    position_map_[id] = new_leaf;
-  }
-
-  // 5. Evict: refill the path bottom-up with stash blocks whose assigned
-  //    path shares the bucket.
-  for (size_t level = num_levels_; level-- > 0;) {
-    auto& bucket = tree_[NodeIndex(old_leaf, level)];
-    size_t slot = 0;
-    for (auto it = stash_.begin(); it != stash_.end() && slot < bucket.size();) {
-      auto pm = position_map_.find(it->first);
-      if (pm == position_map_.end()) {
-        // Orphaned stash entry (shouldn't happen); drop it.
-        it = stash_.erase(it);
-        continue;
-      }
-      if (PathsIntersectAt(old_leaf, pm->second, level)) {
-        bucket[slot].id = it->first;
-        bucket[slot].data = std::move(it->second);
-        ++slot;
-        it = stash_.erase(it);
-      } else {
-        ++it;
-      }
+    stash_[at].leaf = new_leaf;
+    if (exists) {
+      pos_it->second = new_leaf;
+    } else {
+      position_map_.emplace(id, new_leaf);
     }
   }
+
+  // 5. Write the stash back along the same path.
+  Evict(old_leaf);
   max_stash_size_ = std::max(max_stash_size_, stash_.size());
   return result;
+}
+
+void PathOram::Evict(uint64_t leaf) {
+  // A block may sit at `level` of this path iff its own path passes the
+  // same node there, i.e. at every level above the highest bit in which
+  // the two leaves differ. Counting-sort the stash by that deepest legal
+  // level, deepest first; ties keep stash order.
+  const size_t height = num_levels_ - 1;
+  const size_t n = stash_.size();
+  evict_level_.resize(n);
+  evict_order_.resize(n);
+  std::fill(level_start_.begin(), level_start_.end(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    evict_level_[i] = height - BitWidth(stash_[i].leaf ^ leaf);
+    ++level_start_[evict_level_[i]];
+  }
+  for (size_t level = num_levels_, offset = 0; level-- > 0;) {
+    const size_t count = level_start_[level];
+    level_start_[level] = offset;
+    offset += count;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    evict_order_[level_start_[evict_level_[i]]++] = i;
+  }
+
+  // Fill the path from the leaf up: each bucket takes the deepest waiting
+  // blocks that may sit there. Any block legal at a level is legal at
+  // every level above it, so the waiting blocks stay a suffix of the order.
+  size_t next = 0;
+  size_t node = num_leaves_ - 1 + leaf;
+  for (size_t level = height;; --level, node = (node - 1) / 2) {
+    OramBlock* bucket = &tree_[node * kBucketSize];
+    for (size_t z = 0; z < kBucketSize && next < n &&
+                       evict_level_[evict_order_[next]] >= level;
+         ++z, ++next) {
+      OramBlock& block = stash_[evict_order_[next]];
+      bucket[z] = std::move(block);
+      block.id = OramBlock::kInvalidId;
+    }
+    if (level == 0) break;
+  }
+  stash_.erase(std::remove_if(stash_.begin(), stash_.end(),
+                              [](const OramBlock& b) { return !b.valid(); }),
+               stash_.end());
 }
 
 Status PathOram::Write(uint64_t id, Bytes value) {

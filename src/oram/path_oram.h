@@ -7,9 +7,12 @@
 ///
 /// OramMirror (oram_mirror.h) composes one PathOram per storage shard.
 ///
-/// Parameters: bucket size Z (default 4), capacity N. The tree has
-/// 2^ceil(log2(max(N,2))) leaves; the stash holds overflow blocks and is
-/// expected to stay O(log N) (we track its high-water mark for tests).
+/// Parameters: capacity N; every bucket holds Z = kBucketSize = 4 blocks.
+/// The tree has 2^ceil(log2(max(N,2))) leaves; the stash holds overflow
+/// blocks and is expected to stay O(log N) (we track its high-water mark
+/// for tests). One access costs O(height * Z + stash) and, unless it
+/// stores a new block or copies a value out, allocates nothing
+/// (docs/ORAM.md, "Access procedure").
 #pragma once
 
 #include <cstdint>
@@ -29,10 +32,13 @@ struct PathAccess {
   uint64_t leaf = 0;
 };
 
-/// One ORAM block: an application identifier plus an opaque payload.
+/// One ORAM block: an application identifier, the leaf it is assigned to
+/// (Path ORAM's block header, so eviction never consults the position
+/// map) and an opaque payload.
 struct OramBlock {
   static constexpr uint64_t kInvalidId = ~0ull;
   uint64_t id = kInvalidId;
+  uint64_t leaf = 0;
   Bytes data;
 
   bool valid() const { return id != kInvalidId; }
@@ -41,9 +47,11 @@ struct OramBlock {
 /// Tree-based ORAM with per-access path read/write.
 class PathOram {
  public:
+  /// Z, the blocks one bucket holds.
+  static constexpr size_t kBucketSize = 4;
+
   struct Config {
     size_t capacity = 1024;   ///< max number of live blocks
-    size_t bucket_size = 4;   ///< Z
     uint64_t seed = 42;       ///< seeds leaf assignment randomness
     bool record_trace = false;  ///< keep the access transcript (tests)
   };
@@ -91,22 +99,24 @@ class PathOram {
   /// The single access procedure all operations funnel through.
   StatusOr<Bytes> Access(Op op, uint64_t id, Bytes* new_value);
 
-  /// Node index of the bucket at `level` (0 = root) on the path to `leaf`.
-  size_t NodeIndex(uint64_t leaf, size_t level) const;
-
-  /// True if the path to `leaf` passes through the node at `level` on the
-  /// path to `other_leaf` (i.e. both paths share that ancestor).
-  bool PathsIntersectAt(uint64_t leaf, uint64_t other_leaf,
-                        size_t level) const;
+  /// Writes the stash back along the path to `leaf`, deepest-first.
+  void Evict(uint64_t leaf);
 
   uint64_t RandomLeaf() { return rng_.Next() % num_leaves_; }
 
   Config config_;
   size_t num_leaves_;
   size_t num_levels_;  ///< tree height + 1 (root..leaf inclusive)
-  std::vector<std::vector<OramBlock>> tree_;  ///< node -> bucket
+  /// Heap-ordered buckets (root = node 0, children of n at 2n+1 and 2n+2),
+  /// kBucketSize slots each: node n's bucket is slots [n*Z, n*Z + Z).
+  std::vector<OramBlock> tree_;
   std::unordered_map<uint64_t, uint64_t> position_map_;  ///< id -> leaf
-  std::unordered_map<uint64_t, Bytes> stash_;
+  std::vector<OramBlock> stash_;
+  /// Eviction buffers: each stash block's deepest level on the path, the
+  /// per-level counts, and the stash indices ordered deepest-first.
+  std::vector<size_t> evict_level_;
+  std::vector<size_t> level_start_;
+  std::vector<size_t> evict_order_;
   Rng rng_;
   size_t max_stash_size_ = 0;
   int64_t access_count_ = 0;

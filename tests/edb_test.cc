@@ -484,7 +484,7 @@ TEST(ShardedEngineTest, EngineExposesPerShardTranscripts) {
 
   auto* table = dynamic_cast<EncryptedTableStore*>(t.value());
   ASSERT_NE(table, nullptr);
-  auto transcripts = AggregateOramTranscripts(*table->mirror());
+  auto transcripts = testutil::AggregateOramTranscripts(*table->mirror());
   ASSERT_EQ(transcripts.size(), 4u);
   int64_t total = 0;
   for (const auto& tr : transcripts) {

@@ -244,6 +244,32 @@ TEST(StealthDbTest, RevealsMatchingRecordCountForEveryAggregate) {
   }
 }
 
+TEST(StealthDbTest, VolumeComesFromAViewWhenOneExists) {
+  // Prepare registers the volume count's view next to the query's own,
+  // so a one-shot query scans only for what no view answers: SUM not at
+  // all, MAX once for its own answer but not for its volume.
+  edb::StealthDbServer server;
+  auto t = server.CreateTable("YellowCab", workload::TripSchema());
+  ASSERT_OK(t);
+  ASSERT_OK(t.value()->Setup({Trip(1, 60), Trip(2, 70), Trip(3, 200),
+                              Trip(4, 60, /*dummy=*/true)}));
+  const std::string kFilter =
+      " FROM YellowCab WHERE pickupID BETWEEN 50 AND 100";
+  const std::pair<std::string, int64_t> kCases[] = {
+      {"SELECT SUM(fare)" + kFilter, 0},
+      {"SELECT MAX(pickupID)" + kFilter, 1},
+  };
+  for (const auto& [sql, scans] : kCases) {
+    auto q = query::ParseSelect(sql);
+    ASSERT_OK(q);
+    const int64_t before = server.stats().snapshot_scans;
+    auto r = server.Query(q.value());
+    ASSERT_OK(r);
+    EXPECT_EQ(r->stats.revealed_volume, 2) << sql;
+    EXPECT_EQ(server.stats().snapshot_scans - before, scans) << sql;
+  }
+}
+
 TEST(StealthDbTest, L1IsConditionallyCompatible) {
   edb::StealthDbServer server;
   auto verdict = edb::CheckCompatibility(server.leakage());

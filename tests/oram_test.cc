@@ -11,9 +11,9 @@
 
 #include "common/bytes.h"
 #include "common/shard_router.h"
-#include "edb/leakage.h"
 #include "oram/oram_mirror.h"
 #include "oram/path_oram.h"
+#include "test_util.h"
 
 namespace dpsync::oram {
 namespace {
@@ -123,6 +123,55 @@ TEST(PathOramTest, AccessCountTracksOperations) {
   ASSERT_TRUE(oram.Read(1).ok());
   ASSERT_TRUE(oram.Remove(1).ok());
   EXPECT_EQ(oram.access_count(), 3);
+}
+
+/// Folds one 64-bit word, little-endian, into a running FNV-1a hash.
+uint64_t Fold(uint64_t h, uint64_t word) {
+  uint8_t buf[8];
+  StoreLE64(buf, word);
+  return Fnv1a64(buf, sizeof(buf), h);
+}
+
+// Pins everything a caller or the server observes of fixed-seed access
+// streams: every call's status, every value read, size() and
+// access_count() after every call, and the whole leaf trace. Ids range up
+// to 1.25x capacity, so NotFound, OutOfRange at capacity and overwrites
+// all occur. The stash high-water mark is deliberately left out: which of
+// several equally eligible blocks an eviction keeps in the stash is the
+// access procedure's choice, not something the transcript fixes.
+TEST(PathOramTest, AccessStreamMatchesGolden) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t capacity : {size_t{8}, size_t{256}, size_t{1024},
+                          size_t{16384}}) {
+    PathOram::Config cfg;
+    cfg.capacity = capacity;
+    cfg.seed = capacity * 31 + 7;
+    cfg.record_trace = true;
+    PathOram oram(cfg);
+    Rng rng(capacity);
+    const auto max_id = static_cast<int64_t>(capacity + capacity / 4);
+    for (uint64_t i = 0; i < 10000; ++i) {
+      const auto id = static_cast<uint64_t>(rng.UniformInt(0, max_id - 1));
+      const int64_t op = rng.UniformInt(0, 9);
+      Status status;
+      if (op < 4) {
+        status = oram.Write(id, Payload(i));
+      } else if (op < 7) {
+        auto read = oram.Read(id);
+        status = read.status();
+        if (read.ok()) h = Fnv1a64(read->data(), read->size(), h);
+      } else if (op < 9) {
+        status = oram.Touch(id);
+      } else {
+        status = oram.Remove(id);
+      }
+      h = Fold(h, static_cast<uint64_t>(status.code()));
+      h = Fold(h, oram.size());
+      h = Fold(h, static_cast<uint64_t>(oram.access_count()));
+    }
+    for (const auto& access : oram.trace()) h = Fold(h, access.leaf);
+  }
+  EXPECT_EQ(h, 0x91285f2374b36346ULL);
 }
 
 // Obliviousness: the observable leaf sequence must look uniform regardless
@@ -350,7 +399,7 @@ TEST(OramMirrorTest, StashStatsAggregateAcrossTrees) {
 }
 
 // The acceptance property for per-shard trees: each shard's observable
-// transcript — aggregated the same way the leakage layer does — must be
+// transcript (testutil::AggregateOramTranscripts) must be
 // uniform over that shard's own leaves, for both one tree and four.
 // Per-shard trees must not leak more than the tree they replaced. (A hot
 // block's uniformity is PathOramTest.HotBlockAccessLeavesLookUniform.)
@@ -362,7 +411,7 @@ TEST(OramMirrorTest, PerShardTranscriptsUniformOverLeaves) {
     for (int sweep = 0; sweep < 160; ++sweep) {
       ASSERT_TRUE(mirror.TouchAll().ok());
     }
-    auto transcripts = edb::AggregateOramTranscripts(mirror);
+    auto transcripts = testutil::AggregateOramTranscripts(mirror);
     ASSERT_EQ(transcripts.size(), static_cast<size_t>(shards));
     for (const auto& t : transcripts) {
       ASSERT_GT(t.accesses, 0) << "shard " << t.shard;

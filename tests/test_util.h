@@ -1,7 +1,8 @@
 /// \file test_util.h
 /// Shared helpers for the dpsync test suites: deterministic RNG seeding,
 /// record/dummy factories, the owner-side recording backend, the
-/// histogram DP check, and Status assertion macros. Keep suite-specific
+/// histogram DP check, per-shard ORAM transcripts, and Status assertion
+/// macros. Keep suite-specific
 /// fixtures in their own files; only genuinely cross-suite helpers live here.
 #pragma once
 
@@ -22,6 +23,7 @@
 #include "core/record.h"
 #include "core/sogdb.h"
 #include "edb/encrypted_database.h"
+#include "oram/oram_mirror.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/plan.h"
@@ -156,6 +158,50 @@ inline StatusOr<edb::QueryResponse> ExecuteUnprepared(edb::EdbServer& server,
       server.planner_options());
   if (!plan.ok()) return plan.status();
   return server.ExecutePlan(*plan.value());
+}
+
+/// What the server observes of one ORAM shard under the indexed mode: the
+/// leaf-access histogram of that shard's tree. L-0 requires each shard's
+/// transcript to be uniform over its own leaves — per-shard trees must not
+/// leak more than the single global tree they replaced.
+struct OramShardTranscript {
+  int shard = 0;
+  int64_t accesses = 0;
+  size_t num_leaves = 0;
+  std::vector<int64_t> leaf_counts;  ///< accesses per leaf, leaf-indexed
+  /// Chi-squared statistic of leaf_counts against the uniform distribution
+  /// (dof = num_leaves - 1); 0 when the transcript is empty.
+  double chi2_uniform = 0.0;
+};
+
+/// Aggregates the per-shard access transcripts of an oblivious index (the
+/// mirror must have been built with trace recording; shards with empty
+/// transcripts aggregate to all-zero histograms).
+inline std::vector<OramShardTranscript> AggregateOramTranscripts(
+    const oram::OramMirror& mirror) {
+  std::vector<OramShardTranscript> out;
+  out.reserve(static_cast<size_t>(mirror.num_shards()));
+  for (int s = 0; s < mirror.num_shards(); ++s) {
+    OramShardTranscript t;
+    t.shard = s;
+    const oram::PathOram& tree = mirror.tree(s);
+    t.num_leaves = tree.num_leaves();
+    t.leaf_counts.assign(t.num_leaves, 0);
+    for (const auto& access : tree.trace()) {
+      ++t.leaf_counts[static_cast<size_t>(access.leaf)];
+      ++t.accesses;
+    }
+    if (t.accesses > 0) {
+      double expected = static_cast<double>(t.accesses) /
+                        static_cast<double>(t.num_leaves);
+      for (int64_t count : t.leaf_counts) {
+        double d = static_cast<double>(count) - expected;
+        t.chi2_uniform += d * d / expected;
+      }
+    }
+    out.push_back(std::move(t));
+  }
+  return out;
 }
 
 /// The bit pattern of `d`, for tests that compare doubles exactly.
