@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "common/thread_pool.h"
-#include "edb/storage_backend.h"
+#include "edb/shard_log.h"
 
 namespace dpsync::bench {
 

@@ -39,7 +39,7 @@ class RecordCipher {
   /// Opens an encrypted record, stripping the padding. Fails on tampering.
   StatusOr<Bytes> Decrypt(const Bytes& encrypted) const;
 
-  /// The next nonce value that will be consumed. Durable backends persist
+  /// The next nonce value that will be consumed. Segment-log shards persist
   /// this at flush time; on reopen, RestoreNonceHighWater() with the
   /// persisted value guarantees no nonce is ever reused, even if the
   /// process died between the last flush and the crash.

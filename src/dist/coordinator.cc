@@ -544,7 +544,6 @@ query::PlannerOptions DistributedEdbServer::planner_options() const {
   // between servers; both are deferred, so joins are rejected at Prepare
   // time like Crypt-eps does.
   options.supports_join = false;
-  options.oram_indexed = use_oram_index_;
   return options;
 }
 

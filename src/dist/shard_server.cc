@@ -185,7 +185,6 @@ StatusOr<std::shared_ptr<const query::QueryPlan>> EdbShardServer::PlanFor(
   query::PlannerOptions options;
   options.supports_join = false;  // per-server joins are deferred
   options.engine_name = "shard server " + std::to_string(config_.rank);
-  options.oram_indexed = config_.use_oram_index;
   auto plan = query::PlanSelect(
       parsed.value(),
       [this](const std::string& table) -> const query::Schema* {

@@ -40,23 +40,15 @@ EncryptedTableStore::EncryptedTableStore(
       storage_(std::move(storage)),
       router_(std::max(1, storage_.num_shards)) {
   uint64_t schema_hash = SchemaHash(schema_);
+  shards_.reserve(static_cast<size_t>(router_.num_shards()));
   for (int s = 0; s < router_.num_shards(); ++s) {
-    auto backend = MakeStorageBackend(
-        storage_, name_, s, crypto::RecordCipher::kCiphertextSize, schema_hash);
-    if (!backend.ok()) {
-      // Constructors cannot fail; surface the error on first use instead.
-      init_status_ = backend.status();
-      shards_.clear();
-      break;
-    }
-    shards_.push_back(std::move(backend.value()));
+    shards_.emplace_back(storage_, name_, s,
+                         crypto::RecordCipher::kCiphertextSize, schema_hash);
   }
   enclave_.resize(static_cast<size_t>(router_.num_shards()));
   dirty_.assign(static_cast<size_t>(router_.num_shards()), 0);
   committed_.assign(static_cast<size_t>(router_.num_shards()), 0);
   if (index) {
-    // The router's topology even when backend construction failed: the
-    // store surfaces that error on first use, so any topology works then.
     index->num_shards = router_.num_shards();
     mirror_ = std::make_unique<oram::OramMirror>(*index);
   }
@@ -88,10 +80,10 @@ Status EncryptedTableStore::AppendEncrypted(const std::vector<Record>& records,
       auto ct = cipher_.Encrypt(r.payload);
       if (!ct.ok()) return ct.status();
       int shard = router_.Route(r.payload);
-      DPSYNC_RETURN_IF_ERROR(shards_[shard]->Append(ct.value()));
+      DPSYNC_RETURN_IF_ERROR(shards_[shard].Append(ct.value()));
       dirty_[static_cast<size_t>(shard)] = 1;
       journal_.emplace_back(static_cast<uint32_t>(shard),
-                            static_cast<uint32_t>(shards_[shard]->Count() - 1));
+                            static_cast<uint32_t>(shards_[shard].Count() - 1));
       // The record's payload routes its block to the tree ShardRouter just
       // chose for the ciphertext.
       if (mirror_) indexed.push_back({&r.payload, std::move(ct.value())});
@@ -108,7 +100,7 @@ Status EncryptedTableStore::FinishBatch(
     // Setup commits every shard so the table's full topology is
     // materialized on disk even for shards gamma_0 never touched;
     // steady-state updates only pay for the shards they wrote.
-    appended = setup_batch ? FlushAllShards() : FlushDirtyShards();
+    appended = FlushShards(/*all=*/setup_batch);
   }
   if (!mirror_) return appended;
   // A mirror that failed once stays failed: the store has records the
@@ -131,7 +123,6 @@ Status EncryptedTableStore::FinishBatch(
 
 Status EncryptedTableStore::Setup(const std::vector<Record>& gamma0) {
   std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(init_status_);
   if (setup_done_) return Status::FailedPrecondition("Setup already run");
   setup_done_ = true;
   return AppendEncrypted(gamma0, /*setup_batch=*/true);
@@ -139,7 +130,6 @@ Status EncryptedTableStore::Setup(const std::vector<Record>& gamma0) {
 
 Status EncryptedTableStore::Update(const std::vector<Record>& gamma) {
   std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(init_status_);
   if (!setup_done_) return Status::FailedPrecondition("Update before Setup");
   return AppendEncrypted(gamma, /*setup_batch=*/false);
 }
@@ -148,7 +138,6 @@ Status EncryptedTableStore::IngestCiphertexts(
     const std::vector<CipherEntry>& entries, uint64_t nonce_high_water,
     bool setup_batch) {
   std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(init_status_);
   if (setup_batch) {
     if (setup_done_) return Status::FailedPrecondition("Setup already run");
     setup_done_ = true;
@@ -179,10 +168,10 @@ Status EncryptedTableStore::IngestCiphertexts(
         if (!payload.ok()) return payload.status();
         identities.push_back(std::move(payload.value()));
       }
-      DPSYNC_RETURN_IF_ERROR(shards_[e.shard]->Append(e.ciphertext));
+      DPSYNC_RETURN_IF_ERROR(shards_[e.shard].Append(e.ciphertext));
       dirty_[e.shard] = 1;
       journal_.emplace_back(
-          e.shard, static_cast<uint32_t>(shards_[e.shard]->Count() - 1));
+          e.shard, static_cast<uint32_t>(shards_[e.shard].Count() - 1));
       if (mirror_) indexed.push_back({&identities.back(), e.ciphertext});
     }
     // Track the global nonce stream before flushing so the persisted mark
@@ -201,7 +190,6 @@ Status EncryptedTableStore::ExportCommittedSpans(
     const std::vector<uint64_t>& from_rows,
     std::vector<CipherEntry>* out) const {
   std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(init_status_);
   if (from_rows.size() != shards_.size()) {
     return Status::InvalidArgument(
         "catch-up names " + std::to_string(from_rows.size()) +
@@ -216,7 +204,7 @@ Status EncryptedTableStore::ExportCommittedSpans(
     }
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    DPSYNC_RETURN_IF_ERROR(shards_[s]->Scan(
+    DPSYNC_RETURN_IF_ERROR(shards_[s].Scan(
         static_cast<int64_t>(from_rows[s]), committed_[s],
         [&](int64_t, const Bytes& ct) -> Status {
           CipherEntry e;
@@ -239,22 +227,22 @@ std::vector<uint64_t> EncryptedTableStore::CommittedShardRows() const {
 
 int64_t EncryptedTableStore::outsourced_bytes() const {
   int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->SizeBytes();
+  for (const ShardLog& shard : shards_) total += shard.SizeBytes();
   return total;
 }
 
 Status EncryptedTableStore::Flush() {
   std::lock_guard<std::mutex> lk(table_mutex());
-  return FlushAllShards();
+  return FlushShards(/*all=*/true);
 }
 
-Status EncryptedTableStore::FlushAllShards() {
-  DPSYNC_RETURN_IF_ERROR(init_status_);
+Status EncryptedTableStore::FlushShards(bool all) {
   bool committed_grew = false;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    DPSYNC_RETURN_IF_ERROR(shards_[s]->Flush(cipher_.nonce_high_water()));
+    if (!all && !dirty_[s]) continue;
+    DPSYNC_RETURN_IF_ERROR(shards_[s].Flush(cipher_.nonce_high_water()));
     dirty_[s] = 0;
-    committed_grew |= MarkCommitted(s, shards_[s]->Count());
+    committed_grew |= MarkCommitted(s, shards_[s].Count());
   }
   // A flush that committed nothing new (idle table) keeps the epoch: an
   // unchanged epoch is the readers' license to keep reusing a snapshot —
@@ -266,24 +254,8 @@ Status EncryptedTableStore::FlushAllShards() {
   return Status::Ok();
 }
 
-Status EncryptedTableStore::FlushDirtyShards() {
-  bool committed_grew = false;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!dirty_[s]) continue;
-    DPSYNC_RETURN_IF_ERROR(shards_[s]->Flush(cipher_.nonce_high_water()));
-    dirty_[s] = 0;
-    committed_grew |= MarkCommitted(s, shards_[s]->Count());
-  }
-  if (committed_grew) {
-    AdvanceCommitEpoch();
-    DPSYNC_RETURN_IF_ERROR(FoldViews());
-  }
-  return Status::Ok();
-}
-
 Status EncryptedTableStore::Reopen() {
   std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(init_status_);
   if (mirror_) {
     return Status::FailedPrecondition(
         "table " + name_ +
@@ -304,13 +276,13 @@ Status EncryptedTableStore::Reopen() {
   int64_t total = 0;
   bool attached_existing = false;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    auto info = shards_[s]->Reopen();
+    auto info = shards_[s].Reopen();
     if (!info.ok()) return info.status();
     persisted = std::max(persisted, info.value().nonce_high_water);
     tail_bound = std::max(tail_bound, info.value().tail_nonce_bound);
     total_tail_records += info.value().tail_records;
     attached_existing |= info.value().attached_existing;
-    total += shards_[s]->Count();
+    total += shards_[s].Count();
   }
   // Every committed record consumed exactly one nonce, so the persisted
   // counter can never be behind the committed total. If it is, a header
@@ -347,7 +319,7 @@ Status EncryptedTableStore::Reopen() {
   // order-insensitive (aggregates).
   journal_.reserve(static_cast<size_t>(total));
   for (size_t s = 0; s < shards_.size(); ++s) {
-    int64_t n = shards_[s]->Count();
+    int64_t n = shards_[s].Count();
     for (int64_t i = 0; i < n; ++i) {
       journal_.emplace_back(static_cast<uint32_t>(s),
                             static_cast<uint32_t>(i));
@@ -362,7 +334,7 @@ Status EncryptedTableStore::Reopen() {
   // epoch unconditionally so no pre-Reopen snapshot is mistaken for
   // current.
   for (size_t s = 0; s < shards_.size(); ++s) {
-    MarkCommitted(s, shards_[s]->Count());
+    MarkCommitted(s, shards_[s].Count());
   }
   AdvanceCommitEpoch();
   // Reopen advanced the epoch WITHOUT committing new rows, and the
@@ -378,9 +350,9 @@ Status EncryptedTableStore::Reopen() {
 
 Status EncryptedTableStore::CatchUpShard(int shard) {
   ShardMirror& mirror = enclave_[static_cast<size_t>(shard)];
-  int64_t count = shards_[static_cast<size_t>(shard)]->Count();
-  return shards_[static_cast<size_t>(shard)]->Scan(
-      static_cast<int64_t>(mirror.rows), count,
+  const ShardLog& log = shards_[static_cast<size_t>(shard)];
+  return log.Scan(
+      static_cast<int64_t>(mirror.rows), log.Count(),
       [&](int64_t, const Bytes& ct) -> Status {
         auto payload = cipher_.Decrypt(ct);
         if (!payload.ok()) return payload.status();
@@ -406,7 +378,7 @@ Status EncryptedTableStore::CatchUpShard(int shard) {
 Status EncryptedTableStore::CatchUpAllShards() {
   size_t pending = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    pending += static_cast<size_t>(shards_[s]->Count()) - enclave_[s].rows;
+    pending += static_cast<size_t>(shards_[s].Count()) - enclave_[s].rows;
   }
   if (pending >= kParallelScanThreshold && shards_.size() > 1) {
     // Fan the per-shard catch-up across the pool: shards touch disjoint
@@ -473,7 +445,12 @@ Status EncryptedTableStore::FoldViews() {
 Status EncryptedTableStore::RegisterView(
     std::shared_ptr<const query::QueryPlan> plan) {
   std::lock_guard<std::mutex> lk(table_mutex());
-  DPSYNC_RETURN_IF_ERROR(init_status_);
+  if (mirror_) {
+    return Status::FailedPrecondition(
+        "table " + name_ +
+        " has an ORAM index: every scan must pay its oblivious touches, so "
+        "it keeps no views");
+  }
   DPSYNC_RETURN_IF_ERROR(CatchUpAllShards());
   views_.Register(std::move(plan), schema_, committed_, commit_epoch(),
                   MirrorRowSource());
@@ -496,7 +473,6 @@ size_t EncryptedTableStore::registered_views() {
 }
 
 StatusOr<SnapshotView> EncryptedTableStore::Snapshot() {
-  DPSYNC_RETURN_IF_ERROR(init_status_);
   oram::OramTouchCost touched;
   if (mirror_) {
     // Indexed mode: every mirrored record pays its oblivious path access.
@@ -515,7 +491,6 @@ StatusOr<SnapshotView> EncryptedTableStore::Snapshot() {
 }
 
 StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {
-  DPSYNC_RETURN_IF_ERROR(init_status_);
   const size_t n = journal_.size();
   std::vector<query::Row> rows(n);
   size_t max_chunks = n >= kParallelScanThreshold
@@ -526,7 +501,7 @@ StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {
                             [&](size_t chunk, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const auto [shard, offset] = journal_[i];
-      auto ct = shards_[shard]->Get(static_cast<int64_t>(offset));
+      auto ct = shards_[shard].Get(static_cast<int64_t>(offset));
       if (!ct.ok()) {
         statuses[chunk] = ct.status();
         return;
@@ -549,11 +524,10 @@ StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {
 }
 
 StatusOr<std::vector<Bytes>> EncryptedTableStore::ciphertexts() const {
-  DPSYNC_RETURN_IF_ERROR(init_status_);
   std::vector<Bytes> out;
   out.reserve(journal_.size());
   for (const auto& [shard, offset] : journal_) {
-    auto ct = shards_[shard]->Get(static_cast<int64_t>(offset));
+    auto ct = shards_[shard].Get(static_cast<int64_t>(offset));
     if (!ct.ok()) return ct.status();
     out.push_back(std::move(ct.value()));
   }

@@ -6,12 +6,12 @@
 ///
 /// Since the storage-spine refactor the store is a *sharded container*: a
 /// ShardRouter hashes each record's identity onto one of N shards, each
-/// shard owning a pluggable StorageBackend (in-memory vector or durable
-/// segment log — see storage_backend.h / docs/STORAGE.md) plus its own
-/// enclave-resident plaintext mirror. Full scans fan out across shards on
-/// the shared thread pool. A per-table append journal preserves the global
-/// arrival order, so single-shard behavior is bit-identical to the
-/// pre-refactor store.
+/// shard owning a ShardLog (an in-memory record array, written through to
+/// a durable segment file when configured — see shard_log.h /
+/// docs/STORAGE.md) plus its own enclave-resident plaintext mirror. Full
+/// scans fan out across shards on the shared thread pool. A per-table
+/// append journal preserves the global arrival order, so single-shard
+/// behavior is bit-identical to the pre-refactor store.
 ///
 /// The store also tracks a per-table **CommitEpoch** (advanced by Flush —
 /// DP-Sync's commit point: records become query-visible when a strategy
@@ -38,8 +38,8 @@
 #include "crypto/record_cipher.h"
 #include "edb/encrypted_database.h"
 #include "common/shard_router.h"
+#include "edb/shard_log.h"
 #include "edb/snapshot.h"
-#include "edb/storage_backend.h"
 #include "edb/view.h"
 #include "oram/oram_mirror.h"
 #include "query/schema.h"
@@ -50,7 +50,7 @@ namespace dpsync::edb {
 class EncryptedTableStore : public EdbTable {
  public:
   /// \param key 32-byte AEAD key shared owner<->enclave (never the server)
-  /// \param storage backend kind, shard count and (for durable backends)
+  /// \param storage backend kind, shard count and (for the segment log)
   ///        the on-disk location. The default reproduces the original
   ///        single-shard in-memory store exactly.
   /// \param index when set, the store keeps an ORAM index built from it
@@ -67,8 +67,8 @@ class EncryptedTableStore : public EdbTable {
   int64_t outsourced_count() const override {
     return static_cast<int64_t>(journal_.size());
   }
-  /// Derived from the backends (sum of per-shard stored bytes), so
-  /// variable-size future backends cannot drift from the reported metric.
+  /// Derived from the shards (sum of per-shard stored bytes), so the
+  /// reported metric cannot drift from what the shards hold.
   int64_t outsourced_bytes() const override;
   const std::string& table_name() const override { return name_; }
 
@@ -119,7 +119,7 @@ class EncryptedTableStore : public EdbTable {
   /// valid with no lock held (the edb engines do exactly this).
   Status Flush();
 
-  /// Re-attaches to the backends' durable state (simulating a restart):
+  /// Re-attaches to the shards' durable state (simulating a restart):
   /// every shard recovers its committed prefix, the append journal is
   /// rebuilt (shard-major — global arrival order is not persisted), the
   /// enclave mirrors are dropped, and the cipher's nonce counter is
@@ -165,7 +165,10 @@ class EncryptedTableStore : public EdbTable {
   /// CommitEpoch, so the very next Execute can answer from it. From then
   /// on every Flush that commits rows folds the newly committed delta into
   /// the view under the same table mutex that publishes the epoch; Reopen
-  /// invalidates it (lazy rebuild at the next fold). Locks table_mutex().
+  /// invalidates it (lazy rebuild at the next fold). A store with an ORAM
+  /// index keeps no views, because every scan of it must pay its
+  /// oblivious touches: it returns FailedPrecondition before any
+  /// catch-up. Locks table_mutex().
   Status RegisterView(std::shared_ptr<const query::QueryPlan> plan);
 
   /// One O(1) view answer plus the committed row count it covers — what
@@ -217,16 +220,13 @@ class EncryptedTableStore : public EdbTable {
   /// crash-recovery tests assert it survives Reopen().
   uint64_t nonce_high_water() const { return cipher_.nonce_high_water(); }
 
-  /// Live shard count. Zero when backend construction failed in the
-  /// constructor (the deferred init_status_ error) — every per-shard
-  /// accessor below is only valid for indices < num_shards().
+  /// Shard count; every per-shard accessor below takes an index
+  /// < num_shards().
   int num_shards() const { return static_cast<int>(shards_.size()); }
   /// Records currently held by one shard (per-shard scan work; the cost
   /// model consumes the sum, which equals outsourced_count()).
-  int64_t shard_count(int shard) const { return shards_[shard]->Count(); }
-  const StorageBackend& shard_backend(int shard) const {
-    return *shards_[shard];
-  }
+  int64_t shard_count(int shard) const { return shards_[shard].Count(); }
+  const ShardLog& shard_backend(int shard) const { return shards_[shard]; }
   /// The (shard, within-shard offset) placement of the record at a global
   /// append index — the ShardRouter decision recorded at append time.
   /// Tests use it to prove a record's storage shard and its ORAM tree
@@ -257,13 +257,11 @@ class EncryptedTableStore : public EdbTable {
   /// so block ids keep matching append indices.
   Status FinishBatch(Status appended, bool setup_batch,
                      std::vector<oram::OramMirror::Entry> indexed);
-  /// Unlocked body of Flush() (the append path calls it while already
-  /// holding table_mutex()).
-  Status FlushAllShards();
-  /// Commits only the shards the last batches appended to (auto-flush
-  /// path: per-update commit cost scales with shards touched, not
-  /// num_shards).
-  Status FlushDirtyShards();
+  /// Unlocked body of Flush() (`all`) and of the auto-flush, which
+  /// commits only the shards the last batches appended to, so per-update
+  /// commit cost scales with shards touched, not num_shards. Callers hold
+  /// table_mutex().
+  Status FlushShards(bool all);
   Status CatchUpShard(int shard);
   /// Incremental catch-up of every shard mirror (parallel past the
   /// fan-out threshold).
@@ -290,8 +288,7 @@ class EncryptedTableStore : public EdbTable {
   crypto::RecordCipher cipher_;
   StorageConfig storage_;
   ShardRouter router_;
-  Status init_status_;  ///< deferred backend-construction failure
-  std::vector<std::unique_ptr<StorageBackend>> shards_;
+  std::vector<ShardLog> shards_;
   std::vector<uint8_t> dirty_;  ///< shards appended to since their last flush
   /// Global append order -> (shard, offset within shard). Rebuilt
   /// shard-major by Reopen().

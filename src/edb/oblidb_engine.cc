@@ -74,8 +74,9 @@ void ObliDbServer::OnPlanReady(
   if (!query::PlanIsViewEligible(*plan)) return;
   EncryptedTableStore* table = FindTable(plan->table);
   if (table == nullptr) return;
-  // Best-effort: a failed registration (e.g. a backend error during the
-  // warm fold) simply leaves this plan on the scan path.
+  // Best-effort: a failed registration (a table with an ORAM index, or a
+  // decryption error during the warm fold) simply leaves this plan on the
+  // scan path.
   (void)table->RegisterView(plan);
 }
 
@@ -93,7 +94,6 @@ const query::Schema* ObliDbServer::FindSchema(const std::string& table) const {
 query::PlannerOptions ObliDbServer::planner_options() const {
   query::PlannerOptions options;
   options.engine_name = name();
-  options.oram_indexed = config_.use_oram_index;
   return options;
 }
 

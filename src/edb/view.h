@@ -8,7 +8,7 @@
 /// the dynamic-evaluation regime of Berkholz et al. ("Answering FO+MOD
 /// queries under updates"): a `MaterializedView` holds the folded
 /// `query::AggAccumulator` state of one view-eligible plan
-/// (query::PlanIsViewEligible — single-table linear-scan COUNT/SUM/AVG,
+/// (query::PlanIsViewEligible — single-table COUNT/SUM/AVG scans,
 /// optionally filtered and grouped) plus the CommitEpoch it is current
 /// through, and the owning `ViewRegistry` folds only the newly committed
 /// rows of each flush into every registered view.

@@ -16,7 +16,7 @@ void Writer::Put(const uint8_t* data, size_t n) {
 
 void Writer::operator()(Fixed64, uint64_t v) {
   uint8_t buf[8];
-  PutFixed64(buf, v);
+  StoreLE64(buf, v);
   Put(buf, sizeof(buf));
 }
 
@@ -116,7 +116,7 @@ const uint8_t* Reader::TakeLengthPrefixed(size_t* n) {
 }
 
 void Reader::operator()(Fixed64, uint64_t& v) {
-  if (const uint8_t* p = Take(8)) v = GetFixed64(p);
+  if (const uint8_t* p = Take(8)) v = LoadLE64(p);
 }
 
 void Reader::operator()(Fixed64, double& v) {

@@ -33,8 +33,8 @@ Status WriteFrame(WriteBuffer& out, const Bytes& payload) {
     return Status::InvalidArgument("frame payload exceeds kMaxFrameBytes");
   }
   uint8_t header[kFrameHeaderBytes];
-  PutFixed32(header, static_cast<uint32_t>(payload.size()));
-  PutFixed32(header + 4, Crc32(payload));
+  StoreLE32(header, static_cast<uint32_t>(payload.size()));
+  StoreLE32(header + 4, Crc32(payload));
   DPSYNC_RETURN_IF_ERROR(out.Write(header, sizeof(header)));
   DPSYNC_RETURN_IF_ERROR(out.Write(payload));
   return out.Flush();
@@ -43,13 +43,13 @@ Status WriteFrame(WriteBuffer& out, const Bytes& payload) {
 StatusOr<Bytes> ReadFrame(ReadBuffer& in) {
   uint8_t header[kFrameHeaderBytes];
   DPSYNC_RETURN_IF_ERROR(in.ReadExact(header, sizeof(header)));
-  const uint32_t len = GetFixed32(header);
+  const uint32_t len = LoadLE32(header);
   if (len > kMaxFrameBytes) {
     return Status::InvalidArgument("frame length exceeds kMaxFrameBytes");
   }
   Bytes payload(len);
   DPSYNC_RETURN_IF_ERROR(in.ReadExact(payload.data(), payload.size()));
-  if (Crc32(payload) != GetFixed32(header + 4)) {
+  if (Crc32(payload) != LoadLE32(header + 4)) {
     return Status::InvalidArgument("frame CRC mismatch: payload corrupted");
   }
   return payload;

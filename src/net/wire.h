@@ -11,10 +11,9 @@
 /// payload arrives short, or whose CRC does not match the payload is
 /// rejected with a typed Status — corruption never parses.
 ///
-/// The buffer-free helpers (PutFixed32/64, GetFixed32/64) are shared with
-/// the message codec and with `SegmentLogBackend`, which encodes its
-/// 64-byte on-disk segment header through them so segment files are
-/// byte-portable across hosts.
+/// The frame header, like the message codec and the on-disk segment
+/// header (edb/shard_log.h), is encoded with the little-endian helpers of
+/// common/bytes.h (StoreLE32/64, LoadLE32/64).
 #pragma once
 
 #include <cstdint>
@@ -40,13 +39,6 @@ uint32_t Crc32(const uint8_t* data, size_t len);
 inline uint32_t Crc32(const Bytes& data) {
   return Crc32(data.data(), data.size());
 }
-
-// ---- Buffer-free little-endian helpers -----------------------------------
-
-inline void PutFixed32(uint8_t* dst, uint32_t v) { StoreLE32(dst, v); }
-inline void PutFixed64(uint8_t* dst, uint64_t v) { StoreLE64(dst, v); }
-inline uint32_t GetFixed32(const uint8_t* src) { return LoadLE32(src); }
-inline uint64_t GetFixed64(const uint8_t* src) { return LoadLE64(src); }
 
 // ---- Frames -------------------------------------------------------------
 

@@ -129,8 +129,6 @@ StatusOr<std::shared_ptr<const QueryPlan>> PlanSelect(
   }
 
   plan->rewritten = RewriteForDummies(plan->normalized);
-  plan->access_path =
-      opts.oram_indexed ? AccessPath::kOramIndexed : AccessPath::kLinearScan;
   return std::shared_ptr<const QueryPlan>(std::move(plan));
 }
 

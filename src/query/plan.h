@@ -47,12 +47,6 @@ SelectQuery NormalizeSelect(const SelectQuery& q);
 /// Which execution shape the plan selected.
 enum class PlanKind { kScan, kJoin };
 
-/// How the engine will touch the records of the scanned table(s): a linear
-/// fixed-order scan or per-shard oblivious ORAM accesses. Chosen from the
-/// engine's storage method at plan time (informational: both paths serve
-/// identical partitions).
-enum class AccessPath { kLinearScan, kOramIndexed };
-
 /// An immutable, bound, executable query plan.
 struct QueryPlan {
   /// Plan-cache key (hash of `canonical_text`).
@@ -67,7 +61,6 @@ struct QueryPlan {
   /// The dummy-exclusion rewrite of `normalized` — what engines execute.
   SelectQuery rewritten;
   PlanKind kind = PlanKind::kScan;
-  AccessPath access_path = AccessPath::kLinearScan;
   /// Bound table names (validated against the catalog at plan time;
   /// tables are never dropped, so the names stay resolvable for the
   /// server's lifetime). `join_table` is empty for scans.
@@ -79,20 +72,17 @@ struct QueryPlan {
 };
 
 /// Classifies a plan as maintainable by an incremental materialized
-/// aggregate view (edb::MaterializedView): a single-table linear scan
-/// (an ORAM-indexed scan must pay its oblivious touches on every
-/// execution) whose aggregate folds append-only — COUNT/SUM/AVG, with or
-/// without WHERE and GROUP BY. Their accumulator state is a pure monoid
-/// over (count, sum), so the newly committed delta of a flush can be
-/// folded in without revisiting older rows. MIN/MAX fold under appends
-/// too but would not survive a future deletion/compaction path, so they
-/// stay on the scan path rather than bake that assumption into view
-/// state.
+/// aggregate view (edb::MaterializedView): a single-table scan whose
+/// aggregate folds append-only — COUNT/SUM/AVG, with or without WHERE and
+/// GROUP BY. Their accumulator state is a pure monoid over (count, sum),
+/// so the newly committed delta of a flush can be folded in without
+/// revisiting older rows. MIN/MAX fold under appends too but would not
+/// survive a future deletion/compaction path, so they stay on the scan
+/// path rather than bake that assumption into view state. A table with an
+/// ORAM index refuses views itself (EncryptedTableStore::RegisterView),
+/// because its scans must pay their oblivious touches on every execution.
 inline bool PlanIsViewEligible(const QueryPlan& plan) {
-  if (plan.kind != PlanKind::kScan ||
-      plan.access_path != AccessPath::kLinearScan) {
-    return false;
-  }
+  if (plan.kind != PlanKind::kScan) return false;
   switch (plan.aggregate.agg) {
     case AggFunc::kCount:
     case AggFunc::kSum:
@@ -114,9 +104,6 @@ struct PlannerOptions {
   bool supports_join = true;
   /// Used in error messages ("<engine> does not support join operators").
   std::string engine_name = "engine";
-  /// True when the engine scans through an oblivious index (sets
-  /// QueryPlan::access_path).
-  bool oram_indexed = false;
   /// Stamped into QueryPlan::catalog_epoch.
   uint64_t catalog_epoch = 0;
 };

@@ -145,7 +145,7 @@ Status SetupPipeline(TablePipeline* p, const workload::TaxiConfig& tc,
 namespace {
 
 /// Scoped storage directory for segment-log runs. Every run gets a unique
-/// fresh subdirectory — segment backends refuse to silently append to a
+/// fresh subdirectory — segment-log shards refuse to silently append to a
 /// previous incarnation's files, so reusing a directory across runs would
 /// abort the second run. Under an explicitly configured root the per-run
 /// subdirectories are kept for inspection; under the synthesized temp

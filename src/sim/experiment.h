@@ -15,7 +15,7 @@
 #include "core/engine.h"
 #include "core/strategy_factory.h"
 #include "edb/encrypted_database.h"
-#include "edb/storage_backend.h"
+#include "edb/shard_log.h"
 #include "workload/taxi_generator.h"
 
 namespace dpsync::sim {

@@ -15,8 +15,8 @@
 #include "core/strategy_factory.h"
 #include "edb/encrypted_table.h"
 #include "edb/oblidb_engine.h"
+#include "edb/shard_log.h"
 #include "edb/snapshot.h"
-#include "edb/storage_backend.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "query/result.h"

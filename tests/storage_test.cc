@@ -1,5 +1,5 @@
-// Tests for the pluggable storage layer: the StorageBackend interface
-// (in-memory and durable segment log), shard routing, the sharded
+// Tests for the storage layer: the per-shard ShardLog (in memory and on
+// the durable segment log), shard routing, the sharded
 // EncryptedTableStore with and without its ORAM index, and — the part
 // everything else leans on — crash
 // recovery: write-kill-reopen must detect torn tails and tampering,
@@ -21,9 +21,8 @@
 #include "common/bytes.h"
 #include "crypto/record_cipher.h"
 #include "edb/encrypted_table.h"
-#include "edb/segment_log.h"
 #include "common/shard_router.h"
-#include "edb/storage_backend.h"
+#include "edb/shard_log.h"
 #include "query/parser.h"
 #include "test_util.h"
 #include "workload/trip_record.h"
@@ -84,10 +83,10 @@ std::multiset<int64_t> PickupIds(const std::vector<query::Row>& rows) {
   return ids;
 }
 
-// ------------------------------------------------------ In-memory backend
+// -------------------------------------------------------- In-memory shard
 
 TEST_F(StorageTest, InMemoryAppendGetScanCount) {
-  InMemoryBackend mem(kRecordSize);
+  ShardLog mem(StorageConfig{}, "T", 0, kRecordSize, /*schema_hash=*/0);
   ASSERT_OK(mem.Append(TestRecord(1)));
   ASSERT_OK(mem.Append(TestRecord(2)));
   EXPECT_EQ(mem.Count(), 2);
@@ -107,7 +106,7 @@ TEST_F(StorageTest, InMemoryAppendGetScanCount) {
 }
 
 TEST_F(StorageTest, InMemoryReopenReportsLastFlushedMark) {
-  InMemoryBackend mem(kRecordSize);
+  ShardLog mem(StorageConfig{}, "T", 0, kRecordSize, /*schema_hash=*/0);
   ASSERT_OK(mem.Append(TestRecord(1)));
   ASSERT_OK(mem.Flush(7));
   auto mark = mem.Reopen();
@@ -116,16 +115,16 @@ TEST_F(StorageTest, InMemoryReopenReportsLastFlushedMark) {
   EXPECT_EQ(mem.Count(), 1);  // memory is the storage: nothing is lost
 }
 
-// ---------------------------------------------------- Segment-log backend
+// ------------------------------------------------------ Segment-log shard
 
 TEST_F(StorageTest, SegmentLogRoundTripAcrossInstances) {
   {
-    SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 0xabcd);
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 0xabcd);
     ASSERT_OK(seg.Append(TestRecord(1)));
     ASSERT_OK(seg.Append(TestRecord(2)));
     ASSERT_OK(seg.Flush(2));
   }
-  SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 0xabcd);
+  ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 0xabcd);
   auto mark = seg.Reopen();
   ASSERT_OK(mark);
   EXPECT_EQ(mark.value().nonce_high_water, 2u);
@@ -137,11 +136,11 @@ TEST_F(StorageTest, SegmentLogRoundTripAcrossInstances) {
 
 TEST_F(StorageTest, SegmentLogRequiresReopenOnExistingFile) {
   {
-    SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 1);
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
     ASSERT_OK(seg.Append(TestRecord(1)));
     ASSERT_OK(seg.Flush(1));
   }
-  SegmentLogBackend fresh(SegPath("T", 0), kRecordSize, 1);
+  ShardLog fresh(SegmentConfig(), "T", 0, kRecordSize, 1);
   auto st = fresh.Append(TestRecord(2));
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   ASSERT_OK(fresh.Reopen());
@@ -150,14 +149,14 @@ TEST_F(StorageTest, SegmentLogRequiresReopenOnExistingFile) {
 
 TEST_F(StorageTest, SegmentLogDiscardsUncommittedTailOnReopen) {
   {
-    SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 1);
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
     ASSERT_OK(seg.Append(RecordWithNonce(0, 1)));
     ASSERT_OK(seg.Flush(1));
     // Crash after two more uncommitted appends (no Flush).
     ASSERT_OK(seg.Append(RecordWithNonce(1, 2)));
     ASSERT_OK(seg.Append(RecordWithNonce(2, 3)));
   }
-  SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 1);
+  ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
   auto mark = seg.Reopen();
   ASSERT_OK(mark);
   // The tail is dropped, but the nonces it burned are reported alongside
@@ -168,12 +167,12 @@ TEST_F(StorageTest, SegmentLogDiscardsUncommittedTailOnReopen) {
   EXPECT_EQ(seg.Count(), 1);
   // The tail was physically truncated, so a second reopen agrees.
   EXPECT_EQ(fs::file_size(SegPath("T", 0)),
-            SegmentLogBackend::kHeaderSize + kRecordSize);
+            SegmentHeader::kSize + kRecordSize);
 }
 
 TEST_F(StorageTest, SegmentLogDetectsTornRecordTail) {
   {
-    SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 1);
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
     ASSERT_OK(seg.Append(TestRecord(1)));
     ASSERT_OK(seg.Flush(1));
   }
@@ -184,17 +183,17 @@ TEST_F(StorageTest, SegmentLogDetectsTornRecordTail) {
     f.write(reinterpret_cast<const char*>(half.data()),
             static_cast<std::streamsize>(half.size()));
   }
-  SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 1);
+  ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
   auto mark = seg.Reopen();
   ASSERT_OK(mark);
   EXPECT_EQ(seg.Count(), 1);  // torn tail detected and dropped
   EXPECT_EQ(fs::file_size(SegPath("T", 0)),
-            SegmentLogBackend::kHeaderSize + kRecordSize);
+            SegmentHeader::kSize + kRecordSize);
 }
 
 TEST_F(StorageTest, SegmentLogFailsLoudlyWhenNonceMarkBehindLength) {
   {
-    SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 1);
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
     ASSERT_OK(seg.Append(TestRecord(1)));
     ASSERT_OK(seg.Append(TestRecord(2)));
     ASSERT_OK(seg.Flush(2));
@@ -207,7 +206,7 @@ TEST_F(StorageTest, SegmentLogFailsLoudlyWhenNonceMarkBehindLength) {
     uint8_t one[8] = {1, 0, 0, 0, 0, 0, 0, 0};
     f.write(reinterpret_cast<const char*>(one), 8);
   }
-  SegmentLogBackend seg(SegPath("T", 0), kRecordSize, 1);
+  ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
   auto mark = seg.Reopen();
   ASSERT_FALSE(mark.ok());
   EXPECT_EQ(mark.status().code(), StatusCode::kFailedPrecondition);
@@ -215,11 +214,11 @@ TEST_F(StorageTest, SegmentLogFailsLoudlyWhenNonceMarkBehindLength) {
 
 TEST_F(StorageTest, SegmentLogRejectsForeignSchemaHash) {
   {
-    SegmentLogBackend seg(SegPath("T", 0), kRecordSize, /*schema_hash=*/111);
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, /*schema_hash=*/111);
     ASSERT_OK(seg.Append(TestRecord(1)));
     ASSERT_OK(seg.Flush(1));
   }
-  SegmentLogBackend other(SegPath("T", 0), kRecordSize, /*schema_hash=*/222);
+  ShardLog other(SegmentConfig(), "T", 0, kRecordSize, /*schema_hash=*/222);
   EXPECT_NOT_OK(other.Reopen());
 }
 
@@ -354,7 +353,12 @@ TEST_F(StorageTest, SegmentStoreWithoutDirFailsOnFirstUse) {
   StorageConfig cfg;
   cfg.backend = StorageBackendKind::kSegmentLog;  // dir left empty
   EncryptedTableStore store("T", TripSchema(), Bytes(32, 1), cfg);
-  EXPECT_NOT_OK(store.Setup({Trip(1, 10)}));
+  Status st = store.Setup({Trip(1, 10)});
+  EXPECT_NOT_OK(st);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  // An empty gamma_0 appends nothing; its auto-flush is the first write.
+  EncryptedTableStore empty("T", TripSchema(), Bytes(32, 1), cfg);
+  EXPECT_EQ(empty.Setup({}).code(), StatusCode::kInvalidArgument);
 }
 
 // -------------------------------------------------------- Crash recovery
@@ -446,13 +450,13 @@ TEST_F(StorageTest, TamperedCommittedRecordFailsAuthentication) {
     // Flip one byte inside the second committed record's ciphertext body.
     std::fstream f(SegPath("T", 0),
                    std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(SegmentLogBackend::kHeaderSize +
+    f.seekp(static_cast<std::streamoff>(SegmentHeader::kSize +
                                         kRecordSize + 20));
     char byte;
     f.seekg(f.tellp());
     f.read(&byte, 1);
     byte ^= 0x01;
-    f.seekp(static_cast<std::streamoff>(SegmentLogBackend::kHeaderSize +
+    f.seekp(static_cast<std::streamoff>(SegmentHeader::kSize +
                                         kRecordSize + 20));
     f.write(&byte, 1);
   }
@@ -482,6 +486,45 @@ TEST_F(StorageTest, ImplausibleTailNonceFailsLoudly) {
   auto st = store.Reopen();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(StorageTest, HugeCommittedCountFailsWithoutAllocating) {
+  // A header claiming 2^62 committed records, with a nonce mark to match.
+  // 2^62 records of 92 = 4 * 23 bytes wrap a 64-bit byte count to zero,
+  // so the length check must divide the file size instead of multiplying
+  // the count — otherwise Reopen goes on to reserve 2^62 records and the
+  // process dies with std::length_error instead of a typed error.
+  const Bytes key(32, 2);
+  {
+    EncryptedTableStore store("T", TripSchema(), key, SegmentConfig(1));
+    ASSERT_OK(store.Setup({Trip(1, 10), Trip(2, 20)}));
+  }
+  uint8_t header[SegmentHeader::kSize];
+  {
+    std::fstream f(SegPath("T", 0),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    uint8_t huge[8];
+    StoreLE64(huge, uint64_t{1} << 62);
+    f.seekp(24);  // committed_count
+    f.write(reinterpret_cast<const char*>(huge), 8);
+    f.seekp(32);  // nonce_high_water
+    f.write(reinterpret_cast<const char*>(huge), 8);
+    f.seekg(0);
+    f.read(reinterpret_cast<char*>(header), sizeof(header));
+  }
+  // The shard is built with the store's schema hash, read back from the
+  // header, so the count is the only field Reopen can object to.
+  auto decoded = SegmentHeader::DecodeFrom(header, SegPath("T", 0));
+  ASSERT_OK(decoded);
+  ShardLog shard(SegmentConfig(), "T", 0, kRecordSize, decoded->schema_hash);
+  auto info = shard.Reopen();
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInternal);
+
+  EncryptedTableStore store("T", TripSchema(), key, SegmentConfig(1));
+  Status st = store.Reopen();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
 TEST_F(StorageTest, AutoFlushCommitsEveryUpdate) {
@@ -591,7 +634,7 @@ TEST(NonceHighWaterTest, RefusesToRewind) {
 
 TEST(SegmentHeaderTest, RoundTripMatchesHandBuiltLittleEndianBytes) {
   SegmentHeader h;
-  h.version = SegmentLogBackend::kFormatVersion;
+  h.version = SegmentHeader::kFormatVersion;
   h.record_size = 92;
   h.schema_hash = 0x1122334455667788ull;
   h.committed_count = 0x00000000CAFED00Dull;
@@ -607,7 +650,7 @@ TEST(SegmentHeaderTest, RoundTripMatchesHandBuiltLittleEndianBytes) {
   // little-endian at its documented offset, and the reserved region must
   // be zero. This is the cross-check that keeps segment files portable.
   uint8_t expect[SegmentHeader::kSize] = {};
-  std::memcpy(expect, SegmentLogBackend::kMagic, 8);
+  std::memcpy(expect, SegmentHeader::kMagic, 8);
   auto le32 = [&](size_t off, uint32_t v) {
     for (int i = 0; i < 4; ++i) expect[off + i] = uint8_t(v >> (8 * i));
   };
@@ -636,7 +679,7 @@ TEST(SegmentHeaderTest, RoundTripMatchesHandBuiltLittleEndianBytes) {
 
 TEST(SegmentHeaderTest, BadMagicAndVersionRejected) {
   SegmentHeader h;
-  h.version = SegmentLogBackend::kFormatVersion;
+  h.version = SegmentHeader::kFormatVersion;
   uint8_t encoded[SegmentHeader::kSize];
   h.EncodeTo(encoded);
   uint8_t bad[SegmentHeader::kSize];

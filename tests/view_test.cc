@@ -103,6 +103,42 @@ TEST(ViewEligibilityTest, OnlyAppendFoldableAggregatesQualify) {
       "YellowCab.pickTime = GreenTaxi.pickTime")));
 }
 
+TEST(ViewEligibilityTest, IndexedTablesKeepNoViews) {
+  // An eligible plan on an ORAM-indexed table: the store refuses its view,
+  // so every execution scans and pays one oblivious path per record.
+  ObliDbConfig cfg;
+  cfg.use_oram_index = true;
+  cfg.oram_capacity = 512;
+  cfg.storage.num_shards = 2;
+  ObliDbServer server(cfg);
+  auto t = server.CreateTable("YellowCab", TripSchema());
+  ASSERT_OK(t);
+  std::vector<Record> init;
+  for (int64_t i = 0; i < 40; ++i) init.push_back(Trip(i, i % 7));
+  ASSERT_OK(t.value()->Setup(init));
+  auto* table = dynamic_cast<EncryptedTableStore*>(t.value());
+  ASSERT_NE(table, nullptr);
+
+  auto session = server.CreateSession();
+  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
+  ASSERT_OK(q);
+  ASSERT_TRUE(query::PlanIsViewEligible(*q->plan()));
+  EXPECT_EQ(table->RegisterView(PlanFor("SELECT COUNT(*) FROM YellowCab"))
+                .code(),
+            StatusCode::kFailedPrecondition);
+  const int64_t scans_before = server.stats().snapshot_scans;
+  for (int run = 0; run < 2; ++run) {
+    auto r = session->Execute(q.value());
+    ASSERT_OK(r);
+    EXPECT_EQ(r->result.scalar, 40.0);
+    EXPECT_EQ(r->stats.records_scanned, 40);
+    EXPECT_EQ(r->stats.oram_paths, 40);
+  }
+  EXPECT_EQ(table->registered_views(), 0u);
+  EXPECT_EQ(server.stats().view_hits, 0);
+  EXPECT_EQ(server.stats().snapshot_scans, scans_before + 2);
+}
+
 // ------------------------------------------------- store-level lifecycle
 
 TEST(ViewRegistryTest, FoldsExactlyTheCommittedDeltaPerFlush) {

@@ -161,17 +161,17 @@ TEST(VarintTest, SmallNegativeStaysShort) {
 
 TEST(FixedWidthTest, ExplicitLittleEndianLayout) {
   uint8_t buf[8];
-  PutFixed32(buf, 0x04030201u);
+  StoreLE32(buf, 0x04030201u);
   EXPECT_EQ(buf[0], 0x01);
   EXPECT_EQ(buf[1], 0x02);
   EXPECT_EQ(buf[2], 0x03);
   EXPECT_EQ(buf[3], 0x04);
-  EXPECT_EQ(GetFixed32(buf), 0x04030201u);
+  EXPECT_EQ(LoadLE32(buf), 0x04030201u);
 
-  PutFixed64(buf, 0x0807060504030201ull);
+  StoreLE64(buf, 0x0807060504030201ull);
   EXPECT_EQ(buf[0], 0x01);
   EXPECT_EQ(buf[7], 0x08);
-  EXPECT_EQ(GetFixed64(buf), 0x0807060504030201ull);
+  EXPECT_EQ(LoadLE64(buf), 0x0807060504030201ull);
 }
 
 TEST(FixedWidthTest, DoubleTravelsAsExactBitPattern) {
@@ -256,7 +256,7 @@ TEST(FrameTest, EveryBitFlipFailsCrc) {
 
 TEST(FrameTest, OversizedLengthRejectedWithoutAllocating) {
   Bytes wire(kFrameHeaderBytes, 0);
-  PutFixed32(wire.data(), kMaxFrameBytes + 1);
+  StoreLE32(wire.data(), kMaxFrameBytes + 1);
   auto got = ReadFrameFrom(wire);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
