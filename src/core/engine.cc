@@ -1,10 +1,21 @@
 #include "core/engine.h"
 
+#include <string>
 #include <utility>
 
-#include "common/parallel.h"
-
 namespace dpsync {
+
+namespace {
+
+Status CheckFetchCount(int64_t fetch_count) {
+  if (fetch_count <= kMaxFetchPerUpdate) return Status::Ok();
+  return Status::ResourceExhausted(
+      "sync fetch of " + std::to_string(fetch_count) +
+      " records exceeds the per-update cap of " +
+      std::to_string(kMaxFetchPerUpdate));
+}
+
+}  // namespace
 
 DpSyncEngine::DpSyncEngine(std::unique_ptr<SyncStrategy> strategy,
                            SogdbBackend* backend, DummyFactory dummy_factory,
@@ -18,10 +29,11 @@ Status DpSyncEngine::Setup(std::vector<Record> initial_db) {
   if (setup_done_) {
     return Status::FailedPrecondition("Setup already executed");
   }
-  counters_.initial_size = static_cast<int64_t>(initial_db.size());
+  const auto initial_size = static_cast<int64_t>(initial_db.size());
+  const int64_t n0 = strategy_->InitialFetch(initial_size, &rng_);
+  DPSYNC_RETURN_IF_ERROR(CheckFetchCount(n0));
+  counters_.initial_size = initial_size;
   for (auto& r : initial_db) cache_.Write(std::move(r));
-
-  int64_t n0 = strategy_->InitialFetch(counters_.initial_size, &rng_);
   std::vector<Record> gamma0 = cache_.Read(n0);
   for (const auto& r : gamma0) {
     if (r.is_dummy) {
@@ -37,6 +49,7 @@ Status DpSyncEngine::Setup(std::vector<Record> initial_db) {
 }
 
 Status DpSyncEngine::Execute(const SyncDecision& decision) {
+  DPSYNC_RETURN_IF_ERROR(CheckFetchCount(decision.fetch_count));
   std::vector<Record> gamma = cache_.Read(decision.fetch_count);
   if (gamma.empty()) return Status::Ok();
   for (const auto& r : gamma) {
@@ -77,9 +90,12 @@ Status DpSyncEngine::TickBatch(std::vector<Record> arrivals) {
 
 Status DpSyncEngine::TickAll(
     std::vector<std::pair<DpSyncEngine*, std::vector<Record>>> work) {
-  return ParallelShardStatus(work.size(), [&](size_t i) {
-    return work[i].first->TickBatch(std::move(work[i].second));
-  });
+  Status first_failure;
+  for (auto& [engine, arrivals] : work) {
+    Status st = engine->TickBatch(std::move(arrivals));
+    if (first_failure.ok()) first_failure = std::move(st);
+  }
+  return first_failure;
 }
 
 }  // namespace dpsync

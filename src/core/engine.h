@@ -32,6 +32,15 @@ struct EngineCounters {
   int64_t updates_posted = 0;     ///< number of Pi_Update invocations
 };
 
+/// The most records one Pi_Setup or Pi_Update may fetch from the cache.
+/// A DP strategy's noisy count has no upper bound: DP-Timer at
+/// epsilon = 1e-12 draws Lap(10^12), and padding such a fetch with dummies
+/// would exhaust memory. The engine refuses a larger fetch with
+/// ResourceExhausted before it reads the cache. 2^24 is far above any
+/// batch the paper's workloads post; it also bounds the initial database
+/// SUR and OTO outsource whole in one Setup.
+inline constexpr int64_t kMaxFetchPerUpdate = int64_t{1} << 24;
+
 /// Owner-side synchronization engine.
 class DpSyncEngine {
  public:
@@ -45,11 +54,15 @@ class DpSyncEngine {
                LocalCache::Mode cache_mode = LocalCache::Mode::kFifo);
 
   /// Runs Pi_Setup: caches `initial_db`, asks the strategy for |gamma_0|,
-  /// reads it from the cache (padding with dummies) and ships it.
+  /// reads it from the cache (padding with dummies) and ships it. A
+  /// |gamma_0| above kMaxFetchPerUpdate fails with ResourceExhausted and
+  /// leaves the cache, the counters, the pattern and the backend untouched.
   Status Setup(std::vector<Record> initial_db);
 
   /// Advances one time unit with an optional arriving record (u_t). Must be
-  /// called after Setup; time starts at t=1 on the first call.
+  /// called after Setup; time starts at t=1 on the first call. A sync
+  /// decision fetching more than kMaxFetchPerUpdate records fails with
+  /// ResourceExhausted before it reads the cache or calls the backend.
   Status Tick(std::optional<Record> arrival);
 
   /// Multi-record generalization (§4.1): advances one time unit with any
@@ -57,12 +70,11 @@ class DpSyncEngine {
   /// individual record is protected with the configured epsilon.
   Status TickBatch(std::vector<Record> arrivals);
 
-  /// Multi-table owner fan-out: advances every engine one time unit on the
-  /// shared pool, one task per engine. Engines own disjoint caches, RNGs
-  /// and backends, so the parallel ticks are bit-identical to running the
-  /// same TickBatch calls sequentially (per-engine counters, patterns and
-  /// noise streams never interact). Reduction is the deterministic "first
-  /// failing engine in index order wins" rule from common/parallel.h.
+  /// Multi-table owner tick: advances every engine one time unit, in index
+  /// order on the calling thread, through TickBatch. A tick's work is a
+  /// strategy step and, at most, one small padded batch, too little to pay
+  /// for waking a pool worker. Every engine ticks even after an earlier one
+  /// fails, and the first failing engine in index order wins.
   static Status TickAll(
       std::vector<std::pair<DpSyncEngine*, std::vector<Record>>> work);
 

@@ -1,18 +1,14 @@
 #include "edb/shard_log.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
-
-#ifdef _WIN32
-#define DPSYNC_FSYNC(f) std::fflush(f)
-#else
-#include <unistd.h>
-#define DPSYNC_FSYNC(f) (std::fflush(f) == 0 ? ::fsync(fileno(f)) : -1)
-#endif
 
 namespace dpsync::edb {
 
@@ -24,11 +20,6 @@ Status IoError(const std::string& op, const std::string& path) {
   return Status::Internal("segment log " + op + " failed for " + path + ": " +
                           std::strerror(errno));
 }
-
-struct FileCloser {
-  void operator()(std::FILE* f) const { std::fclose(f); }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 }  // namespace
 
@@ -73,9 +64,10 @@ StatusOr<SegmentHeader> SegmentHeader::DecodeFrom(const uint8_t* in,
   return h;
 }
 
-/// The segment file behind a kSegmentLog shard: write-through appends,
-/// the header rewritten at every commit, and Reopen's validation and tail
-/// walk. The records themselves live in the owning ShardLog.
+/// The segment file behind a kSegmentLog shard: one positioned write per
+/// appended record and per commit, the header rewritten at every commit,
+/// and Reopen's validation and tail walk. The records themselves live in
+/// the owning ShardLog.
 class ShardLog::SegmentFile {
  public:
   SegmentFile(std::string path, size_t record_size, uint64_t schema_hash,
@@ -86,8 +78,12 @@ class ShardLog::SegmentFile {
         shard_index_(shard_index),
         shard_count_(shard_count),
         fsync_on_flush_(fsync_on_flush) {}
+  ~SegmentFile() { Close(); }
+  SegmentFile(const SegmentFile&) = delete;
+  SegmentFile& operator=(const SegmentFile&) = delete;
 
-  Status Append(const Bytes& record);
+  /// Writes `record` as the shard's record number `index`.
+  Status Append(const Bytes& record, uint64_t index);
   /// Rewrites the header to name `committed_count` records and the mark.
   Status Commit(uint64_t committed_count, uint64_t nonce_high_water);
   /// Re-attaches to the file, loading its committed records into
@@ -96,7 +92,15 @@ class ShardLog::SegmentFile {
 
  private:
   Status Create();
+  /// Reopen's body on the freshly opened descriptor.
+  StatusOr<ReopenInfo> Attach(std::vector<Bytes>* records);
   Status WriteHeader(uint64_t committed_count, uint64_t nonce_high_water);
+  /// One pwrite/pread of exactly `size` bytes at `offset`; a short or
+  /// failed transfer is an Internal error naming `op`.
+  Status WriteAt(const uint8_t* data, size_t size, uint64_t offset,
+                 const char* op);
+  Status ReadAt(uint8_t* data, size_t size, uint64_t offset, const char* op);
+  void Close();
 
   /// Empty when the table has no StorageConfig::dir.
   std::string path_;
@@ -105,12 +109,35 @@ class ShardLog::SegmentFile {
   uint32_t shard_index_;
   uint32_t shard_count_;
   bool fsync_on_flush_;
-  /// Open handle for appends and header rewrites, held for the shard's
+  /// Descriptor for appends and header rewrites, held for the shard's
   /// lifetime once the file is known to exist with a valid header
-  /// (per-record fopen/fclose would dominate segment wall time under
-  /// flush_every_update). Null until then.
-  FilePtr file_;
+  /// (per-record open/close would dominate segment wall time under
+  /// flush_every_update). -1 until then.
+  int fd_ = -1;
 };
+
+Status ShardLog::SegmentFile::WriteAt(const uint8_t* data, size_t size,
+                                      uint64_t offset, const char* op) {
+  if (::pwrite(fd_, data, size, static_cast<off_t>(offset)) !=
+      static_cast<ssize_t>(size)) {
+    return IoError(op, path_);
+  }
+  return Status::Ok();
+}
+
+Status ShardLog::SegmentFile::ReadAt(uint8_t* data, size_t size,
+                                     uint64_t offset, const char* op) {
+  if (::pread(fd_, data, size, static_cast<off_t>(offset)) !=
+      static_cast<ssize_t>(size)) {
+    return IoError(op, path_);
+  }
+  return Status::Ok();
+}
+
+void ShardLog::SegmentFile::Close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
 
 Status ShardLog::SegmentFile::WriteHeader(uint64_t committed_count,
                                           uint64_t nonce_high_water) {
@@ -124,16 +151,9 @@ Status ShardLog::SegmentFile::WriteHeader(uint64_t committed_count,
   h.shard_count = shard_count_;
   uint8_t header[SegmentHeader::kSize];
   h.EncodeTo(header);
-  std::FILE* f = file_.get();
-  if (std::fseek(f, 0, SEEK_SET) != 0) return IoError("seek", path_);
-  if (std::fwrite(header, 1, SegmentHeader::kSize, f) != SegmentHeader::kSize) {
-    return IoError("header write", path_);
-  }
-  if (fsync_on_flush_) {
-    if (DPSYNC_FSYNC(f) != 0) return IoError("fsync", path_);
-  } else if (std::fflush(f) != 0) {
-    return IoError("flush", path_);
-  }
+  DPSYNC_RETURN_IF_ERROR(
+      WriteAt(header, SegmentHeader::kSize, 0, "header write"));
+  if (fsync_on_flush_ && ::fsync(fd_) != 0) return IoError("fsync", path_);
   return Status::Ok();
 }
 
@@ -153,44 +173,41 @@ Status ShardLog::SegmentFile::Create() {
                               p.parent_path().string() + ": " + ec.message());
     }
   }
-  if (fs::exists(p, ec)) {
-    // A pre-existing file may hold committed records and a nonce mark this
-    // instance knows nothing about; silently appending to it could reuse
-    // nonces. The caller must Reopen() first.
-    return Status::FailedPrecondition(
-        "segment file already exists; Reopen() before writing: " + path_);
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd_ < 0) {
+    // A pre-existing file may hold committed records and a nonce mark
+    // this instance knows nothing about; silently appending to it could
+    // reuse nonces. The caller must Reopen() first.
+    if (errno == EEXIST) {
+      return Status::FailedPrecondition(
+          "segment file already exists; Reopen() before writing: " + path_);
+    }
+    return IoError("create", path_);
   }
-  file_.reset(std::fopen(path_.c_str(), "w+b"));
-  if (file_ == nullptr) return IoError("create", path_);
   Status st = WriteHeader(0, 0);
-  if (!st.ok()) file_.reset();
+  if (!st.ok()) Close();
   return st;
 }
 
-Status ShardLog::SegmentFile::Append(const Bytes& record) {
-  if (file_ == nullptr) DPSYNC_RETURN_IF_ERROR(Create());
-  std::FILE* f = file_.get();
-  if (std::fseek(f, 0, SEEK_END) != 0) return IoError("seek", path_);
-  if (std::fwrite(record.data(), 1, record.size(), f) != record.size()) {
-    return IoError("append", path_);
-  }
-  // Push the record out of the stdio buffer immediately: the crash model
-  // is process death, and a record stranded in a user-space buffer would
-  // vanish with the process *after* its nonce was consumed — Reopen's
-  // tail walk can only recover nonces that reached the file.
-  if (std::fflush(f) != 0) return IoError("append flush", path_);
-  return Status::Ok();
+Status ShardLog::SegmentFile::Append(const Bytes& record, uint64_t index) {
+  if (fd_ < 0) DPSYNC_RETURN_IF_ERROR(Create());
+  // Straight to the kernel, with no user-space buffer: the crash model is
+  // process death, and a record stranded in a buffer would vanish with the
+  // process *after* its nonce was consumed — Reopen's tail walk can only
+  // recover nonces that reached the file.
+  return WriteAt(record.data(), record.size(),
+                 SegmentHeader::kSize + index * record_size_, "append");
 }
 
 Status ShardLog::SegmentFile::Commit(uint64_t committed_count,
                                      uint64_t nonce_high_water) {
-  if (file_ == nullptr) DPSYNC_RETURN_IF_ERROR(Create());
+  if (fd_ < 0) DPSYNC_RETURN_IF_ERROR(Create());
   return WriteHeader(committed_count, nonce_high_water);
 }
 
 StatusOr<ShardLog::ReopenInfo> ShardLog::SegmentFile::Reopen(
     std::vector<Bytes>* records) {
-  file_.reset();
+  Close();
 
   std::error_code ec;
   if (path_.empty() || !fs::exists(path_, ec)) {
@@ -199,111 +216,112 @@ StatusOr<ShardLog::ReopenInfo> ShardLog::SegmentFile::Reopen(
     DPSYNC_RETURN_IF_ERROR(Create());
     return ReopenInfo{};  // zero marks, no tail, attached_existing=false
   }
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd_ < 0) return IoError("open", path_);
+  auto info = Attach(records);
+  // A file that failed validation stays detached, so the next write
+  // refuses it instead of appending to it.
+  if (!info.ok()) Close();
+  return info;
+}
 
-  uint64_t file_size = fs::file_size(path_, ec);
-  if (ec || file_size < SegmentHeader::kSize) {
+StatusOr<ShardLog::ReopenInfo> ShardLog::SegmentFile::Attach(
+    std::vector<Bytes>* records) {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return IoError("stat", path_);
+  const auto file_size = static_cast<uint64_t>(st.st_size);
+  if (file_size < SegmentHeader::kSize) {
     return Status::Internal("segment file truncated below header: " + path_);
   }
 
   uint8_t header[SegmentHeader::kSize];
-  uint64_t committed = 0;
-  uint64_t nonce_high_water = 0;
+  DPSYNC_RETURN_IF_ERROR(
+      ReadAt(header, SegmentHeader::kSize, 0, "header read"));
+  auto decoded = SegmentHeader::DecodeFrom(header, path_);
+  if (!decoded.ok()) return decoded.status();
+  const SegmentHeader& h = decoded.value();
+  if (h.record_size != record_size_) {
+    return Status::Internal("segment record size mismatch: " + path_);
+  }
+  if (h.schema_hash != schema_hash_) {
+    return Status::Internal(
+        "segment schema hash mismatch (file belongs to another table "
+        "layout): " +
+        path_);
+  }
+  // Topology check: a shard-count mismatch means this configuration
+  // would silently never read some committed shard files (or interleave
+  // two topologies in one directory). Refuse rather than lose data.
+  if (h.shard_index != shard_index_ || h.shard_count != shard_count_) {
+    return Status::FailedPrecondition(
+        "segment shard topology mismatch (file is shard " +
+        std::to_string(h.shard_index) + "/" + std::to_string(h.shard_count) +
+        ", store expects " + std::to_string(shard_index_) + "/" +
+        std::to_string(shard_count_) + "): " + path_);
+  }
+  const uint64_t committed = h.committed_count;
+
+  // Divide the file, never multiply the count: a tampered count times
+  // the record size can wrap to a small product and pass this check.
+  if (committed > (file_size - SegmentHeader::kSize) / record_size_) {
+    return Status::Internal(
+        "segment shorter than its committed record count: " + path_);
+  }
+  // The paper-level invariant: every committed record consumed one nonce,
+  // so a persisted counter behind the committed length means the header
+  // was tampered with or the flush ordering broke — re-encrypting from
+  // such a counter would reuse nonces. Fail loudly, never "repair".
+  if (h.nonce_high_water < committed) {
+    return Status::FailedPrecondition(
+        "persisted nonce high-water mark is behind the committed segment "
+        "length (would reuse nonces): " +
+        path_);
+  }
+
+  // Load the committed prefix about 1 MiB at a time: one pread per record
+  // would make a large shard's Reopen pay a syscall per record.
+  const uint64_t per_read = std::max<uint64_t>(1, (1 << 20) / record_size_);
+  Bytes block;
+  records->reserve(committed);
+  for (uint64_t first = 0; first < committed; first += per_read) {
+    const uint64_t n = std::min(per_read, committed - first);
+    block.resize(n * record_size_);
+    DPSYNC_RETURN_IF_ERROR(ReadAt(block.data(), block.size(),
+                                  SegmentHeader::kSize + first * record_size_,
+                                  "record read"));
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint8_t* record = block.data() + i * record_size_;
+      records->emplace_back(record, record + record_size_);
+    }
+  }
+
+  // The uncommitted tail is about to be discarded, but the dead process
+  // already *consumed* a nonce per tail record — and the server saw the
+  // bytes. Each record leads with its nonce counter (wire format:
+  // nonce || ct || tag), so walk the tail and report every nonce it
+  // managed to write. Only *report*: tail bytes are attacker-writable
+  // (a tampered prefix could name a nonce near 2^64 and wrap the
+  // counter into reuse), so the store validates the reported bound
+  // against the table-wide tail volume before restoring from it. A torn
+  // fragment shorter than the 8 counter bytes never carried keystream
+  // under its nonce and reports nothing.
+  const uint64_t keep = SegmentHeader::kSize + committed * record_size_;
   uint64_t tail_nonce_bound = 0;
   uint64_t tail_records = 0;
-  {
-    FilePtr in(std::fopen(path_.c_str(), "rb"));
-    if (!in) return IoError("open", path_);
-    if (std::fread(header, 1, SegmentHeader::kSize, in.get()) !=
-        SegmentHeader::kSize) {
-      return IoError("header read", path_);
-    }
-    auto decoded = SegmentHeader::DecodeFrom(header, path_);
-    if (!decoded.ok()) return decoded.status();
-    const SegmentHeader& h = decoded.value();
-    if (h.record_size != record_size_) {
-      return Status::Internal("segment record size mismatch: " + path_);
-    }
-    if (h.schema_hash != schema_hash_) {
-      return Status::Internal(
-          "segment schema hash mismatch (file belongs to another table "
-          "layout): " +
-          path_);
-    }
-    // Topology check: a shard-count mismatch means this configuration
-    // would silently never read some committed shard files (or interleave
-    // two topologies in one directory). Refuse rather than lose data.
-    if (h.shard_index != shard_index_ || h.shard_count != shard_count_) {
-      return Status::FailedPrecondition(
-          "segment shard topology mismatch (file is shard " +
-          std::to_string(h.shard_index) + "/" +
-          std::to_string(h.shard_count) + ", store expects " +
-          std::to_string(shard_index_) + "/" + std::to_string(shard_count_) +
-          "): " + path_);
-    }
-    committed = h.committed_count;
-    nonce_high_water = h.nonce_high_water;
-
-    // Divide the file, never multiply the count: a tampered count times
-    // the record size can wrap to a small product and pass this check.
-    if (committed > (file_size - SegmentHeader::kSize) / record_size_) {
-      return Status::Internal(
-          "segment shorter than its committed record count: " + path_);
-    }
-    // The paper-level invariant: every committed record consumed one nonce,
-    // so a persisted counter behind the committed length means the header
-    // was tampered with or the flush ordering broke — re-encrypting from
-    // such a counter would reuse nonces. Fail loudly, never "repair".
-    if (nonce_high_water < committed) {
-      return Status::FailedPrecondition(
-          "persisted nonce high-water mark is behind the committed segment "
-          "length (would reuse nonces): " +
-          path_);
-    }
-
-    records->reserve(committed);
-    for (uint64_t i = 0; i < committed; ++i) {
-      Bytes record(record_size_);
-      if (std::fread(record.data(), 1, record_size_, in.get()) !=
-          record_size_) {
-        return IoError("record read", path_);
-      }
-      records->push_back(std::move(record));
-    }
-
-    // The uncommitted tail is about to be discarded, but the dead process
-    // already *consumed* a nonce per tail record — and the server saw the
-    // bytes. Each record leads with its nonce counter (wire format:
-    // nonce || ct || tag), so walk the tail and report every nonce it
-    // managed to write. Only *report*: tail bytes are attacker-writable
-    // (a tampered prefix could name a nonce near 2^64 and wrap the
-    // counter into reuse), so the store validates the reported bound
-    // against the table-wide tail volume before restoring from it. A torn
-    // fragment shorter than the 8 counter bytes never carried keystream
-    // under its nonce and reports nothing.
-    for (;;) {
-      uint8_t prefix[8];
-      if (std::fread(prefix, 1, 8, in.get()) != 8) break;
-      tail_nonce_bound = std::max(tail_nonce_bound, LoadLE64(prefix) + 1);
-      ++tail_records;
-      if (std::fseek(in.get(), static_cast<long>(record_size_ - 8),
-                     SEEK_CUR) != 0) {
-        break;
-      }
-    }
+  for (uint64_t offset = keep; offset + 8 <= file_size;
+       offset += record_size_) {
+    uint8_t prefix[8];
+    DPSYNC_RETURN_IF_ERROR(ReadAt(prefix, 8, offset, "tail read"));
+    tail_nonce_bound = std::max(tail_nonce_bound, LoadLE64(prefix) + 1);
+    ++tail_records;
   }
 
   // Truncate the tail so the file and the restored state agree.
-  uint64_t keep = SegmentHeader::kSize + committed * record_size_;
-  if (file_size > keep) {
-    fs::resize_file(path_, keep, ec);
-    if (ec) {
-      return Status::Internal("cannot truncate uncommitted tail of " + path_ +
-                              ": " + ec.message());
-    }
+  if (file_size > keep && ::ftruncate(fd_, static_cast<off_t>(keep)) != 0) {
+    return Status::Internal("cannot truncate uncommitted tail of " + path_ +
+                            ": " + std::strerror(errno));
   }
-  file_.reset(std::fopen(path_.c_str(), "r+b"));
-  if (file_ == nullptr) return IoError("open", path_);
-  return ReopenInfo{nonce_high_water, tail_nonce_bound, tail_records,
+  return ReopenInfo{h.nonce_high_water, tail_nonce_bound, tail_records,
                     /*attached_existing=*/true};
 }
 
@@ -329,7 +347,10 @@ Status ShardLog::Append(const Bytes& record) {
   if (record.size() != record_size_) {
     return Status::InvalidArgument("shard record has wrong size");
   }
-  if (segment_) DPSYNC_RETURN_IF_ERROR(segment_->Append(record));
+  if (segment_) {
+    DPSYNC_RETURN_IF_ERROR(
+        segment_->Append(record, static_cast<uint64_t>(records_.size())));
+  }
   records_.push_back(record);
   return Status::Ok();
 }

@@ -69,8 +69,9 @@ struct StorageConfig {
   /// (crash-recovery tests do).
   bool flush_every_update = true;
   /// Issue a real fsync on every segment-log commit. Off by default: the
-  /// simulation's crash model is process death, which buffered writes
-  /// already survive, and per-update fsyncs dominate experiment wall time.
+  /// simulation's crash model is process death, which every write that
+  /// reached the kernel already survives, and per-update fsyncs dominate
+  /// experiment wall time.
   bool fsync_data = false;
 };
 

@@ -44,22 +44,26 @@ size_t OramMirror::capacity() const {
 }
 
 Status OramMirror::Append(std::vector<Entry> entries) {
-  // Route sequentially (deterministic), then write one task per tree —
-  // trees are disjoint, so the only coordination is the status reduction.
+  // Route, then write tree after tree. Trees are disjoint, so a tree that
+  // fails stops alone and the others keep writing.
   const uint64_t first = size();
   std::vector<std::vector<size_t>> per_tree(trees_.size());
   for (size_t i = 0; i < entries.size(); ++i) {
     per_tree[static_cast<size_t>(router_.Route(*entries[i].identity))]
         .push_back(i);
   }
-  return ParallelShardStatus(trees_.size(), [&](size_t s) {
+  Status first_failure;
+  for (size_t s = 0; s < trees_.size(); ++s) {
     for (size_t i : per_tree[s]) {
-      DPSYNC_RETURN_IF_ERROR(
-          trees_[s]->Write(first + i, std::move(entries[i].value)));
+      Status st = trees_[s]->Write(first + i, std::move(entries[i].value));
+      if (!st.ok()) {
+        if (first_failure.ok()) first_failure = std::move(st);
+        break;
+      }
       ids_[s].push_back(first + i);
     }
-    return Status::Ok();
-  });
+  }
+  return first_failure;
 }
 
 StatusOr<OramTouchCost> OramMirror::TouchAll() {

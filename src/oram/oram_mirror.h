@@ -6,9 +6,9 @@
 /// linear pass. It is one Path ORAM (path_oram.h) per storage shard, each
 /// of capacity ceil(N/S) with a seed derived from the master seed, and it
 /// routes blocks by the same FNV-1a record identity as ShardRouter — so a
-/// record's storage shard and its ORAM tree always agree, the per-tree
-/// work fans out in parallel, and every tree is log2(S) levels shorter
-/// than one global tree would be.
+/// record's storage shard and its ORAM tree always agree, TouchAll's
+/// per-tree work fans out in parallel, and every tree is log2(S) levels
+/// shorter than one global tree would be.
 ///
 /// Block ids are append indices: Append continues them from size(), and
 /// the mirror keeps each tree's ids in append order, the work list
@@ -58,8 +58,11 @@ uint64_t DeriveOramShardSeed(uint64_t master_seed, int shard);
 /// Oblivious mirror of one table's ciphertexts.
 ///
 /// Thread-safety: Append and TouchAll are single-writer (the owning table
-/// serializes them); each fans its per-tree work out on the shared pool,
-/// one task per tree. Accessors are safe once writes are quiescent.
+/// serializes them). Append writes the trees one after another on the
+/// calling thread, because a sync's batch is too small to pay for waking
+/// pool workers; TouchAll touches every block, and fans its per-tree work
+/// out on the shared pool, one task per tree. Accessors are safe once
+/// writes are quiescent.
 class OramMirror {
  public:
   /// One appended block: the record's serialized payload, which routes it
@@ -83,10 +86,11 @@ class OramMirror {
   int ShardOf(const Bytes& identity) const { return router_.Route(identity); }
 
   /// Writes `entries` as blocks size(), size() + 1, ..., each into the tree
-  /// its identity routes to, one task per tree. A tree at capacity fails
-  /// with OutOfRange and stops; the trees keep, and TouchAll touches, only
-  /// the blocks they accepted, and the first failure in tree order is
-  /// returned. The mirror then no longer matches its table.
+  /// its identity routes to, tree after tree on the calling thread. A tree
+  /// at capacity fails with OutOfRange and stops; the trees keep, and
+  /// TouchAll touches, only the blocks they accepted, and the first failure
+  /// in tree order is returned. The mirror then no longer matches its
+  /// table.
   Status Append(std::vector<Entry> entries);
 
   /// One oblivious path access per block, each tree's blocks in append

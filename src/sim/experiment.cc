@@ -1,15 +1,9 @@
 #include "sim/experiment.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
-
-#ifdef _WIN32
-#include <process.h>
-#define DPSYNC_GETPID _getpid
-#else
-#include <unistd.h>
-#define DPSYNC_GETPID ::getpid
-#endif
 
 #include "crypto/record_cipher.h"
 #include "dp/laplace.h"
@@ -155,7 +149,7 @@ class ScopedStorageDir {
   explicit ScopedStorageDir(const ExperimentConfig& config) {
     if (config.backend != edb::StorageBackendKind::kSegmentLog) return;
     static std::atomic<uint64_t> counter{0};
-    std::string run = "dpsync-run-" + std::to_string(DPSYNC_GETPID()) + "-" +
+    std::string run = "dpsync-run-" + std::to_string(::getpid()) + "-" +
                       std::to_string(counter.fetch_add(1));
     if (!config.storage_dir.empty()) {
       dir_ = (std::filesystem::path(config.storage_dir) / run).string();

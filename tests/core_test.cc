@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "core/dp_ant.h"
@@ -468,6 +471,109 @@ TEST(EngineTest, CountersAreConsistent) {
   EXPECT_EQ(c.real_synced + engine.logical_gap(), c.received_total);
   EXPECT_EQ(backend.outsourced_count(), c.real_synced + c.dummy_synced);
   EXPECT_EQ(engine.update_pattern().total_volume(), backend.outsourced_count());
+}
+
+/// Asks for fixed counts: `initial` at Setup and `per_tick` on every tick.
+class FixedFetchStrategy : public SyncStrategy {
+ public:
+  FixedFetchStrategy(int64_t initial, int64_t per_tick)
+      : initial_(initial), per_tick_(per_tick) {}
+  std::string name() const override { return "fixed-fetch"; }
+  double epsilon() const override { return 0.0; }
+  int64_t InitialFetch(int64_t, Rng*) override { return initial_; }
+  std::vector<SyncDecision> OnTick(int64_t, int64_t, Rng*) override {
+    return {SyncDecision{per_tick_, false}};
+  }
+
+ private:
+  int64_t initial_;
+  int64_t per_tick_;
+};
+
+TEST(EngineTest, OversizeFetchIsRefusedBeforeReadingTheCache) {
+  // A DP count has no upper bound (DP-Timer at eps=1e-12 draws ~10^12);
+  // padding it with dummies would exhaust memory, so the engine refuses it.
+  {
+    RecordingBackend backend;
+    DpSyncEngine engine(
+        std::make_unique<FixedFetchStrategy>(kMaxFetchPerUpdate + 1, 1),
+        &backend, TestDummyFactory(), 1);
+    EXPECT_EQ(engine.Setup({MakeRecord(0)}).code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_TRUE(backend.batch_sizes().empty());
+    EXPECT_EQ(engine.cache().len(), 0);
+    EXPECT_EQ(engine.counters().initial_size, 0);
+    EXPECT_EQ(engine.counters().real_synced, 0);
+    EXPECT_EQ(engine.counters().dummy_synced, 0);
+    EXPECT_TRUE(engine.update_pattern().events().empty());
+  }
+  {
+    RecordingBackend backend;
+    DpSyncEngine engine(
+        std::make_unique<FixedFetchStrategy>(0, kMaxFetchPerUpdate + 1),
+        &backend, TestDummyFactory(), 1);
+    ASSERT_OK(engine.Setup({}));
+    EXPECT_EQ(engine.Tick(MakeRecord(1)).code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_EQ(backend.update_calls(), 0);
+    EXPECT_EQ(backend.batch_sizes(), std::vector<int64_t>{0});  // Setup's
+    EXPECT_EQ(engine.cache().len(), 1);  // the arrival waits, unread
+    EXPECT_EQ(engine.counters().real_synced, 0);
+    EXPECT_EQ(engine.counters().dummy_synced, 0);
+    EXPECT_EQ(engine.counters().updates_posted, 0);
+    EXPECT_EQ(engine.update_pattern().events().size(), 1u);
+  }
+}
+
+/// A backend whose every Update fails.
+class RefusingBackend : public RecordingBackend {
+ public:
+  Status Update(const std::vector<Record>&) override {
+    return Status::Unavailable("update refused");
+  }
+};
+
+TEST(EngineTest, TickAllTicksEveryEngineAndReportsTheFirstFailure) {
+  DpTimerConfig cfg;
+  cfg.period = 3;
+  cfg.flush_interval = 0;
+  RecordingBackend first_backend, last_backend, twin_backend;
+  RefusingBackend refusing;
+  DpSyncEngine first(std::make_unique<DpTimerStrategy>(cfg), &first_backend,
+                     TestDummyFactory(), 7);
+  DpSyncEngine middle(std::make_unique<SetStrategy>(), &refusing,
+                      TestDummyFactory(), 8);
+  DpSyncEngine last(std::make_unique<DpTimerStrategy>(cfg), &last_backend,
+                    TestDummyFactory(), 9);
+  DpSyncEngine twin(std::make_unique<DpTimerStrategy>(cfg), &twin_backend,
+                    TestDummyFactory(), 9);
+  for (DpSyncEngine* e : {&first, &middle, &last, &twin}) {
+    ASSERT_OK(e->Setup({}));
+  }
+
+  for (int64_t t = 1; t <= 12; ++t) {
+    std::vector<std::pair<DpSyncEngine*, std::vector<Record>>> work;
+    work.emplace_back(&first, std::vector<Record>{MakeRecord(t)});
+    work.emplace_back(&middle, std::vector<Record>{MakeRecord(t)});
+    work.emplace_back(&last, std::vector<Record>{MakeRecord(t), MakeRecord(t)});
+    Status st = DpSyncEngine::TickAll(std::move(work));
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(st.message(), "update refused");
+    EXPECT_EQ(first.now(), t);
+    EXPECT_EQ(middle.now(), t);
+    EXPECT_EQ(last.now(), t);
+    ASSERT_OK(twin.TickBatch({MakeRecord(t), MakeRecord(t)}));
+  }
+
+  const auto& a = last.counters();
+  const auto& b = twin.counters();
+  EXPECT_EQ(a.received_total, b.received_total);
+  EXPECT_EQ(a.real_synced, b.real_synced);
+  EXPECT_EQ(a.dummy_synced, b.dummy_synced);
+  EXPECT_EQ(a.updates_posted, b.updates_posted);
+  EXPECT_GT(a.updates_posted, 0);
+  EXPECT_EQ(last.logical_gap(), twin.logical_gap());
+  EXPECT_EQ(last_backend.batch_sizes(), twin_backend.batch_sizes());
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 // over the frame bound refused at the coordinator without a failover,
 // Setup/Update state machine, topology validation, racing owner appends
 // through the coordinator (the CI TSan job leans on this), the
-// multi-table TickAll fan-out, the shard servers' bounded plan cache, and
+// multi-table TickAll, the shard servers' bounded plan cache, and
 // the TCP transport.
 #include <gtest/gtest.h>
 
@@ -528,17 +528,17 @@ TEST(DistConcurrencyTest, QueriesRaceOwnerAppendsThroughTheCoordinator) {
 // ------------------------------------------------- multi-table TickAll
 
 TEST(DistMultiTableTest, TickAllMatchesSequentialTicks) {
-  // Two coordinators with identical seeds/topology: one driven by the
-  // parallel TickAll fan-out, the twin by sequential TickBatch calls. All
-  // owner-side ground truth and the outsourced state must agree exactly.
+  // Two coordinators with identical seeds/topology: one driven by
+  // TickAll, the twin by one TickBatch call per engine. All owner-side
+  // ground truth and the outsourced state must agree exactly.
   auto make = [] {
     return std::make_unique<DistributedEdbServer>(MakeDistConfig(
         {"oblidb-linear", DistEngineKind::kObliDb, false}, 2));
   };
-  auto parallel_server = make();
-  auto sequential_server = make();
-  ASSERT_OK(parallel_server->init_status());
-  ASSERT_OK(sequential_server->init_status());
+  auto tick_all_server = make();
+  auto twin_server = make();
+  ASSERT_OK(tick_all_server->init_status());
+  ASSERT_OK(twin_server->init_status());
 
   const std::vector<std::string> kTables = {"YellowCab", "GreenTaxi",
                                             "FhvTrips"};
@@ -557,41 +557,41 @@ TEST(DistMultiTableTest, TickAllMatchesSequentialTicks) {
     }
     return engines;
   };
-  auto par = build_engines(parallel_server.get());
-  auto seq = build_engines(sequential_server.get());
+  auto all = build_engines(tick_all_server.get());
+  auto twin = build_engines(twin_server.get());
 
   for (int64_t t = 0; t < 10; ++t) {
     std::vector<std::pair<DpSyncEngine*, std::vector<Record>>> work;
     for (size_t i = 0; i < kTables.size(); ++i) {
-      work.emplace_back(par[i].engine.get(),
+      work.emplace_back(all[i].engine.get(),
                         MakeBatch(8 + t * 3 + i, 8 + t * 3 + i + 2));
     }
     ASSERT_OK(DpSyncEngine::TickAll(std::move(work)));
     for (size_t i = 0; i < kTables.size(); ++i) {
-      ASSERT_OK(seq[i].engine->TickBatch(
+      ASSERT_OK(twin[i].engine->TickBatch(
           MakeBatch(8 + t * 3 + i, 8 + t * 3 + i + 2)));
     }
   }
 
   for (size_t i = 0; i < kTables.size(); ++i) {
-    const auto& a = par[i].engine->counters();
-    const auto& b = seq[i].engine->counters();
+    const auto& a = all[i].engine->counters();
+    const auto& b = twin[i].engine->counters();
     EXPECT_EQ(a.received_total, b.received_total);
     EXPECT_EQ(a.real_synced, b.real_synced);
     EXPECT_EQ(a.dummy_synced, b.dummy_synced);
     EXPECT_EQ(a.updates_posted, b.updates_posted);
-    EXPECT_EQ(par[i].engine->logical_gap(), seq[i].engine->logical_gap());
-    EXPECT_EQ(par[i].engine->backend_commit_epoch(),
-              seq[i].engine->backend_commit_epoch());
+    EXPECT_EQ(all[i].engine->logical_gap(), twin[i].engine->logical_gap());
+    EXPECT_EQ(all[i].engine->backend_commit_epoch(),
+              twin[i].engine->backend_commit_epoch());
   }
-  EXPECT_EQ(parallel_server->total_outsourced_records(),
-            sequential_server->total_outsourced_records());
+  EXPECT_EQ(tick_all_server->total_outsourced_records(),
+            twin_server->total_outsourced_records());
 
   for (const auto& name : kTables) {
     auto q = query::ParseSelect("SELECT COUNT(*) FROM " + name);
     ASSERT_OK(q);
-    auto a = parallel_server->Query(q.value());
-    auto b = sequential_server->Query(q.value());
+    auto a = tick_all_server->Query(q.value());
+    auto b = twin_server->Query(q.value());
     ASSERT_OK(a);
     ASSERT_OK(b);
     ExpectBitIdentical(a.value(), b.value());

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <set>
@@ -132,6 +133,71 @@ TEST_F(StorageTest, SegmentLogRoundTripAcrossInstances) {
   auto r = seg.Get(0);
   ASSERT_OK(r);
   EXPECT_EQ(r.value(), TestRecord(1));
+}
+
+TEST_F(StorageTest, SegmentFileIsHeaderThenCommittedRecords) {
+  // Pins the write offsets: record i lands at kSize + i * record_size, the
+  // header at 0, and a Reopen's truncated tail is overwritten in place.
+  for (bool fsync_data : {false, true}) {
+    SCOPED_TRACE(fsync_data ? "fsync" : "no fsync");
+    StorageConfig cfg = SegmentConfig(/*num_shards=*/2);
+    cfg.fsync_data = fsync_data;
+    const std::string table = fsync_data ? "F" : "T";
+    std::vector<Bytes> records;
+    for (uint64_t n = 0; n < 7; ++n) {
+      records.push_back(RecordWithNonce(n, static_cast<uint8_t>(0x10 + n)));
+    }
+    ShardLog seg(cfg, table, /*shard=*/1, kRecordSize, 0xfeed);
+    for (size_t i = 0; i < 3; ++i) ASSERT_OK(seg.Append(records[i]));
+    ASSERT_OK(seg.Flush(3));
+    ASSERT_OK(seg.Append(records[3]));  // never committed
+    ASSERT_OK(seg.Append(records[4]));
+    auto info = seg.Reopen();
+    ASSERT_OK(info);
+    EXPECT_EQ(info->tail_records, 2u);
+    ASSERT_OK(seg.Append(records[5]));
+    ASSERT_OK(seg.Append(records[6]));
+    ASSERT_OK(seg.Flush(7));
+
+    SegmentHeader h;
+    h.version = SegmentHeader::kFormatVersion;
+    h.record_size = static_cast<uint32_t>(kRecordSize);
+    h.schema_hash = 0xfeed;
+    h.committed_count = 5;
+    h.nonce_high_water = 7;
+    h.shard_index = 1;
+    h.shard_count = 2;
+    Bytes expected(SegmentHeader::kSize);
+    h.EncodeTo(expected.data());
+    for (size_t i : {0, 1, 2, 5, 6}) {
+      expected.insert(expected.end(), records[i].begin(), records[i].end());
+    }
+    std::ifstream f(SegPath(table, 1), std::ios::binary);
+    const Bytes actual((std::istreambuf_iterator<char>(f)),
+                       std::istreambuf_iterator<char>());
+    EXPECT_EQ(actual, expected);
+  }
+}
+
+TEST_F(StorageTest, SegmentLogReopenLoadsEveryRecordOfALargeShard) {
+  // Reopen reads the committed prefix in blocks of about 1 MiB; this shard
+  // spans a few of them and ends mid-block.
+  const uint64_t n = 3 * ((1 << 20) / kRecordSize) + 5;
+  {
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_OK(seg.Append(RecordWithNonce(i, static_cast<uint8_t>(i))));
+    }
+    ASSERT_OK(seg.Flush(n));
+  }
+  ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
+  ASSERT_OK(seg.Reopen());
+  ASSERT_EQ(seg.Count(), static_cast<int64_t>(n));
+  ASSERT_OK(seg.Scan(0, seg.Count(), [](int64_t i, const Bytes& record) {
+    EXPECT_EQ(record, RecordWithNonce(static_cast<uint64_t>(i),
+                                      static_cast<uint8_t>(i)));
+    return Status::Ok();
+  }));
 }
 
 TEST_F(StorageTest, SegmentLogRequiresReopenOnExistingFile) {
