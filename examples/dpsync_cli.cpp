@@ -17,20 +17,24 @@
 ///   --flush-s=<int>      flush size                 (default 15)
 ///   --horizon=<int>      time units                 (default 43200)
 ///   --records=<int>      target yellow records      (default 18429)
-///   --interval=<int>     query firing interval      (default 360)
+///   --interval=<int>     query firing interval, >= 1 (default 360;
+///                        Q3 fires every 4 intervals)
 ///   --seed=<int>         experiment seed            (default 99)
 ///   --backend=memory|segment  physical table storage (default memory)
-///   --shards=<int>       shards per table           (default 1)
+///   --shards=<int>       shards per table, >= 1     (default 1)
 ///   --storage-dir=<path> segment-log root; each run writes a fresh
 ///                        subdirectory (default: temp, cleaned up)
 ///   --no-join            skip the second table and Q3
 ///   --timing             \timing-style per-query stats after the run
 ///                        (mean QET, executions, plan-cache hit rate)
 ///   --csv=<path>         also write series to a CSV file
+/// A query that never fired within the horizon prints "-" for its L1 and
+/// QET cells.
 #include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/table_printer.h"
@@ -112,7 +116,11 @@ int main(int argc, char** argv) {
       if (!ParseNumber(v, &cfg.yellow.target_records)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "interval", &v)) {
       int64_t interval = 0;
-      if (!ParseNumber(v, &interval)) return Usage(argv[0]);
+      // Q3 fires every 4 intervals, so 4x the interval must fit too.
+      if (!ParseNumber(v, &interval) || interval < 1 ||
+          interval > std::numeric_limits<int64_t>::max() / 4) {
+        return Usage(argv[0]);
+      }
       for (auto& q : cfg.queries) {
         q.interval = q.name == "Q3" ? interval * 4 : interval;
       }
@@ -152,11 +160,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // A query that never fired has no error or QET to report; zeros would
+  // read as a perfect answer.
+  auto cell = [](const sim::QueryOutcome& q, double value, int precision) {
+    return q.qet.t.empty() ? std::string("-")
+                           : TablePrinter::Fmt(value, precision);
+  };
   TablePrinter table({"query", "mean L1", "max L1", "mean QET (s)"});
   for (const auto& q : result->queries) {
-    table.AddRow({q.name, TablePrinter::Fmt(q.mean_l1),
-                  TablePrinter::Fmt(q.max_l1),
-                  TablePrinter::Fmt(q.mean_qet, 3)});
+    table.AddRow({q.name, cell(q, q.mean_l1, 2), cell(q, q.max_l1, 2),
+                  cell(q, q.mean_qet, 3)});
   }
   table.Print(std::cout);
   std::cout << "mean logical gap : "
@@ -177,9 +190,8 @@ int main(int argc, char** argv) {
                      "mean wall (ms)"});
     for (const auto& q : result->queries) {
       qt.AddRow({q.name, std::to_string(q.qet.t.size()),
-                 TablePrinter::Fmt(q.mean_qet, 4),
-                 TablePrinter::Fmt(q.qet_measured.Summarize().mean() * 1e3,
-                                   3)});
+                 cell(q, q.mean_qet, 4),
+                 cell(q, q.qet_measured.Summarize().mean() * 1e3, 3)});
     }
     qt.Print(std::cout);
     int64_t lookups = ss.plan_cache_hits + ss.plan_cache_misses;

@@ -1,7 +1,6 @@
 #include "dist/coordinator.h"
 
 #include <chrono>
-#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -11,12 +10,6 @@
 namespace dpsync::dist {
 
 namespace {
-
-uint64_t ResolveSeed(const DistributedConfig& config) {
-  return config.engine == DistEngineKind::kCryptEps
-             ? config.crypteps.master_seed
-             : config.oblidb.master_seed;
-}
 
 double SecondsSince(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -95,7 +88,7 @@ class DistributedEdbServer::DistTable : public edb::EdbTable {
         name_(std::move(name)),
         schema_(std::move(schema)),
         cipher_(std::move(key)),
-        router_(owner_->storage_.num_shards),
+        router_(owner_->config_.oblidb.storage.num_shards),
         rank_seq_(owner_->peers_.size(), 0) {}
 
   Status Setup(const std::vector<Record>& gamma0) override {
@@ -237,29 +230,23 @@ class DistributedEdbServer::DistTable : public edb::EdbTable {
 
 // ----------------------------------------------------- DistributedEdbServer
 
-const edb::AdmissionConfig& DistributedEdbServer::PickAdmission(
-    const DistributedConfig& config) {
-  return config.engine == DistEngineKind::kCryptEps
-             ? config.crypteps.admission
-             : config.oblidb.admission;
+DistributedConfig LinearConfig(const edb::CryptEpsConfig& config,
+                               DistributedConfig topology) {
+  topology.oblidb = edb::LinearConfig(config);
+  return topology;
 }
 
 DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config)
-    : edb::EdbServer(PickAdmission(config)),
-      config_(config),
-      keys_(crypto::KeyManager::FromSeed(ResolveSeed(config))),
-      master_seed_(ResolveSeed(config)),
-      cost_(config.engine == DistEngineKind::kCryptEps
-                ? edb::CryptEpsCostModel()
-                : edb::ObliDbCostModel()) {
-  const bool crypteps = config.engine == DistEngineKind::kCryptEps;
-  storage_ = crypteps ? config.crypteps.storage : config.oblidb.storage;
-  use_oram_index_ = !crypteps && config.oblidb.use_oram_index;
-  if (crypteps) {
-    budget_ = std::make_unique<edb::CryptEpsBudget>(config.crypteps);
-  }
+    : DistributedEdbServer(config, edb::ObliDbCostModel()) {}
 
-  const int total_shards = storage_.num_shards;
+DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config,
+                                           const edb::CostModel& cost)
+    : edb::EdbServer(config.oblidb.admission),
+      config_(config),
+      keys_(crypto::KeyManager::FromSeed(config.oblidb.master_seed)),
+      cost_(cost) {
+  const edb::StorageConfig& storage = config.oblidb.storage;  // GLOBAL
+  const int total_shards = storage.num_shards;
   const int servers = config.num_servers;
   if (servers < 1) {
     init_status_ = Status::InvalidArgument(
@@ -273,7 +260,7 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config)
         "): every server must own at least one shard");
     return;
   }
-  if (!storage_.flush_every_update) {
+  if (!storage.flush_every_update) {
     // The coordinator's commit point is "every server auto-flushed the
     // batch"; manual commit points would need a distributed flush
     // protocol this PR defers.
@@ -339,15 +326,15 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config)
     // shard ranks, so the rank-order merge tree never changes).
     for (int m = 0; m <= replicas; ++m) {
       ShardServerConfig sc;
-      sc.master_seed = master_seed_;
+      sc.master_seed = config.oblidb.master_seed;
       sc.rank = k;
-      sc.storage = storage_;
+      sc.storage = storage;
       sc.storage.num_shards = hi - lo;
-      if (!storage_.dir.empty()) {
-        sc.storage.dir = storage_.dir + "/rank" + std::to_string(k);
+      if (!storage.dir.empty()) {
+        sc.storage.dir = storage.dir + "/rank" + std::to_string(k);
         if (m > 0) sc.storage.dir += "-r" + std::to_string(m);
       }
-      sc.use_oram_index = use_oram_index_;
+      sc.use_oram_index = config.oblidb.use_oram_index;
       sc.oram_capacity = per_tree_capacity * static_cast<size_t>(hi - lo);
       sc.follower = m > 0;
 
@@ -386,12 +373,6 @@ DistributedEdbServer::~DistributedEdbServer() {
   }
 }
 
-std::string DistributedEdbServer::name() const {
-  return config_.engine == DistEngineKind::kCryptEps
-             ? "Distributed+CryptEpsilon"
-             : "Distributed+ObliDB";
-}
-
 edb::LeakageProfile DistributedEdbServer::leakage() const {
   // The deployment inherits the underlying scheme's leakage class: the
   // wire carries only ciphertexts, routing decisions are a pure function
@@ -399,9 +380,7 @@ edb::LeakageProfile DistributedEdbServer::leakage() const {
   // applies), and per-server scan volumes equal per-shard-range sizes the
   // server already observes.
   edb::LeakageProfile p;
-  p.query_class = config_.engine == DistEngineKind::kCryptEps
-                      ? edb::LeakageClass::kLDP
-                      : edb::LeakageClass::kL0;
+  p.query_class = edb::LeakageClass::kL0;
   p.update_leaks_only_pattern = true;
   p.encrypts_records_atomically = true;
   p.supports_insertion = true;
@@ -421,10 +400,6 @@ int64_t DistributedEdbServer::total_outsourced_records() const {
   int64_t total = 0;
   for (const auto& [_, t] : tables_) total += t->outsourced_count();
   return total;
-}
-
-double DistributedEdbServer::consumed_query_budget() const {
-  return budget_ ? budget_->consumed() : 0.0;
 }
 
 int64_t DistributedEdbServer::rpc_calls() const {
@@ -847,16 +822,6 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
     return Status::Internal("plan references lost table " + plan.table);
   }
 
-  // Crypt-eps mode: reserve the query's epsilon BEFORE any work, exactly
-  // as the single-process engine does; every early return below drops the
-  // reservation, which gives the epsilon back.
-  std::optional<edb::CryptEpsBudget::Reservation> reservation;
-  if (budget_) {
-    auto reserved = budget_->Reserve();
-    if (!reserved.ok()) return reserved.status();
-    reservation.emplace(std::move(reserved.value()));
-  }
-
   auto start = std::chrono::steady_clock::now();
 
   net::WireExecute req;
@@ -893,18 +858,13 @@ StatusOr<edb::QueryResponse> DistributedEdbServer::ExecutePlan(
     }
   }
 
-  query::QueryResult result = merged.Finalize();
-  // The exact answer and the draw sequence both match the single-process
-  // engine's, so the noisy release is bit-identical to it.
-  if (reservation) budget_->Release(std::move(*reservation), &result);
-
   CountRemoteScatter(static_cast<int64_t>(replies.size()));
   // The shard servers served this scan from pinned snapshots; count it
   // once at the coordinator, matching the single-process counter.
   CountSnapshotScan();
 
   edb::QueryResponse resp;
-  resp.result = std::move(result);
+  resp.result = merged.Finalize();
   resp.stats.records_scanned = merged.records_scanned;
   resp.stats.virtual_seconds = edb::ScanCost(cost_, merged.records_scanned,
                                              !plan.rewritten.group_by.empty());

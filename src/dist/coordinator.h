@@ -16,14 +16,13 @@
 /// Because server k owns global shards [S*k/K, S*(k+1)/K) and the
 /// single-process scan visits rows shard-major with chunk-order partial
 /// merges, the rank-order merge replays the exact global Add()/Merge()
-/// sequence — answers, grouped maps, records_scanned, the virtual QET
-/// and (in Crypt-eps mode) the Laplace noise stream are bit-identical to
-/// the single-process engines (dist_test proves this per backend x shard
-/// count). In Crypt-eps mode the coordinator owns the analyst's
-/// edb::CryptEpsBudget, the type CryptEpsServer owns: it reserves the
-/// query's epsilon before the scatter and releases the merged answer with
-/// noise; a query that fails drops its reservation, returning the epsilon.
-/// Shard servers never see the budget or the noise.
+/// sequence — answers, grouped maps, records_scanned and the virtual QET
+/// are bit-identical to the single-process engines (dist_test proves this
+/// per backend x shard count). The coordinator is an exact engine: the
+/// distributed Crypt-eps server (DistributedCryptEpsServer, below) is the
+/// single-process Laplace release stage over it, so the merged answer is
+/// released with the same noise stream, and shard servers never see the
+/// budget or the noise.
 ///
 /// Failure semantics: every RPC is bounded by rpc_timeout_seconds. With
 /// replication_factor == 0 a dead or hung server yields a typed
@@ -57,23 +56,22 @@
 
 namespace dpsync::dist {
 
-/// Which engine semantics the distributed deployment reproduces. The
-/// shard servers execute the same exact aggregation either way (Crypt-eps
-/// is the linear store with no ORAM); the difference lives at the
-/// coordinator (cost model, Laplace release, planner traits).
-enum class DistEngineKind { kObliDb, kCryptEps };
+/// Read by nothing: the coordinator always runs ObliDB's exact engine,
+/// and DistributedCryptEpsServer adds the Crypt-eps release. It stays only
+/// because perfbench's dist_scan workload sets DistributedConfig::engine.
+enum class DistEngineKind { kObliDb };
 
-/// Coordinator configuration. The engine-specific sub-configs carry the
-/// GLOBAL topology (storage.num_shards is the table-wide shard count that
-/// the servers split; oram_capacity the table-wide ORAM budget).
+/// Coordinator configuration. The engine options carry the GLOBAL
+/// topology (storage.num_shards is the table-wide shard count that the
+/// servers split; oram_capacity the table-wide ORAM budget).
 struct DistributedConfig {
+  /// Read by nothing; perfbench's dist_scan sets it.
   DistEngineKind engine = DistEngineKind::kObliDb;
   /// Number of shard servers. Must be >= 1 and <= the global shard count.
   int num_servers = 1;
-  /// ObliDB-mode knobs (used when engine == kObliDb).
+  /// The engine every shard server runs: seed, admission limits at the
+  /// coordinator, storage and ORAM index.
   edb::ObliDbConfig oblidb;
-  /// Crypt-eps-mode knobs (used when engine == kCryptEps).
-  edb::CryptEpsConfig crypteps;
   /// Transport: AF_UNIX socketpairs by default (CTest-safe: no ports, no
   /// accept races); real TCP on 127.0.0.1 ephemeral ports when true.
   bool use_tcp = false;
@@ -93,7 +91,7 @@ class DistributedEdbServer : public edb::EdbServer {
   ~DistributedEdbServer() override;
 
   edb::LeakageProfile leakage() const override;
-  std::string name() const override;
+  std::string name() const override { return "Distributed+ObliDB"; }
   int64_t total_outsourced_bytes() const override;
   int64_t total_outsourced_records() const override;
 
@@ -108,10 +106,6 @@ class DistributedEdbServer : public edb::EdbServer {
   Status init_status() const { return init_status_; }
 
   int num_servers() const { return static_cast<int>(peers_.size()); }
-
-  /// Cumulative analyst budget consumed: answered queries x query_epsilon
-  /// (Crypt-eps mode; 0 otherwise).
-  double consumed_query_budget() const;
 
   /// Failure injection for tests: tears down the serve loop of rank
   /// `rank`'s CURRENT leader. Unreplicated, the next query fails with
@@ -154,6 +148,11 @@ class DistributedEdbServer : public edb::EdbServer {
   int64_t bytes_shipped() const;
 
  protected:
+  /// This coordinator priced by another cost model: edb::LaplaceRelease
+  /// (DistributedCryptEpsServer) runs it this way.
+  DistributedEdbServer(const DistributedConfig& config,
+                       const edb::CostModel& cost);
+
   StatusOr<edb::EdbTable*> CreateTableImpl(
       const std::string& name, const query::Schema& schema) override;
   /// Best-effort plan shipment: warms every server's plan cache with the
@@ -188,9 +187,6 @@ class DistributedEdbServer : public edb::EdbServer {
     uint64_t generation = 0;  ///< guarded by *mu
   };
 
-  static const edb::AdmissionConfig& PickAdmission(
-      const DistributedConfig& config);
-
   DistTable* FindTable(const std::string& name) const;
   /// Bounds-checked member lookup (nullptr when out of range).
   Member* MemberAt(int rank, int member);
@@ -220,18 +216,10 @@ class DistributedEdbServer : public edb::EdbServer {
   DistributedConfig config_;
   Status init_status_;
   crypto::KeyManager keys_;
-  // Resolved knobs (mode-independent view of the active sub-config).
-  uint64_t master_seed_;
-  edb::StorageConfig storage_;  ///< GLOBAL topology
-  bool use_oram_index_ = false;
   edb::CostModel cost_;
   /// global shard -> (rank, local shard) routing table.
   std::vector<std::pair<int, uint32_t>> shard_owner_;
   std::vector<Peer> peers_;
-
-  /// The analyst's budget and noise stream, in Crypt-eps mode only: the
-  /// single-process engine's type, so both draw the same stream.
-  std::unique_ptr<edb::CryptEpsBudget> budget_;
 
   mutable std::mutex catalog_mu_;
   std::map<std::string, std::unique_ptr<DistTable>> tables_;
@@ -239,5 +227,18 @@ class DistributedEdbServer : public edb::EdbServer {
   std::atomic<int64_t> replica_lag_batches_{0};
   std::atomic<int64_t> bytes_replicated_{0};
 };
+
+/// `topology` with linear tables under `config`'s seed, admission limits
+/// and storage (edb::LinearConfig): the coordinator a
+/// DistributedCryptEpsServer releases.
+DistributedConfig LinearConfig(const edb::CryptEpsConfig& config,
+                               DistributedConfig topology);
+
+/// Distributed Crypt-eps, built as `DistributedCryptEpsServer(config,
+/// topology)`: the single-process Laplace release over the coordinator.
+/// The merged exact answer, the budget and its seed all match
+/// CryptEpsServer's, so a sequential query sequence releases the same bits
+/// on both topologies.
+using DistributedCryptEpsServer = edb::LaplaceRelease<DistributedEdbServer>;
 
 }  // namespace dpsync::dist

@@ -8,13 +8,14 @@
 /// process for storage) and the replication requests.
 ///
 /// Tables are hosted as edb::EncryptedTableStore, built by
-/// edb::MakeObliDbTable as in the single-process engines: both engine
-/// modes run linear tables exactly like edb::CryptEpsServer and a linear
-/// edb::ObliDbServer do, and ObliDB's indexed mode keeps the store's
-/// per-shard Path ORAM index (oram::OramMirror). Decryption happens only
-/// enclave-side (the table's mirrors), with the table key derived from
-/// the shared master seed — identical to the coordinator's derivation, so
-/// ciphertexts sealed there open here.
+/// edb::MakeObliDbTable as in the single-process engines: linear tables
+/// run exactly like a linear edb::ObliDbServer's (and so like
+/// edb::CryptEpsServer's, whose release happens above the coordinator),
+/// and ObliDB's indexed mode keeps the store's per-shard Path ORAM index
+/// (oram::OramMirror). Decryption happens only enclave-side (the table's
+/// mirrors), with the table key derived from the shared master seed —
+/// identical to the coordinator's derivation, so ciphertexts sealed there
+/// open here.
 ///
 /// Threading: Serve() runs a dedicated std::thread per connection (a
 /// deliberate deviation from the shared-pool rule — the loop blocks on

@@ -14,13 +14,13 @@ namespace dpsync::edb {
 
 struct CryptEpsConfig;  // crypte_engine.h
 
-/// The analyst's Crypt-eps budget and its Laplace noise stream. Each
-/// server that answers Crypt-eps queries owns one: `CryptEpsServer`, which
-/// wraps ObliDB's linear ExecutePlan in it, and
-/// `dist::DistributedEdbServer` in Crypt-eps mode. Every answered query
-/// spends exactly `query_epsilon`: the server reserves it before any work,
-/// then releases the exact answer through `Release`, or drops the
-/// reservation on failure, which gives the epsilon back.
+/// The analyst's Crypt-eps budget and its Laplace noise stream. Its one
+/// owner is the Laplace release stage (`LaplaceRelease`, crypte_engine.h),
+/// so every server that answers Crypt-eps queries, local or distributed,
+/// spends it the same way. Every answered query spends exactly
+/// `query_epsilon`: the stage reserves it before any work, then releases
+/// the exact answer through `Release`, or drops the reservation on
+/// failure, which gives the epsilon back.
 ///
 /// The limit is a count of releases, not a running sum of doubles:
 /// `total_budget_limit` allows floor(limit / query_epsilon) of them, a

@@ -129,8 +129,8 @@ EdbServer::EdbServer(const AdmissionConfig& admission)
 
 EdbServer::~EdbServer() {
   // Engines call DrainSessions() in their own destructors (while their
-  // vtables are intact); this is a last-resort backstop for decorators
-  // without async users.
+  // vtables are intact); this is a last-resort backstop for an engine
+  // that forgot to.
   DrainSessions();
 }
 

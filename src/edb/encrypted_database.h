@@ -258,8 +258,10 @@ class QuerySession {
 /// The base class owns the engine-independent query machinery — plan
 /// cache, sessions, admission control, the legacy one-shot shim — and
 /// engines plug in through the SPI below (ExecutePlan / FindSchema /
-/// planner_options / CreateTableImpl). The SPI is public so leakage
-/// decorators (see volume_hiding.h) can wrap any server.
+/// planner_options / CreateTableImpl). A release stage that changes what a
+/// query reveals (the Laplace release in crypte_engine.h, volume padding
+/// in volume_hiding.h) is a subclass of the engine it releases, overriding
+/// the SPI and calling its base.
 class EdbServer {
  public:
   explicit EdbServer(const AdmissionConfig& admission = {});
@@ -315,7 +317,8 @@ class EdbServer {
   virtual OramHealth oram_health() const { return {}; }
 
   // --- engine SPI --------------------------------------------------------
-  // Public so decorators can delegate; analysts should use sessions.
+  // Public so tests can run a bound plan without Prepare or admission;
+  // analysts should use sessions.
 
   /// Executes a bound plan. Implementations must be safe to call from
   /// multiple threads concurrently (per-table locking; see EdbTable).

@@ -103,7 +103,7 @@ LeakageProfile ObliDbServer::leakage() const {
   p.update_leaks_only_pattern = true;
   p.encrypts_records_atomically = true;
   p.supports_insertion = true;
-  p.scheme_name = "ObliDB";
+  p.scheme_name = name();
   return p;
 }
 

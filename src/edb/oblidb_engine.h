@@ -68,8 +68,8 @@ struct ObliDbConfig {
 /// One ObliDB table: an encrypted store under `config.storage`, with a
 /// per-shard ORAM index when `config.use_oram_index` is set (capacity,
 /// seed and transcript recording from `config`). ObliDbServer, and with
-/// it CryptEpsServer and StealthDbServer, and every distributed shard
-/// server build their tables here.
+/// it every engine derived from it, and every distributed shard server
+/// build their tables here.
 std::unique_ptr<EncryptedTableStore> MakeObliDbTable(
     const std::string& name, const query::Schema& schema, Bytes key,
     const ObliDbConfig& config);
@@ -90,9 +90,11 @@ std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
                                           const query::Table& right,
                                           oram::AccessTrace* trace = nullptr);
 
-/// The ObliDB server, and the body of CryptEpsServer (crypte_engine.h),
-/// which runs its linear tables under another cost model, and of
-/// StealthDbServer (volume_hiding.h), which reveals response volumes.
+/// The ObliDB server, and the exact engine of CryptEpsServer
+/// (crypte_engine.h), which runs its linear tables under another cost
+/// model and releases every answer with Laplace noise, and of
+/// StealthDbServer (volume_hiding.h), which reveals response volumes, and
+/// its padded subclass VolumePaddedServer.
 class ObliDbServer : public EdbServer {
  public:
   explicit ObliDbServer(const ObliDbConfig& config = {});
@@ -118,7 +120,7 @@ class ObliDbServer : public EdbServer {
   query::PlannerOptions planner_options() const override;
 
  protected:
-  /// This engine body priced by another cost model: CryptEpsServer
+  /// This engine body priced by another cost model: LaplaceRelease
   /// (crypte_engine.h) runs ObliDB's linear tables this way.
   ObliDbServer(const ObliDbConfig& config, const CostModel& cost);
 

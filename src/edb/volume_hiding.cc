@@ -30,13 +30,6 @@ StealthDbServer::~StealthDbServer() {
   DrainSessions();
 }
 
-query::PlannerOptions StealthDbServer::planner_options() const {
-  // ObliDB's traits drive planning; only the error-message name is ours.
-  auto options = ObliDbServer::planner_options();
-  options.engine_name = name();
-  return options;
-}
-
 StatusOr<std::shared_ptr<const query::QueryPlan>> StealthDbServer::CountPlan(
     const query::QueryPlan& plan) const {
   query::SelectQuery counted = plan.normalized;
@@ -80,33 +73,30 @@ StatusOr<QueryResponse> StealthDbServer::ExecutePlan(
 }
 
 LeakageProfile StealthDbServer::leakage() const {
-  LeakageProfile p;
+  LeakageProfile p = ObliDbServer::leakage();
   p.query_class = LeakageClass::kL1;
-  p.update_leaks_only_pattern = true;
-  p.encrypts_records_atomically = true;
-  p.supports_insertion = true;
-  p.scheme_name = "StealthDB";
   return p;
+}
+
+VolumePaddedServer::~VolumePaddedServer() {
+  // In-flight async queries call back into our ExecutePlan; drain them
+  // while this object still pads.
+  DrainSessions();
 }
 
 StatusOr<QueryResponse> VolumePaddedServer::ExecutePlan(
     const query::QueryPlan& plan) {
-  auto resp = inner_->ExecutePlan(plan);
+  auto resp = StealthDbServer::ExecutePlan(plan);
   if (!resp.ok()) return resp;
-  if (resp->stats.revealed_volume >= 0) {
-    resp->stats.revealed_volume = NextPowerOfTwo(resp->stats.revealed_volume);
-  }
+  resp->stats.revealed_volume = NextPowerOfTwo(resp->stats.revealed_volume);
   return resp;
 }
 
 LeakageProfile VolumePaddedServer::leakage() const {
-  LeakageProfile p = inner_->leakage();
-  if (p.query_class == LeakageClass::kL1) {
-    // Padding collapses the volume side channel; the composite behaves as
-    // a volume-hiding scheme for DP-Sync's compatibility purposes.
-    p.query_class = LeakageClass::kL0;
-    p.scheme_name += "+pad";
-  }
+  // Padding collapses the volume side channel; the composite behaves as a
+  // volume-hiding scheme for DP-Sync's compatibility purposes.
+  LeakageProfile p = StealthDbServer::leakage();
+  p.query_class = LeakageClass::kL0;
   return p;
 }
 

@@ -10,15 +10,14 @@
 /// the paper cites (round every revealed volume up to the next power of
 /// two, cf. Kamara–Moataz pseudorandom transformations).
 ///
-/// StealthDbServer is ObliDB's engine with the volume revealed;
-/// VolumePaddedServer is an EdbServer decorator built on the engine SPI:
-/// it delegates planning (FindSchema/planner_options) and execution
-/// (ExecutePlan) to the wrapped server and pads the revealed volume, so
-/// the full v2 session surface (prepare/execute/submit) works through it
-/// unchanged.
+/// StealthDbServer is ObliDB's engine with the volume revealed, and the
+/// only L-1 engine; VolumePaddedServer is StealthDB with the countermeasure,
+/// a subclass that pads the volume StealthDB's ExecutePlan reveals, so
+/// planning, views and counters are StealthDB's own.
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "edb/encrypted_database.h"
 #include "edb/oblidb_engine.h"
@@ -48,7 +47,6 @@ class StealthDbServer : public ObliDbServer {
   std::string name() const override { return "StealthDB"; }
 
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
-  query::PlannerOptions planner_options() const override;
 
  protected:
   /// Registers the views of both the plan and its CountPlan.
@@ -62,47 +60,22 @@ class StealthDbServer : public ObliDbServer {
       const query::QueryPlan& plan) const;
 };
 
-/// The §6 countermeasure: wraps any EdbServer and pads every revealed
-/// response volume to the next power of two, collapsing the volume side
-/// channel to log-many distinguishable values (data-independent given a
-/// bounded table size). Upgrades the leakage class to L-0 for
-/// compatibility-checking purposes.
-class VolumePaddedServer : public EdbServer {
+/// The §6 countermeasure: StealthDB with every revealed response volume
+/// padded to the next power of two, collapsing the volume side channel to
+/// log-many distinguishable values (data-independent given a bounded table
+/// size). Upgrades the leakage class to L-0 for compatibility-checking
+/// purposes.
+class VolumePaddedServer : public StealthDbServer {
  public:
-  /// Does not take ownership; `inner` must outlive the wrapper.
-  /// `admission` gates queries through this wrapper (the inner server's
-  /// gate never engages — ExecutePlan is called through the SPI), so
-  /// configure the limits on the outermost server analysts talk to.
-  explicit VolumePaddedServer(EdbServer* inner,
-                              const AdmissionConfig& admission = {})
-      : EdbServer(admission), inner_(inner) {}
-  ~VolumePaddedServer() override { DrainSessions(); }
+  using StealthDbServer::StealthDbServer;
+  ~VolumePaddedServer() override;
 
   LeakageProfile leakage() const override;
-  std::string name() const override { return inner_->name() + "+pad"; }
-  int64_t total_outsourced_bytes() const override {
-    return inner_->total_outsourced_bytes();
-  }
-  int64_t total_outsourced_records() const override {
-    return inner_->total_outsourced_records();
+  std::string name() const override {
+    return StealthDbServer::name() + "+pad";
   }
 
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
-  const query::Schema* FindSchema(const std::string& table) const override {
-    return inner_->FindSchema(table);
-  }
-  query::PlannerOptions planner_options() const override {
-    return inner_->planner_options();
-  }
-
- protected:
-  StatusOr<EdbTable*> CreateTableImpl(const std::string& name,
-                                      const query::Schema& schema) override {
-    return inner_->CreateTable(name, schema);
-  }
-
- private:
-  EdbServer* inner_;
 };
 
 }  // namespace dpsync::edb

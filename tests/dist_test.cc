@@ -112,27 +112,43 @@ const std::vector<std::string>& QuerySuite() {
 /// the single-process twin the coordinator must match.
 struct Variant {
   const char* label;
-  DistEngineKind engine;
   bool use_oram_index;
+  bool crypteps = false;  ///< the Crypt-eps release over the engine
 };
 
 constexpr Variant kVariants[] = {
-    {"oblidb-linear", DistEngineKind::kObliDb, false},
-    {"oblidb-indexed", DistEngineKind::kObliDb, true},
-    {"crypteps", DistEngineKind::kCryptEps, false},
+    {"oblidb-linear", false},
+    {"oblidb-indexed", true},
+    {"crypteps", false, /*crypteps=*/true},
 };
 
 constexpr int kGlobalShards = 6;
 
 DistributedConfig MakeDistConfig(const Variant& v, int servers) {
   DistributedConfig cfg;
-  cfg.engine = v.engine;
   cfg.num_servers = servers;
   cfg.oblidb.storage.num_shards = kGlobalShards;
   cfg.oblidb.use_oram_index = v.use_oram_index;
   cfg.oblidb.oram_capacity = 1 << 10;
-  cfg.crypteps.storage.num_shards = kGlobalShards;
   return cfg;
+}
+
+/// Crypt-eps's options on the global topology, for the distributed
+/// servers and their twins alike.
+edb::CryptEpsConfig CryptEpsOptions() {
+  edb::CryptEpsConfig cfg;
+  cfg.storage.num_shards = kGlobalShards;
+  return cfg;
+}
+
+/// The coordinator `v` names over `servers` shard servers.
+std::unique_ptr<DistributedEdbServer> MakeDist(const Variant& v,
+                                               int servers) {
+  if (v.crypteps) {
+    return std::make_unique<DistributedCryptEpsServer>(
+        CryptEpsOptions(), MakeDistConfig(v, servers));
+  }
+  return std::make_unique<DistributedEdbServer>(MakeDistConfig(v, servers));
 }
 
 /// Single-process twin with the identical global topology. The twin
@@ -140,10 +156,8 @@ DistributedConfig MakeDistConfig(const Variant& v, int servers) {
 /// coordinator always merges raw partials, so the two move different
 /// counters (answers must still match bit for bit).
 std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
-  if (v.engine == DistEngineKind::kCryptEps) {
-    edb::CryptEpsConfig cfg;
-    cfg.storage.num_shards = kGlobalShards;
-    return std::make_unique<edb::CryptEpsServer>(cfg);
+  if (v.crypteps) {
+    return std::make_unique<edb::CryptEpsServer>(CryptEpsOptions());
   }
   edb::ObliDbConfig cfg;
   cfg.storage.num_shards = kGlobalShards;
@@ -157,7 +171,8 @@ std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
 void RunIdentitySweep(const Variant& v, int servers, int64_t rows = 64) {
   SCOPED_TRACE(std::string(v.label) + " x " + std::to_string(servers) +
                " servers, " + std::to_string(rows) + " rows");
-  DistributedEdbServer dist(MakeDistConfig(v, servers));
+  auto dist_server = MakeDist(v, servers);
+  DistributedEdbServer& dist = *dist_server;
   ASSERT_OK(dist.init_status());
   auto local = MakeLocalTwin(v);
 
@@ -191,9 +206,11 @@ void RunIdentitySweep(const Variant& v, int servers, int64_t rows = 64) {
     ExpectBitIdentical(dist_resp.value(), local_resp.value());
   }
 
-  if (v.engine == DistEngineKind::kCryptEps) {
+  if (v.crypteps) {
     auto crypteps = static_cast<edb::CryptEpsServer*>(local.get());
-    EXPECT_EQ(dist.consumed_query_budget(), crypteps->consumed_query_budget());
+    auto& released = static_cast<DistributedCryptEpsServer&>(dist);
+    EXPECT_EQ(released.consumed_query_budget(),
+              crypteps->consumed_query_budget());
   }
 
   // The distributed counters: one scatter per execution, one partial per
@@ -231,7 +248,7 @@ TEST(DistBitIdentityTest, MatchesLocalEngineAcrossBackendsAndServerCounts) {
 }
 
 TEST(DistTransportTest, TcpLoopbackMatchesSocketpair) {
-  Variant v{"oblidb-linear", DistEngineKind::kObliDb, false};
+  Variant v{"oblidb-linear", false};
   DistributedConfig tcp_cfg = MakeDistConfig(v, 2);
   tcp_cfg.use_tcp = true;
   DistributedEdbServer tcp(tcp_cfg);
@@ -255,7 +272,7 @@ TEST(DistTransportTest, TcpLoopbackMatchesSocketpair) {
 }
 
 TEST(DistTransportTest, RpcAndByteCountersAreDeterministic) {
-  Variant v{"oblidb-linear", DistEngineKind::kObliDb, false};
+  Variant v{"oblidb-linear", false};
   auto run = [&](DistributedEdbServer& server) {
     auto table = server.CreateTable("YellowCab", TripSchema());
     ASSERT_OK(table);
@@ -281,8 +298,7 @@ TEST(DistTransportTest, RpcAndByteCountersAreDeterministic) {
 // ------------------------------------------------------ failure semantics
 
 TEST(DistFailureTest, KilledServerYieldsUnavailableWithinDeadline) {
-  DistributedConfig cfg =
-      MakeDistConfig({"oblidb-linear", DistEngineKind::kObliDb, false}, 4);
+  DistributedConfig cfg = MakeDistConfig({"oblidb-linear", false}, 4);
   cfg.rpc_timeout_seconds = 2.0;
   DistributedEdbServer dist(cfg);
   ASSERT_OK(dist.init_status());
@@ -332,8 +348,7 @@ TEST(DistFailureTest, OversizedOwnerBatchIsRefusedBeforeAnySend) {
   // refuses it with ResourceExhausted before anything is sent, so the
   // replicated rank is neither failed over nor lost, and the owner's
   // next batch and queries proceed normally.
-  DistributedConfig cfg =
-      MakeDistConfig({"oblidb-linear", DistEngineKind::kObliDb, false}, 1);
+  DistributedConfig cfg = MakeDistConfig({"oblidb-linear", false}, 1);
   cfg.replication_factor = 1;
   DistributedEdbServer dist(cfg);
   ASSERT_OK(dist.init_status());
@@ -365,8 +380,7 @@ TEST(DistFailureTest, OversizedOwnerBatchIsRefusedBeforeAnySend) {
 // --------------------------------------------------- state machine + init
 
 TEST(DistStateMachineTest, SetupAndUpdateOrderingEnforced) {
-  DistributedEdbServer dist(
-      MakeDistConfig({"oblidb-linear", DistEngineKind::kObliDb, false}, 2));
+  DistributedEdbServer dist(MakeDistConfig({"oblidb-linear", false}, 2));
   ASSERT_OK(dist.init_status());
   auto table = dist.CreateTable("YellowCab", TripSchema());
   ASSERT_OK(table);
@@ -381,8 +395,7 @@ TEST(DistStateMachineTest, SetupAndUpdateOrderingEnforced) {
 
 TEST(DistInitTest, BadTopologyReportsInvalidArgument) {
   {
-    DistributedConfig cfg =
-        MakeDistConfig({"oblidb-linear", DistEngineKind::kObliDb, false}, 0);
+    DistributedConfig cfg = MakeDistConfig({"oblidb-linear", false}, 0);
     DistributedEdbServer dist(cfg);
     EXPECT_EQ(dist.init_status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(dist.CreateTable("T", TripSchema()).status().code(),
@@ -390,14 +403,13 @@ TEST(DistInitTest, BadTopologyReportsInvalidArgument) {
   }
   {
     // More servers than global shards: some server would own nothing.
-    DistributedConfig cfg = MakeDistConfig(
-        {"oblidb-linear", DistEngineKind::kObliDb, false}, kGlobalShards + 1);
+    DistributedConfig cfg =
+        MakeDistConfig({"oblidb-linear", false}, kGlobalShards + 1);
     DistributedEdbServer dist(cfg);
     EXPECT_EQ(dist.init_status().code(), StatusCode::kInvalidArgument);
   }
   {
-    DistributedConfig cfg =
-        MakeDistConfig({"oblidb-linear", DistEngineKind::kObliDb, false}, 2);
+    DistributedConfig cfg = MakeDistConfig({"oblidb-linear", false}, 2);
     cfg.oblidb.storage.flush_every_update = false;
     DistributedEdbServer dist(cfg);
     EXPECT_EQ(dist.init_status().code(), StatusCode::kInvalidArgument);
@@ -426,23 +438,44 @@ TEST(DistPlanShippingTest, ShardPlanCacheIsBounded) {
 }
 
 TEST(DistPlannerTest, JoinsRejectedAtPrepare) {
-  DistributedEdbServer dist(
-      MakeDistConfig({"oblidb-linear", DistEngineKind::kObliDb, false}, 2));
-  ASSERT_OK(dist.init_status());
-  ASSERT_OK(dist.CreateTable("YellowCab", TripSchema()));
-  ASSERT_OK(dist.CreateTable("GreenTaxi", TripSchema()));
-  auto session = dist.CreateSession();
-  EXPECT_NOT_OK(session->Prepare(
-      "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
-      "YellowCab.pickTime = GreenTaxi.pickTime"));
+  // Neither distributed server joins; each names its engine in the
+  // refusal and reports that engine's leakage class.
+  const struct {
+    Variant variant;
+    const char* refusal;
+    edb::LeakageClass query_class;
+  } kCases[] = {
+      {{"oblidb-linear", false},
+       "Distributed+ObliDB does not support join operators",
+       edb::LeakageClass::kL0},
+      {{"crypteps", false, /*crypteps=*/true},
+       "Crypt-eps does not support join operators",
+       edb::LeakageClass::kLDP},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.variant.label);
+    auto dist = MakeDist(c.variant, 2);
+    ASSERT_OK(dist->init_status());
+    ASSERT_OK(dist->CreateTable("YellowCab", TripSchema()));
+    ASSERT_OK(dist->CreateTable("GreenTaxi", TripSchema()));
+    auto session = dist->CreateSession();
+    auto refused = session->Prepare(
+        "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
+        "YellowCab.pickTime = GreenTaxi.pickTime");
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kUnimplemented);
+    EXPECT_EQ(refused.status().message(), c.refusal);
+    EXPECT_EQ(dist->leakage().query_class, c.query_class);
+  }
 }
 
 TEST(DistBudgetTest, CryptEpsBudgetEnforcedAcrossTheWire) {
   DistributedConfig cfg =
-      MakeDistConfig({"crypteps", DistEngineKind::kCryptEps, false}, 2);
-  cfg.crypteps.query_epsilon = 3.0;
-  cfg.crypteps.total_budget_limit = 6.0;  // two queries' worth
-  DistributedEdbServer dist(cfg);
+      MakeDistConfig({"crypteps", false, /*crypteps=*/true}, 2);
+  edb::CryptEpsConfig crypteps = CryptEpsOptions();
+  crypteps.query_epsilon = 3.0;
+  crypteps.total_budget_limit = 6.0;  // two queries' worth
+  DistributedCryptEpsServer dist(crypteps, cfg);
   ASSERT_OK(dist.init_status());
   auto table = dist.CreateTable("YellowCab", TripSchema());
   ASSERT_OK(table);
@@ -463,11 +496,12 @@ TEST(DistBudgetTest, CryptEpsBudgetEnforcedAcrossTheWire) {
 // second failure into PermissionDenied.
 TEST(DistBudgetTest, FailedScatterGivesTheEpsilonBack) {
   DistributedConfig cfg =
-      MakeDistConfig({"crypteps", DistEngineKind::kCryptEps, false}, 2);
+      MakeDistConfig({"crypteps", false, /*crypteps=*/true}, 2);
   cfg.rpc_timeout_seconds = 2.0;
-  cfg.crypteps.query_epsilon = 3.0;
-  cfg.crypteps.total_budget_limit = 6.0;
-  DistributedEdbServer dist(cfg);
+  edb::CryptEpsConfig crypteps = CryptEpsOptions();
+  crypteps.query_epsilon = 3.0;
+  crypteps.total_budget_limit = 6.0;
+  DistributedCryptEpsServer dist(crypteps, cfg);
   ASSERT_OK(dist.init_status());
   auto table = dist.CreateTable("YellowCab", TripSchema());
   ASSERT_OK(table);
@@ -489,8 +523,7 @@ TEST(DistBudgetTest, FailedScatterGivesTheEpsilonBack) {
 // ----------------------------------------------------- racing owner writes
 
 TEST(DistConcurrencyTest, QueriesRaceOwnerAppendsThroughTheCoordinator) {
-  DistributedEdbServer dist(
-      MakeDistConfig({"oblidb-linear", DistEngineKind::kObliDb, false}, 4));
+  DistributedEdbServer dist(MakeDistConfig({"oblidb-linear", false}, 4));
   ASSERT_OK(dist.init_status());
   auto table = dist.CreateTable("YellowCab", TripSchema());
   ASSERT_OK(table);
@@ -532,8 +565,8 @@ TEST(DistMultiTableTest, TickAllMatchesSequentialTicks) {
   // TickAll, the twin by one TickBatch call per engine. All owner-side
   // ground truth and the outsourced state must agree exactly.
   auto make = [] {
-    return std::make_unique<DistributedEdbServer>(MakeDistConfig(
-        {"oblidb-linear", DistEngineKind::kObliDb, false}, 2));
+    return std::make_unique<DistributedEdbServer>(
+        MakeDistConfig({"oblidb-linear", false}, 2));
   };
   auto tick_all_server = make();
   auto twin_server = make();

@@ -86,6 +86,29 @@ TEST(LeakageTest, BothBuiltInEnginesPassP4) {
   CryptEpsServer crypte;
   EXPECT_TRUE(CheckCompatibility(oblidb.leakage()).compatible);
   EXPECT_TRUE(CheckCompatibility(crypte.leakage()).compatible);
+  // Each release stage sets its own class over its engine's: StealthDB's
+  // exact volumes pass only once padded, and padding makes them L-0.
+  StealthDbServer stealth;
+  VolumePaddedServer padded;
+  struct Case {
+    const EdbServer* server;
+    LeakageClass query_class;
+    bool needs_volume_padding;
+    bool supports_join;
+  };
+  for (const Case& c : {Case{&oblidb, LeakageClass::kL0, false, true},
+                        Case{&crypte, LeakageClass::kLDP, false, false},
+                        Case{&stealth, LeakageClass::kL1, true, true},
+                        Case{&padded, LeakageClass::kL0, false, true}}) {
+    SCOPED_TRACE(c.server->name());
+    const LeakageProfile profile = c.server->leakage();
+    EXPECT_EQ(profile.query_class, c.query_class);
+    EXPECT_EQ(profile.scheme_name, c.server->name());
+    const CompatibilityResult verdict = CheckCompatibility(profile);
+    EXPECT_TRUE(verdict.compatible);
+    EXPECT_EQ(verdict.needs_volume_padding, c.needs_volume_padding);
+    EXPECT_EQ(c.server->planner_options().supports_join, c.supports_join);
+  }
 }
 
 // -------------------------------------------------------- Encrypted table
@@ -926,7 +949,7 @@ TEST_F(QuerySessionTest, AdmissionDeadlineSurfacesAsDeadlineExceeded) {
   EXPECT_EQ(saw_deadline, server.stats().deadlines_exceeded > 0);
 }
 
-TEST(VolumeDecoratorSessionTest, SessionsWorkThroughStealthDbAndPadding) {
+TEST(VolumePaddingSessionTest, SessionsWorkThroughStealthDbAndPadding) {
   StealthDbServer inner;
   auto t = inner.CreateTable("YellowCab", TripSchema());
   ASSERT_TRUE(t.ok());
@@ -941,7 +964,10 @@ TEST(VolumeDecoratorSessionTest, SessionsWorkThroughStealthDbAndPadding) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.revealed_volume, 5);
 
-  VolumePaddedServer padded(&inner);
+  VolumePaddedServer padded;
+  auto padded_table = padded.CreateTable("YellowCab", TripSchema());
+  ASSERT_OK(padded_table);
+  ASSERT_OK(padded_table.value()->Setup(records));
   auto padded_session = padded.CreateSession();
   auto pq = padded_session->Prepare("SELECT COUNT(*) FROM YellowCab");
   ASSERT_TRUE(pq.ok());

@@ -244,30 +244,47 @@ TEST(StealthDbTest, RevealsMatchingRecordCountForEveryAggregate) {
   }
 }
 
-TEST(StealthDbTest, VolumeComesFromAViewWhenOneExists) {
-  // Prepare registers the volume count's view next to the query's own,
-  // so a one-shot query scans only for what no view answers: SUM not at
-  // all, MAX once for its own answer but not for its volume.
-  edb::StealthDbServer server;
+/// Runs VolumeComesFromAViewWhenOneExists's cases on `server`.
+void ExpectVolumesFromViews(edb::StealthDbServer& server) {
+  SCOPED_TRACE(server.name());
   auto t = server.CreateTable("YellowCab", workload::TripSchema());
   ASSERT_OK(t);
   ASSERT_OK(t.value()->Setup({Trip(1, 60), Trip(2, 70), Trip(3, 200),
                               Trip(4, 60, /*dummy=*/true)}));
   const std::string kFilter =
       " FROM YellowCab WHERE pickupID BETWEEN 50 AND 100";
-  const std::pair<std::string, int64_t> kCases[] = {
-      {"SELECT SUM(fare)" + kFilter, 0},
-      {"SELECT MAX(pickupID)" + kFilter, 1},
+  struct Case {
+    std::string sql;
+    int64_t scans;
+    int64_t view_hits;
   };
-  for (const auto& [sql, scans] : kCases) {
-    auto q = query::ParseSelect(sql);
+  const Case kCases[] = {
+      {"SELECT SUM(fare)" + kFilter, 0, 2},
+      {"SELECT MAX(pickupID)" + kFilter, 1, 1},
+  };
+  for (const auto& c : kCases) {
+    auto q = query::ParseSelect(c.sql);
     ASSERT_OK(q);
-    const int64_t before = server.stats().snapshot_scans;
+    const edb::ServerStats before = server.stats();
     auto r = server.Query(q.value());
     ASSERT_OK(r);
-    EXPECT_EQ(r->stats.revealed_volume, 2) << sql;
-    EXPECT_EQ(server.stats().snapshot_scans - before, scans) << sql;
+    // 2 matching records: StealthDB reveals 2, and 2 pads to itself.
+    EXPECT_EQ(r->stats.revealed_volume, 2) << c.sql;
+    const edb::ServerStats after = server.stats();
+    EXPECT_EQ(after.snapshot_scans - before.snapshot_scans, c.scans) << c.sql;
+    EXPECT_EQ(after.view_hits - before.view_hits, c.view_hits) << c.sql;
   }
+}
+
+TEST(StealthDbTest, VolumeComesFromAViewWhenOneExists) {
+  // Prepare registers the volume count's view next to the query's own,
+  // so a one-shot query scans only for what no view answers: SUM not at
+  // all, MAX once for its own answer but not for its volume. The padded
+  // server is StealthDB itself, so its views and counters are the same.
+  edb::StealthDbServer server;
+  ExpectVolumesFromViews(server);
+  edb::VolumePaddedServer padded;
+  ExpectVolumesFromViews(padded);
 }
 
 TEST(StealthDbTest, L1IsConditionallyCompatible) {
@@ -278,8 +295,7 @@ TEST(StealthDbTest, L1IsConditionallyCompatible) {
 }
 
 TEST(VolumePaddingTest, PadsToPowerOfTwo) {
-  edb::StealthDbServer inner;
-  edb::VolumePaddedServer server(&inner);
+  edb::VolumePaddedServer server;
   auto t = server.CreateTable("YellowCab", workload::TripSchema());
   ASSERT_TRUE(t.ok());
   std::vector<Record> records;
@@ -294,8 +310,7 @@ TEST(VolumePaddingTest, PadsToPowerOfTwo) {
 }
 
 TEST(VolumePaddingTest, UpgradesLeakageClass) {
-  edb::StealthDbServer inner;
-  edb::VolumePaddedServer server(&inner);
+  edb::VolumePaddedServer server;
   EXPECT_EQ(server.leakage().query_class, edb::LeakageClass::kL0);
   auto verdict = edb::CheckCompatibility(server.leakage());
   EXPECT_TRUE(verdict.compatible);
@@ -305,15 +320,13 @@ TEST(VolumePaddingTest, UpgradesLeakageClass) {
 
 // ------------------------------------------------ Crypt-eps budget limit
 
-/// A 2-rank distributed twin of `cfg`: the coordinator spends the same
-/// budget the single-process engine does.
-dist::DistributedConfig TwoRankConfig(const edb::CryptEpsConfig& cfg) {
-  dist::DistributedConfig dcfg;
-  dcfg.engine = dist::DistEngineKind::kCryptEps;
-  dcfg.num_servers = 2;
-  dcfg.crypteps = cfg;
-  dcfg.crypteps.storage.num_shards = 2;
-  return dcfg;
+/// A 2-rank distributed twin of `cfg`: the release over the coordinator
+/// spends the same budget the single-process engine does.
+dist::DistributedCryptEpsServer TwoRankTwin(edb::CryptEpsConfig cfg) {
+  cfg.storage.num_shards = 2;
+  dist::DistributedConfig topology;
+  topology.num_servers = 2;
+  return dist::DistributedCryptEpsServer(cfg, topology);
 }
 
 /// One row of the exact-budget grid. The limit is written as a decimal
@@ -356,8 +369,8 @@ TEST_P(CryptBudgetTest, AnswersFloorOfLimitOverEpsilonThenRefuses) {
     ExpectAnswersThenDenied(server, c);
   }
   {
-    SCOPED_TRACE("2-rank DistributedEdbServer");
-    dist::DistributedEdbServer server(TwoRankConfig(cfg));
+    SCOPED_TRACE("2-rank DistributedCryptEpsServer");
+    dist::DistributedCryptEpsServer server = TwoRankTwin(cfg);
     ASSERT_OK(server.init_status());
     ExpectAnswersThenDenied(server, c);
   }
@@ -448,7 +461,7 @@ TEST(CryptEpsNoiseGoldenTest, FixedSeedReleasesArePinned) {
   cfg.master_seed = 12;
   cfg.query_epsilon = 0.5;
   edb::CryptEpsServer local(cfg);
-  dist::DistributedEdbServer distributed(TwoRankConfig(cfg));
+  dist::DistributedCryptEpsServer distributed = TwoRankTwin(cfg);
   ASSERT_OK(distributed.init_status());
   for (const auto& bits : {ReleasedBits(local), ReleasedBits(distributed)}) {
     ASSERT_EQ(bits.size(), kGolden.size());

@@ -99,14 +99,14 @@ const std::vector<std::string>& QuerySuite() {
 
 struct Variant {
   const char* label;
-  DistEngineKind engine;
   bool use_oram_index;
+  bool crypteps = false;  ///< the Crypt-eps release over the engine
 };
 
 constexpr Variant kVariants[] = {
-    {"oblidb-linear", DistEngineKind::kObliDb, false},
-    {"oblidb-indexed", DistEngineKind::kObliDb, true},
-    {"crypteps", DistEngineKind::kCryptEps, false},
+    {"oblidb-linear", false},
+    {"oblidb-indexed", true},
+    {"crypteps", false, /*crypteps=*/true},
 };
 
 constexpr int kGlobalShards = 6;
@@ -124,22 +124,38 @@ int64_t FaultSeed() {
 DistributedConfig MakeReplicatedConfig(const Variant& v, int servers,
                                        int replicas) {
   DistributedConfig cfg;
-  cfg.engine = v.engine;
   cfg.num_servers = servers;
   cfg.replication_factor = replicas;
   cfg.rpc_timeout_seconds = 10.0;
   cfg.oblidb.storage.num_shards = kGlobalShards;
   cfg.oblidb.use_oram_index = v.use_oram_index;
   cfg.oblidb.oram_capacity = 1 << 10;
-  cfg.crypteps.storage.num_shards = kGlobalShards;
   return cfg;
 }
 
+/// Crypt-eps's options on the global topology, for the distributed
+/// servers and their twins alike.
+edb::CryptEpsConfig CryptEpsOptions() {
+  edb::CryptEpsConfig cfg;
+  cfg.storage.num_shards = kGlobalShards;
+  return cfg;
+}
+
+/// The replicated coordinator `v` names.
+std::unique_ptr<DistributedEdbServer> MakeReplicated(const Variant& v,
+                                                     int servers,
+                                                     int replicas) {
+  if (v.crypteps) {
+    return std::make_unique<DistributedCryptEpsServer>(
+        CryptEpsOptions(), MakeReplicatedConfig(v, servers, replicas));
+  }
+  return std::make_unique<DistributedEdbServer>(
+      MakeReplicatedConfig(v, servers, replicas));
+}
+
 std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
-  if (v.engine == DistEngineKind::kCryptEps) {
-    edb::CryptEpsConfig cfg;
-    cfg.storage.num_shards = kGlobalShards;
-    return std::make_unique<edb::CryptEpsServer>(cfg);
+  if (v.crypteps) {
+    return std::make_unique<edb::CryptEpsServer>(CryptEpsOptions());
   }
   edb::ObliDbConfig cfg;
   cfg.storage.num_shards = kGlobalShards;
@@ -157,7 +173,8 @@ std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
 /// cutover preserved the exact query order and merge shape.
 void RunFailoverIdentitySweep(const Variant& v) {
   SCOPED_TRACE(std::string(v.label) + " seed " + std::to_string(FaultSeed()));
-  DistributedEdbServer dist(MakeReplicatedConfig(v, 2, 1));
+  auto dist_server = MakeReplicated(v, 2, 1);
+  DistributedEdbServer& dist = *dist_server;
   ASSERT_OK(dist.init_status());
   auto local = MakeLocalTwin(v);
 
@@ -198,9 +215,11 @@ void RunFailoverIdentitySweep(const Variant& v) {
     ASSERT_OK(local_resp);
     ExpectBitIdentical(dist_resp.value(), local_resp.value());
   }
-  if (v.engine == DistEngineKind::kCryptEps) {
+  if (v.crypteps) {
     auto* crypteps = static_cast<edb::CryptEpsServer*>(local.get());
-    EXPECT_EQ(dist.consumed_query_budget(), crypteps->consumed_query_budget());
+    auto& released = static_cast<DistributedCryptEpsServer&>(dist);
+    EXPECT_EQ(released.consumed_query_budget(),
+              crypteps->consumed_query_budget());
   }
 
   // Exactly one cutover happened, and the promoted follower now leads.
@@ -236,7 +255,7 @@ TEST(FailoverIdentityTest, KilledLeaderPromotesFollowerBitIdentically) {
 /// leader's ack (the follower is never ahead) and the batch sequence
 /// number dedups the replay.
 void RunIngestDeathPoint(net::FaultAction action) {
-  const Variant v{"oblidb-linear", DistEngineKind::kObliDb, false};
+  const Variant v{"oblidb-linear", false};
   DistributedEdbServer dist(MakeReplicatedConfig(v, 1, 1));
   ASSERT_OK(dist.init_status());
   auto local = MakeLocalTwin(v);
@@ -297,7 +316,7 @@ TEST(FailoverIngestTest, KillAfterCommitDuplicatesNothing) {
 // ------------------------------------------------ follower lag + catch-up
 
 TEST(FailoverLagTest, DroppedRelayIsRepairedByCatchUp) {
-  const Variant v{"oblidb-linear", DistEngineKind::kObliDb, false};
+  const Variant v{"oblidb-linear", false};
   DistributedEdbServer dist(MakeReplicatedConfig(v, 1, 1));
   ASSERT_OK(dist.init_status());
   auto local = MakeLocalTwin(v);
@@ -355,7 +374,7 @@ TEST(FailoverLagTest, DroppedRelayIsRepairedByCatchUp) {
 }
 
 TEST(FailoverLagTest, StaleFollowerIsRefusedPromotion) {
-  const Variant v{"oblidb-linear", DistEngineKind::kObliDb, false};
+  const Variant v{"oblidb-linear", false};
   DistributedEdbServer dist(MakeReplicatedConfig(v, 1, 1));
   ASSERT_OK(dist.init_status());
   auto table = dist.CreateTable("YellowCab", TripSchema());
@@ -388,7 +407,7 @@ TEST(FailoverLagTest, StaleFollowerIsRefusedPromotion) {
 // ------------------------------------------------------- double failure
 
 TEST(FailoverDoubleFailureTest, LeaderAndFollowerDeadYieldsUnavailable) {
-  const Variant v{"oblidb-linear", DistEngineKind::kObliDb, false};
+  const Variant v{"oblidb-linear", false};
   DistributedConfig cfg = MakeReplicatedConfig(v, 2, 1);
   cfg.rpc_timeout_seconds = 2.0;
   DistributedEdbServer dist(cfg);
@@ -425,7 +444,7 @@ TEST(FailoverTransportTest, TornAndCorruptFramesTriggerCleanCutover) {
       net::FaultAction::kCloseAfterSend};
   for (auto action : kTearDowns) {
     SCOPED_TRACE(static_cast<int>(action));
-    const Variant v{"oblidb-linear", DistEngineKind::kObliDb, false};
+    const Variant v{"oblidb-linear", false};
     DistributedEdbServer dist(MakeReplicatedConfig(v, 1, 1));
     ASSERT_OK(dist.init_status());
     auto local = MakeLocalTwin(v);
@@ -460,7 +479,7 @@ TEST(FailoverOramTest, PromotionReusesWarmMirrorWithoutRebuild) {
   // incrementally by every relayed batch (the same store append path the
   // owner uses), so promotion must NOT rebuild the trees — the promotion
   // query costs exactly as many path accesses as any steady-state scan.
-  const Variant v{"oblidb-indexed", DistEngineKind::kObliDb, true};
+  const Variant v{"oblidb-indexed", true};
   DistributedEdbServer dist(MakeReplicatedConfig(v, 1, 1));
   ASSERT_OK(dist.init_status());
   auto table = dist.CreateTable("YellowCab", TripSchema());
