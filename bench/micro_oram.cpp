@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/shard_router.h"
 #include "oram/oblivious_join.h"
 #include "oram/oram_mirror.h"
 #include "oram/path_oram.h"
@@ -74,15 +75,15 @@ BENCHMARK(BM_OramReadWriteMix);
 void BM_OramTouchAll(benchmark::State& state) {
   OramMirrorConfig cfg;
   cfg.capacity = size_t{1} << 16;
-  cfg.num_shards = 4;
   cfg.master_seed = 6;
-  OramMirror mirror(cfg);
+  OramMirror mirror(4, cfg);
+  ShardRouter router(4);
   const auto blocks = static_cast<size_t>(state.range(0));
-  std::vector<Bytes> identities(blocks, Bytes(8, 0));
+  Bytes identity(8, 0);
   std::vector<OramMirror::Entry> entries;
   for (size_t i = 0; i < blocks; ++i) {
-    StoreLE64(identities[i].data(), i);
-    entries.push_back({&identities[i], Bytes(92, 0xdd)});
+    StoreLE64(identity.data(), i);
+    entries.push_back({router.Route(identity), Bytes(92, 0xdd)});
   }
   if (!mirror.Append(std::move(entries)).ok()) {
     state.SkipWithError("append failed");

@@ -3,8 +3,9 @@
 /// any scale and emit the metric series as CSV — the tool a downstream
 /// user reaches for before wiring the library into their own system.
 ///
-///   $ ./build/examples/dpsync_cli --strategy=timer --engine=oblidb \
+///   $ ./build/examples/dpsync_cli --strategy=timer --engine=oblidb
 ///         --eps=0.5 --T=30 --horizon=10080 --records=4300 --csv=out.csv
+///   (one command line)
 ///
 /// Flags (all optional; a numeric flag must parse completely, and
 /// out-of-range DP-Timer/DP-ANT parameters fail the run):
@@ -16,7 +17,7 @@
 ///   --flush-f=<int>      flush interval             (default 2000)
 ///   --flush-s=<int>      flush size                 (default 15)
 ///   --horizon=<int>      time units                 (default 43200)
-///   --records=<int>      target yellow records      (default 18429)
+///   --records=<int>      target yellow records, >= 0 (default 18429)
 ///   --interval=<int>     query firing interval, >= 1 (default 360;
 ///                        Q3 fires every 4 intervals)
 ///   --seed=<int>         experiment seed            (default 99)
@@ -29,7 +30,8 @@
 ///                        (mean QET, executions, plan-cache hit rate)
 ///   --csv=<path>         also write series to a CSV file
 /// A query that never fired within the horizon prints "-" for its L1 and
-/// QET cells.
+/// QET cells, and a run too short for a logical-gap sample (the gap is
+/// sampled every 720 time units) prints "-" for the mean logical gap.
 #include <charconv>
 #include <cstring>
 #include <fstream>
@@ -113,7 +115,10 @@ int main(int argc, char** argv) {
         cfg.yellow.target_records = h * 18429 / 43200;
       }
     } else if (ParseFlag(argv[i], "records", &v)) {
-      if (!ParseNumber(v, &cfg.yellow.target_records)) return Usage(argv[0]);
+      if (!ParseNumber(v, &cfg.yellow.target_records) ||
+          cfg.yellow.target_records < 0) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "interval", &v)) {
       int64_t interval = 0;
       // Q3 fires every 4 intervals, so 4x the interval must fit too.
@@ -173,7 +178,10 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
   std::cout << "mean logical gap : "
-            << TablePrinter::Fmt(result->mean_logical_gap) << "\n"
+            << (result->logical_gap.t.empty()
+                    ? std::string("-")
+                    : TablePrinter::Fmt(result->mean_logical_gap))
+            << "\n"
             << "total data (Mb)  : "
             << TablePrinter::Fmt(result->final_total_mb) << "\n"
             << "dummy data (Mb)  : "

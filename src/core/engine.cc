@@ -19,10 +19,10 @@ Status CheckFetchCount(int64_t fetch_count) {
 
 DpSyncEngine::DpSyncEngine(std::unique_ptr<SyncStrategy> strategy,
                            SogdbBackend* backend, DummyFactory dummy_factory,
-                           uint64_t seed, LocalCache::Mode cache_mode)
+                           uint64_t seed)
     : strategy_(std::move(strategy)),
       backend_(backend),
-      cache_(std::move(dummy_factory), cache_mode),
+      cache_(std::move(dummy_factory)),
       rng_(seed) {}
 
 Status DpSyncEngine::Setup(std::vector<Record> initial_db) {

@@ -50,8 +50,7 @@ class DpSyncEngine {
   /// \param dummy_factory schema-valid dummy record generator
   /// \param seed seeds the engine's private randomness (DP noise)
   DpSyncEngine(std::unique_ptr<SyncStrategy> strategy, SogdbBackend* backend,
-               DummyFactory dummy_factory, uint64_t seed,
-               LocalCache::Mode cache_mode = LocalCache::Mode::kFifo);
+               DummyFactory dummy_factory, uint64_t seed);
 
   /// Runs Pi_Setup: caches `initial_db`, asks the strategy for |gamma_0|,
   /// reads it from the cache (padding with dummies) and ships it. A

@@ -5,8 +5,8 @@
 
 namespace dpsync {
 
-LocalCache::LocalCache(DummyFactory dummy_factory, Mode mode)
-    : dummy_factory_(std::move(dummy_factory)), mode_(mode) {
+LocalCache::LocalCache(DummyFactory dummy_factory)
+    : dummy_factory_(std::move(dummy_factory)) {
   assert(dummy_factory_ && "LocalCache requires a dummy factory");
 }
 
@@ -20,13 +20,8 @@ std::vector<Record> LocalCache::Read(int64_t n) {
   if (n <= 0) return out;
   out.reserve(static_cast<size_t>(n));
   while (n > 0 && !buffer_.empty()) {
-    if (mode_ == Mode::kFifo) {
-      out.push_back(std::move(buffer_.front()));
-      buffer_.pop_front();
-    } else {
-      out.push_back(std::move(buffer_.back()));
-      buffer_.pop_back();
-    }
+    out.push_back(std::move(buffer_.front()));
+    buffer_.pop_front();
     --n;
   }
   while (n > 0) {

@@ -5,9 +5,8 @@
 /// pops up to n records and pads with dummy records when the cache holds
 /// fewer — exactly the behaviour Algorithm 2's Perturb relies on.
 ///
-/// FIFO mode (the default) preserves arrival order, which gives DP-Sync the
-/// strong variant of the consistent-eventually property (P3). LIFO mode is
-/// provided for analysts who only care about the most recent records.
+/// Reads pop oldest first: preserving arrival order is what gives DP-Sync
+/// the strong variant of the consistent-eventually property (P3).
 #pragma once
 
 #include <cstdint>
@@ -21,13 +20,8 @@ namespace dpsync {
 /// Owner-side staging buffer with dummy-padded reads.
 class LocalCache {
  public:
-  enum class Mode {
-    kFifo,  ///< read() pops oldest first (arrival order preserved)
-    kLifo,  ///< read() pops newest first
-  };
-
   /// \param dummy_factory used to fabricate padding records on short reads
-  explicit LocalCache(DummyFactory dummy_factory, Mode mode = Mode::kFifo);
+  explicit LocalCache(DummyFactory dummy_factory);
 
   /// Number of records currently cached ("get cache length").
   int64_t len() const { return static_cast<int64_t>(buffer_.size()); }
@@ -35,9 +29,9 @@ class LocalCache {
   /// Appends a record ("write cache").
   void Write(Record r);
 
-  /// Pops up to `n` records ("read cache"). If n > len(), all cached
-  /// records are returned followed by (n - len()) fresh dummies, so the
-  /// result always has exactly max(n, 0) records.
+  /// Pops up to `n` records, oldest first ("read cache"). If n > len(),
+  /// all cached records are returned followed by (n - len()) fresh
+  /// dummies, so the result always has exactly max(n, 0) records.
   std::vector<Record> Read(int64_t n);
 
   /// Largest value len() has ever reached (for the Theorem 6/8 cache-size
@@ -47,11 +41,8 @@ class LocalCache {
   /// Total dummies fabricated by short reads so far.
   int64_t dummies_created() const { return dummies_created_; }
 
-  Mode mode() const { return mode_; }
-
  private:
   DummyFactory dummy_factory_;
-  Mode mode_;
   std::deque<Record> buffer_;
   int64_t peak_len_ = 0;
   int64_t dummies_created_ = 0;

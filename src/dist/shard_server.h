@@ -12,10 +12,12 @@
 /// run exactly like a linear edb::ObliDbServer's (and so like
 /// edb::CryptEpsServer's, whose release happens above the coordinator),
 /// and ObliDB's indexed mode keeps the store's per-shard Path ORAM index
-/// (oram::OramMirror). Decryption happens only enclave-side (the table's
-/// mirrors), with the table key derived from the shared master seed —
-/// identical to the coordinator's derivation, so ciphertexts sealed there
-/// open here.
+/// (oram::OramMirror), each ingested block in the tree of the local
+/// shard its entry names. Ingest stores ciphertexts without opening them,
+/// in either mode: decryption, and with it authentication, happens only
+/// at the enclave catch-up of the next capture (the table's mirrors),
+/// with the table key derived from the shared master seed — identical to
+/// the coordinator's derivation, so ciphertexts sealed there open here.
 ///
 /// Threading: Serve() runs a dedicated std::thread per connection (a
 /// deliberate deviation from the shared-pool rule — the loop blocks on

@@ -49,8 +49,7 @@ EncryptedTableStore::EncryptedTableStore(
   dirty_.assign(static_cast<size_t>(router_.num_shards()), 0);
   committed_.assign(static_cast<size_t>(router_.num_shards()), 0);
   if (index) {
-    index->num_shards = router_.num_shards();
-    mirror_ = std::make_unique<oram::OramMirror>(*index);
+    mirror_ = std::make_unique<oram::OramMirror>(router_.num_shards(), *index);
   }
 }
 
@@ -69,10 +68,6 @@ void EncryptedTableStore::AdvanceCommitEpoch() {
 
 Status EncryptedTableStore::AppendEncrypted(const std::vector<Record>& records,
                                             bool setup_batch) {
-  // NOTE: no per-call reserve of journal_ — SET-style workloads post
-  // one-record updates tens of thousands of times, and an exact-size
-  // reserve would force a reallocation (and full copy) on every call.
-  // Amortized push_back growth keeps appends O(1).
   std::vector<oram::OramMirror::Entry> indexed;
   if (mirror_) indexed.reserve(records.size());
   Status appended = [&]() -> Status {
@@ -82,11 +77,7 @@ Status EncryptedTableStore::AppendEncrypted(const std::vector<Record>& records,
       int shard = router_.Route(r.payload);
       DPSYNC_RETURN_IF_ERROR(shards_[shard].Append(ct.value()));
       dirty_[static_cast<size_t>(shard)] = 1;
-      journal_.emplace_back(static_cast<uint32_t>(shard),
-                            static_cast<uint32_t>(shards_[shard].Count() - 1));
-      // The record's payload routes its block to the tree ShardRouter just
-      // chose for the ciphertext.
-      if (mirror_) indexed.push_back({&r.payload, std::move(ct.value())});
+      if (mirror_) indexed.push_back({shard, std::move(ct.value())});
     }
     return Status::Ok();
   }();
@@ -144,15 +135,8 @@ Status EncryptedTableStore::IngestCiphertexts(
   } else {
     if (!setup_done_) return Status::FailedPrecondition("Update before Setup");
   }
-  // The index routes blocks by plaintext identity, which the coordinator
-  // never ships: an indexed store decrypts each ciphertext enclave-side.
-  // Reserved up front, so the entries' identity pointers stay valid.
-  std::vector<Bytes> identities;
   std::vector<oram::OramMirror::Entry> indexed;
-  if (mirror_) {
-    identities.reserve(entries.size());
-    indexed.reserve(entries.size());
-  }
+  if (mirror_) indexed.reserve(entries.size());
   Status appended = [&]() -> Status {
     for (const CipherEntry& e : entries) {
       if (e.shard >= shards_.size()) {
@@ -163,16 +147,11 @@ Status EncryptedTableStore::IngestCiphertexts(
       if (e.ciphertext.size() != crypto::RecordCipher::kCiphertextSize) {
         return Status::InvalidArgument("ingest ciphertext has wrong size");
       }
-      if (mirror_) {
-        auto payload = cipher_.Decrypt(e.ciphertext);
-        if (!payload.ok()) return payload.status();
-        identities.push_back(std::move(payload.value()));
-      }
       DPSYNC_RETURN_IF_ERROR(shards_[e.shard].Append(e.ciphertext));
       dirty_[e.shard] = 1;
-      journal_.emplace_back(
-          e.shard, static_cast<uint32_t>(shards_[e.shard].Count() - 1));
-      if (mirror_) indexed.push_back({&identities.back(), e.ciphertext});
+      if (mirror_) {
+        indexed.push_back({static_cast<int>(e.shard), e.ciphertext});
+      }
     }
     // Track the global nonce stream before flushing so the persisted mark
     // is never behind the ciphertexts it covers. Never rewind: a stale
@@ -225,6 +204,12 @@ std::vector<uint64_t> EncryptedTableStore::CommittedShardRows() const {
   return rows;
 }
 
+int64_t EncryptedTableStore::outsourced_count() const {
+  int64_t total = 0;
+  for (const ShardLog& shard : shards_) total += shard.Count();
+  return total;
+}
+
 int64_t EncryptedTableStore::outsourced_bytes() const {
   int64_t total = 0;
   for (const ShardLog& shard : shards_) total += shard.SizeBytes();
@@ -259,11 +244,9 @@ Status EncryptedTableStore::Reopen() {
   if (mirror_) {
     return Status::FailedPrecondition(
         "table " + name_ +
-        " has an ORAM index, whose block ids are global append indices: a "
-        "reopened store rebuilds its journal shard-major and would no "
-        "longer match them");
+        " has an ORAM index, whose trees live in memory only: Reopen does "
+        "not rebuild them");
   }
-  journal_.clear();
   // Drop the mirrors (fresh chunks will be decrypted on demand). Chunks
   // referenced by outstanding SnapshotViews stay alive through their
   // shared_ptrs — a pinned pre-Reopen scan finishes on pre-Reopen data.
@@ -314,17 +297,6 @@ Status EncryptedTableStore::Reopen() {
   if (persisted > cipher_.nonce_high_water()) {
     DPSYNC_RETURN_IF_ERROR(cipher_.RestoreNonceHighWater(persisted));
   }
-  // Rebuild the journal shard-major: the global arrival order is not
-  // persisted, and every consumer of the recovered store is
-  // order-insensitive (aggregates).
-  journal_.reserve(static_cast<size_t>(total));
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    int64_t n = shards_[s].Count();
-    for (int64_t i = 0; i < n; ++i) {
-      journal_.emplace_back(static_cast<uint32_t>(s),
-                            static_cast<uint32_t>(i));
-    }
-  }
   // Recovered durable state implies Setup ran in some incarnation (even if
   // gamma_0 was empty — the files only exist because the first commit
   // happened); without it, keep whatever this instance already knew.
@@ -338,8 +310,8 @@ Status EncryptedTableStore::Reopen() {
   }
   AdvanceCommitEpoch();
   // Reopen advanced the epoch WITHOUT committing new rows, and the
-  // recovered prefix (shard-major journal, truncated tails) need not be
-  // the pre-Reopen prefix. A view that treated "epoch advanced" as
+  // recovered prefix (truncated tails) need not be the pre-Reopen
+  // prefix. A view that treated "epoch advanced" as
   // "delta to fold" would serve stale or double-folded state — so views
   // invalidate here and rebuild lazily: the next commit fold re-folds the
   // whole committed prefix from row zero, and until then every query
@@ -491,7 +463,9 @@ StatusOr<SnapshotView> EncryptedTableStore::Snapshot() {
 }
 
 StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {
-  const size_t n = journal_.size();
+  auto cts = ciphertexts();
+  if (!cts.ok()) return cts.status();
+  const size_t n = cts->size();
   std::vector<query::Row> rows(n);
   size_t max_chunks = n >= kParallelScanThreshold
                           ? SharedPool()->num_threads()
@@ -500,13 +474,7 @@ StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {
   SharedPool()->ParallelFor(n, max_chunks,
                             [&](size_t chunk, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      const auto [shard, offset] = journal_[i];
-      auto ct = shards_[shard].Get(static_cast<int64_t>(offset));
-      if (!ct.ok()) {
-        statuses[chunk] = ct.status();
-        return;
-      }
-      auto payload = cipher_.Decrypt(ct.value());
+      auto payload = cipher_.Decrypt((*cts)[i]);
       if (!payload.ok()) {
         statuses[chunk] = payload.status();
         return;
@@ -525,11 +493,13 @@ StatusOr<std::vector<query::Row>> EncryptedTableStore::DecryptAll() const {
 
 StatusOr<std::vector<Bytes>> EncryptedTableStore::ciphertexts() const {
   std::vector<Bytes> out;
-  out.reserve(journal_.size());
-  for (const auto& [shard, offset] : journal_) {
-    auto ct = shards_[shard].Get(static_cast<int64_t>(offset));
-    if (!ct.ok()) return ct.status();
-    out.push_back(std::move(ct.value()));
+  out.reserve(static_cast<size_t>(outsourced_count()));
+  for (const ShardLog& shard : shards_) {
+    DPSYNC_RETURN_IF_ERROR(
+        shard.Scan(0, shard.Count(), [&](int64_t, const Bytes& ct) -> Status {
+          out.push_back(ct);
+          return Status::Ok();
+        }));
   }
   return out;
 }

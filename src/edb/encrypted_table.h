@@ -8,10 +8,12 @@
 /// ShardRouter hashes each record's identity onto one of N shards, each
 /// shard owning a ShardLog (an in-memory record array, written through to
 /// a durable segment file when configured — see shard_log.h /
-/// docs/STORAGE.md) plus its own enclave-resident plaintext mirror. Full
-/// scans fan out across shards on the shared thread pool. A per-table
-/// append journal preserves the global arrival order, so single-shard
-/// behavior is bit-identical to the pre-refactor store.
+/// docs/STORAGE.md) plus its own enclave-resident plaintext mirror. A
+/// record's address is its (shard, offset within the shard). The store is
+/// the one place in a process that decides it (IngestCiphertexts takes the
+/// shard each entry names), and every reader walks the shards in order
+/// (shard-major), each in arrival order. Full scans fan out across shards
+/// on the shared thread pool.
 ///
 /// The store also tracks a per-table **CommitEpoch** (advanced by Flush —
 /// DP-Sync's commit point: records become query-visible when a strategy
@@ -23,7 +25,8 @@
 ///
 /// ObliDB's indexed storage method adds an oblivious index to the store:
 /// an oram::OramMirror with one Path ORAM per storage shard, fed every
-/// ciphertext the append loop stores and touched in full by every
+/// ciphertext the append loop stores under the record's own address (its
+/// shard's tree, its offset as block id) and touched in full by every
 /// Snapshot (see docs/ORAM.md).
 #pragma once
 
@@ -54,9 +57,8 @@ class EncryptedTableStore : public EdbTable {
   ///        the on-disk location. The default reproduces the original
   ///        single-shard in-memory store exactly.
   /// \param index when set, the store keeps an ORAM index built from it
-  ///        (ObliDB's indexed storage method); its num_shards is
-  ///        overwritten with the store's, so every record's ORAM tree is
-  ///        its storage shard.
+  ///        (ObliDB's indexed storage method), with one tree per storage
+  ///        shard.
   EncryptedTableStore(std::string name, query::Schema schema, Bytes key,
                       StorageConfig storage = {},
                       std::optional<oram::OramMirrorConfig> index = {});
@@ -64,11 +66,9 @@ class EncryptedTableStore : public EdbTable {
   // --- owner-facing SOGDB protocols -------------------------------------
   Status Setup(const std::vector<Record>& gamma0) override;
   Status Update(const std::vector<Record>& gamma) override;
-  int64_t outsourced_count() const override {
-    return static_cast<int64_t>(journal_.size());
-  }
-  /// Derived from the shards (sum of per-shard stored bytes), so the
-  /// reported metric cannot drift from what the shards hold.
+  /// Both derived from the shards (sums of per-shard records and stored
+  /// bytes), so the reported metrics cannot drift from what they hold.
+  int64_t outsourced_count() const override;
   int64_t outsourced_bytes() const override;
   const std::string& table_name() const override { return name_; }
 
@@ -86,9 +86,11 @@ class EncryptedTableStore : public EdbTable {
   /// cipher's counter after the batch; it is restored into the local
   /// cipher (never rewound) BEFORE the auto-flush so the persisted mark
   /// tracks the global stream. Follows the Setup/Update state machine via
-  /// `setup_batch` and auto-flushes exactly like AppendEncrypted. On an
-  /// indexed store each ciphertext is decrypted enclave-side before it is
-  /// stored, because the index routes blocks by plaintext identity.
+  /// `setup_batch` and auto-flushes exactly like AppendEncrypted. Nothing
+  /// is decrypted here: on an indexed store each block joins its entry's
+  /// shard's tree, and a ciphertext that fails authentication is stored
+  /// and fails the next Snapshot's enclave catch-up, on either storage
+  /// method.
   Status IngestCiphertexts(const std::vector<CipherEntry>& entries,
                            uint64_t nonce_high_water, bool setup_batch);
 
@@ -120,14 +122,12 @@ class EncryptedTableStore : public EdbTable {
   Status Flush();
 
   /// Re-attaches to the shards' durable state (simulating a restart):
-  /// every shard recovers its committed prefix, the append journal is
-  /// rebuilt (shard-major — global arrival order is not persisted), the
-  /// enclave mirrors are dropped, and the cipher's nonce counter is
-  /// restored from the persisted high-water mark. Fails loudly if the
-  /// persisted mark is behind the committed record count (nonce reuse).
-  /// An indexed store refuses with FailedPrecondition and changes
-  /// nothing: the index's block ids are global append indices, which the
-  /// shard-major journal would no longer match.
+  /// every shard recovers its committed prefix, the enclave mirrors are
+  /// dropped, and the cipher's nonce counter is restored from the
+  /// persisted high-water mark. Fails loudly if the persisted mark is
+  /// behind the committed record count (nonce reuse). An indexed store
+  /// refuses with FailedPrecondition and changes nothing: its ORAM trees
+  /// live in memory only, and Reopen does not rebuild them.
   Status Reopen();
 
   // --- trusted-side access ----------------------------------------------
@@ -135,9 +135,10 @@ class EncryptedTableStore : public EdbTable {
 
   /// Decrypts every stored ciphertext into rows, bypassing the enclave
   /// mirrors: a direct check of what the store holds, which only tests
-  /// use (queries read through Snapshot()). Rows come back in global
-  /// append order; the decryption work fans out across the shared thread
-  /// pool for large tables. Fails if any ciphertext fails authentication.
+  /// use (queries read through Snapshot()). Rows come back shard-major,
+  /// each shard in arrival order; the decryption work fans out across the
+  /// shared thread pool for large tables. Fails if any ciphertext fails
+  /// authentication.
   StatusOr<std::vector<query::Row>> DecryptAll() const;
 
   /// The one read capture every scan and join runs: the committed prefix
@@ -212,8 +213,8 @@ class EncryptedTableStore : public EdbTable {
     return committed_total_.load(std::memory_order_acquire);
   }
 
-  /// Materializes the server-visible ciphertext array in append order
-  /// (copies; for tests probing indistinguishability).
+  /// Materializes the server-visible ciphertexts shard-major, each shard
+  /// in arrival order (copies; for tests probing indistinguishability).
   StatusOr<std::vector<Bytes>> ciphertexts() const;
 
   /// The cipher's nonce high-water mark (next nonce to be consumed);
@@ -227,14 +228,6 @@ class EncryptedTableStore : public EdbTable {
   /// model consumes the sum, which equals outsourced_count()).
   int64_t shard_count(int shard) const { return shards_[shard].Count(); }
   const ShardLog& shard_backend(int shard) const { return shards_[shard]; }
-  /// The (shard, within-shard offset) placement of the record at a global
-  /// append index — the ShardRouter decision recorded at append time.
-  /// Tests use it to prove a record's storage shard and its ORAM tree
-  /// agree. `index` must be in [0, outsourced_count()).
-  std::pair<int, int64_t> ShardLocation(int64_t index) const {
-    const auto& [shard, offset] = journal_[static_cast<size_t>(index)];
-    return {static_cast<int>(shard), static_cast<int64_t>(offset)};
-  }
 
   /// The ORAM index, or nullptr for a linear store. Read it under
   /// table_mutex() while the table may change.
@@ -254,7 +247,7 @@ class EncryptedTableStore : public EdbTable {
   /// loop's outcome; when it succeeded the batch auto-flushes (if
   /// configured). Then `indexed`, one entry per record the loop stored,
   /// joins the ORAM index even if the loop or the flush failed part-way,
-  /// so block ids keep matching append indices.
+  /// so every tree keeps matching its shard.
   Status FinishBatch(Status appended, bool setup_batch,
                      std::vector<oram::OramMirror::Entry> indexed);
   /// Unlocked body of Flush() (`all`) and of the auto-flush, which
@@ -290,9 +283,6 @@ class EncryptedTableStore : public EdbTable {
   ShardRouter router_;
   std::vector<ShardLog> shards_;
   std::vector<uint8_t> dirty_;  ///< shards appended to since their last flush
-  /// Global append order -> (shard, offset within shard). Rebuilt
-  /// shard-major by Reopen().
-  std::vector<std::pair<uint32_t, uint32_t>> journal_;
   bool setup_done_ = false;
   // Enclave-resident plaintext mirrors (lazy, incremental, one per shard).
   std::vector<ShardMirror> enclave_;

@@ -91,12 +91,6 @@ const query::Schema* ObliDbServer::FindSchema(const std::string& table) const {
   return t ? &t->schema() : nullptr;
 }
 
-query::PlannerOptions ObliDbServer::planner_options() const {
-  query::PlannerOptions options;
-  options.engine_name = name();
-  return options;
-}
-
 LeakageProfile ObliDbServer::leakage() const {
   LeakageProfile p;
   p.query_class = LeakageClass::kL0;

@@ -7,8 +7,9 @@
 ///   * optional "indexed" mode — records are mirrored into an OramMirror
 ///     (one Path ORAM per storage shard — see oram/oram_mirror.h) and
 ///     every scan touches each record through an oblivious path access.
-///     The mirror shares the store's shard topology, so its per-tree work
-///     fans out across the thread pool exactly like linear scans do.
+///     Each record's block sits in its storage shard's tree, at its offset
+///     in that shard, so the per-tree work fans out across the thread pool
+///     exactly like linear scans do.
 /// Ungrouped COUNT joins of up to `oblivious_join_limit` pairs run as an
 /// oblivious sort-merge join (ObliviousCountJoin below): every row of both
 /// sides is tagged once, the tags are bitonic-sorted and one branchless
@@ -117,7 +118,6 @@ class ObliDbServer : public EdbServer {
   // sessions and owner-side appends are safe.
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
   const query::Schema* FindSchema(const std::string& table) const override;
-  query::PlannerOptions planner_options() const override;
 
  protected:
   /// This engine body priced by another cost model: LaplaceRelease

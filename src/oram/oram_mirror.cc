@@ -1,8 +1,10 @@
 #include "oram/oram_mirror.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/parallel.h"
+#include "common/shard_router.h"
 
 namespace dpsync::oram {
 
@@ -15,9 +17,8 @@ uint64_t DeriveOramShardSeed(uint64_t master_seed, int shard) {
   return Fnv1a64(buf, sizeof(buf));
 }
 
-OramMirror::OramMirror(const OramMirrorConfig& config)
-    : router_(std::max(1, config.num_shards)) {
-  const size_t shards = static_cast<size_t>(router_.num_shards());
+OramMirror::OramMirror(int num_shards, const OramMirrorConfig& config) {
+  const size_t shards = static_cast<size_t>(std::max(1, num_shards));
   const size_t per_shard = (config.capacity + shards - 1) / shards;
   trees_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
@@ -28,12 +29,11 @@ OramMirror::OramMirror(const OramMirrorConfig& config)
     tree_cfg.record_trace = config.record_trace;
     trees_.push_back(std::make_unique<PathOram>(tree_cfg));
   }
-  ids_.resize(shards);
 }
 
 size_t OramMirror::size() const {
   size_t total = 0;
-  for (const auto& ids : ids_) total += ids.size();
+  for (const auto& tree : trees_) total += tree->size();
   return total;
 }
 
@@ -44,38 +44,35 @@ size_t OramMirror::capacity() const {
 }
 
 Status OramMirror::Append(std::vector<Entry> entries) {
-  // Route, then write tree after tree. Trees are disjoint, so a tree that
-  // fails stops alone and the others keep writing.
-  const uint64_t first = size();
-  std::vector<std::vector<size_t>> per_tree(trees_.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    per_tree[static_cast<size_t>(router_.Route(*entries[i].identity))]
-        .push_back(i);
-  }
   Status first_failure;
-  for (size_t s = 0; s < trees_.size(); ++s) {
-    for (size_t i : per_tree[s]) {
-      Status st = trees_[s]->Write(first + i, std::move(entries[i].value));
-      if (!st.ok()) {
-        if (first_failure.ok()) first_failure = std::move(st);
-        break;
-      }
-      ids_[s].push_back(first + i);
+  for (Entry& e : entries) {
+    Status st;
+    if (e.shard < 0 || e.shard >= num_shards()) {
+      st = Status::InvalidArgument("ORAM block for tree " +
+                                   std::to_string(e.shard) + " of " +
+                                   std::to_string(num_shards()));
+    } else {
+      PathOram& tree = *trees_[static_cast<size_t>(e.shard)];
+      st = tree.Write(tree.size(), std::move(e.value));
     }
+    if (!st.ok() && first_failure.ok()) first_failure = std::move(st);
   }
   return first_failure;
 }
 
 StatusOr<OramTouchCost> OramMirror::TouchAll() {
   DPSYNC_RETURN_IF_ERROR(ParallelShardStatus(trees_.size(), [&](size_t s) {
-    for (uint64_t id : ids_[s]) DPSYNC_RETURN_IF_ERROR(trees_[s]->Touch(id));
+    PathOram& tree = *trees_[s];
+    for (uint64_t id = 0, n = tree.size(); id < n; ++id) {
+      DPSYNC_RETURN_IF_ERROR(tree.Touch(id));
+    }
     return Status::Ok();
   }));
   OramTouchCost cost;
-  for (size_t s = 0; s < trees_.size(); ++s) {
-    const auto paths = static_cast<int64_t>(ids_[s].size());
+  for (const auto& tree : trees_) {
+    const auto paths = static_cast<int64_t>(tree->size());
     cost.paths += paths;
-    cost.buckets += paths * static_cast<int64_t>(trees_[s]->num_levels());
+    cost.buckets += paths * static_cast<int64_t>(tree->num_levels());
   }
   return cost;
 }

@@ -4,16 +4,15 @@
 /// An OramMirror holds an oblivious copy of a table's ciphertexts so that
 /// indexed queries touch every record through a path access instead of a
 /// linear pass. It is one Path ORAM (path_oram.h) per storage shard, each
-/// of capacity ceil(N/S) with a seed derived from the master seed, and it
-/// routes blocks by the same FNV-1a record identity as ShardRouter — so a
-/// record's storage shard and its ORAM tree always agree, TouchAll's
-/// per-tree work fans out in parallel, and every tree is log2(S) levels
-/// shorter than one global tree would be.
+/// of capacity ceil(N/S) with a seed derived from the master seed, so
+/// TouchAll's per-tree work fans out in parallel and every tree is
+/// log2(S) levels shorter than one global tree would be.
 ///
-/// Block ids are append indices: Append continues them from size(), and
-/// the mirror keeps each tree's ids in append order, the work list
-/// TouchAll walks. `identity` — the record's serialized plaintext payload —
-/// only routes a block and is never stored.
+/// The mirror makes no placement decision: each appended block names its
+/// tree, the storage shard its owning store chose for the ciphertext, and
+/// a block's id is its offset in that tree, which is the record's offset
+/// in its shard. Tree s therefore holds ids 0..tree(s).size()-1, the work
+/// list TouchAll walks.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/shard_router.h"
 #include "common/status.h"
 #include "oram/path_oram.h"
 
@@ -38,7 +36,6 @@ struct MirrorStashStats {
 /// Mirror construction knobs, threaded down from ObliDbConfig.
 struct OramMirrorConfig {
   size_t capacity = 1 << 16;  ///< total blocks across all shards
-  int num_shards = 1;         ///< must match the table's storage topology
   uint64_t master_seed = 42;  ///< per-shard tree seeds are derived from it
   bool record_trace = false;  ///< keep per-shard access transcripts (tests)
 };
@@ -58,44 +55,42 @@ uint64_t DeriveOramShardSeed(uint64_t master_seed, int shard);
 /// Oblivious mirror of one table's ciphertexts.
 ///
 /// Thread-safety: Append and TouchAll are single-writer (the owning table
-/// serializes them). Append writes the trees one after another on the
-/// calling thread, because a sync's batch is too small to pay for waking
-/// pool workers; TouchAll touches every block, and fans its per-tree work
-/// out on the shared pool, one task per tree. Accessors are safe once
-/// writes are quiescent.
+/// serializes them). Append writes the trees on the calling thread,
+/// because a sync's batch is too small to pay for waking pool workers;
+/// TouchAll touches every block, and fans its per-tree work out on the
+/// shared pool, one task per tree. Accessors are safe once writes are
+/// quiescent.
 class OramMirror {
  public:
-  /// One appended block: the record's serialized payload, which routes it
-  /// and must outlive the Append call, and the ciphertext the tree stores.
+  /// One appended block: the tree it joins, in [0, num_shards()), and the
+  /// ciphertext the tree stores.
   struct Entry {
-    const Bytes* identity = nullptr;
+    int shard = 0;
     Bytes value;
   };
 
-  /// num_shards below 1 is treated as 1; per-tree capacity is
-  /// ceil(capacity / num_shards).
-  explicit OramMirror(const OramMirrorConfig& config);
+  /// One tree per shard, `num_shards` below 1 treated as 1; per-tree
+  /// capacity is ceil(config.capacity / num_shards).
+  OramMirror(int num_shards, const OramMirrorConfig& config);
 
-  int num_shards() const { return router_.num_shards(); }
-  /// Blocks the trees hold, which is also the next Append's first id.
+  int num_shards() const { return static_cast<int>(trees_.size()); }
+  /// Blocks the trees hold.
   size_t size() const;
   /// Total block capacity across all trees.
   size_t capacity() const;
-  /// The tree a record with this serialized payload routes to — the same
-  /// FNV-1a route ShardRouter computes for the storage spine.
-  int ShardOf(const Bytes& identity) const { return router_.Route(identity); }
 
-  /// Writes `entries` as blocks size(), size() + 1, ..., each into the tree
-  /// its identity routes to, tree after tree on the calling thread. A tree
-  /// at capacity fails with OutOfRange and stops; the trees keep, and
-  /// TouchAll touches, only the blocks they accepted, and the first failure
-  /// in tree order is returned. The mirror then no longer matches its
-  /// table.
+  /// Writes each entry into its tree as that tree's next block, id
+  /// tree(shard).size(), in entry order on the calling thread. A shard out
+  /// of range fails with InvalidArgument; a tree at capacity fails with
+  /// OutOfRange and refuses every later block. Either way the other
+  /// entries are still written, the trees keep, and TouchAll touches,
+  /// only the blocks they accepted, and the first failure is returned.
+  /// The mirror then no longer matches its table.
   Status Append(std::vector<Entry> entries);
 
-  /// One oblivious path access per block, each tree's blocks in append
-  /// order, one task per tree. Touch copies nothing out, so the loop
-  /// allocates nothing.
+  /// One oblivious path access per block, each tree's blocks in id order,
+  /// one task per tree. Touch copies nothing out, so the loop allocates
+  /// nothing.
   StatusOr<OramTouchCost> TouchAll();
 
   /// One shard's tree: its access transcript, geometry and counters.
@@ -105,10 +100,7 @@ class OramMirror {
   MirrorStashStats StashStats() const;
 
  private:
-  ShardRouter router_;
   std::vector<std::unique_ptr<PathOram>> trees_;
-  /// Each tree's block ids, in append order.
-  std::vector<std::vector<uint64_t>> ids_;
 };
 
 }  // namespace dpsync::oram

@@ -37,14 +37,6 @@ TEST(LocalCacheTest, FifoOrderPreserved) {
   }
 }
 
-TEST(LocalCacheTest, LifoMode) {
-  LocalCache cache(TestDummyFactory(), LocalCache::Mode::kLifo);
-  for (int i = 0; i < 3; ++i) cache.Write(MakeRecord(i));
-  auto out = cache.Read(3);
-  EXPECT_EQ(out[0].payload[0], 2);
-  EXPECT_EQ(out[2].payload[0], 0);
-}
-
 TEST(LocalCacheTest, ShortReadPadsWithDummies) {
   LocalCache cache(TestDummyFactory());
   cache.Write(MakeRecord(1));

@@ -452,13 +452,13 @@ TEST(ShardedEngineTest, OramIndexedModeWorksOverShards) {
   const auto* mirror = table->mirror();
   ASSERT_NE(mirror, nullptr);
   EXPECT_EQ(mirror->num_shards(), 4);
-  // The mirror is one Path ORAM per storage shard, routed by the same
-  // FNV-1a record identity: every record's ORAM tree must be the shard its
-  // ciphertext was stored on.
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(mirror->ShardOf(records[i].payload),
-              table->ShardLocation(static_cast<int64_t>(i)).first)
-        << "record " << i;
+  // The mirror is one Path ORAM per storage shard, and each record's block
+  // joins the tree of the shard its ciphertext was stored on: every tree
+  // holds exactly as many blocks as its shard holds records.
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(static_cast<int64_t>(mirror->tree(s).size()),
+              table->shard_count(s))
+        << "shard " << s;
   }
   // The scan paid one oblivious path per record, charged at the per-shard
   // tree height: 512 blocks over 4 shards -> 128-capacity trees -> 8

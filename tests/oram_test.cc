@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.h"
@@ -233,7 +234,7 @@ TEST(PathOramTest, TraceIndependentOfWorkload) {
 
 // ------------------------------------------------------------ OramMirror
 
-/// A distinct record identity per id (routing input; never stored).
+/// A distinct record payload per id: what ShardRouter places.
 Bytes Identity(uint64_t id) {
   Bytes b(24, 0);
   StoreLE64(b.data(), id);
@@ -241,24 +242,25 @@ Bytes Identity(uint64_t id) {
   return b;
 }
 
-OramMirrorConfig MirrorConfig(int shards, bool trace = false) {
+OramMirrorConfig MirrorConfig(bool trace = false) {
   OramMirrorConfig cfg;
   cfg.capacity = 256;
-  cfg.num_shards = shards;
   cfg.master_seed = 2027;
   cfg.record_trace = trace;
   return cfg;
 }
 
+/// The tree record `id` joins: the shard ShardRouter gives its payload, as
+/// the owning store would place its ciphertext.
+int TreeOf(const OramMirror& mirror, uint64_t id) {
+  return ShardRouter(mirror.num_shards()).Route(Identity(id));
+}
+
 /// Appends the blocks of records [first, first + n) to `mirror`.
 Status AppendRecords(OramMirror& mirror, uint64_t first, uint64_t n) {
-  std::vector<Bytes> identities;
-  for (uint64_t id = first; id < first + n; ++id) {
-    identities.push_back(Identity(id));
-  }
   std::vector<OramMirror::Entry> entries;
-  for (uint64_t i = 0; i < n; ++i) {
-    entries.push_back({&identities[i], Payload(first + i)});
+  for (uint64_t id = first; id < first + n; ++id) {
+    entries.push_back({TreeOf(mirror, id), Payload(id)});
   }
   return mirror.Append(std::move(entries));
 }
@@ -269,35 +271,54 @@ std::vector<uint64_t> Leaves(const PathOram& tree) {
   return leaves;
 }
 
-TEST(OramMirrorTest, OneShardMirrorTracesLikeABarePathOram) {
-  // One shard is one PathOram seeded DeriveOramShardSeed(seed, 0): the same
-  // writes and touches must draw the same leaves.
-  const OramMirrorConfig cfg = MirrorConfig(1, /*trace=*/true);
-  OramMirror mirror(cfg);
-  PathOram::Config tree_cfg;
-  tree_cfg.capacity = cfg.capacity;
-  tree_cfg.seed = DeriveOramShardSeed(cfg.master_seed, 0);
-  tree_cfg.record_trace = true;
-  PathOram bare(tree_cfg);
-  ASSERT_TRUE(AppendRecords(mirror, 0, 100).ok());
-  ASSERT_TRUE(AppendRecords(mirror, 100, 50).ok());
-  for (uint64_t id = 0; id < 150; ++id) {
-    ASSERT_TRUE(bare.Write(id, Payload(id)).ok());
+TEST(OramMirrorTest, EachTreeTracesLikeABarePathOram) {
+  // Tree s is one PathOram seeded DeriveOramShardSeed(seed, s): fed its
+  // own blocks as ids 0..n_s-1 with the same writes and touches, a bare
+  // tree must draw the same leaves.
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(shards);
+    const OramMirrorConfig cfg = MirrorConfig(/*trace=*/true);
+    OramMirror mirror(shards, cfg);
+    std::vector<std::unique_ptr<PathOram>> bare;
+    for (int s = 0; s < shards; ++s) {
+      PathOram::Config tree_cfg;
+      tree_cfg.capacity = mirror.tree(s).capacity();
+      tree_cfg.seed = DeriveOramShardSeed(cfg.master_seed, s);
+      tree_cfg.record_trace = true;
+      bare.push_back(std::make_unique<PathOram>(tree_cfg));
+    }
+    ASSERT_TRUE(AppendRecords(mirror, 0, 100).ok());
+    ASSERT_TRUE(AppendRecords(mirror, 100, 50).ok());
+    for (uint64_t id = 0; id < 150; ++id) {
+      PathOram& tree = *bare[static_cast<size_t>(TreeOf(mirror, id))];
+      ASSERT_TRUE(tree.Write(tree.size(), Payload(id)).ok());
+    }
+    for (int round = 0; round < 3; ++round) {
+      ASSERT_TRUE(mirror.TouchAll().ok());
+      for (auto& tree : bare) {
+        for (uint64_t id = 0; id < tree->size(); ++id) {
+          ASSERT_TRUE(tree->Touch(id).ok());
+        }
+      }
+    }
+    EXPECT_EQ(mirror.num_shards(), shards);
+    EXPECT_EQ(mirror.size(), 150u);
+    for (int s = 0; s < shards; ++s) {
+      const PathOram& tree = mirror.tree(s);
+      EXPECT_EQ(tree.trace().size(), 4 * tree.size()) << "tree " << s;
+      EXPECT_EQ(Leaves(tree), Leaves(*bare[static_cast<size_t>(s)]))
+          << "tree " << s;
+      EXPECT_EQ(tree.max_stash_size(),
+                bare[static_cast<size_t>(s)]->max_stash_size())
+          << "tree " << s;
+    }
   }
-  for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(mirror.TouchAll().ok());
-    for (uint64_t id = 0; id < 150; ++id) ASSERT_TRUE(bare.Touch(id).ok());
-  }
-  EXPECT_EQ(mirror.num_shards(), 1);
-  EXPECT_EQ(mirror.tree(0).trace().size(), 600u);
-  EXPECT_EQ(Leaves(mirror.tree(0)), Leaves(bare));
-  EXPECT_EQ(mirror.tree(0).max_stash_size(), bare.max_stash_size());
 }
 
 TEST(OramMirrorTest, CapacitySplitsCeilOverShards) {
-  OramMirrorConfig cfg = MirrorConfig(4);
+  OramMirrorConfig cfg = MirrorConfig();
   cfg.capacity = 1023;  // ceil(1023/4) = 256 per shard
-  OramMirror mirror(cfg);
+  OramMirror mirror(4, cfg);
   EXPECT_EQ(mirror.capacity(), 1024u);
   for (int s = 0; s < 4; ++s) {
     // 256-capacity trees: 256 leaves, 9 buckets per path.
@@ -312,26 +333,39 @@ TEST(OramMirrorTest, ShardSeedsAreDistinctAndDeterministic) {
   EXPECT_NE(DeriveOramShardSeed(7, 0), DeriveOramShardSeed(8, 0));
 }
 
-TEST(OramMirrorTest, RoutesByTheSameFnv1aIdentityAsShardRouter) {
-  OramMirror mirror(MirrorConfig(4));
-  ShardRouter router(4);
-  for (uint64_t id = 0; id < 64; ++id) {
-    EXPECT_EQ(mirror.ShardOf(Identity(id)), router.Route(Identity(id)))
-        << id;
+TEST(OramMirrorTest, BlocksJoinTheTreeTheirEntryNames) {
+  // Each block joins the tree its entry names, as that tree's next id. A
+  // tree out of range fails the append, and the other entries are still
+  // written.
+  OramMirror mirror(4, MirrorConfig());
+  std::vector<OramMirror::Entry> entries;
+  for (int shard : {3, 3, 0, 4, 3, -1, 1}) {
+    entries.push_back({shard, Payload(static_cast<uint64_t>(entries.size()))});
   }
+  EXPECT_EQ(mirror.Append(std::move(entries)).code(),
+            StatusCode::kInvalidArgument);
+  const size_t expected[] = {1, 1, 0, 3};
+  for (int s = 0; s < 4; ++s) {
+    const PathOram& tree = mirror.tree(s);
+    EXPECT_EQ(tree.size(), expected[s]) << "tree " << s;
+    for (uint64_t id = 0; id <= expected[s]; ++id) {
+      EXPECT_EQ(tree.Contains(id), id < expected[s]) << s << "/" << id;
+    }
+  }
+  EXPECT_EQ(mirror.size(), 5u);
 }
 
 TEST(OramMirrorTest, AppendAndTouchAllAcrossShards) {
-  OramMirror mirror(MirrorConfig(4));
+  OramMirror mirror(4, MirrorConfig());
   ASSERT_TRUE(AppendRecords(mirror, 0, 200).ok());
   EXPECT_EQ(mirror.size(), 200u);
-  // Blocks landed in the tree their identity routes to, and only there.
-  ShardRouter router(4);
-  for (uint64_t id = 0; id < 200; ++id) {
-    const int shard = router.Route(Identity(id));
-    for (int s = 0; s < 4; ++s) {
-      EXPECT_EQ(mirror.tree(s).Contains(id), s == shard) << id;
-    }
+  // Each tree holds the blocks placed on it, as ids 0..n_s-1.
+  size_t placed[4] = {0, 0, 0, 0};
+  for (uint64_t id = 0; id < 200; ++id) ++placed[TreeOf(mirror, id)];
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(mirror.tree(s).size(), placed[s]) << s;
+    EXPECT_TRUE(mirror.tree(s).Contains(placed[s] - 1)) << s;
+    EXPECT_FALSE(mirror.tree(s).Contains(placed[s])) << s;
   }
   auto cost = mirror.TouchAll();
   ASSERT_TRUE(cost.ok());
@@ -350,8 +384,8 @@ TEST(OramMirrorTest, AppendAndTouchAllAcrossShards) {
 
 TEST(OramMirrorTest, AppendContinuesIdsFromSize) {
   // Two appends place and draw exactly like one append of both batches.
-  OramMirror split(MirrorConfig(4, /*trace=*/true));
-  OramMirror whole(MirrorConfig(4, /*trace=*/true));
+  OramMirror split(4, MirrorConfig(/*trace=*/true));
+  OramMirror whole(4, MirrorConfig(/*trace=*/true));
   ASSERT_TRUE(AppendRecords(split, 0, 60).ok());
   EXPECT_EQ(split.size(), 60u);
   ASSERT_TRUE(AppendRecords(split, 60, 40).ok());
@@ -361,10 +395,7 @@ TEST(OramMirrorTest, AppendContinuesIdsFromSize) {
   ASSERT_TRUE(whole.TouchAll().ok());
   for (int s = 0; s < 4; ++s) {
     EXPECT_EQ(Leaves(split.tree(s)), Leaves(whole.tree(s))) << s;
-    for (uint64_t id = 0; id < 100; ++id) {
-      EXPECT_EQ(split.tree(s).Contains(id), whole.tree(s).Contains(id))
-          << id;
-    }
+    EXPECT_EQ(split.tree(s).size(), whole.tree(s).size()) << s;
   }
 }
 
@@ -373,9 +404,9 @@ TEST(OramMirrorTest, AppendOverflowLeavesConsistentState) {
   // every tree overflows. The append must fail with OutOfRange and the
   // mirror must stay consistent: size() only counts blocks a tree really
   // holds, and TouchAll touches exactly those.
-  OramMirrorConfig cfg = MirrorConfig(4);
+  OramMirrorConfig cfg = MirrorConfig();
   cfg.capacity = 12;
-  OramMirror mirror(cfg);
+  OramMirror mirror(4, cfg);
   EXPECT_EQ(AppendRecords(mirror, 0, 64).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(mirror.size(), 12u);
   for (int s = 0; s < 4; ++s) EXPECT_EQ(mirror.tree(s).size(), 3u) << s;
@@ -385,7 +416,7 @@ TEST(OramMirrorTest, AppendOverflowLeavesConsistentState) {
 }
 
 TEST(OramMirrorTest, StashStatsAggregateAcrossTrees) {
-  OramMirror mirror(MirrorConfig(4));
+  OramMirror mirror(4, MirrorConfig());
   ASSERT_TRUE(AppendRecords(mirror, 0, 128).ok());
   auto stats = mirror.StashStats();
   EXPECT_EQ(stats.live_blocks, 128u);
@@ -405,7 +436,7 @@ TEST(OramMirrorTest, StashStatsAggregateAcrossTrees) {
 // block's uniformity is PathOramTest.HotBlockAccessLeavesLookUniform.)
 TEST(OramMirrorTest, PerShardTranscriptsUniformOverLeaves) {
   for (int shards : {1, 4}) {
-    OramMirror mirror(MirrorConfig(shards, /*trace=*/true));
+    OramMirror mirror(shards, MirrorConfig(/*trace=*/true));
     ASSERT_TRUE(AppendRecords(mirror, 0, 128).ok());
     // Repeated indexed scans: round-robin sweeps over every block.
     for (int sweep = 0; sweep < 160; ++sweep) {

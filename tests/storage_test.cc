@@ -15,6 +15,7 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -368,14 +369,24 @@ TEST_F(StorageTest, ShardedStoreSpreadsRecordsAndPreservesArrivalOrder) {
   }
   EXPECT_EQ(sum, 200);
   EXPECT_EQ(shards_used, 4);
-  // DecryptAll crosses shards via the journal: global append order.
+  // DecryptAll reads shard-major, each shard in arrival order: the
+  // records ShardRouter sends to shard 0 first, then shard 1's, and so on.
+  ShardRouter router(4);
+  std::vector<int64_t> expected;
+  for (int s = 0; s < 4; ++s) {
+    for (int64_t i = 0; i < 200; ++i) {
+      if (router.Route(records[static_cast<size_t>(i)].payload) == s) {
+        expected.push_back(i);
+      }
+    }
+  }
   auto rows = store.DecryptAll();
   ASSERT_OK(rows);
-  for (int64_t i = 0; i < 200; ++i) {
-    EXPECT_EQ(TripRecord::FromRow(rows.value()[static_cast<size_t>(i)])
-                  .pickup_id,
-              i);
+  std::vector<int64_t> got;
+  for (const auto& row : rows.value()) {
+    got.push_back(TripRecord::FromRow(row).pickup_id);
   }
+  EXPECT_EQ(got, expected);
   // A snapshot reports one committed count per shard, covering every
   // record, and its spans sum to the same total.
   auto view = store.Snapshot();
@@ -614,9 +625,9 @@ TEST_F(StorageTest, AutoFlushCommitsEveryUpdate) {
 
 TEST(IndexedStoreTest, SnapshotTouchesEveryRecordAndReopenIsRefused) {
   // A capture touches every record the index holds, committed or not, and
-  // reads only the committed prefix. Reopen would rebuild the journal
-  // shard-major under the index's append-order block ids, so an indexed
-  // store refuses it and keeps serving what it had.
+  // reads only the committed prefix. The index's trees live in memory
+  // only and Reopen does not rebuild them, so an indexed store refuses it
+  // and keeps serving what it had.
   StorageConfig storage;
   storage.num_shards = 4;
   storage.flush_every_update = false;
@@ -641,7 +652,10 @@ TEST(IndexedStoreTest, SnapshotTouchesEveryRecordAndReopenIsRefused) {
   EXPECT_EQ(snap->total_rows, 40);
   EXPECT_EQ(snap->oram.paths, 43);
 
-  EXPECT_EQ(store.Reopen().code(), StatusCode::kFailedPrecondition);
+  Status reopen = store.Reopen();
+  EXPECT_EQ(reopen.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reopen.message().find("live in memory only"), std::string::npos)
+      << reopen.ToString();
   auto after = capture();
   ASSERT_OK(after);
   EXPECT_EQ(after->total_rows, 40);
@@ -649,8 +663,8 @@ TEST(IndexedStoreTest, SnapshotTouchesEveryRecordAndReopenIsRefused) {
 
 TEST(IndexedStoreTest, RecordsStoredBeforeABatchFailsStayIndexed) {
   // The second record of a batch cannot be sealed. The first was already
-  // stored, so the index must hold it too: block ids stay append indices
-  // and later batches and captures keep working.
+  // stored, so the index must hold it too: every tree keeps matching its
+  // shard, and later batches and captures keep working.
   oram::OramMirrorConfig index;
   index.capacity = 64;
   EncryptedTableStore store("T", TripSchema(), Bytes(32, 3), {}, index);
@@ -668,6 +682,73 @@ TEST(IndexedStoreTest, RecordsStoredBeforeABatchFailsStayIndexed) {
   ASSERT_OK(snap);
   EXPECT_EQ(snap->total_rows, 3);
   EXPECT_EQ(snap->oram.paths, 3);
+}
+
+/// `n` trip records sealed by `cipher` as ingest entries, all on `shard`.
+std::vector<EncryptedTableStore::CipherEntry> SealedOnShard(
+    crypto::RecordCipher& cipher, int64_t n, uint32_t shard) {
+  std::vector<EncryptedTableStore::CipherEntry> entries;
+  for (int64_t i = 0; i < n; ++i) {
+    auto ct = cipher.Encrypt(Trip(i, i % 10).payload);
+    EXPECT_OK(ct);
+    entries.push_back({shard, std::move(ct.value())});
+  }
+  return entries;
+}
+
+TEST(IndexedStoreTest, IngestedBlocksJoinTheTreeOfTheirNamedShard) {
+  // Every ciphertext names local shard 2, a placement no hash of the
+  // payloads would give: the index follows the store's placement, so tree
+  // 2 holds every block and the others none.
+  const Bytes key(32, 4);
+  StorageConfig storage;
+  storage.num_shards = 4;
+  oram::OramMirrorConfig index;
+  index.capacity = 512;
+  EncryptedTableStore store("T", TripSchema(), key, storage, index);
+  crypto::RecordCipher cipher(key);
+  constexpr int64_t kRecords = 30;
+  auto entries = SealedOnShard(cipher, kRecords, 2);
+  ASSERT_OK(store.IngestCiphertexts(entries, cipher.nonce_high_water(),
+                                    /*setup_batch=*/true));
+  EXPECT_EQ(store.shard_count(2), kRecords);
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(store.mirror()->tree(s).size(),
+              s == 2 ? static_cast<size_t>(kRecords) : 0u)
+        << "tree " << s;
+  }
+  std::lock_guard<std::mutex> lk(store.table_mutex());
+  auto snap = store.Snapshot();
+  ASSERT_OK(snap);
+  EXPECT_EQ(snap->total_rows, kRecords);
+  EXPECT_EQ(snap->oram.paths, kRecords);
+}
+
+TEST(IndexedStoreTest, IngestStoresATamperedCiphertextAndCaptureRejectsIt) {
+  // Ingest opens no ciphertext on either storage method: a flipped byte is
+  // stored, and the enclave catch-up of the next capture fails on it.
+  const Bytes key(32, 5);
+  oram::OramMirrorConfig index;
+  index.capacity = 64;
+  for (bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "indexed" : "linear");
+    EncryptedTableStore store(
+        "T", TripSchema(), key, {},
+        indexed ? std::optional<oram::OramMirrorConfig>(index) : std::nullopt);
+    crypto::RecordCipher cipher(key);
+    auto entries = SealedOnShard(cipher, 3, 0);
+    entries[1].ciphertext[20] ^= 0x01;
+    ASSERT_OK(store.IngestCiphertexts(entries, cipher.nonce_high_water(),
+                                      /*setup_batch=*/true));
+    EXPECT_EQ(store.outsourced_count(), 3);
+    std::lock_guard<std::mutex> lk(store.table_mutex());
+    auto snap = store.Snapshot();
+    ASSERT_FALSE(snap.ok());
+    EXPECT_EQ(snap.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(snap.status().message().find("AEAD authentication failed"),
+              std::string::npos)
+        << snap.status().ToString();
+  }
 }
 
 // ------------------------------------------------- RecordCipher nonce API
