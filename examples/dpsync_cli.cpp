@@ -16,8 +16,9 @@
 ///   --theta=<double>     DP-ANT threshold           (default 15)
 ///   --flush-f=<int>      flush interval             (default 2000)
 ///   --flush-s=<int>      flush size                 (default 15)
-///   --horizon=<int>      time units                 (default 43200)
-///   --records=<int>      target yellow records, >= 0 (default 18429)
+///   --horizon=<int>      time units, 0..1000000     (default 43200)
+///   --records=<int>      target yellow records, >= 0 (default 18429,
+///                        scaled to the horizon)
 ///   --interval=<int>     query firing interval, >= 1 (default 360;
 ///                        Q3 fires every 4 intervals)
 ///   --seed=<int>         experiment seed            (default 99)
@@ -62,6 +63,11 @@ bool ParseNumber(const std::string& v, T* out) {
   return ec == std::errc() && ptr == end;
 }
 
+/// The longest --horizon accepted, in minutes (about 1.9 years): 23 times
+/// the paper's month (43,200) and 7.7 times perfbench's 90 days (129,600).
+/// Scaling the default record counts to it stays far inside int64_t.
+constexpr int64_t kMaxHorizon = 1'000'000;
+
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--strategy=sur|oto|set|timer|ant] [--engine=oblidb|crypte]\n"
@@ -81,6 +87,7 @@ int main(int argc, char** argv) {
   sim::ExperimentConfig cfg;
   std::string csv_path;
   bool timing = false;
+  bool records_given = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string v;
@@ -107,18 +114,17 @@ int main(int argc, char** argv) {
       if (!ParseNumber(v, &cfg.params.flush_size)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "horizon", &v)) {
       int64_t h = 0;
-      if (!ParseNumber(v, &h) || h < 0) return Usage(argv[0]);
+      if (!ParseNumber(v, &h) || h < 0 || h > kMaxHorizon) {
+        return Usage(argv[0]);
+      }
       cfg.yellow.horizon_minutes = h;
       cfg.green.horizon_minutes = h;
-      cfg.green.target_records = h * 21300 / 43200;
-      if (cfg.yellow.target_records == 18429) {
-        cfg.yellow.target_records = h * 18429 / 43200;
-      }
     } else if (ParseFlag(argv[i], "records", &v)) {
       if (!ParseNumber(v, &cfg.yellow.target_records) ||
           cfg.yellow.target_records < 0) {
         return Usage(argv[0]);
       }
+      records_given = true;
     } else if (ParseFlag(argv[i], "interval", &v)) {
       int64_t interval = 0;
       // Q3 fires every 4 intervals, so 4x the interval must fit too.
@@ -151,6 +157,18 @@ int main(int argc, char** argv) {
     } else {
       return Usage(argv[0]);
     }
+  }
+
+  // The default record counts are the paper's month; scale them to the
+  // horizon. An explicit --records stays as given, on either side of
+  // --horizon.
+  const sim::ExperimentConfig month;
+  const int64_t h = cfg.yellow.horizon_minutes;
+  cfg.green.target_records = h * month.green.target_records /
+                             month.green.horizon_minutes;
+  if (!records_given) {
+    cfg.yellow.target_records = h * month.yellow.target_records /
+                                month.yellow.horizon_minutes;
   }
 
   std::cerr << "running " << StrategyKindName(cfg.strategy) << " on "

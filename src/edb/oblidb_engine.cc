@@ -307,9 +307,10 @@ void AppendConjuncts(const query::Expr* e,
 
 /// Appends one tag per row of `t`, in span order. The filter bit ANDs a
 /// non-NULL key (`key_at(span, i)` returns the key and whether it is
-/// non-NULL), the row's own `isDummy = 0` cell and `where`, the side's
-/// conjuncts evaluated against `where_schema`. The dummy cell is read per
-/// side rather than through the WHERE: on a self-join both `isDummy = 0`
+/// non-NULL), the row's own real-row test (query::MarkRealRows, the hash
+/// join's test) and `where`, the side's conjuncts evaluated against
+/// `where_schema`. The real-row test reads each side's own isDummy cell
+/// rather than going through the WHERE: on a self-join both `isDummy = 0`
 /// conjuncts resolve to the left copy, and only the right row's own cell
 /// keeps the right side's dummies out.
 template <typename Key, typename KeyAt>
@@ -317,10 +318,10 @@ void TagSide(const query::Table& t, const query::Expr* where,
              const query::Schema& where_schema, KeyAt key_at,
              std::vector<oram::JoinTag<Key>>* tags) {
   const auto dummy = t.schema.FindIndex(query::Schema::kDummyColumn);
-  const query::Value zero(int64_t{0});
   std::optional<query::VectorPredicate> pred;
   if (where) pred = query::VectorPredicate::Compile(where, where_schema);
   std::vector<uint8_t> pass;
+  std::vector<uint8_t> real;
   std::vector<std::vector<uint8_t>> scratch;
   for (const query::RowSpan& span : t.Spans()) {
     pass.assign(span.size, 1);
@@ -331,16 +332,13 @@ void TagSide(const query::Table& t, const query::Expr* where,
         pass[i] = where->Eval(where_schema, span.data[i]).Truthy();
       }
     }
+    real.resize(span.size);
+    query::MarkRealRows(span.data, span.columns, dummy, 0, span.size,
+                        real.data());
     for (size_t i = 0; i < span.size; ++i) {
-      const query::Row& row = span.data[i];
-      uint8_t real = 1;
-      if (dummy && *dummy < row.size()) {
-        const query::Value& cell = row[*dummy];
-        real = !cell.is_null() && cell.Compare(zero) == 0;
-      }
       const auto [key, has_key] = key_at(span, i);
-      tags->push_back({key, static_cast<uint8_t>(has_key & pass[i] & real),
-                       0});
+      tags->push_back(
+          {key, static_cast<uint8_t>(has_key & pass[i] & real[i]), 0});
     }
   }
 }

@@ -80,12 +80,15 @@ std::unique_ptr<EncryptedTableStore> MakeObliDbTable(
 /// whose join keys are non-NULL and match as Value::Compare() == 0, that
 /// pass `rewritten`'s WHERE, and whose rows are both real. Every row of
 /// both tables is tagged once, in span order, with its join key and a
-/// filter bit — a non-NULL key, the row's own `isDummy = 0` cell and every
-/// top-level WHERE conjunct that reads only its side — and
-/// oram::ObliviousJoinCount counts the matches. Returns nullopt, before
-/// touching a row, when a conjunct reads both sides. Takes no lock: the
-/// tables' spans bound every row access. `trace` receives the kernel's
-/// access trace (the obliviousness tests' seam).
+/// filter bit — a non-NULL key, the row's own real-row test
+/// (query::MarkRealRows, shared with the hash join: the typed isDummy
+/// projection where the chunk has one, the row cell where it is poisoned,
+/// and a row without the cell is not real) and every top-level WHERE
+/// conjunct that reads only its side — and oram::ObliviousJoinCount
+/// counts the matches. Returns nullopt, before touching a row, when a
+/// conjunct reads both sides. Takes no lock: the tables' spans bound every
+/// row access. `trace` receives the kernel's access trace (the
+/// obliviousness tests' seam).
 std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
                                           const query::Table& left,
                                           const query::Table& right,

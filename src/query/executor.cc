@@ -344,10 +344,16 @@ namespace {
 //
 // The join runs in three phases, each a pure function of the captured
 // spans (safe over snapshot-backed tables with no lock held):
-//   1. key extraction: both sides' ON keys are hoisted once into flat
-//      arrays — straight off the typed columnar projections for int/string
-//      keys, through the scalar cell access (mirroring ColumnExpr::Eval)
-//      otherwise — along with a splitmix64 hash per key;
+//   1. key extraction: each side's rows get one valid bit — a non-NULL ON
+//      key and, when the Appendix-B filter is hoisted, the row's own real-
+//      row test (MarkRealRows: the typed isDummy projection of every chunk
+//      that has one, the row cell in a poisoned chunk) — and a Mix64 hash
+//      per key, read straight off the typed columnar projections for
+//      int/string keys and through the scalar cell access (mirroring
+//      ColumnExpr::Eval) otherwise. An int key is its hash: Mix64 is a
+//      bijection, so no int key is kept for comparison. Row pointers are
+//      kept only for a side whose rows a combined row or a row-keyed
+//      group reads, so a typed COUNT join reads no Row at all;
 //   2. build: the right side's rows are scattered by the hash's top bits
 //      into partitions, and each partition builds an open-addressing table
 //      (capacity reserved from its row count) whose per-key chains keep
@@ -371,23 +377,13 @@ constexpr int kJoinPartitionShift = 58;
 static_assert(kJoinBuildPartitions == (size_t{1} << (64 - kJoinPartitionShift)),
               "partition selector must cover exactly the partition count");
 
-/// splitmix64 finalizer — the FlatGroupMap hashing discipline
-/// (query/vectorized.h), reused for join-key partitioning and the
-/// per-partition open-addressing tables.
-inline uint64_t SplitMix64(uint64_t h) {
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-
 inline uint64_t HashJoinBytes(const char* data, size_t n) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   for (size_t i = 0; i < n; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
     h *= 1099511628211ull;  // FNV prime
   }
-  return SplitMix64(h);
+  return Mix64(h);
 }
 
 /// Hash of a non-null scalar join key. Keys that Compare() equal MUST hash
@@ -406,7 +402,7 @@ inline uint64_t HashJoinValue(const Value& v) {
   if (d == 0.0) d = 0.0;  // collapses -0.0 onto +0.0
   uint64_t bits = 0x7ff8000000000000ull;  // canonical NaN
   if (d == d) std::memcpy(&bits, &d, sizeof(bits));
-  return SplitMix64(bits);
+  return Mix64(bits);
 }
 
 /// Which representation the hoisted key arrays use. Typed modes require
@@ -415,34 +411,17 @@ inline uint64_t HashJoinValue(const Value& v) {
 /// drops the join to kValue — the scalar row fallback).
 enum class JoinKeyMode { kInt, kString, kValue };
 
-/// One side's hoisted join state: row pointers plus per-row key arrays.
+/// One side's hoisted join state: a valid bit and a key hash per row,
+/// plus what the key comparison and the pair evaluation read.
 struct JoinSide {
-  size_t rows = 0;
-  std::vector<const Row*> row_ptrs;
-  /// 1 = key is non-null and the row passed its dummy filter.
+  /// 1 = the key is non-NULL and the row passed its real-row test.
   std::vector<uint8_t> valid;
-  std::vector<uint64_t> hash;            ///< valid rows only
-  std::vector<int64_t> ints;             ///< JoinKeyMode::kInt
+  std::vector<uint64_t> hash;            ///< read for valid rows only
   std::vector<const std::string*> strs;  ///< JoinKeyMode::kString
   std::vector<Value> vals;               ///< JoinKeyMode::kValue
+  /// Empty unless a combined row or a row-keyed group reads this side.
+  std::vector<const Row*> row_ptrs;
 };
-
-/// Pre-filter for one side's own `isDummy = 0` conjunct, mirroring that
-/// CompareExpr's evaluation over the combined row: active-but-unresolved
-/// means the conjunct evaluates NULL and excludes every row.
-struct JoinDummyFilter {
-  bool active = false;
-  bool resolved = false;
-  size_t col = 0;
-};
-
-inline bool PassesDummyFilter(const JoinDummyFilter& f, const Row& row) {
-  if (!f.active) return true;
-  if (!f.resolved || f.col >= row.size()) return false;
-  const Value& cell = row[f.col];
-  return !cell.is_null() &&
-         cell.Compare(Value(static_cast<int64_t>(0))) == 0;
-}
 
 /// True when `e` is exactly `<col> = 0` (the conjunct MakeNotDummyPredicate
 /// builds).
@@ -508,72 +487,82 @@ void RunJoinChunks(size_t n, size_t max_chunks, Fn&& fn) {
   });
 }
 
-/// Hoists one side's keys (and row pointers) into flat arrays. Output is
-/// a pure per-row function, so the parallel fill is chunking-independent.
+/// Hoists one side's valid bits and keys into flat arrays, and its row
+/// pointers when `keep_rows`. `dummy_col` is the side's isDummy column
+/// when the Appendix-B filter is hoisted, nullopt otherwise. Output is a
+/// pure per-row function, so the parallel fill is chunking-independent.
 void ExtractJoinSide(const std::vector<RowSpan>& spans, size_t total,
                      std::optional<size_t> key_idx, JoinKeyMode mode,
-                     const JoinDummyFilter& filter, JoinSide* out) {
-  out->rows = total;
-  out->row_ptrs.resize(total);
-  out->valid.assign(total, 0);
+                     std::optional<size_t> dummy_col, bool keep_rows,
+                     JoinSide* out) {
+  out->valid.resize(total);
   out->hash.resize(total);
-  switch (mode) {
-    case JoinKeyMode::kInt:
-      out->ints.resize(total);
-      break;
-    case JoinKeyMode::kString:
-      out->strs.resize(total);
-      break;
-    case JoinKeyMode::kValue:
-      out->vals.assign(total, Value());
-      break;
-  }
+  if (mode == JoinKeyMode::kString) out->strs.resize(total);
+  if (mode == JoinKeyMode::kValue) out->vals.assign(total, Value());
+  if (keep_rows) out->row_ptrs.resize(total);
   const size_t max_chunks =
       total >= kParallelScanThreshold ? SharedPool()->num_threads() : 1;
   RunJoinChunks(total, max_chunks, [&](size_t, size_t begin, size_t end) {
     size_t g = begin;
     ForEachSpanSegment(spans, begin, end,
                        [&](const RowSpan& span, size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i, ++g) {
-        const Row& row = span.data[i];
-        out->row_ptrs[g] = &row;
-        if (!PassesDummyFilter(filter, row)) continue;
-        switch (mode) {
-          case JoinKeyMode::kInt: {
-            const ColumnSpan& kc = span.columns[*key_idx];
-            if (kc.nulls[i]) continue;
-            out->ints[g] = kc.ints[i];
-            out->hash[g] = SplitMix64(static_cast<uint64_t>(kc.ints[i]));
-            break;
+      // An empty span may carry no column projections to index.
+      if (lo == hi) return;
+      uint8_t* valid = out->valid.data() + g;
+      uint64_t* hash = out->hash.data() + g;
+      MarkRealRows(span.data, span.columns, dummy_col, lo, hi - lo, valid);
+      switch (mode) {
+        case JoinKeyMode::kInt: {
+          const ColumnSpan& kc = span.columns[*key_idx];
+          for (size_t i = lo, j = 0; i < hi; ++i, ++j) {
+            valid[j] &= static_cast<uint8_t>(!kc.nulls[i]);
+            hash[j] = Mix64(static_cast<uint64_t>(kc.ints[i]));
           }
-          case JoinKeyMode::kString: {
-            const ColumnSpan& kc = span.columns[*key_idx];
-            if (kc.nulls[i]) continue;
-            out->strs[g] = &kc.strings[i];
-            out->hash[g] =
-                HashJoinBytes(kc.strings[i].data(), kc.strings[i].size());
-            break;
-          }
-          case JoinKeyMode::kValue: {
-            if (!key_idx || *key_idx >= row.size()) continue;
-            const Value& v = row[*key_idx];
-            if (v.is_null()) continue;
-            out->vals[g] = v;
-            out->hash[g] = HashJoinValue(v);
-            break;
-          }
+          break;
         }
-        out->valid[g] = 1;
+        case JoinKeyMode::kString: {
+          const ColumnSpan& kc = span.columns[*key_idx];
+          for (size_t i = lo, j = 0; i < hi; ++i, ++j) {
+            if (kc.nulls[i]) valid[j] = 0;
+            if (!valid[j]) continue;
+            const std::string& key = kc.strings[i];
+            out->strs[g + j] = &key;
+            hash[j] = HashJoinBytes(key.data(), key.size());
+          }
+          break;
+        }
+        case JoinKeyMode::kValue: {
+          for (size_t i = lo, j = 0; i < hi; ++i, ++j) {
+            if (!valid[j]) continue;
+            const Row& row = span.data[i];
+            if (!key_idx || *key_idx >= row.size() ||
+                row[*key_idx].is_null()) {
+              valid[j] = 0;
+              continue;
+            }
+            out->vals[g + j] = row[*key_idx];
+            hash[j] = HashJoinValue(row[*key_idx]);
+          }
+          break;
+        }
       }
+      if (keep_rows) {
+        for (size_t i = lo, j = 0; i < hi; ++i, ++j) {
+          out->row_ptrs[g + j] = &span.data[i];
+        }
+      }
+      g += hi - lo;
     });
   });
 }
 
+/// Whether two keys of equal hash are equal. Int keys need no second
+/// look: Mix64 is a bijection, so equal hashes are equal keys.
 inline bool JoinKeysEqual(JoinKeyMode mode, const JoinSide& a, size_t ia,
                           const JoinSide& b, size_t ib) {
   switch (mode) {
     case JoinKeyMode::kInt:
-      return a.ints[ia] == b.ints[ib];
+      return true;
     case JoinKeyMode::kString:
       return *a.strs[ia] == *b.strs[ib];
     case JoinKeyMode::kValue:
@@ -650,25 +639,21 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
 
   // Appendix-B fast path: when the engine vouches for the rewritten WHERE
   // (join_skip_dummy_rows), recognize its per-side `isDummy = 0` conjuncts,
-  // hoist them into key-extraction row filters and evaluate only the user
-  // remainder per pair. Unrecognized trees keep the full WHERE.
+  // hoist them into key-extraction real-row tests and evaluate only the
+  // user remainder per pair. Unrecognized trees keep the full WHERE, and
+  // so does a side with no isDummy column, where its conjunct is NULL.
   const Expr* where = q.where.get();
-  JoinDummyFilter lfilter, rfilter;
+  std::optional<size_t> ldummy, rdummy;
   if (options_.join_skip_dummy_rows) {
     const std::string lcol = left.name + "." + Schema::kDummyColumn;
     const std::string rcol = right.name + "." + Schema::kDummyColumn;
+    const auto lidx = ResolveColumnName(left.schema, lcol);
+    const auto ridx = ResolveColumnName(right.schema, rcol);
     const Expr* user = nullptr;
-    if (SplitDummyConjuncts(where, lcol, rcol, &user)) {
+    if (lidx && ridx && SplitDummyConjuncts(where, lcol, rcol, &user)) {
       where = user;
-      lfilter.active = rfilter.active = true;
-      if (auto idx = ResolveColumnName(left.schema, lcol)) {
-        lfilter.resolved = true;
-        lfilter.col = *idx;
-      }
-      if (auto idx = ResolveColumnName(right.schema, rcol)) {
-        rfilter.resolved = true;
-        rfilter.col = *idx;
-      }
+      ldummy = lidx;
+      rdummy = ridx;
     }
   }
 
@@ -677,49 +662,8 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
   const size_t n1 = left.TotalRows();
   const size_t n2 = right.TotalRows();
 
-  // Key extraction (phase 1). Typed modes require both declared types to
-  // agree and every non-empty span to carry the typed projection; anything
-  // else — poisoned columns, unresolved keys, mixed declarations — takes
-  // the scalar Value path, whose cell access and NULL handling mirror
-  // ColumnExpr::Eval exactly.
-  const auto lkey_idx = ResolveColumnName(left.schema, q.join->left_column);
-  const auto rkey_idx = ResolveColumnName(right.schema, q.join->right_column);
-  JoinKeyMode mode = JoinKeyMode::kValue;
-  if (lkey_idx && rkey_idx) {
-    const ValueType lt = left.schema.fields()[*lkey_idx].type;
-    const ValueType rt = right.schema.fields()[*rkey_idx].type;
-    if (lt == rt && (lt == ValueType::kInt || lt == ValueType::kString) &&
-        SpansTyped(lspans, left.schema.size(), *lkey_idx, lt) &&
-        SpansTyped(rspans, right.schema.size(), *rkey_idx, rt)) {
-      mode = lt == ValueType::kInt ? JoinKeyMode::kInt : JoinKeyMode::kString;
-    }
-  }
-  JoinSide L, R;
-  ExtractJoinSide(lspans, n1, lkey_idx, mode, lfilter, &L);
-  ExtractJoinSide(rspans, n2, rkey_idx, mode, rfilter, &R);
-
-  // Build (phase 2): scatter by the hash's top bits, then build each
-  // partition's table on the pool. Partition contents are a pure function
-  // of the keys, so the partition count and build parallelism can never
-  // affect an answer — only the probe's chunk-order merge matters, and
-  // that is fixed below.
-  const size_t num_partitions =
-      n2 >= kParallelScanThreshold ? kJoinBuildPartitions : 1;
-  std::vector<JoinPartition> partitions(num_partitions);
-  for (size_t g = 0; g < n2; ++g) {
-    if (!R.valid[g]) continue;
-    const size_t p =
-        num_partitions == 1 ? 0 : (R.hash[g] >> kJoinPartitionShift);
-    partitions[p].rows.push_back(static_cast<uint32_t>(g));
-  }
-  RunJoinChunks(num_partitions, SharedPool()->num_threads(),
-                [&](size_t, size_t begin, size_t end) {
-                  for (size_t p = begin; p < end; ++p) {
-                    BuildJoinPartition(mode, R, &partitions[p]);
-                  }
-                });
-
-  // Probe plumbing shared by the scalar and grouped paths.
+  // What a pair reads, shared by the scalar and grouped probes; it also
+  // decides which sides' row pointers the extraction keeps.
   const bool needs_value = agg->agg != AggFunc::kCount || !agg->column.empty();
   std::optional<size_t> agg_idx;
   if (needs_value) agg_idx = ResolveColumnName(joined, agg->column);
@@ -771,6 +715,61 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
       }
     }
   }
+
+  // Key extraction (phase 1). Typed modes require both declared types to
+  // agree and every non-empty span to carry the typed projection; anything
+  // else — poisoned columns, unresolved keys, mixed declarations — takes
+  // the scalar Value path, whose cell access and NULL handling mirror
+  // ColumnExpr::Eval exactly. A side keeps its row pointers only when a
+  // combined row or a row-keyed group reads them.
+  const auto lkey_idx = ResolveColumnName(left.schema, q.join->left_column);
+  const auto rkey_idx = ResolveColumnName(right.schema, q.join->right_column);
+  JoinKeyMode mode = JoinKeyMode::kValue;
+  if (lkey_idx && rkey_idx) {
+    const ValueType lt = left.schema.fields()[*lkey_idx].type;
+    const ValueType rt = right.schema.fields()[*rkey_idx].type;
+    if (lt == rt && (lt == ValueType::kInt || lt == ValueType::kString) &&
+        SpansTyped(lspans, left.schema.size(), *lkey_idx, lt) &&
+        SpansTyped(rspans, right.schema.size(), *rkey_idx, rt)) {
+      mode = lt == ValueType::kInt ? JoinKeyMode::kInt : JoinKeyMode::kString;
+    }
+  }
+  const bool row_keyed = gk_col && !gk_typed_int;
+  JoinSide L, R;
+  ExtractJoinSide(lspans, n1, lkey_idx, mode, ldummy,
+                  need_combined || (row_keyed && gk_left), &L);
+  ExtractJoinSide(rspans, n2, rkey_idx, mode, rdummy,
+                  need_combined || (row_keyed && !gk_left), &R);
+
+  // Build (phase 2): scatter by the hash's top bits, then build each
+  // partition's table on the pool. Partition contents are a pure function
+  // of the keys, so the partition count and build parallelism can never
+  // affect an answer — only the probe's chunk-order merge matters, and
+  // that is fixed below.
+  const size_t num_partitions =
+      n2 >= kParallelScanThreshold ? kJoinBuildPartitions : 1;
+  // The scatter counts each partition's rows first, so no row list ever
+  // regrows.
+  std::vector<JoinPartition> partitions(num_partitions);
+  auto partition_of = [&](size_t g) -> size_t {
+    return num_partitions == 1 ? 0 : (R.hash[g] >> kJoinPartitionShift);
+  };
+  std::vector<uint32_t> counts(num_partitions, 0);
+  for (size_t g = 0; g < n2; ++g) counts[partition_of(g)] += R.valid[g];
+  for (size_t p = 0; p < num_partitions; ++p) {
+    partitions[p].rows.reserve(counts[p]);
+  }
+  for (size_t g = 0; g < n2; ++g) {
+    if (R.valid[g]) {
+      partitions[partition_of(g)].rows.push_back(static_cast<uint32_t>(g));
+    }
+  }
+  RunJoinChunks(num_partitions, SharedPool()->num_threads(),
+                [&](size_t, size_t begin, size_t end) {
+                  for (size_t p = begin; p < end; ++p) {
+                    BuildJoinPartition(mode, R, &partitions[p]);
+                  }
+                });
 
   // Probe (phase 3). Enumerates matches in the reference order: probe
   // rows strictly ascending, build rows per key in append order.
@@ -884,12 +883,14 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
                     probe_range(begin, end, [&](size_t r, uint32_t g) {
                       eval_pair(r, g, combined,
                                 [&](size_t lr, uint32_t rr, Value v) {
-                                  const Row& grow = gk_left
-                                                        ? *L.row_ptrs[lr]
-                                                        : *R.row_ptrs[rr];
                                   Value key;
-                                  if (gk_col && *gk_col < grow.size()) {
-                                    key = grow[*gk_col];
+                                  if (gk_col) {
+                                    const Row& grow = gk_left
+                                                          ? *L.row_ptrs[lr]
+                                                          : *R.row_ptrs[rr];
+                                    if (*gk_col < grow.size()) {
+                                      key = grow[*gk_col];
+                                    }
                                   }
                                   auto [it, _] =
                                       local.try_emplace(key, agg->agg);

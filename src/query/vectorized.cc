@@ -14,6 +14,30 @@ std::optional<size_t> ResolveColumnName(const Schema& schema,
   return idx;
 }
 
+void MarkRealRows(const Row* rows, const std::vector<ColumnSpan>& cols,
+                  std::optional<size_t> dummy_col, size_t begin, size_t n,
+                  uint8_t* real) {
+  if (!dummy_col) {
+    std::fill(real, real + n, static_cast<uint8_t>(1));
+    return;
+  }
+  const size_t c = *dummy_col;
+  if (c < cols.size() && cols[c].type == ValueType::kInt) {
+    // A NULL cell's slot holds 0, so the mask must gate it.
+    const uint8_t* nulls = cols[c].nulls + begin;
+    const int64_t* ints = cols[c].ints + begin;
+    for (size_t i = 0; i < n; ++i) {
+      real[i] = static_cast<uint8_t>(!nulls[i] & (ints[i] == 0));
+    }
+    return;
+  }
+  const Value zero(int64_t{0});
+  for (size_t i = 0; i < n; ++i) {
+    const Row& row = rows[begin + i];
+    real[i] = c < row.size() && !row[c].is_null() && row[c].Compare(zero) == 0;
+  }
+}
+
 namespace {
 
 /// The mirrored operator for `lit op col` -> `col op' lit`.

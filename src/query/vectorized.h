@@ -10,6 +10,9 @@
 ///  - FlatGroupMap: ClickHouse-style open-addressing hash aggregation
 ///    keyed on an int64 group column, used for per-chunk partials that
 ///    merge in deterministic chunk order.
+///  - Mix64: the one 64-bit hash finalizer (FlatGroupMap and the hash
+///    join), and MarkRealRows: the one Appendix-B real-row test (both join
+///    kernels).
 ///
 /// Everything here is a pure function of captured ColumnSpans: no locks,
 /// no access past the row bounds the caller derived from its span capture.
@@ -33,6 +36,33 @@ namespace dpsync::query {
 /// qualified reference ("T.col") falls back to the unqualified column.
 std::optional<size_t> ResolveColumnName(const Schema& schema,
                                         const std::string& name);
+
+/// The splitmix64 finalizer: cheap and well-distributed for power-of-two
+/// masking even on sequential keys. It is a bijection on 64-bit words —
+/// adding a constant, `h ^= h >> s` for s > 0 and multiplying by an odd
+/// constant are each invertible mod 2^64 — so two int64 keys hash equal
+/// exactly when they are equal, and a table keyed on int64 may compare
+/// hashes alone. executor_test inverts it step by step to pin this.
+inline uint64_t Mix64(uint64_t h) {
+  h += 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+/// Appendix B's real-row test, the one both join kernels apply to each
+/// side's own rows: a row is real when its own cell in column `dummy_col`
+/// is non-NULL and Compare()s equal to 0. Fills real[0, n) for rows
+/// [begin, begin + n) of a span whose rows are `rows` and whose columnar
+/// projection is `cols` (empty when it has none). A typed int projection
+/// answers from its null mask and values without reading a row; any other
+/// span (poisoned, untyped or unprojected) reads each row's cell. A row
+/// shorter than the schema has no cell there and is not real — the
+/// projection stores that cell as NULL, so both readings agree.
+/// `dummy_col` nullopt (a schema without isDummy) marks every row real.
+void MarkRealRows(const Row* rows, const std::vector<ColumnSpan>& cols,
+                  std::optional<size_t> dummy_col, size_t begin, size_t n,
+                  uint8_t* real);
 
 /// A WHERE tree compiled into flat selection-bitmap ops over one schema.
 class VectorPredicate {
@@ -113,7 +143,7 @@ class FlatGroupMap {
   Payload& Upsert(int64_t key) {
     if ((size_ + 1) * 10 >= keys_.size() * 7) Rehash(keys_.size() * 2);
     size_t mask = keys_.size() - 1;
-    size_t i = HashKey(key) & mask;
+    size_t i = Mix64(static_cast<uint64_t>(key)) & mask;
     while (used_[i]) {
       if (keys_[i] == key) return payloads_[i];
       i = (i + 1) & mask;
@@ -148,16 +178,6 @@ class FlatGroupMap {
  private:
   static constexpr size_t kInitialSlots = 64;
 
-  /// splitmix64 finalizer: cheap and well-distributed for power-of-two
-  /// masking even on sequential keys.
-  static size_t HashKey(int64_t key) {
-    uint64_t h = static_cast<uint64_t>(key);
-    h += 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(h ^ (h >> 31));
-  }
-
   void Rehash(size_t new_slots) {
     std::vector<int64_t> keys(new_slots, 0);
     std::vector<uint8_t> used(new_slots, 0);
@@ -165,7 +185,7 @@ class FlatGroupMap {
     size_t mask = new_slots - 1;
     for (size_t i = 0; i < keys_.size(); ++i) {
       if (!used_[i]) continue;
-      size_t j = HashKey(keys_[i]) & mask;
+      size_t j = Mix64(static_cast<uint64_t>(keys_[i])) & mask;
       while (used[j]) j = (j + 1) & mask;
       used[j] = 1;
       keys[j] = keys_[i];

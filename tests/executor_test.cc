@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -298,6 +299,41 @@ TEST(FlatGroupMapTest, GrowthMatchesReferenceMap) {
   map.NullSlot() += 5;
   EXPECT_TRUE(map.has_null());
   EXPECT_EQ(map.null_slot(), 5);
+}
+
+/// Mix64 undone one step at a time: each step of the splitmix64 finalizer
+/// is invertible mod 2^64, which is what lets the hash join match int
+/// keys on their hash alone.
+uint64_t UnMix64(uint64_t h) {
+  auto unxorshift = [](uint64_t y, int s) {
+    uint64_t x = y;
+    for (int i = 0; i < 64 / s + 1; ++i) x = y ^ (x >> s);
+    return x;
+  };
+  auto inverse = [](uint64_t odd) {  // Newton: each step doubles the bits
+    uint64_t inv = odd;
+    for (int i = 0; i < 6; ++i) inv *= 2 - odd * inv;
+    return inv;
+  };
+  h = unxorshift(h, 31);
+  h = unxorshift(h * inverse(0x94d049bb133111ebULL), 27);
+  h = unxorshift(h * inverse(0xbf58476d1ce4e5b9ULL), 30);
+  return h - 0x9e3779b97f4a7c15ULL;
+}
+
+TEST(Mix64Test, InvertsOnExtremeAndRandomWords) {
+  // The first output of a splitmix64 generator seeded with 0, which the
+  // finalizer must keep bit for bit (FlatGroupMap's slots depend on it).
+  EXPECT_EQ(Mix64(0), 0xe220a8397b1dcdafULL);
+  std::vector<uint64_t> words = {
+      0, 1, 2, ~uint64_t{0}, uint64_t{1} << 63, (uint64_t{1} << 63) - 1,
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::min() + 1),
+      static_cast<uint64_t>(int64_t{-1}), 0xffffffffULL, 0x100000000ULL};
+  auto rng = MakeRng(11);
+  for (int i = 0; i < 10000; ++i) words.push_back(rng.Next());
+  for (uint64_t w : words) {
+    EXPECT_EQ(UnMix64(Mix64(w)), w) << w;
+  }
 }
 
 // ------------------------------------------------ poisoning / fallback

@@ -4,8 +4,11 @@
 // snapshots;
 // answers independent of the execution mode (Execute, Submit/Wait,
 // ExecuteMany); oblivious sort-merge vs partitioned-hash identity, and
-// the oblivious join's data-independent access trace; NULL, string and
-// cross-type join keys; the poisoned-column scalar fallback; two-snapshot
+// the oblivious join's data-independent access trace; NULL, string,
+// cross-type and extreme int join keys; the poisoned-column scalar
+// fallback; the one real-row test both kernels read from typed and
+// poisoned isDummy columns (each checked against the plaintext
+// executor); two-snapshot
 // visibility (uncommitted tails, racing appends, epoch advance
 // mid-batch); and A⋈B vs B⋈A deadlock-freedom. The racing cases are the
 // ones the CI TSan job leans on: snapshot joins read two pinned prefixes
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -73,13 +77,16 @@ JoinRun ToRun(const QueryResponse& r) {
   return run;
 }
 
-/// One server, two trip tables, one join execution. `indexed` selects the
-/// ORAM-indexed storage method (both methods join two snapshots
-/// lock-free; indexed captures also pay the ORAM touches). `limit`
-/// overrides oblivious_join_limit (0 forces the hash path for any size).
-JoinRun RunTripJoin(const std::string& sql, const std::vector<Record>& left,
-                    const std::vector<Record>& right, bool indexed,
-                    int64_t limit) {
+/// One server, two trip tables, one join execution per query in `sqls`,
+/// in order. `indexed` selects the ORAM-indexed storage method (both
+/// methods join two snapshots lock-free; indexed captures also pay the
+/// ORAM touches). `limit` overrides oblivious_join_limit (0 forces the
+/// hash path for any size). `snapshot_joins` counts the server's joins so
+/// far.
+std::vector<JoinRun> RunTripJoins(const std::vector<std::string>& sqls,
+                                  const std::vector<Record>& left,
+                                  const std::vector<Record>& right,
+                                  bool indexed, int64_t limit) {
   ObliDbConfig cfg;
   cfg.use_oram_index = indexed;
   cfg.oblivious_join_limit = limit;
@@ -92,13 +99,22 @@ JoinRun RunTripJoin(const std::string& sql, const std::vector<Record>& left,
   EXPECT_OK(gt.value()->Setup(right));
 
   auto session = server.CreateSession();
-  auto q = session->Prepare(sql);
-  EXPECT_TRUE(q.ok()) << q.status().ToString();
-  auto r = session->Execute(q.value());
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  JoinRun run = ToRun(r.value());
-  run.snapshot_joins = server.stats().snapshot_joins;
-  return run;
+  std::vector<JoinRun> runs;
+  for (const auto& sql : sqls) {
+    auto q = session->Prepare(sql);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    auto r = session->Execute(q.value());
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    runs.push_back(ToRun(r.value()));
+    runs.back().snapshot_joins = server.stats().snapshot_joins;
+  }
+  return runs;
+}
+
+JoinRun RunTripJoin(const std::string& sql, const std::vector<Record>& left,
+                    const std::vector<Record>& right, bool indexed,
+                    int64_t limit) {
+  return RunTripJoins({sql}, left, right, indexed, limit)[0];
 }
 
 /// Exact result equality — every storage method and execution mode joins the
@@ -506,6 +522,190 @@ TEST(JoinKeyTest, PoisonedKeyColumnFallsBackBitIdentical) {
             baseline.result.scalar + static_cast<double>(build_twos));
 }
 
+TEST(JoinKeyTest, ExtremeIntKeysMatchOnTheirHash) {
+  // Typed int keys match on their Mix64 hash alone, which is exact only
+  // because Mix64 is a bijection. The extremes and their neighbours, with
+  // duplicates on both sides: INT64_MIN 1x1, INT64_MAX 2x1, -1 1x2, 0 2x1,
+  // while INT64_MIN + 1 and INT64_MAX - 1 meet nothing. INT64_MAX - 1 and
+  // INT64_MAX coerce to the same double, so the plaintext executor's
+  // Value keys hash them alike and must still tell them apart.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto rows = [](std::initializer_list<int64_t> keys) {
+    std::vector<Record> out;
+    int64_t zone = 1;
+    for (int64_t k : keys) {
+      out.push_back(RowRecord(TripRowWithKey(Value(k), zone++)));
+    }
+    return out;
+  };
+  const auto left = rows({kMin, kMax, -1, 0, kMax, 0, kMin + 1});
+  const auto right = rows({0, kMin, kMax, -1, -1, kMax - 1, 1});
+  const query::QueryResult expected = PlaintextJoin(kCountSql, left, right);
+  EXPECT_EQ(expected.scalar, 7.0);
+  for (int64_t limit : {int64_t{0}, int64_t{4'000'000}}) {
+    EXPECT_EQ(RunTripJoin(kCountSql, left, right, false, limit).result.scalar,
+              expected.scalar)
+        << "limit " << limit;
+  }
+  const query::QueryResult grouped = PlaintextJoin(kGroupSql, left, right);
+  EXPECT_EQ(RunTripJoin(kGroupSql, left, right, false, 0).result.groups,
+            grouped.groups);
+}
+
+// --------------------------------------------------------- real-row test
+
+/// Oblivious-path pair limit that admits every test join.
+constexpr int64_t kAnyPairs = std::numeric_limits<int64_t>::max();
+
+/// Trip-schema row whose isDummy cell is `dummy`, any Value: NULL, an int
+/// other than 0 or 1, a double or a string. Distance 4 passes kSumSql's
+/// predicate, so the row also reaches SUM.
+query::Row TripRowWithDummy(int64_t key, Value dummy, int64_t zone) {
+  return query::Row{Value(key),  Value(zone),
+                    Value(zone), Value(4.0),
+                    Value(7.5 + static_cast<double>(zone)), std::move(dummy)};
+}
+
+/// Runs kCountSql, kSumSql and kGroupSql on the engine's tables under the
+/// hash kernel (pair limit 0) and under the default path choice with every
+/// pair admitted (the COUNT join then runs the oblivious kernel), and
+/// checks each answer against the plaintext executor over the same rows,
+/// which evaluates each side's `isDummy = 0` conjunct as Value::Compare
+/// does.
+void ExpectKernelsMatchPlaintext(const std::vector<Record>& left,
+                                 const std::vector<Record>& right) {
+  const std::vector<std::string> sqls = {kCountSql, kSumSql, kGroupSql};
+  std::vector<query::QueryResult> expected;
+  for (const auto& sql : sqls) {
+    expected.push_back(PlaintextJoin(sql, left, right));
+  }
+  for (int64_t limit : {int64_t{0}, kAnyPairs}) {
+    const auto runs = RunTripJoins(sqls, left, right, false, limit);
+    for (size_t i = 0; i < sqls.size(); ++i) {
+      const std::string what = sqls[i] + " @" + std::to_string(limit);
+      EXPECT_EQ(runs[i].result.grouped, expected[i].grouped) << what;
+      EXPECT_EQ(runs[i].result.scalar, expected[i].scalar) << what;
+      EXPECT_EQ(runs[i].result.groups, expected[i].groups) << what;
+    }
+  }
+}
+
+TEST(JoinRealRowTest, RowWithoutDummyCellIsNotReal) {
+  // A payload with no isDummy cell: the columnar projection stores the
+  // missing cell as NULL, so the row is not real on either kernel. On a
+  // self-join both `isDummy = 0` conjuncts resolve to the left copy, and
+  // only the right row's own test keeps the short row out: 2 x 2 = 4.
+  const query::Schema schema({{"k", query::ValueType::kInt},
+                              {query::Schema::kDummyColumn,
+                               query::ValueType::kInt}});
+  const std::vector<Record> records = {
+      RowRecord(query::Row{Value(int64_t{1}), Value(int64_t{0})}),
+      RowRecord(query::Row{Value(int64_t{1})}),
+      RowRecord(query::Row{Value(int64_t{1}), Value(int64_t{0})}),
+  };
+  for (int64_t limit : {int64_t{4'000'000}, int64_t{0}}) {
+    ObliDbConfig cfg;
+    cfg.oblivious_join_limit = limit;
+    ObliDbServer server(cfg);
+    auto t = server.CreateTable("T", schema);
+    ASSERT_TRUE(t.ok());
+    ASSERT_OK(t.value()->Setup(records));
+    auto session = server.CreateSession();
+    auto q =
+        session->Prepare("SELECT COUNT(*) FROM T INNER JOIN T ON T.k = T.k");
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    auto r = session->Execute(q.value());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->result.scalar, 4.0) << "limit " << limit;
+  }
+}
+
+TEST(JoinRealRowTest, TypedDummyCellsMatchPlaintext) {
+  // isDummy cells NULL, 2 and -1 keep the int column typed, so both
+  // kernels read them from the projection: none of those rows is real.
+  // The key-2 rows meet real key-2 rows on the other side.
+  std::vector<Record> left = ProbeRows(60);
+  std::vector<Record> right = BuildRows(50);
+  int64_t zone = 1;
+  for (Value cell : {Value(), Value(int64_t{2}), Value(int64_t{-1}),
+                     Value(int64_t{0})}) {
+    left.push_back(RowRecord(TripRowWithDummy(2, cell, zone++)));
+    right.push_back(RowRecord(TripRowWithDummy(2, cell, zone++)));
+  }
+  ExpectKernelsMatchPlaintext(left, right);
+  // Only the isDummy-0 rows joined: dropping the other three changes
+  // nothing.
+  std::vector<Record> real_left = ProbeRows(60);
+  std::vector<Record> real_right = BuildRows(50);
+  real_left.push_back(left.back());
+  real_right.push_back(right.back());
+  EXPECT_EQ(RunTripJoin(kCountSql, left, right, false, 0).result.scalar,
+            PlaintextJoin(kCountSql, real_left, real_right).scalar);
+}
+
+TEST(JoinRealRowTest, PoisonedDummyColumnReadsRowCells) {
+  // A double 0.0 or a string isDummy cell poisons the chunk's int column,
+  // so both kernels read that chunk's cells from its rows. As
+  // Value::Compare says, 0.0 equals 0 and the row is real; "0" is a
+  // string and never equals a number; NULL, 2 and -1 stay not real.
+  std::vector<Record> left = ProbeRows(60);
+  std::vector<Record> right = BuildRows(50);
+  int64_t zone = 1;
+  for (Value cell : {Value(0.0), Value(std::string("0")), Value(),
+                     Value(int64_t{2}), Value(int64_t{-1})}) {
+    left.push_back(RowRecord(TripRowWithDummy(2, cell, zone++)));
+    right.push_back(RowRecord(TripRowWithDummy(3, cell, zone++)));
+  }
+  ExpectKernelsMatchPlaintext(left, right);
+  // The 0.0 rows are real: each meets every real row of its key on the
+  // other side.
+  auto real_with_key = [](const std::vector<Record>& recs, int64_t key) {
+    int64_t n = 0;
+    for (const auto& rec : recs) {
+      auto trip = workload::TripRecord::FromRecord(rec);
+      EXPECT_TRUE(trip.ok());
+      n += !trip->is_dummy && trip->pick_time == key;
+    }
+    return n;
+  };
+  const auto base_left = ProbeRows(60);
+  const auto base_right = BuildRows(50);
+  const int64_t extra =
+      real_with_key(base_right, 2) + real_with_key(base_left, 3);
+  ASSERT_GT(extra, 0);
+  EXPECT_EQ(RunTripJoin(kCountSql, left, right, false, 0).result.scalar,
+            RunTripJoin(kCountSql, base_left, base_right, false, 0)
+                    .result.scalar +
+                static_cast<double>(extra));
+}
+
+TEST(JoinRealRowTest, TypedAndPoisonedChunksMixInOneJoin) {
+  // More than two 4096-row chunks per side, past the hash join's 8,192-row
+  // parallel thresholds; a double 0.0 isDummy cell in the left side's
+  // second chunk poisons that chunk alone. The join then reads typed
+  // isDummy columns from the other chunks and row cells from that one,
+  // and every chunk holds dummies.
+  auto rows = [](int64_t n, int64_t salt) {
+    std::vector<Record> out;
+    for (int64_t i = 0; i < n; ++i) {
+      workload::TripRecord t;
+      t.pick_time = (i * 7 + salt) % 4000;
+      t.pickup_id = 1 + (i + salt) % 9;
+      t.dropoff_id = 1 + i % 5;
+      t.trip_distance = 0.5 + 0.25 * static_cast<double>(i % 17);
+      t.fare = 2.5 + t.trip_distance * 2.5;
+      t.is_dummy = (i + salt) % 5 == 0;
+      out.push_back(t.ToRecord());
+    }
+    return out;
+  };
+  std::vector<Record> left = rows(9000, 0);
+  const std::vector<Record> right = rows(8500, 3);
+  left[5000] = RowRecord(TripRowWithDummy(14, Value(0.0), 4));
+  ExpectKernelsMatchPlaintext(left, right);
+}
+
 // ---------------------------------------------- oblivious join obliviousness
 
 /// A plaintext table over `rows`. With `columnar`, its one span also
@@ -654,6 +854,41 @@ TEST(ObliviousJoinTest, KernelCountsMatchesAndSkipsEmptySides) {
   EXPECT_EQ(oram::ObliviousJoinCount(one_side, 0, compare, &trace), 0);
   EXPECT_EQ(oram::ObliviousJoinCount(one_side, 5, compare, &trace), 0);
   EXPECT_TRUE(trace.empty());
+}
+
+TEST(ObliviousJoinTest, EmptySpanWithoutProjectionsJoinsAsNone) {
+  // Typed paths need projections on non-empty spans only, so an empty span
+  // between two typed ones may carry none. Neither kernel may index its
+  // columns, and both answer as if it were absent.
+  auto parsed = query::ParseSelect(kCountSql);
+  ASSERT_OK(parsed);
+  const query::SelectQuery q = query::RewriteForDummies(parsed.value());
+  PlainTable l("YellowCab", RandomTripRows(40, 6, 4), true);
+  PlainTable r("GreenTaxi", RandomTripRows(30, 6, 5), true);
+  // The one columnar span twice, with or without an empty span between.
+  auto doubled = [](const PlainTable& t, bool with_empty) {
+    query::Table out = t.table;
+    const query::RowSpan span = t.table.borrowed_spans[0];
+    out.borrowed_spans = {span};
+    if (with_empty) out.borrowed_spans.push_back(query::RowSpan{});
+    out.borrowed_spans.push_back(span);
+    return out;
+  };
+  auto hash_count = [&](const query::Table& lt, const query::Table& rt) {
+    query::Catalog catalog;
+    catalog.AddTable(&lt);
+    catalog.AddTable(&rt);
+    query::ExecutorOptions opts;
+    opts.join_skip_dummy_rows = true;
+    auto result = query::Executor(&catalog, opts).Execute(q);
+    EXPECT_OK(result);
+    return result->scalar;
+  };
+  const query::Table l0 = doubled(l, false), r0 = doubled(r, false);
+  const query::Table l1 = doubled(l, true), r1 = doubled(r, true);
+  EXPECT_EQ(hash_count(l1, r1), hash_count(l0, r0));
+  EXPECT_EQ(ObliviousCountJoin(q, l1, r1), ObliviousCountJoin(q, l0, r0));
+  EXPECT_GT(hash_count(l0, r0), 0.0);
 }
 
 // ------------------------------------------------------------ visibility
