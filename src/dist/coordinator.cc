@@ -51,10 +51,7 @@ Status AnnotateRank(size_t rank, const Status& s) {
 
 query::ScanPartial ToScanPartial(const net::WirePartial& w) {
   const query::AggFunc func = w.func;
-  query::ScanPartial p;
-  p.func = func;
-  p.grouped = w.grouped;
-  p.total = query::AggAccumulator(func);
+  query::ScanPartial p(func, w.grouped);
   // Rebuild the per-shard cells and refold them in order: AppendSpan
   // replays exactly the Merge() sequence the single-process scan runs
   // over the same spans, so the aggregate state is reconstructed bit for
@@ -326,16 +323,15 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config,
     // shard ranks, so the rank-order merge tree never changes).
     for (int m = 0; m <= replicas; ++m) {
       ShardServerConfig sc;
-      sc.master_seed = config.oblidb.master_seed;
-      sc.rank = k;
-      sc.storage = storage;
-      sc.storage.num_shards = hi - lo;
+      sc.oblidb = config.oblidb;
+      sc.oblidb.storage.num_shards = hi - lo;
       if (!storage.dir.empty()) {
-        sc.storage.dir = storage.dir + "/rank" + std::to_string(k);
-        if (m > 0) sc.storage.dir += "-r" + std::to_string(m);
+        sc.oblidb.storage.dir = storage.dir + "/rank" + std::to_string(k);
+        if (m > 0) sc.oblidb.storage.dir += "-r" + std::to_string(m);
       }
-      sc.use_oram_index = config.oblidb.use_oram_index;
-      sc.oram_capacity = per_tree_capacity * static_cast<size_t>(hi - lo);
+      sc.oblidb.oram_capacity =
+          per_tree_capacity * static_cast<size_t>(hi - lo);
+      sc.rank = k;
       sc.follower = m > 0;
 
       Member member;
@@ -374,11 +370,16 @@ DistributedEdbServer::~DistributedEdbServer() {
 }
 
 edb::LeakageProfile DistributedEdbServer::leakage() const {
-  // The deployment inherits the underlying scheme's leakage class: the
-  // wire carries only ciphertexts, routing decisions are a pure function
-  // of record identity (the same FNV hash the single-process store
-  // applies), and per-server scan volumes equal per-shard-range sizes the
-  // server already observes.
+  // The deployment reports the underlying scheme's leakage class, but a
+  // host that watches its sockets sees more than that class allows.
+  // Records cross the wire only as ciphertexts, yet frames are not
+  // sealed: each WireExecute carries the plan's canonical text, literals
+  // included, and each WirePartial reply carries its shards' exact
+  // accumulator state (count, sum, min, max) in the clear, the pre-noise
+  // answer under Crypt-eps (ROADMAP direction 3). Placement is the
+  // unkeyed FNV-1a hash of each record's payload, so the per-rank ingest
+  // frames and per-shard sizes leak more than the update pattern (ROADMAP
+  // direction 2).
   edb::LeakageProfile p;
   p.query_class = edb::LeakageClass::kL0;
   p.update_leaks_only_pattern = true;

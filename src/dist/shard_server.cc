@@ -38,11 +38,7 @@ Bytes EncodeReply(const StatusOr<T>& reply) {
 
 EdbShardServer::EdbShardServer(const ShardServerConfig& config)
     : config_(config),
-      keys_(crypto::KeyManager::FromSeed(config.master_seed)) {
-  table_config_.master_seed = config.master_seed;
-  table_config_.use_oram_index = config.use_oram_index;
-  table_config_.oram_capacity = config.oram_capacity;
-  table_config_.storage = config.storage;
+      keys_(crypto::KeyManager::FromSeed(config.oblidb.master_seed)) {
   follower_ = config.follower;
 }
 
@@ -160,7 +156,7 @@ Status EdbShardServer::HandleCreateTable(const net::WireCreateTable& req) {
   }
   tables_[req.table] = edb::MakeObliDbTable(
       req.table, schema, keys_.DeriveKey("table-aead:" + req.table),
-      table_config_);
+      config_.oblidb);
   return Status::Ok();
 }
 

@@ -44,20 +44,18 @@ namespace dpsync::dist {
 
 /// Per-server configuration, built by the coordinator.
 struct ShardServerConfig {
-  /// Shared master seed: table keys derive as "table-aead:<name>" on both
-  /// sides, so coordinator-sealed ciphertexts open in this enclave.
-  uint64_t master_seed = 1;
+  /// The engine options every hosted table is built with
+  /// (edb::MakeObliDbTable), in this server's LOCAL topology: the
+  /// coordinator's own, with storage.num_shards this server's shard count
+  /// (hi - lo of its global range), storage.dir its private directory,
+  /// and oram_capacity pre-scaled so each per-shard tree has exactly the
+  /// height the single-process topology would give it (capacity-per-tree
+  /// is the invariant, not total capacity). The shared master_seed makes
+  /// table keys derive as "table-aead:<name>" on both sides, so
+  /// coordinator-sealed ciphertexts open in this enclave.
+  edb::ObliDbConfig oblidb;
   /// This server's rank in the coordinator's peer list (error messages).
   int rank = 0;
-  /// LOCAL storage topology: num_shards is this server's shard count
-  /// (hi - lo of its global range), dir its private directory.
-  edb::StorageConfig storage;
-  /// ObliDB indexed mode: mirror into per-shard Path ORAMs.
-  bool use_oram_index = false;
-  /// LOCAL ORAM capacity, pre-scaled by the coordinator so each per-shard
-  /// tree has exactly the height the single-process topology would give
-  /// it (capacity-per-tree is the invariant, not total capacity).
-  size_t oram_capacity = 1 << 16;
   /// Start as a replication follower: reject owner-facing kIngest
   /// (read-only), accept kReplicate/kCatchUp/kPromote. Cleared when a
   /// kPromote cutover succeeds.
@@ -151,10 +149,6 @@ class EdbShardServer {
 
   ShardServerConfig config_;
   crypto::KeyManager keys_;
-  /// The per-table engine config every hosted table shares (LOCAL
-  /// topology; materialized views off — the coordinator merges raw
-  /// partials, so view short-circuits would be unreachable anyway).
-  edb::ObliDbConfig table_config_;
 
   mutable std::mutex catalog_mu_;
   std::map<std::string, std::unique_ptr<edb::EncryptedTableStore>> tables_;

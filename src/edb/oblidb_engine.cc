@@ -10,6 +10,7 @@
 
 #include "oram/oblivious_join.h"
 #include "query/executor.h"
+#include "query/rewriter.h"
 #include "query/vectorized.h"
 
 namespace dpsync::edb {
@@ -148,6 +149,11 @@ OramHealth ObliDbServer::oram_health() const {
 
 StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
     const query::QueryPlan& plan) {
+  return Evaluate(plan, nullptr);
+}
+
+StatusOr<QueryResponse> ObliDbServer::Evaluate(const query::QueryPlan& plan,
+                                               int64_t* selected) {
   // The planner resolved these names against our catalog and tables are
   // never dropped, so the lookups cannot fail while the server lives.
   EncryptedTableStore* table = FindTable(plan.table);
@@ -159,14 +165,14 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
       return Status::Internal("plan references lost table " +
                               plan.join_table);
     }
-    return JoinQuery(plan.rewritten, table, right);
+    return JoinQuery(plan.rewritten, table, right, selected);
   }
   // Views extend the snapshot machinery: they hold committed-prefix
   // state, which is exactly what the snapshot path serves.
   if (query::PlanIsViewEligible(plan)) {
     auto start = std::chrono::steady_clock::now();
     if (auto hit = table->TryViewAnswer(plan.fingerprint,
-                                        plan.canonical_text)) {
+                                        plan.canonical_text, selected)) {
       // O(1) answer from the folded view state, stamped with the current
       // CommitEpoch under the table mutex — bit-identical to scanning the
       // committed prefix. The virtual cost still charges the oblivious
@@ -185,44 +191,12 @@ StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
     // through Prepare, a sum the view cannot reproduce bit for bit): fall
     // through to the scan below.
   }
-  return ScanQuery(plan.rewritten, table);
+  return ScanQuery(plan.rewritten, table, selected);
 }
-
-namespace {
-
-/// Back half of ScanQuery: aggregate `rewritten` over the rows of `view`
-/// and price the scan. Runs with no lock held — the view's spans bound
-/// every row access.
-StatusOr<QueryResponse> AggregateOverView(const query::SelectQuery& rewritten,
-                                          const std::string& table_name,
-                                          const query::Schema& schema,
-                                          const SnapshotView& view,
-                                          const CostModel& cost) {
-  query::Table plain;
-  plain.name = table_name;
-  plain.schema = schema;
-  plain.borrowed_spans = view.spans;
-  query::Catalog catalog;
-  catalog.AddTable(&plain);
-  query::Executor executor(&catalog);
-  auto result = executor.Execute(rewritten);
-  if (!result.ok()) return result.status();
-
-  QueryResponse resp;
-  resp.result = std::move(result.value());
-  // Per-shard scan work summed across shards — identical to the flat
-  // store's committed count, so virtual QET numbers are unchanged by
-  // sharding and by the storage method.
-  resp.stats.records_scanned = view.total_rows;
-  resp.stats.virtual_seconds =
-      ScanCost(cost, view.total_rows, !rewritten.group_by.empty());
-  return resp;
-}
-
-}  // namespace
 
 StatusOr<QueryResponse> ObliDbServer::ScanQuery(
-    const query::SelectQuery& rewritten, EncryptedTableStore* table) {
+    const query::SelectQuery& rewritten, EncryptedTableStore* table,
+    int64_t* selected) {
   auto start = std::chrono::steady_clock::now();
   auto view = [&] {
     std::lock_guard<std::mutex> lk(table->table_mutex());
@@ -230,21 +204,36 @@ StatusOr<QueryResponse> ObliDbServer::ScanQuery(
   }();
   if (!view.ok()) return view.status();
   // No lock held from here on: concurrent same-table scans and owner
-  // appends proceed while we aggregate over the pinned prefix.
-  auto resp = AggregateOverView(rewritten, table->table_name(),
-                                table->schema(), view.value(), cost_);
-  if (!resp.ok()) return resp.status();
+  // appends proceed while we aggregate over the pinned prefix, whose
+  // spans bound every row access.
+  query::Table plain;
+  plain.name = table->table_name();
+  plain.schema = table->schema();
+  plain.borrowed_spans = view->spans;
+  query::Catalog catalog;
+  catalog.AddTable(&plain);
+  auto result = query::Executor(&catalog).Execute(rewritten, selected);
+  if (!result.ok()) return result.status();
   CountSnapshotScan();
-  resp->stats.measured_seconds = SecondsSince(start);
+
+  QueryResponse resp;
+  resp.result = std::move(result.value());
+  // Per-shard scan work summed across shards — identical to the flat
+  // store's committed count, so virtual QET numbers are unchanged by
+  // sharding and by the storage method.
+  resp.stats.records_scanned = view->total_rows;
+  resp.stats.virtual_seconds =
+      ScanCost(cost_, view->total_rows, !rewritten.group_by.empty());
+  resp.stats.measured_seconds = SecondsSince(start);
   if (table->mirror()) {
     // Charge the per-shard tree heights the capture actually crossed. This
     // is reported next to — not inside — virtual_seconds: the headline QET
     // stays a function of the record count alone, so it is invariant in
     // the physical shard topology like every other experiment metric
     // (docs/ORAM.md discusses the calibration).
-    resp->stats.oram_paths = view->oram.paths;
-    resp->stats.oram_buckets = view->oram.buckets;
-    resp->stats.oram_virtual_seconds =
+    resp.stats.oram_paths = view->oram.paths;
+    resp.stats.oram_buckets = view->oram.buckets;
+    resp.stats.oram_virtual_seconds =
         OramBucketsCost(cost_, view->oram.buckets);
   }
   return resp;
@@ -349,12 +338,23 @@ std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
                                           const query::Table& left,
                                           const query::Table& right,
                                           oram::AccessTrace* trace) {
-  // File each WHERE conjunct under the side it reads; one that reads no
-  // resolvable column is constant over pairs and goes left.
+  // TagSide's real-row test reads each side's own isDummy cell, so, as
+  // the hash join does, drop the Appendix-B conjuncts that test the same
+  // cells where both sides have the column.
+  const query::Expr* user = rewritten.where.get();
+  const query::Expr* stripped = nullptr;
+  if (left.schema.HasDummyFlag() && right.schema.HasDummyFlag() &&
+      query::SplitDummyConjuncts(
+          user, left.name + "." + query::Schema::kDummyColumn,
+          right.name + "." + query::Schema::kDummyColumn, &stripped)) {
+    user = stripped;
+  }
+  // File each remaining conjunct under the side it reads; one that reads
+  // no resolvable column is constant over pairs and goes left.
   const query::Schema joined = query::JoinedSchema(left, right);
   const size_t left_cols = left.schema.size();
   std::vector<const query::Expr*> conjuncts;
-  AppendConjuncts(rewritten.where.get(), &conjuncts);
+  AppendConjuncts(user, &conjuncts);
   query::ExprPtr where[2];
   for (const query::Expr* c : conjuncts) {
     const int sides = SidesRead(*c, joined, left_cols);
@@ -437,7 +437,8 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
                                        query::Table& lt, query::Table& rt,
                                        int64_t n1, int64_t n2,
                                        const ObliDbConfig& config,
-                                       const CostModel& cost) {
+                                       const CostModel& cost,
+                                       int64_t* selected) {
   const int64_t pairs = n1 * n2;
   const query::SelectItem* agg = rewritten.AggregateItem();
   std::optional<int64_t> count;
@@ -450,6 +451,8 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
 
   query::QueryResult result;
   if (count) {
+    // The answer is the number of real pairs the WHERE selected.
+    if (selected != nullptr) *selected = *count;
     result = query::QueryResult::Scalar(static_cast<double>(*count));
   } else {
     // Grouped, non-COUNT, cross-side-predicate and over-limit joins:
@@ -467,7 +470,7 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
     query::ExecutorOptions opts;
     opts.join_skip_dummy_rows = true;
     query::Executor executor(&catalog, opts);
-    auto r = executor.Execute(rewritten);
+    auto r = executor.Execute(rewritten, selected);
     if (!r.ok()) return r.status();
     result = std::move(r.value());
   }
@@ -484,7 +487,7 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
 
 StatusOr<QueryResponse> ObliDbServer::JoinQuery(
     const query::SelectQuery& rewritten, EncryptedTableStore* left,
-    EncryptedTableStore* right) {
+    EncryptedTableStore* right, int64_t* selected) {
   auto start = std::chrono::steady_clock::now();
   // Capture both sides under ONE brief critical section, never the join
   // itself. std::scoped_lock acquires the two mutexes deadlock-free
@@ -525,7 +528,7 @@ StatusOr<QueryResponse> ObliDbServer::JoinQuery(
   rt.borrowed_spans = rview.spans;
 
   auto resp = JoinOverTables(rewritten, lt, rt, lview.total_rows,
-                             rview.total_rows, config_, cost_);
+                             rview.total_rows, config_, cost_, selected);
   if (!resp.ok()) return resp.status();
   CountSnapshotJoin();
   resp->stats.measured_seconds = SecondsSince(start);

@@ -84,7 +84,9 @@ std::unique_ptr<EncryptedTableStore> MakeObliDbTable(
 /// (query::MarkRealRows, shared with the hash join: the typed isDummy
 /// projection where the chunk has one, the row cell where it is poisoned,
 /// and a row without the cell is not real) and every top-level WHERE
-/// conjunct that reads only its side — and oram::ObliviousJoinCount
+/// conjunct that reads only its side, except the Appendix-B `isDummy = 0`
+/// pair, which tests the cells the real-row test reads
+/// (query::SplitDummyConjuncts) — and oram::ObliviousJoinCount
 /// counts the matches. Returns nullopt, before touching a row, when a
 /// conjunct reads both sides. Takes no lock: the tables' spans bound every
 /// row access. `trace` receives the kernel's access trace (the
@@ -97,8 +99,8 @@ std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
 /// The ObliDB server, and the exact engine of CryptEpsServer
 /// (crypte_engine.h), which runs its linear tables under another cost
 /// model and releases every answer with Laplace noise, and of
-/// StealthDbServer (volume_hiding.h), which reveals response volumes, and
-/// its padded subclass VolumePaddedServer.
+/// StealthDbServer (volume_hiding.h), which reveals the response volume
+/// Evaluate counts, and its padded subclass VolumePaddedServer.
 class ObliDbServer : public EdbServer {
  public:
   explicit ObliDbServer(const ObliDbConfig& config = {});
@@ -110,15 +112,7 @@ class ObliDbServer : public EdbServer {
   int64_t total_outsourced_records() const override;
   OramHealth oram_health() const override;
 
-  // Engine SPI (see encrypted_database.h). ExecutePlan picks the
-  // execution path from the plan alone: a current materialized view
-  // answers view-eligible plans; every other scan and join captures the
-  // committed prefix of its tables under a brief table lock (in indexed
-  // mode that capture also pays the ORAM touches) and aggregates or joins
-  // with no lock held. Under manual commit points
-  // (StorageConfig::flush_every_update=false) both storage methods
-  // therefore see only flushed rows (docs/CONCURRENCY.md). Concurrent
-  // sessions and owner-side appends are safe.
+  // Engine SPI (see encrypted_database.h): Evaluate with no count.
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
   const query::Schema* FindSchema(const std::string& table) const override;
 
@@ -126,6 +120,21 @@ class ObliDbServer : public EdbServer {
   /// This engine body priced by another cost model: LaplaceRelease
   /// (crypte_engine.h) runs ObliDB's linear tables this way.
   ObliDbServer(const ObliDbConfig& config, const CostModel& cost);
+
+  /// The one execution of `plan`, whose path the plan alone picks: a
+  /// current materialized view answers view-eligible plans; every other
+  /// scan and join captures the committed prefix of its tables under a
+  /// brief table lock (in indexed mode that capture also pays the ORAM
+  /// touches) and aggregates or joins with no lock held. Under manual
+  /// commit points (StorageConfig::flush_every_update=false) both storage
+  /// methods therefore see only flushed rows (docs/CONCURRENCY.md).
+  /// Concurrent sessions and owner-side appends are safe. When `selected`
+  /// is non-null it receives how many real rows (real row pairs, for a
+  /// join) the rewritten WHERE selected on the path that answered: the
+  /// oblivious COUNT join's answer, or else the count of the accumulators
+  /// that computed the answer (query::ScanPartial::Finalize).
+  StatusOr<QueryResponse> Evaluate(const query::QueryPlan& plan,
+                                   int64_t* selected);
 
   StatusOr<EdbTable*> CreateTableImpl(const std::string& name,
                                       const query::Schema& schema) override;
@@ -136,15 +145,18 @@ class ObliDbServer : public EdbServer {
 
  private:
   /// Captures the table under its lock, then aggregates with no lock
-  /// held.
+  /// held. `selected` as in Evaluate.
   StatusOr<QueryResponse> ScanQuery(const query::SelectQuery& rewritten,
-                                    EncryptedTableStore* table);
+                                    EncryptedTableStore* table,
+                                    int64_t* selected);
   /// Captures BOTH sides under one brief std::scoped_lock (a self-join
   /// locks once and captures each side), then joins with no lock held,
   /// overlapping owner appends, other joins and scans on either table.
+  /// `selected` as in Evaluate.
   StatusOr<QueryResponse> JoinQuery(const query::SelectQuery& rewritten,
                                     EncryptedTableStore* left,
-                                    EncryptedTableStore* right);
+                                    EncryptedTableStore* right,
+                                    int64_t* selected);
   EncryptedTableStore* FindTable(const std::string& name) const;
 
   ObliDbConfig config_;

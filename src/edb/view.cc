@@ -13,11 +13,11 @@ MaterializedView::MaterializedView(
     std::shared_ptr<const query::QueryPlan> plan)
     : plan_(std::move(plan)),
       step_(plan_->rewritten),
-      state_{query::AggAccumulator(plan_->aggregate.agg), {}} {}
+      state_(plan_->aggregate.agg, plan_->grouped) {}
 
 void MaterializedView::Reset() {
   folded_.clear();
-  state_ = query::SpanPartial{query::AggAccumulator(plan_->aggregate.agg), {}};
+  state_ = query::ScanPartial(plan_->aggregate.agg, plan_->grouped);
   abs_sum_ = 0.0;
   order_free_ = true;
 }
@@ -53,17 +53,9 @@ int64_t MaterializedView::FoldTo(const query::Schema& schema,
 }
 
 std::optional<query::QueryResult> MaterializedView::Answer(
-    uint64_t epoch) const {
+    uint64_t epoch, int64_t* selected) const {
   if (!valid_ || epoch_ != epoch || !order_free_) return std::nullopt;
-  if (!plan_->grouped) {
-    return query::QueryResult::Scalar(state_.total.Result());
-  }
-  query::QueryResult result;
-  result.grouped = true;
-  for (const auto& [key, acc] : state_.groups) {
-    result.groups[key] = acc.Result();
-  }
-  return result;
+  return state_.Finalize(selected);
 }
 
 void ViewRegistry::Register(std::shared_ptr<const query::QueryPlan> plan,
@@ -98,8 +90,8 @@ void ViewRegistry::InvalidateAll() {
 }
 
 std::optional<query::QueryResult> ViewRegistry::Answer(
-    uint64_t fingerprint, const std::string& canonical_text,
-    uint64_t epoch) const {
+    uint64_t fingerprint, const std::string& canonical_text, uint64_t epoch,
+    int64_t* selected) const {
   auto it = views_.find(fingerprint);
   if (it == views_.end()) return std::nullopt;
   // Fingerprint collisions are disarmed the same way the plan cache does
@@ -107,7 +99,7 @@ std::optional<query::QueryResult> ViewRegistry::Answer(
   if (it->second.plan().canonical_text != canonical_text) {
     return std::nullopt;
   }
-  return it->second.Answer(epoch);
+  return it->second.Answer(epoch, selected);
 }
 
 }  // namespace dpsync::edb

@@ -85,10 +85,12 @@ class MaterializedView {
                  const ViewRowSource& source);
 
   /// O(1) answer — the same QueryResult a snapshot scan of the epoch-E
-  /// committed prefix produces — iff the state is valid, current through
+  /// committed prefix produces, through the same ScanPartial::Finalize,
+  /// which fills `selected` — iff the state is valid, current through
   /// exactly `epoch` and order-free (see the file comment). std::nullopt
   /// otherwise (caller falls back to the scan path).
-  std::optional<query::QueryResult> Answer(uint64_t epoch) const;
+  std::optional<query::QueryResult> Answer(uint64_t epoch,
+                                           int64_t* selected) const;
 
  private:
   void Reset();
@@ -101,7 +103,7 @@ class MaterializedView {
   uint64_t epoch_ = 0;
   std::vector<int64_t> folded_;  ///< per-shard rows already folded
   /// The folded aggregate: `total` ungrouped, `groups` grouped.
-  query::SpanPartial state_;
+  query::ScanPartial state_;
   /// SUM/AVG only: the absolute sum of every value folded so far, and
   /// whether all of them were integers with that sum below 2^53 — the
   /// condition under which every partial sum is exact, so the fold order
@@ -142,10 +144,10 @@ class ViewRegistry {
 
   /// O(1) answer from the view for `fingerprint` iff it exists, its plan
   /// text matches `canonical_text`, and its state is current through
-  /// `epoch`.
+  /// `epoch`. `selected` as in MaterializedView::Answer.
   std::optional<query::QueryResult> Answer(
       uint64_t fingerprint, const std::string& canonical_text,
-      uint64_t epoch) const;
+      uint64_t epoch, int64_t* selected) const;
 
   size_t size() const { return views_.size(); }
 

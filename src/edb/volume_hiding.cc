@@ -1,7 +1,5 @@
 #include "edb/volume_hiding.h"
 
-#include <cmath>
-
 namespace dpsync::edb {
 
 int64_t NextPowerOfTwo(int64_t v) {
@@ -30,45 +28,15 @@ StealthDbServer::~StealthDbServer() {
   DrainSessions();
 }
 
-StatusOr<std::shared_ptr<const query::QueryPlan>> StealthDbServer::CountPlan(
-    const query::QueryPlan& plan) const {
-  query::SelectQuery counted = plan.normalized;
-  for (auto& item : counted.items) {
-    if (item.agg != query::AggFunc::kNone) {
-      item = {query::AggFunc::kCount, "", item.alias};
-    }
-  }
-  return query::PlanSelect(
-      counted,
-      [this](const std::string& table) { return FindSchema(table); },
-      planner_options());
-}
-
-void StealthDbServer::OnPlanReady(
-    const std::shared_ptr<const query::QueryPlan>& plan) {
-  ObliDbServer::OnPlanReady(plan);
-  auto count_plan = CountPlan(*plan);
-  if (count_plan.ok()) ObliDbServer::OnPlanReady(count_plan.value());
-}
-
 StatusOr<QueryResponse> StealthDbServer::ExecutePlan(
     const query::QueryPlan& plan) {
-  auto resp = ObliDbServer::ExecutePlan(plan);
-  if (!resp.ok()) return resp;
   // The L-1 protocol ships the matching records back, so the server sees
-  // how many there are: the real records (dummies never match the
-  // rewritten query) the same query counts with COUNT(*).
-  auto count_plan = CountPlan(plan);
-  if (!count_plan.ok()) return count_plan.status();
-  auto count = ObliDbServer::ExecutePlan(*count_plan.value());
-  if (!count.ok()) return count.status();
-  const query::QueryResult& result = count->result;
-  double volume = result.scalar;
-  if (result.grouped) {
-    volume = 0.0;
-    for (const auto& [key, c] : result.groups) volume += c;
-  }
-  resp->stats.revealed_volume = std::llround(volume);
+  // how many there are: the real records (dummies never pass the
+  // rewritten WHERE) the execution selected.
+  int64_t volume = 0;
+  auto resp = Evaluate(plan, &volume);
+  if (!resp.ok()) return resp;
+  resp->stats.revealed_volume = volume;
   return resp;
 }
 

@@ -13,10 +13,10 @@
 /// StealthDbServer is ObliDB's engine with the volume revealed, and the
 /// only L-1 engine; VolumePaddedServer is StealthDB with the countermeasure,
 /// a subclass that pads the volume StealthDB's ExecutePlan reveals, so
-/// planning, views and counters are StealthDB's own.
+/// planning, views and counters are StealthDB's own. Either runs one
+/// execution per query, as ObliDB does.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "edb/encrypted_database.h"
@@ -30,13 +30,11 @@ int64_t NextPowerOfTwo(int64_t v);
 /// A StealthDB-style L-1 engine: ObliDB's oblivious evaluation over linear
 /// tables, with the response volume of every query — the number of real
 /// records it matches, or of matching real pairs for a join — exposed in
-/// QueryStats::revealed_volume, whatever its aggregate. The volume is the
-/// same query with COUNT(*) as its aggregate, summed over groups and
-/// re-planned under the fingerprint of its own text, so it never reads
-/// the view of another aggregate. Prepare registers that count's view
-/// next to the query's own, so a volume a view can answer costs no scan.
-/// Otherwise the count takes its own capture: an owner commit landing
-/// between the two captures makes the volume count the later prefix.
+/// QueryStats::revealed_volume, whatever its aggregate. The volume comes
+/// from the query's one execution (ObliDbServer::Evaluate): the rows its
+/// WHERE selected, counted by the accumulators that computed the answer
+/// on whichever path answered (a view, a scan, a join), so it always
+/// counts the committed prefix the answer read.
 class StealthDbServer : public ObliDbServer {
  public:
   explicit StealthDbServer(uint64_t seed = 3,
@@ -47,17 +45,6 @@ class StealthDbServer : public ObliDbServer {
   std::string name() const override { return "StealthDB"; }
 
   StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
-
- protected:
-  /// Registers the views of both the plan and its CountPlan.
-  void OnPlanReady(
-      const std::shared_ptr<const query::QueryPlan>& plan) override;
-
- private:
-  /// `plan`'s query with COUNT(*) as every aggregate: the plan whose
-  /// answer, summed over groups, is the revealed volume.
-  StatusOr<std::shared_ptr<const query::QueryPlan>> CountPlan(
-      const query::QueryPlan& plan) const;
 };
 
 /// The §6 countermeasure: StealthDB with every revealed response volume

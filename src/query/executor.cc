@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/thread_pool.h"
+#include "query/rewriter.h"
 #include "query/vectorized.h"
 
 namespace dpsync::query {
@@ -316,26 +317,23 @@ bool SpansTyped(const std::vector<RowSpan>& spans, size_t n_cols, size_t idx,
   return true;
 }
 
-StatusOr<QueryResult> Executor::Execute(const SelectQuery& q) const {
+StatusOr<QueryResult> Executor::Execute(const SelectQuery& q,
+                                        int64_t* selected) const {
   const Table* table = catalog_->Find(q.table);
   if (!table) return Status::NotFound("unknown table: " + q.table);
+  const Table* right = nullptr;
   if (q.join) {
-    const Table* right = catalog_->Find(q.join->table);
+    right = catalog_->Find(q.join->table);
     if (!right) return Status::NotFound("unknown table: " + q.join->table);
-    return ExecuteJoin(q, *table, *right);
   }
-  return ExecuteScan(q, *table);
-}
-
-StatusOr<QueryResult> Executor::ExecuteScan(const SelectQuery& q,
-                                            const Table& table) const {
-  // The L-0 oblivious scan: the kernel touches every row of every span.
-  // Finalizing its partial here is what guarantees the local answer and a
-  // coordinator's fold over shipped per-span cells come from one
-  // implementation.
-  auto partial = ExecuteScanPartial(q, table, options_.vectorized);
+  // A scan is the L-0 oblivious scan: the kernel touches every row of
+  // every span. Finalizing its partial here is what guarantees the local
+  // answer and a coordinator's fold over shipped per-span cells come from
+  // one implementation.
+  auto partial = right ? ExecuteJoin(q, *table, *right)
+                       : ExecuteScanPartial(q, *table, options_.vectorized);
   if (!partial.ok()) return partial.status();
-  return partial.value().Finalize();
+  return partial.value().Finalize(selected);
 }
 
 namespace {
@@ -422,47 +420,6 @@ struct JoinSide {
   /// Empty unless a combined row or a row-keyed group reads this side.
   std::vector<const Row*> row_ptrs;
 };
-
-/// True when `e` is exactly `<col> = 0` (the conjunct MakeNotDummyPredicate
-/// builds).
-bool IsNotDummyConjunct(const Expr* e, const std::string& col) {
-  if (e == nullptr || e->kind() != ExprKind::kCompare) return false;
-  const auto& cmp = static_cast<const CompareExpr&>(*e);
-  if (cmp.op() != CmpOp::kEq) return false;
-  if (cmp.lhs().kind() != ExprKind::kColumn ||
-      cmp.rhs().kind() != ExprKind::kLiteral) {
-    return false;
-  }
-  if (static_cast<const ColumnExpr&>(cmp.lhs()).name() != col) return false;
-  const Value& v = static_cast<const LiteralExpr&>(cmp.rhs()).value();
-  return v.type() == ValueType::kInt && v.AsInt() == 0;
-}
-
-/// Recognizes `[user AND] lcol = 0 AND rcol = 0` — the exact tree
-/// RewriteForDummies appends for joins — and returns true with `*user_out`
-/// set to the remaining user predicate (null when the WHERE was only the
-/// conjuncts). The predicates are pure, so hoisting the conjuncts into
-/// row filters cannot change any pair's outcome.
-bool SplitDummyConjuncts(const Expr* where, const std::string& lcol,
-                         const std::string& rcol, const Expr** user_out) {
-  *user_out = nullptr;
-  if (where == nullptr || where->kind() != ExprKind::kLogical) return false;
-  const auto& outer = static_cast<const LogicalExpr&>(*where);
-  if (outer.op() != LogicalExpr::Op::kAnd ||
-      !IsNotDummyConjunct(&outer.rhs(), rcol)) {
-    return false;
-  }
-  const Expr* lhs = &outer.lhs();
-  if (IsNotDummyConjunct(lhs, lcol)) return true;
-  if (lhs->kind() != ExprKind::kLogical) return false;
-  const auto& inner = static_cast<const LogicalExpr&>(*lhs);
-  if (inner.op() != LogicalExpr::Op::kAnd ||
-      !IsNotDummyConjunct(&inner.rhs(), lcol)) {
-    return false;
-  }
-  *user_out = &inner.lhs();
-  return true;
-}
 
 /// Runs `fn(chunk, begin, end)` over [0, n) split into
 /// min(max_chunks, n, pool width) even chunks (the first n % chunks take
@@ -627,7 +584,7 @@ void BuildJoinPartition(JoinKeyMode mode, const JoinSide& build,
 
 }  // namespace
 
-StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
+StatusOr<ScanPartial> Executor::ExecuteJoin(const SelectQuery& q,
                                             const Table& left,
                                             const Table& right) const {
   const SelectItem* agg = q.AggregateItem();
@@ -817,6 +774,8 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
 
   const size_t probe_chunks =
       n1 >= kParallelScanThreshold ? SharedPool()->num_threads() : 1;
+  ScanPartial out(agg->agg, grouped);
+  out.records_scanned = static_cast<int64_t>(n1 + n2);
 
   if (!grouped) {
     std::vector<AggAccumulator> partials(std::max<size_t>(1, probe_chunks),
@@ -832,12 +791,11 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
                                 });
                     });
                   });
-    AggAccumulator acc(agg->agg);
-    for (const auto& partial : partials) acc.Merge(partial);
-    return QueryResult::Scalar(acc.Result());
+    for (const auto& partial : partials) out.total.Merge(partial);
+    return out;
   }
 
-  std::map<Value, AggAccumulator> groups;
+  std::map<Value, AggAccumulator>& groups = out.groups;
   if (gk_typed_int) {
     using GroupMap = FlatGroupMap<AggAccumulator>;
     std::vector<GroupMap> partials(std::max<size_t>(1, probe_chunks),
@@ -906,10 +864,7 @@ StatusOr<QueryResult> Executor::ExecuteJoin(const SelectQuery& q,
       }
     }
   }
-  QueryResult result;
-  result.grouped = true;
-  for (const auto& [k, acc] : groups) result.groups[k] = acc.Result();
-  return result;
+  return out;
 }
 
 void ScanPartial::AppendSpan(SpanPartial cell) {
@@ -935,11 +890,18 @@ Status ScanPartial::MergeFrom(const ScanPartial& other) {
   return Status::Ok();
 }
 
-QueryResult ScanPartial::Finalize() const {
-  if (!grouped) return QueryResult::Scalar(total.Result());
+QueryResult ScanPartial::Finalize(int64_t* selected) const {
+  if (!grouped) {
+    if (selected != nullptr) *selected = total.count();
+    return QueryResult::Scalar(total.Result());
+  }
   QueryResult result;
   result.grouped = true;
-  for (const auto& [k, acc] : groups) result.groups[k] = acc.Result();
+  if (selected != nullptr) *selected = 0;
+  for (const auto& [k, acc] : groups) {
+    result.groups[k] = acc.Result();
+    if (selected != nullptr) *selected += acc.count();
+  }
   return result;
 }
 
@@ -1010,10 +972,7 @@ StatusOr<ScanPartial> ExecuteScanPartial(const SelectQuery& q,
   // The per-span cells, built here for both loops: chunk partials fold
   // left into a fresh cell in chunk order (per group for grouped scans),
   // and cells fold left in span order (AppendSpan).
-  ScanPartial out;
-  out.func = agg->agg;
-  out.grouped = !q.group_by.empty();
-  out.total = AggAccumulator(agg->agg);
+  ScanPartial out(agg->agg, !q.group_by.empty());
   out.records_scanned = static_cast<int64_t>(total_rows);
   for (size_t i = 0; i < chunks.size();) {
     SpanPartial cell{AggAccumulator(agg->agg), {}};

@@ -115,6 +115,8 @@ struct ExecutorOptions {
   bool join_skip_dummy_rows = false;
 };
 
+struct ScanPartial;
+
 /// Executes SELECT statements against a catalog.
 class Executor {
  public:
@@ -122,14 +124,16 @@ class Executor {
                     ExecutorOptions options = ExecutorOptions())
       : catalog_(catalog), options_(options) {}
 
-  /// Runs the query. Errors: NotFound (unknown table), Unimplemented
-  /// (unsupported shapes: no aggregate, multi-column GROUP BY).
-  StatusOr<QueryResult> Execute(const SelectQuery& q) const;
+  /// Runs the query and finalizes its partial (ScanPartial::Finalize,
+  /// which fills `selected`). Errors: NotFound (unknown table),
+  /// Unimplemented (unsupported shapes: no aggregate, multi-column GROUP
+  /// BY).
+  StatusOr<QueryResult> Execute(const SelectQuery& q,
+                                int64_t* selected = nullptr) const;
 
  private:
-  StatusOr<QueryResult> ExecuteScan(const SelectQuery& q,
-                                    const Table& table) const;
-  StatusOr<QueryResult> ExecuteJoin(const SelectQuery& q, const Table& left,
+  /// The hash join's accumulators, as a partial with no span cells.
+  StatusOr<ScanPartial> ExecuteJoin(const SelectQuery& q, const Table& left,
                                     const Table& right) const;
 
   const Catalog* catalog_;
@@ -231,7 +235,9 @@ struct SpanPartial {
 
 /// A mergeable partial aggregate over a prefix-contiguous run of a
 /// table's spans — what a shard server returns for its local shard range
-/// and what the coordinator merges in strict server-rank order.
+/// and what the coordinator merges in strict server-rank order. The
+/// inherited `total`/`groups` are the left fold of `spans`. A join's
+/// partial, and a view's state (edb/view.h), have that fold and no cells.
 ///
 /// The determinism contract: every scan (either kernel loop, local or
 /// distributed) reduces over the SAME tree — sub-chunks fold left
@@ -242,14 +248,16 @@ struct SpanPartial {
 /// aggregate: MergeFrom replays `other`'s cells one span at a time, so a
 /// coordinator folding per-server partials in rank order reproduces the
 /// single-process fold bit for bit (SUM/AVG over doubles included).
-struct ScanPartial {
+struct ScanPartial : SpanPartial {
+  ScanPartial() = default;
+  ScanPartial(AggFunc f, bool g)
+      : SpanPartial{AggAccumulator(f), {}}, func(f), grouped(g) {}
+
   AggFunc func = AggFunc::kCount;
   bool grouped = false;
   /// Per-span cells in span (global shard) order; empty spans contribute
-  /// no cell. `total`/`groups` are the left fold of these cells.
+  /// no cell.
   std::vector<SpanPartial> spans;
-  AggAccumulator total{AggFunc::kCount};
-  std::map<Value, AggAccumulator> groups;
   int64_t records_scanned = 0;
 
   /// Appends one span's cell and folds it into the aggregate state.
@@ -260,8 +268,13 @@ struct ScanPartial {
   /// already merged (rank order guarantees this).
   Status MergeFrom(const ScanPartial& other);
 
-  /// The final answer, identical to ExecuteScan over the union of rows.
-  QueryResult Finalize() const;
+  /// The final answer, identical to one scan over the union of rows:
+  /// `total`'s Result() ungrouped, one Result() per group otherwise.
+  /// Scans, joins and views all answer here. When `selected` is non-null
+  /// it also receives how many rows the fold counted, which is how many
+  /// the WHERE selected (row pairs, for a join), whatever the aggregate:
+  /// Add(), AddNull(), AddMeasure() and FoldCount() each count their row.
+  QueryResult Finalize(int64_t* selected = nullptr) const;
 };
 
 /// The scan kernel's per-row step: the WHERE gate, the group key and the
@@ -293,8 +306,8 @@ class ScanRowStep {
 };
 
 /// The scan kernel: the one function that folds scanned rows into
-/// partials, for local scans (Executor::ExecuteScan finalizes its
-/// partial), shard servers (which ship its per-span cells) and, through
+/// partials, for local scans (Executor::Execute finalizes its partial),
+/// shard servers (which ship its per-span cells) and, through
 /// ScanRowStep, views. It stops short of Finalize(): the returned partial
 /// carries raw accumulator state for cross-process merging. Supports a
 /// single aggregate with an optional single-column GROUP BY; no joins.

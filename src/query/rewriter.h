@@ -23,4 +23,15 @@ SelectQuery RewriteForDummies(const SelectQuery& q);
 /// Builds the predicate `column = 0` (used by tests and the rewriter).
 ExprPtr MakeNotDummyPredicate(const std::string& column);
 
+/// Recognizes `[user AND] lcol = 0 AND rcol = 0`, the exact tree
+/// RewriteForDummies appends for a join of tables L and R with lcol =
+/// "L.isDummy" and rcol = "R.isDummy", and returns true with `*user_out`
+/// set to the remaining user predicate (null when the WHERE was only the
+/// conjuncts). The join kernels drop the two conjuncts for each side's
+/// own real-row test (query::MarkRealRows), which keeps exactly the pairs
+/// they accept; a side without the column must keep them, because there
+/// they are NULL and reject every pair.
+bool SplitDummyConjuncts(const Expr* where, const std::string& lcol,
+                         const std::string& rcol, const Expr** user_out);
+
 }  // namespace dpsync::query

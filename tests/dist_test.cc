@@ -558,6 +558,50 @@ TEST(DistConcurrencyTest, QueriesRaceOwnerAppendsThroughTheCoordinator) {
   EXPECT_EQ(final_count->stats.records_scanned, 16 + kAppendBatches * 4);
 }
 
+// ------------------------------------------------ shard server config
+
+TEST(DistOramTest, EveryShardServerRecordsItsPathAccesses) {
+  // The coordinator hands each shard server its whole ObliDB config, so
+  // the trace flag reaches every shard tree: each tree's transcript holds
+  // every path access it made (one mirror write and one scan touch per
+  // record).
+  DistributedConfig cfg;
+  cfg.num_servers = 2;
+  cfg.oblidb.storage.num_shards = 4;
+  cfg.oblidb.use_oram_index = true;
+  cfg.oblidb.oram_capacity = 512;
+  cfg.oblidb.record_oram_trace = true;
+  DistributedEdbServer server(cfg);
+  ASSERT_OK(server.init_status());
+  auto t = server.CreateTable("YellowCab", TripSchema());
+  ASSERT_OK(t);
+  std::vector<Record> records;
+  for (int64_t i = 0; i < 200; ++i) records.push_back(Trip(i, i % 50));
+  ASSERT_OK(t.value()->Setup(records));
+  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
+  ASSERT_OK(q);
+  ASSERT_OK(server.Query(q.value()));
+
+  int64_t accesses = 0;
+  for (int rank = 0; rank < cfg.num_servers; ++rank) {
+    SCOPED_TRACE("rank " + std::to_string(rank));
+    const edb::EncryptedTableStore* table =
+        server.ShardServerForTest(rank, 0)->TableForTest("YellowCab");
+    ASSERT_NE(table, nullptr);
+    const oram::OramMirror* mirror = table->mirror();
+    ASSERT_NE(mirror, nullptr);
+    for (int s = 0; s < mirror->num_shards(); ++s) {
+      const oram::PathOram& tree = mirror->tree(s);
+      EXPECT_GT(tree.access_count(), 0) << "shard " << s;
+      EXPECT_EQ(static_cast<int64_t>(tree.trace().size()),
+                tree.access_count())
+          << "shard " << s;
+      accesses += tree.access_count();
+    }
+  }
+  EXPECT_EQ(accesses, 400);
+}
+
 // ------------------------------------------------- multi-table TickAll
 
 TEST(DistMultiTableTest, TickAllMatchesSequentialTicks) {

@@ -1,11 +1,18 @@
 // Tests for the extension features: the TLC CSV loader (with the paper's
 // preprocessing), multi-record-per-tick arrivals, geometric-noise strategy
-// variants, the L-1 StealthDB engine + volume-padding countermeasure, and
-// the Crypt-eps analyst budget: its exact release count on both servers
-// and the exact bits of its noise stream.
+// variants, the L-1 StealthDB engine + volume-padding countermeasure (and
+// the -1 volume of every other engine), and the Crypt-eps analyst budget:
+// its exact release count on both servers and the exact bits of its noise
+// stream.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <fstream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/dp_timer.h"
 #include "core/engine.h"
@@ -259,8 +266,8 @@ void ExpectVolumesFromViews(edb::StealthDbServer& server) {
     int64_t view_hits;
   };
   const Case kCases[] = {
-      {"SELECT SUM(fare)" + kFilter, 0, 2},
-      {"SELECT MAX(pickupID)" + kFilter, 1, 1},
+      {"SELECT SUM(fare)" + kFilter, 0, 1},
+      {"SELECT MAX(pickupID)" + kFilter, 1, 0},
   };
   for (const auto& c : kCases) {
     auto q = query::ParseSelect(c.sql);
@@ -274,17 +281,157 @@ void ExpectVolumesFromViews(edb::StealthDbServer& server) {
     EXPECT_EQ(after.snapshot_scans - before.snapshot_scans, c.scans) << c.sql;
     EXPECT_EQ(after.view_hits - before.view_hits, c.view_hits) << c.sql;
   }
+  // A plan registers its own view and no other, so of the two plans only
+  // SUM's is folded on an update.
+  const int64_t folds = server.stats().view_folds;
+  ASSERT_OK(t.value()->Update({Trip(5, 80)}));
+  EXPECT_EQ(server.stats().view_folds - folds, 1);
 }
 
 TEST(StealthDbTest, VolumeComesFromAViewWhenOneExists) {
-  // Prepare registers the volume count's view next to the query's own,
-  // so a one-shot query scans only for what no view answers: SUM not at
-  // all, MAX once for its own answer but not for its volume. The padded
-  // server is StealthDB itself, so its views and counters are the same.
+  // The volume comes from the execution that answers, so a query runs
+  // once: SUM answers, and counts, from its view; MAX, which no view
+  // answers, from one scan. The padded server is StealthDB itself, so its
+  // views and counters are the same.
   edb::StealthDbServer server;
   ExpectVolumesFromViews(server);
   edb::VolumePaddedServer padded;
   ExpectVolumesFromViews(padded);
+}
+
+TEST(StealthDbTest, VolumeCountsThePrefixItsAnswerRead) {
+  // An owner commits one record per Update while COUNT(*) runs, first on
+  // the scan path (an unprepared plan, which no view answers), then on
+  // the view path (a session). Answer and volume come from one
+  // execution, so every volume is exactly its own answer, however the
+  // commits interleave.
+  edb::StealthDbServer server;
+  auto t = server.CreateTable("YellowCab", workload::TripSchema());
+  ASSERT_OK(t);
+  std::vector<Record> rows;
+  for (int64_t i = 0; i < 2000; ++i) rows.push_back(Trip(i, 60, i % 4 == 0));
+  ASSERT_OK(t.value()->Setup(rows));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> owner_failures{0};
+  std::atomic<int64_t> updates{0};
+  std::thread owner([&] {
+    for (int64_t i = 2000; i < 20000 && !stop.load(); ++i) {
+      if (!t.value()->Update({Trip(i, 60, i % 4 == 0)}).ok()) {
+        ++owner_failures;
+      }
+      ++updates;
+    }
+  });
+  while (updates.load() == 0) std::this_thread::yield();
+  const std::string kCount = "SELECT COUNT(*) FROM YellowCab";
+  int failures = 0;
+  auto check = [&](const StatusOr<edb::QueryResponse>& r) {
+    if (!r.ok()) {
+      ++failures;
+      return;
+    }
+    if (r->stats.revealed_volume != std::llround(r->result.scalar)) {
+      ++failures;
+    }
+  };
+  for (int i = 0; i < 30; ++i) {
+    check(testutil::ExecuteUnprepared(server, kCount));
+  }
+  const edb::ServerStats scan_phase = server.stats();
+  auto session = server.CreateSession();
+  auto prepared = session->Prepare(kCount);
+  for (int i = 0; prepared.ok() && i < 3000; ++i) {
+    check(session->Execute(prepared.value()));
+  }
+  stop = true;
+  owner.join();
+
+  ASSERT_OK(prepared);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(owner_failures.load(), 0);
+  // Both paths really ran.
+  EXPECT_EQ(scan_phase.snapshot_scans, 30);
+  EXPECT_EQ(scan_phase.view_hits, 0);
+  EXPECT_GT(server.stats().view_hits, 0);
+}
+
+/// Every query of `sqls` runs on `server` (a session executes the ones
+/// marked prepared) and reveals no volume.
+void ExpectNoVolume(edb::EdbServer& server,
+                    const std::vector<std::pair<std::string, bool>>& sqls) {
+  auto session = server.CreateSession();
+  for (const auto& [sql, prepared] : sqls) {
+    SCOPED_TRACE(sql);
+    StatusOr<edb::QueryResponse> r = Status::Internal("not run");
+    if (prepared) {
+      auto q = session->Prepare(sql);
+      ASSERT_OK(q);
+      r = session->Execute(q.value());
+    } else {
+      auto q = query::ParseSelect(sql);
+      ASSERT_OK(q);
+      r = server.Query(q.value());
+    }
+    ASSERT_OK(r);
+    EXPECT_EQ(r->stats.revealed_volume, -1);
+  }
+}
+
+TEST(RevealedVolumeTest, OnlyStealthDbRevealsAVolume) {
+  // The selected-row count stays inside the engine unless StealthDB asks
+  // for it: every other engine's response reads -1 on every path.
+  const std::vector<Record> rows = {Trip(1, 60), Trip(2, 70), Trip(3, 200),
+                                    Trip(4, 60, /*dummy=*/true)};
+  const std::string kCount = "SELECT COUNT(*) FROM YellowCab";
+  const std::string kMax =
+      "SELECT MAX(fare) FROM YellowCab WHERE pickupID < 100";
+  const std::string kJoin =
+      " FROM YellowCab INNER JOIN YellowCab ON YellowCab.pickupID = "
+      "YellowCab.pickupID";
+  for (bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "ObliDB indexed" : "ObliDB linear");
+    edb::ObliDbConfig cfg;
+    cfg.use_oram_index = indexed;
+    cfg.oram_capacity = 64;
+    edb::ObliDbServer server(cfg);
+    auto t = server.CreateTable("YellowCab", workload::TripSchema());
+    ASSERT_OK(t);
+    ASSERT_OK(t.value()->Setup(rows));
+    // A view hit (linear only: indexed tables keep no views), a scan, the
+    // oblivious COUNT join and the hash join.
+    ExpectNoVolume(server, {{kCount, true},
+                            {kMax, false},
+                            {"SELECT COUNT(*)" + kJoin, false},
+                            {"SELECT SUM(YellowCab.fare)" + kJoin, false}});
+    const edb::ServerStats stats = server.stats();
+    EXPECT_EQ(stats.view_hits, indexed ? 0 : 1);
+    EXPECT_EQ(stats.snapshot_scans, indexed ? 2 : 1);
+    EXPECT_EQ(stats.snapshot_joins, 2);
+  }
+  {
+    SCOPED_TRACE("Crypt-eps");
+    edb::CryptEpsServer server;
+    auto t = server.CreateTable("YellowCab", workload::TripSchema());
+    ASSERT_OK(t);
+    ASSERT_OK(t.value()->Setup(rows));
+    ExpectNoVolume(server, {{kCount, true}, {kMax, false}});
+    EXPECT_EQ(server.stats().view_hits, 1);
+    EXPECT_EQ(server.stats().snapshot_scans, 1);
+  }
+  {
+    SCOPED_TRACE("2-rank coordinator");
+    dist::DistributedConfig cfg;
+    cfg.num_servers = 2;
+    cfg.oblidb.storage.num_shards = 2;
+    dist::DistributedEdbServer server(cfg);
+    ASSERT_OK(server.init_status());
+    auto t = server.CreateTable("YellowCab", workload::TripSchema());
+    ASSERT_OK(t);
+    ASSERT_OK(t.value()->Setup(rows));
+    ExpectNoVolume(server, {{kCount, true}});
+    EXPECT_EQ(server.stats().remote_scatters, 1);
+  }
 }
 
 TEST(StealthDbTest, L1IsConditionallyCompatible) {

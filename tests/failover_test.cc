@@ -519,7 +519,7 @@ TEST(FailoverProtocolTest, FollowerRejectsOwnerIngestUntilPromoted) {
   // and kPromote at the verified position flips the role.
   ShardServerConfig cfg;
   cfg.rank = 0;
-  cfg.storage.num_shards = 2;
+  cfg.oblidb.storage.num_shards = 2;
   cfg.follower = true;
   EdbShardServer server(cfg);
   auto fds = net::SocketPair();
