@@ -134,7 +134,7 @@ struct SnapshotTripTable {
 
 // The hash join ObliDB runs for joins above its oblivious limit: Q3's
 // Appendix-B rewrite over columnar spans, with the per-side isDummy = 0
-// conjuncts hoisted (join_skip_dummy_rows). Rows per side; the shapes
+// conjuncts hoisted into the real-row tests. Rows per side; the shapes
 // match BM_ObliviousJoinCount's in micro_oram.cpp (2^10 to 2^16 rows in
 // all, and a skewed 4M-pair join). The CPU column counts the pool's
 // threads too.
@@ -144,9 +144,7 @@ void BM_HashJoin(benchmark::State& state) {
   Catalog c;
   c.AddTable(&a.table);
   c.AddTable(&b.table);
-  ExecutorOptions opts;
-  opts.join_skip_dummy_rows = true;
-  Executor ex(&c, opts);
+  Executor ex(&c);
   auto q = ParseSelect(
       "SELECT COUNT(*) FROM A INNER JOIN B ON A.pickTime = B.pickTime");
   const SelectQuery rewritten = RewriteForDummies(q.value());

@@ -4,21 +4,21 @@
 #
 # Order of preference:
 #   1. An installed GoogleTest (find_package, incl. the Debian
-#      /usr/src/googletest source package) — no network needed.
-#   2. FetchContent from GitHub (pinned release) when the network allows.
-#   3. The vendored single-header shim under third_party/minigtest —
-#      a last-resort subset implementation so offline builds still verify.
+#      /usr/src/googletest source package).
+#   2. The vendored single-header shim under third_party/minigtest —
+#      a subset implementation, so a machine without GoogleTest still
+#      builds and runs every suite. Nothing is downloaded.
 #
-# Override with -DDPSYNC_GTEST_PROVIDER=system|fetch|vendored.
+# Override with -DDPSYNC_GTEST_PROVIDER=system|vendored.
 
 set(DPSYNC_GTEST_PROVIDER "auto" CACHE STRING
-  "GoogleTest provider: auto|system|fetch|vendored")
+  "GoogleTest provider: auto|system|vendored")
 set_property(CACHE DPSYNC_GTEST_PROVIDER PROPERTY STRINGS
-  auto system fetch vendored)
+  auto system vendored)
 
-if(NOT DPSYNC_GTEST_PROVIDER MATCHES "^(auto|system|fetch|vendored)$")
+if(NOT DPSYNC_GTEST_PROVIDER MATCHES "^(auto|system|vendored)$")
   message(FATAL_ERROR
-    "DPSYNC_GTEST_PROVIDER must be auto|system|fetch|vendored, "
+    "DPSYNC_GTEST_PROVIDER must be auto|system|vendored, "
     "got '${DPSYNC_GTEST_PROVIDER}'")
 endif()
 
@@ -46,51 +46,7 @@ if(DPSYNC_GTEST_PROVIDER STREQUAL "auto" OR DPSYNC_GTEST_PROVIDER STREQUAL "syst
   endif()
 endif()
 
-# --- 2. FetchContent --------------------------------------------------------
-if(NOT _dpsync_gtest_found AND
-   (DPSYNC_GTEST_PROVIDER STREQUAL "auto" OR DPSYNC_GTEST_PROVIDER STREQUAL "fetch"))
-  set(_dpsync_gtest_url
-    "https://github.com/google/googletest/archive/refs/tags/v1.14.0.tar.gz")
-  set(_dpsync_gtest_sha256
-    "8ad598c73ad796e0d8280b082cebd82a630d73e73cd3c70057938a6501bba5d7")
-  set(_dpsync_gtest_tarball "${CMAKE_BINARY_DIR}/_deps/googletest-v1.14.0.tar.gz")
-  # Probe-download first so an offline configure falls through to the shim
-  # instead of failing inside FetchContent. The hash is checked manually:
-  # EXPECTED_HASH would turn a wrong-content download (captive portal, proxy
-  # error page) into a fatal configure error AND leave the bad tarball behind.
-  if(NOT EXISTS "${_dpsync_gtest_tarball}")
-    file(DOWNLOAD "${_dpsync_gtest_url}" "${_dpsync_gtest_tarball}"
-      INACTIVITY_TIMEOUT 15 TIMEOUT 120 STATUS _dpsync_dl_status)
-    list(GET _dpsync_dl_status 0 _dpsync_dl_code)
-    if(_dpsync_dl_code EQUAL 0)
-      file(SHA256 "${_dpsync_gtest_tarball}" _dpsync_dl_hash)
-    else()
-      set(_dpsync_dl_hash "download-failed")
-    endif()
-    if(NOT _dpsync_dl_hash STREQUAL _dpsync_gtest_sha256)
-      file(REMOVE "${_dpsync_gtest_tarball}")
-    endif()
-  endif()
-  if(EXISTS "${_dpsync_gtest_tarball}")
-    include(FetchContent)
-    set(FETCHCONTENT_QUIET ON)
-    FetchContent_Declare(googletest
-      URL "${_dpsync_gtest_tarball}"
-      URL_HASH SHA256=${_dpsync_gtest_sha256}
-      DOWNLOAD_EXTRACT_TIMESTAMP TRUE)
-    set(gtest_force_shared_crt ON CACHE BOOL "" FORCE)
-    set(INSTALL_GTEST OFF CACHE BOOL "" FORCE)
-    FetchContent_MakeAvailable(googletest)
-    add_library(dpsync_gtest_main INTERFACE)
-    target_link_libraries(dpsync_gtest_main INTERFACE gtest_main)
-    set(_dpsync_gtest_found TRUE)
-    message(STATUS "dpsync: using FetchContent GoogleTest v1.14.0")
-  elseif(DPSYNC_GTEST_PROVIDER STREQUAL "fetch")
-    message(FATAL_ERROR "DPSYNC_GTEST_PROVIDER=fetch but the download failed")
-  endif()
-endif()
-
-# --- 3. Vendored single-header shim ----------------------------------------
+# --- 2. Vendored single-header shim ----------------------------------------
 if(NOT _dpsync_gtest_found)
   add_library(dpsync_minigtest_main STATIC
     "${PROJECT_SOURCE_DIR}/third_party/minigtest/gtest_main.cc")
@@ -99,7 +55,7 @@ if(NOT _dpsync_gtest_found)
   add_library(dpsync_gtest_main INTERFACE)
   target_link_libraries(dpsync_gtest_main INTERFACE dpsync_minigtest_main)
   set(_dpsync_gtest_found TRUE)
-  message(STATUS "dpsync: using vendored minigtest shim (offline fallback)")
+  message(STATUS "dpsync: using vendored minigtest shim")
 endif()
 
 add_library(dpsync::gtest_main ALIAS dpsync_gtest_main)

@@ -1,6 +1,7 @@
 #include "dist/coordinator.h"
 
 #include <chrono>
+#include <cmath>
 #include <type_traits>
 #include <utility>
 
@@ -257,6 +258,15 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config,
         "): every server must own at least one shard");
     return;
   }
+  const double timeout = config.rpc_timeout_seconds;
+  if (!(std::isfinite(timeout) && timeout > 0)) {
+    // A zero, negative, NaN or infinite deadline is no deadline: a hung
+    // server would hang the coordinator.
+    init_status_ = Status::InvalidArgument(
+        "rpc_timeout_seconds must be finite and positive, got " +
+        std::to_string(timeout));
+    return;
+  }
   if (!storage.flush_every_update) {
     // The coordinator's commit point is "every server auto-flushed the
     // batch"; manual commit points would need a distributed flush
@@ -280,27 +290,6 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config,
         Status::InvalidArgument("replication_factor must be >= 0");
     return;
   }
-
-  // Connects one coordinator<->server fd pair over the configured
-  // transport; returns {channel fd, server fd}.
-  auto connect_member = [&]() -> StatusOr<net::FdPair> {
-    if (!config.use_tcp) return net::SocketPair();
-    auto listener = net::ListenLoopback();
-    if (!listener.ok()) return listener.status();
-    auto connected = net::ConnectLoopback(listener.value().port);
-    if (!connected.ok()) {
-      net::CloseFd(listener.value().fd);
-      return connected.status();
-    }
-    auto accepted =
-        net::AcceptOne(listener.value().fd, config.rpc_timeout_seconds);
-    net::CloseFd(listener.value().fd);
-    if (!accepted.ok()) {
-      net::CloseFd(connected.value());
-      return accepted.status();
-    }
-    return net::FdPair{accepted.value(), connected.value()};
-  };
 
   shard_owner_.resize(static_cast<size_t>(total_shards));
   peers_.reserve(static_cast<size_t>(servers));
@@ -336,7 +325,7 @@ DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config,
 
       Member member;
       member.server = std::make_unique<EdbShardServer>(sc);
-      auto fds = connect_member();
+      auto fds = net::SocketPair();
       if (!fds.ok()) {
         init_status_ = fds.status();
         return;
@@ -576,22 +565,6 @@ StatusOr<edb::EdbTable*> DistributedEdbServer::CreateTableImpl(
   edb::EdbTable* handle = table.get();
   tables_[name] = std::move(table);
   return handle;
-}
-
-void DistributedEdbServer::OnPlanReady(
-    const std::shared_ptr<const query::QueryPlan>& plan) {
-  if (!init_status_.ok() || plan->kind != query::PlanKind::kScan) return;
-  net::WirePrepare req;
-  req.fingerprint = plan->fingerprint;
-  req.canonical_text = plan->canonical_text;
-  auto encoded = net::Encode(req);
-  if (!encoded.ok()) return;
-  // Best-effort cache warming: a failed (or refused) Prepare just means
-  // the first Execute re-plans shard-side. Leaders only — a promoted
-  // follower simply re-plans on its first Execute.
-  for (size_t k = 0; k < peers_.size(); ++k) {
-    (void)CallRank(k, encoded.value());
-  }
 }
 
 StatusOr<Bytes> DistributedEdbServer::CallRank(size_t k,

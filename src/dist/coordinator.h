@@ -72,11 +72,11 @@ struct DistributedConfig {
   /// The engine every shard server runs: seed, admission limits at the
   /// coordinator, storage and ORAM index.
   edb::ObliDbConfig oblidb;
-  /// Transport: AF_UNIX socketpairs by default (CTest-safe: no ports, no
-  /// accept races); real TCP on 127.0.0.1 ephemeral ports when true.
-  bool use_tcp = false;
-  /// Per-RPC reply deadline; a server that dies or hangs fails the query
-  /// with Unavailable within this bound.
+  /// Per-RPC reply deadline, finite and positive (init_status() is
+  /// InvalidArgument otherwise; poll() caps it at INT_MAX ms). A server
+  /// that dies or hangs fails the query with Unavailable within it, and
+  /// the missed deadline closes that connection: an unreplicated rank
+  /// then stays Unavailable, a replicated one fails over.
   double rpc_timeout_seconds = 10.0;
   /// Followers per rank (0 = unreplicated, the pre-replication behavior).
   /// Each rank becomes a group of 1 leader + replication_factor warm
@@ -101,8 +101,8 @@ class DistributedEdbServer : public edb::EdbServer {
   const query::Schema* FindSchema(const std::string& table) const override;
   query::PlannerOptions planner_options() const override;
 
-  /// Deferred construction failure (bad topology, transport setup); every
-  /// CreateTable/ExecutePlan reports it.
+  /// Deferred construction failure (bad topology or RPC deadline,
+  /// transport setup); every CreateTable/ExecutePlan reports it.
   Status init_status() const { return init_status_; }
 
   int num_servers() const { return static_cast<int>(peers_.size()); }
@@ -155,10 +155,6 @@ class DistributedEdbServer : public edb::EdbServer {
 
   StatusOr<edb::EdbTable*> CreateTableImpl(
       const std::string& name, const query::Schema& schema) override;
-  /// Best-effort plan shipment: warms every server's plan cache with the
-  /// canonical text so the first Execute skips the shard-side re-plan.
-  void OnPlanReady(
-      const std::shared_ptr<const query::QueryPlan>& plan) override;
 
  private:
   class DistTable;

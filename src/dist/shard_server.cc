@@ -124,8 +124,6 @@ Bytes EdbShardServer::HandleFrame(const Bytes& payload) {
   switch (kind.value()) {
     case net::MsgKind::kCreateTable:
       return Dispatch(payload, &EdbShardServer::HandleCreateTable);
-    case net::MsgKind::kPrepare:
-      return Dispatch(payload, &EdbShardServer::HandlePrepare);
     case net::MsgKind::kExecute:
       return Dispatch(payload, &EdbShardServer::HandleExecute);
     case net::MsgKind::kIngest:
@@ -197,10 +195,6 @@ StatusOr<std::shared_ptr<const query::QueryPlan>> EdbShardServer::PlanFor(
   return plan.value();
 }
 
-Status EdbShardServer::HandlePrepare(const net::WirePrepare& req) {
-  return PlanFor(req.fingerprint, req.canonical_text).status();
-}
-
 StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
     const net::WireExecute& req) {
   auto plan_or = PlanFor(req.fingerprint, req.canonical_text);
@@ -255,8 +249,12 @@ Status EdbShardServer::ApplyBatch(
     uint64_t batch_seq, const std::vector<uint64_t>* base_rows,
     const std::vector<net::WireCipherRecord>& wire_entries,
     uint64_t nonce_high_water, bool setup_batch) {
+  if (batch_seq == 0) {
+    return Status::InvalidArgument("unsequenced batch for table " + name +
+                                   ": batch_seq starts at 1");
+  }
   uint64_t& applied = applied_seq_[name];
-  if (batch_seq != 0 && batch_seq <= applied) {
+  if (batch_seq <= applied) {
     // A post-failover retry of a batch this server already applied:
     // idempotent no-op (exactly-once lands here, not in the transport).
     return Status::Ok();
@@ -280,7 +278,7 @@ Status EdbShardServer::ApplyBatch(
             std::to_string(have[s]) + " rows (table " + name + ")");
       }
     }
-  } else if (batch_seq != 0 && batch_seq != applied + 1) {
+  } else if (batch_seq != applied + 1) {
     return Status::FailedPrecondition(
         "replication gap: batch " + std::to_string(batch_seq) +
         " after applied " + std::to_string(applied) + " (table " + name +
@@ -295,7 +293,7 @@ Status EdbShardServer::ApplyBatch(
     DPSYNC_RETURN_IF_ERROR(
         table->IngestCiphertexts(entries, nonce_high_water, setup_batch));
   }
-  if (batch_seq != 0) applied = batch_seq;
+  applied = batch_seq;
   return Status::Ok();
 }
 

@@ -2,7 +2,7 @@
 /// One distributed shard server: owns a contiguous range of a table's
 /// global storage shards (local shard 0..num_shards-1 maps to global
 /// shards [lo, hi) — the coordinator routes) and serves the framed RPC
-/// protocol of net/messages.h over one connection: CreateTable, Prepare,
+/// protocol of net/messages.h over one connection: CreateTable,
 /// Execute (returning a mergeable aggregate partial), Ingest
 /// (coordinator-encrypted ciphertexts — plaintext never reaches this
 /// process for storage) and the replication requests.
@@ -95,7 +95,7 @@ class EdbShardServer {
   bool is_follower() const;
 
   /// Replication position of one hosted table: the highest batch_seq
-  /// applied (0 = none / unsequenced).
+  /// applied (0 = none).
   uint64_t applied_seq(const std::string& table) const;
 
   /// Plans currently cached (tests: the cache is bounded).
@@ -118,7 +118,6 @@ class EdbShardServer {
                  Result (EdbShardServer::*handler)(const Req&));
 
   Status HandleCreateTable(const net::WireCreateTable& req);
-  Status HandlePrepare(const net::WirePrepare& req);
   StatusOr<net::WirePartial> HandleExecute(const net::WireExecute& req);
   Status HandleIngest(const net::WireIngest& req);
   Status HandleReplicate(const net::WireReplicate& req);
@@ -128,9 +127,10 @@ class EdbShardServer {
   Status HandlePromote(const net::WirePromote& req);
 
   /// The sequenced append shared by kIngest (leader) and kReplicate
-  /// (follower): dedup/gap-check `batch_seq` against the table's applied
-  /// position, verify `base_rows` when the batch is a catch-up span, then
-  /// append through IngestCiphertexts. Caller holds repl_mu_.
+  /// (follower): refuse `batch_seq` 0, dedup/gap-check it against the
+  /// table's applied position, verify `base_rows` when the batch is a
+  /// catch-up span, then append through IngestCiphertexts. Caller holds
+  /// repl_mu_.
   Status ApplyBatch(const std::string& name, edb::EncryptedTableStore* table,
                     uint64_t batch_seq,
                     const std::vector<uint64_t>* base_rows,
@@ -138,8 +138,8 @@ class EdbShardServer {
                     uint64_t nonce_high_water, bool setup_batch);
 
   /// Cached plan for `fingerprint`, re-planned from the canonical text
-  /// against this server's own catalog on a miss (Prepare warms the
-  /// cache; Execute never depends on it).
+  /// against this server's own catalog on a miss: a text's first Execute
+  /// on this server, or its first after an eviction or a promotion.
   StatusOr<std::shared_ptr<const query::QueryPlan>> PlanFor(
       uint64_t fingerprint, const std::string& canonical_text);
 

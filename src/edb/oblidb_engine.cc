@@ -459,18 +459,15 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
     // identical answer via the partitioned hash join, whose accesses
     // depend on the data; the virtual cost still charges the paper's
     // nested loop (the QET model is shape-, not strategy-dependent).
-    // join_skip_dummy_rows hoists the Appendix-B `isDummy = 0` conjuncts
-    // of the rewritten WHERE into key-extraction filters — the
+    // The join hoists the Appendix-B `isDummy = 0` conjuncts of the
+    // rewritten WHERE into key-extraction filters — the
     // filter(T, isDummy = FALSE)-before-join semantics, zero-copy over
     // the borrowed spans (and avoiding the quadratic blow-up of dummies
     // sharing a join key).
     query::Catalog catalog;
     catalog.AddTable(&lt);
     catalog.AddTable(&rt);
-    query::ExecutorOptions opts;
-    opts.join_skip_dummy_rows = true;
-    query::Executor executor(&catalog, opts);
-    auto r = executor.Execute(rewritten, selected);
+    auto r = query::Executor(&catalog).Execute(rewritten, selected);
     if (!r.ok()) return r.status();
     result = std::move(r.value());
   }

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 namespace dpsync::net {
 
@@ -62,7 +63,7 @@ Status ReadBuffer::ReadExact(uint8_t* out, size_t len) {
 Status FdWriteBuffer::FlushImpl(const uint8_t* data, size_t len) {
   while (len > 0) {
     // MSG_NOSIGNAL: a dead peer must produce EPIPE, not kill the process
-    // with SIGPIPE. send() works on socketpairs and TCP sockets alike.
+    // with SIGPIPE.
     ssize_t n = ::send(fd_, data, len, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -84,7 +85,12 @@ StatusOr<size_t> FdReadBuffer::RefillImpl(uint8_t* out, size_t capacity) {
     pfd.fd = fd_;
     pfd.events = POLLIN;
     pfd.revents = 0;
-    int timeout_ms = static_cast<int>(timeout_seconds_ * 1000.0);
+    // poll() takes int milliseconds. Clamp before the conversion: a
+    // double past INT_MAX (about 24.8 days, or +inf) does not convert.
+    const double ms =
+        std::min(timeout_seconds_ * 1000.0,
+                 static_cast<double>(std::numeric_limits<int>::max()));
+    int timeout_ms = static_cast<int>(ms);
     if (timeout_ms < 1) timeout_ms = 1;
     int rc;
     do {

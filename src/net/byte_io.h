@@ -3,8 +3,8 @@
 /// style): a `WriteBuffer` accumulates bytes in a working buffer and hands
 /// full buffers to a virtual `FlushImpl`, a `ReadBuffer` serves bytes out
 /// of a working buffer refilled by a virtual `RefillImpl`. Concrete
-/// implementations cover file descriptors (socketpair / localhost TCP,
-/// with poll()-based read timeouts) and, for assembling whole frames in
+/// implementations cover file descriptors (socketpairs, with poll()-based
+/// read timeouts) and, for assembling whole frames in
 /// memory, a byte vector sink. Message payloads are encoded and decoded
 /// in memory by codec.h, not through these streams.
 ///
@@ -118,7 +118,8 @@ class FdWriteBuffer : public WriteBuffer {
 /// ReadBuffer over a stream socket / pipe fd (borrowed, not closed).
 /// Each refill poll()s for readability first: exceeding
 /// `timeout_seconds` fails the read with Unavailable ("timed out"), so a
-/// hung peer can never hang the coordinator. `timeout_seconds <= 0`
+/// hung peer can never hang the coordinator. A deadline is at least 1 ms
+/// and at most INT_MAX ms (about 24.8 days). `timeout_seconds <= 0`
 /// blocks indefinitely (the shard server's serve loop, which is woken by
 /// shutdown(2) on its fd). EOF — the peer closed or died — is
 /// Unavailable too.

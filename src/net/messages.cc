@@ -9,7 +9,6 @@ StatusOr<MsgKind> PeekKind(const Bytes& payload) {
   const auto kind = static_cast<MsgKind>(payload[0]);
   switch (kind) {
     case MsgKind::kCreateTable:
-    case MsgKind::kPrepare:
     case MsgKind::kExecute:
     case MsgKind::kIngest:
     case MsgKind::kReplicate:

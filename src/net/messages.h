@@ -29,11 +29,11 @@
 namespace dpsync::net {
 
 /// One-byte message kind tag leading every frame payload. Values are part
-/// of the wire format: never renumber a kind.
+/// of the wire format: never renumber a kind. 2, 5, 6 and 18 are retired
+/// and stay unassigned.
 enum class MsgKind : uint8_t {
   // Requests (coordinator -> shard server).
   kCreateTable = 1,
-  kPrepare = 2,
   kExecute = 3,
   kIngest = 4,
   // Replication requests (coordinator -> follower / leader).
@@ -98,11 +98,10 @@ struct WireStatus {
 
 /// A shipped query plan: the canonical text (re-planned shard-side with
 /// the shard's own schema lookup) plus the coordinator's fingerprint,
-/// which keys the shard's plan cache and lets Execute skip re-planning
-/// after a Prepare. One body, two kinds.
-template <MsgKind K>
-struct WirePlan {
-  static constexpr MsgKind kKind = K;
+/// which keys the shard's plan cache, so only a text's first Execute on
+/// a server re-plans it.
+struct WireExecute {
+  static constexpr MsgKind kKind = MsgKind::kExecute;
   uint64_t fingerprint = 0;
   std::string canonical_text;
 
@@ -112,8 +111,6 @@ struct WirePlan {
     c(String{}, m.canonical_text);
   }
 };
-using WirePrepare = WirePlan<MsgKind::kPrepare>;
-using WireExecute = WirePlan<MsgKind::kExecute>;
 
 /// Schema shipment for CreateTable: table name plus (name, type) fields.
 struct WireCreateTable {
@@ -149,8 +146,8 @@ struct WireCipherRecord {
 /// sequence number (monotone from 1): the server applies seq
 /// applied_seq+1, treats seq <= applied_seq as an idempotent no-op (a
 /// post-failover retry of a batch the promoted server already has), and
-/// rejects gaps — so a retried ingest can neither duplicate nor lose
-/// records. 0 means unsequenced (compat: single replica, no dedup).
+/// rejects gaps and 0 — so a retried ingest can neither duplicate nor
+/// lose records.
 struct WireIngest {
   static constexpr MsgKind kKind = MsgKind::kIngest;
   std::string table;

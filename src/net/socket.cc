@@ -2,14 +2,9 @@
 
 #include "net/wire.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -29,104 +24,6 @@ StatusOr<FdPair> SocketPair() {
   pair.a = fds[0];
   pair.b = fds[1];
   return pair;
-}
-
-StatusOr<Listener> ListenLoopback() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket failed: ") +
-                            ::strerror(errno));
-  }
-  struct sockaddr_in addr;
-  ::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral: the kernel picks a free port
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status s = Status::Internal(std::string("bind failed: ") +
-                                ::strerror(errno));
-    CloseFd(fd);
-    return s;
-  }
-  if (::listen(fd, 8) != 0) {
-    Status s = Status::Internal(std::string("listen failed: ") +
-                                ::strerror(errno));
-    CloseFd(fd);
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) !=
-      0) {
-    Status s = Status::Internal(std::string("getsockname failed: ") +
-                                ::strerror(errno));
-    CloseFd(fd);
-    return s;
-  }
-  Listener l;
-  l.fd = fd;
-  l.port = ntohs(addr.sin_port);
-  return l;
-}
-
-StatusOr<int> AcceptOne(int listen_fd, double timeout_seconds) {
-  if (timeout_seconds > 0) {
-    struct pollfd pfd;
-    pfd.fd = listen_fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int timeout_ms = static_cast<int>(timeout_seconds * 1000.0);
-    if (timeout_ms < 1) timeout_ms = 1;
-    int rc;
-    do {
-      rc = ::poll(&pfd, 1, timeout_ms);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) {
-      return Status::Internal(std::string("poll failed: ") +
-                              ::strerror(errno));
-    }
-    if (rc == 0) {
-      return Status::Unavailable("timed out waiting for connection");
-    }
-  }
-  int fd;
-  do {
-    fd = ::accept(listen_fd, nullptr, nullptr);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    return Status::Internal(std::string("accept failed: ") +
-                            ::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-StatusOr<int> ConnectLoopback(uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket failed: ") +
-                            ::strerror(errno));
-  }
-  struct sockaddr_in addr;
-  ::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                   sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    Status s = Status::Unavailable(std::string("connect failed: ") +
-                                   ::strerror(errno));
-    CloseFd(fd);
-    return s;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
 }
 
 void CloseFd(int fd) {
@@ -219,11 +116,12 @@ StatusOr<Bytes> Channel::Call(const Bytes& request) {
         auto frame = EncodeRawFrame(request);
         DPSYNC_RETURN_IF_ERROR(frame.status());
         frame.value()[4] ^= 0x01;  // CRC field starts at byte 4
-        DPSYNC_RETURN_IF_ERROR(writer_.Write(frame.value()));
-        DPSYNC_RETURN_IF_ERROR(writer_.Flush());
         // The peer rejects the frame and closes; our reply read fails.
-        auto reply = ReadFrame(reader_);
-        DPSYNC_RETURN_IF_ERROR(reply.status());
+        Status sent = writer_.Write(frame.value());
+        if (sent.ok()) sent = writer_.Flush();
+        if (sent.ok()) sent = ReadFrame(reader_).status();
+        CloseLocked();
+        DPSYNC_RETURN_IF_ERROR(sent);
         return Status::Unavailable("fault injection: corrupt frame answered");
       }
       case FaultAction::kDelay:
@@ -232,9 +130,13 @@ StatusOr<Bytes> Channel::Call(const Bytes& request) {
         break;  // then proceed normally
     }
   }
-  DPSYNC_RETURN_IF_ERROR(WriteFrame(writer_, request));
-  auto reply = ReadFrame(reader_);
-  DPSYNC_RETURN_IF_ERROR(reply.status());
+  Status sent = WriteFrame(writer_, request);
+  auto reply = sent.ok() ? ReadFrame(reader_) : StatusOr<Bytes>(sent);
+  if (!reply.ok()) {
+    // Out of step with the peer: a late reply would answer the next Call.
+    CloseLocked();
+    return reply.status();
+  }
   rpc_calls_.fetch_add(1, std::memory_order_relaxed);
   bytes_shipped_.fetch_add(
       static_cast<int64_t>(2 * kFrameHeaderBytes + request.size()) +

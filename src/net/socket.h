@@ -4,11 +4,9 @@
 /// concurrent coordinator threads never interleave frames on a
 /// connection.
 ///
-/// Two transports, same fd semantics afterwards:
-///  - SocketPair(): AF_UNIX stream pair, the CTest-safe default (no
-///    ports, no listen/accept races, works in network-less sandboxes).
-///  - ListenLoopback()/ConnectLoopback(): real TCP on 127.0.0.1 with an
-///    ephemeral port, behind a config flag for deployments.
+/// One transport: SocketPair(), an AF_UNIX stream pair. The shard servers
+/// are threads of the coordinator's own process, so no port, no
+/// listen/accept race and no network device is involved.
 #pragma once
 
 #include <atomic>
@@ -94,19 +92,6 @@ struct FdPair {
 
 StatusOr<FdPair> SocketPair();
 
-/// Listening TCP socket bound to 127.0.0.1 on an ephemeral port.
-struct Listener {
-  int fd = -1;
-  uint16_t port = 0;
-};
-
-StatusOr<Listener> ListenLoopback();
-
-/// Accepts one connection; `timeout_seconds <= 0` blocks indefinitely.
-StatusOr<int> AcceptOne(int listen_fd, double timeout_seconds);
-
-StatusOr<int> ConnectLoopback(uint16_t port);
-
 /// Close that tolerates already-closed fds (idempotent teardown paths).
 void CloseFd(int fd);
 
@@ -125,6 +110,9 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
+  /// A request that fails to go out, or whose reply fails to come back
+  /// (a missed deadline included), closes the channel: a late reply would
+  /// otherwise answer the next Call.
   StatusOr<Bytes> Call(const Bytes& request);
 
   /// Shuts the connection down (wakes the peer's blocking read) and

@@ -594,24 +594,24 @@ StatusOr<ScanPartial> Executor::ExecuteJoin(const SelectQuery& q,
   }
   const Schema joined = JoinedSchema(left, right);
 
-  // Appendix-B fast path: when the engine vouches for the rewritten WHERE
-  // (join_skip_dummy_rows), recognize its per-side `isDummy = 0` conjuncts,
-  // hoist them into key-extraction real-row tests and evaluate only the
-  // user remainder per pair. Unrecognized trees keep the full WHERE, and
-  // so does a side with no isDummy column, where its conjunct is NULL.
+  // Appendix-B fast path: where the WHERE ends in the per-side
+  // `isDummy = 0` conjuncts that RewriteForDummies appends, hoist them
+  // into key-extraction real-row tests and evaluate only the user
+  // remainder per pair. The tests reject exactly the pairs the conjuncts
+  // would, and dummies sharing a join key never multiply. Unrecognized
+  // trees keep the full WHERE, and so does a side with no isDummy column,
+  // where its conjunct is NULL.
   const Expr* where = q.where.get();
   std::optional<size_t> ldummy, rdummy;
-  if (options_.join_skip_dummy_rows) {
-    const std::string lcol = left.name + "." + Schema::kDummyColumn;
-    const std::string rcol = right.name + "." + Schema::kDummyColumn;
-    const auto lidx = ResolveColumnName(left.schema, lcol);
-    const auto ridx = ResolveColumnName(right.schema, rcol);
-    const Expr* user = nullptr;
-    if (lidx && ridx && SplitDummyConjuncts(where, lcol, rcol, &user)) {
-      where = user;
-      ldummy = lidx;
-      rdummy = ridx;
-    }
+  const std::string lcol = left.name + "." + Schema::kDummyColumn;
+  const std::string rcol = right.name + "." + Schema::kDummyColumn;
+  const auto lidx = ResolveColumnName(left.schema, lcol);
+  const auto ridx = ResolveColumnName(right.schema, rcol);
+  const Expr* user = nullptr;
+  if (lidx && ridx && SplitDummyConjuncts(where, lcol, rcol, &user)) {
+    where = user;
+    ldummy = lidx;
+    rdummy = ridx;
   }
 
   const auto lspans = left.Spans();

@@ -101,18 +101,8 @@ Schema JoinedSchema(const Table& left, const Table& right);
 /// compare the columnar loop against. The two loops produce bit-identical
 /// cells (fixed reduction order; see docs/ARCHITECTURE.md), so the engines
 /// leave it on.
-///
-/// `join_skip_dummy_rows` (default off) lets the join pre-filter each
-/// side's rows on its `isDummy = 0` conjunct during key extraction and
-/// elide those conjuncts from the per-pair WHERE. Callers must only set
-/// it for queries whose WHERE carries the Appendix-B dummy-exclusion
-/// conjuncts for both sides (what RewriteForDummies emits — the edb
-/// engines); the pre-filter is then a pure optimization: it removes
-/// exactly the pairs the conjuncts would have rejected, and avoids the
-/// quadratic blow-up of dummy rows sharing a join key.
 struct ExecutorOptions {
   bool vectorized = true;
-  bool join_skip_dummy_rows = false;
 };
 
 struct ScanPartial;

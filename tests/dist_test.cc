@@ -10,12 +10,13 @@
 // over the frame bound refused at the coordinator without a failover,
 // Setup/Update state machine, topology validation, racing owner appends
 // through the coordinator (the CI TSan job leans on this), the
-// multi-table TickAll, the shard servers' bounded plan cache, and
-// the TCP transport.
+// multi-table TickAll, and plan shipping: a shard plans a text at its
+// first Execute and keeps a bounded plan cache.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -247,30 +248,6 @@ TEST(DistBitIdentityTest, MatchesLocalEngineAcrossBackendsAndServerCounts) {
   RunIdentitySweep(kVariants[0], 4, kMultiChunkRows);
 }
 
-TEST(DistTransportTest, TcpLoopbackMatchesSocketpair) {
-  Variant v{"oblidb-linear", false};
-  DistributedConfig tcp_cfg = MakeDistConfig(v, 2);
-  tcp_cfg.use_tcp = true;
-  DistributedEdbServer tcp(tcp_cfg);
-  ASSERT_OK(tcp.init_status());
-  DistributedEdbServer sp(MakeDistConfig(v, 2));
-  ASSERT_OK(sp.init_status());
-
-  for (auto* server : {&tcp, &sp}) {
-    auto table = server->CreateTable("YellowCab", TripSchema());
-    ASSERT_OK(table);
-    ASSERT_OK(table.value()->Setup(MakeBatch(0, 32)));
-  }
-  auto q = query::ParseSelect(
-      "SELECT SUM(fare) FROM YellowCab WHERE pickupID = 30");
-  ASSERT_OK(q);
-  auto a = tcp.Query(q.value());
-  auto b = sp.Query(q.value());
-  ASSERT_OK(a);
-  ASSERT_OK(b);
-  ExpectBitIdentical(a.value(), b.value());
-}
-
 TEST(DistTransportTest, RpcAndByteCountersAreDeterministic) {
   Variant v{"oblidb-linear", false};
   auto run = [&](DistributedEdbServer& server) {
@@ -414,6 +391,42 @@ TEST(DistInitTest, BadTopologyReportsInvalidArgument) {
     DistributedEdbServer dist(cfg);
     EXPECT_EQ(dist.init_status().code(), StatusCode::kInvalidArgument);
   }
+  // An RPC deadline that is not finite and positive would let a hung
+  // server hang the coordinator.
+  for (double timeout : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(timeout);
+    DistributedConfig cfg = MakeDistConfig({"oblidb-linear", false}, 2);
+    cfg.rpc_timeout_seconds = timeout;
+    DistributedEdbServer dist(cfg);
+    EXPECT_EQ(dist.init_status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(DistPlanShippingTest, PlansShipOnlyInExecute) {
+  // Prepare stays at the coordinator: no RPC, and no shard has planned
+  // the text. Each leader plans it at its first Execute and reuses it.
+  DistributedEdbServer dist(MakeDistConfig({"oblidb-linear", false}, 2));
+  ASSERT_OK(dist.init_status());
+  auto table = dist.CreateTable("YellowCab", TripSchema());
+  ASSERT_OK(table);
+  ASSERT_OK(table.value()->Setup(MakeBatch(0, 8)));
+  auto session = dist.CreateSession();
+  const int64_t rpcs = dist.rpc_calls();
+  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
+  ASSERT_OK(q);
+  EXPECT_EQ(dist.rpc_calls(), rpcs);
+  for (int rank = 0; rank < 2; ++rank) {
+    EXPECT_EQ(dist.ShardServerForTest(rank, 0)->cached_plans(), 0u);
+  }
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_OK(session->Execute(q.value()));
+    for (int rank = 0; rank < 2; ++rank) {
+      EXPECT_EQ(dist.ShardServerForTest(rank, 0)->cached_plans(), 1u);
+    }
+  }
+  // One kExecute per rank per Execute.
+  EXPECT_EQ(dist.rpc_calls(), rpcs + 4);
 }
 
 TEST(DistPlanShippingTest, ShardPlanCacheIsBounded) {

@@ -555,7 +555,8 @@ TEST(FailoverProtocolTest, FollowerRejectsOwnerIngestUntilPromoted) {
   relay.batch_seq = 1;
   ASSERT_OK(call_status(net::Encode(relay)));
   EXPECT_EQ(server.applied_seq("T"), 1u);
-  // Replayed relays dedup; a gap is refused.
+  // Replayed relays dedup; a gap is refused, and so is an unsequenced
+  // batch, which would skip the dedup.
   ASSERT_OK(call_status(net::Encode(relay)));
   EXPECT_EQ(server.applied_seq("T"), 1u);
   net::WireReplicate gap = relay;
@@ -563,6 +564,11 @@ TEST(FailoverProtocolTest, FollowerRejectsOwnerIngestUntilPromoted) {
   gap.batch_seq = 3;
   EXPECT_EQ(call_status(net::Encode(gap)).code(),
             StatusCode::kFailedPrecondition);
+  net::WireReplicate unsequenced_relay = gap;
+  unsequenced_relay.batch_seq = 0;
+  EXPECT_EQ(call_status(net::Encode(unsequenced_relay)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.applied_seq("T"), 1u);
 
   // Promotion with a stale expected position is refused; the probed
   // position succeeds and clears the follower role.
@@ -585,8 +591,13 @@ TEST(FailoverProtocolTest, FollowerRejectsOwnerIngestUntilPromoted) {
   ASSERT_OK(call_status(net::Encode(promote)));
   EXPECT_FALSE(server.is_follower());
 
-  // Promoted: owner ingest now lands (the next sequenced batch).
+  // Promoted: owner ingest now lands (the next sequenced batch), and an
+  // unsequenced one is still refused.
   ingest.setup_batch = false;
+  ingest.batch_seq = 0;
+  EXPECT_EQ(call_status(net::Encode(ingest)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.applied_seq("T"), 1u);
   ingest.batch_seq = 2;
   ASSERT_OK(call_status(net::Encode(ingest)));
   EXPECT_EQ(server.applied_seq("T"), 2u);

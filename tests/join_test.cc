@@ -130,7 +130,11 @@ void ExpectSameRun(const JoinRun& a, const JoinRun& b, const char* what) {
 }
 
 /// The same join over the same rows in the same order as plaintext,
-/// through query::Executor and the Appendix-B rewrite the engine applies.
+/// through query::Executor and the Appendix-B dummy conjuncts the engine
+/// adds. They go in front of the user predicate, not behind it as
+/// RewriteForDummies puts them: the hash join hoists only the rewriter's
+/// tree into its real-row tests, so this reference evaluates the whole
+/// WHERE on every pair.
 query::QueryResult PlaintextJoin(const std::string& sql,
                                  const std::vector<Record>& left,
                                  const std::vector<Record>& right) {
@@ -152,8 +156,17 @@ query::QueryResult PlaintextJoin(const std::string& sql,
   catalog.AddTable(&rt);
   auto parsed = query::ParseSelect(sql);
   EXPECT_OK(parsed);
-  auto r = query::Executor(&catalog).Execute(
-      query::RewriteForDummies(parsed.value()));
+  query::SelectQuery q = std::move(parsed.value());
+  query::ExprPtr dummies = std::make_unique<query::LogicalExpr>(
+      query::LogicalExpr::Op::kAnd,
+      query::MakeNotDummyPredicate("GreenTaxi.isDummy"),
+      query::MakeNotDummyPredicate("YellowCab.isDummy"));
+  if (q.where) {
+    dummies = std::make_unique<query::LogicalExpr>(
+        query::LogicalExpr::Op::kAnd, std::move(dummies), std::move(q.where));
+  }
+  q.where = std::move(dummies);
+  auto r = query::Executor(&catalog).Execute(q);
   EXPECT_OK(r);
   return r.value();
 }
@@ -878,9 +891,7 @@ TEST(ObliviousJoinTest, EmptySpanWithoutProjectionsJoinsAsNone) {
     query::Catalog catalog;
     catalog.AddTable(&lt);
     catalog.AddTable(&rt);
-    query::ExecutorOptions opts;
-    opts.join_skip_dummy_rows = true;
-    auto result = query::Executor(&catalog, opts).Execute(q);
+    auto result = query::Executor(&catalog).Execute(q);
     EXPECT_OK(result);
     return result->scalar;
   };
