@@ -172,15 +172,9 @@ class DistributedEdbServer::DistTable : public edb::EdbTable {
       if (!encoded.ok()) return encoded.status();
       requests[k] = std::move(encoded.value());
       if (replicated) {
-        net::WireReplicate rep;
-        rep.table = name_;
-        rep.setup_batch = setup_batch;
-        rep.batch_seq = seqs[k];
-        rep.nonce_high_water = high_water;
-        rep.entries = std::move(batches[k].entries);
-        auto rep_encoded = net::Encode(rep);
-        if (!rep_encoded.ok()) return rep_encoded.status();
-        replications[k] = std::move(rep_encoded.value());
+        auto relay = net::Encode(net::WireReplicate{std::move(batches[k])});
+        if (!relay.ok()) return relay.status();
+        replications[k] = std::move(relay.value());
       }
     }
     setup_done_ = true;  // sticky from the first send on
@@ -472,17 +466,6 @@ Status DistributedEdbServer::InjectChannelFaults(int rank, int member,
   return Status::Ok();
 }
 
-Status DistributedEdbServer::InjectServeFaults(int rank, int member,
-                                               net::FaultPlan plan) {
-  Member* m = MemberAt(rank, member);
-  if (m == nullptr) {
-    return Status::OutOfRange("no member " + std::to_string(member) +
-                              " in shard group " + std::to_string(rank));
-  }
-  m->server->InjectServeFaults(std::move(plan));
-  return Status::Ok();
-}
-
 EdbShardServer* DistributedEdbServer::ShardServerForTest(int rank,
                                                          int member) {
   Member* m = MemberAt(rank, member);
@@ -608,8 +591,9 @@ Status DistributedEdbServer::EnsureFailover(size_t k,
   old_leader.channel->Close();
   // The positions a candidate must hold: every table's acked sequence at
   // this rank. A follower behind any of them is missing committed data
-  // (its relay was dropped and never caught up) — promoting it would
-  // silently lose records, so it is skipped, never "close enough".
+  // (a relay to it was lost or refused, and relays are never resent) —
+  // promoting it would silently lose records, so it is skipped, never
+  // "close enough".
   std::vector<std::pair<std::string, uint64_t>> expected;
   {
     std::lock_guard<std::mutex> clk(catalog_mu_);
@@ -700,71 +684,13 @@ void DistributedEdbServer::RelayToFollowers(size_t k,
           static_cast<int64_t>(replicate_request.size()),
           std::memory_order_relaxed);
     } else {
-      // Best-effort by design: the leader has the batch, the follower is
-      // now lagging, and CatchUpReplicas (or the next failover's lag
-      // check) deals with it. Losing the relay must not fail the ingest.
+      // Best-effort by design: the leader has the batch, and losing the
+      // relay must not fail the ingest. The follower is now behind for
+      // good (it refuses every later batch over the gap), so the next
+      // failover's lag check refuses to promote it.
       replica_lag_batches_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-}
-
-Status DistributedEdbServer::CatchUpReplicas() {
-  DPSYNC_RETURN_IF_ERROR(init_status_);
-  auto probe_req = net::Encode(net::WireReplicaStateRequest{});
-  DPSYNC_RETURN_IF_ERROR(probe_req.status());
-  for (size_t k = 0; k < peers_.size(); ++k) {
-    Peer& peer = peers_[k];
-    size_t leader;
-    std::vector<size_t> followers;
-    {
-      std::lock_guard<std::mutex> lk(*peer.mu);
-      leader = peer.leader;
-      for (size_t m = 0; m < peer.members.size(); ++m) {
-        if (m != leader && !peer.members[m].dead) followers.push_back(m);
-      }
-    }
-    for (size_t m : followers) {
-      auto probe = peer.members[m].channel->Call(probe_req.value());
-      if (!probe.ok()) continue;  // unreachable follower: nothing to repair
-      auto state = DecodeReply<net::WireReplicaState>(probe.value());
-      if (!state.ok()) return AnnotateRank(k, state.status());
-      for (const auto& ts : state.value().tables) {
-        DistTable* table = FindTable(ts.table);
-        if (table == nullptr) continue;
-        const uint64_t acked = table->acked_seq(static_cast<int>(k));
-        if (ts.applied_seq >= acked) continue;
-        // Export the leader's committed spans beyond the follower's rows
-        // and relay them with base-row verification: the follower rejects
-        // a span that would leave a hole or double-append.
-        net::WireCatchUp cu;
-        cu.table = ts.table;
-        cu.from_rows = ts.shard_rows;
-        auto cu_req = net::Encode(cu);
-        DPSYNC_RETURN_IF_ERROR(cu_req.status());
-        auto cu_reply = CallRank(k, cu_req.value());
-        if (!cu_reply.ok()) return cu_reply.status();
-        auto span = DecodeReply<net::WireCatchUpReply>(cu_reply.value());
-        if (!span.ok()) return AnnotateRank(k, span.status());
-        net::WireReplicate rep;
-        rep.table = ts.table;
-        rep.setup_batch = ts.applied_seq == 0;
-        rep.batch_seq = span.value().applied_seq;
-        rep.nonce_high_water = span.value().nonce_high_water;
-        rep.base_rows = span.value().base_rows;
-        rep.entries = std::move(span.value().entries);
-        auto rep_req = net::Encode(rep);
-        DPSYNC_RETURN_IF_ERROR(rep_req.status());
-        auto rep_reply = peer.members[m].channel->Call(rep_req.value());
-        Status applied = rep_reply.ok() ? StatusFromReply(rep_reply.value())
-                                        : rep_reply.status();
-        if (!applied.ok()) return AnnotateRank(k, applied);
-        bytes_replicated_.fetch_add(
-            static_cast<int64_t>(rep_req.value().size()),
-            std::memory_order_relaxed);
-      }
-    }
-  }
-  return Status::Ok();
 }
 
 Status DistributedEdbServer::Scatter(const Bytes& request,

@@ -29,12 +29,13 @@
 /// Unavailable (first failing rank wins, deterministically) — no hang,
 /// no partial answer. With replication_factor >= 1 each rank is a
 /// replica GROUP: the coordinator relays every acked ingest batch to the
-/// rank's followers as WireReplicate (committed ciphertext spans + nonce
-/// HWM — segment shipping, never plaintext), and a transport failure on
-/// the leader triggers an epoch-tagged cutover (probe kReplicaState,
-/// verify the candidate holds every acked batch, promote via kPromote,
-/// retry once). Because a follower applies the identical per-shard
-/// append sequence, post-cutover answers stay bit-identical to the
+/// rank's followers as WireReplicate (the batch's ciphertexts + nonce
+/// HWM, never plaintext), and a transport failure on the leader triggers
+/// an epoch-tagged cutover (probe kReplicaState, verify the candidate
+/// holds every acked batch, promote via kPromote, retry once). A relay is
+/// sent once: a follower that misses one stays behind and is refused
+/// promotion. Because a follower applies the identical per-shard append
+/// sequence, post-cutover answers stay bit-identical to the
 /// single-process engines. See docs/DISTRIBUTED.md.
 #pragma once
 
@@ -121,21 +122,13 @@ class DistributedEdbServer : public edb::EdbServer {
   /// connection (member 0 = initial leader). Test-only seam.
   Status InjectChannelFaults(int rank, int member, net::FaultPlan plan);
 
-  /// Installs a serve-side fault schedule on one member's serve loop
-  /// (kill-before-handle / kill-after-handle). Test-only seam.
-  Status InjectServeFaults(int rank, int member, net::FaultPlan plan);
-
-  /// Direct member access for tests probing replica state.
+  /// Direct member access for tests probing replica state (and
+  /// installing serve-side faults through EdbShardServer).
   EdbShardServer* ShardServerForTest(int rank, int member);
 
-  /// Brings every live follower current: probes its per-table position
-  /// and, where it lags the acked sequence, relays the leader's committed
-  /// spans (kCatchUp -> WireReplicate with base-row verification).
-  Status CatchUpReplicas();
-
   /// Replication counters (deterministic given a seeded fault plan):
-  /// relays that failed to reach a follower, and replicate/catch-up
-  /// payload bytes that did.
+  /// relays that failed to reach a follower or that it refused, and the
+  /// payload bytes of those it applied.
   int64_t replica_lag_batches() const {
     return replica_lag_batches_.load(std::memory_order_relaxed);
   }
@@ -201,9 +194,9 @@ class DistributedEdbServer : public edb::EdbServer {
   Status TryPromote(Member& candidate,
                     const std::vector<std::pair<std::string, uint64_t>>&
                         expected_seqs);
-  /// Relays one acked ingest batch to rank `k`'s live followers
-  /// (best-effort: a failed relay counts replica_lag_batches, catch-up
-  /// repairs it later).
+  /// Relays one acked ingest batch to rank `k`'s live followers, once
+  /// (best-effort: a failed or refused relay counts replica_lag_batches,
+  /// and the follower stays behind, so a cutover refuses to promote it).
   void RelayToFollowers(size_t k, const Bytes& replicate_request);
   /// Scatters `request` to every rank's leader in parallel and returns
   /// the raw replies; the caller decodes. First failing rank wins.

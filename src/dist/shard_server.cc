@@ -130,8 +130,6 @@ Bytes EdbShardServer::HandleFrame(const Bytes& payload) {
       return Dispatch(payload, &EdbShardServer::HandleIngest);
     case net::MsgKind::kReplicate:
       return Dispatch(payload, &EdbShardServer::HandleReplicate);
-    case net::MsgKind::kCatchUp:
-      return Dispatch(payload, &EdbShardServer::HandleCatchUp);
     case net::MsgKind::kReplicaState:
       return Dispatch(payload, &EdbShardServer::HandleReplicaState);
     case net::MsgKind::kPromote:
@@ -244,56 +242,35 @@ StatusOr<net::WirePartial> EdbShardServer::HandleExecute(
   return out;
 }
 
-Status EdbShardServer::ApplyBatch(
-    const std::string& name, edb::EncryptedTableStore* table,
-    uint64_t batch_seq, const std::vector<uint64_t>* base_rows,
-    const std::vector<net::WireCipherRecord>& wire_entries,
-    uint64_t nonce_high_water, bool setup_batch) {
-  if (batch_seq == 0) {
+Status EdbShardServer::ApplyBatch(edb::EncryptedTableStore* table,
+                                  const net::WireIngest& batch) {
+  const std::string& name = batch.table;
+  if (batch.batch_seq == 0) {
     return Status::InvalidArgument("unsequenced batch for table " + name +
                                    ": batch_seq starts at 1");
   }
   uint64_t& applied = applied_seq_[name];
-  if (batch_seq <= applied) {
+  if (batch.batch_seq <= applied) {
     // A post-failover retry of a batch this server already applied:
     // idempotent no-op (exactly-once lands here, not in the transport).
     return Status::Ok();
   }
-  if (base_rows != nullptr) {
-    // Catch-up span: it must start exactly at our committed rows, the
-    // same tail-plausibility stance Reopen takes — a span that would
-    // leave a hole or double-append is rejected, never patched over.
-    std::vector<uint64_t> have = table->CommittedShardRows();
-    if (base_rows->size() != have.size()) {
-      return Status::FailedPrecondition(
-          "catch-up span names " + std::to_string(base_rows->size()) +
-          " shards, table " + name + " has " + std::to_string(have.size()));
-    }
-    for (size_t s = 0; s < have.size(); ++s) {
-      if ((*base_rows)[s] != have[s]) {
-        return Status::FailedPrecondition(
-            "catch-up span starts at row " +
-            std::to_string((*base_rows)[s]) + " of shard " +
-            std::to_string(s) + ", replica holds " +
-            std::to_string(have[s]) + " rows (table " + name + ")");
-      }
-    }
-  } else if (batch_seq != applied + 1) {
+  if (batch.batch_seq != applied + 1) {
     return Status::FailedPrecondition(
-        "replication gap: batch " + std::to_string(batch_seq) +
+        "replication gap: batch " + std::to_string(batch.batch_seq) +
         " after applied " + std::to_string(applied) + " (table " + name +
         ")");
   }
   std::vector<edb::EncryptedTableStore::CipherEntry> entries;
-  entries.reserve(wire_entries.size());
-  for (const auto& e : wire_entries) {
+  entries.reserve(batch.entries.size());
+  for (const auto& e : batch.entries) {
     entries.push_back({e.shard, e.ciphertext});
   }
-  if (!entries.empty() || setup_batch) {
-    DPSYNC_RETURN_IF_ERROR(
-        table->IngestCiphertexts(entries, nonce_high_water, setup_batch));
+  if (!entries.empty() || batch.setup_batch) {
+    DPSYNC_RETURN_IF_ERROR(table->IngestCiphertexts(
+        entries, batch.nonce_high_water, batch.setup_batch));
   }
-  applied = batch_seq;
+  applied = batch.batch_seq;
   return Status::Ok();
 }
 
@@ -308,8 +285,7 @@ Status EdbShardServer::HandleIngest(const net::WireIngest& req) {
         "shard server " + std::to_string(config_.rank) +
         " is a read-only follower");
   }
-  return ApplyBatch(req.table, table, req.batch_seq, /*base_rows=*/nullptr,
-                    req.entries, req.nonce_high_water, req.setup_batch);
+  return ApplyBatch(table, req);
 }
 
 Status EdbShardServer::HandleReplicate(const net::WireReplicate& req) {
@@ -318,33 +294,7 @@ Status EdbShardServer::HandleReplicate(const net::WireReplicate& req) {
     return Status::NotFound("replicate for unknown table: " + req.table);
   }
   std::lock_guard<std::mutex> lk(repl_mu_);
-  return ApplyBatch(req.table, table, req.batch_seq,
-                    req.base_rows.empty() ? nullptr : &req.base_rows,
-                    req.entries, req.nonce_high_water, req.setup_batch);
-}
-
-StatusOr<net::WireCatchUpReply> EdbShardServer::HandleCatchUp(
-    const net::WireCatchUp& req) {
-  edb::EncryptedTableStore* table = FindTable(req.table);
-  if (!table) {
-    return Status::NotFound("catch-up for unknown table: " + req.table);
-  }
-  // repl_mu_ keeps the exported spans consistent with the applied_seq
-  // they are stamped with (sequenced appends hold the same lock).
-  std::lock_guard<std::mutex> lk(repl_mu_);
-  std::vector<edb::EncryptedTableStore::CipherEntry> entries;
-  DPSYNC_RETURN_IF_ERROR(
-      table->ExportCommittedSpans(req.from_rows, &entries));
-  net::WireCatchUpReply out;
-  auto it = applied_seq_.find(req.table);
-  out.applied_seq = it == applied_seq_.end() ? 0 : it->second;
-  out.nonce_high_water = table->nonce_high_water();
-  out.base_rows = req.from_rows;
-  out.entries.reserve(entries.size());
-  for (auto& e : entries) {
-    out.entries.push_back({e.shard, std::move(e.ciphertext)});
-  }
-  return out;
+  return ApplyBatch(table, req);
 }
 
 StatusOr<net::WireReplicaState> EdbShardServer::HandleReplicaState(
@@ -364,8 +314,6 @@ StatusOr<net::WireReplicaState> EdbShardServer::HandleReplicaState(
     auto it = applied_seq_.find(name);
     ts.applied_seq = it == applied_seq_.end() ? 0 : it->second;
     ts.commit_epoch = t->commit_epoch();
-    ts.nonce_high_water = t->nonce_high_water();
-    ts.shard_rows = t->CommittedShardRows();
     out.tables.push_back(std::move(ts));
   }
   return out;

@@ -57,8 +57,8 @@ struct ShardServerConfig {
   /// This server's rank in the coordinator's peer list (error messages).
   int rank = 0;
   /// Start as a replication follower: reject owner-facing kIngest
-  /// (read-only), accept kReplicate/kCatchUp/kPromote. Cleared when a
-  /// kPromote cutover succeeds.
+  /// (read-only), accept kReplicate/kPromote. Cleared when a kPromote
+  /// cutover succeeds.
   bool follower = false;
 };
 
@@ -121,21 +121,16 @@ class EdbShardServer {
   StatusOr<net::WirePartial> HandleExecute(const net::WireExecute& req);
   Status HandleIngest(const net::WireIngest& req);
   Status HandleReplicate(const net::WireReplicate& req);
-  StatusOr<net::WireCatchUpReply> HandleCatchUp(const net::WireCatchUp& req);
   StatusOr<net::WireReplicaState> HandleReplicaState(
       const net::WireReplicaStateRequest& req);
   Status HandlePromote(const net::WirePromote& req);
 
   /// The sequenced append shared by kIngest (leader) and kReplicate
   /// (follower): refuse `batch_seq` 0, dedup/gap-check it against the
-  /// table's applied position, verify `base_rows` when the batch is a
-  /// catch-up span, then append through IngestCiphertexts. Caller holds
-  /// repl_mu_.
-  Status ApplyBatch(const std::string& name, edb::EncryptedTableStore* table,
-                    uint64_t batch_seq,
-                    const std::vector<uint64_t>* base_rows,
-                    const std::vector<net::WireCipherRecord>& wire_entries,
-                    uint64_t nonce_high_water, bool setup_batch);
+  /// table's applied position, then append through IngestCiphertexts.
+  /// Caller holds repl_mu_.
+  Status ApplyBatch(edb::EncryptedTableStore* table,
+                    const net::WireIngest& batch);
 
   /// Cached plan for `fingerprint`, re-planned from the canonical text
   /// against this server's own catalog on a miss: a text's first Execute

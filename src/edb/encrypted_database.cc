@@ -61,35 +61,6 @@ StatusOr<QueryResponse> QuerySession::Execute(const PreparedQuery& q,
   return server_->ExecuteWithDeadline(q, DeadlineFrom(options));
 }
 
-StatusOr<std::vector<QueryResponse>> QuerySession::ExecuteMany(
-    const std::vector<PreparedQuery>& batch, const QueryOptions& options) {
-  std::vector<QueryTicket> tickets;
-  tickets.reserve(batch.size());
-  for (const auto& q : batch) {
-    auto ticket = Submit(q, options);
-    if (!ticket.ok()) {
-      // Never orphan already-submitted work: redeem what we queued, then
-      // report the submission failure.
-      for (const auto& t : tickets) (void)Wait(t);
-      return ticket.status();
-    }
-    tickets.push_back(ticket.value());
-  }
-  std::vector<QueryResponse> responses;
-  responses.reserve(tickets.size());
-  Status first_error;
-  for (const auto& ticket : tickets) {
-    auto r = Wait(ticket);  // always drain every ticket
-    if (!r.ok() && first_error.ok()) {
-      first_error = r.status();
-    } else if (r.ok()) {
-      responses.push_back(std::move(r.value()));
-    }
-  }
-  DPSYNC_RETURN_IF_ERROR(first_error);
-  return responses;
-}
-
 StatusOr<QueryTicket> QuerySession::Submit(const PreparedQuery& q,
                                            const QueryOptions& options) {
   if (!q.valid()) {

@@ -225,14 +225,6 @@ class QuerySession {
   StatusOr<QueryResponse> Execute(const PreparedQuery& q,
                                   const QueryOptions& options = {});
 
-  /// Batch execution: all queries are fanned out on the shared thread
-  /// pool (each individually admission-controlled) and the responses come
-  /// back in input order. Fails with the first error in input order; use
-  /// Submit/Wait for per-query error handling.
-  StatusOr<std::vector<QueryResponse>> ExecuteMany(
-      const std::vector<PreparedQuery>& batch,
-      const QueryOptions& options = {});
-
   /// Asynchronous execution: enqueue on the shared thread pool and return
   /// immediately. The admission deadline clock starts now.
   StatusOr<QueryTicket> Submit(const PreparedQuery& q,

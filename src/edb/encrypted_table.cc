@@ -165,45 +165,6 @@ Status EncryptedTableStore::IngestCiphertexts(
   return FinishBatch(std::move(appended), setup_batch, std::move(indexed));
 }
 
-Status EncryptedTableStore::ExportCommittedSpans(
-    const std::vector<uint64_t>& from_rows,
-    std::vector<CipherEntry>* out) const {
-  std::lock_guard<std::mutex> lk(table_mutex());
-  if (from_rows.size() != shards_.size()) {
-    return Status::InvalidArgument(
-        "catch-up names " + std::to_string(from_rows.size()) +
-        " shards, table " + name_ + " has " + std::to_string(shards_.size()));
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (from_rows[s] > static_cast<uint64_t>(committed_[s])) {
-      return Status::FailedPrecondition(
-          "catch-up from row " + std::to_string(from_rows[s]) +
-          " is beyond shard " + std::to_string(s) + "'s committed prefix (" +
-          std::to_string(committed_[s]) + ") for table " + name_);
-    }
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    DPSYNC_RETURN_IF_ERROR(shards_[s].Scan(
-        static_cast<int64_t>(from_rows[s]), committed_[s],
-        [&](int64_t, const Bytes& ct) -> Status {
-          CipherEntry e;
-          e.shard = static_cast<uint32_t>(s);
-          e.ciphertext = ct;
-          out->push_back(std::move(e));
-          return Status::Ok();
-        }));
-  }
-  return Status::Ok();
-}
-
-std::vector<uint64_t> EncryptedTableStore::CommittedShardRows() const {
-  std::lock_guard<std::mutex> lk(table_mutex());
-  std::vector<uint64_t> rows;
-  rows.reserve(committed_.size());
-  for (int64_t c : committed_) rows.push_back(static_cast<uint64_t>(c));
-  return rows;
-}
-
 int64_t EncryptedTableStore::outsourced_count() const {
   int64_t total = 0;
   for (const ShardLog& shard : shards_) total += shard.Count();

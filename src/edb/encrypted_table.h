@@ -94,21 +94,6 @@ class EncryptedTableStore : public EdbTable {
   Status IngestCiphertexts(const std::vector<CipherEntry>& entries,
                            uint64_t nonce_high_water, bool setup_batch);
 
-  /// Exports the committed ciphertext span [from_rows[s], committed_rows)
-  /// of every shard — the segment-shipping payload a replication follower
-  /// catches up from. `from_rows` must name one offset per shard, each
-  /// ≤ that shard's committed count (the same tail-plausibility stance
-  /// Reopen takes: a claim beyond the committed prefix is rejected as
-  /// FailedPrecondition, never clamped). Entries come back shard-major in
-  /// local shard order, matching the follower's append path. Locks
-  /// table_mutex().
-  Status ExportCommittedSpans(const std::vector<uint64_t>& from_rows,
-                              std::vector<CipherEntry>* out) const;
-
-  /// Per-shard committed row counts (the committed prefix a follower's
-  /// catch-up request names). Locks table_mutex().
-  std::vector<uint64_t> CommittedShardRows() const;
-
   // --- durability --------------------------------------------------------
   /// Commits every shard and persists the cipher's nonce high-water mark.
   /// Called automatically after Setup/Update unless

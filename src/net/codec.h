@@ -3,15 +3,15 @@
 /// plain struct with a kind and one field list that names its fields in
 /// wire order, each with its encoding:
 ///
-///     struct WireCatchUp {
-///       static constexpr MsgKind kKind = MsgKind::kCatchUp;
+///     struct WireCreateTable {
+///       static constexpr MsgKind kKind = MsgKind::kCreateTable;
 ///       std::string table;
-///       std::vector<uint64_t> from_rows;
+///       std::vector<query::Field> fields;
 ///
 ///       template <typename M, typename C>
 ///       static void Fields(M& m, C& c) {
 ///         c(String{}, m.table);
-///         c(List<VarUInt>{}, m.from_rows);
+///         c(List<Nested>{}, m.fields);
 ///       }
 ///     };
 ///

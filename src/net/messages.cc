@@ -12,13 +12,11 @@ StatusOr<MsgKind> PeekKind(const Bytes& payload) {
     case MsgKind::kExecute:
     case MsgKind::kIngest:
     case MsgKind::kReplicate:
-    case MsgKind::kCatchUp:
     case MsgKind::kReplicaState:
     case MsgKind::kPromote:
     case MsgKind::kStatusReply:
     case MsgKind::kPartialReply:
     case MsgKind::kReplicaStateReply:
-    case MsgKind::kCatchUpReply:
       return kind;
   }
   return Status::InvalidArgument("unknown message kind tag");

@@ -10,8 +10,8 @@
 /// values, aggregate state), so net never depends on edb.
 ///
 /// Confidentiality invariant: record payloads cross the wire ONLY as
-/// AEAD ciphertexts inside WireIngest / WireReplicate / WireCatchUpReply —
-/// there is no message that carries a plaintext row.
+/// AEAD ciphertexts inside WireIngest / WireReplicate — there is no
+/// message that carries a plaintext row.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,8 @@
 namespace dpsync::net {
 
 /// One-byte message kind tag leading every frame payload. Values are part
-/// of the wire format: never renumber a kind. 2, 5, 6 and 18 are retired
-/// and stay unassigned.
+/// of the wire format: never renumber a kind. 2, 5, 6, 8, 18 and 20 are
+/// retired and stay unassigned.
 enum class MsgKind : uint8_t {
   // Requests (coordinator -> shard server).
   kCreateTable = 1,
@@ -38,14 +38,12 @@ enum class MsgKind : uint8_t {
   kIngest = 4,
   // Replication requests (coordinator -> follower / leader).
   kReplicate = 7,
-  kCatchUp = 8,
   kReplicaState = 9,
   kPromote = 10,
   // Replies (shard server -> coordinator).
   kStatusReply = 16,
   kPartialReply = 17,
   kReplicaStateReply = 19,
-  kCatchUpReply = 20,
 };
 
 /// Reads the kind tag of an encoded payload without consuming it.
@@ -166,68 +164,12 @@ struct WireIngest {
   }
 };
 
-/// Replication of one committed ingest batch (or a catch-up span) to a
-/// follower: the same ciphertext entries + nonce HWM the leader applied —
-/// segment-shipping of committed spans, never plaintext. `base_rows`,
-/// when non-empty (catch-up), carries the per-local-shard row counts the
-/// span starts from; the follower verifies them against its own store (the
-/// same tail-plausibility discipline Reopen applies) before appending and
-/// then jumps its applied_seq to `batch_seq`. When empty (steady-state
-/// relay of one batch), contiguous sequencing alone gates the append.
-struct WireReplicate {
+/// One acked ingest batch relayed to a follower: WireIngest's fields
+/// under their own kind, so a follower applies exactly the ciphertexts,
+/// nonce HWM and batch_seq its leader applied (never plaintext), under
+/// the same contiguous-sequence rule. The coordinator sends it once.
+struct WireReplicate : WireIngest {
   static constexpr MsgKind kKind = MsgKind::kReplicate;
-  std::string table;
-  bool setup_batch = false;
-  uint64_t batch_seq = 0;
-  uint64_t nonce_high_water = 0;
-  std::vector<uint64_t> base_rows;  ///< empty = contiguous relay
-  std::vector<WireCipherRecord> entries;
-
-  template <typename M, typename C>
-  static void Fields(M& m, C& c) {
-    c(String{}, m.table);
-    c(Bool{}, m.setup_batch);
-    c(Fixed64{}, m.batch_seq);
-    c(Fixed64{}, m.nonce_high_water);
-    c(List<VarUInt>{}, m.base_rows);
-    c(List<Nested>{}, m.entries);
-  }
-};
-
-/// Asks a leader to export its committed ciphertext spans from the given
-/// per-local-shard row offsets (a lagging follower's current counts).
-struct WireCatchUp {
-  static constexpr MsgKind kKind = MsgKind::kCatchUp;
-  std::string table;
-  std::vector<uint64_t> from_rows;  ///< one per local shard
-
-  template <typename M, typename C>
-  static void Fields(M& m, C& c) {
-    c(String{}, m.table);
-    c(List<VarUInt>{}, m.from_rows);
-  }
-};
-
-/// The leader's committed spans beyond `from_rows`: entries are
-/// shard-major in local shard order (within a shard, append order), so a
-/// follower that applies them reproduces the leader's per-shard layout
-/// byte for byte. `applied_seq` tags the replication boundary the spans
-/// are current through; the coordinator relays them as a WireReplicate
-/// with base_rows = the request's from_rows.
-struct WireCatchUpReply {
-  static constexpr MsgKind kKind = MsgKind::kCatchUpReply;
-  uint64_t applied_seq = 0;
-  uint64_t nonce_high_water = 0;
-  std::vector<uint64_t> base_rows;
-  std::vector<WireCipherRecord> entries;
-
-  template <typename M, typename C>
-  static void Fields(M& m, C& c) {
-    c(Fixed64{}, m.applied_seq);
-    c(Fixed64{}, m.nonce_high_water);
-    c(List<VarUInt>{}, m.base_rows);
-    c(List<Nested>{}, m.entries);
-  }
 };
 
 /// Replica-state probe (health + lag assessment + promotion precheck).
@@ -244,16 +186,12 @@ struct WireTableReplicaState {
   std::string table;
   uint64_t applied_seq = 0;
   uint64_t commit_epoch = 0;
-  uint64_t nonce_high_water = 0;
-  std::vector<uint64_t> shard_rows;  ///< per local shard
 
   template <typename M, typename C>
   static void Fields(M& m, C& c) {
     c(String{}, m.table);
     c(Fixed64{}, m.applied_seq);
     c(Fixed64{}, m.commit_epoch);
-    c(Fixed64{}, m.nonce_high_water);
-    c(List<VarUInt>{}, m.shard_rows);
   }
 };
 

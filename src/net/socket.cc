@@ -8,8 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 namespace dpsync::net {
@@ -47,7 +45,7 @@ StatusOr<Bytes> EncodeRawFrame(const Bytes& payload) {
 FaultRule FaultPlan::TakeMatching(uint8_t kind) {
   fired_.resize(rules.size(), 0);
   seen_.resize(rules.size(), 0);
-  FaultRule hit{0, FaultAction::kNone, 0, 0, 0};
+  FaultRule hit{0, FaultAction::kNone, 0, 0};
   for (size_t i = 0; i < rules.size(); ++i) {
     const FaultRule& r = rules[i];
     if (r.action == FaultAction::kNone) continue;
@@ -124,10 +122,6 @@ StatusOr<Bytes> Channel::Call(const Bytes& request) {
         DPSYNC_RETURN_IF_ERROR(sent);
         return Status::Unavailable("fault injection: corrupt frame answered");
       }
-      case FaultAction::kDelay:
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(rule.delay_ms));
-        break;  // then proceed normally
     }
   }
   Status sent = WriteFrame(writer_, request);

@@ -30,7 +30,9 @@ namespace dpsync::net {
 enum class FaultAction : uint8_t {
   kNone = 0,
   /// Channel: pretend the request was lost — fail without writing a byte.
-  /// The connection stays usable (models a dropped datagram / lost relay).
+  /// The connection stays usable, which no real transport failure leaves
+  /// it (Call closes it on every failed write or read); tests use it to
+  /// make a follower miss one relay.
   kDropRequest,
   /// Channel: tear the connection down before sending.
   kCloseBeforeSend,
@@ -43,9 +45,6 @@ enum class FaultAction : uint8_t {
   /// Channel: flip one CRC bit in the encoded frame before sending (the
   /// peer rejects the frame and drops the connection).
   kCorruptCrc,
-  /// Channel: sleep `delay_ms` before sending, then proceed normally
-  /// (deterministic-outcome deadline tests only — never a sync point).
-  kDelay,
   /// Serve loop: close the connection after reading the Nth matching
   /// frame but BEFORE handling it — the request never commits.
   kKillBeforeHandle,
@@ -63,7 +62,6 @@ struct FaultRule {
   int64_t nth = 1;
   FaultAction action = FaultAction::kNone;
   uint8_t only_kind = 0;
-  int64_t delay_ms = 0;
   size_t truncate_at = 4;
 };
 

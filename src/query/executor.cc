@@ -361,7 +361,7 @@ namespace {
 //      merge in chunk order — the scan path's reduction discipline, which
 //      is what keeps FP-sensitive aggregates deterministic. The chunk
 //      bounds come from RunJoinChunks, never from the calling thread, so
-//      Execute, Submit and ExecuteMany all replay the same merge tree.
+//      Execute and Submit replay the same merge tree.
 //
 // Match enumeration order is exactly the old row-at-a-time join's: probe
 // rows ascending, and per key the build rows in append order. Partitioning
@@ -427,9 +427,9 @@ struct JoinSide {
 /// chunk INDICES to ParallelFor, exactly as RunScanChunks does, so the
 /// decomposition — and with it every chunk-indexed partial and the
 /// FP-sensitive merge over them — is a function of (n, max_chunks, pool
-/// width) alone. Inside a pool task (Submit, ExecuteMany) ParallelFor
-/// collapses to one inline call that walks every index, which changes
-/// only the thread, never the bounds.
+/// width) alone. Inside a pool task (Submit) ParallelFor collapses to
+/// one inline call that walks every index, which changes only the
+/// thread, never the bounds.
 template <typename Fn>
 void RunJoinChunks(size_t n, size_t max_chunks, Fn&& fn) {
   if (n == 0) return;

@@ -119,28 +119,6 @@ TEST_F(SessionConcurrencyTest, SubmitWaitMatchesSyncExecute) {
             StatusCode::kInvalidArgument);
 }
 
-TEST_F(SessionConcurrencyTest, ExecuteManyReturnsInInputOrder) {
-  auto session = server_->CreateSession();
-  std::vector<PreparedQuery> batch;
-  std::vector<double> expect;
-  for (int lo : {0, 10, 20, 30}) {
-    auto q = session->Prepare(
-        "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN " +
-        std::to_string(lo) + " AND " + std::to_string(lo + 9));
-    ASSERT_TRUE(q.ok());
-    auto r = session->Execute(q.value());
-    ASSERT_TRUE(r.ok());
-    expect.push_back(r->result.scalar);
-    batch.push_back(std::move(q.value()));
-  }
-  auto responses = session->ExecuteMany(batch);
-  ASSERT_TRUE(responses.ok());
-  ASSERT_EQ(responses->size(), batch.size());
-  for (size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_DOUBLE_EQ((*responses)[i].result.scalar, expect[i]) << i;
-  }
-}
-
 TEST_F(SessionConcurrencyTest, UnpreparedQueryRejected) {
   auto session = server_->CreateSession();
   PreparedQuery empty;

@@ -2,8 +2,8 @@
 // docs/ARCHITECTURE.md): parity of answers and deterministic metrics
 // between linear and ORAM-indexed tables, which both join two pinned
 // snapshots;
-// answers independent of the execution mode (Execute, Submit/Wait,
-// ExecuteMany); oblivious sort-merge vs partitioned-hash identity, and
+// answers independent of the execution mode (Execute, Submit/Wait);
+// oblivious sort-merge vs partitioned-hash identity, and
 // the oblivious join's data-independent access trace; NULL, string,
 // cross-type and extreme int join keys; the poisoned-column scalar
 // fallback; the one real-row test both kernels read from typed and
@@ -312,7 +312,7 @@ TEST(JoinParityTest, LockModesBitIdenticalAboveScanThreshold) {
 TEST(JoinModeTest, AnswersIndependentOfExecutionMode) {
   // A pool task's nested ParallelFor collapses to one inline call, so a
   // join that let ParallelFor pick its chunks would fold every probe row
-  // into one partial under Submit/ExecuteMany — a different FP merge tree
+  // into one partial under Submit — a different FP merge tree
   // than the synchronous Execute. The join computes its chunk bounds
   // itself, so every mode must return the same bits for sums over
   // doubles.
@@ -366,12 +366,6 @@ TEST(JoinModeTest, AnswersIndependentOfExecutionMode) {
       auto r = session->Wait(ticket);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       ExpectSameRun(reference, ToRun(r.value()), sql);
-    }
-
-    auto many = session->ExecuteMany({q.value(), q.value(), q.value()});
-    ASSERT_TRUE(many.ok()) << many.status().ToString();
-    for (const auto& r : many.value()) {
-      ExpectSameRun(reference, ToRun(r), sql);
     }
   }
 }
@@ -988,7 +982,7 @@ TEST(JoinVisibilityTest, RacingAppendsYieldCommittedPrefixJoins) {
   EXPECT_EQ(r->result.scalar, 1.0 + 3.0 * kBatches);
 }
 
-TEST(JoinVisibilityTest, EpochAdvancesDuringExecuteMany) {
+TEST(JoinVisibilityTest, EpochAdvancesDuringSubmittedBatch) {
   // A whole batch of joins fans out while the owner races commits
   // forward: every response lands on some committed prefix, and the
   // fan-out runs through the lock-free join path (counter == batch size).
@@ -1006,7 +1000,7 @@ TEST(JoinVisibilityTest, EpochAdvancesDuringExecuteMany) {
   auto session = server.CreateSession();
   auto q = session->Prepare(kCountSql);
   ASSERT_TRUE(q.ok());
-  std::vector<PreparedQuery> batch(16, q.value());
+  constexpr int kBatch = 16;
 
   std::atomic<int> failures{0};
   std::thread owner([&] {
@@ -1016,17 +1010,23 @@ TEST(JoinVisibilityTest, EpochAdvancesDuringExecuteMany) {
       }
     }
   });
-  auto responses = session->ExecuteMany(batch);
+  std::vector<StatusOr<QueryTicket>> tickets;
+  for (int i = 0; i < kBatch; ++i) {
+    tickets.push_back(session->Submit(q.value()));
+  }
+  std::vector<StatusOr<QueryResponse>> responses;
+  for (const auto& ticket : tickets) {
+    if (ticket.ok()) responses.push_back(session->Wait(ticket.value()));
+  }
   owner.join();
-  ASSERT_TRUE(responses.ok());
-  ASSERT_EQ(responses->size(), batch.size());
-  for (const auto& resp : *responses) {
-    EXPECT_EQ(static_cast<int64_t>(resp.result.scalar - 1) % 3, 0)
-        << "count " << resp.result.scalar << " is not a committed prefix";
+  for (const auto& ticket : tickets) ASSERT_TRUE(ticket.ok());
+  for (const auto& r : responses) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(static_cast<int64_t>(r->result.scalar - 1) % 3, 0)
+        << "count " << r->result.scalar << " is not a committed prefix";
   }
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server.stats().snapshot_joins,
-            static_cast<int64_t>(batch.size()));
+  EXPECT_EQ(server.stats().snapshot_joins, kBatch);
 }
 
 // ----------------------------------------------------- deadlock freedom

@@ -1,7 +1,7 @@
 // Visibility and stability edges of the epoch-snapshot layer
 // (edb/snapshot.h, docs/CONCURRENCY.md): CommitEpoch advance on flush,
 // owner reads-its-own-flush, snapshots pinned to an epoch staying stable
-// while owner appends race, epoch advance during ExecuteMany, and
+// while owner appends race, epoch advance during a submitted batch, and
 // ORAM-indexed scans pinning the committed prefix too. The racing cases
 // are the ones the CI TSan job leans on: they read pinned spans — through
 // both scan-kernel loops — lock-free while the owner keeps appending.
@@ -280,7 +280,7 @@ TEST(SnapshotStabilityTest, ScanAnswersAreCommittedPrefixesUnderRacingAppends) {
   EXPECT_DOUBLE_EQ(r->result.scalar, 1.0 + 3.0 * kBatches);
 }
 
-TEST(SnapshotStabilityTest, EpochAdvancesDuringExecuteMany) {
+TEST(SnapshotStabilityTest, EpochAdvancesDuringSubmittedBatch) {
   // A whole batch executes while the owner races epochs forward: every
   // response lands on some committed prefix, and the fan-out itself runs
   // through the snapshot layer (no per-table serialization). MAX is not
@@ -299,7 +299,7 @@ TEST(SnapshotStabilityTest, EpochAdvancesDuringExecuteMany) {
   auto q = session->Prepare(
       "SELECT pickupID, MAX(pickTime) FROM YellowCab GROUP BY pickupID");
   ASSERT_TRUE(q.ok());
-  std::vector<PreparedQuery> batch(24, q.value());
+  constexpr int kBatch = 24;
 
   std::atomic<int> failures{0};
   std::thread owner([&] {
@@ -309,24 +309,30 @@ TEST(SnapshotStabilityTest, EpochAdvancesDuringExecuteMany) {
       }
     }
   });
-  auto responses = session->ExecuteMany(batch);
+  std::vector<StatusOr<QueryTicket>> tickets;
+  for (int i = 0; i < kBatch; ++i) {
+    tickets.push_back(session->Submit(q.value()));
+  }
+  std::vector<StatusOr<QueryResponse>> responses;
+  for (const auto& ticket : tickets) {
+    if (ticket.ok()) responses.push_back(session->Wait(ticket.value()));
+  }
   owner.join();
-  ASSERT_TRUE(responses.ok());
-  ASSERT_EQ(responses->size(), batch.size());
-  for (const auto& resp : *responses) {
-    const auto& groups = resp.result.groups;
+  for (const auto& ticket : tickets) ASSERT_TRUE(ticket.ok());
+  for (const auto& r : responses) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const auto& groups = r->result.groups;
     ASSERT_FALSE(groups.empty());
     const double latest = groups.begin()->second;
     const size_t zones = latest == 0 ? 2u : 3u;
-    EXPECT_EQ(groups.size(), zones) << resp.result.ToString();
+    EXPECT_EQ(groups.size(), zones) << r->result.ToString();
     for (const auto& [zone, max_time] : groups) {
       EXPECT_EQ(max_time, latest)
-          << resp.result.ToString() << " is not a committed prefix";
+          << r->result.ToString() << " is not a committed prefix";
     }
   }
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server.stats().snapshot_scans,
-            static_cast<int64_t>(batch.size()));
+  EXPECT_EQ(server.stats().snapshot_scans, kBatch);
 }
 
 // ---------------------------------------------- both storage methods
