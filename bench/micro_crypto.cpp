@@ -1,7 +1,10 @@
 /// \file micro_crypto.cpp
 /// Micro-benchmarks for the crypto substrate (google-benchmark): SHA-256,
-/// HMAC, ChaCha20, Poly1305, AEAD seal/open, record encrypt/decrypt. These
-/// set the real per-record constants behind the simulated engines.
+/// HMAC, ChaCha20 (the two-block kernel and the in-place XOR), Poly1305,
+/// AEAD seal/open, record encrypt/decrypt. These set the real per-record
+/// constants behind the simulated engines. A record's seal is one
+/// BM_ChaCha20TwoBlocks call plus BM_Poly1305/80 (the 64-byte body and
+/// the length block) plus the record's framing.
 #include <benchmark/benchmark.h>
 
 #include "crypto/aead.h"
@@ -37,13 +40,27 @@ void BM_ChaCha20(benchmark::State& state) {
   Bytes key(32, 2), nonce(12, 3);
   Bytes data(static_cast<size_t>(state.range(0)), 0xee);
   for (auto _ : state) {
-    ChaCha20 cipher(key, nonce);
-    cipher.Process(&data);
+    ChaCha20::Xor(key.data(), 0, nonce.data(), data.data(), data.size());
     benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChaCha20)->Arg(64)->Arg(1024)->Arg(16384);
+
+void BM_ChaCha20TwoBlocks(benchmark::State& state) {
+  Bytes key(32, 2), nonce(12, 3);
+  uint8_t out[2 * ChaCha20::kBlockSize];
+  uint32_t counter = 0;
+  for (auto _ : state) {
+    ChaCha20::TwoBlocks(key.data(), counter, nonce.data(), out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+    counter += 2;
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * ChaCha20::kBlockSize);
+}
+BENCHMARK(BM_ChaCha20TwoBlocks);
 
 void BM_Poly1305(benchmark::State& state) {
   Bytes key(32, 4);
@@ -53,7 +70,7 @@ void BM_Poly1305(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Poly1305)->Arg(64)->Arg(1024);
+BENCHMARK(BM_Poly1305)->Arg(64)->Arg(80)->Arg(1024);
 
 void BM_AeadSeal(benchmark::State& state) {
   Aead aead(Bytes(32, 5));

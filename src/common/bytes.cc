@@ -36,10 +36,9 @@ bool FromHex(std::string_view hex, Bytes* out) {
   return true;
 }
 
-bool ConstantTimeEquals(const Bytes& a, const Bytes& b) {
-  if (a.size() != b.size()) return false;
+bool ConstantTimeEquals(const uint8_t* a, const uint8_t* b, size_t len) {
   uint8_t diff = 0;
-  for (size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
+  for (size_t i = 0; i < len; ++i) diff |= a[i] ^ b[i];
   return diff == 0;
 }
 

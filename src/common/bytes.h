@@ -70,9 +70,10 @@ inline uint32_t LoadBE32(const uint8_t* p) {
          (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
 }
 
-/// Constant-time equality check. Returns true iff `a` and `b` have the same
-/// length and contents; runtime does not depend on where they differ.
-bool ConstantTimeEquals(const Bytes& a, const Bytes& b);
+/// Constant-time equality check. Returns true iff `a[0, len)` and
+/// `b[0, len)` hold the same bytes; runtime does not depend on where they
+/// differ.
+bool ConstantTimeEquals(const uint8_t* a, const uint8_t* b, size_t len);
 
 /// Appends `src` to `dst`.
 inline void Append(Bytes* dst, const Bytes& src) {

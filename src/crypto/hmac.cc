@@ -52,17 +52,4 @@ Bytes HkdfExpand(const Bytes& prk, const Bytes& info, size_t length) {
   return out;
 }
 
-Bytes Hkdf(const Bytes& ikm, const Bytes& salt, const Bytes& info,
-           size_t length) {
-  return HkdfExpand(HkdfExtract(salt, ikm), info, length);
-}
-
-uint64_t Prf::Eval(uint64_t domain, uint64_t x) const {
-  Bytes msg(16);
-  StoreLE64(msg.data(), domain);
-  StoreLE64(msg.data() + 8, x);
-  Bytes mac = HmacSha256(key_, msg);
-  return LoadLE64(mac.data());
-}
-
 }  // namespace dpsync::crypto

@@ -1,7 +1,7 @@
 /// \file hmac.h
 /// HMAC-SHA-256 (RFC 2104) and HKDF (RFC 5869), built on our SHA-256.
-/// Used to derive independent sub-keys (record encryption, ORAM position
-/// PRF, nonce streams) from a single master key.
+/// KeyManager derives its purpose-scoped sub-keys (record encryption)
+/// from a single master key with HkdfExtract and HkdfExpand.
 #pragma once
 
 #include "common/bytes.h"
@@ -18,23 +18,5 @@ Bytes HkdfExtract(const Bytes& salt, const Bytes& ikm);
 /// HKDF-Expand: derives `length` bytes of output keying material from `prk`
 /// and context string `info`. `length` must be <= 255 * 32.
 Bytes HkdfExpand(const Bytes& prk, const Bytes& info, size_t length);
-
-/// Convenience: extract-then-expand.
-Bytes Hkdf(const Bytes& ikm, const Bytes& salt, const Bytes& info,
-           size_t length);
-
-/// A keyed PRF mapping (domain, u64) -> u64, used for pseudorandom
-/// assignments such as ORAM leaf positions in tests and deterministic
-/// per-record nonce derivation.
-class Prf {
- public:
-  explicit Prf(Bytes key) : key_(std::move(key)) {}
-
-  /// Evaluates the PRF on (domain || x) and returns the first 8 output bytes.
-  uint64_t Eval(uint64_t domain, uint64_t x) const;
-
- private:
-  Bytes key_;
-};
 
 }  // namespace dpsync::crypto

@@ -1,8 +1,8 @@
 /// \file key_manager.h
 /// Owner-side key hierarchy. A single master key is expanded via HKDF into
-/// independent sub-keys for record encryption, the ORAM position PRF, and
-/// index tokens — so compromising one purpose-key reveals nothing about the
-/// others.
+/// independent purpose-scoped sub-keys, such as each table's record
+/// encryption key — so compromising one purpose-key reveals nothing about
+/// the others.
 #pragma once
 
 #include <string>
@@ -22,8 +22,8 @@ class KeyManager {
   /// Convenience: derive from a 64-bit seed (simulation setups).
   static KeyManager FromSeed(uint64_t seed);
 
-  /// Derives a 32-byte sub-key bound to `purpose` ("record-aead",
-  /// "oram-prf", ...). Deterministic: same purpose -> same key.
+  /// Derives a 32-byte sub-key bound to `purpose` (the engines use
+  /// "table-aead:<table>"). Deterministic: same purpose -> same key.
   Bytes DeriveKey(const std::string& purpose) const;
 
  private:

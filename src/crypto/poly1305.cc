@@ -1,92 +1,87 @@
 #include "crypto/poly1305.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 namespace dpsync::crypto {
 
-Poly1305::Poly1305(const Bytes& key) : buffer_len_(0) {
-  assert(key.size() == kKeySize && "Poly1305 key must be 32 bytes");
-  const uint8_t* k = key.data();
-  // r is clamped per the RFC: certain bits are forced to zero.
-  r_[0] = LoadLE32(k + 0) & 0x3ffffff;
-  r_[1] = (LoadLE32(k + 3) >> 2) & 0x3ffff03;
-  r_[2] = (LoadLE32(k + 6) >> 4) & 0x3ffc0ff;
-  r_[3] = (LoadLE32(k + 9) >> 6) & 0x3f03fff;
-  r_[4] = (LoadLE32(k + 12) >> 8) & 0x00fffff;
-  for (int i = 0; i < 5; ++i) h_[i] = 0;
-  for (int i = 0; i < 4; ++i) pad_[i] = LoadLE32(k + 16 + 4 * i);
+namespace {
+
+__extension__ typedef unsigned __int128 u128;
+
+/// 1 when `sum`, computed as `a + b` mod 2^64, carried out of 64 bits.
+inline uint64_t CarryOut(uint64_t sum, uint64_t b) {
+  return static_cast<uint64_t>(sum < b);
 }
 
-void Poly1305::ProcessBlock(const uint8_t block[16], uint32_t hibit) {
-  const uint32_t r0 = r_[0], r1 = r_[1], r2 = r_[2], r3 = r_[3], r4 = r_[4];
-  const uint32_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
+}  // namespace
 
-  uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
+// r is clamped per the RFC: the top four bits of every 32-bit word and the
+// low two bits of the upper three words are cleared. That keeps r1 a
+// multiple of 4, so s1 = r1 + r1 / 4 is exactly 5 * r1 / 4.
+Poly1305::Poly1305(const uint8_t key[kKeySize])
+    : r0_(LoadLE64(key) & 0x0ffffffc0fffffffULL),
+      r1_(LoadLE64(key + 8) & 0x0ffffffc0ffffffcULL),
+      s1_(r1_ + (r1_ >> 2)),
+      pad0_(LoadLE64(key + 16)),
+      pad1_(LoadLE64(key + 24)) {}
 
-  // h += m (with the high bit appended)
-  h0 += LoadLE32(block + 0) & 0x3ffffff;
-  h1 += (LoadLE32(block + 3) >> 2) & 0x3ffffff;
-  h2 += (LoadLE32(block + 6) >> 4) & 0x3ffffff;
-  h3 += (LoadLE32(block + 9) >> 6) & 0x3ffffff;
-  h4 += (LoadLE32(block + 12) >> 8) | hibit;
+void Poly1305::Blocks(const uint8_t* data, size_t len, uint64_t hibit) {
+  const uint64_t r0 = r0_, r1 = r1_, s1 = s1_;
+  uint64_t h0 = h0_, h1 = h1_, h2 = h2_;
+  for (; len >= 16; data += 16, len -= 16) {
+    // h += m, with 2^128 appended for a full block.
+    u128 t = static_cast<u128>(h0) + LoadLE64(data);
+    h0 = static_cast<uint64_t>(t);
+    t = static_cast<u128>(h1) + LoadLE64(data + 8) + (t >> 64);
+    h1 = static_cast<uint64_t>(t);
+    h2 += static_cast<uint64_t>(t >> 64) + hibit;
 
-  // h *= r mod 2^130 - 5
-  uint64_t d0 = (uint64_t)h0 * r0 + (uint64_t)h1 * s4 + (uint64_t)h2 * s3 +
-                (uint64_t)h3 * s2 + (uint64_t)h4 * s1;
-  uint64_t d1 = (uint64_t)h0 * r1 + (uint64_t)h1 * r0 + (uint64_t)h2 * s4 +
-                (uint64_t)h3 * s3 + (uint64_t)h4 * s2;
-  uint64_t d2 = (uint64_t)h0 * r2 + (uint64_t)h1 * r1 + (uint64_t)h2 * r0 +
-                (uint64_t)h3 * s4 + (uint64_t)h4 * s3;
-  uint64_t d3 = (uint64_t)h0 * r3 + (uint64_t)h1 * r2 + (uint64_t)h2 * r1 +
-                (uint64_t)h3 * r0 + (uint64_t)h4 * s4;
-  uint64_t d4 = (uint64_t)h0 * r4 + (uint64_t)h1 * r3 + (uint64_t)h2 * r2 +
-                (uint64_t)h3 * r1 + (uint64_t)h4 * r0;
+    // h *= r, partially reduced mod p = 2^130 - 5. Since 2^130 = 5 (mod
+    // p), a term at 2^128 = 2^130 / 4 folds down to weight 1 as 5/4 of
+    // itself: h1 * r1 (at 2^128) joins d0 as h1 * s1, and h2 * r1 (at
+    // 2^192) joins d1 as h2 * s1. h2 < 8 keeps h2 * s1 and h2 * r0 inside
+    // 64 bits (r0, s1 < 2^61).
+    const u128 d0 = static_cast<u128>(h0) * r0 + static_cast<u128>(h1) * s1;
+    u128 d1 = static_cast<u128>(h0) * r1 + static_cast<u128>(h1) * r0 +
+              h2 * s1;
+    h2 *= r0;
 
-  uint32_t c;
-  c = (uint32_t)(d0 >> 26);
-  h0 = (uint32_t)d0 & 0x3ffffff;
-  d1 += c;
-  c = (uint32_t)(d1 >> 26);
-  h1 = (uint32_t)d1 & 0x3ffffff;
-  d2 += c;
-  c = (uint32_t)(d2 >> 26);
-  h2 = (uint32_t)d2 & 0x3ffffff;
-  d3 += c;
-  c = (uint32_t)(d3 >> 26);
-  h3 = (uint32_t)d3 & 0x3ffffff;
-  d4 += c;
-  c = (uint32_t)(d4 >> 26);
-  h4 = (uint32_t)d4 & 0x3ffffff;
-  h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x3ffffff;
-  h1 += c;
-
-  h_[0] = h0;
-  h_[1] = h1;
-  h_[2] = h2;
-  h_[3] = h3;
-  h_[4] = h4;
+    // Carry d0 into d1, then fold everything at 2^130 and above back in
+    // as c = 5 * (h >> 130), leaving h2 < 4 plus at most one carry.
+    h0 = static_cast<uint64_t>(d0);
+    d1 += d0 >> 64;
+    h1 = static_cast<uint64_t>(d1);
+    h2 += static_cast<uint64_t>(d1 >> 64);
+    const uint64_t c = (h2 >> 2) + (h2 & ~uint64_t{3});
+    h2 &= 3;
+    h0 += c;
+    const uint64_t carry0 = CarryOut(h0, c);
+    h1 += carry0;
+    h2 += CarryOut(h1, carry0);
+  }
+  h0_ = h0;
+  h1_ = h1;
+  h2_ = h2;
 }
 
 void Poly1305::Update(const uint8_t* data, size_t len) {
+  if (len == 0) return;  // `data` may then be null
   if (buffer_len_ > 0) {
-    size_t take = std::min(len, size_t{16} - buffer_len_);
+    const size_t take = std::min(len, size_t{16} - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == 16) {
-      ProcessBlock(buffer_, 1u << 24);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 16) return;
+    Blocks(buffer_, 16, 1);
+    buffer_len_ = 0;
   }
-  while (len >= 16) {
-    ProcessBlock(data, 1u << 24);
-    data += 16;
-    len -= 16;
-  }
+  const size_t whole = len & ~size_t{15};
+  Blocks(data, whole, 1);
+  data += whole;
+  len -= whole;
   if (len > 0) {
     std::memcpy(buffer_, data, len);
     buffer_len_ = len;
@@ -95,86 +90,38 @@ void Poly1305::Update(const uint8_t* data, size_t len) {
 
 void Poly1305::Finish(uint8_t out[kTagSize]) {
   if (buffer_len_ > 0) {
-    // Final partial block: append 0x01 then zero-pad; no appended high bit.
+    // Final partial block: append 0x01 then zero-pad; no 2^128 bit.
     uint8_t block[16] = {0};
     std::memcpy(block, buffer_, buffer_len_);
     block[buffer_len_] = 1;
-    ProcessBlock(block, 0);
+    Blocks(block, 16, 0);
     buffer_len_ = 0;
   }
 
-  uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-
-  // Full carry propagation.
-  uint32_t c = h1 >> 26;
-  h1 &= 0x3ffffff;
-  h2 += c;
-  c = h2 >> 26;
-  h2 &= 0x3ffffff;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= 0x3ffffff;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= 0x3ffffff;
-  h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x3ffffff;
-  h1 += c;
-
-  // Compute h + -p (i.e. h - (2^130 - 5)) and select.
-  uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= 0x3ffffff;
-  uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= 0x3ffffff;
-  uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= 0x3ffffff;
-  uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= 0x3ffffff;
-  uint32_t g4 = h4 + c - (1u << 26);
-
-  uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
+  // h < 2p here. g = h + 5 reaches 2^130 exactly when h >= p, and then
+  // h - p = g - 2^130, whose low 128 bits are g's: select without a branch.
+  u128 t = static_cast<u128>(h0_) + 5;
+  uint64_t g0 = static_cast<uint64_t>(t);
+  t = static_cast<u128>(h1_) + (t >> 64);
+  uint64_t g1 = static_cast<uint64_t>(t);
+  const uint64_t g2 = h2_ + static_cast<uint64_t>(t >> 64);
+  uint64_t mask = uint64_t{0} - (g2 >> 2);  // all ones iff h >= p
   g0 &= mask;
   g1 &= mask;
-  g2 &= mask;
-  g3 &= mask;
-  g4 &= mask;
   mask = ~mask;
-  h0 = (h0 & mask) | g0;
-  h1 = (h1 & mask) | g1;
-  h2 = (h2 & mask) | g2;
-  h3 = (h3 & mask) | g3;
-  h4 = (h4 & mask) | g4;
+  const uint64_t h0 = (h0_ & mask) | g0;
+  const uint64_t h1 = (h1_ & mask) | g1;
 
-  // h = h % 2^128, serialized.
-  h0 = (h0 | (h1 << 26)) & 0xffffffff;
-  h1 = ((h1 >> 6) | (h2 << 20)) & 0xffffffff;
-  h2 = ((h2 >> 12) | (h3 << 14)) & 0xffffffff;
-  h3 = ((h3 >> 18) | (h4 << 8)) & 0xffffffff;
-
-  // tag = (h + pad) % 2^128
-  uint64_t f;
-  f = (uint64_t)h0 + pad_[0];
-  h0 = (uint32_t)f;
-  f = (uint64_t)h1 + pad_[1] + (f >> 32);
-  h1 = (uint32_t)f;
-  f = (uint64_t)h2 + pad_[2] + (f >> 32);
-  h2 = (uint32_t)f;
-  f = (uint64_t)h3 + pad_[3] + (f >> 32);
-  h3 = (uint32_t)f;
-
-  StoreLE32(out + 0, h0);
-  StoreLE32(out + 4, h1);
-  StoreLE32(out + 8, h2);
-  StoreLE32(out + 12, h3);
+  // tag = (h + s) mod 2^128
+  t = static_cast<u128>(h0) + pad0_;
+  StoreLE64(out, static_cast<uint64_t>(t));
+  t = static_cast<u128>(h1) + pad1_ + (t >> 64);
+  StoreLE64(out + 8, static_cast<uint64_t>(t));
 }
 
 Bytes Poly1305::Tag(const Bytes& key, const Bytes& data) {
-  Poly1305 mac(key);
+  assert(key.size() == kKeySize && "Poly1305 key must be 32 bytes");
+  Poly1305 mac(key.data());
   mac.Update(data);
   Bytes tag(kTagSize);
   mac.Finish(tag.data());

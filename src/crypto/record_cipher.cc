@@ -1,11 +1,17 @@
 #include "crypto/record_cipher.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace dpsync::crypto {
 
-RecordCipher::RecordCipher(Bytes key) : aead_(std::move(key)) {}
+namespace {
+
+constexpr size_t kBodyOffset = Aead::kNonceSize;
+constexpr size_t kTagOffset = kBodyOffset + RecordCipher::kPlaintextSize;
+
+}  // namespace
+
+RecordCipher::RecordCipher(const Bytes& key) : aead_(key) {}
 
 Status RecordCipher::RestoreNonceHighWater(uint64_t high_water) {
   if (high_water < nonce_counter_) {
@@ -17,21 +23,19 @@ Status RecordCipher::RestoreNonceHighWater(uint64_t high_water) {
 }
 
 StatusOr<Bytes> RecordCipher::Encrypt(const Bytes& plaintext) {
-  if (plaintext.size() > kPlaintextSize - 2) {
+  if (plaintext.size() > kMaxPayloadSize) {
     return Status::InvalidArgument("record payload exceeds fixed record size");
   }
-  Bytes padded(kPlaintextSize, 0);
-  padded[0] = static_cast<uint8_t>(plaintext.size());
-  padded[1] = static_cast<uint8_t>(plaintext.size() >> 8);
-  std::copy(plaintext.begin(), plaintext.end(), padded.begin() + 2);
-
-  Bytes nonce(12, 0);
-  StoreLE64(nonce.data(), nonce_counter_++);
-
-  Bytes out;
-  out.reserve(kCiphertextSize);
-  Append(&out, nonce);
-  Append(&out, aead_.Seal(nonce, /*aad=*/{}, padded));
+  // nonce || length (2) || payload || zero padding || tag, sealed in place.
+  Bytes out(kCiphertextSize, 0);
+  uint8_t* nonce = out.data();
+  uint8_t* body = out.data() + kBodyOffset;
+  StoreLE64(nonce, nonce_counter_++);
+  body[0] = static_cast<uint8_t>(plaintext.size());
+  body[1] = static_cast<uint8_t>(plaintext.size() >> 8);
+  std::copy(plaintext.begin(), plaintext.end(), body + 2);
+  aead_.SealInPlace(nonce, /*aad=*/nullptr, 0, body, kPlaintextSize,
+                    out.data() + kTagOffset);
   return out;
 }
 
@@ -39,16 +43,18 @@ StatusOr<Bytes> RecordCipher::Decrypt(const Bytes& encrypted) const {
   if (encrypted.size() != kCiphertextSize) {
     return Status::InvalidArgument("encrypted record has wrong size");
   }
-  Bytes nonce(encrypted.begin(), encrypted.begin() + 12);
-  Bytes sealed(encrypted.begin() + 12, encrypted.end());
-  auto padded = aead_.Open(nonce, /*aad=*/{}, sealed);
-  if (!padded.ok()) return padded.status();
-  const Bytes& p = padded.value();
-  size_t len = static_cast<size_t>(p[0]) | (static_cast<size_t>(p[1]) << 8);
-  if (len > kPlaintextSize - 2) {
+  uint8_t body[kPlaintextSize];
+  std::copy(encrypted.begin() + kBodyOffset, encrypted.begin() + kTagOffset,
+            body);
+  DPSYNC_RETURN_IF_ERROR(aead_.OpenInPlace(encrypted.data(), /*aad=*/nullptr,
+                                           0, body, kPlaintextSize,
+                                           encrypted.data() + kTagOffset));
+  const size_t len =
+      static_cast<size_t>(body[0]) | (static_cast<size_t>(body[1]) << 8);
+  if (len > kMaxPayloadSize) {
     return Status::Internal("corrupt record length field");
   }
-  return Bytes(p.begin() + 2, p.begin() + 2 + len);
+  return Bytes(body + 2, body + 2 + len);
 }
 
 }  // namespace dpsync::crypto

@@ -8,6 +8,10 @@
 /// owner-side counter (96-bit), serialized alongside the ciphertext. The
 /// wire layout of an encrypted record is:
 ///   nonce (12) || ciphertext (kPlaintextSize) || tag (16)
+/// Encrypt builds that one buffer and seals the padded body inside it
+/// (Aead::SealInPlace), so a record costs one allocation and one two-block
+/// ChaCha20 call. Decrypt copies the body to the stack and opens it there
+/// (Aead::OpenInPlace: tag check first, then decryption).
 #pragma once
 
 #include <cstdint>
@@ -26,14 +30,19 @@ class RecordCipher {
   static constexpr size_t kPlaintextSize = 64;
   /// Total size of one encrypted record on the server: 12-byte nonce +
   /// payload + 16-byte tag.
-  static constexpr size_t kCiphertextSize = 12 + kPlaintextSize + 16;
+  static constexpr size_t kCiphertextSize =
+      Aead::kNonceSize + kPlaintextSize + Aead::kTagSize;
+  /// The largest payload Encrypt accepts: the body's first two bytes hold
+  /// the payload length.
+  static constexpr size_t kMaxPayloadSize = kPlaintextSize - 2;
 
   /// `key` must be 32 bytes (derive via KeyManager).
-  explicit RecordCipher(Bytes key);
+  explicit RecordCipher(const Bytes& key);
 
-  /// Seals `plaintext` (must be <= kPlaintextSize - 2; it is zero-padded,
+  /// Seals `plaintext` (must be <= kMaxPayloadSize; it is zero-padded,
   /// with the true length stored in the first two bytes of the padded
-  /// buffer). Returns InvalidArgument if the payload is too large.
+  /// buffer). Returns InvalidArgument if the payload is too large, before
+  /// consuming a nonce.
   StatusOr<Bytes> Encrypt(const Bytes& plaintext);
 
   /// Opens an encrypted record, stripping the padding. Fails on tampering.

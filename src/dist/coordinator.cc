@@ -606,6 +606,12 @@ Status DistributedEdbServer::EnsureFailover(size_t k,
   for (size_t m = 0; m < peer.members.size(); ++m) {
     Member& candidate = peer.members[m];
     if (m == peer.leader || candidate.dead) continue;
+    if (candidate.behind) {
+      // It missed or refused a relay, so no probe can find it current.
+      last = Status::FailedPrecondition("follower " + std::to_string(m) +
+                                        " missed a relay");
+      continue;
+    }
     Status promoted = TryPromote(candidate, expected);
     if (promoted.ok()) {
       peer.leader = m;
@@ -666,13 +672,19 @@ Status DistributedEdbServer::TryPromote(
 void DistributedEdbServer::RelayToFollowers(size_t k,
                                             const Bytes& replicate_request) {
   Peer& peer = peers_[k];
-  size_t leader;
   std::vector<size_t> targets;
   {
     std::lock_guard<std::mutex> lk(*peer.mu);
-    leader = peer.leader;
     for (size_t m = 0; m < peer.members.size(); ++m) {
-      if (m != leader && !peer.members[m].dead) targets.push_back(m);
+      const Member& member = peer.members[m];
+      if (m == peer.leader || member.dead) continue;
+      if (member.behind) {
+        // It would refuse this batch over the gap: skip the frame, but
+        // count the batch it misses.
+        replica_lag_batches_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      targets.push_back(m);
     }
   }
   for (size_t m : targets) {
@@ -685,10 +697,12 @@ void DistributedEdbServer::RelayToFollowers(size_t k,
           std::memory_order_relaxed);
     } else {
       // Best-effort by design: the leader has the batch, and losing the
-      // relay must not fail the ingest. The follower is now behind for
-      // good (it refuses every later batch over the gap), so the next
-      // failover's lag check refuses to promote it.
+      // relay must not fail the ingest. Relays are never resent, so the
+      // follower is now behind for good: later relays skip it, and a
+      // cutover never promotes it.
       replica_lag_batches_.fetch_add(1, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lk(*peer.mu);
+      peer.members[m].behind = true;
     }
   }
 }

@@ -33,10 +33,10 @@
 /// HWM, never plaintext), and a transport failure on the leader triggers
 /// an epoch-tagged cutover (probe kReplicaState, verify the candidate
 /// holds every acked batch, promote via kPromote, retry once). A relay is
-/// sent once: a follower that misses one stays behind and is refused
-/// promotion. Because a follower applies the identical per-shard append
-/// sequence, post-cutover answers stay bit-identical to the
-/// single-process engines. See docs/DISTRIBUTED.md.
+/// sent once: a follower that misses or refuses one is behind for good,
+/// gets no later relay and is never promoted. Because a follower applies
+/// the identical per-shard append sequence, post-cutover answers stay
+/// bit-identical to the single-process engines. See docs/DISTRIBUTED.md.
 #pragma once
 
 #include <atomic>
@@ -127,8 +127,9 @@ class DistributedEdbServer : public edb::EdbServer {
   EdbShardServer* ShardServerForTest(int rank, int member);
 
   /// Replication counters (deterministic given a seeded fault plan):
-  /// relays that failed to reach a follower or that it refused, and the
-  /// payload bytes of those it applied.
+  /// relays a follower did not apply — those that failed to reach it, those
+  /// it refused, and every later one skipped because it was behind for good
+  /// — and the payload bytes of those it applied.
   int64_t replica_lag_batches() const {
     return replica_lag_batches_.load(std::memory_order_relaxed);
   }
@@ -160,6 +161,9 @@ class DistributedEdbServer : public edb::EdbServer {
     std::unique_ptr<EdbShardServer> server;
     std::unique_ptr<net::Channel> channel;
     bool dead = false;  ///< guarded by the group mutex
+    /// Missed or refused a relay, so it gets no later relay and is never
+    /// promoted (relays are never resent). Guarded by the group mutex.
+    bool behind = false;
   };
 
   /// One rank: a replica group owning global shard range [lo, hi).
@@ -185,18 +189,19 @@ class DistributedEdbServer : public edb::EdbServer {
   /// annotated with the rank.
   StatusOr<Bytes> CallRank(size_t k, const Bytes& request);
   /// Cutover state machine for rank `k`: marks the leader observed at
-  /// `observed_generation` dead, probes each live follower, and promotes
-  /// the first one whose applied positions match every table's acked
-  /// sequence. Returns typed Unavailable when no candidate qualifies
-  /// (double failure / stale followers).
+  /// `observed_generation` dead, probes each live follower that is not
+  /// behind, and promotes the first one whose applied positions match
+  /// every table's acked sequence. Returns typed Unavailable when no
+  /// candidate qualifies (double failure / stale followers).
   Status EnsureFailover(size_t k, uint64_t observed_generation);
   /// Probe + promote one candidate (caller holds the group mutex).
   Status TryPromote(Member& candidate,
                     const std::vector<std::pair<std::string, uint64_t>>&
                         expected_seqs);
   /// Relays one acked ingest batch to rank `k`'s live followers, once
-  /// (best-effort: a failed or refused relay counts replica_lag_batches,
-  /// and the follower stays behind, so a cutover refuses to promote it).
+  /// (best-effort). A failed or refused relay flags its follower behind;
+  /// a behind follower is skipped from then on. Both count
+  /// replica_lag_batches, and a cutover never promotes a behind follower.
   void RelayToFollowers(size_t k, const Bytes& replicate_request);
   /// Scatters `request` to every rank's leader in parallel and returns
   /// the raw replies; the caller decodes. First failing rank wins.

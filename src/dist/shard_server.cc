@@ -268,7 +268,7 @@ Status EdbShardServer::ApplyBatch(edb::EncryptedTableStore* table,
   }
   if (!entries.empty() || batch.setup_batch) {
     DPSYNC_RETURN_IF_ERROR(table->IngestCiphertexts(
-        entries, batch.nonce_high_water, batch.setup_batch));
+        std::move(entries), batch.nonce_high_water, batch.setup_batch));
   }
   applied = batch.batch_seq;
   return Status::Ok();

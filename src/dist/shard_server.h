@@ -128,7 +128,11 @@ class EdbShardServer {
   /// The sequenced append shared by kIngest (leader) and kReplicate
   /// (follower): refuse `batch_seq` 0, dedup/gap-check it against the
   /// table's applied position, then append through IngestCiphertexts.
-  /// Caller holds repl_mu_.
+  /// The applied position moves only when IngestCiphertexts succeeds. A
+  /// batch it refused on a check or a run write stored nothing, so the
+  /// same batch sent again would land once; a batch whose flush or index
+  /// append failed is stored with the position unmoved, so a resend of it
+  /// would store it twice. Caller holds repl_mu_.
   Status ApplyBatch(edb::EncryptedTableStore* table,
                     const net::WireIngest& batch);
 

@@ -68,36 +68,76 @@ void EncryptedTableStore::AdvanceCommitEpoch() {
 
 Status EncryptedTableStore::AppendEncrypted(const std::vector<Record>& records,
                                             bool setup_batch) {
-  std::vector<oram::OramMirror::Entry> indexed;
-  if (mirror_) indexed.reserve(records.size());
-  Status appended = [&]() -> Status {
-    for (const Record& r : records) {
-      auto ct = cipher_.Encrypt(r.payload);
-      if (!ct.ok()) return ct.status();
-      int shard = router_.Route(r.payload);
-      DPSYNC_RETURN_IF_ERROR(shards_[shard].Append(ct.value()));
-      dirty_[static_cast<size_t>(shard)] = 1;
-      if (mirror_) indexed.push_back({shard, std::move(ct.value())});
+  // Check every payload before sealing any, so a refused batch consumes
+  // no nonce and every nonce sealed reaches a segment file.
+  for (const Record& r : records) {
+    if (r.payload.size() > crypto::RecordCipher::kMaxPayloadSize) {
+      return Status::InvalidArgument(
+          "record payload exceeds fixed record size");
     }
-    return Status::Ok();
-  }();
-  return FinishBatch(std::move(appended), setup_batch, std::move(indexed));
+  }
+  std::vector<std::vector<Bytes>> runs(shards_.size());
+  for (const Record& r : records) {
+    auto ct = cipher_.Encrypt(r.payload);
+    if (!ct.ok()) return ct.status();
+    runs[static_cast<size_t>(router_.Route(r.payload))].push_back(
+        std::move(ct.value()));
+  }
+  return StoreBatch(std::move(runs), setup_batch);
 }
 
-Status EncryptedTableStore::FinishBatch(
-    Status appended, bool setup_batch,
-    std::vector<oram::OramMirror::Entry> indexed) {
-  if (appended.ok() && storage_.flush_every_update) {
+Status EncryptedTableStore::StoreBatch(std::vector<std::vector<Bytes>> runs,
+                                       bool setup_batch) {
+  // Nonces follow arrival order but the runs go out shard by shard, so a
+  // death between two runs can leave a tail holding a nonce above one it
+  // skipped, past Reopen's one-nonce-per-tail-record window. A batch with
+  // more than one run therefore first persists the mark past all its
+  // nonces in the header of its first shard. That shard is dirty, so the
+  // commit rewrites the header with the same mark: committed files keep
+  // their bytes, at one more positioned write per multi-shard batch.
+  size_t first = 0;
+  size_t touched = 0;
+  for (size_t s = 0; s < runs.size(); ++s) {
+    if (runs[s].empty()) continue;
+    if (touched++ == 0) first = s;
+  }
+  if (touched > 1) {
+    DPSYNC_RETURN_IF_ERROR(
+        shards_[first].PersistMark(cipher_.nonce_high_water()));
+  }
+  // Every run reaches its file before any becomes readable: a batch whose
+  // write fails publishes nothing, and the runs it did write sit past the
+  // stored records, where later runs overwrite them and Reopen discards
+  // what is left.
+  for (size_t s = 0; s < runs.size(); ++s) {
+    DPSYNC_RETURN_IF_ERROR(shards_[s].WriteRun(runs[s]));
+  }
+  std::vector<oram::OramMirror::Entry> indexed;
+  for (size_t s = 0; s < runs.size(); ++s) {
+    if (runs[s].empty()) continue;
+    if (mirror_) {
+      for (const Bytes& ct : runs[s]) {
+        indexed.push_back({static_cast<int>(s), ct});
+      }
+    }
+    shards_[s].PublishRun(std::move(runs[s]));
+    dirty_[s] = 1;
+  }
+  if (setup_batch) setup_done_ = true;
+
+  Status flushed;
+  if (storage_.flush_every_update) {
     // Setup commits every shard so the table's full topology is
     // materialized on disk even for shards gamma_0 never touched;
     // steady-state updates only pay for the shards they wrote.
-    appended = FlushShards(/*all=*/setup_batch);
+    flushed = FlushShards(/*all=*/setup_batch);
   }
-  if (!mirror_) return appended;
-  // A mirror that failed once stays failed: the store has records the
-  // index will never hold, so the indexed contract is unrecoverable and
-  // every later operation reports the original cause instead of a
-  // confusing secondary symptom.
+  if (!mirror_) return flushed;
+  // The batch is stored even if its flush failed, so the index takes it:
+  // every tree keeps matching its shard. A mirror that failed once stays
+  // failed: the store has records the index will never hold, so the
+  // indexed contract is unrecoverable and every later operation reports
+  // the original cause instead of a confusing secondary symptom.
   if (mirror_status_.ok()) {
     Status index = mirror_->Append(std::move(indexed));
     if (!index.ok()) {
@@ -109,13 +149,12 @@ Status EncryptedTableStore::FinishBatch(
               index.message());
     }
   }
-  return appended.ok() ? mirror_status_ : appended;
+  return flushed.ok() ? mirror_status_ : flushed;
 }
 
 Status EncryptedTableStore::Setup(const std::vector<Record>& gamma0) {
   std::lock_guard<std::mutex> lk(table_mutex());
   if (setup_done_) return Status::FailedPrecondition("Setup already run");
-  setup_done_ = true;
   return AppendEncrypted(gamma0, /*setup_batch=*/true);
 }
 
@@ -125,44 +164,39 @@ Status EncryptedTableStore::Update(const std::vector<Record>& gamma) {
   return AppendEncrypted(gamma, /*setup_batch=*/false);
 }
 
-Status EncryptedTableStore::IngestCiphertexts(
-    const std::vector<CipherEntry>& entries, uint64_t nonce_high_water,
-    bool setup_batch) {
+Status EncryptedTableStore::IngestCiphertexts(std::vector<CipherEntry> entries,
+                                              uint64_t nonce_high_water,
+                                              bool setup_batch) {
   std::lock_guard<std::mutex> lk(table_mutex());
   if (setup_batch) {
     if (setup_done_) return Status::FailedPrecondition("Setup already run");
-    setup_done_ = true;
   } else {
     if (!setup_done_) return Status::FailedPrecondition("Update before Setup");
   }
-  std::vector<oram::OramMirror::Entry> indexed;
-  if (mirror_) indexed.reserve(entries.size());
-  Status appended = [&]() -> Status {
-    for (const CipherEntry& e : entries) {
-      if (e.shard >= shards_.size()) {
-        return Status::OutOfRange("ingest entry routed to shard " +
-                                  std::to_string(e.shard) + " of " +
-                                  std::to_string(shards_.size()));
-      }
-      if (e.ciphertext.size() != crypto::RecordCipher::kCiphertextSize) {
-        return Status::InvalidArgument("ingest ciphertext has wrong size");
-      }
-      DPSYNC_RETURN_IF_ERROR(shards_[e.shard].Append(e.ciphertext));
-      dirty_[e.shard] = 1;
-      if (mirror_) {
-        indexed.push_back({static_cast<int>(e.shard), e.ciphertext});
-      }
+  // Check every entry before the first write: a refused batch stores
+  // nothing.
+  for (const CipherEntry& e : entries) {
+    if (e.shard >= shards_.size()) {
+      return Status::OutOfRange("ingest entry routed to shard " +
+                                std::to_string(e.shard) + " of " +
+                                std::to_string(shards_.size()));
     }
-    // Track the global nonce stream before flushing so the persisted mark
-    // is never behind the ciphertexts it covers. Never rewind: a stale
-    // batch mark must not pull the counter back under already-stored
-    // nonces.
-    if (nonce_high_water > cipher_.nonce_high_water()) {
-      return cipher_.RestoreNonceHighWater(nonce_high_water);
+    if (e.ciphertext.size() != crypto::RecordCipher::kCiphertextSize) {
+      return Status::InvalidArgument("ingest ciphertext has wrong size");
     }
-    return Status::Ok();
-  }();
-  return FinishBatch(std::move(appended), setup_batch, std::move(indexed));
+  }
+  std::vector<std::vector<Bytes>> runs(shards_.size());
+  for (CipherEntry& e : entries) {
+    runs[e.shard].push_back(std::move(e.ciphertext));
+  }
+  // Track the global nonce stream before flushing so the persisted mark
+  // is never behind the ciphertexts it covers. Never rewind: a stale
+  // batch mark must not pull the counter back under already-stored
+  // nonces.
+  if (nonce_high_water > cipher_.nonce_high_water()) {
+    DPSYNC_RETURN_IF_ERROR(cipher_.RestoreNonceHighWater(nonce_high_water));
+  }
+  return StoreBatch(std::move(runs), setup_batch);
 }
 
 int64_t EncryptedTableStore::outsourced_count() const {

@@ -86,12 +86,16 @@ class EncryptedTableStore : public EdbTable {
   /// cipher's counter after the batch; it is restored into the local
   /// cipher (never rewound) BEFORE the auto-flush so the persisted mark
   /// tracks the global stream. Follows the Setup/Update state machine via
-  /// `setup_batch` and auto-flushes exactly like AppendEncrypted. Nothing
-  /// is decrypted here: on an indexed store each block joins its entry's
-  /// shard's tree, and a ciphertext that fails authentication is stored
-  /// and fails the next Snapshot's enclave catch-up, on either storage
-  /// method.
-  Status IngestCiphertexts(const std::vector<CipherEntry>& entries,
+  /// `setup_batch` and stores and auto-flushes exactly like Setup/Update:
+  /// every entry's shard and size is checked before the first write, and
+  /// a batch refused by a check or a failed run write stores nothing (a
+  /// refused setup batch can be retried). A batch whose flush or index
+  /// append fails is stored, and the error is returned all the same.
+  /// Nothing is decrypted here: on an indexed store each block
+  /// joins its entry's shard's tree, and a ciphertext that fails
+  /// authentication is stored and fails the next Snapshot's enclave
+  /// catch-up, on either storage method.
+  Status IngestCiphertexts(std::vector<CipherEntry> entries,
                            uint64_t nonce_high_water, bool setup_batch);
 
   // --- durability --------------------------------------------------------
@@ -229,15 +233,23 @@ class EncryptedTableStore : public EdbTable {
     size_t rows = 0;
   };
 
+  /// Seals every record of a Setup/Update batch, routes it, and stores
+  /// the batch (StoreBatch). A payload too large to seal refuses the
+  /// whole batch before any nonce is consumed.
   Status AppendEncrypted(const std::vector<Record>& records,
                          bool setup_batch);
-  /// The common tail of every batch append. `appended` is the append
-  /// loop's outcome; when it succeeded the batch auto-flushes (if
-  /// configured). Then `indexed`, one entry per record the loop stored,
-  /// joins the ORAM index even if the loop or the flush failed part-way,
-  /// so every tree keeps matching its shard.
-  Status FinishBatch(Status appended, bool setup_batch,
-                     std::vector<oram::OramMirror::Entry> indexed);
+  /// The common tail of every batch: `runs[s]` holds shard s's records in
+  /// arrival order. A batch with runs on more than one shard first
+  /// persists the cipher's mark in one shard header
+  /// (ShardLog::PersistMark); then each non-empty run is written to its
+  /// shard (ShardLog::WriteRun). A batch that fails there is not stored,
+  /// indexed or counted. Only when every write succeeded are the runs
+  /// published, a setup batch marked done, and the batch auto-flushed (if
+  /// configured) and indexed: from then on the batch is stored, and a
+  /// failed flush or index append is returned with the batch in place.
+  /// It joins the ORAM index even if its flush failed, so every tree
+  /// keeps matching its shard.
+  Status StoreBatch(std::vector<std::vector<Bytes>> runs, bool setup_batch);
   /// Unlocked body of Flush() (`all`) and of the auto-flush, which
   /// commits only the shards the last batches appended to, so per-update
   /// commit cost scales with shards touched, not num_shards. Callers hold

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <system_error>
 
 namespace dpsync::edb {
@@ -65,9 +66,9 @@ StatusOr<SegmentHeader> SegmentHeader::DecodeFrom(const uint8_t* in,
 }
 
 /// The segment file behind a kSegmentLog shard: one positioned write per
-/// appended record and per commit, the header rewritten at every commit,
-/// and Reopen's validation and tail walk. The records themselves live in
-/// the owning ShardLog.
+/// run and per header rewrite (every commit, and the mark a multi-shard
+/// batch persists before its runs), and Reopen's validation and tail
+/// walk. The records themselves live in the owning ShardLog.
 class ShardLog::SegmentFile {
  public:
   SegmentFile(std::string path, size_t record_size, uint64_t schema_hash,
@@ -82,10 +83,14 @@ class ShardLog::SegmentFile {
   SegmentFile(const SegmentFile&) = delete;
   SegmentFile& operator=(const SegmentFile&) = delete;
 
-  /// Writes `record` as the shard's record number `index`.
-  Status Append(const Bytes& record, uint64_t index);
+  /// Writes `run` as the shard's records `first_index`, `first_index + 1`,
+  /// ... — one positioned write per RecordsPerIo() records.
+  Status WriteRun(const std::vector<Bytes>& run, uint64_t first_index);
   /// Rewrites the header to name `committed_count` records and the mark.
   Status Commit(uint64_t committed_count, uint64_t nonce_high_water);
+  /// Rewrites the header with the committed count it already names and
+  /// the new mark.
+  Status PersistMark(uint64_t nonce_high_water);
   /// Re-attaches to the file, loading its committed records into
   /// `records` (which the caller cleared).
   StatusOr<ReopenInfo> Reopen(std::vector<Bytes>* records);
@@ -101,6 +106,11 @@ class ShardLog::SegmentFile {
                  const char* op);
   Status ReadAt(uint8_t* data, size_t size, uint64_t offset, const char* op);
   void Close();
+  /// Records per positioned transfer: WriteRun and Attach move about
+  /// 1 MiB at a time, so neither pays a syscall per record.
+  size_t RecordsPerIo() const {
+    return std::max<size_t>(1, (size_t{1} << 20) / record_size_);
+  }
 
   /// Empty when the table has no StorageConfig::dir.
   std::string path_;
@@ -114,6 +124,8 @@ class ShardLog::SegmentFile {
   /// (per-record open/close would dominate segment wall time under
   /// flush_every_update). -1 until then.
   int fd_ = -1;
+  /// The committed count the header on the file names.
+  uint64_t header_committed_ = 0;
 };
 
 Status ShardLog::SegmentFile::WriteAt(const uint8_t* data, size_t size,
@@ -153,6 +165,7 @@ Status ShardLog::SegmentFile::WriteHeader(uint64_t committed_count,
   h.EncodeTo(header);
   DPSYNC_RETURN_IF_ERROR(
       WriteAt(header, SegmentHeader::kSize, 0, "header write"));
+  header_committed_ = committed_count;
   if (fsync_on_flush_ && ::fsync(fd_) != 0) return IoError("fsync", path_);
   return Status::Ok();
 }
@@ -189,20 +202,39 @@ Status ShardLog::SegmentFile::Create() {
   return st;
 }
 
-Status ShardLog::SegmentFile::Append(const Bytes& record, uint64_t index) {
+Status ShardLog::SegmentFile::WriteRun(const std::vector<Bytes>& run,
+                                       uint64_t first_index) {
   if (fd_ < 0) DPSYNC_RETURN_IF_ERROR(Create());
-  // Straight to the kernel, with no user-space buffer: the crash model is
-  // process death, and a record stranded in a buffer would vanish with the
-  // process *after* its nonce was consumed — Reopen's tail walk can only
-  // recover nonces that reached the file.
-  return WriteAt(record.data(), record.size(),
-                 SegmentHeader::kSize + index * record_size_, "append");
+  // Straight to the kernel before the records become readable, with no
+  // buffer kept across calls: the crash model is process death, and a
+  // record stranded in a buffer would vanish with the process *after* its
+  // nonce was consumed — Reopen's tail walk can only recover nonces that
+  // reached the file.
+  const size_t per_write = RecordsPerIo();
+  Bytes block;
+  for (size_t first = 0; first < run.size(); first += per_write) {
+    const size_t n = std::min(per_write, run.size() - first);
+    block.resize(n * record_size_);
+    for (size_t i = 0; i < n; ++i) {
+      std::memcpy(block.data() + i * record_size_, run[first + i].data(),
+                  record_size_);
+    }
+    DPSYNC_RETURN_IF_ERROR(
+        WriteAt(block.data(), block.size(),
+                SegmentHeader::kSize + (first_index + first) * record_size_,
+                "append"));
+  }
+  return Status::Ok();
 }
 
 Status ShardLog::SegmentFile::Commit(uint64_t committed_count,
                                      uint64_t nonce_high_water) {
   if (fd_ < 0) DPSYNC_RETURN_IF_ERROR(Create());
   return WriteHeader(committed_count, nonce_high_water);
+}
+
+Status ShardLog::SegmentFile::PersistMark(uint64_t nonce_high_water) {
+  return Commit(header_committed_, nonce_high_water);
 }
 
 StatusOr<ShardLog::ReopenInfo> ShardLog::SegmentFile::Reopen(
@@ -278,9 +310,9 @@ StatusOr<ShardLog::ReopenInfo> ShardLog::SegmentFile::Attach(
         path_);
   }
 
-  // Load the committed prefix about 1 MiB at a time: one pread per record
-  // would make a large shard's Reopen pay a syscall per record.
-  const uint64_t per_read = std::max<uint64_t>(1, (1 << 20) / record_size_);
+  header_committed_ = committed;
+  // Load the committed prefix RecordsPerIo() records at a time.
+  const uint64_t per_read = RecordsPerIo();
   Bytes block;
   records->reserve(committed);
   for (uint64_t first = 0; first < committed; first += per_read) {
@@ -343,16 +375,19 @@ ShardLog::ShardLog(const StorageConfig& storage, const std::string& table,
 ShardLog::~ShardLog() = default;
 ShardLog::ShardLog(ShardLog&&) noexcept = default;
 
-Status ShardLog::Append(const Bytes& record) {
-  if (record.size() != record_size_) {
-    return Status::InvalidArgument("shard record has wrong size");
+Status ShardLog::WriteRun(const std::vector<Bytes>& run) {
+  for (const Bytes& record : run) {
+    if (record.size() != record_size_) {
+      return Status::InvalidArgument("shard record has wrong size");
+    }
   }
-  if (segment_) {
-    DPSYNC_RETURN_IF_ERROR(
-        segment_->Append(record, static_cast<uint64_t>(records_.size())));
-  }
-  records_.push_back(record);
-  return Status::Ok();
+  if (!segment_ || run.empty()) return Status::Ok();
+  return segment_->WriteRun(run, static_cast<uint64_t>(records_.size()));
+}
+
+void ShardLog::PublishRun(std::vector<Bytes> run) {
+  records_.insert(records_.end(), std::make_move_iterator(run.begin()),
+                  std::make_move_iterator(run.end()));
 }
 
 StatusOr<Bytes> ShardLog::Get(int64_t index) const {
@@ -381,6 +416,11 @@ Status ShardLog::Flush(uint64_t nonce_high_water) {
   }
   flushed_nonce_high_water_ = nonce_high_water;
   return Status::Ok();
+}
+
+Status ShardLog::PersistMark(uint64_t nonce_high_water) {
+  if (!segment_) return Status::Ok();
+  return segment_->PersistMark(nonce_high_water);
 }
 
 StatusOr<ShardLog::ReopenInfo> ShardLog::Reopen() {

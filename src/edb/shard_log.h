@@ -5,7 +5,10 @@
 /// record array and, when StorageConfig selects the segment log, a
 /// write-through segment file (`<dir>/<table>/<shard>.seg`) holding a
 /// fixed-size header followed by the same records, so record offsets are
-/// pure arithmetic. See docs/STORAGE.md for the contract and the crash
+/// pure arithmetic. Records arrive in runs, one per shard per batch: a run
+/// reaches the file in one positioned write (WriteRun), and the caller
+/// publishes it in memory (PublishRun) only once every run of its batch
+/// has been written. See docs/STORAGE.md for the contract and the crash
 /// model.
 ///
 /// Segment wire format (all integers little-endian):
@@ -28,12 +31,14 @@
 /// different shard count would silently orphan the shard files the new
 /// configuration never reads, so Reopen rejects any mismatch loudly.
 ///
-/// Crash model: records are appended write-through; Flush persists the
-/// header naming the committed prefix. A crash between appends and the
+/// Crash model: runs are written through; Flush persists the header
+/// naming the committed prefix. A crash between a run's write and the
 /// next Flush leaves extra (whole or torn) records past committed_count —
 /// Reopen truncates them, but first reports every nonce the tail consumed
 /// (each record leads with its nonce), so re-encryption after recovery
-/// never reuses a nonce even for records the crash destroyed.
+/// never reuses a nonce even for records the crash destroyed. PersistMark
+/// raises the header's mark without committing anything, for a batch
+/// whose runs would otherwise leave tails that skip a nonce.
 #pragma once
 
 #include <cstdint>
@@ -113,8 +118,9 @@ class ShardLog {
   /// Shard `shard` of table `table`. Under StorageBackendKind::kSegmentLog
   /// the shard writes through to its segment file; if that file exists
   /// the constructor leaves it untouched and Reopen() attaches to it
-  /// (Append or Flush before Reopen on an existing file fails). A missing
-  /// file is created with a fresh header on the first Append/Flush.
+  /// (WriteRun or Flush before Reopen on an existing file fails). A
+  /// missing file is created with a fresh header on the first
+  /// WriteRun/Flush.
   /// \param record_size the size every appended record must have
   /// \param schema_hash binds segment files to their table schema
   ShardLog(const StorageConfig& storage, const std::string& table, int shard,
@@ -122,8 +128,26 @@ class ShardLog {
   ~ShardLog();
   ShardLog(ShardLog&&) noexcept;
 
-  /// Appends one record of exactly the shard's record size.
-  Status Append(const Bytes& record);
+  /// Writes `run`, records of exactly the shard's record size in order,
+  /// right after the records already stored: on a segment shard in one
+  /// positioned write (one per MiB of a larger run), straight to the
+  /// kernel. Nothing becomes readable here. A run that is written and
+  /// never published sits past the stored records, where the next run
+  /// overwrites it and Reopen discards it (reporting its nonces). A run
+  /// with a record of the wrong size is refused before anything is
+  /// written.
+  Status WriteRun(const std::vector<Bytes>& run);
+
+  /// Appends a run that WriteRun wrote to the in-memory record array,
+  /// where Get/Scan/Count read it and the next Flush commits it.
+  void PublishRun(std::vector<Bytes> run);
+
+  /// Persists `nonce_high_water` as the segment header's mark, keeping the
+  /// committed count the header names: nothing is committed. Reopen then
+  /// restores the counter past every nonce below the mark, whichever tail
+  /// records reached the file. A no-op on an in-memory shard, whose
+  /// Reopen keeps every record.
+  Status PersistMark(uint64_t nonce_high_water);
 
   /// Returns record `index` (0-based, in append order within this shard).
   StatusOr<Bytes> Get(int64_t index) const;

@@ -68,10 +68,11 @@ TEST(BytesTest, BigEndian32) {
 
 TEST(BytesTest, ConstantTimeEquals) {
   Bytes a = ToBytes("secret"), b = ToBytes("secret"), c = ToBytes("sEcret");
-  EXPECT_TRUE(ConstantTimeEquals(a, b));
-  EXPECT_FALSE(ConstantTimeEquals(a, c));
-  EXPECT_FALSE(ConstantTimeEquals(a, ToBytes("secret!")));
-  EXPECT_TRUE(ConstantTimeEquals({}, {}));
+  EXPECT_TRUE(ConstantTimeEquals(a.data(), b.data(), a.size()));
+  EXPECT_FALSE(ConstantTimeEquals(a.data(), c.data(), a.size()));
+  // Only the first `len` bytes count.
+  EXPECT_TRUE(ConstantTimeEquals(a.data(), c.data(), 1));
+  EXPECT_TRUE(ConstantTimeEquals(nullptr, nullptr, 0));
 }
 
 TEST(StatusTest, OkByDefault) {

@@ -3,6 +3,9 @@
 // ChaCha20-Poly1305 AEAD (RFC 8439), record cipher, key manager.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/bytes.h"
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
@@ -137,17 +140,10 @@ TEST(HkdfTest, Rfc5869Case1) {
 
 TEST(HkdfTest, Rfc5869Case3EmptySaltInfo) {
   Bytes ikm(22, 0x0b);
-  Bytes okm = Hkdf(ikm, /*salt=*/{}, /*info=*/{}, 42);
+  Bytes okm = HkdfExpand(HkdfExtract(/*salt=*/{}, ikm), /*info=*/{}, 42);
   EXPECT_EQ(ToHex(okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
             "9d201395faa4b61a96c8");
-}
-
-TEST(PrfTest, DeterministicAndDomainSeparated) {
-  Prf prf(ToBytes("prf-key"));
-  EXPECT_EQ(prf.Eval(1, 42), prf.Eval(1, 42));
-  EXPECT_NE(prf.Eval(1, 42), prf.Eval(2, 42));
-  EXPECT_NE(prf.Eval(1, 42), prf.Eval(1, 43));
 }
 
 // -------------------------------------------------------------- ChaCha20
@@ -170,9 +166,8 @@ TEST(ChaCha20Test, Rfc8439Encryption) {
   Bytes plaintext = ToBytes(
       "Ladies and Gentlemen of the class of '99: If I could offer you only "
       "one tip for the future, sunscreen would be it.");
-  ChaCha20 cipher(key, nonce, /*initial_counter=*/1);
   Bytes ct = plaintext;
-  cipher.Process(&ct);
+  ChaCha20::Xor(key.data(), /*counter=*/1, nonce.data(), ct.data(), ct.size());
   EXPECT_EQ(ToHex(ct),
             "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
             "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
@@ -184,23 +179,61 @@ TEST(ChaCha20Test, EncryptDecryptInverse) {
   Bytes key(32, 0x42), nonce(12, 0x24);
   Bytes data = ToBytes("some plaintext data of arbitrary length...");
   Bytes ct = data;
-  ChaCha20(key, nonce).Process(&ct);
+  ChaCha20::Xor(key.data(), 0, nonce.data(), ct.data(), ct.size());
   EXPECT_NE(ct, data);
-  ChaCha20(key, nonce).Process(&ct);
+  ChaCha20::Xor(key.data(), 0, nonce.data(), ct.data(), ct.size());
   EXPECT_EQ(ct, data);
 }
 
-TEST(ChaCha20Test, StreamingMatchesOneShot) {
+/// Block(counter) || Block(counter + 1), the reference TwoBlocks must equal.
+Bytes ScalarTwoBlocks(const Bytes& key, uint32_t counter, const Bytes& nonce) {
+  Bytes out(2 * ChaCha20::kBlockSize);
+  ChaCha20::Block(key.data(), counter, nonce.data(), out.data());
+  ChaCha20::Block(key.data(), counter + 1, nonce.data(),
+                  out.data() + ChaCha20::kBlockSize);
+  return out;
+}
+
+TEST(ChaCha20Test, TwoBlocksMatchesScalarBlocks) {
+  Rng rng = testutil::MakeRng(20);
+  for (int i = 0; i < 1000; ++i) {
+    Bytes key(ChaCha20::kKeySize), nonce(ChaCha20::kNonceSize);
+    for (auto& b : key) b = static_cast<uint8_t>(rng.Next());
+    for (auto& b : nonce) b = static_cast<uint8_t>(rng.Next());
+    const auto counter = static_cast<uint32_t>(rng.Next());
+    Bytes two(2 * ChaCha20::kBlockSize);
+    ChaCha20::TwoBlocks(key.data(), counter, nonce.data(), two.data());
+    ASSERT_EQ(two, ScalarTwoBlocks(key, counter, nonce))
+        << "triple " << i << ", counter " << counter;
+  }
+}
+
+TEST(ChaCha20Test, TwoBlocksCounterWrapsLikeTheScalarOne) {
+  // The second block's counter wraps to 0, as the scalar uint32_t does.
+  Bytes key(32, 0x5c), nonce(12, 0xa3);
+  Bytes two(2 * ChaCha20::kBlockSize);
+  ChaCha20::TwoBlocks(key.data(), 0xffffffffu, nonce.data(), two.data());
+  EXPECT_EQ(two, ScalarTwoBlocks(key, 0xffffffffu, nonce));
+  uint8_t zero[ChaCha20::kBlockSize];
+  ChaCha20::Block(key.data(), 0, nonce.data(), zero);
+  EXPECT_EQ(Bytes(two.begin() + ChaCha20::kBlockSize, two.end()),
+            Bytes(zero, zero + ChaCha20::kBlockSize));
+}
+
+TEST(ChaCha20Test, XorSpansKernelCalls) {
+  // 300 bytes take three two-block calls, the last one partial; the bytes
+  // equal the scalar keystream from block 5 on.
   Bytes key(32, 1), nonce(12, 2);
   Bytes data(300, 0xcc);
-  Bytes one_shot = data;
-  ChaCha20(key, nonce).Process(&one_shot);
-  Bytes streamed = data;
-  ChaCha20 c(key, nonce);
-  c.Process(streamed.data(), 100);
-  c.Process(streamed.data() + 100, 1);
-  c.Process(streamed.data() + 101, 199);
-  EXPECT_EQ(streamed, one_shot);
+  Bytes expected = data;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    uint8_t block[ChaCha20::kBlockSize];
+    ChaCha20::Block(key.data(), static_cast<uint32_t>(5 + i / 64),
+                    nonce.data(), block);
+    expected[i] ^= block[i % 64];
+  }
+  ChaCha20::Xor(key.data(), 5, nonce.data(), data.data(), data.size());
+  EXPECT_EQ(data, expected);
 }
 
 // -------------------------------------------------------------- Poly1305
@@ -218,12 +251,54 @@ TEST(Poly1305Test, IncrementalMatchesOneShot) {
   for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i + 1);
   Bytes msg(100);
   for (size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<uint8_t>(i * 7);
-  Poly1305 mac(key);
+  Poly1305 mac(key.data());
   mac.Update(msg.data(), 33);
   mac.Update(msg.data() + 33, 67);
   Bytes tag(Poly1305::kTagSize);
   mac.Finish(tag.data());
   EXPECT_EQ(tag, Poly1305::Tag(key, msg));
+}
+
+/// `n` copies of the byte `hex_byte`, as hex.
+std::string Rep(const char* hex_byte, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += hex_byte;
+  return out;
+}
+
+struct Poly1305Vector {
+  const char* name;
+  std::string key;
+  std::string message;
+  std::string tag;
+};
+
+// RFC 8439 Appendix A.3, test vectors #5-#11: the carries and the h >= p
+// cases of the final reduction.
+TEST(Poly1305Test, Rfc8439CarryAndReductionVectors) {
+  const std::string key10 = "01" + Rep("00", 7) + "04" + Rep("00", 7) +
+                            Rep("00", 16);
+  const std::string msg10 = "e33594d7505e43b9" + Rep("00", 8) +
+                            "3394d7505e4379cd01" + Rep("00", 7) +
+                            Rep("00", 16) + "01" + Rep("00", 15);
+  const std::vector<Poly1305Vector> vectors = {
+      {"#5", "02" + Rep("00", 31), Rep("ff", 16), "03" + Rep("00", 15)},
+      {"#6", "02" + Rep("00", 15) + Rep("ff", 16), "02" + Rep("00", 15),
+       "03" + Rep("00", 15)},
+      {"#7", "01" + Rep("00", 31),
+       Rep("ff", 16) + "f0" + Rep("ff", 15) + "11" + Rep("00", 15),
+       "05" + Rep("00", 15)},
+      {"#8", "01" + Rep("00", 31),
+       Rep("ff", 16) + "fb" + Rep("fe", 15) + Rep("01", 16), Rep("00", 16)},
+      {"#9", "02" + Rep("00", 31), "fd" + Rep("ff", 15),
+       "fa" + Rep("ff", 15)},
+      {"#10", key10, msg10, "14" + Rep("00", 7) + "55" + Rep("00", 7)},
+      {"#11", key10, msg10.substr(0, 96), "13" + Rep("00", 15)},
+  };
+  for (const auto& v : vectors) {
+    EXPECT_EQ(ToHex(Poly1305::Tag(Hex(v.key), Hex(v.message))), v.tag)
+        << "vector " << v.name;
+  }
 }
 
 // ------------------------------------------------------------------ AEAD
@@ -302,7 +377,8 @@ TEST_P(AeadRoundTripTest, VariousLengths) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, AeadRoundTripTest,
-                         ::testing::Values(0, 1, 15, 16, 17, 63, 64, 65, 255));
+                         ::testing::Values(0, 1, 15, 16, 17, 63, 64, 65, 127,
+                                           128, 129, 192, 255));
 
 // --------------------------------------------------------- Record cipher
 
@@ -345,6 +421,25 @@ TEST(RecordCipherTest, SamePayloadTwiceDiffers) {
   auto b = cipher.Encrypt(ToBytes("same"));
   EXPECT_NE(a.value(), b.value());
   EXPECT_EQ(cipher.nonce_high_water(), 2u);
+}
+
+TEST(RecordCipherTest, SealedBytesArePinned) {
+  // nonce || ciphertext || tag of the first two records under one key.
+  RecordCipher cipher(Bytes(32, 7));
+  auto first = cipher.Encrypt(Bytes(48, 0x77));
+  auto second = cipher.Encrypt(Bytes(48, 0x77));
+  ASSERT_OK(first);
+  ASSERT_OK(second);
+  EXPECT_EQ(ToHex(first.value()),
+            "000000000000000000000000"
+            "07845e7b171c738ab7057377be169411c19d63a3668bb24a9d3833becc3a037f"
+            "a979dfed24869b8484a7d3158c00a5cd8297e5dfefb6897bbd7460315e81182a"
+            "65c3f8d18b23e2d3850bcf9f50896796");
+  EXPECT_EQ(ToHex(second.value()),
+            "010000000000000000000000"
+            "fb82f2f147f6990e4091492ad1a4ba1dc7bb0c622d9dc498812beb439cecd921"
+            "f4297f20a663f94ef7d152e4b4f37da233b4466e47f84f6645d2ce89c3758c06"
+            "7f1cfe6023c7b846027ba179e012014a");
 }
 
 TEST(RecordCipherTest, OversizedPayloadRejected) {

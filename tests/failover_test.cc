@@ -330,10 +330,13 @@ TEST(FailoverLagTest, StaleFollowerIsRefusedPromotion) {
                         static_cast<uint8_t>(net::MsgKind::kReplicate)});
   ASSERT_OK(dist.InjectChannelFaults(0, 1, plan));
   ASSERT_OK(table.value()->Setup(MakeBatch(0, 16)));
+  const int64_t calls_before_update = dist.rpc_calls();
   ASSERT_OK(table.value()->Update(MakeBatch(16, 24)));
 
-  // The follower refuses the Update's relay over the gap (a status reply
-  // on an open channel), and nothing resends either relay.
+  // The lost Setup relay flagged the follower behind, so the Update costs
+  // its ingest alone: no relay is shipped only to be refused over the
+  // gap. Both missed relays count, and nothing resends either.
+  EXPECT_EQ(dist.rpc_calls(), calls_before_update + 1);
   EdbShardServer* follower = dist.ShardServerForTest(0, 1);
   EXPECT_EQ(follower->applied_seq("YellowCab"), 0u);
   EXPECT_EQ(dist.replica_lag_batches(), 2);

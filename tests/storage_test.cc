@@ -70,6 +70,13 @@ class StorageTest : public ::testing::Test {
 
 Bytes TestRecord(uint8_t fill) { return Bytes(kRecordSize, fill); }
 
+/// Stores `run` as one batch's run on `log`: written, then published.
+Status StoreRun(ShardLog* log, std::vector<Bytes> run) {
+  DPSYNC_RETURN_IF_ERROR(log->WriteRun(run));
+  log->PublishRun(std::move(run));
+  return Status::Ok();
+}
+
 /// A record whose leading bytes carry a wire-format nonce counter (Reopen
 /// parses the tail's nonces to advance the recovered high-water mark).
 Bytes RecordWithNonce(uint64_t nonce, uint8_t fill) {
@@ -89,15 +96,15 @@ std::multiset<int64_t> PickupIds(const std::vector<query::Row>& rows) {
 
 TEST_F(StorageTest, InMemoryAppendGetScanCount) {
   ShardLog mem(StorageConfig{}, "T", 0, kRecordSize, /*schema_hash=*/0);
-  ASSERT_OK(mem.Append(TestRecord(1)));
-  ASSERT_OK(mem.Append(TestRecord(2)));
+  ASSERT_OK(StoreRun(&mem, {TestRecord(1)}));
+  ASSERT_OK(StoreRun(&mem, {TestRecord(2)}));
   EXPECT_EQ(mem.Count(), 2);
   EXPECT_EQ(mem.SizeBytes(), static_cast<int64_t>(2 * kRecordSize));
   auto r = mem.Get(1);
   ASSERT_OK(r);
   EXPECT_EQ(r.value(), TestRecord(2));
   EXPECT_NOT_OK(mem.Get(2));
-  EXPECT_NOT_OK(mem.Append(Bytes(3, 0)));  // wrong record size
+  EXPECT_NOT_OK(mem.WriteRun({Bytes(3, 0)}));  // wrong record size
   int64_t seen = 0;
   ASSERT_OK(mem.Scan(0, 2, [&](int64_t i, const Bytes& rec) {
     EXPECT_EQ(rec, TestRecord(static_cast<uint8_t>(i + 1)));
@@ -109,7 +116,7 @@ TEST_F(StorageTest, InMemoryAppendGetScanCount) {
 
 TEST_F(StorageTest, InMemoryReopenReportsLastFlushedMark) {
   ShardLog mem(StorageConfig{}, "T", 0, kRecordSize, /*schema_hash=*/0);
-  ASSERT_OK(mem.Append(TestRecord(1)));
+  ASSERT_OK(StoreRun(&mem, {TestRecord(1)}));
   ASSERT_OK(mem.Flush(7));
   auto mark = mem.Reopen();
   ASSERT_OK(mark);
@@ -122,8 +129,8 @@ TEST_F(StorageTest, InMemoryReopenReportsLastFlushedMark) {
 TEST_F(StorageTest, SegmentLogRoundTripAcrossInstances) {
   {
     ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 0xabcd);
-    ASSERT_OK(seg.Append(TestRecord(1)));
-    ASSERT_OK(seg.Append(TestRecord(2)));
+    ASSERT_OK(StoreRun(&seg, {TestRecord(1)}));
+    ASSERT_OK(StoreRun(&seg, {TestRecord(2)}));
     ASSERT_OK(seg.Flush(2));
   }
   ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 0xabcd);
@@ -137,8 +144,9 @@ TEST_F(StorageTest, SegmentLogRoundTripAcrossInstances) {
 }
 
 TEST_F(StorageTest, SegmentFileIsHeaderThenCommittedRecords) {
-  // Pins the write offsets: record i lands at kSize + i * record_size, the
-  // header at 0, and a Reopen's truncated tail is overwritten in place.
+  // Pins the write offsets: record i lands at kSize + i * record_size,
+  // whether it came in a run of one or of several, the header at 0, and a
+  // Reopen's truncated tail is overwritten in place.
   for (bool fsync_data : {false, true}) {
     SCOPED_TRACE(fsync_data ? "fsync" : "no fsync");
     StorageConfig cfg = SegmentConfig(/*num_shards=*/2);
@@ -149,15 +157,14 @@ TEST_F(StorageTest, SegmentFileIsHeaderThenCommittedRecords) {
       records.push_back(RecordWithNonce(n, static_cast<uint8_t>(0x10 + n)));
     }
     ShardLog seg(cfg, table, /*shard=*/1, kRecordSize, 0xfeed);
-    for (size_t i = 0; i < 3; ++i) ASSERT_OK(seg.Append(records[i]));
+    ASSERT_OK(StoreRun(&seg, {records[0], records[1], records[2]}));
     ASSERT_OK(seg.Flush(3));
-    ASSERT_OK(seg.Append(records[3]));  // never committed
-    ASSERT_OK(seg.Append(records[4]));
+    ASSERT_OK(StoreRun(&seg, {records[3], records[4]}));  // never committed
     auto info = seg.Reopen();
     ASSERT_OK(info);
     EXPECT_EQ(info->tail_records, 2u);
-    ASSERT_OK(seg.Append(records[5]));
-    ASSERT_OK(seg.Append(records[6]));
+    ASSERT_OK(StoreRun(&seg, {records[5]}));
+    ASSERT_OK(StoreRun(&seg, {records[6]}));
     ASSERT_OK(seg.Flush(7));
 
     SegmentHeader h;
@@ -181,14 +188,16 @@ TEST_F(StorageTest, SegmentFileIsHeaderThenCommittedRecords) {
 }
 
 TEST_F(StorageTest, SegmentLogReopenLoadsEveryRecordOfALargeShard) {
-  // Reopen reads the committed prefix in blocks of about 1 MiB; this shard
-  // spans a few of them and ends mid-block.
+  // WriteRun writes and Reopen reads in blocks of about 1 MiB; this shard,
+  // one run, spans a few of them and ends mid-block.
   const uint64_t n = 3 * ((1 << 20) / kRecordSize) + 5;
   {
     ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
+    std::vector<Bytes> run;
     for (uint64_t i = 0; i < n; ++i) {
-      ASSERT_OK(seg.Append(RecordWithNonce(i, static_cast<uint8_t>(i))));
+      run.push_back(RecordWithNonce(i, static_cast<uint8_t>(i)));
     }
+    ASSERT_OK(StoreRun(&seg, std::move(run)));
     ASSERT_OK(seg.Flush(n));
   }
   ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
@@ -201,27 +210,58 @@ TEST_F(StorageTest, SegmentLogReopenLoadsEveryRecordOfALargeShard) {
   }));
 }
 
+TEST_F(StorageTest, SegmentLogRefusesARunWithAWrongSizeRecordWhole) {
+  // The run's sizes are checked before the first byte is written: the
+  // file is not even created.
+  ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
+  EXPECT_NOT_OK(seg.WriteRun({TestRecord(1), Bytes(3, 0)}));
+  EXPECT_EQ(seg.Count(), 0);
+  EXPECT_FALSE(std::filesystem::exists(SegPath("T", 0)));
+}
+
+TEST_F(StorageTest, SegmentLogRunWrittenButNotPublishedIsOverwritten) {
+  // A run that reached the file but was never published (its batch
+  // failed on another shard) stays invisible; the next run lands on top
+  // of it, and what it left past that run is an uncommitted tail.
+  {
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
+    ASSERT_OK(seg.WriteRun({RecordWithNonce(0, 1), RecordWithNonce(1, 2)}));
+    EXPECT_EQ(seg.Count(), 0);
+    ASSERT_OK(StoreRun(&seg, {RecordWithNonce(2, 3)}));
+    ASSERT_OK(seg.Flush(3));
+    auto r = seg.Get(0);
+    ASSERT_OK(r);
+    EXPECT_EQ(r.value(), RecordWithNonce(2, 3));
+  }
+  ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
+  auto info = seg.Reopen();
+  ASSERT_OK(info);
+  EXPECT_EQ(seg.Count(), 1);
+  EXPECT_EQ(info->tail_records, 1u);
+  EXPECT_EQ(info->tail_nonce_bound, 2u);
+}
+
 TEST_F(StorageTest, SegmentLogRequiresReopenOnExistingFile) {
   {
     ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
-    ASSERT_OK(seg.Append(TestRecord(1)));
+    ASSERT_OK(StoreRun(&seg, {TestRecord(1)}));
     ASSERT_OK(seg.Flush(1));
   }
   ShardLog fresh(SegmentConfig(), "T", 0, kRecordSize, 1);
-  auto st = fresh.Append(TestRecord(2));
+  auto st = StoreRun(&fresh, {TestRecord(2)});
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   ASSERT_OK(fresh.Reopen());
-  EXPECT_OK(fresh.Append(TestRecord(2)));
+  EXPECT_OK(StoreRun(&fresh, {TestRecord(2)}));
 }
 
 TEST_F(StorageTest, SegmentLogDiscardsUncommittedTailOnReopen) {
   {
     ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
-    ASSERT_OK(seg.Append(RecordWithNonce(0, 1)));
+    ASSERT_OK(StoreRun(&seg, {RecordWithNonce(0, 1)}));
     ASSERT_OK(seg.Flush(1));
     // Crash after two more uncommitted appends (no Flush).
-    ASSERT_OK(seg.Append(RecordWithNonce(1, 2)));
-    ASSERT_OK(seg.Append(RecordWithNonce(2, 3)));
+    ASSERT_OK(StoreRun(&seg, {RecordWithNonce(1, 2)}));
+    ASSERT_OK(StoreRun(&seg, {RecordWithNonce(2, 3)}));
   }
   ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
   auto mark = seg.Reopen();
@@ -237,10 +277,27 @@ TEST_F(StorageTest, SegmentLogDiscardsUncommittedTailOnReopen) {
             SegmentHeader::kSize + kRecordSize);
 }
 
+TEST_F(StorageTest, SegmentLogPersistMarkRaisesTheMarkAndCommitsNothing) {
+  {
+    ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
+    ASSERT_OK(StoreRun(&seg, {RecordWithNonce(0, 1)}));
+    ASSERT_OK(seg.Flush(1));
+    ASSERT_OK(StoreRun(&seg, {RecordWithNonce(3, 2)}));
+    ASSERT_OK(seg.PersistMark(5));
+  }
+  ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
+  auto mark = seg.Reopen();
+  ASSERT_OK(mark);
+  EXPECT_EQ(mark.value().nonce_high_water, 5u);
+  EXPECT_EQ(mark.value().tail_nonce_bound, 4u);
+  EXPECT_EQ(mark.value().tail_records, 1u);
+  EXPECT_EQ(seg.Count(), 1);
+}
+
 TEST_F(StorageTest, SegmentLogDetectsTornRecordTail) {
   {
     ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
-    ASSERT_OK(seg.Append(TestRecord(1)));
+    ASSERT_OK(StoreRun(&seg, {TestRecord(1)}));
     ASSERT_OK(seg.Flush(1));
   }
   {
@@ -261,8 +318,8 @@ TEST_F(StorageTest, SegmentLogDetectsTornRecordTail) {
 TEST_F(StorageTest, SegmentLogFailsLoudlyWhenNonceMarkBehindLength) {
   {
     ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, 1);
-    ASSERT_OK(seg.Append(TestRecord(1)));
-    ASSERT_OK(seg.Append(TestRecord(2)));
+    ASSERT_OK(StoreRun(&seg, {TestRecord(1)}));
+    ASSERT_OK(StoreRun(&seg, {TestRecord(2)}));
     ASSERT_OK(seg.Flush(2));
   }
   {
@@ -282,7 +339,7 @@ TEST_F(StorageTest, SegmentLogFailsLoudlyWhenNonceMarkBehindLength) {
 TEST_F(StorageTest, SegmentLogRejectsForeignSchemaHash) {
   {
     ShardLog seg(SegmentConfig(), "T", 0, kRecordSize, /*schema_hash=*/111);
-    ASSERT_OK(seg.Append(TestRecord(1)));
+    ASSERT_OK(StoreRun(&seg, {TestRecord(1)}));
     ASSERT_OK(seg.Flush(1));
   }
   ShardLog other(SegmentConfig(), "T", 0, kRecordSize, /*schema_hash=*/222);
@@ -517,6 +574,59 @@ TEST_F(StorageTest, CrashRecoveryAcrossFourShards) {
   EXPECT_GE(store.nonce_high_water(), 100u);
 }
 
+TEST_F(StorageTest, DeathBetweenTwoRunsOfABatchReopensPastItsNonces) {
+  // A batch's nonces follow arrival order while its runs go out shard by
+  // shard. Its first record routes to shard 1 and its second to shard 0,
+  // so shard 0's run, holding the later nonce, is written first; a death
+  // before shard 1's run leaves a tail that skips the earlier nonce.
+  const Bytes key(32, 4);
+  ShardRouter router(2);
+  std::optional<Record> to_shard[2];
+  for (int64_t i = 100; !to_shard[0] || !to_shard[1]; ++i) {
+    Record r = Trip(i, i);
+    auto& slot = to_shard[router.Route(r.payload)];
+    if (!slot) slot = r;
+  }
+  uint64_t batch_mark = 0;
+  uintmax_t shard1_committed_size = 0;
+  std::set<Bytes> burned;
+  {
+    EncryptedTableStore store("T", TripSchema(), key,
+                              SegmentConfig(2, /*flush_every_update=*/false));
+    ASSERT_OK(store.Setup({Trip(1, 10), Trip(2, 20), Trip(3, 30)}));
+    ASSERT_OK(store.Flush());
+    shard1_committed_size = fs::file_size(SegPath("T", 1));
+    ASSERT_OK(store.Update({*to_shard[1], *to_shard[0]}));
+    batch_mark = store.nonce_high_water();
+    auto cts = store.ciphertexts();
+    ASSERT_OK(cts);
+    for (const auto& ct : cts.value()) {
+      burned.insert(Bytes(ct.begin(), ct.begin() + 12));
+    }
+  }
+  // The process died after shard 0's run and before shard 1's.
+  fs::resize_file(SegPath("T", 1), shard1_committed_size);
+
+  EncryptedTableStore store("T", TripSchema(), key, SegmentConfig(2, false));
+  ASSERT_OK(store.Reopen());
+  EXPECT_EQ(store.outsourced_count(), 3);
+  EXPECT_EQ(store.nonce_high_water(), batch_mark);
+  ASSERT_OK(store.Update({Trip(4, 40), Trip(5, 50)}));
+  ASSERT_OK(store.Flush());
+  auto cts = store.ciphertexts();
+  ASSERT_OK(cts);
+  std::set<Bytes> all_nonces = burned;
+  for (const auto& ct : cts.value()) {
+    all_nonces.insert(Bytes(ct.begin(), ct.begin() + 12));
+  }
+  // 3 committed + 2 burned by the dead batch + 2 fresh.
+  EXPECT_EQ(all_nonces.size(), 7u);
+  auto rows = store.DecryptAll();
+  ASSERT_OK(rows);
+  EXPECT_EQ(PickupIds(rows.value()),
+            (std::multiset<int64_t>{10, 20, 30, 40, 50}));
+}
+
 TEST_F(StorageTest, TamperedCommittedRecordFailsAuthentication) {
   const Bytes key(32, 5);
   {
@@ -661,10 +771,11 @@ TEST(IndexedStoreTest, SnapshotTouchesEveryRecordAndReopenIsRefused) {
   EXPECT_EQ(after->total_rows, 40);
 }
 
-TEST(IndexedStoreTest, RecordsStoredBeforeABatchFailsStayIndexed) {
-  // The second record of a batch cannot be sealed. The first was already
-  // stored, so the index must hold it too: every tree keeps matching its
-  // shard, and later batches and captures keep working.
+TEST(IndexedStoreTest, ABatchThatFailsStoresAndIndexesNothing) {
+  // The second record of a batch cannot be sealed, so the whole batch is
+  // refused before anything is stored: the store and the index keep only
+  // the setup record, every tree keeps matching its shard, and later
+  // batches and captures keep working.
   oram::OramMirrorConfig index;
   index.capacity = 64;
   EncryptedTableStore store("T", TripSchema(), Bytes(32, 3), {}, index);
@@ -673,15 +784,15 @@ TEST(IndexedStoreTest, RecordsStoredBeforeABatchFailsStayIndexed) {
   oversized.payload = Bytes(crypto::RecordCipher::kPlaintextSize, 0);
   EXPECT_EQ(store.Update({Trip(1, 2), oversized}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(store.outsourced_count(), 2);
-  EXPECT_EQ(store.mirror()->size(), 2u);
+  EXPECT_EQ(store.outsourced_count(), 1);
+  EXPECT_EQ(store.mirror()->size(), 1u);
 
   ASSERT_OK(store.Update({Trip(2, 3)}));
   std::lock_guard<std::mutex> lk(store.table_mutex());
   auto snap = store.Snapshot();
   ASSERT_OK(snap);
-  EXPECT_EQ(snap->total_rows, 3);
-  EXPECT_EQ(snap->oram.paths, 3);
+  EXPECT_EQ(snap->total_rows, 2);
+  EXPECT_EQ(snap->oram.paths, 2);
 }
 
 /// `n` trip records sealed by `cipher` as ingest entries, all on `shard`.
@@ -694,6 +805,60 @@ std::vector<EncryptedTableStore::CipherEntry> SealedOnShard(
     entries.push_back({shard, std::move(ct.value())});
   }
   return entries;
+}
+
+/// `entries` with its last ciphertext one byte short.
+std::vector<EncryptedTableStore::CipherEntry> WithShortLast(
+    std::vector<EncryptedTableStore::CipherEntry> entries) {
+  entries.back().ciphertext.pop_back();
+  return entries;
+}
+
+TEST(IngestTest, ARefusedBatchStoresNothing) {
+  // The second ciphertext of an Update batch has the wrong size. The batch
+  // is checked whole before the first write, so its first entry is not
+  // stored either, and the next flush commits only the next good batch.
+  const Bytes key(32, 6);
+  EncryptedTableStore store("T", TripSchema(), key);
+  crypto::RecordCipher cipher(key);
+  ASSERT_OK(store.IngestCiphertexts(SealedOnShard(cipher, 2, 0),
+                                    cipher.nonce_high_water(),
+                                    /*setup_batch=*/true));
+  Status refused = store.IngestCiphertexts(
+      WithShortLast(SealedOnShard(cipher, 2, 0)), cipher.nonce_high_water(),
+      /*setup_batch=*/false);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.outsourced_count(), 2);
+
+  ASSERT_OK(store.IngestCiphertexts(SealedOnShard(cipher, 2, 0),
+                                    cipher.nonce_high_water(),
+                                    /*setup_batch=*/false));
+  std::lock_guard<std::mutex> lk(store.table_mutex());
+  auto snap = store.Snapshot();
+  ASSERT_OK(snap);
+  EXPECT_EQ(snap->total_rows, 4);
+}
+
+TEST(IngestTest, ARefusedSetupBatchCanBeRetried) {
+  // A setup batch that stored nothing leaves the table before Setup, so
+  // the same batch, intact, can be sent again.
+  const Bytes key(32, 6);
+  EncryptedTableStore store("T", TripSchema(), key);
+  crypto::RecordCipher cipher(key);
+  auto entries = SealedOnShard(cipher, 2, 0);
+  Status refused = store.IngestCiphertexts(WithShortLast(entries),
+                                           cipher.nonce_high_water(),
+                                           /*setup_batch=*/true);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.outsourced_count(), 0);
+  EXPECT_EQ(store.IngestCiphertexts(entries, cipher.nonce_high_water(),
+                                    /*setup_batch=*/false)
+                .code(),
+            StatusCode::kFailedPrecondition);  // still before Setup
+
+  ASSERT_OK(store.IngestCiphertexts(entries, cipher.nonce_high_water(),
+                                    /*setup_batch=*/true));
+  EXPECT_EQ(store.outsourced_count(), 2);
 }
 
 TEST(IndexedStoreTest, IngestedBlocksJoinTheTreeOfTheirNamedShard) {
