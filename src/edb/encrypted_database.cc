@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -46,19 +47,34 @@ StatusOr<PreparedQuery> QuerySession::Prepare(const query::SelectQuery& q) {
 
 namespace {
 
-std::optional<std::chrono::steady_clock::time_point> DeadlineFrom(
-    const QueryOptions& options) {
-  if (options.admission_timeout_seconds <= 0) return std::nullopt;
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(options.admission_timeout_seconds));
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+/// The admission deadline `options` asks for, counted from now: none
+/// (wait indefinitely) for a timeout <= 0 or one past the steady clock's
+/// last tick, +inf included. A NaN timeout is refused.
+StatusOr<Deadline> DeadlineFrom(const QueryOptions& options) {
+  using Clock = std::chrono::steady_clock;
+  if (std::isnan(options.admission_timeout_seconds)) {
+    return Status::InvalidArgument("admission timeout is NaN");
+  }
+  if (options.admission_timeout_seconds <= 0) return Deadline();
+  const auto now = Clock::now();
+  const std::chrono::duration<double> timeout(
+      options.admission_timeout_seconds);
+  // The comparison converts `timeout` to ticks in the same double
+  // arithmetic as the cast below, so a timeout under the bound casts to
+  // a tick count that fits, and the sum cannot pass the last tick.
+  if (timeout >= Clock::time_point::max() - now) return Deadline();
+  return Deadline(now + std::chrono::duration_cast<Clock::duration>(timeout));
 }
 
 }  // namespace
 
 StatusOr<QueryResponse> QuerySession::Execute(const PreparedQuery& q,
                                               const QueryOptions& options) {
-  return server_->ExecuteWithDeadline(q, DeadlineFrom(options));
+  auto deadline = DeadlineFrom(options);
+  if (!deadline.ok()) return deadline.status();
+  return server_->ExecuteWithDeadline(q, deadline.value());
 }
 
 StatusOr<QueryTicket> QuerySession::Submit(const PreparedQuery& q,
@@ -66,6 +82,10 @@ StatusOr<QueryTicket> QuerySession::Submit(const PreparedQuery& q,
   if (!q.valid()) {
     return Status::InvalidArgument("query was not prepared");
   }
+  // The deadline clock starts at submission: time spent queued behind
+  // other pool work counts against it.
+  auto deadline = DeadlineFrom(options);
+  if (!deadline.ok()) return deadline.status();
   auto pending = std::make_shared<Pending>();
   QueryTicket ticket;
   {
@@ -73,7 +93,7 @@ StatusOr<QueryTicket> QuerySession::Submit(const PreparedQuery& q,
     ticket.id = next_ticket_++;
     pending_[ticket.id] = pending;
   }
-  server_->SubmitAsync(q, options, std::move(pending));
+  server_->SubmitAsync(q, deadline.value(), std::move(pending));
   return ticket;
 }
 
@@ -147,13 +167,6 @@ StatusOr<EdbTable*> EdbServer::CreateTable(const std::string& name,
   return table;
 }
 
-StatusOr<QueryResponse> EdbServer::Query(const query::SelectQuery& q) {
-  auto prepared = PrepareInternal(q);
-  if (!prepared.ok()) return prepared.status();
-  return ExecuteWithDeadline(prepared.value(), std::nullopt,
-                             /*implicit_prepare=*/true);
-}
-
 query::PlannerOptions EdbServer::planner_options() const {
   query::PlannerOptions options;
   options.engine_name = name();
@@ -187,8 +200,7 @@ StatusOr<PreparedQuery> EdbServer::PrepareInternal(
 
 StatusOr<QueryResponse> EdbServer::ExecuteWithDeadline(
     const PreparedQuery& q,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    bool implicit_prepare) {
+    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   if (!q.valid()) {
     return Status::InvalidArgument("query was not prepared");
   }
@@ -207,24 +219,19 @@ StatusOr<QueryResponse> EdbServer::ExecuteWithDeadline(
   auto response = ExecutePlan(*bound.plan_);
   admission_.Release();
   if (response.ok()) {
-    // A session Execute reuses the plan built at Prepare — unless a
-    // catalog change forced a re-plan just now, in which case report what
-    // the re-plan actually did; the one-shot shim reports its implicit
-    // prepare's cache outcome.
-    response->stats.plan_cache_hit = (implicit_prepare || rebound)
-                                         ? bound.from_plan_cache()
-                                         : true;
+    // An Execute reuses the plan built at Prepare — unless a catalog
+    // change forced a re-plan just now, in which case report what the
+    // re-plan actually did.
+    response->stats.plan_cache_hit = rebound ? bound.from_plan_cache() : true;
     executed_.fetch_add(1, std::memory_order_relaxed);
   }
   return response;
 }
 
-void EdbServer::SubmitAsync(const PreparedQuery& q,
-                            const QueryOptions& options,
-                            std::shared_ptr<QuerySession::Pending> out) {
-  // The deadline clock starts at submission: time spent queued behind
-  // other pool work counts against it.
-  auto deadline = DeadlineFrom(options);
+void EdbServer::SubmitAsync(
+    const PreparedQuery& q,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    std::shared_ptr<QuerySession::Pending> out) {
   auto state = async_;
   SharedPool()->Submit(
       [this, state, q, deadline, out = std::move(out)]() mutable {

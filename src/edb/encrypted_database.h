@@ -19,9 +19,8 @@
 /// (schemas are immutable), and a schema change (new table) is detected
 /// via a catalog epoch and re-bound transparently. Execution is gated by
 /// a per-server admission controller (bounded concurrency, FIFO overflow
-/// queue, per-query admission deadline). The legacy one-shot Query() is a
-/// thin shim over an implicit session and is bit-identical to the
-/// prepared path (enforced by sim_test). See docs/API.md.
+/// queue, per-query admission deadline). A session is the only way an
+/// analyst runs a query. See docs/API.md.
 #pragma once
 
 #include <atomic>
@@ -57,10 +56,6 @@ struct QueryStats {
   int64_t records_scanned = 0;
   /// Record pairs compared by a join (0 otherwise).
   int64_t join_pairs = 0;
-  /// The response volume the query protocol REVEALS to the server: -1 for
-  /// volume-hiding (L-0/L-DP) schemes; the exact (or padded) matching
-  /// record count for L-1 schemes (see volume_hiding.h).
-  int64_t revealed_volume = -1;
   /// Indexed (ORAM-backed) scans only; zero for linear scans. Paths is the
   /// number of oblivious path accesses the scan performed; buckets charges
   /// each path its own tree's height (per-shard trees are shorter), and
@@ -71,10 +66,9 @@ struct QueryStats {
   int64_t oram_buckets = 0;
   double oram_virtual_seconds = 0.0;
   /// True when this execution reused an already-built plan instead of
-  /// planning from scratch: every session Execute of a PreparedQuery
-  /// (planning happened at Prepare), and any one-shot Query() whose
-  /// implicit prepare hit the server plan cache (i.e. from its second
-  /// call on).
+  /// planning from scratch: planning happened at Prepare, so only the
+  /// first Execute of a handle after a catalog change (CreateTable) can
+  /// read false, when its re-plan missed the plan cache.
   bool plan_cache_hit = false;
 };
 
@@ -147,9 +141,11 @@ struct ServerStats {
 /// Per-execution options.
 struct QueryOptions {
   /// Upper bound on how long the query may wait for an admission slot
-  /// before failing with DeadlineExceeded (0 = wait indefinitely). For
-  /// Submit, the clock starts at submission, so pool queueing counts.
-  /// Queries that started executing are never aborted.
+  /// before failing with DeadlineExceeded. A value <= 0, or one beyond
+  /// the steady clock's range (+inf included), waits indefinitely; NaN is
+  /// refused with InvalidArgument. For Submit, the clock starts at
+  /// submission, so pool queueing counts. Queries that started executing
+  /// are never aborted.
   double admission_timeout_seconds = 0.0;
 };
 
@@ -248,12 +244,11 @@ class QuerySession {
 /// A (simulated) encrypted database server hosting named tables.
 ///
 /// The base class owns the engine-independent query machinery — plan
-/// cache, sessions, admission control, the legacy one-shot shim — and
-/// engines plug in through the SPI below (ExecutePlan / FindSchema /
-/// planner_options / CreateTableImpl). A release stage that changes what a
-/// query reveals (the Laplace release in crypte_engine.h, volume padding
-/// in volume_hiding.h) is a subclass of the engine it releases, overriding
-/// the SPI and calling its base.
+/// cache, sessions, admission control — and engines plug in through the
+/// SPI below (ExecutePlan / FindSchema / planner_options /
+/// CreateTableImpl). A release stage that changes what a query reveals
+/// (the Laplace release in crypte_engine.h) is a subclass of the engine
+/// it releases, overriding the SPI and calling its base.
 class EdbServer {
  public:
   explicit EdbServer(const AdmissionConfig& admission = {});
@@ -275,11 +270,6 @@ class EdbServer {
   /// Opens a query session. The session borrows the server; it must not
   /// outlive it.
   std::unique_ptr<QuerySession> CreateSession();
-
-  /// Pi_Query, legacy one-shot form: prepare (through the plan cache) and
-  /// execute in one call over an implicit session. Kept for convenience
-  /// and backwards compatibility; bit-identical to Prepare+Execute.
-  StatusOr<QueryResponse> Query(const query::SelectQuery& q);
 
   /// v2 pipeline counters (plan cache, admission, rebinds).
   ServerStats stats() const;
@@ -312,8 +302,9 @@ class EdbServer {
   // Public so tests can run a bound plan without Prepare or admission;
   // analysts should use sessions.
 
-  /// Executes a bound plan. Implementations must be safe to call from
-  /// multiple threads concurrently (per-table locking; see EdbTable).
+  /// Executes a bound plan and returns its answer and cost.
+  /// Implementations must be safe to call from multiple threads
+  /// concurrently (per-table locking; see EdbTable).
   virtual StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) = 0;
 
   /// Schema of a hosted table, or nullptr. Thread-safe; the returned
@@ -396,15 +387,15 @@ class EdbServer {
 
   StatusOr<PreparedQuery> PrepareInternal(const query::SelectQuery& q);
   /// Admission + (stale-plan rebind) + ExecutePlan. `deadline` bounds the
-  /// admission wait; `implicit_prepare` marks the one-shot shim, whose
-  /// prepare cost belongs to this very call (it decides how
-  /// QueryStats::plan_cache_hit is reported).
+  /// admission wait.
   StatusOr<QueryResponse> ExecuteWithDeadline(
       const PreparedQuery& q,
+      const std::optional<std::chrono::steady_clock::time_point>& deadline);
+  /// Runs ExecuteWithDeadline on the shared pool and sets `out`.
+  void SubmitAsync(
+      const PreparedQuery& q,
       const std::optional<std::chrono::steady_clock::time_point>& deadline,
-      bool implicit_prepare = false);
-  void SubmitAsync(const PreparedQuery& q, const QueryOptions& options,
-                   std::shared_ptr<QuerySession::Pending> out);
+      std::shared_ptr<QuerySession::Pending> out);
 
   mutable PlanCache plan_cache_;
   AdmissionController admission_;

@@ -426,11 +426,9 @@ Status EncryptedTableStore::RegisterView(
 
 std::optional<EncryptedTableStore::ViewAnswer>
 EncryptedTableStore::TryViewAnswer(uint64_t fingerprint,
-                                   const std::string& canonical_text,
-                                   int64_t* selected) {
+                                   const std::string& canonical_text) {
   std::lock_guard<std::mutex> lk(table_mutex());
-  auto result =
-      views_.Answer(fingerprint, canonical_text, commit_epoch(), selected);
+  auto result = views_.Answer(fingerprint, canonical_text, commit_epoch());
   if (!result.has_value()) return std::nullopt;
   return ViewAnswer{std::move(result.value()),
                     committed_total_.load(std::memory_order_acquire)};

@@ -174,11 +174,8 @@ class EncryptedTableStore : public EdbTable {
   /// CommitEpoch; std::nullopt otherwise (caller falls back to the scan
   /// path: cold start, post-Reopen, fingerprint never registered). Locks
   /// table_mutex() briefly — the copy out is O(answer), never O(rows).
-  /// `selected`, when non-null and the view answers, receives the rows
-  /// the plan's WHERE selected in the same state the answer reads.
   std::optional<ViewAnswer> TryViewAnswer(uint64_t fingerprint,
-                                          const std::string& canonical_text,
-                                          int64_t* selected = nullptr);
+                                          const std::string& canonical_text);
 
   /// Number of registered views (tests). Locks table_mutex().
   size_t registered_views();

@@ -149,11 +149,6 @@ OramHealth ObliDbServer::oram_health() const {
 
 StatusOr<QueryResponse> ObliDbServer::ExecutePlan(
     const query::QueryPlan& plan) {
-  return Evaluate(plan, nullptr);
-}
-
-StatusOr<QueryResponse> ObliDbServer::Evaluate(const query::QueryPlan& plan,
-                                               int64_t* selected) {
   // The planner resolved these names against our catalog and tables are
   // never dropped, so the lookups cannot fail while the server lives.
   EncryptedTableStore* table = FindTable(plan.table);
@@ -165,14 +160,14 @@ StatusOr<QueryResponse> ObliDbServer::Evaluate(const query::QueryPlan& plan,
       return Status::Internal("plan references lost table " +
                               plan.join_table);
     }
-    return JoinQuery(plan.rewritten, table, right, selected);
+    return JoinQuery(plan.rewritten, table, right);
   }
   // Views extend the snapshot machinery: they hold committed-prefix
   // state, which is exactly what the snapshot path serves.
   if (query::PlanIsViewEligible(plan)) {
     auto start = std::chrono::steady_clock::now();
-    if (auto hit = table->TryViewAnswer(plan.fingerprint,
-                                        plan.canonical_text, selected)) {
+    if (auto hit =
+            table->TryViewAnswer(plan.fingerprint, plan.canonical_text)) {
       // O(1) answer from the folded view state, stamped with the current
       // CommitEpoch under the table mutex — bit-identical to scanning the
       // committed prefix. The virtual cost still charges the oblivious
@@ -191,12 +186,11 @@ StatusOr<QueryResponse> ObliDbServer::Evaluate(const query::QueryPlan& plan,
     // through Prepare, a sum the view cannot reproduce bit for bit): fall
     // through to the scan below.
   }
-  return ScanQuery(plan.rewritten, table, selected);
+  return ScanQuery(plan.rewritten, table);
 }
 
 StatusOr<QueryResponse> ObliDbServer::ScanQuery(
-    const query::SelectQuery& rewritten, EncryptedTableStore* table,
-    int64_t* selected) {
+    const query::SelectQuery& rewritten, EncryptedTableStore* table) {
   auto start = std::chrono::steady_clock::now();
   auto view = [&] {
     std::lock_guard<std::mutex> lk(table->table_mutex());
@@ -212,7 +206,7 @@ StatusOr<QueryResponse> ObliDbServer::ScanQuery(
   plain.borrowed_spans = view->spans;
   query::Catalog catalog;
   catalog.AddTable(&plain);
-  auto result = query::Executor(&catalog).Execute(rewritten, selected);
+  auto result = query::Executor(&catalog).Execute(rewritten);
   if (!result.ok()) return result.status();
   CountSnapshotScan();
 
@@ -437,8 +431,7 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
                                        query::Table& lt, query::Table& rt,
                                        int64_t n1, int64_t n2,
                                        const ObliDbConfig& config,
-                                       const CostModel& cost,
-                                       int64_t* selected) {
+                                       const CostModel& cost) {
   const int64_t pairs = n1 * n2;
   const query::SelectItem* agg = rewritten.AggregateItem();
   std::optional<int64_t> count;
@@ -452,7 +445,6 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
   query::QueryResult result;
   if (count) {
     // The answer is the number of real pairs the WHERE selected.
-    if (selected != nullptr) *selected = *count;
     result = query::QueryResult::Scalar(static_cast<double>(*count));
   } else {
     // Grouped, non-COUNT, cross-side-predicate and over-limit joins:
@@ -467,7 +459,7 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
     query::Catalog catalog;
     catalog.AddTable(&lt);
     catalog.AddTable(&rt);
-    auto r = query::Executor(&catalog).Execute(rewritten, selected);
+    auto r = query::Executor(&catalog).Execute(rewritten);
     if (!r.ok()) return r.status();
     result = std::move(r.value());
   }
@@ -484,7 +476,7 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
 
 StatusOr<QueryResponse> ObliDbServer::JoinQuery(
     const query::SelectQuery& rewritten, EncryptedTableStore* left,
-    EncryptedTableStore* right, int64_t* selected) {
+    EncryptedTableStore* right) {
   auto start = std::chrono::steady_clock::now();
   // Capture both sides under ONE brief critical section, never the join
   // itself. std::scoped_lock acquires the two mutexes deadlock-free
@@ -525,7 +517,7 @@ StatusOr<QueryResponse> ObliDbServer::JoinQuery(
   rt.borrowed_spans = rview.spans;
 
   auto resp = JoinOverTables(rewritten, lt, rt, lview.total_rows,
-                             rview.total_rows, config_, cost_, selected);
+                             rview.total_rows, config_, cost_);
   if (!resp.ok()) return resp.status();
   CountSnapshotJoin();
   resp->stats.measured_seconds = SecondsSince(start);

@@ -98,9 +98,7 @@ std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
 
 /// The ObliDB server, and the exact engine of CryptEpsServer
 /// (crypte_engine.h), which runs its linear tables under another cost
-/// model and releases every answer with Laplace noise, and of
-/// StealthDbServer (volume_hiding.h), which reveals the response volume
-/// Evaluate counts, and its padded subclass VolumePaddedServer.
+/// model and releases every answer with Laplace noise.
 class ObliDbServer : public EdbServer {
  public:
   explicit ObliDbServer(const ObliDbConfig& config = {});
@@ -112,15 +110,6 @@ class ObliDbServer : public EdbServer {
   int64_t total_outsourced_records() const override;
   OramHealth oram_health() const override;
 
-  // Engine SPI (see encrypted_database.h): Evaluate with no count.
-  StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
-  const query::Schema* FindSchema(const std::string& table) const override;
-
- protected:
-  /// This engine body priced by another cost model: LaplaceRelease
-  /// (crypte_engine.h) runs ObliDB's linear tables this way.
-  ObliDbServer(const ObliDbConfig& config, const CostModel& cost);
-
   /// The one execution of `plan`, whose path the plan alone picks: a
   /// current materialized view answers view-eligible plans; every other
   /// scan and join captures the committed prefix of its tables under a
@@ -128,13 +117,14 @@ class ObliDbServer : public EdbServer {
   /// touches) and aggregates or joins with no lock held. Under manual
   /// commit points (StorageConfig::flush_every_update=false) both storage
   /// methods therefore see only flushed rows (docs/CONCURRENCY.md).
-  /// Concurrent sessions and owner-side appends are safe. When `selected`
-  /// is non-null it receives how many real rows (real row pairs, for a
-  /// join) the rewritten WHERE selected on the path that answered: the
-  /// oblivious COUNT join's answer, or else the count of the accumulators
-  /// that computed the answer (query::ScanPartial::Finalize).
-  StatusOr<QueryResponse> Evaluate(const query::QueryPlan& plan,
-                                   int64_t* selected);
+  /// Concurrent sessions and owner-side appends are safe.
+  StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
+  const query::Schema* FindSchema(const std::string& table) const override;
+
+ protected:
+  /// This engine body priced by another cost model: LaplaceRelease
+  /// (crypte_engine.h) runs ObliDB's linear tables this way.
+  ObliDbServer(const ObliDbConfig& config, const CostModel& cost);
 
   StatusOr<EdbTable*> CreateTableImpl(const std::string& name,
                                       const query::Schema& schema) override;
@@ -145,18 +135,15 @@ class ObliDbServer : public EdbServer {
 
  private:
   /// Captures the table under its lock, then aggregates with no lock
-  /// held. `selected` as in Evaluate.
+  /// held.
   StatusOr<QueryResponse> ScanQuery(const query::SelectQuery& rewritten,
-                                    EncryptedTableStore* table,
-                                    int64_t* selected);
+                                    EncryptedTableStore* table);
   /// Captures BOTH sides under one brief std::scoped_lock (a self-join
   /// locks once and captures each side), then joins with no lock held,
   /// overlapping owner appends, other joins and scans on either table.
-  /// `selected` as in Evaluate.
   StatusOr<QueryResponse> JoinQuery(const query::SelectQuery& rewritten,
                                     EncryptedTableStore* left,
-                                    EncryptedTableStore* right,
-                                    int64_t* selected);
+                                    EncryptedTableStore* right);
   EncryptedTableStore* FindTable(const std::string& name) const;
 
   ObliDbConfig config_;

@@ -53,9 +53,9 @@ int64_t MaterializedView::FoldTo(const query::Schema& schema,
 }
 
 std::optional<query::QueryResult> MaterializedView::Answer(
-    uint64_t epoch, int64_t* selected) const {
+    uint64_t epoch) const {
   if (!valid_ || epoch_ != epoch || !order_free_) return std::nullopt;
-  return state_.Finalize(selected);
+  return state_.Finalize();
 }
 
 void ViewRegistry::Register(std::shared_ptr<const query::QueryPlan> plan,
@@ -90,8 +90,8 @@ void ViewRegistry::InvalidateAll() {
 }
 
 std::optional<query::QueryResult> ViewRegistry::Answer(
-    uint64_t fingerprint, const std::string& canonical_text, uint64_t epoch,
-    int64_t* selected) const {
+    uint64_t fingerprint, const std::string& canonical_text,
+    uint64_t epoch) const {
   auto it = views_.find(fingerprint);
   if (it == views_.end()) return std::nullopt;
   // Fingerprint collisions are disarmed the same way the plan cache does
@@ -99,7 +99,7 @@ std::optional<query::QueryResult> ViewRegistry::Answer(
   if (it->second.plan().canonical_text != canonical_text) {
     return std::nullopt;
   }
-  return it->second.Answer(epoch, selected);
+  return it->second.Answer(epoch);
 }
 
 }  // namespace dpsync::edb

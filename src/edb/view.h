@@ -85,12 +85,11 @@ class MaterializedView {
                  const ViewRowSource& source);
 
   /// O(1) answer — the same QueryResult a snapshot scan of the epoch-E
-  /// committed prefix produces, through the same ScanPartial::Finalize,
-  /// which fills `selected` — iff the state is valid, current through
-  /// exactly `epoch` and order-free (see the file comment). std::nullopt
-  /// otherwise (caller falls back to the scan path).
-  std::optional<query::QueryResult> Answer(uint64_t epoch,
-                                           int64_t* selected) const;
+  /// committed prefix produces, through the same ScanPartial::Finalize —
+  /// iff the state is valid, current through exactly `epoch` and
+  /// order-free (see the file comment). std::nullopt otherwise (caller
+  /// falls back to the scan path).
+  std::optional<query::QueryResult> Answer(uint64_t epoch) const;
 
  private:
   void Reset();
@@ -144,10 +143,10 @@ class ViewRegistry {
 
   /// O(1) answer from the view for `fingerprint` iff it exists, its plan
   /// text matches `canonical_text`, and its state is current through
-  /// `epoch`. `selected` as in MaterializedView::Answer.
-  std::optional<query::QueryResult> Answer(
-      uint64_t fingerprint, const std::string& canonical_text,
-      uint64_t epoch, int64_t* selected) const;
+  /// `epoch`.
+  std::optional<query::QueryResult> Answer(uint64_t fingerprint,
+                                           const std::string& canonical_text,
+                                           uint64_t epoch) const;
 
   size_t size() const { return views_.size(); }
 

@@ -317,8 +317,7 @@ bool SpansTyped(const std::vector<RowSpan>& spans, size_t n_cols, size_t idx,
   return true;
 }
 
-StatusOr<QueryResult> Executor::Execute(const SelectQuery& q,
-                                        int64_t* selected) const {
+StatusOr<QueryResult> Executor::Execute(const SelectQuery& q) const {
   const Table* table = catalog_->Find(q.table);
   if (!table) return Status::NotFound("unknown table: " + q.table);
   const Table* right = nullptr;
@@ -333,7 +332,7 @@ StatusOr<QueryResult> Executor::Execute(const SelectQuery& q,
   auto partial = right ? ExecuteJoin(q, *table, *right)
                        : ExecuteScanPartial(q, *table, options_.vectorized);
   if (!partial.ok()) return partial.status();
-  return partial.value().Finalize(selected);
+  return partial.value().Finalize();
 }
 
 namespace {
@@ -890,18 +889,11 @@ Status ScanPartial::MergeFrom(const ScanPartial& other) {
   return Status::Ok();
 }
 
-QueryResult ScanPartial::Finalize(int64_t* selected) const {
-  if (!grouped) {
-    if (selected != nullptr) *selected = total.count();
-    return QueryResult::Scalar(total.Result());
-  }
+QueryResult ScanPartial::Finalize() const {
+  if (!grouped) return QueryResult::Scalar(total.Result());
   QueryResult result;
   result.grouped = true;
-  if (selected != nullptr) *selected = 0;
-  for (const auto& [k, acc] : groups) {
-    result.groups[k] = acc.Result();
-    if (selected != nullptr) *selected += acc.count();
-  }
+  for (const auto& [k, acc] : groups) result.groups[k] = acc.Result();
   return result;
 }
 

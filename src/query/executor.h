@@ -114,12 +114,10 @@ class Executor {
                     ExecutorOptions options = ExecutorOptions())
       : catalog_(catalog), options_(options) {}
 
-  /// Runs the query and finalizes its partial (ScanPartial::Finalize,
-  /// which fills `selected`). Errors: NotFound (unknown table),
-  /// Unimplemented (unsupported shapes: no aggregate, multi-column GROUP
-  /// BY).
-  StatusOr<QueryResult> Execute(const SelectQuery& q,
-                                int64_t* selected = nullptr) const;
+  /// Runs the query and finalizes its partial (ScanPartial::Finalize).
+  /// Errors: NotFound (unknown table), Unimplemented (unsupported shapes:
+  /// no aggregate, multi-column GROUP BY).
+  StatusOr<QueryResult> Execute(const SelectQuery& q) const;
 
  private:
   /// The hash join's accumulators, as a partial with no span cells.
@@ -260,11 +258,8 @@ struct ScanPartial : SpanPartial {
 
   /// The final answer, identical to one scan over the union of rows:
   /// `total`'s Result() ungrouped, one Result() per group otherwise.
-  /// Scans, joins and views all answer here. When `selected` is non-null
-  /// it also receives how many rows the fold counted, which is how many
-  /// the WHERE selected (row pairs, for a join), whatever the aggregate:
-  /// Add(), AddNull(), AddMeasure() and FoldCount() each count their row.
-  QueryResult Finalize(int64_t* selected = nullptr) const;
+  /// Scans, joins and views all answer here.
+  QueryResult Finalize() const;
 };
 
 /// The scan kernel's per-row step: the WHERE gate, the group key and the

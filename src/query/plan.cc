@@ -15,10 +15,6 @@ uint64_t FingerprintText(const std::string& text) {
   return h;
 }
 
-uint64_t FingerprintSelect(const SelectQuery& q) {
-  return FingerprintText(CanonicalText(q));
-}
-
 SelectQuery NormalizeSelect(const SelectQuery& q) {
   return q;  // deep copy via SelectQuery's cloning copy-assignment
 }
@@ -82,8 +78,8 @@ StatusOr<std::shared_ptr<const QueryPlan>> PlanSelect(
     plan->kind = PlanKind::kJoin;
   }
 
-  // Shape validation, with the executor's exact messages so the one-shot
-  // Query() shim reports what the legacy path reported — just earlier.
+  // Shape validation, with the executor's exact messages, so Prepare
+  // refuses a shape with the message execution would give.
   const SelectItem* agg = q.AggregateItem();
   if (q.join) {
     if (!agg) return Status::Unimplemented("join queries must aggregate");

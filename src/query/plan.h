@@ -30,13 +30,11 @@ namespace dpsync::query {
 /// CanonicalText(q)` (enforced by the fingerprint property test).
 std::string CanonicalText(const SelectQuery& q);
 
-/// FNV-1a 64-bit hash of `text` (exposed for tests).
+/// FNV-1a 64-bit hash of `text`. Over a CanonicalText it is the
+/// plan-cache key. Collisions are guarded by an exact canonical-text
+/// comparison in the cache, so the fingerprint only needs to be
+/// well-distributed, not perfect.
 uint64_t FingerprintText(const std::string& text);
-
-/// The plan-cache key: FNV-1a over the canonical text. Collisions are
-/// guarded by an exact canonical-text comparison in the cache, so the
-/// fingerprint only needs to be well-distributed, not perfect.
-uint64_t FingerprintSelect(const SelectQuery& q);
 
 /// Returns a normalized deep copy of `q` (the AST the canonical text
 /// renders). Today normalization is structural identity — the parser

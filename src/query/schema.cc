@@ -103,10 +103,4 @@ StatusOr<Row> DeserializeRow(const Bytes& bytes) {
   return row;
 }
 
-bool IsDummyRow(const Schema& schema, const Row& row) {
-  auto idx = schema.FindIndex(Schema::kDummyColumn);
-  if (!idx || *idx >= row.size()) return false;
-  return row[*idx].Truthy();
-}
-
 }  // namespace dpsync::query

@@ -55,8 +55,4 @@ Bytes SerializeRow(const Row& row);
 /// Parses a row produced by SerializeRow. Fails on truncated input.
 StatusOr<Row> DeserializeRow(const Bytes& bytes);
 
-/// Convenience: whether `row` is a dummy under `schema` (isDummy != 0).
-/// Rows without an isDummy column are treated as real.
-bool IsDummyRow(const Schema& schema, const Row& row);
-
 }  // namespace dpsync::query

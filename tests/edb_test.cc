@@ -4,12 +4,13 @@
 // L-DP engine.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "edb/crypte_engine.h"
 #include "edb/encrypted_table.h"
 #include "edb/leakage.h"
 #include "edb/oblidb_engine.h"
 #include "edb/plan_cache.h"
-#include "edb/volume_hiding.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "test_util.h"
@@ -20,6 +21,7 @@ namespace {
 
 using workload::TripRecord;
 using workload::TripSchema;
+using testutil::PrepareAndExecute;
 using testutil::Trip;
 
 // --------------------------------------------------------------- Leakage
@@ -86,10 +88,7 @@ TEST(LeakageTest, BothBuiltInEnginesPassP4) {
   CryptEpsServer crypte;
   EXPECT_TRUE(CheckCompatibility(oblidb.leakage()).compatible);
   EXPECT_TRUE(CheckCompatibility(crypte.leakage()).compatible);
-  // Each release stage sets its own class over its engine's: StealthDB's
-  // exact volumes pass only once padded, and padding makes them L-0.
-  StealthDbServer stealth;
-  VolumePaddedServer padded;
+  // The Laplace release sets its own class over its exact engine's.
   struct Case {
     const EdbServer* server;
     LeakageClass query_class;
@@ -97,9 +96,7 @@ TEST(LeakageTest, BothBuiltInEnginesPassP4) {
     bool supports_join;
   };
   for (const Case& c : {Case{&oblidb, LeakageClass::kL0, false, true},
-                        Case{&crypte, LeakageClass::kLDP, false, false},
-                        Case{&stealth, LeakageClass::kL1, true, true},
-                        Case{&padded, LeakageClass::kL0, false, true}}) {
+                        Case{&crypte, LeakageClass::kLDP, false, false}}) {
     SCOPED_TRACE(c.server->name());
     const LeakageProfile profile = c.server->leakage();
     EXPECT_EQ(profile.query_class, c.query_class);
@@ -225,7 +222,7 @@ TEST_F(ObliDbTest, CountQueryExactOverRealRecords) {
   ASSERT_TRUE(yellow_->Update({Trip(4, 55), Trip(5, 10, /*dummy=*/true)}).ok());
   auto q = query::ParseSelect(
       "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 50 AND 100");
-  auto r = server_->Query(q.value());
+  auto r = PrepareAndExecute(*server_, q.value());
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->result.scalar, 3.0);  // dummy in range is excluded
   EXPECT_EQ(r->stats.records_scanned, 5);
@@ -239,7 +236,7 @@ TEST_F(ObliDbTest, GroupByIgnoresDummies) {
                   .ok());
   auto q = query::ParseSelect(
       "SELECT pickupID, COUNT(*) FROM YellowCab GROUP BY pickupID");
-  auto r = server_->Query(q.value());
+  auto r = PrepareAndExecute(*server_, q.value());
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->result.grouped);
   EXPECT_DOUBLE_EQ(r->result.groups.at(query::Value(int64_t{10})), 2.0);
@@ -258,7 +255,7 @@ TEST_F(ObliDbTest, ObliviousJoinMatchesTruthAndExcludesDummies) {
   auto q = query::ParseSelect(
       "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
       "YellowCab.pickTime = GreenTaxi.pickTime");
-  auto r = server_->Query(q.value());
+  auto r = PrepareAndExecute(*server_, q.value());
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->result.scalar, 2.0);
   EXPECT_EQ(r->stats.join_pairs, 9);
@@ -277,7 +274,7 @@ TEST_F(ObliDbTest, ObliviousJoinMatchesHashJoin) {
       "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
       "YellowCab.pickTime = GreenTaxi.pickTime");
 
-  auto oblivious = server_->Query(q.value());
+  auto oblivious = PrepareAndExecute(*server_, q.value());
   ASSERT_TRUE(oblivious.ok());
 
   ObliDbConfig tiny_limit;
@@ -289,7 +286,7 @@ TEST_F(ObliDbTest, ObliviousJoinMatchesHashJoin) {
   ASSERT_TRUE(g2.ok());
   ASSERT_TRUE(y2.value()->Setup(ys).ok());
   ASSERT_TRUE(g2.value()->Setup(gs).ok());
-  auto hash = hash_server.Query(q.value());
+  auto hash = PrepareAndExecute(hash_server, q.value());
   ASSERT_TRUE(hash.ok());
 
   EXPECT_DOUBLE_EQ(oblivious->result.scalar, 30.0);
@@ -301,17 +298,17 @@ TEST_F(ObliDbTest, ObliviousJoinMatchesHashJoin) {
 
 TEST_F(ObliDbTest, UnknownTableQueryFails) {
   auto q = query::ParseSelect("SELECT COUNT(*) FROM Nope");
-  EXPECT_FALSE(server_->Query(q.value()).ok());
+  EXPECT_FALSE(PrepareAndExecute(*server_, q.value()).ok());
 }
 
 TEST_F(ObliDbTest, VirtualCostGrowsWithData) {
   ASSERT_TRUE(yellow_->Setup({Trip(1, 10)}).ok());
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  auto before = server_->Query(q.value());
+  auto before = PrepareAndExecute(*server_, q.value());
   std::vector<Record> batch;
   for (int64_t i = 0; i < 500; ++i) batch.push_back(Trip(10 + i, 20));
   ASSERT_TRUE(yellow_->Update(batch).ok());
-  auto after = server_->Query(q.value());
+  auto after = PrepareAndExecute(*server_, q.value());
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(after.ok());
   EXPECT_GT(after->stats.virtual_seconds, before->stats.virtual_seconds);
@@ -329,7 +326,7 @@ TEST(ObliDbOramTest, IndexedModeMatchesLinearMode) {
   ASSERT_TRUE(t.value()->Setup(records).ok());
   auto q = query::ParseSelect(
       "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 10 AND 19");
-  auto r = server.Query(q.value());
+  auto r = PrepareAndExecute(server, q.value());
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->result.scalar, 40.0);
   // The ORAM really was exercised: one path access per record per scan
@@ -366,8 +363,8 @@ TEST(ShardedEngineTest, ObliDbAnswersIdenticalOnFourShards) {
         "SELECT AVG(tripDistance) FROM YellowCab"}) {
     auto q = query::ParseSelect(sql);
     ASSERT_TRUE(q.ok()) << sql;
-    auto a = flat.Query(q.value());
-    auto b = sharded.Query(q.value());
+    auto a = PrepareAndExecute(flat, q.value());
+    auto b = PrepareAndExecute(sharded, q.value());
     ASSERT_TRUE(a.ok()) << sql;
     ASSERT_TRUE(b.ok()) << sql;
     EXPECT_EQ(a->result.scalar, b->result.scalar) << sql;
@@ -398,8 +395,8 @@ TEST(ShardedEngineTest, ObliDbJoinIdenticalOnFourShards) {
   auto q = query::ParseSelect(
       "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
       "YellowCab.pickTime = GreenTaxi.pickTime");
-  auto a = flat.Query(q.value());
-  auto b = sharded.Query(q.value());
+  auto a = PrepareAndExecute(flat, q.value());
+  auto b = PrepareAndExecute(sharded, q.value());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->result.scalar, 25.0);
@@ -422,8 +419,8 @@ TEST(ShardedEngineTest, CryptEpsNoiseStreamUnchangedBySharding) {
   }
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   for (int i = 0; i < 5; ++i) {
-    auto a = flat.Query(q.value());
-    auto b = sharded.Query(q.value());
+    auto a = PrepareAndExecute(flat, q.value());
+    auto b = PrepareAndExecute(sharded, q.value());
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->result.scalar, b->result.scalar) << "query " << i;
@@ -443,7 +440,7 @@ TEST(ShardedEngineTest, OramIndexedModeWorksOverShards) {
   ASSERT_TRUE(t.value()->Setup(records).ok());
   auto q = query::ParseSelect(
       "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 10 AND 19");
-  auto r = server.Query(q.value());
+  auto r = PrepareAndExecute(server, q.value());
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->result.scalar, 40.0);
 
@@ -485,7 +482,7 @@ TEST(ShardedEngineTest, MirrorCapacityFailureIsStickyAndLoud) {
   auto update = t.value()->Update({Trip(200, 3)});
   EXPECT_EQ(update.code(), StatusCode::kOutOfRange);
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  auto r = server.Query(q.value());
+  auto r = PrepareAndExecute(server, q.value());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
 }
@@ -503,7 +500,7 @@ TEST(ShardedEngineTest, EngineExposesPerShardTranscripts) {
   for (int64_t i = 0; i < 200; ++i) records.push_back(Trip(i, i % 50));
   ASSERT_TRUE(t.value()->Setup(records).ok());
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_TRUE(server.Query(q.value()).ok());
+  ASSERT_TRUE(PrepareAndExecute(server, q.value()).ok());
 
   auto* table = dynamic_cast<EncryptedTableStore*>(t.value());
   ASSERT_NE(table, nullptr);
@@ -540,7 +537,7 @@ TEST(ShardedEngineTest, IndexedAnswersInvariantInShardCount) {
     EXPECT_TRUE(t.value()->Setup(records).ok());
     auto q = query::ParseSelect(
         "SELECT pickupID, COUNT(*) AS C FROM YellowCab GROUP BY pickupID");
-    auto r = server->Query(q.value());
+    auto r = PrepareAndExecute(*server, q.value());
     EXPECT_TRUE(r.ok());
     return std::move(r.value());
   };
@@ -580,7 +577,7 @@ TEST_F(CryptEpsTest, NoisyCountNearTruth) {
   ASSERT_TRUE(table_->Setup(records).ok());
   auto q = query::ParseSelect(
       "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 50 AND 100");
-  auto r = server_->Query(q.value());
+  auto r = PrepareAndExecute(*server_, q.value());
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r->result.scalar, 1000.0, 10.0);  // Lap(1/3) noise is tiny
 }
@@ -590,7 +587,7 @@ TEST_F(CryptEpsTest, AnswersAreActuallyNoisy) {
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   bool saw_nonint = false;
   for (int i = 0; i < 50 && !saw_nonint; ++i) {
-    auto r = server_->Query(q.value());
+    auto r = PrepareAndExecute(*server_, q.value());
     ASSERT_TRUE(r.ok());
     saw_nonint = (r->result.scalar != 1.0);
   }
@@ -605,7 +602,7 @@ TEST_F(CryptEpsTest, DummiesExcludedBeforeNoise) {
   }
   ASSERT_TRUE(table_->Setup(records).ok());
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  auto r = server_->Query(q.value());
+  auto r = PrepareAndExecute(*server_, q.value());
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r->result.scalar, 500.0, 10.0);
 }
@@ -615,7 +612,7 @@ TEST_F(CryptEpsTest, GroupedAnswersNonNegative) {
   auto q = query::ParseSelect(
       "SELECT pickupID, COUNT(*) FROM YellowCab GROUP BY pickupID");
   for (int i = 0; i < 20; ++i) {
-    auto r = server_->Query(q.value());
+    auto r = PrepareAndExecute(*server_, q.value());
     ASSERT_TRUE(r.ok());
     for (const auto& [k, v] : r->result.groups) EXPECT_GE(v, 0.0);
   }
@@ -625,7 +622,7 @@ TEST_F(CryptEpsTest, JoinUnsupported) {
   auto q = query::ParseSelect(
       "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
       "YellowCab.pickTime = GreenTaxi.pickTime");
-  EXPECT_EQ(server_->Query(q.value()).status().code(),
+  EXPECT_EQ(PrepareAndExecute(*server_, q.value()).status().code(),
             StatusCode::kUnimplemented);
 }
 
@@ -633,8 +630,8 @@ TEST_F(CryptEpsTest, BudgetAccumulates) {
   ASSERT_TRUE(table_->Setup({Trip(1, 10)}).ok());
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   EXPECT_DOUBLE_EQ(server_->consumed_query_budget(), 0.0);
-  ASSERT_TRUE(server_->Query(q.value()).ok());
-  ASSERT_TRUE(server_->Query(q.value()).ok());
+  ASSERT_TRUE(PrepareAndExecute(*server_, q.value()).ok());
+  ASSERT_TRUE(PrepareAndExecute(*server_, q.value()).ok());
   EXPECT_DOUBLE_EQ(server_->consumed_query_budget(), 6.0);
 }
 
@@ -643,13 +640,15 @@ TEST_F(CryptEpsTest, VirtualCostHigherThanObliDb) {
   for (int64_t i = 0; i < 300; ++i) records.push_back(Trip(i, 60));
   ASSERT_TRUE(table_->Setup(records).ok());
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  auto crypt_cost = server_->Query(q.value())->stats.virtual_seconds;
+  auto crypt_cost =
+      PrepareAndExecute(*server_, q.value())->stats.virtual_seconds;
 
   ObliDbServer oblidb;
   auto t2 = oblidb.CreateTable("YellowCab", TripSchema());
   ASSERT_TRUE(t2.ok());
   ASSERT_TRUE(t2.value()->Setup(records).ok());
-  auto oblidb_cost = oblidb.Query(q.value())->stats.virtual_seconds;
+  auto oblidb_cost =
+      PrepareAndExecute(oblidb, q.value())->stats.virtual_seconds;
   EXPECT_GT(crypt_cost, oblidb_cost);
 }
 
@@ -669,29 +668,6 @@ class QuerySessionTest : public ::testing::Test {
   std::unique_ptr<ObliDbServer> server_;
   EdbTable* yellow_ = nullptr;
 };
-
-TEST_F(QuerySessionTest, PreparedPathMatchesOneShotBitExactly) {
-  const std::string sql =
-      "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 50 AND 100";
-  auto parsed = query::ParseSelect(sql);
-  ASSERT_TRUE(parsed.ok());
-  auto one_shot = server_->Query(parsed.value());
-  ASSERT_TRUE(one_shot.ok());
-
-  auto session = server_->CreateSession();
-  auto prepared = session->Prepare(sql);
-  ASSERT_TRUE(prepared.ok());
-  auto via_session = session->Execute(prepared.value());
-  ASSERT_TRUE(via_session.ok());
-
-  EXPECT_DOUBLE_EQ(via_session->result.scalar, one_shot->result.scalar);
-  EXPECT_EQ(via_session->stats.records_scanned,
-            one_shot->stats.records_scanned);
-  EXPECT_DOUBLE_EQ(via_session->stats.virtual_seconds,
-                   one_shot->stats.virtual_seconds);
-  EXPECT_EQ(via_session->stats.revealed_volume,
-            one_shot->stats.revealed_volume);
-}
 
 TEST_F(QuerySessionTest, PrepareValidatesUpFront) {
   auto session = server_->CreateSession();
@@ -830,37 +806,32 @@ TEST(PlanCacheTest, StaleEpochEvictsOnLookupAndKeepsListConsistent) {
   EXPECT_TRUE(cache.Contains(4));
 }
 
-TEST_F(QuerySessionTest, OneShotShimHitsCacheFromSecondCallOn) {
-  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_TRUE(q.ok());
-  auto first = server_->Query(q.value());
-  ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->stats.plan_cache_hit);
-  auto second = server_->Query(q.value());
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->stats.plan_cache_hit);
-  EXPECT_DOUBLE_EQ(second->result.scalar, first->result.scalar);
-}
-
 TEST_F(QuerySessionTest, StalePlansRebindAfterSchemaChange) {
   auto session = server_->CreateSession();
   auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
   ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(session->Execute(q.value()).ok());
+  auto first = session->Execute(q.value());
+  ASSERT_TRUE(first.ok());
+  // Planning happened at Prepare.
+  EXPECT_TRUE(first->stats.plan_cache_hit);
   const uint64_t epoch_before = server_->catalog_epoch();
 
   // A catalog change invalidates the binding; execution transparently
-  // re-plans and still answers.
+  // re-plans and still answers. The re-plan misses the cache, which
+  // CreateTable swept of stale plans.
   ASSERT_TRUE(server_->CreateTable("GreenTaxi", TripSchema()).ok());
   EXPECT_GT(server_->catalog_epoch(), epoch_before);
   auto r = session->Execute(q.value());
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->result.scalar, 4.0);
+  EXPECT_FALSE(r->stats.plan_cache_hit);
   EXPECT_EQ(server_->stats().plan_rebinds, 1);
 
   // The re-bound plan is cached: the next stale handle execution hits it
   // without another full plan.
-  ASSERT_TRUE(session->Execute(q.value()).ok());
+  auto again = session->Execute(q.value());
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->stats.plan_cache_hit);
   EXPECT_EQ(server_->stats().plan_rebinds, 2);
   EXPECT_GE(server_->stats().plan_cache_hits, 1);
 }
@@ -882,8 +853,8 @@ TEST_F(QuerySessionTest, AppendsDoNotInvalidatePlans) {
 }
 
 TEST_F(QuerySessionTest, CryptEpsNoiseStreamIdenticalAcrossApis) {
-  // Same seed, same query sequence: the session path must consume the
-  // noise RNG exactly like the legacy one-shot path.
+  // Same seed, same query sequence: Submit/Wait must consume the noise
+  // RNG exactly like Execute.
   auto make = [] {
     CryptEpsConfig cfg;
     cfg.master_seed = 77;
@@ -894,19 +865,25 @@ TEST_F(QuerySessionTest, CryptEpsNoiseStreamIdenticalAcrossApis) {
         t.value()->Setup({Trip(1, 60), Trip(2, 70), Trip(3, 80)}).ok());
     return server;
   };
-  auto legacy = make();
-  auto v2 = make();
-  auto parsed = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_TRUE(parsed.ok());
-  auto session = v2->CreateSession();
-  auto prepared = session->Prepare(parsed.value());
-  ASSERT_TRUE(prepared.ok());
+  auto sync = make();
+  auto async = make();
+  auto sync_session = sync->CreateSession();
+  auto async_session = async->CreateSession();
+  const std::string sql = "SELECT COUNT(*) FROM YellowCab";
+  auto sync_q = sync_session->Prepare(sql);
+  auto async_q = async_session->Prepare(sql);
+  ASSERT_TRUE(sync_q.ok());
+  ASSERT_TRUE(async_q.ok());
   for (int i = 0; i < 5; ++i) {
-    auto a = legacy->Query(parsed.value());
-    auto b = session->Execute(prepared.value());
+    auto a = sync_session->Execute(sync_q.value());
+    auto ticket = async_session->Submit(async_q.value());
+    ASSERT_TRUE(ticket.ok());
+    auto b = async_session->Wait(ticket.value());
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    EXPECT_DOUBLE_EQ(b->result.scalar, a->result.scalar) << i;
+    EXPECT_EQ(testutil::DoubleBits(b->result.scalar),
+              testutil::DoubleBits(a->result.scalar))
+        << i;
   }
 }
 
@@ -949,32 +926,54 @@ TEST_F(QuerySessionTest, AdmissionDeadlineSurfacesAsDeadlineExceeded) {
   EXPECT_EQ(saw_deadline, server.stats().deadlines_exceeded > 0);
 }
 
-TEST(VolumePaddingSessionTest, SessionsWorkThroughStealthDbAndPadding) {
-  StealthDbServer inner;
-  auto t = inner.CreateTable("YellowCab", TripSchema());
+TEST_F(QuerySessionTest, TimeoutBeyondTheClockWaitsIndefinitely) {
+  // The burst of AdmissionDeadlineSurfacesAsDeadlineExceeded, raced by
+  // queries that ask to wait forever: a timeout past the steady clock's
+  // range is no deadline at all, so every one of them is admitted.
+  ObliDbConfig cfg;
+  cfg.admission.max_in_flight = 1;
+  ObliDbServer server(cfg);
+  auto t = server.CreateTable("YellowCab", TripSchema());
   ASSERT_TRUE(t.ok());
   std::vector<Record> records;
-  for (int64_t i = 0; i < 5; ++i) records.push_back(Trip(i, 60));
+  for (int64_t i = 0; i < 5000; ++i) records.push_back(Trip(i, i % 50));
   ASSERT_OK(t.value()->Setup(records));
-
-  auto inner_session = inner.CreateSession();
-  auto q = inner_session->Prepare("SELECT COUNT(*) FROM YellowCab");
+  auto session = server.CreateSession();
+  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
   ASSERT_TRUE(q.ok());
-  auto r = inner_session->Execute(q.value());
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.revealed_volume, 5);
+  QueryOptions forever;
+  forever.admission_timeout_seconds = std::numeric_limits<double>::infinity();
+  int failed = 0;
+  for (int round = 0; round < 5; ++round) {
+    std::vector<QueryTicket> tickets;
+    for (int i = 0; i < 8; ++i) {
+      auto ticket = session->Submit(q.value());
+      ASSERT_TRUE(ticket.ok());
+      tickets.push_back(ticket.value());
+    }
+    for (int i = 0; i < 8; ++i) {
+      if (!session->Execute(q.value(), forever).ok()) ++failed;
+    }
+    for (const auto& ticket : tickets) {
+      ASSERT_TRUE(session->Wait(ticket).ok());
+    }
+  }
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(server.stats().deadlines_exceeded, 0);
+  EXPECT_EQ(server.stats().queries_executed, 5 * 16);
+}
 
-  VolumePaddedServer padded;
-  auto padded_table = padded.CreateTable("YellowCab", TripSchema());
-  ASSERT_OK(padded_table);
-  ASSERT_OK(padded_table.value()->Setup(records));
-  auto padded_session = padded.CreateSession();
-  auto pq = padded_session->Prepare("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_TRUE(pq.ok());
-  auto pr = padded_session->Execute(pq.value());
-  ASSERT_TRUE(pr.ok());
-  EXPECT_EQ(pr->stats.revealed_volume, 8);  // 5 -> next pow2
-  EXPECT_DOUBLE_EQ(pr->result.scalar, 5.0);
+TEST_F(QuerySessionTest, NanTimeoutIsRefused) {
+  auto session = server_->CreateSession();
+  auto q = session->Prepare("SELECT COUNT(*) FROM YellowCab");
+  ASSERT_TRUE(q.ok());
+  QueryOptions nan;
+  nan.admission_timeout_seconds = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(session->Execute(q.value(), nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->Submit(q.value(), nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server_->stats().queries_executed, 0);
 }
 
 }  // namespace

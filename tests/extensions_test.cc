@@ -1,17 +1,11 @@
 // Tests for the extension features: the TLC CSV loader (with the paper's
 // preprocessing), multi-record-per-tick arrivals, geometric-noise strategy
-// variants, the L-1 StealthDB engine + volume-padding countermeasure (and
-// the -1 volume of every other engine), and the Crypt-eps analyst budget:
-// its exact release count on both servers and the exact bits of its noise
-// stream.
+// variants, and the Crypt-eps analyst budget: its exact release count on
+// both servers and the exact bits of its noise stream.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
 #include <fstream>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/dp_timer.h"
@@ -19,7 +13,6 @@
 #include "core/naive_strategies.h"
 #include "dist/coordinator.h"
 #include "edb/crypte_engine.h"
-#include "edb/volume_hiding.h"
 #include "query/parser.h"
 #include "test_util.h"
 #include "workload/tlc_loader.h"
@@ -29,7 +22,9 @@ namespace dpsync {
 namespace {
 
 using testutil::DoubleBits;
+using testutil::PrepareAndExecute;
 using testutil::RecordingBackend;
+using testutil::Trip;
 using workload::TripRecord;
 
 // ------------------------------------------------------------ TLC loader
@@ -187,284 +182,6 @@ TEST(NoiseKindTest, NamesAreStable) {
   EXPECT_STREQ(dp::NoiseKindName(dp::NoiseKind::kGeometric), "geometric");
 }
 
-// ------------------------------------------- L-1 engine + volume padding
-
-using testutil::Trip;
-
-TEST(NextPowerOfTwoTest, Values) {
-  EXPECT_EQ(edb::NextPowerOfTwo(-3), 1);
-  EXPECT_EQ(edb::NextPowerOfTwo(0), 1);
-  EXPECT_EQ(edb::NextPowerOfTwo(1), 1);
-  EXPECT_EQ(edb::NextPowerOfTwo(2), 2);
-  EXPECT_EQ(edb::NextPowerOfTwo(3), 4);
-  EXPECT_EQ(edb::NextPowerOfTwo(17), 32);
-  EXPECT_EQ(edb::NextPowerOfTwo(1024), 1024);
-  EXPECT_EQ(edb::NextPowerOfTwo(1025), 2048);
-}
-
-TEST(StealthDbTest, RevealsExactResponseVolume) {
-  edb::StealthDbServer server;
-  auto t = server.CreateTable("YellowCab", workload::TripSchema());
-  ASSERT_TRUE(t.ok());
-  ASSERT_TRUE(t.value()
-                  ->Setup({Trip(1, 60), Trip(2, 70), Trip(3, 200),
-                           Trip(4, 60, /*dummy=*/true)})
-                  .ok());
-  auto q = query::ParseSelect(
-      "SELECT COUNT(*) FROM YellowCab WHERE pickupID BETWEEN 50 AND 100");
-  auto r = server.Query(q.value());
-  ASSERT_TRUE(r.ok());
-  // Volume = real matching records only: the dummy never matches, so the
-  // server learns the true count -> the L-1 leak.
-  EXPECT_EQ(r->stats.revealed_volume, 2);
-  EXPECT_EQ(server.leakage().query_class, edb::LeakageClass::kL1);
-}
-
-TEST(StealthDbTest, RevealsMatchingRecordCountForEveryAggregate) {
-  // The L-1 volume is how many real records the query matches (pairs, for
-  // a join), whatever its aggregate computes from them: never the answer.
-  edb::StealthDbServer server;
-  auto t = server.CreateTable("YellowCab", workload::TripSchema());
-  ASSERT_OK(t);
-  ASSERT_OK(t.value()->Setup({Trip(1, 60), Trip(2, 70), Trip(3, 200),
-                              Trip(4, 60, /*dummy=*/true)}));
-  const std::string kFilter =
-      " FROM YellowCab WHERE pickupID BETWEEN 50 AND 100";
-  const std::pair<std::string, int64_t> kCases[] = {
-      {"SELECT COUNT(*)" + kFilter, 2},
-      {"SELECT COUNT(fare)" + kFilter, 2},
-      {"SELECT SUM(pickupID)" + kFilter, 2},
-      {"SELECT MIN(pickupID)" + kFilter, 2},
-      {"SELECT MAX(pickupID)" + kFilter, 2},
-      {"SELECT AVG(pickupID)" + kFilter, 2},
-      {"SELECT pickupID, SUM(fare)" + kFilter + " GROUP BY pickupID", 2},
-      {"SELECT SUM(YellowCab.fare) FROM YellowCab INNER JOIN YellowCab ON "
-       "YellowCab.pickupID = YellowCab.pickupID",
-       3},
-  };
-  for (const auto& [sql, volume] : kCases) {
-    auto q = query::ParseSelect(sql);
-    ASSERT_OK(q);
-    auto r = server.Query(q.value());
-    ASSERT_OK(r);
-    EXPECT_EQ(r->stats.revealed_volume, volume) << sql;
-  }
-}
-
-/// Runs VolumeComesFromAViewWhenOneExists's cases on `server`.
-void ExpectVolumesFromViews(edb::StealthDbServer& server) {
-  SCOPED_TRACE(server.name());
-  auto t = server.CreateTable("YellowCab", workload::TripSchema());
-  ASSERT_OK(t);
-  ASSERT_OK(t.value()->Setup({Trip(1, 60), Trip(2, 70), Trip(3, 200),
-                              Trip(4, 60, /*dummy=*/true)}));
-  const std::string kFilter =
-      " FROM YellowCab WHERE pickupID BETWEEN 50 AND 100";
-  struct Case {
-    std::string sql;
-    int64_t scans;
-    int64_t view_hits;
-  };
-  const Case kCases[] = {
-      {"SELECT SUM(fare)" + kFilter, 0, 1},
-      {"SELECT MAX(pickupID)" + kFilter, 1, 0},
-  };
-  for (const auto& c : kCases) {
-    auto q = query::ParseSelect(c.sql);
-    ASSERT_OK(q);
-    const edb::ServerStats before = server.stats();
-    auto r = server.Query(q.value());
-    ASSERT_OK(r);
-    // 2 matching records: StealthDB reveals 2, and 2 pads to itself.
-    EXPECT_EQ(r->stats.revealed_volume, 2) << c.sql;
-    const edb::ServerStats after = server.stats();
-    EXPECT_EQ(after.snapshot_scans - before.snapshot_scans, c.scans) << c.sql;
-    EXPECT_EQ(after.view_hits - before.view_hits, c.view_hits) << c.sql;
-  }
-  // A plan registers its own view and no other, so of the two plans only
-  // SUM's is folded on an update.
-  const int64_t folds = server.stats().view_folds;
-  ASSERT_OK(t.value()->Update({Trip(5, 80)}));
-  EXPECT_EQ(server.stats().view_folds - folds, 1);
-}
-
-TEST(StealthDbTest, VolumeComesFromAViewWhenOneExists) {
-  // The volume comes from the execution that answers, so a query runs
-  // once: SUM answers, and counts, from its view; MAX, which no view
-  // answers, from one scan. The padded server is StealthDB itself, so its
-  // views and counters are the same.
-  edb::StealthDbServer server;
-  ExpectVolumesFromViews(server);
-  edb::VolumePaddedServer padded;
-  ExpectVolumesFromViews(padded);
-}
-
-TEST(StealthDbTest, VolumeCountsThePrefixItsAnswerRead) {
-  // An owner commits one record per Update while COUNT(*) runs, first on
-  // the scan path (an unprepared plan, which no view answers), then on
-  // the view path (a session). Answer and volume come from one
-  // execution, so every volume is exactly its own answer, however the
-  // commits interleave.
-  edb::StealthDbServer server;
-  auto t = server.CreateTable("YellowCab", workload::TripSchema());
-  ASSERT_OK(t);
-  std::vector<Record> rows;
-  for (int64_t i = 0; i < 2000; ++i) rows.push_back(Trip(i, 60, i % 4 == 0));
-  ASSERT_OK(t.value()->Setup(rows));
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> owner_failures{0};
-  std::atomic<int64_t> updates{0};
-  std::thread owner([&] {
-    for (int64_t i = 2000; i < 20000 && !stop.load(); ++i) {
-      if (!t.value()->Update({Trip(i, 60, i % 4 == 0)}).ok()) {
-        ++owner_failures;
-      }
-      ++updates;
-    }
-  });
-  while (updates.load() == 0) std::this_thread::yield();
-  const std::string kCount = "SELECT COUNT(*) FROM YellowCab";
-  int failures = 0;
-  auto check = [&](const StatusOr<edb::QueryResponse>& r) {
-    if (!r.ok()) {
-      ++failures;
-      return;
-    }
-    if (r->stats.revealed_volume != std::llround(r->result.scalar)) {
-      ++failures;
-    }
-  };
-  for (int i = 0; i < 30; ++i) {
-    check(testutil::ExecuteUnprepared(server, kCount));
-  }
-  const edb::ServerStats scan_phase = server.stats();
-  auto session = server.CreateSession();
-  auto prepared = session->Prepare(kCount);
-  for (int i = 0; prepared.ok() && i < 3000; ++i) {
-    check(session->Execute(prepared.value()));
-  }
-  stop = true;
-  owner.join();
-
-  ASSERT_OK(prepared);
-  EXPECT_EQ(failures, 0);
-  EXPECT_EQ(owner_failures.load(), 0);
-  // Both paths really ran.
-  EXPECT_EQ(scan_phase.snapshot_scans, 30);
-  EXPECT_EQ(scan_phase.view_hits, 0);
-  EXPECT_GT(server.stats().view_hits, 0);
-}
-
-/// Every query of `sqls` runs on `server` (a session executes the ones
-/// marked prepared) and reveals no volume.
-void ExpectNoVolume(edb::EdbServer& server,
-                    const std::vector<std::pair<std::string, bool>>& sqls) {
-  auto session = server.CreateSession();
-  for (const auto& [sql, prepared] : sqls) {
-    SCOPED_TRACE(sql);
-    StatusOr<edb::QueryResponse> r = Status::Internal("not run");
-    if (prepared) {
-      auto q = session->Prepare(sql);
-      ASSERT_OK(q);
-      r = session->Execute(q.value());
-    } else {
-      auto q = query::ParseSelect(sql);
-      ASSERT_OK(q);
-      r = server.Query(q.value());
-    }
-    ASSERT_OK(r);
-    EXPECT_EQ(r->stats.revealed_volume, -1);
-  }
-}
-
-TEST(RevealedVolumeTest, OnlyStealthDbRevealsAVolume) {
-  // The selected-row count stays inside the engine unless StealthDB asks
-  // for it: every other engine's response reads -1 on every path.
-  const std::vector<Record> rows = {Trip(1, 60), Trip(2, 70), Trip(3, 200),
-                                    Trip(4, 60, /*dummy=*/true)};
-  const std::string kCount = "SELECT COUNT(*) FROM YellowCab";
-  const std::string kMax =
-      "SELECT MAX(fare) FROM YellowCab WHERE pickupID < 100";
-  const std::string kJoin =
-      " FROM YellowCab INNER JOIN YellowCab ON YellowCab.pickupID = "
-      "YellowCab.pickupID";
-  for (bool indexed : {false, true}) {
-    SCOPED_TRACE(indexed ? "ObliDB indexed" : "ObliDB linear");
-    edb::ObliDbConfig cfg;
-    cfg.use_oram_index = indexed;
-    cfg.oram_capacity = 64;
-    edb::ObliDbServer server(cfg);
-    auto t = server.CreateTable("YellowCab", workload::TripSchema());
-    ASSERT_OK(t);
-    ASSERT_OK(t.value()->Setup(rows));
-    // A view hit (linear only: indexed tables keep no views), a scan, the
-    // oblivious COUNT join and the hash join.
-    ExpectNoVolume(server, {{kCount, true},
-                            {kMax, false},
-                            {"SELECT COUNT(*)" + kJoin, false},
-                            {"SELECT SUM(YellowCab.fare)" + kJoin, false}});
-    const edb::ServerStats stats = server.stats();
-    EXPECT_EQ(stats.view_hits, indexed ? 0 : 1);
-    EXPECT_EQ(stats.snapshot_scans, indexed ? 2 : 1);
-    EXPECT_EQ(stats.snapshot_joins, 2);
-  }
-  {
-    SCOPED_TRACE("Crypt-eps");
-    edb::CryptEpsServer server;
-    auto t = server.CreateTable("YellowCab", workload::TripSchema());
-    ASSERT_OK(t);
-    ASSERT_OK(t.value()->Setup(rows));
-    ExpectNoVolume(server, {{kCount, true}, {kMax, false}});
-    EXPECT_EQ(server.stats().view_hits, 1);
-    EXPECT_EQ(server.stats().snapshot_scans, 1);
-  }
-  {
-    SCOPED_TRACE("2-rank coordinator");
-    dist::DistributedConfig cfg;
-    cfg.num_servers = 2;
-    cfg.oblidb.storage.num_shards = 2;
-    dist::DistributedEdbServer server(cfg);
-    ASSERT_OK(server.init_status());
-    auto t = server.CreateTable("YellowCab", workload::TripSchema());
-    ASSERT_OK(t);
-    ASSERT_OK(t.value()->Setup(rows));
-    ExpectNoVolume(server, {{kCount, true}});
-    EXPECT_EQ(server.stats().remote_scatters, 1);
-  }
-}
-
-TEST(StealthDbTest, L1IsConditionallyCompatible) {
-  edb::StealthDbServer server;
-  auto verdict = edb::CheckCompatibility(server.leakage());
-  EXPECT_TRUE(verdict.compatible);
-  EXPECT_TRUE(verdict.needs_volume_padding);
-}
-
-TEST(VolumePaddingTest, PadsToPowerOfTwo) {
-  edb::VolumePaddedServer server;
-  auto t = server.CreateTable("YellowCab", workload::TripSchema());
-  ASSERT_TRUE(t.ok());
-  std::vector<Record> records;
-  for (int64_t i = 0; i < 5; ++i) records.push_back(Trip(i, 60));
-  ASSERT_TRUE(t.value()->Setup(records).ok());
-  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  auto r = server.Query(q.value());
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.revealed_volume, 8);  // 5 -> next pow2
-  // Result itself is unchanged by the padding (it affects leakage only).
-  EXPECT_DOUBLE_EQ(r->result.scalar, 5.0);
-}
-
-TEST(VolumePaddingTest, UpgradesLeakageClass) {
-  edb::VolumePaddedServer server;
-  EXPECT_EQ(server.leakage().query_class, edb::LeakageClass::kL0);
-  auto verdict = edb::CheckCompatibility(server.leakage());
-  EXPECT_TRUE(verdict.compatible);
-  EXPECT_FALSE(verdict.needs_volume_padding);
-  EXPECT_EQ(server.name(), "StealthDB+pad");
-}
-
 // ------------------------------------------------ Crypt-eps budget limit
 
 /// A 2-rank distributed twin of `cfg`: the release over the coordinator
@@ -496,8 +213,10 @@ void ExpectAnswersThenDenied(Server& server, const BudgetCase& c) {
   ASSERT_OK(t.value()->Setup({Trip(1, 60)}));
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  for (int i = 0; i < c.answers; ++i) ASSERT_OK(server.Query(q.value()));
-  auto denied = server.Query(q.value());
+  for (int i = 0; i < c.answers; ++i) {
+    ASSERT_OK(PrepareAndExecute(server, q.value()));
+  }
+  auto denied = PrepareAndExecute(server, q.value());
   ASSERT_FALSE(denied.ok());
   EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
   EXPECT_EQ(server.consumed_query_budget(), c.answers * c.epsilon);
@@ -544,7 +263,9 @@ TEST(CryptBudgetTest, ZeroLimitMeansUnlimited) {
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE(t.value()->Setup({Trip(1, 60)}).ok());
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(server.Query(q.value()).ok());
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(PrepareAndExecute(server, q.value()).ok());
+  }
 }
 
 // ------------------------------------------------- Crypt-eps noise golden
@@ -571,7 +292,7 @@ std::vector<uint64_t> ReleasedBits(Server& server) {
        }) {
     auto q = query::ParseSelect(sql);
     EXPECT_OK(q);
-    auto r = server.Query(q.value());
+    auto r = PrepareAndExecute(server, q.value());
     EXPECT_OK(r);
     if (!r.ok()) return bits;
     if (r->result.grouped) {

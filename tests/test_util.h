@@ -160,6 +160,17 @@ inline StatusOr<edb::QueryResponse> ExecuteUnprepared(edb::EdbServer& server,
   return server.ExecutePlan(*plan.value());
 }
 
+/// Runs `q` the way an analyst does: a session prepares it through the
+/// server's plan cache (which registers a view for a view-eligible plan)
+/// and executes it under admission control.
+inline StatusOr<edb::QueryResponse> PrepareAndExecute(
+    edb::EdbServer& server, const query::SelectQuery& q) {
+  auto session = server.CreateSession();
+  auto prepared = session->Prepare(q);
+  if (!prepared.ok()) return prepared.status();
+  return session->Execute(prepared.value());
+}
+
 /// What the server observes of one ORAM shard under the indexed mode: the
 /// leaf-access histogram of that shard's tree. L-0 requires each shard's
 /// transcript to be uniform over its own leaves — per-shard trees must not
