@@ -333,7 +333,7 @@ std::optional<int64_t> ObliviousCountJoin(const query::SelectQuery& rewritten,
                                           const query::Table& right,
                                           oram::AccessTrace* trace) {
   // TagSide's real-row test reads each side's own isDummy cell, so, as
-  // the hash join does, drop the Appendix-B conjuncts that test the same
+  // query::Executor's joins do, drop the Appendix-B conjuncts that test the same
   // cells where both sides have the column.
   const query::Expr* user = rewritten.where.get();
   const query::Expr* stripped = nullptr;
@@ -448,9 +448,11 @@ StatusOr<QueryResponse> JoinOverTables(const query::SelectQuery& rewritten,
     result = query::QueryResult::Scalar(static_cast<double>(*count));
   } else {
     // Grouped, non-COUNT, cross-side-predicate and over-limit joins:
-    // identical answer via the partitioned hash join, whose accesses
-    // depend on the data; the virtual cost still charges the paper's
-    // nested loop (the QET model is shape-, not strategy-dependent).
+    // identical answer via query::Executor, whose accesses depend on the
+    // data — the counting pass for an over-limit COUNT(*) with int keys
+    // and no pair predicate (Q3), the partitioned hash join otherwise;
+    // the virtual cost still charges the paper's nested loop (the QET
+    // model is shape-, not strategy-dependent).
     // The join hoists the Appendix-B `isDummy = 0` conjuncts of the
     // rewritten WHERE into key-extraction filters — the
     // filter(T, isDummy = FALSE)-before-join semantics, zero-copy over

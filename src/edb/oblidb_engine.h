@@ -16,11 +16,13 @@
 /// pass counts the matches, so the access trace depends on the two table
 /// sizes alone. Above the limit, for grouped and non-COUNT joins, and for
 /// a WHERE conjunct that reads both sides — only a formed pair can
-/// evaluate it — the engine computes the answer with a partitioned hash
-/// join. Both paths charge the paper's nested-loop virtual cost (n1*n2
-/// pairs, which reach ~4*10^8 per query point on the month-long traces),
-/// so the choice changes wall-clock only. Every scan and join reads the
-/// committed prefix it pins under a brief table lock
+/// evaluate it — query::Executor computes the answer: Q3's shape (a
+/// COUNT(*) with int keys and no pair predicate) from per-key
+/// multiplicities in its counting pass, every other join with its
+/// partitioned hash join. Every path charges the paper's nested-loop
+/// virtual cost (n1*n2 pairs, which reach ~4*10^8 per query point on the
+/// month-long traces), so the choice changes wall-clock only. Every scan
+/// and join reads the committed prefix it pins under a brief table lock
 /// (EncryptedTableStore::Snapshot) and aggregates or joins lock-free (see
 /// ExecutePlan).
 #pragma once
@@ -57,7 +59,9 @@ struct ObliDbConfig {
   /// transcripts grow with every access).
   bool record_oram_trace = false;
   /// Ungrouped COUNT joins of at most this many pairs (n1 * n2) run the
-  /// oblivious sort-merge join; larger ones take the hash join. The unit
+  /// oblivious sort-merge join; larger ones go to query::Executor, whose
+  /// counting pass answers COUNT(*) with int keys and no pair predicate
+  /// (Q3) and whose hash join answers the rest. The unit
   /// is pairs, what the cost model charges, although the sort's work grows
   /// with rows: a row limit would drop skewed joins (64 x 62,500 rows is
   /// 4M pairs) from the oblivious path.
@@ -81,11 +85,11 @@ std::unique_ptr<EncryptedTableStore> MakeObliDbTable(
 /// pass `rewritten`'s WHERE, and whose rows are both real. Every row of
 /// both tables is tagged once, in span order, with its join key and a
 /// filter bit — a non-NULL key, the row's own real-row test
-/// (query::MarkRealRows, shared with the hash join: the typed isDummy
-/// projection where the chunk has one, the row cell where it is poisoned,
-/// and a row without the cell is not real) and every top-level WHERE
-/// conjunct that reads only its side, except the Appendix-B `isDummy = 0`
-/// pair, which tests the cells the real-row test reads
+/// (query::MarkRealRows, shared with query::Executor's joins: the typed
+/// isDummy projection where the chunk has one, the row cell where it is
+/// poisoned, and a row without the cell is not real) and every top-level
+/// WHERE conjunct that reads only its side, except the Appendix-B
+/// `isDummy = 0` pair, which tests the cells the real-row test reads
 /// (query::SplitDummyConjuncts) — and oram::ObliviousJoinCount
 /// counts the matches. Returns nullopt, before touching a row, when a
 /// conjunct reads both sides. Takes no lock: the tables' spans bound every

@@ -339,8 +339,9 @@ namespace {
 
 // --- partitioned hash join ------------------------------------------------
 //
-// The join runs in three phases, each a pure function of the captured
-// spans (safe over snapshot-backed tables with no lock held):
+// Every join but the counting pass's shape (below) takes the chain path,
+// three phases, each a pure function of the captured spans (safe over
+// snapshot-backed tables with no lock held):
 //   1. key extraction: each side's rows get one valid bit — a non-NULL ON
 //      key and, when the Appendix-B filter is hoisted, the row's own real-
 //      row test (MarkRealRows: the typed isDummy projection of every chunk
@@ -581,6 +582,119 @@ void BuildJoinPartition(JoinKeyMode mode, const JoinSide& build,
   }
 }
 
+// --- counting pass ----------------------------------------------------------
+//
+// A COUNT(*) join whose pairs read nothing — no GROUP BY, no WHERE left
+// after the Appendix-B hoist, typed int keys on both sides — answers
+// Σ_k |L_k|·|R_k| over each side's real, non-NULL keys without forming a
+// pair. Each side's keys go into one compact array of Mix64 hashes (a
+// bijection, so equal hashes are equal keys); both arrays are
+// radix-partitioned by the hash's top bits, so that each build partition's
+// hash -> multiplicity table stays in cache, and every probe hash adds its
+// key's build multiplicity. The answer is an integer, so no summation
+// order can change it: the pass keeps no row ids, chains or per-chunk
+// partials and runs serially on the calling thread.
+
+/// Build-side keys per counting-pass partition (on average): 2^k
+/// partitions for the least k that brings the build side to this many,
+/// so a partition's table (<= 50% load, 16-byte slots) spans about 32 KB.
+constexpr size_t kCountPartitionKeys = 1024;
+
+/// The Mix64 hash of every real row's non-NULL key in int column `key_idx`
+/// of `spans` (every non-empty span carries that typed projection), in
+/// span order. `dummy_col` as for ExtractJoinSide.
+std::vector<uint64_t> CountPassHashes(const std::vector<RowSpan>& spans,
+                                      size_t total, size_t key_idx,
+                                      std::optional<size_t> dummy_col) {
+  std::vector<uint64_t> out(total);
+  uint8_t real[kVectorTileRows];
+  size_t m = 0;
+  for (const auto& span : spans) {
+    if (span.size == 0) continue;
+    const ColumnSpan& kc = span.columns[key_idx];
+    for (size_t t = 0; t < span.size; t += kVectorTileRows) {
+      const size_t n = std::min(kVectorTileRows, span.size - t);
+      MarkRealRows(span.data, span.columns, dummy_col, t, n, real);
+      // Branch-free compaction: every row writes its hash at `m`, and only
+      // a valid row advances it (m never passes the row's own index).
+      for (size_t i = 0; i < n; ++i) {
+        out[m] = Mix64(static_cast<uint64_t>(kc.ints[t + i]));
+        m += real[i] & !kc.nulls[t + i];
+      }
+    }
+  }
+  out.resize(m);
+  return out;
+}
+
+/// `hashes` grouped by their top `bits` bits: partition p is
+/// hashes[bounds[p], bounds[p + 1]).
+struct HashPartitions {
+  std::vector<uint64_t> hashes;
+  std::vector<size_t> bounds;
+};
+
+HashPartitions PartitionHashes(std::vector<uint64_t> hashes, int bits) {
+  HashPartitions out;
+  const size_t parts = size_t{1} << bits;
+  out.bounds.assign(parts + 1, 0);
+  if (bits == 0) {
+    out.bounds[1] = hashes.size();
+    out.hashes = std::move(hashes);
+    return out;
+  }
+  const int shift = 64 - bits;
+  for (uint64_t h : hashes) ++out.bounds[(h >> shift) + 1];
+  for (size_t p = 0; p < parts; ++p) out.bounds[p + 1] += out.bounds[p];
+  std::vector<size_t> cursor(out.bounds.begin(), out.bounds.end() - 1);
+  out.hashes.resize(hashes.size());
+  for (uint64_t h : hashes) out.hashes[cursor[h >> shift]++] = h;
+  return out;
+}
+
+/// Σ_k |L_k|·|R_k| over two sides' key hashes. The count is symmetric, so
+/// the smaller side builds.
+uint64_t CountJoinPairs(std::vector<uint64_t> left,
+                        std::vector<uint64_t> right) {
+  if (left.size() < right.size()) std::swap(left, right);
+  int bits = 0;
+  while ((right.size() >> bits) > kCountPartitionKeys) ++bits;
+  const HashPartitions build = PartitionHashes(std::move(right), bits);
+  const HashPartitions probe = PartitionHashes(std::move(left), bits);
+  struct Slot {
+    uint64_t hash = 0;
+    uint64_t count = 0;  ///< 0 = empty
+  };
+  std::vector<Slot> table;
+  uint64_t pairs = 0;
+  for (size_t p = 0; p + 1 < build.bounds.size(); ++p) {
+    const uint64_t* b = build.hashes.data() + build.bounds[p];
+    const uint64_t* b_end = build.hashes.data() + build.bounds[p + 1];
+    const uint64_t* q = probe.hashes.data() + probe.bounds[p];
+    const uint64_t* q_end = probe.hashes.data() + probe.bounds[p + 1];
+    if (b == b_end || q == q_end) continue;
+    size_t slot_count = 16;
+    while (slot_count < 2 * static_cast<size_t>(b_end - b)) slot_count <<= 1;
+    table.assign(slot_count, Slot{});
+    const uint64_t mask = slot_count - 1;
+    for (; b != b_end; ++b) {
+      size_t s = *b & mask;
+      while (table[s].count != 0 && table[s].hash != *b) s = (s + 1) & mask;
+      table[s].hash = *b;
+      ++table[s].count;
+    }
+    for (; q != q_end; ++q) {
+      for (size_t s = *q & mask; table[s].count != 0; s = (s + 1) & mask) {
+        if (table[s].hash == *q) {
+          pairs += table[s].count;
+          break;
+        }
+      }
+    }
+  }
+  return pairs;
+}
+
 }  // namespace
 
 StatusOr<ScanPartial> Executor::ExecuteJoin(const SelectQuery& q,
@@ -624,13 +738,43 @@ StatusOr<ScanPartial> Executor::ExecuteJoin(const SelectQuery& q,
   std::optional<size_t> agg_idx;
   if (needs_value) agg_idx = ResolveColumnName(joined, agg->column);
   const bool need_combined = where != nullptr || needs_value;
+  const bool grouped = !q.group_by.empty();
+
+  // Key representation. Typed modes require both declared types to agree
+  // and every non-empty span to carry the typed projection; anything else
+  // — poisoned columns, unresolved keys, mixed declarations — takes the
+  // scalar Value path, whose cell access and NULL handling mirror
+  // ColumnExpr::Eval exactly.
+  const auto lkey_idx = ResolveColumnName(left.schema, q.join->left_column);
+  const auto rkey_idx = ResolveColumnName(right.schema, q.join->right_column);
+  JoinKeyMode mode = JoinKeyMode::kValue;
+  if (lkey_idx && rkey_idx) {
+    const ValueType lt = left.schema.fields()[*lkey_idx].type;
+    const ValueType rt = right.schema.fields()[*rkey_idx].type;
+    if (lt == rt && (lt == ValueType::kInt || lt == ValueType::kString) &&
+        SpansTyped(lspans, left.schema.size(), *lkey_idx, lt) &&
+        SpansTyped(rspans, right.schema.size(), *rkey_idx, rt)) {
+      mode = lt == ValueType::kInt ? JoinKeyMode::kInt : JoinKeyMode::kString;
+    }
+  }
+
+  ScanPartial out(agg->agg, grouped);
+  out.records_scanned = static_cast<int64_t>(n1 + n2);
+  // A COUNT(*) join whose pairs read nothing takes the counting pass;
+  // every other join enumerates its pairs on the chain path below.
+  if (!need_combined && !grouped && mode == JoinKeyMode::kInt) {
+    out.total.FoldCount(
+        CountJoinPairs(CountPassHashes(lspans, n1, *lkey_idx, ldummy),
+                       CountPassHashes(rspans, n2, *rkey_idx, rdummy)),
+        nullptr);
+    return out;
+  }
 
   // Group key (single column): resolved against the joined schema exactly
   // as ColumnExpr::Eval would — so it must be table-qualified — then
   // mapped to the owning side. An int-typed key with full columnar
   // projections runs on FlatGroupMap; everything else (string/double
   // keys, scalar spans, unresolved names) groups through the ordered map.
-  const bool grouped = !q.group_by.empty();
   bool gk_left = false;
   std::optional<size_t> gk_col;
   bool gk_typed_int = false;
@@ -672,24 +816,8 @@ StatusOr<ScanPartial> Executor::ExecuteJoin(const SelectQuery& q,
     }
   }
 
-  // Key extraction (phase 1). Typed modes require both declared types to
-  // agree and every non-empty span to carry the typed projection; anything
-  // else — poisoned columns, unresolved keys, mixed declarations — takes
-  // the scalar Value path, whose cell access and NULL handling mirror
-  // ColumnExpr::Eval exactly. A side keeps its row pointers only when a
+  // Key extraction (phase 1). A side keeps its row pointers only when a
   // combined row or a row-keyed group reads them.
-  const auto lkey_idx = ResolveColumnName(left.schema, q.join->left_column);
-  const auto rkey_idx = ResolveColumnName(right.schema, q.join->right_column);
-  JoinKeyMode mode = JoinKeyMode::kValue;
-  if (lkey_idx && rkey_idx) {
-    const ValueType lt = left.schema.fields()[*lkey_idx].type;
-    const ValueType rt = right.schema.fields()[*rkey_idx].type;
-    if (lt == rt && (lt == ValueType::kInt || lt == ValueType::kString) &&
-        SpansTyped(lspans, left.schema.size(), *lkey_idx, lt) &&
-        SpansTyped(rspans, right.schema.size(), *rkey_idx, rt)) {
-      mode = lt == ValueType::kInt ? JoinKeyMode::kInt : JoinKeyMode::kString;
-    }
-  }
   const bool row_keyed = gk_col && !gk_typed_int;
   JoinSide L, R;
   ExtractJoinSide(lspans, n1, lkey_idx, mode, ldummy,
@@ -773,9 +901,6 @@ StatusOr<ScanPartial> Executor::ExecuteJoin(const SelectQuery& q,
 
   const size_t probe_chunks =
       n1 >= kParallelScanThreshold ? SharedPool()->num_threads() : 1;
-  ScanPartial out(agg->agg, grouped);
-  out.records_scanned = static_cast<int64_t>(n1 + n2);
-
   if (!grouped) {
     std::vector<AggAccumulator> partials(std::max<size_t>(1, probe_chunks),
                                          AggAccumulator(agg->agg));

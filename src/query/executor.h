@@ -7,14 +7,21 @@
 ///     aggregation (the edb layer feeds it decrypted rows).
 ///
 /// Aggregates: COUNT(*) / COUNT(col) / SUM / AVG / MIN / MAX, optionally
-/// GROUP BY one column; INNER equi-joins run as a partitioned hash join
-/// on the ON column (build side partitioned by key hash into
-/// open-addressing tables, probe side walked in strict row order over
-/// chunks the join computes itself and runs on the shared pool, with
-/// per-chunk partials merged in chunk order, so answers do not depend on
-/// which thread calls Execute). Joins support the same single-column
-/// GROUP BY as scans; the group key must be table-qualified ("T.col") to
-/// bind in the joined schema.
+/// GROUP BY one column. INNER equi-joins on the ON column take one of two
+/// paths:
+///  - the counting pass, for a COUNT(*) join whose pairs read nothing (no
+///    GROUP BY, no WHERE left after the Appendix-B `isDummy = 0` hoist,
+///    typed int keys on both sides; the paper's Q3): Σ_k |L_k|·|R_k| from
+///    per-key multiplicities in cache-sized radix partitions, on the
+///    calling thread, since an integer count has no merge order to fix;
+///  - the chain path, a partitioned hash join, for every other join:
+///    build side partitioned by key hash into open-addressing tables with
+///    per-key chains, probe side walked in strict row order over chunks
+///    the join computes itself and runs on the shared pool, with
+///    per-chunk partials merged in chunk order, so answers do not depend
+///    on which thread calls Execute.
+/// Joins support the same single-column GROUP BY as scans; the group key
+/// must be table-qualified ("T.col") to bind in the joined schema.
 #pragma once
 
 #include <map>
@@ -120,7 +127,8 @@ class Executor {
   StatusOr<QueryResult> Execute(const SelectQuery& q) const;
 
  private:
-  /// The hash join's accumulators, as a partial with no span cells.
+  /// The join's accumulators, from the counting pass or the chain path
+  /// (see the file comment), as a partial with no span cells.
   StatusOr<ScanPartial> ExecuteJoin(const SelectQuery& q, const Table& left,
                                     const Table& right) const;
 

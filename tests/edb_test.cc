@@ -263,7 +263,8 @@ TEST_F(ObliDbTest, ObliviousJoinMatchesTruthAndExcludesDummies) {
 
 TEST_F(ObliDbTest, ObliviousJoinMatchesHashJoin) {
   // Under the default pair limit the COUNT join runs the oblivious
-  // sort-merge join; a limit of 1 sends the same data to the hash join.
+  // sort-merge join; a limit of 1 sends the same data to the executor's
+  // counting pass.
   // Answers and virtual cost must agree.
   std::vector<Record> ys, gs;
   for (int64_t t = 0; t < 60; ++t) ys.push_back(Trip(t, 10));
@@ -278,7 +279,7 @@ TEST_F(ObliDbTest, ObliviousJoinMatchesHashJoin) {
   ASSERT_TRUE(oblivious.ok());
 
   ObliDbConfig tiny_limit;
-  tiny_limit.oblivious_join_limit = 1;  // force the hash join
+  tiny_limit.oblivious_join_limit = 1;  // force the counting pass
   ObliDbServer hash_server(tiny_limit);
   auto y2 = hash_server.CreateTable("YellowCab", TripSchema());
   auto g2 = hash_server.CreateTable("GreenTaxi", TripSchema());

@@ -3,12 +3,12 @@
 // between linear and ORAM-indexed tables, which both join two pinned
 // snapshots;
 // answers independent of the execution mode (Execute, Submit/Wait);
-// oblivious sort-merge vs partitioned-hash identity, and
-// the oblivious join's data-independent access trace; NULL, string,
-// cross-type and extreme int join keys; the poisoned-column scalar
-// fallback; the one real-row test both kernels read from typed and
-// poisoned isDummy columns (each checked against the plaintext
-// executor); two-snapshot
+// oblivious sort-merge vs executor identity; the counting pass against
+// the plaintext executor and a per-key tally; the oblivious join's
+// data-independent access trace; NULL, string, cross-type and extreme int
+// join keys; the poisoned-column scalar fallback; the one real-row test
+// every kernel reads from typed and poisoned isDummy columns (each
+// checked against the plaintext executor); two-snapshot
 // visibility (uncommitted tails, racing appends, epoch advance
 // mid-batch); and A⋈B vs B⋈A deadlock-freedom. The racing cases are the
 // ones the CI TSan job leans on: snapshot joins read two pinned prefixes
@@ -80,9 +80,10 @@ JoinRun ToRun(const QueryResponse& r) {
 /// One server, two trip tables, one join execution per query in `sqls`,
 /// in order. `indexed` selects the ORAM-indexed storage method (both
 /// methods join two snapshots lock-free; indexed captures also pay the
-/// ORAM touches). `limit` overrides oblivious_join_limit (0 forces the
-/// hash path for any size). `snapshot_joins` counts the server's joins so
-/// far.
+/// ORAM touches). `limit` overrides oblivious_join_limit (0 sends every
+/// join to query::Executor, whose counting pass answers kCountSql and
+/// whose chain path answers the rest). `snapshot_joins` counts the
+/// server's joins so far.
 std::vector<JoinRun> RunTripJoins(const std::vector<std::string>& sqls,
                                   const std::vector<Record>& left,
                                   const std::vector<Record>& right,
@@ -221,7 +222,8 @@ TEST(JoinParityTest, ParityAcrossLockModes) {
   const auto left = ProbeRows(400);
   const auto right = BuildRows(300);
   for (const char* sql : {kCountSql, kSumSql, kGroupSql}) {
-    // limit 0 forces the partitioned hash path in both modes.
+    // limit 0 takes the executor in both modes: the counting pass for
+    // kCountSql, the chain path for the other two.
     JoinRun indexed = RunTripJoin(sql, left, right, true, 0);
     JoinRun linear = RunTripJoin(sql, left, right, false, 0);
     ExpectSameRun(indexed, linear, sql);
@@ -233,11 +235,12 @@ TEST(JoinParityTest, ParityAcrossLockModes) {
 
 TEST(JoinParityTest, ObliviousAndHashAgree) {
   // Ungrouped COUNT under the pair limit runs the oblivious sort-merge
-  // join; with the limit forced to 0 the same query takes the partitioned
-  // hash path. Both must produce the same answer AND the same metrics (the
-  // QET model is shape-dependent, never strategy-dependent) — for
-  // COUNT(*), COUNT(col), a predicate on one side, and self-joins, where
-  // both dummy conjuncts name the left copy.
+  // join; with the limit forced to 0 the same query goes to the executor,
+  // whose counting pass answers COUNT(*) and whose chain path answers
+  // COUNT(col) and the one-side predicate. Both must produce the same
+  // answer AND the same metrics (the QET model is shape-dependent, never
+  // strategy-dependent) — for COUNT(*), COUNT(col), a predicate on one
+  // side, and self-joins, where both dummy conjuncts name the left copy.
   const auto left = ProbeRows(120);
   const auto right = BuildRows(90);
   const char* kCountColSql =
@@ -283,11 +286,12 @@ TEST(JoinParityTest, ObliviousAndHashAgree) {
 }
 
 TEST(JoinParityTest, LockModesBitIdenticalAboveScanThreshold) {
-  // Big enough to cross the parallel-extraction and parallel-probe
-  // thresholds (8192 rows): the FP sums and grouped maps must still be
-  // bit-equal between the indexed and the linear storage method, because
-  // both join the same spans over the same chunk decomposition and merge
-  // partials in chunk order.
+  // Big enough to cross the chain path's parallel-extraction and
+  // parallel-probe thresholds (8192 rows): the FP sums and grouped maps
+  // must still be bit-equal between the indexed and the linear storage
+  // method, because both join the same spans over the same chunk
+  // decomposition and merge partials in chunk order. kCountSql takes the
+  // serial counting pass, whose integer answer has no merge order.
   const auto left = ProbeRows(9000);
   const auto right = BuildRows(200);
   for (const char* sql : {kCountSql, kSumSql, kGroupSql}) {
@@ -560,6 +564,106 @@ TEST(JoinKeyTest, ExtremeIntKeysMatchOnTheirHash) {
             grouped.groups);
 }
 
+// -------------------------------------------------------- counting pass
+
+/// Trip records for the counting pass: `real` real rows whose keys repeat
+/// (about real / distinct rows per key, key 0 among them), `dummies`
+/// dummies from MakeTripDummyFactory (all at pickTime 0) interleaved with
+/// them, three NULL keys, and `extremes` rows each at INT64_MIN and
+/// INT64_MAX.
+std::vector<Record> CountPassRows(int64_t real, int64_t distinct,
+                                  int64_t dummies, int64_t extremes,
+                                  uint64_t seed) {
+  auto dummy = workload::MakeTripDummyFactory(seed);
+  std::vector<Record> out;
+  const int64_t dummy_every = std::max<int64_t>(1, real / dummies);
+  for (int64_t i = 0; i < real; ++i) {
+    out.push_back(Trip((i * 7919) % distinct, 1 + i % 9));
+    if (i % dummy_every == 0 && dummies > 0) {
+      out.push_back(dummy());
+      --dummies;
+    }
+  }
+  for (; dummies > 0; --dummies) out.push_back(dummy());
+  for (int64_t zone = 1; zone <= 3; ++zone) {
+    out.push_back(RowRecord(TripRowWithKey(Value(), zone)));
+  }
+  for (int64_t i = 0; i < extremes; ++i) {
+    out.push_back(Trip(std::numeric_limits<int64_t>::min(), 1 + i % 9));
+    out.push_back(Trip(std::numeric_limits<int64_t>::max(), 1 + i % 9));
+  }
+  return out;
+}
+
+/// Σ_k |L_k|·|R_k| over the real, non-NULL keys of the decoded records:
+/// each side's rows tallied per key in an ordered map.
+int64_t TallyJoinPairs(const std::vector<Record>& left,
+                       const std::vector<Record>& right) {
+  auto tally = [](const std::vector<Record>& recs) {
+    std::map<int64_t, int64_t> per_key;
+    for (const auto& rec : recs) {
+      auto row = query::DeserializeRow(rec.payload);
+      EXPECT_OK(row);
+      const query::Row& r = row.value();
+      if (!r[0].is_null() && r[5].AsInt() == 0) ++per_key[r[0].AsInt()];
+    }
+    return per_key;
+  };
+  const auto r = tally(right);
+  int64_t pairs = 0;
+  for (const auto& [key, n] : tally(left)) {
+    auto it = r.find(key);
+    if (it != r.end()) pairs += n * it->second;
+  }
+  return pairs;
+}
+
+TEST(JoinCountPassTest, MatchesPlaintextAndTally) {
+  // With the pair limit at 0, Q3 over typed spans takes the executor's
+  // counting pass: Σ_k |L_k|·|R_k| from per-key multiplicities in radix
+  // partitions sized from the smaller side's real keys. Build sides of
+  // about 500, 3,000 and 40,000 real rows give one, a few and many
+  // partitions. Every side repeats its keys, holds real rows at key 0
+  // beside MakeTripDummyFactory's dummies (all at pickTime 0), NULL keys
+  // and the int64 extremes; the last two cases join an all-dummy side and
+  // an empty one. The plaintext executor (Value keys on the chain path)
+  // and a per-key tally are the references.
+  std::vector<Record> all_dummies;
+  auto dummy = workload::MakeTripDummyFactory(8);
+  for (int i = 0; i < 400; ++i) all_dummies.push_back(dummy());
+  struct Case {
+    const char* what;
+    std::vector<Record> left, right;
+    bool matches;
+  };
+  const std::vector<Case> cases = {
+      {"one partition", CountPassRows(700, 300, 150, 2, 1),
+       CountPassRows(500, 250, 120, 3, 2), true},
+      {"a few partitions", CountPassRows(4000, 1500, 900, 1, 3),
+       CountPassRows(3000, 1200, 700, 2, 4), true},
+      {"many partitions", CountPassRows(41000, 20000, 1000, 3, 5),
+       CountPassRows(40000, 17000, 1000, 2, 6), true},
+      {"all-dummy side", CountPassRows(700, 300, 150, 2, 7), all_dummies,
+       false},
+      {"empty side", CountPassRows(700, 300, 150, 2, 9), {}, false},
+  };
+  for (const auto& c : cases) {
+    const JoinRun run = RunTripJoin(kCountSql, c.left, c.right, false, 0);
+    const int64_t tally = TallyJoinPairs(c.left, c.right);
+    EXPECT_EQ(tally > 0, c.matches) << c.what;
+    EXPECT_EQ(run.result.scalar, static_cast<double>(tally)) << c.what;
+    EXPECT_EQ(run.result.scalar,
+              PlaintextJoin(kCountSql, c.left, c.right).scalar)
+        << c.what;
+    EXPECT_EQ(run.records_scanned,
+              static_cast<int64_t>(c.left.size() + c.right.size()))
+        << c.what;
+    EXPECT_EQ(run.join_pairs,
+              static_cast<int64_t>(c.left.size() * c.right.size()))
+        << c.what;
+  }
+}
+
 // --------------------------------------------------------- real-row test
 
 /// Oblivious-path pair limit that admits every test join.
@@ -688,7 +792,7 @@ TEST(JoinRealRowTest, PoisonedDummyColumnReadsRowCells) {
 }
 
 TEST(JoinRealRowTest, TypedAndPoisonedChunksMixInOneJoin) {
-  // More than two 4096-row chunks per side, past the hash join's 8,192-row
+  // More than two 4096-row chunks per side, past the chain path's 8,192-row
   // parallel thresholds; a double 0.0 isDummy cell in the left side's
   // second chunk poisons that chunk alone. The join then reads typed
   // isDummy columns from the other chunks and row cells from that one,

@@ -305,9 +305,9 @@ TEST(VectorizedDeterminismTest, RandomChunkFillsBitIdenticalAcrossConfigs) {
 // slip would surface as a last-ulp SUM difference (a pool task runs the
 // probe's ParallelFor inline, so the merge tree must not depend on it).
 // Every cell's joins fit under the default pair limit, so flipping the
-// limit (0 <-> default) runs each COUNT query on both the oblivious
-// sort-merge join and the hash join, while the SUM and grouped queries
-// take the hash path either way.
+// limit (0 <-> default) runs the COUNT query on both the oblivious
+// sort-merge join and the executor's counting pass, while the SUM and
+// grouped queries take the executor's chain path either way.
 TEST(JoinDeterminismTest, RandomJoinsBitIdenticalAcrossConfigs) {
   namespace fs = std::filesystem;
   struct Cell {
