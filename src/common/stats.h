@@ -1,6 +1,6 @@
 /// \file stats.h
-/// Streaming and batch statistics used by the experiment harness: running
-/// mean/min/max/variance (Welford), percentiles, and simple series helpers.
+/// Streaming statistics used by the experiment harness: running
+/// mean/min/max/variance (Welford) and simple series helpers.
 #pragma once
 
 #include <algorithm>
@@ -44,10 +44,6 @@ class RunningStat {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Returns the p-th percentile (0..100) of `values` using linear
-/// interpolation. Returns 0 for an empty vector. Copies & sorts.
-double Percentile(std::vector<double> values, double p);
 
 /// A named time series of (t, value) points collected during an experiment.
 struct Series {

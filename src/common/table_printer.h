@@ -1,6 +1,6 @@
 /// \file table_printer.h
 /// Aligned ASCII table output for the benchmark harness (reproducing the
-/// paper's tables as console output and optional CSV).
+/// paper's tables as console output).
 #pragma once
 
 #include <iosfwd>
@@ -22,10 +22,6 @@ class TablePrinter {
 
   /// Prints an aligned table with a separator under the header.
   void Print(std::ostream& os) const;
-
-  /// Writes the table as CSV (comma-separated, no quoting of commas —
-  /// callers must not embed commas in cells).
-  void PrintCsv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

@@ -222,21 +222,11 @@ class DistributedEdbServer::DistTable : public edb::EdbTable {
 
 // ----------------------------------------------------- DistributedEdbServer
 
-DistributedConfig LinearConfig(const edb::CryptEpsConfig& config,
-                               DistributedConfig topology) {
-  topology.oblidb = edb::LinearConfig(config);
-  return topology;
-}
-
 DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config)
-    : DistributedEdbServer(config, edb::ObliDbCostModel()) {}
-
-DistributedEdbServer::DistributedEdbServer(const DistributedConfig& config,
-                                           const edb::CostModel& cost)
     : edb::EdbServer(config.oblidb.admission),
       config_(config),
       keys_(crypto::KeyManager::FromSeed(config.oblidb.master_seed)),
-      cost_(cost) {
+      cost_(edb::ObliDbCostModel()) {
   const edb::StorageConfig& storage = config.oblidb.storage;  // GLOBAL
   const int total_shards = storage.num_shards;
   const int servers = config.num_servers;
@@ -358,11 +348,11 @@ edb::LeakageProfile DistributedEdbServer::leakage() const {
   // Records cross the wire only as ciphertexts, yet frames are not
   // sealed: each WireExecute carries the plan's canonical text, literals
   // included, and each WirePartial reply carries its shards' exact
-  // accumulator state (count, sum, min, max) in the clear, the pre-noise
-  // answer under Crypt-eps (ROADMAP direction 3). Placement is the
-  // unkeyed FNV-1a hash of each record's payload, so the per-rank ingest
-  // frames and per-shard sizes leak more than the update pattern (ROADMAP
-  // direction 2).
+  // accumulator state (count, sum, min, max, one per group when grouped)
+  // in the clear (ROADMAP direction 3). Placement is the unkeyed FNV-1a
+  // hash of each record's payload, so the per-rank ingest frames and
+  // per-shard sizes leak more than the update pattern (ROADMAP direction
+  // 2).
   edb::LeakageProfile p;
   p.query_class = edb::LeakageClass::kL0;
   p.update_leaks_only_pattern = true;

@@ -17,12 +17,8 @@
 /// single-process scan visits rows shard-major with chunk-order partial
 /// merges, the rank-order merge replays the exact global Add()/Merge()
 /// sequence — answers, grouped maps, records_scanned and the virtual QET
-/// are bit-identical to the single-process engines (dist_test proves this
-/// per backend x shard count). The coordinator is an exact engine: the
-/// distributed Crypt-eps server (DistributedCryptEpsServer, below) is the
-/// single-process Laplace release stage over it, so the merged answer is
-/// released with the same noise stream, and shard servers never see the
-/// budget or the noise.
+/// are bit-identical to the single-process ObliDB engine (dist_test
+/// proves this per backend x shard count).
 ///
 /// Failure semantics: every RPC is bounded by rpc_timeout_seconds. With
 /// replication_factor == 0 a dead or hung server yields a typed
@@ -36,7 +32,7 @@
 /// sent once: a follower that misses or refuses one is behind for good,
 /// gets no later relay and is never promoted. Because a follower applies
 /// the identical per-shard append sequence, post-cutover answers stay
-/// bit-identical to the single-process engines. See docs/DISTRIBUTED.md.
+/// bit-identical to the single-process engine. See docs/DISTRIBUTED.md.
 #pragma once
 
 #include <atomic>
@@ -51,15 +47,15 @@
 #include "crypto/key_manager.h"
 #include "dist/shard_server.h"
 #include "edb/cost_model.h"
-#include "edb/crypte_engine.h"
 #include "edb/encrypted_database.h"
+#include "edb/oblidb_engine.h"
 #include "net/socket.h"
 
 namespace dpsync::dist {
 
-/// Read by nothing: the coordinator always runs ObliDB's exact engine,
-/// and DistributedCryptEpsServer adds the Crypt-eps release. It stays only
-/// because perfbench's dist_scan workload sets DistributedConfig::engine.
+/// Read by nothing: the coordinator always runs ObliDB's engine. It stays
+/// only because perfbench's dist_scan workload sets
+/// DistributedConfig::engine.
 enum class DistEngineKind { kObliDb };
 
 /// Coordinator configuration. The engine options carry the GLOBAL
@@ -142,11 +138,6 @@ class DistributedEdbServer : public edb::EdbServer {
   int64_t bytes_shipped() const;
 
  protected:
-  /// This coordinator priced by another cost model: edb::LaplaceRelease
-  /// (DistributedCryptEpsServer) runs it this way.
-  DistributedEdbServer(const DistributedConfig& config,
-                       const edb::CostModel& cost);
-
   StatusOr<edb::EdbTable*> CreateTableImpl(
       const std::string& name, const query::Schema& schema) override;
 
@@ -221,18 +212,5 @@ class DistributedEdbServer : public edb::EdbServer {
   std::atomic<int64_t> replica_lag_batches_{0};
   std::atomic<int64_t> bytes_replicated_{0};
 };
-
-/// `topology` with linear tables under `config`'s seed, admission limits
-/// and storage (edb::LinearConfig): the coordinator a
-/// DistributedCryptEpsServer releases.
-DistributedConfig LinearConfig(const edb::CryptEpsConfig& config,
-                               DistributedConfig topology);
-
-/// Distributed Crypt-eps, built as `DistributedCryptEpsServer(config,
-/// topology)`: the single-process Laplace release over the coordinator.
-/// The merged exact answer, the budget and its seed all match
-/// CryptEpsServer's, so a sequential query sequence releases the same bits
-/// on both topologies.
-using DistributedCryptEpsServer = edb::LaplaceRelease<DistributedEdbServer>;
 
 }  // namespace dpsync::dist

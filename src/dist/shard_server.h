@@ -9,9 +9,8 @@
 ///
 /// Tables are hosted as edb::EncryptedTableStore, built by
 /// edb::MakeObliDbTable as in the single-process engines: linear tables
-/// run exactly like a linear edb::ObliDbServer's (and so like
-/// edb::CryptEpsServer's, whose release happens above the coordinator),
-/// and ObliDB's indexed mode keeps the store's per-shard Path ORAM index
+/// run exactly like a linear edb::ObliDbServer's, and ObliDB's indexed
+/// mode keeps the store's per-shard Path ORAM index
 /// (oram::OramMirror), each ingested block in the tree of the local
 /// shard its entry names. Ingest stores ciphertexts without opening them,
 /// in either mode: decryption, and with it authentication, happens only

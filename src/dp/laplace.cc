@@ -20,11 +20,6 @@ int64_t LaplaceMechanism::PerturbCount(int64_t true_count, Rng* rng) const {
       std::llround(Perturb(static_cast<double>(true_count), rng)));
 }
 
-double LaplaceMechanism::TailProbability(double scale, double t) {
-  if (t <= 0) return 1.0;
-  return std::exp(-t / scale);
-}
-
 GeometricMechanism::GeometricMechanism(double epsilon, double sensitivity)
     : epsilon_(epsilon), alpha_(std::exp(-epsilon / sensitivity)) {
   assert(epsilon > 0 && "epsilon must be positive");

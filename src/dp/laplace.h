@@ -29,9 +29,6 @@ class LaplaceMechanism {
   double epsilon() const { return epsilon_; }
   double scale() const { return scale_; }
 
-  /// P[|Lap(b)| >= t] = exp(-t/b): tail bound used by the theorem checks.
-  static double TailProbability(double scale, double t);
-
  private:
   double epsilon_;
   double scale_;

@@ -11,6 +11,16 @@ namespace dpsync::edb {
 
 namespace {
 
+/// Whether `config` can release at all: a finite epsilon > 0 and a limit
+/// that is a number.
+Status ValidateBudget(const CryptEpsConfig& config) {
+  DPSYNC_RETURN_IF_ERROR(dp::ValidateEpsilon(config.query_epsilon));
+  if (std::isnan(config.total_budget_limit)) {
+    return Status::InvalidArgument("total_budget_limit must not be NaN");
+  }
+  return Status::Ok();
+}
+
 /// How many releases `limit` allows at `epsilon` each: floor(limit /
 /// epsilon), except that a ratio within a relative 1e-9 of an integer
 /// counts as that integer. A limit <= 0, or a ratio beyond 2^62, is
@@ -38,11 +48,13 @@ CryptEpsBudget::Reservation::~Reservation() {
 
 CryptEpsBudget::CryptEpsBudget(const CryptEpsConfig& config)
     : epsilon_(config.query_epsilon),
+      config_status_(ValidateBudget(config)),
       max_releases_(
           MaxReleases(config.query_epsilon, config.total_budget_limit)),
       rng_(config.master_seed ^ 0xfeedface) {}
 
 StatusOr<CryptEpsBudget::Reservation> CryptEpsBudget::Reserve() {
+  if (!config_status_.ok()) return config_status_;
   std::lock_guard<std::mutex> lk(mu_);
   if (reserved_ + released_ >= max_releases_) {
     return Status::PermissionDenied("analyst query budget exhausted");
@@ -71,7 +83,8 @@ void CryptEpsBudget::Release(Reservation reservation,
 
 double CryptEpsBudget::consumed() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return static_cast<double>(released_) * epsilon_;
+  // An epsilon Reserve refuses never releases, and 0 x NaN would read NaN.
+  return released_ == 0 ? 0.0 : static_cast<double>(released_) * epsilon_;
 }
 
 void CryptEpsBudget::GiveBack() {

@@ -14,11 +14,9 @@ namespace dpsync::edb {
 
 struct CryptEpsConfig;  // crypte_engine.h
 
-/// The analyst's Crypt-eps budget and its Laplace noise stream. Its one
-/// owner is the Laplace release stage (`LaplaceRelease`, crypte_engine.h),
-/// so every server that answers Crypt-eps queries, local or distributed,
-/// spends it the same way. Every answered query spends exactly
-/// `query_epsilon`: the stage reserves it before any work, then releases
+/// The analyst's Crypt-eps budget and its Laplace noise stream, owned by
+/// CryptEpsServer (crypte_engine.h). Every answered query spends exactly
+/// `query_epsilon`: the server reserves it before any work, then releases
 /// the exact answer through `Release`, or drops the reservation on
 /// failure, which gives the epsilon back.
 ///
@@ -49,8 +47,10 @@ class CryptEpsBudget {
   /// from `config.master_seed`.
   explicit CryptEpsBudget(const CryptEpsConfig& config);
 
-  /// Reserves one query's epsilon, or fails with PermissionDenied once
-  /// every release the limit allows is reserved or spent.
+  /// Reserves one query's epsilon. Fails with InvalidArgument, reserving
+  /// nothing, when `query_epsilon` is not finite and > 0
+  /// (dp::ValidateEpsilon) or the limit is NaN, and with PermissionDenied
+  /// once every release the limit allows is reserved or spent.
   StatusOr<Reservation> Reserve();
 
   /// Spends `reservation` on `result`: adds Lap(1/query_epsilon) to the
@@ -68,6 +68,8 @@ class CryptEpsBudget {
   void GiveBack();
 
   const double epsilon_;
+  /// Why no query may reserve at all (a bad epsilon or limit), or OK.
+  const Status config_status_;
   const int64_t max_releases_;
   mutable std::mutex mu_;
   Rng rng_;                ///< guarded by mu_

@@ -12,15 +12,12 @@
 /// matching the paper ("Crypt-eps does not support join operators").
 ///
 /// Apart from its cost model, its missing join operator and the Laplace
-/// release, Crypt-eps answers exactly like ObliDB's linear storage method.
-/// So the release is one stage, LaplaceRelease, that derives from the
-/// exact engine it releases: CryptEpsServer is that stage over an
-/// ObliDbServer, and dist::DistributedCryptEpsServer (dist/coordinator.h)
-/// the same stage over the scatter-gather coordinator.
+/// release, Crypt-eps answers exactly like ObliDB's linear storage method,
+/// so CryptEpsServer is an ObliDbServer over linear tables whose
+/// ExecutePlan releases the exact answer.
 #pragma once
 
 #include <string>
-#include <utility>
 
 #include "edb/crypte_budget.h"
 #include "edb/oblidb_engine.h"
@@ -33,76 +30,37 @@ struct CryptEpsConfig {
   /// Query API v2 execution limits (max in-flight, overflow queue).
   AdmissionConfig admission;
   /// Privacy budget spent on each query release (the paper's evaluation
-  /// sets this to 3).
+  /// sets this to 3). Must be finite and > 0: otherwise every query is
+  /// refused with InvalidArgument.
   double query_epsilon = 3.0;
   /// Total analyst budget; once consumed, further queries are refused with
-  /// PermissionDenied. 0 disables the limit (the paper's experiments do
-  /// not enforce one).
+  /// PermissionDenied. A limit <= 0 disables it (the paper's experiments
+  /// do not enforce one); a NaN limit refuses every query with
+  /// InvalidArgument.
   double total_budget_limit = 0.0;
   /// Physical storage for every table (backend kind, shard count, dir).
   StorageConfig storage;
 };
 
-/// ObliDB's linear storage method under `config`'s seed, admission limits
-/// and storage: the tables every Crypt-eps server runs.
-ObliDbConfig LinearConfig(const CryptEpsConfig& config);
-
-/// Crypt-eps's release over `Exact`, an exact engine whose protected
-/// `(config, CostModel)` constructor builds it under another cost model.
-/// Each query reserves its epsilon from the CryptEpsBudget before any
-/// work, runs `Exact::ExecutePlan`, then releases the exact answer with
-/// Laplace noise; a query that fails drops its reservation, which gives
-/// the epsilon back. The release never depends on which path computed the
-/// exact answer (a view, a scan, a scatter-gather merge), and admission
-/// gates it like any engine: the stage is the server analysts talk to.
-/// Joins are rejected at Prepare time via planner_options().
-template <typename Exact>
-class LaplaceRelease : public Exact {
+/// The Crypt-eps server: ObliDB's linear tables under `config`'s seed,
+/// admission limits and storage, priced by CryptEpsCostModel(), with every
+/// answer released with Laplace noise from `config`'s budget. Each query
+/// reserves its epsilon from the CryptEpsBudget before any work, runs
+/// ObliDbServer::ExecutePlan, then releases the exact answer with Laplace
+/// noise; a query that fails drops its reservation, which gives the
+/// epsilon back. The release never depends on which path computed the
+/// exact answer (a view or a scan), and admission gates it like any
+/// engine. Joins are rejected at Prepare time via planner_options().
+class CryptEpsServer : public ObliDbServer {
  public:
-  /// `Exact` over the linear tables of `LinearConfig(config, topology...)`,
-  /// priced by CryptEpsCostModel(), spending `config`'s budget. `topology`
-  /// is the rest of Exact's configuration: none for an ObliDbServer, a
-  /// dist::DistributedConfig (whose engine options give way to `config`'s)
-  /// for the coordinator.
-  template <typename... Topology>
-  explicit LaplaceRelease(const CryptEpsConfig& config = {},
-                          const Topology&... topology)
-      : Exact(LinearConfig(config, topology...), CryptEpsCostModel()),
-        budget_(config) {}
+  explicit CryptEpsServer(const CryptEpsConfig& config = {});
+  ~CryptEpsServer() override;
 
-  ~LaplaceRelease() override {
-    // In-flight async queries call back into our ExecutePlan, which
-    // spends budget_; drain them before it is torn down.
-    this->DrainSessions();
-  }
-
-  LeakageProfile leakage() const override {
-    LeakageProfile p = Exact::leakage();
-    p.query_class = LeakageClass::kLDP;
-    return p;
-  }
+  LeakageProfile leakage() const override;
   std::string name() const override { return "CryptEpsilon"; }
 
-  StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override {
-    auto reservation = budget_.Reserve();
-    if (!reservation.ok()) return reservation.status();
-    // The two-server aggregation pipeline, played by one process: the
-    // exact answer, then its release with Laplace noise from the reserved
-    // epsilon.
-    auto resp = Exact::ExecutePlan(plan);
-    if (!resp.ok()) return resp.status();
-    budget_.Release(std::move(reservation.value()), &resp->result);
-    return resp;
-  }
-
-  query::PlannerOptions planner_options() const override {
-    query::PlannerOptions options = Exact::planner_options();
-    // Keep the legacy error text: "Crypt-eps does not support join
-    // operators" (paper: Crypt-eps has no join operator).
-    options.engine_name = "Crypt-eps";
-    options.supports_join = false;
-    return options;
-  }
+  StatusOr<QueryResponse> ExecutePlan(const query::QueryPlan& plan) override;
+  query::PlannerOptions planner_options() const override;
 
   /// Cumulative query budget consumed so far (sequential composition over
   /// the analyst's query stream): answered queries x query_epsilon.
@@ -111,8 +69,5 @@ class LaplaceRelease : public Exact {
  private:
   CryptEpsBudget budget_;
 };
-
-/// The Crypt-eps server: ObliDB's linear tables under the Laplace release.
-using CryptEpsServer = LaplaceRelease<ObliDbServer>;
 
 }  // namespace dpsync::edb

@@ -126,7 +126,7 @@ class ObliDbServer : public EdbServer {
   const query::Schema* FindSchema(const std::string& table) const override;
 
  protected:
-  /// This engine body priced by another cost model: LaplaceRelease
+  /// This engine body priced by another cost model: CryptEpsServer
   /// (crypte_engine.h) runs ObliDB's linear tables this way.
   ObliDbServer(const ObliDbConfig& config, const CostModel& cost);
 

@@ -1,17 +1,8 @@
 #include "workload/taxi_generator.h"
 
 #include <cmath>
-#include <cstdlib>
-
-#include "common/csv.h"
 
 namespace dpsync::workload {
-
-int64_t TaxiTrace::record_count() const {
-  int64_t n = 0;
-  for (const auto& a : arrivals) n += a.has_value() ? 1 : 0;
-  return n;
-}
 
 std::vector<bool> TaxiTrace::ArrivalBits() const {
   std::vector<bool> bits;
@@ -89,42 +80,6 @@ TaxiTrace GenerateTaxiTrace(const TaxiConfig& config) {
     if (trip.fare < 2.5) trip.fare = 2.5;
     trip.is_dummy = false;
     trace.arrivals[static_cast<size_t>(t)] = trip;
-  }
-  return trace;
-}
-
-Status SaveTrace(const TaxiTrace& trace, const std::string& path) {
-  std::vector<std::vector<std::string>> rows;
-  for (const auto& a : trace.arrivals) {
-    if (!a) continue;
-    rows.push_back({std::to_string(a->pick_time), std::to_string(a->pickup_id),
-                    std::to_string(a->dropoff_id),
-                    std::to_string(a->trip_distance), std::to_string(a->fare)});
-  }
-  return WriteCsv(path, {"pick_time", "pickup_id", "dropoff_id", "distance",
-                         "fare"},
-                  rows);
-}
-
-StatusOr<TaxiTrace> LoadTrace(const TaxiConfig& config,
-                              const std::string& path) {
-  auto rows = ReadCsv(path, /*skip_header=*/true);
-  if (!rows.ok()) return rows.status();
-  TaxiTrace trace;
-  trace.config = config;
-  trace.arrivals.resize(static_cast<size_t>(config.horizon_minutes));
-  for (const auto& row : rows.value()) {
-    if (row.size() != 5) return Status::InvalidArgument("bad trace row");
-    TripRecord trip;
-    trip.pick_time = std::strtoll(row[0].c_str(), nullptr, 10);
-    trip.pickup_id = std::strtoll(row[1].c_str(), nullptr, 10);
-    trip.dropoff_id = std::strtoll(row[2].c_str(), nullptr, 10);
-    trip.trip_distance = std::strtod(row[3].c_str(), nullptr);
-    trip.fare = std::strtod(row[4].c_str(), nullptr);
-    if (trip.pick_time < 0 || trip.pick_time >= config.horizon_minutes) {
-      return Status::OutOfRange("trace row outside horizon");
-    }
-    trace.arrivals[static_cast<size_t>(trip.pick_time)] = trip;
   }
   return trace;
 }

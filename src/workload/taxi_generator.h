@@ -1,6 +1,6 @@
 /// \file taxi_generator.h
 /// Synthetic NYC taxi trace generator — the documented substitution for
-/// the June-2020 TLC Yellow Cab / Green Boro datasets (see DESIGN.md).
+/// the June-2020 TLC Yellow Cab / Green Boro datasets.
 /// Preserves the invariants the paper's preprocessing establishes:
 ///   * 43,200 one-minute time units (30 days);
 ///   * at most one record per minute (duplicates were dropped);
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "workload/trip_record.h"
 
 namespace dpsync::workload {
@@ -32,9 +31,6 @@ struct TaxiTrace {
   TaxiConfig config;
   std::vector<std::optional<TripRecord>> arrivals;  ///< size horizon_minutes
 
-  /// Number of non-empty slots.
-  int64_t record_count() const;
-
   /// Arrival indicator vector (for the DP mechanism simulators).
   std::vector<bool> ArrivalBits() const;
 };
@@ -47,11 +43,5 @@ TaxiTrace GenerateTaxiTrace(const TaxiConfig& config);
 /// curve with morning/evening peaks, normalized to mean 1. Exposed for
 /// tests.
 double DiurnalIntensity(int64_t minute_of_day);
-
-/// Persists a trace as CSV (minute,pickup,dropoff,distance,fare; empty
-/// slots omitted) and reloads it.
-Status SaveTrace(const TaxiTrace& trace, const std::string& path);
-StatusOr<TaxiTrace> LoadTrace(const TaxiConfig& config,
-                              const std::string& path);
 
 }  // namespace dpsync::workload

@@ -1,10 +1,9 @@
-// Tests for src/common: bytes, status, rng, stats, csv, table printer.
+// Tests for src/common: bytes, status, rng, stats, table printer, thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/csv.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -220,24 +218,6 @@ TEST(RunningStatTest, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(PercentileTest, Median) {
-  EXPECT_DOUBLE_EQ(Percentile({3, 1, 2}, 50), 2.0);
-}
-
-TEST(PercentileTest, Extremes) {
-  std::vector<double> v = {5, 1, 9};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100), 9.0);
-}
-
-TEST(PercentileTest, Interpolates) {
-  EXPECT_DOUBLE_EQ(Percentile({0, 10}, 25), 2.5);
-}
-
-TEST(PercentileTest, EmptyReturnsZero) {
-  EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
-}
-
 TEST(SeriesTest, SummarizeAggregates) {
   Series s;
   s.Add(1, 10);
@@ -258,41 +238,9 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_NE(out.find("longer"), std::string::npos);
 }
 
-TEST(TablePrinterTest, CsvOutput) {
-  TablePrinter tp({"a", "b"});
-  tp.AddRow({"1", "2"});
-  std::ostringstream os;
-  tp.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TablePrinterTest, FmtPrecision) {
   EXPECT_EQ(TablePrinter::Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Fmt(2.0, 0), "2");
-}
-
-TEST(CsvTest, SplitLine) {
-  auto f = SplitCsvLine("a,b,,d");
-  ASSERT_EQ(f.size(), 4u);
-  EXPECT_EQ(f[0], "a");
-  EXPECT_EQ(f[2], "");
-  EXPECT_EQ(f[3], "d");
-}
-
-TEST(CsvTest, WriteReadRoundTrip) {
-  std::string path = testing::TempDir() + "/dpsync_csv_test.csv";
-  ASSERT_TRUE(WriteCsv(path, {"x", "y"}, {{"1", "2"}, {"3", "4"}}).ok());
-  auto rows = ReadCsv(path, /*skip_header=*/true);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[1][1], "4");
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, MissingFileIsNotFound) {
-  auto rows = ReadCsv("/nonexistent/path.csv", false);
-  EXPECT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kNotFound);
 }
 
 // ------------------------------------------------------------ ThreadPool

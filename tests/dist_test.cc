@@ -1,12 +1,11 @@
 // Tests for the distributed plan-shipping layer (src/dist/): the
 // scatter-gather coordinator must be bit-identical to the single-process
-// engines — answers (including grouped maps and the Crypt-eps Laplace
-// noise stream), records_scanned, the virtual QET and the ORAM counters —
-// across backends x server counts, because server k owns the contiguous
-// global shard range [S*k/K, S*(k+1)/K) and the rank-order merge replays
-// the exact single-process Add()/Merge() sequence. Also covered: typed
-// Unavailable within the RPC deadline when a server dies, a Crypt-eps
-// query that fails on the wire spending no budget, an owner batch
+// engine — answers (including grouped maps), records_scanned, the
+// virtual QET and the ORAM counters — across backends x server counts,
+// because server k owns the contiguous global shard range
+// [S*k/K, S*(k+1)/K) and the rank-order merge replays the exact
+// single-process Add()/Merge() sequence. Also covered: typed
+// Unavailable within the RPC deadline when a server dies, an owner batch
 // over the frame bound refused at the coordinator without a failover,
 // Setup/Update state machine, topology validation, racing owner appends
 // through the coordinator (the CI TSan job leans on this), the
@@ -28,7 +27,6 @@
 #include "core/naive_strategies.h"
 #include "crypto/record_cipher.h"
 #include "dist/coordinator.h"
-#include "edb/crypte_engine.h"
 #include "edb/oblidb_engine.h"
 #include "edb/plan_cache.h"
 #include "net/wire.h"
@@ -114,13 +112,11 @@ const std::vector<std::string>& QuerySuite() {
 struct Variant {
   const char* label;
   bool use_oram_index;
-  bool crypteps = false;  ///< the Crypt-eps release over the engine
 };
 
 constexpr Variant kVariants[] = {
     {"oblidb-linear", false},
     {"oblidb-indexed", true},
-    {"crypteps", false, /*crypteps=*/true},
 };
 
 constexpr int kGlobalShards = 6;
@@ -134,21 +130,9 @@ DistributedConfig MakeDistConfig(const Variant& v, int servers) {
   return cfg;
 }
 
-/// Crypt-eps's options on the global topology, for the distributed
-/// servers and their twins alike.
-edb::CryptEpsConfig CryptEpsOptions() {
-  edb::CryptEpsConfig cfg;
-  cfg.storage.num_shards = kGlobalShards;
-  return cfg;
-}
-
 /// The coordinator `v` names over `servers` shard servers.
 std::unique_ptr<DistributedEdbServer> MakeDist(const Variant& v,
                                                int servers) {
-  if (v.crypteps) {
-    return std::make_unique<DistributedCryptEpsServer>(
-        CryptEpsOptions(), MakeDistConfig(v, servers));
-  }
   return std::make_unique<DistributedEdbServer>(MakeDistConfig(v, servers));
 }
 
@@ -157,9 +141,6 @@ std::unique_ptr<DistributedEdbServer> MakeDist(const Variant& v,
 /// coordinator always merges raw partials, so the two move different
 /// counters (answers must still match bit for bit).
 std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
-  if (v.crypteps) {
-    return std::make_unique<edb::CryptEpsServer>(CryptEpsOptions());
-  }
   edb::ObliDbConfig cfg;
   cfg.storage.num_shards = kGlobalShards;
   cfg.use_oram_index = v.use_oram_index;
@@ -193,9 +174,7 @@ void RunIdentitySweep(const Variant& v, int servers, int64_t rows = 64) {
   EXPECT_EQ(dist.total_outsourced_records(), local->total_outsourced_records());
   EXPECT_EQ(dist.total_outsourced_bytes(), local->total_outsourced_bytes());
 
-  // Identical query sequence, in the same order on both sides — for
-  // Crypt-eps this is what makes the two Laplace noise streams line up,
-  // so even the NOISY answers must agree bit for bit.
+  // Identical query sequence, in the same order on both sides.
   for (const auto& sql : QuerySuite()) {
     SCOPED_TRACE(sql);
     auto q = query::ParseSelect(sql);
@@ -205,13 +184,6 @@ void RunIdentitySweep(const Variant& v, int servers, int64_t rows = 64) {
     ASSERT_OK(dist_resp);
     ASSERT_OK(local_resp);
     ExpectBitIdentical(dist_resp.value(), local_resp.value());
-  }
-
-  if (v.crypteps) {
-    auto crypteps = static_cast<edb::CryptEpsServer*>(local.get());
-    auto& released = static_cast<DistributedCryptEpsServer&>(dist);
-    EXPECT_EQ(released.consumed_query_budget(),
-              crypteps->consumed_query_budget());
   }
 
   // The distributed counters: one scatter per execution, one partial per
@@ -451,86 +423,21 @@ TEST(DistPlanShippingTest, ShardPlanCacheIsBounded) {
 }
 
 TEST(DistPlannerTest, JoinsRejectedAtPrepare) {
-  // Neither distributed server joins; each names its engine in the
-  // refusal and reports that engine's leakage class.
-  const struct {
-    Variant variant;
-    const char* refusal;
-    edb::LeakageClass query_class;
-  } kCases[] = {
-      {{"oblidb-linear", false},
-       "Distributed+ObliDB does not support join operators",
-       edb::LeakageClass::kL0},
-      {{"crypteps", false, /*crypteps=*/true},
-       "Crypt-eps does not support join operators",
-       edb::LeakageClass::kLDP},
-  };
-  for (const auto& c : kCases) {
-    SCOPED_TRACE(c.variant.label);
-    auto dist = MakeDist(c.variant, 2);
-    ASSERT_OK(dist->init_status());
-    ASSERT_OK(dist->CreateTable("YellowCab", TripSchema()));
-    ASSERT_OK(dist->CreateTable("GreenTaxi", TripSchema()));
-    auto session = dist->CreateSession();
-    auto refused = session->Prepare(
-        "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
-        "YellowCab.pickTime = GreenTaxi.pickTime");
-    ASSERT_FALSE(refused.ok());
-    EXPECT_EQ(refused.status().code(), StatusCode::kUnimplemented);
-    EXPECT_EQ(refused.status().message(), c.refusal);
-    EXPECT_EQ(dist->leakage().query_class, c.query_class);
-  }
-}
-
-TEST(DistBudgetTest, CryptEpsBudgetEnforcedAcrossTheWire) {
-  DistributedConfig cfg =
-      MakeDistConfig({"crypteps", false, /*crypteps=*/true}, 2);
-  edb::CryptEpsConfig crypteps = CryptEpsOptions();
-  crypteps.query_epsilon = 3.0;
-  crypteps.total_budget_limit = 6.0;  // two queries' worth
-  DistributedCryptEpsServer dist(crypteps, cfg);
-  ASSERT_OK(dist.init_status());
-  auto table = dist.CreateTable("YellowCab", TripSchema());
-  ASSERT_OK(table);
-  ASSERT_OK(table.value()->Setup(MakeBatch(0, 16)));
-  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_OK(q);
-  ASSERT_OK(PrepareAndExecute(dist, q.value()));
-  ASSERT_OK(PrepareAndExecute(dist, q.value()));
-  auto third = PrepareAndExecute(dist, q.value());
-  ASSERT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kPermissionDenied);
-  EXPECT_EQ(dist.consumed_query_budget(), 6.0);
-}
-
-// A Crypt-eps query that dies on the wire releases nothing, so it must
-// spend nothing: the coordinator drops its reservation and the epsilon
-// comes back. With a two-query limit, a leaked reservation would turn the
-// second failure into PermissionDenied.
-TEST(DistBudgetTest, FailedScatterGivesTheEpsilonBack) {
-  DistributedConfig cfg =
-      MakeDistConfig({"crypteps", false, /*crypteps=*/true}, 2);
-  cfg.rpc_timeout_seconds = 2.0;
-  edb::CryptEpsConfig crypteps = CryptEpsOptions();
-  crypteps.query_epsilon = 3.0;
-  crypteps.total_budget_limit = 6.0;
-  DistributedCryptEpsServer dist(crypteps, cfg);
-  ASSERT_OK(dist.init_status());
-  auto table = dist.CreateTable("YellowCab", TripSchema());
-  ASSERT_OK(table);
-  ASSERT_OK(table.value()->Setup(MakeBatch(0, 16)));
-  auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
-  ASSERT_OK(q);
-  ASSERT_OK(PrepareAndExecute(dist, q.value()));
-
-  ASSERT_OK(dist.KillServer(1));  // unreplicated: no follower to promote
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    auto resp = PrepareAndExecute(dist, q.value());
-    ASSERT_FALSE(resp.ok());
-    EXPECT_EQ(resp.status().code(), StatusCode::kUnavailable)
-        << resp.status().ToString();
-    EXPECT_EQ(dist.consumed_query_budget(), 3.0);
-  }
+  // The coordinator does not join; it names its engine in the refusal
+  // and reports ObliDB's leakage class.
+  auto dist = MakeDist({"oblidb-linear", false}, 2);
+  ASSERT_OK(dist->init_status());
+  ASSERT_OK(dist->CreateTable("YellowCab", TripSchema()));
+  ASSERT_OK(dist->CreateTable("GreenTaxi", TripSchema()));
+  auto session = dist->CreateSession();
+  auto refused = session->Prepare(
+      "SELECT COUNT(*) FROM YellowCab INNER JOIN GreenTaxi ON "
+      "YellowCab.pickTime = GreenTaxi.pickTime");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(refused.status().message(),
+            "Distributed+ObliDB does not support join operators");
+  EXPECT_EQ(dist->leakage().query_class, edb::LeakageClass::kL0);
 }
 
 // ----------------------------------------------------- racing owner writes

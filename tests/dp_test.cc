@@ -38,12 +38,6 @@ TEST(LaplaceMechanismTest, PerturbCountRounds) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(mech.PerturbCount(7, &rng), 7);
 }
 
-TEST(LaplaceMechanismTest, TailProbability) {
-  EXPECT_NEAR(LaplaceMechanism::TailProbability(1.0, 2.0), std::exp(-2.0),
-              1e-12);
-  EXPECT_DOUBLE_EQ(LaplaceMechanism::TailProbability(1.0, 0.0), 1.0);
-}
-
 // Empirical DP check: the likelihood ratio of observing any output bucket
 // under neighboring inputs c and c+1 must be bounded by e^eps (within
 // sampling error). This is the standard histogram-based DP distinguisher.

@@ -1,21 +1,21 @@
-// Tests for the extension features: the TLC CSV loader (with the paper's
-// preprocessing), multi-record-per-tick arrivals, geometric-noise strategy
-// variants, and the Crypt-eps analyst budget: its exact release count on
-// both servers and the exact bits of its noise stream.
+// Tests for the extension features: multi-record-per-tick arrivals,
+// geometric-noise strategy variants, and the Crypt-eps analyst budget: its
+// exact release count, its refusal of an epsilon or limit it cannot
+// release under, the epsilon a failed query gives back, and the exact bits
+// of its noise stream.
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/dp_timer.h"
 #include "core/engine.h"
 #include "core/naive_strategies.h"
-#include "dist/coordinator.h"
+#include "crypto/record_cipher.h"
 #include "edb/crypte_engine.h"
 #include "query/parser.h"
 #include "test_util.h"
-#include "workload/tlc_loader.h"
 #include "workload/trip_record.h"
 
 namespace dpsync {
@@ -26,80 +26,6 @@ using testutil::PrepareAndExecute;
 using testutil::RecordingBackend;
 using testutil::Trip;
 using workload::TripRecord;
-
-// ------------------------------------------------------------ TLC loader
-
-class TlcLoaderTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = testing::TempDir() + "/dpsync_tlc_test.csv";
-    std::ofstream out(path_);
-    // Header mirrors the 2020 Yellow layout (11 columns; we only read 5).
-    out << "VendorID,tpep_pickup_datetime,tpep_dropoff_datetime,passenger_"
-           "count,trip_distance,RatecodeID,store_and_fwd_flag,PULocationID,"
-           "DOLocationID,payment_type,fare_amount\n";
-    auto row = [&](const std::string& ts, const std::string& pu,
-                   const std::string& doo, const std::string& dist,
-                   const std::string& fare) {
-      out << "1," << ts << ",2020-06-01 00:20:00,1," << dist << ",1,N," << pu
-          << "," << doo << ",1," << fare << "\n";
-    };
-    row("2020-06-01 00:08:42", "132", "45", "3.2", "14.5");   // kept, min 8
-    row("2020-06-01 00:08:59", "100", "10", "1.0", "5.0");    // dup minute 8
-    row("2020-06-02 13:30:00", "7", "7", "0.5", "3.0");       // kept
-    row("2020-05-31 23:59:00", "1", "1", "1.0", "4.0");       // out of month
-    row("2020-06-15 07:00:00", "999", "45", "1.0", "4.0");    // bad zone
-    row("2020-06-15 07:01:00", "45", "45", "-2.0", "4.0");    // bad distance
-    row("garbage-timestamp", "45", "45", "1.0", "4.0");       // bad ts
-    row("2020-06-30 23:59:00", "265", "1", "2.0", "9.0");     // kept, last min
-  }
-
-  std::string path_;
-};
-
-TEST_F(TlcLoaderTest, AppliesPaperPreprocessing) {
-  workload::TlcLoadOptions opt;
-  workload::TlcLoadStats stats;
-  auto trace = workload::LoadTlcCsv(path_, opt, &stats);
-  ASSERT_TRUE(trace.ok());
-  EXPECT_EQ(stats.rows_read, 8);
-  EXPECT_EQ(stats.kept, 3);
-  EXPECT_EQ(stats.duplicates_dropped, 1);
-  EXPECT_EQ(stats.invalid_dropped, 2);      // bad zone, bad distance
-  EXPECT_EQ(stats.out_of_month_dropped, 2);  // May row + garbage timestamp
-  EXPECT_EQ(trace->record_count(), 3);
-  EXPECT_EQ(trace->config.horizon_minutes, 43200);
-}
-
-TEST_F(TlcLoaderTest, MapsTimestampsToMinuteSlots) {
-  workload::TlcLoadOptions opt;
-  auto trace = workload::LoadTlcCsv(path_, opt, nullptr);
-  ASSERT_TRUE(trace.ok());
-  ASSERT_TRUE(trace->arrivals[8].has_value());  // 00:08 on day 1
-  EXPECT_EQ(trace->arrivals[8]->pickup_id, 132);
-  EXPECT_DOUBLE_EQ(trace->arrivals[8]->trip_distance, 3.2);
-  // Day 2, 13:30 -> 1440 + 13*60 + 30.
-  EXPECT_TRUE(trace->arrivals[1440 + 13 * 60 + 30].has_value());
-  // Last minute of the month.
-  EXPECT_TRUE(trace->arrivals[43200 - 1].has_value());
-}
-
-TEST_F(TlcLoaderTest, MissingFileFails) {
-  workload::TlcLoadOptions opt;
-  EXPECT_FALSE(workload::LoadTlcCsv("/no/such/file.csv", opt).ok());
-}
-
-TEST(ParseTlcMinuteTest, ParsesAndValidates) {
-  workload::TlcLoadOptions opt;  // June 2020
-  EXPECT_EQ(workload::ParseTlcMinute("2020-06-01 00:00:00", opt), 0);
-  EXPECT_EQ(workload::ParseTlcMinute("2020-06-01 01:30:59", opt), 90);
-  EXPECT_EQ(workload::ParseTlcMinute("2020-06-30 23:59:00", opt), 43199);
-  EXPECT_EQ(workload::ParseTlcMinute("2020-07-01 00:00:00", opt), -1);
-  EXPECT_EQ(workload::ParseTlcMinute("2019-06-01 00:00:00", opt), -1);
-  EXPECT_EQ(workload::ParseTlcMinute("2020-06-31 00:00:00", opt), -1);
-  EXPECT_EQ(workload::ParseTlcMinute("not a time", opt), -1);
-  EXPECT_EQ(workload::ParseTlcMinute("", opt), -1);
-}
 
 // ----------------------------------------------- Multi-record arrivals
 
@@ -184,15 +110,6 @@ TEST(NoiseKindTest, NamesAreStable) {
 
 // ------------------------------------------------ Crypt-eps budget limit
 
-/// A 2-rank distributed twin of `cfg`: the release over the coordinator
-/// spends the same budget the single-process engine does.
-dist::DistributedCryptEpsServer TwoRankTwin(edb::CryptEpsConfig cfg) {
-  cfg.storage.num_shards = 2;
-  dist::DistributedConfig topology;
-  topology.num_servers = 2;
-  return dist::DistributedCryptEpsServer(cfg, topology);
-}
-
 /// One row of the exact-budget grid. The limit is written as a decimal
 /// literal, never computed as answers * epsilon, so 0.3 / 0.1 falls just
 /// short of 3 in binary and 1e-9 / 1e-10 lands near 10 by rounding.
@@ -206,8 +123,8 @@ void PrintTo(const BudgetCase& c, std::ostream* os) {
   *os << "epsilon " << c.epsilon << ", limit " << c.limit;
 }
 
-template <typename Server>
-void ExpectAnswersThenDenied(Server& server, const BudgetCase& c) {
+void ExpectAnswersThenDenied(edb::CryptEpsServer& server,
+                             const BudgetCase& c) {
   auto t = server.CreateTable("YellowCab", workload::TripSchema());
   ASSERT_OK(t);
   ASSERT_OK(t.value()->Setup({Trip(1, 60)}));
@@ -229,17 +146,8 @@ TEST_P(CryptBudgetTest, AnswersFloorOfLimitOverEpsilonThenRefuses) {
   edb::CryptEpsConfig cfg;
   cfg.query_epsilon = c.epsilon;
   cfg.total_budget_limit = c.limit;
-  {
-    SCOPED_TRACE("CryptEpsServer");
-    edb::CryptEpsServer server(cfg);
-    ExpectAnswersThenDenied(server, c);
-  }
-  {
-    SCOPED_TRACE("2-rank DistributedCryptEpsServer");
-    dist::DistributedCryptEpsServer server = TwoRankTwin(cfg);
-    ASSERT_OK(server.init_status());
-    ExpectAnswersThenDenied(server, c);
-  }
+  edb::CryptEpsServer server(cfg);
+  ExpectAnswersThenDenied(server, c);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -268,12 +176,79 @@ TEST(CryptBudgetTest, ZeroLimitMeansUnlimited) {
   }
 }
 
+// An epsilon that is not finite and > 0 has no Laplace release, and a NaN
+// limit is no limit: every query is refused with InvalidArgument before
+// anything is reserved, never answered and never refused as an exhausted
+// budget.
+TEST(CryptBudgetTest, InvalidQueryEpsilonIsRefused) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    double epsilon;
+    double limit;
+  } kCases[] = {{0.0, 6.0}, {-1.0, 6.0}, {kNaN, 6.0}, {kInf, 6.0},
+                {3.0, kNaN}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE("epsilon " + std::to_string(c.epsilon) + ", limit " +
+                 std::to_string(c.limit));
+    edb::CryptEpsConfig cfg;
+    cfg.query_epsilon = c.epsilon;
+    cfg.total_budget_limit = c.limit;
+    edb::CryptEpsServer server(cfg);
+    auto t = server.CreateTable("YellowCab", workload::TripSchema());
+    ASSERT_OK(t);
+    std::vector<Record> rows;
+    for (int64_t i = 1; i <= 5; ++i) rows.push_back(Trip(i, 60));
+    ASSERT_OK(t.value()->Setup(rows));
+    auto q = query::ParseSelect("SELECT COUNT(*) FROM YellowCab");
+    ASSERT_OK(q);
+    for (int i = 0; i < 4; ++i) {
+      auto r = PrepareAndExecute(server, q.value());
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << r.status().ToString();
+    }
+    EXPECT_EQ(server.consumed_query_budget(), 0.0);
+  }
+}
+
+// A query that fails after its reservation releases nothing, so it spends
+// nothing: dropping the reservation gives the epsilon back. With a
+// two-query limit and one query answered, a leaked reservation would turn
+// the second failure into PermissionDenied.
+TEST(CryptBudgetTest, FailedQueryGivesTheEpsilonBack) {
+  edb::CryptEpsConfig cfg;
+  cfg.query_epsilon = 3.0;
+  cfg.total_budget_limit = 6.0;
+  edb::CryptEpsServer server(cfg);
+  auto t = server.CreateTable("YellowCab", workload::TripSchema());
+  ASSERT_OK(t);
+  ASSERT_OK(t.value()->Setup({Trip(1, 60), Trip(2, 70)}));
+  // MAX has no materialized view, so every execution captures the table.
+  auto q = query::ParseSelect("SELECT MAX(fare) FROM YellowCab");
+  ASSERT_OK(q);
+  ASSERT_OK(PrepareAndExecute(server, q.value()));
+
+  // Ingest opens no ciphertext, so one that fails authentication is
+  // stored and fails every later capture.
+  auto* store = static_cast<edb::EncryptedTableStore*>(t.value());
+  ASSERT_OK(store->IngestCiphertexts(
+      {{0, Bytes(crypto::RecordCipher::kCiphertextSize, 0)}},
+      store->nonce_high_water(), /*setup_batch=*/false));
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto resp = PrepareAndExecute(server, q.value());
+    ASSERT_FALSE(resp.ok());
+    EXPECT_EQ(resp.status().code(), StatusCode::kInvalidArgument)
+        << resp.status().ToString();
+    EXPECT_EQ(server.consumed_query_budget(), 3.0);
+  }
+}
+
 // ------------------------------------------------- Crypt-eps noise golden
 
 /// Every released value of a fixed query sequence, as bit patterns: one
 /// per scalar answer, one per group in key order.
-template <typename Server>
-std::vector<uint64_t> ReleasedBits(Server& server) {
+std::vector<uint64_t> ReleasedBits(edb::CryptEpsServer& server) {
   std::vector<uint64_t> bits;
   auto t = server.CreateTable("YellowCab", workload::TripSchema());
   EXPECT_OK(t);
@@ -310,8 +285,7 @@ std::vector<uint64_t> ReleasedBits(Server& server) {
 // noise-stream identity tests compare two servers built from the same
 // code, so a change that shifted every stream alike would pass them; this
 // pins the seed, the draw order (one draw per scalar, one per group in
-// key order) and the clamp at 0 (the two zero-count queries), on both
-// servers.
+// key order) and the clamp at 0 (the two zero-count queries).
 TEST(CryptEpsNoiseGoldenTest, FixedSeedReleasesArePinned) {
   const std::vector<uint64_t> kGolden = {
       0x40282ee1891d03c1,  // COUNT(*)
@@ -328,14 +302,11 @@ TEST(CryptEpsNoiseGoldenTest, FixedSeedReleasesArePinned) {
   edb::CryptEpsConfig cfg;
   cfg.master_seed = 12;
   cfg.query_epsilon = 0.5;
-  edb::CryptEpsServer local(cfg);
-  dist::DistributedCryptEpsServer distributed = TwoRankTwin(cfg);
-  ASSERT_OK(distributed.init_status());
-  for (const auto& bits : {ReleasedBits(local), ReleasedBits(distributed)}) {
-    ASSERT_EQ(bits.size(), kGolden.size());
-    for (size_t i = 0; i < bits.size(); ++i) {
-      EXPECT_EQ(bits[i], kGolden[i]) << "release " << i;
-    }
+  edb::CryptEpsServer server(cfg);
+  const std::vector<uint64_t> bits = ReleasedBits(server);
+  ASSERT_EQ(bits.size(), kGolden.size());
+  for (size_t i = 0; i < bits.size(); ++i) {
+    EXPECT_EQ(bits[i], kGolden[i]) << "release " << i;
   }
 }
 

@@ -1,14 +1,14 @@
 // Tests for shard replication and failover (src/dist/ + src/net/ fault
 // injection): a killed leader must promote a current follower at a
 // tagged commit-epoch boundary and keep every answer — including grouped
-// maps, records_scanned, the virtual QET and the Crypt-eps Laplace noise
-// stream — bit-identical to the single-process engines; commit-relative
-// death points (kill-before-handle vs kill-after-commit) must neither
-// lose nor duplicate ingest batches; a follower that missed a relay must
-// stay behind and be refused promotion; and a double failure must yield
-// a typed Unavailable naming the rank. Every fault placement derives from
-// DPSYNC_FAULT_SEED (the CI matrix runs 1 to 5) through seeded
-// FaultPlans — no sleeps, no wall-clock synchronization.
+// maps, records_scanned and the virtual QET — bit-identical to the
+// single-process engine; commit-relative death points (kill-before-handle
+// vs kill-after-commit) must neither lose nor duplicate ingest batches; a
+// follower that missed a relay must stay behind and be refused promotion;
+// and a double failure must yield a typed Unavailable naming the rank.
+// Every fault placement derives from DPSYNC_FAULT_SEED (the CI matrix
+// runs 1 to 5) through seeded FaultPlans — no sleeps, no wall-clock
+// synchronization.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,7 +19,6 @@
 
 #include "dist/coordinator.h"
 #include "dist/shard_server.h"
-#include "edb/crypte_engine.h"
 #include "edb/oblidb_engine.h"
 #include "net/messages.h"
 #include "net/socket.h"
@@ -100,13 +99,11 @@ const std::vector<std::string>& QuerySuite() {
 struct Variant {
   const char* label;
   bool use_oram_index;
-  bool crypteps = false;  ///< the Crypt-eps release over the engine
 };
 
 constexpr Variant kVariants[] = {
     {"oblidb-linear", false},
     {"oblidb-indexed", true},
-    {"crypteps", false, /*crypteps=*/true},
 };
 
 constexpr int kGlobalShards = 6;
@@ -133,30 +130,15 @@ DistributedConfig MakeReplicatedConfig(const Variant& v, int servers,
   return cfg;
 }
 
-/// Crypt-eps's options on the global topology, for the distributed
-/// servers and their twins alike.
-edb::CryptEpsConfig CryptEpsOptions() {
-  edb::CryptEpsConfig cfg;
-  cfg.storage.num_shards = kGlobalShards;
-  return cfg;
-}
-
 /// The replicated coordinator `v` names.
 std::unique_ptr<DistributedEdbServer> MakeReplicated(const Variant& v,
                                                      int servers,
                                                      int replicas) {
-  if (v.crypteps) {
-    return std::make_unique<DistributedCryptEpsServer>(
-        CryptEpsOptions(), MakeReplicatedConfig(v, servers, replicas));
-  }
   return std::make_unique<DistributedEdbServer>(
       MakeReplicatedConfig(v, servers, replicas));
 }
 
 std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
-  if (v.crypteps) {
-    return std::make_unique<edb::CryptEpsServer>(CryptEpsOptions());
-  }
   edb::ObliDbConfig cfg;
   cfg.storage.num_shards = kGlobalShards;
   cfg.use_oram_index = v.use_oram_index;
@@ -168,9 +150,7 @@ std::unique_ptr<edb::EdbServer> MakeLocalTwin(const Variant& v) {
 
 /// One leader dies mid-query-suite (at the seed-th Execute frame it
 /// receives); the coordinator must promote its follower and finish the
-/// whole suite bit-identical to the single-process twin — for Crypt-eps
-/// that includes the Laplace noise stream, which only lines up if the
-/// cutover preserved the exact query order and merge shape.
+/// whole suite bit-identical to the single-process twin.
 void RunFailoverIdentitySweep(const Variant& v) {
   SCOPED_TRACE(std::string(v.label) + " seed " + std::to_string(FaultSeed()));
   auto dist_server = MakeReplicated(v, 2, 1);
@@ -214,12 +194,6 @@ void RunFailoverIdentitySweep(const Variant& v) {
     ASSERT_OK(dist_resp);
     ASSERT_OK(local_resp);
     ExpectBitIdentical(dist_resp.value(), local_resp.value());
-  }
-  if (v.crypteps) {
-    auto* crypteps = static_cast<edb::CryptEpsServer*>(local.get());
-    auto& released = static_cast<DistributedCryptEpsServer&>(dist);
-    EXPECT_EQ(released.consumed_query_budget(),
-              crypteps->consumed_query_budget());
   }
 
   // Exactly one cutover happened, and the promoted follower now leads.

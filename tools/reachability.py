@@ -28,6 +28,11 @@ matches none of them (the function went, or production now reaches it),
 so the list shrinks with the code. Functions linked into no binary at
 all are printed too, without failing the check.
 
+The micro benches (DPSYNC_MICRO_BENCHES in bench/CMakeLists.txt) are
+production binaries that CMake builds only where Google Benchmark is
+installed. Without them the verdict would depend on the machine, so the
+script exits 2, naming the package, when any of them was not built.
+
 `--root` points at another checkout: its sources are built and checked
 against this repository's allowlist. `--skip-build` reuses the build
 directories of an earlier run.
@@ -115,6 +120,17 @@ def executables(directory):
             if is_elf_executable(path):
                 found.append(path)
     return sorted(found)
+
+
+def micro_benches(root):
+    """The program names bench/CMakeLists.txt lists in
+    DPSYNC_MICRO_BENCHES."""
+    path = os.path.join(root, "bench", "CMakeLists.txt")
+    with open(path) as f:
+        m = re.search(r"set\(DPSYNC_MICRO_BENCHES([^)]*)\)", f.read())
+    if m is None or not m.group(1).split():
+        fail("no DPSYNC_MICRO_BENCHES list in " + path)
+    return m.group(1).split()
 
 
 def archives(directory):
@@ -220,6 +236,15 @@ def main():
     if not args.skip_build:
         build(root, repo_build)
         build(os.path.join(root, "perfbench"), perfbench_build)
+
+    missing = [name for name in micro_benches(root)
+               if not is_elf_executable(os.path.join(repo_build, "bench",
+                                                     name))]
+    if missing:
+        fail("the micro benches were not built (%s): install Google "
+             "Benchmark (find_package(benchmark), e.g. libbenchmark-dev) "
+             "so the production binaries are the same on every machine" %
+             ", ".join(missing))
 
     library = set()
     for archive in archives(os.path.join(repo_build, "src")):
